@@ -95,7 +95,9 @@ class ParallelEngine:
         Environment pacing / flow control (:class:`EnvironmentConfig`).
     join_timeout:
         Watchdog: seconds to wait for threads at shutdown before declaring
-        the run wedged.
+        the run wedged.  A batch :meth:`run` is timed from its start; a
+        :meth:`run_feed` only from the moment its feed is closed or a
+        stop is requested (a served stream may stay open for days).
     backend:
         Threading backend supplying locks, events, threads, and the clock
         (default: real OS threads).  The deterministic test scheduler
@@ -590,6 +592,16 @@ class ParallelEngine:
         started = backend.clock()
         pool.start()
         env_thread.start()
+        if feed is not None:
+            # A feed-mode run lasts as long as its producer keeps the feed
+            # open; the watchdog below only times the wind-down that
+            # follows a close, a stop request or an abort.
+            while env_thread.is_alive() and not (
+                feed.closed
+                or abort.is_set()
+                or (stop_event is not None and stop_event.is_set())
+            ):
+                env_thread.join(_FEED_POLL_S)
         env_thread.join(self.join_timeout)
         env_wedged = env_thread.is_alive()
         if env_wedged:

@@ -18,12 +18,20 @@ Endpoints (all JSON unless noted):
 
 Uses only :mod:`http.server` — continuous operation must not grow the
 dependency footprint.
+
+Framing guarantees: every accepted socket has ``TCP_NODELAY`` and a
+buffered write side flushed once per reply, so a reply (status line,
+headers and body) never waits on the peer's delayed ACK between two
+small segments; ``/stream`` joins every message its listener queue
+holds at a wakeup into one chunk and one ``sendall``.  A client that
+hangs up mid-exchange ends its handler quietly.
 """
 
 from __future__ import annotations
 
 import json
 import queue
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
@@ -40,6 +48,10 @@ _SSE_HEARTBEAT_EVERY = 40  # polls between keep-alive comments (~10 s)
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # Headers and body leave together when the request loop flushes;
+    # nothing small ever sits behind Nagle waiting for an ACK.
+    wbufsize = 64 * 1024
+    disable_nagle_algorithm = True
 
     # Set by ServeServer on the server object.
     @property
@@ -153,30 +165,44 @@ class _Handler(BaseHTTPRequestHandler):
             # HTTP/1.1 keep-alive connection end cleanly on shutdown.
             self.send_header("Transfer-Encoding", "chunked")
             self.end_headers()
+            self.wfile.flush()
             idle = 0
             while not self._stopping.is_set():
                 try:
-                    msg = q.get(timeout=_SSE_POLL_S)
+                    msgs = [q.get(timeout=_SSE_POLL_S)]
                     idle = 0
                 except queue.Empty:
                     idle += 1
                     if idle < _SSE_HEARTBEAT_EVERY:
                         continue
                     idle = 0
-                    msg = ": keep-alive\n\n"
-                self._write_chunk(msg.encode("utf-8"))
+                    msgs = [b": keep-alive\n\n"]
+                # Whatever else is already queued rides in the same chunk.
+                try:
+                    while True:
+                        msgs.append(q.get_nowait())
+                except queue.Empty:
+                    pass
+                self._write_chunk(b"".join(msgs))
             self._write_chunk(b"")  # terminal chunk
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away — normal for SSE
         finally:
             self._session.announcer.unlisten(q)
             self.close_connection = True
 
     def _write_chunk(self, data: bytes) -> None:
-        self.wfile.write(f"{len(data):X}\r\n".encode("ascii"))
-        self.wfile.write(data)
-        self.wfile.write(b"\r\n")
-        self.wfile.flush()
+        self.connection.sendall(b"%X\r\n%b\r\n" % (len(data), data))
+
+
+class _Server(ThreadingHTTPServer):
+    daemon_threads = True
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        # A peer that hangs up mid-exchange (a health probe that never
+        # reads its reply, an SSE reader going away) is routine; every
+        # other handler failure keeps the stdlib's loud traceback.
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            return
+        super().handle_error(request, client_address)
 
 
 class ServeServer:
@@ -194,8 +220,7 @@ class ServeServer:
         port: int = 0,
     ) -> None:
         self.session = session
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _Server((host, port), _Handler)
         self._httpd.session = session  # type: ignore[attr-defined]
         self._httpd.stopping = threading.Event()  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None

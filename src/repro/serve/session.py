@@ -81,13 +81,38 @@ def current_rss_bytes() -> int:
 
 
 def _jsonable(value: Any) -> Any:
-    """*value* if JSON-encodable, else its ``repr`` (SSE must not crash
-    the emit thread on an exotic record payload)."""
+    """*value* if JSON-encodable, else its ``repr``."""
     try:
-        json.dumps(value)
+        json.dumps(value, sort_keys=True)
         return value
     except (TypeError, ValueError):
         return repr(value)
+
+
+def phase_frame(
+    phase: int,
+    timestamp: float,
+    entries: List[Tuple[str, Any]],
+    spot_check: Optional[bool] = None,
+) -> str:
+    """The SSE ``phase`` message for one retired phase.
+
+    Serialised in a single pass; only when a record value turns out not
+    to be JSON-encodable is that value replaced by its ``repr`` and the
+    frame redone, so an exotic payload can never crash the emit thread.
+    """
+    payload: Dict[str, Any] = {
+        "phase": phase,
+        "timestamp": timestamp,
+        "records": entries,
+    }
+    if spot_check is not None:
+        payload["spot_check"] = "pass" if spot_check else "fail"
+    try:
+        return format_sse(payload, event="phase", id=str(phase))
+    except (TypeError, ValueError):
+        payload["records"] = [[name, _jsonable(v)] for name, v in entries]
+        return format_sse(payload, event="phase", id=str(phase))
 
 
 class OracleSpotChecker:
@@ -367,20 +392,11 @@ class ServeSession:
             if pi is None:
                 pi = PhaseInput(phase, ts, {})
             verdict = self.checker.observe(pi, entries)
-        payload: Dict[str, Any] = {
-            "phase": phase,
-            "timestamp": ts,
-            "records": [[name, _jsonable(value)] for name, value in entries],
-        }
-        if verdict is not None:
-            payload["spot_check"] = "pass" if verdict else "fail"
         if self._on_retired is not None:
             # The sharded session's merge hook; an exception here is an
             # emitter failure (it propagates to _emit_main's handler).
             self._on_retired(phase, ts, entries)
-        self.announcer.announce(
-            format_sse(payload, event="phase", id=str(phase))
-        )
+        self.announcer.announce(phase_frame(phase, ts, entries, verdict))
         self.results_streamed += 1
         if cfg.rss_sample_every and (
             self.phases_retired % cfg.rss_sample_every == 0

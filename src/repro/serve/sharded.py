@@ -27,8 +27,8 @@ from ..ingest import ArrivingEvent
 from ..core.program import Program
 from ..sharding.merge import MergedPhase, WatermarkMerger
 from ..sharding.plan import ShardPlan, split_by_key
-from .session import ServeConfig, ServeSession, _jsonable
-from .sse import MessageAnnouncer, format_sse
+from .session import ServeConfig, ServeSession, phase_frame
+from .sse import MessageAnnouncer
 
 __all__ = ["ShardedServeSession"]
 
@@ -103,15 +103,8 @@ class ShardedServeSession:
         # announcement order.
         for mp in released:
             self.merged += 1
-            payload = {
-                "phase": mp.phase,
-                "timestamp": mp.timestamp,
-                "records": [
-                    [name, _jsonable(value)] for name, value in mp.entries
-                ],
-            }
             self.announcer.announce(
-                format_sse(payload, event="phase", id=str(mp.phase))
+                phase_frame(mp.phase, mp.timestamp, mp.entries)
             )
 
     # -- lifecycle ---------------------------------------------------------

@@ -8,6 +8,12 @@ server.  The shapes here follow the little ``MessageAnnouncer`` /
 one bounded queue per listener and *drops* for listeners that stop
 reading, so one stuck consumer can never backpressure the engine — the
 engine's own backpressure belongs at ingest, not egress.
+
+A message is serialised exactly once on its way out: :func:`format_sse`
+does the only ``json.dumps``, :meth:`MessageAnnouncer.announce` does the
+only UTF-8 encode, and every listener queue receives that same ``bytes``
+object — the HTTP handler just joins whatever its queue holds into one
+write.
 """
 
 from __future__ import annotations
@@ -40,8 +46,9 @@ def format_sse(data: Any, event: Optional[str] = None, id: Optional[str] = None)
 class MessageAnnouncer:
     """Fan one message stream out to any number of SSE listeners.
 
-    Each listener gets its own bounded :class:`queue.Queue`; announce is
-    non-blocking — a full listener queue drops the message for that
+    Each listener gets its own bounded :class:`queue.Queue` of UTF-8
+    encoded messages (encoded once, shared by every listener); announce
+    is non-blocking — a full listener queue drops the message for that
     listener (counted in :attr:`dropped`) instead of stalling the
     announcing thread, which may be inside the engine's critical section.
     """
@@ -50,19 +57,19 @@ class MessageAnnouncer:
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         self.max_queue = max_queue
-        self._listeners: List["queue.Queue[str]"] = []
+        self._listeners: List["queue.Queue[bytes]"] = []
         self._lock = threading.Lock()
         self.announced = 0
         self.dropped = 0
 
-    def listen(self) -> "queue.Queue[str]":
+    def listen(self) -> "queue.Queue[bytes]":
         """Register a new listener; returns its message queue."""
-        q: "queue.Queue[str]" = queue.Queue(maxsize=self.max_queue)
+        q: "queue.Queue[bytes]" = queue.Queue(maxsize=self.max_queue)
         with self._lock:
             self._listeners.append(q)
         return q
 
-    def unlisten(self, q: "queue.Queue[str]") -> None:
+    def unlisten(self, q: "queue.Queue[bytes]") -> None:
         """Remove a listener (idempotent)."""
         with self._lock:
             try:
@@ -75,9 +82,12 @@ class MessageAnnouncer:
         with self._lock:
             listeners = list(self._listeners)
             self.announced += 1
+        if not listeners:
+            return
+        data = msg.encode("utf-8")
         for q in listeners:
             try:
-                q.put_nowait(msg)
+                q.put_nowait(data)
             except queue.Full:
                 with self._lock:
                     self.dropped += 1

@@ -8,6 +8,7 @@ round-trip (SSE serialises tuples as lists).
 """
 
 import json
+import queue
 
 import pytest
 
@@ -37,12 +38,13 @@ def parse_sse(msg):
 
 
 def drain_queue(q):
-    """All messages currently buffered on an announcer listener queue."""
+    """All messages currently buffered on an announcer listener queue
+    (listeners hold the UTF-8 wire bytes; tests read text)."""
     out = []
     while True:
         try:
-            out.append(q.get_nowait())
-        except Exception:
+            out.append(q.get_nowait().decode("utf-8"))
+        except queue.Empty:
             break
     return out
 

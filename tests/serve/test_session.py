@@ -1,5 +1,7 @@
 """ServeSession: the full ingest → engine → retire → stream pipeline."""
 
+import time
+
 import pytest
 
 from repro.analysis.stats import validate_serve_stats
@@ -52,6 +54,51 @@ class TestParallelPipeline:
         assert serve["spot_checks_failed"] == 0
         assert all(e["spot_check"] == "pass" for e in events)
         assert serve["rss_high_water_bytes"] > 0
+
+    def test_session_outlives_join_timeout(
+        self, keyed_workload, keyed_workload_oracle
+    ):
+        # join_timeout bounds the wind-down after close, not the life of
+        # the session: an engine that idles past it must keep serving.
+        by_phase, _by_ts, n_phases = serial_oracle(keyed_workload_oracle)
+        session = ServeSession(
+            keyed_workload.program,
+            ServeConfig(
+                engine="parallel",
+                wait=keyed_workload.wait,
+                quantum=keyed_workload.quantum,
+                join_timeout=0.5,
+            ),
+        )
+        q = session.announcer.listen()
+        with session:
+            time.sleep(1.5)
+            for a in keyed_workload.arrivals:
+                session.offer(a)
+        events = phase_events(drain_queue(q))
+        assert [e["phase"] for e in events] == list(range(1, n_phases + 1))
+        for e in events:
+            assert sorted(e["records"]) == by_phase.get(e["phase"], [])
+
+    def test_unencodable_record_cannot_kill_the_emit_thread(
+        self, keyed_workload
+    ):
+        names = sorted(keyed_workload.program.numbering.index_of)
+        session = ServeSession(keyed_workload.program, ServeConfig())
+        q = session.announcer.listen()
+        with session:
+            # Hand the emit thread retired phases directly, as the
+            # engine's sink would.
+            session._sink(1, 0.0, [(names[0], {1, 2}), (names[1], 5)])
+            session._sink(2, 1.0, [(names[0], {(1, 2): object})])
+            session._sink(3, 2.0, [(names[0], "fine")])
+        assert session._emit_error is None
+        events = phase_events(drain_queue(q))
+        assert [e["phase"] for e in events] == [1, 2, 3]
+        assert sorted(events[0]["records"]) == sorted(
+            [[names[0], "{1, 2}"], [names[1], 5]]
+        )
+        assert events[2]["records"] == [[names[0], "fine"]]
 
     def test_engine_stats_section_appears_after_close(self, keyed_workload):
         _events, stats = _run_workload(
