@@ -76,7 +76,6 @@ CHAIN_HEAVY = ("pipeline", "comb")
 FULL = {
     "threads": 2,
     "workers": 2,
-    "ipc_batch": 4,
     "repeats": 3,
     "warmup": 1,
     "pipeline": {"depth": 12, "phases": 600},
@@ -88,7 +87,6 @@ FULL = {
 QUICK = {
     "threads": 2,
     "workers": 2,
-    "ipc_batch": 4,
     "repeats": 1,
     "warmup": 0,
     "pipeline": {"depth": 8, "phases": 60},
@@ -157,11 +155,7 @@ def _run_engine(
     else:
         from repro.runtime.mp import ProcessEngine
 
-        engine = ProcessEngine(
-            plan,
-            num_workers=cfg["workers"],
-            ipc_batch=cfg["ipc_batch"],
-        )
+        engine = ProcessEngine(plan, num_workers=cfg["workers"])
     start = time.perf_counter()
     result = engine.run(phases)
     return result, time.perf_counter() - start

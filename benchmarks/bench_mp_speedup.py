@@ -64,8 +64,6 @@ FULL = {
     "depth": 4,
     "phases": 40,
     "grain": 20_000,
-    "batch_size": 8,
-    "ipc_batch": 8,
     "workers": [1, 2, 4],
     "reps": 3,
 }
@@ -74,8 +72,6 @@ QUICK = {
     "depth": 2,
     "phases": 8,
     "grain": 2_000,
-    "batch_size": 4,
-    "ipc_batch": 4,
     "workers": [2],
     "reps": 1,
 }
@@ -182,29 +178,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     run(lambda prog: SerialExecutor(prog), "serial")
     for k in cfg["workers"]:
         run(
-            lambda prog, k=k: ParallelEngine(
-                prog, num_threads=k, batch_size=cfg["batch_size"]
-            ),
+            lambda prog, k=k: ParallelEngine(prog, num_threads=k),
             f"parallel[{k}]",
         )
     for k in cfg["workers"]:
         run(
-            lambda prog, k=k: ProcessEngine(
-                prog, num_workers=k, batch_size=cfg["batch_size"]
-            ),
+            lambda prog, k=k: ProcessEngine(prog, num_workers=k),
             f"process[{k}]",
-        )
-    # The batched wire path (ipc_batch > 1): same workload, fewer and
-    # fatter frames — how much of the process engine's overhead is IPC.
-    for k in cfg["workers"]:
-        run(
-            lambda prog, k=k: ProcessEngine(
-                prog,
-                num_workers=k,
-                batch_size=cfg["batch_size"],
-                ipc_batch=cfg["ipc_batch"],
-            ),
-            f"process_ipc[{k}]",
         )
 
     criterion = check_criterion(rows, cpu_count)

@@ -52,16 +52,11 @@ engine-agnostic portion validated by :func:`validate_engine_stats`:
 * ``stats["coalescing"]`` — required for every scheduling engine
   (temporal phase-run coalescing, ALGORITHM.md §5.7):
 
-  - ``enabled``: bool — whether the run could coalesce at all (false
-    whenever the effective run-length cap is pinned to 1, which includes
-    every global-frontier run);
-  - ``run_length_cap``: ``None`` (adaptive) or int >= 1 — the
-    ``run_length`` the engine ran with;
-  - ``runs_scheduled``: int >= 0 — ``claim_run`` dispatches (a run of
-    one still counts: it paid one dispatch);
+  - ``runs_scheduled``: int >= 0 — cone-mode ``claim_run`` dispatches
+    (a run of one still counts: it paid one dispatch; a
+    global-frontier run never extends and reports 0);
   - ``pairs_coalesced``: int >= 0 — extension members that rode along
-    with a run head instead of paying their own dispatch (0 when
-    disabled — the run-length-1 paths never enter ``claim_run``);
+    with a run head instead of paying their own dispatch;
   - ``mean_run_length``: float >= 0 — members per run
     (``(runs_scheduled + pairs_coalesced) / runs_scheduled``; 0.0
     before any run).
@@ -200,24 +195,12 @@ def validate_coalescing_stats(
     """Validate one ``stats["coalescing"]`` section; returns error
     strings (empty list == valid).
 
-    Beyond per-key shape, checks the scheduler-side consistency laws:
-    a disabled run never coalesces (the run-length-1 dispatch paths do
-    not enter ``claim_run``), and ``mean_run_length`` is exactly
-    members-per-run.
+    Beyond per-key shape, checks the scheduler-side consistency law:
+    ``mean_run_length`` is exactly members-per-run.
     """
     errors: List[str] = []
     if not isinstance(section, Mapping):
         return [f"{where}: expected a mapping, got {type(section).__name__}"]
-    enabled = section.get("enabled")
-    if not isinstance(enabled, bool):
-        errors.append(f"{where}.enabled: expected a bool, got {enabled!r}")
-    cap = section.get("run_length_cap")
-    if cap is not None and (not isinstance(cap, int) or isinstance(cap, bool)):
-        errors.append(
-            f"{where}.run_length_cap: expected None or an int, got {cap!r}"
-        )
-    elif isinstance(cap, int) and cap < 1:
-        errors.append(f"{where}.run_length_cap: expected >= 1, got {cap}")
     values: Dict[str, int] = {}
     for key in _COALESCING_COUNTERS:
         value = section.get(key)
@@ -241,16 +224,7 @@ def validate_coalescing_stats(
                 f"{where}.mean_run_length: expected {expect} "
                 f"(= {members}/{runs}), got {mean}"
             )
-    if enabled is False:
-        for key in _COALESCING_COUNTERS:
-            if values.get(key):
-                errors.append(
-                    f"{where}.{key}: expected 0 when coalescing is "
-                    f"disabled, got {values[key]}"
-                )
-    extra = set(section) - set(_COALESCING_COUNTERS) - {
-        "enabled", "run_length_cap", "mean_run_length",
-    }
+    extra = set(section) - set(_COALESCING_COUNTERS) - {"mean_run_length"}
     if extra:
         errors.append(f"{where}: unexpected keys {sorted(extra)}")
     return errors

@@ -62,10 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--threads", type=int, default=2,
                      help="computation threads for --engine parallel")
-    run.add_argument("--batch-size", type=int, default=1,
-                     help="ready pairs committed per lock acquisition for "
-                          "--engine parallel/process (default 1: the "
-                          "paper's unbatched loop)")
     run.add_argument("--workers", type=int, default=2,
                      help="worker processes for --engine process; workers "
                           "for --engine simulated")
@@ -75,40 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["fork", "spawn", "forkserver"],
                      help="multiprocessing start method for --engine "
                           "process (default: fork where available)")
-    run.add_argument("--ipc-batch", type=int, default=1,
-                     help="tasks per dispatch frame for --engine process "
-                          "(default 1: one frame per pair; >1 ships "
-                          "TaskBatch frames with interned payloads)")
-    run.add_argument("--window", type=int, default=0,
-                     help="per-worker in-flight credit window for "
-                          "--engine process (default 0: adaptive)")
     run.add_argument("--fuse", action=argparse.BooleanOptionalAction,
                      default=True,
                      help="compile the graph with linear-chain vertex "
                           "fusion before scheduling (default on; "
                           "--no-fuse schedules the original graph)")
-    run.add_argument("--frontier", choices=["global", "cone"],
-                     default="cone",
-                     help="readiness rule: 'cone' (default) uses "
-                          "per-dependency frontiers so independent "
-                          "ancestor cones pipeline ahead of slow "
-                          "siblings; 'global' reproduces the paper's "
-                          "single x_p clamp exactly")
-    run.add_argument("--suppress", action=argparse.BooleanOptionalAction,
-                     default=None,
-                     help="change suppression: elide outputs equal to the "
-                          "edge's latched value so unchanged downstream "
-                          "cones are never scheduled (default: on under "
-                          "--frontier cone, off under --frontier global "
-                          "to keep the paper's schedule byte-identical; "
-                          "--no-suppress forces it off)")
-    run.add_argument("--run-length", type=int, default=0, metavar="K",
-                     help="temporal run coalescing: extend each dispatched "
-                          "pair (v, p) into a run (v, [p..p+k]) of up to K "
-                          "already-determined phases, executed back-to-back "
-                          "and committed in one critical section (default "
-                          "0: adaptive under --frontier cone, off under "
-                          "global; 1 disables coalescing)")
     run.add_argument("--profile", metavar="PATH", default=None,
                      help="profile the engine run with cProfile, dump the "
                           "pstats file to PATH, and print a per-stage "
@@ -127,9 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "its own key")
     run.add_argument("--check", action="store_true",
                      help="also run the (unsuppressed) serial oracle and "
-                          "verify serializability; with suppression on, "
-                          "the elision-aware check applies (records must "
-                          "still match the oracle exactly)")
+                          "verify serializability with the elision-aware "
+                          "check (records must match the oracle exactly)")
     run.add_argument("--stats-json", metavar="PATH", default=None,
                      help="dump the engine's RunResult stats as JSON to "
                           "PATH ('-' for stdout)")
@@ -154,22 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="computation threads for --engine parallel")
     serve.add_argument("--workers", type=int, default=2,
                        help="worker processes for --engine process")
-    serve.add_argument("--batch-size", type=int, default=1)
-    serve.add_argument("--ipc-batch", type=int, default=1,
-                       help="tasks per dispatch frame for --engine process")
-    serve.add_argument("--window", type=int, default=0,
-                       help="per-worker credit window for --engine process "
-                            "(0: adaptive)")
     serve.add_argument("--fuse", action=argparse.BooleanOptionalAction,
                        default=True,
                        help="linear-chain vertex fusion (default on)")
-    serve.add_argument("--frontier", choices=["global", "cone"],
-                       default="cone",
-                       help="readiness rule (default cone)")
-    serve.add_argument("--run-length", type=int, default=0, metavar="K",
-                       help="temporal run coalescing cap (default 0: "
-                            "adaptive under cone, off under global; 1 "
-                            "disables)")
     serve.add_argument("--shards", type=int, default=0, metavar="N",
                        help="serve as N keyed shards with watermark-"
                             "aligned merge (requires key-separable graph)")
@@ -251,9 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
                       default="thread",
                       help="thread: virtual-scheduler campaign over the "
                            "threaded engine (default); process: real "
-                           "ProcessEngine runs sweeping the wire-path "
-                           "knobs (workers, batch, ipc-batch, window) "
-                           "against the serial oracle")
+                           "ProcessEngine runs over varying worker "
+                           "counts against the serial oracle")
     fuzz.add_argument("--runs", type=int, default=100,
                       help="schedules to explore (default 100; the "
                            "process campaign pays real process spawns "
@@ -279,30 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
                            "the first")
     fuzz.add_argument("--no-shrink", action="store_true",
                       help="skip greedy minimisation of failing workloads")
-    fuzz.add_argument("--batch-size", type=int, default=1,
-                      help="worker commit batch size: explore the batched "
-                           "commit path (default 1: the unbatched engine)")
     fuzz.add_argument("--fuse", action="store_true",
                       help="run the campaign over fused execution plans: "
                            "each random workload is compiled with "
                            "linear-chain fusion before the engine runs it, "
                            "still judged against the unfused serial oracle")
-    fuzz.add_argument("--frontier", choices=["global", "cone"],
-                      default="cone",
-                      help="readiness rule for the engine under test "
-                           "(default cone: per-dependency frontiers); the "
-                           "knob is recorded in failure artifacts so "
-                           "failures replay exactly")
-    fuzz.add_argument("--suppress", action="store_true",
-                      help="run the engine under test with change "
-                           "suppression on (suppression-friendly random "
-                           "workloads; judged against the unsuppressed "
-                           "serial oracle with the elision-aware check)")
-    fuzz.add_argument("--run-length", type=int, default=1, metavar="K",
-                      help="temporal run coalescing cap for the engine "
-                           "under test (default 1: off; 0 = adaptive); "
-                           "recorded in failure artifacts for exact "
-                           "replay")
     fuzz.add_argument("--skew", action="store_true",
                       help="skew injection: artificially slow one "
                            "(seeded) vertex per phase, stressing "
@@ -430,8 +363,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return _run_sharded(args, spec, phases)
     plan = compile_plan(spec.program, fuse=args.fuse)
     stopped = False
-    # --run-length 0 (default) means adaptive (None); 1 disables.
-    run_length = args.run_length or None
     profiler = None
     thread_profiles: list = []
     if args.profile is not None:
@@ -457,14 +388,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from .runtime.engine import ParallelEngine
 
         with _signal_stop() as stop:
-            result = ParallelEngine(
-                plan,
-                num_threads=args.threads,
-                batch_size=args.batch_size,
-                frontier=args.frontier,
-                suppress=args.suppress,
-                run_length=run_length,
-            ).run(phases, stop_event=stop)
+            result = ParallelEngine(plan, num_threads=args.threads).run(
+                phases, stop_event=stop
+            )
             stopped = stop.is_set()
     elif args.engine == "process":
         from .runtime.mp import ProcessEngine
@@ -473,13 +399,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             result = ProcessEngine(
                 plan,
                 num_workers=args.workers,
-                batch_size=args.batch_size,
                 start_method=args.start_method,
-                ipc_batch=args.ipc_batch,
-                window=args.window or None,
-                frontier=args.frontier,
-                suppress=args.suppress,
-                run_length=run_length,
             ).run(phases, stop_event=stop)
             stopped = stop.is_set()
     else:
@@ -490,9 +410,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             num_workers=args.workers,
             num_processors=args.processors,
             cost_model=CostModel(),
-            frontier=args.frontier,
-            suppress=bool(args.suppress),
-            run_length=run_length,
+            frontier="cone",
         ).run(phases)
     if profiler is not None:
         import threading
@@ -531,7 +449,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"elided ({suppression['ineligible_vertices']} vertices "
               f"ineligible)")
     coalescing = result.stats.get("coalescing") if result.stats else None
-    if coalescing and coalescing["enabled"] and coalescing["runs_scheduled"]:
+    if coalescing and coalescing["runs_scheduled"]:
         print(f"coalescing: {coalescing['runs_scheduled']} runs scheduled, "
               f"{coalescing['pairs_coalesced']} pairs coalesced "
               f"(mean run length {coalescing['mean_run_length']:.2f})")
@@ -591,15 +509,11 @@ def _run_sharded(args: argparse.Namespace, spec, phases) -> int:
         engine=args.engine,
         engine_options={
             "threads": args.threads,
-            "batch_size": args.batch_size,
             "workers": args.workers,
             "processors": args.processors,
             "start_method": args.start_method,
-            "ipc_batch": args.ipc_batch,
-            "window": args.window,
         },
         fuse=args.fuse,
-        frontier=args.frontier,
     )
     result = engine.run(phases)
     sharding = result.stats["sharding"]
@@ -679,12 +593,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         engine=args.engine,
         threads=args.threads,
         workers=args.workers,
-        batch_size=args.batch_size,
-        ipc_batch=args.ipc_batch,
-        window=args.window or None,
         fuse=args.fuse,
-        frontier=args.frontier,
-        run_length=args.run_length or None,
         max_in_flight=args.max_in_flight,
         wait=args.wait,
         quantum=args.quantum,
@@ -928,10 +837,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             max_vertices=args.max_vertices,
             max_phases=args.max_phases,
             fuse=args.fuse,
-            frontier=args.frontier,
             skew=args.skew,
-            suppress=args.suppress,
-            run_length=args.run_length or None,
         )
         print(report.summary())
         if args.failure_artifacts and report.failures:
@@ -950,12 +856,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         do_shrink=not args.no_shrink,
         max_vertices=args.max_vertices,
         max_phases=args.max_phases,
-        batch_size=args.batch_size,
         fuse=args.fuse,
-        frontier=args.frontier,
         skew=args.skew,
-        suppress=args.suppress,
-        run_length=args.run_length or None,
     )
     print(report.summary())
     if args.failure_artifacts and report.failures:

@@ -190,9 +190,9 @@ class PairRuntime:
         whose target vertex is *elidable* (see :meth:`_compute_elide_ok`)
         — is dropped before delivery.  No message means no ``msg(w, q)``,
         so the cone-mode determination wave marks the downstream pair
-        determined without scheduling it.  Default off: the serial
-        oracle and global-frontier runs stay byte-identical to the
-        unsuppressed schedule unless explicitly opted in.
+        determined without scheduling it.  Default off — the serial
+        oracle and the simulator's published (global-frontier) schedule
+        deliver every message; the real engines always pass ``True``.
     """
 
     def __init__(

@@ -92,16 +92,17 @@ once per phase, so the amortised cost matches the global mode's
 newly-full scan.  Phase completion becomes ``det_count == N`` (complete
 phases no longer form a prefix); the completion *log* records the order,
 and ``x_p`` is kept as an unclamped per-phase diagnostic.  The mode is
-selected at construction; ``"global"`` (the default) leaves the Listing
-1/2 behaviour byte-identical.
+selected at construction: the real engines always schedule with
+``"cone"``; ``"global"`` (the default here) is Listings 1/2 as
+published — the reference for the invariant checker, the verification
+suite and the simulator's paper figures.
 
 Change suppression (PairRuntime ``suppress=True``) composes with the
 wave without new state here: a suppressed output never sets ``msg(w,
 q)``, so when the determination wave reaches *w* it finds no waiting
 message and **cascades** — the pair is marked determined without ever
 being scheduled, exactly the no-message case the wave already handles.
-Under the global frontier suppression is kept off by the engines, so the
-Listing 1/2 schedule stays byte-identical.
+The simulator's global (paper-figure) mode runs with suppression off.
 
 Temporal run coalescing (``claim_run``)
 ---------------------------------------
@@ -117,9 +118,9 @@ section.  Claimed extension members are tracked in a *claim ledger*
 (they are not ready — the settled gate has not reached them — but they
 may execute), stay out of future readiness scans, and advance the
 exactly-once ``_ready_upto`` bookkeeping at claim time.  Global mode
-never extends a run (the x_p clamp cannot certify later phases), so the
-published Listing 1/2 schedule stays byte-identical.  ALGORITHM.md §5.7
-gives the serializability argument (a run = k serial commits observed
+never extends a run (the x_p clamp cannot certify later phases): there a
+run is always the single pair.  ALGORITHM.md §5.7 gives the
+serializability argument (a run = k serial commits observed
 atomically).
 """
 
@@ -155,7 +156,7 @@ __all__ = [
 Pair = Tuple[int, int]
 """A vertex-phase pair ``(v, p)``: vertex index ``v`` executing phase ``p``."""
 
-#: Ceiling on the adaptive run length (``claim_run(..., max_len=None)``):
+#: Ceiling on the run length :meth:`SchedulerState.claim_run` adapts to:
 #: one run never claims more than this many members, bounding both the
 #: time a worker holds a run in flight and the size of a commit batch.
 ADAPTIVE_RUN_CEILING = 64
@@ -165,7 +166,6 @@ def drain_ready_batches(
     pending: "deque[Pair]",
     assign: Callable[[int], int],
     capacity: Callable[[int], int],
-    chunk: int,
 ) -> Tuple[List[Tuple[int, List[Pair]]], Set[int]]:
     """Drain ready pairs into per-worker dispatch batches.
 
@@ -176,19 +176,15 @@ def drain_ready_batches(
     relative order, preserving the per-worker FIFO that the phase-order
     argument relies on.
 
-    Returns ``(batches, starved)`` where *batches* is a list of
-    ``(worker, pairs)`` with ``len(pairs) <= chunk`` (a worker whose
-    drain exceeds *chunk* yields several consecutive batches) and
-    *starved* is the set of workers that still had pairs waiting when
-    their credit ran out — the adaptive window controller's widening
-    signal.
+    Returns ``(batches, starved)`` where *batches* holds one
+    ``(worker, pairs)`` entry per worker that had credit, and *starved*
+    is the set of workers that still had pairs waiting when their credit
+    ran out — the adaptive window controller's widening signal.
 
     The helper never consults scheduler internals: it operates on pairs
     the :class:`SchedulerState` mutators already returned as ready, so
     using it cannot weaken the exactly-once placement argument.
     """
-    if chunk < 1:
-        raise SchedulerError(f"chunk must be >= 1, got {chunk}")
     taken: Dict[int, List[Pair]] = {}
     remaining: Dict[int, int] = {}
     starved: Set[int] = set()
@@ -205,11 +201,7 @@ def drain_ready_batches(
         remaining[w] -= 1
         taken.setdefault(w, []).append(pair)
     pending.extend(leftover)
-    batches: List[Tuple[int, List[Pair]]] = []
-    for w, pairs in taken.items():
-        for i in range(0, len(pairs), chunk):
-            batches.append((w, pairs[i : i + chunk]))
-    return batches, starved
+    return list(taken.items()), starved
 
 
 class ReadyFrontier:
@@ -262,16 +254,14 @@ class ReadyFrontier:
             self._backlog.add(worker)
 
     def drain(
-        self, capacity: Callable[[int], int], chunk: int
+        self, capacity: Callable[[int], int]
     ) -> Tuple[List[Tuple[int, List[Pair]]], Set[int]]:
         """Take up to ``capacity(w)`` pairs per backlogged worker.
 
-        Same contract as :func:`drain_ready_batches` — batches of at most
-        *chunk* pairs each, plus the set of workers left starved for
+        Same contract as :func:`drain_ready_batches` — one batch per
+        worker with credit, plus the set of workers left starved for
         credit — but O(pairs drained + backlogged workers).
         """
-        if chunk < 1:
-            raise SchedulerError(f"chunk must be >= 1, got {chunk}")
         batches: List[Tuple[int, List[Pair]]] = []
         starved: Set[int] = set()
         for w in sorted(self._backlog):
@@ -280,10 +270,8 @@ class ReadyFrontier:
             if take < len(bucket):
                 starved.add(w)
             if take:
-                pairs = [bucket.popleft() for _ in range(take)]
+                batches.append((w, [bucket.popleft() for _ in range(take)]))
                 self._len -= take
-                for i in range(0, take, chunk):
-                    batches.append((w, pairs[i : i + chunk]))
             if not bucket:
                 self._backlog.discard(w)
         return batches, starved
@@ -824,9 +812,7 @@ class SchedulerState:
     # Temporal run coalescing
     # ------------------------------------------------------------------
 
-    def claim_run(
-        self, v: int, p: int, max_len: Optional[int] = None
-    ) -> List[int]:
+    def claim_run(self, v: int, p: int) -> List[int]:
         """Extend the dispatched ready pair ``(v, p)`` into a phase run.
 
         Walks phases ``q > p`` ascending, claiming every phase whose pair
@@ -836,9 +822,8 @@ class SchedulerState:
         for which *v* is already determined *without* executing (elided
         by suppression or no-message cascade: nothing to run).  The walk
         stops at the first phase that is neither, at the started horizon,
-        or once *max_len* members are claimed (``None`` = adaptive: the
-        vertex's current full backlog, capped at
-        :data:`ADAPTIVE_RUN_CEILING`).
+        or once the vertex's current full backlog — capped at
+        :data:`ADAPTIVE_RUN_CEILING` — is claimed.
 
         Claimed extensions enter the claim ledger: they stay in full
         (their defining condition still holds) but are excluded from
@@ -850,8 +835,7 @@ class SchedulerState:
         fault-salvage path), which reach the same state.
 
         Global mode returns ``[p]`` unchanged: the x_p clamp cannot
-        certify later phases, and the Listing 1/2 schedule must stay
-        byte-identical.
+        certify later phases.
 
         An already *claimed* pair is also accepted as the head: that is
         the fault-salvage re-dispatch path, where the unexecuted tail of
@@ -879,12 +863,7 @@ class SchedulerState:
         members = [p]
         if self.frontier != "cone":
             return members
-        if max_len is None:
-            max_len = min(ADAPTIVE_RUN_CEILING, len(self._full_phases[v]))
-        elif max_len < 1:
-            raise SchedulerError(
-                f"claim_run{pair}: max_len must be >= 1, got {max_len}"
-            )
+        max_len = min(ADAPTIVE_RUN_CEILING, len(self._full_phases[v]))
         q = p + 1
         while len(members) < max_len and q <= self._pmax:
             ext = (v, q)

@@ -11,14 +11,12 @@ need:
 
 * **Termination.**  :meth:`BlockingQueue.close` wakes every blocked
   consumer; once the queue is both closed and drained, further
-  :meth:`get` / :meth:`get_many` calls raise
-  :class:`~repro.errors.QueueClosedError`, which the worker loop treats
-  as "no more work, exit".  Items already enqueued at close time are
-  still delivered (close-then-drain), so no ready pair is ever lost.
-* **Batched dequeue.**  :meth:`BlockingQueue.get_many` blocks for the
-  first item and then drains up to a bound more in the same critical
-  section — the low-contention commit path dequeues a whole batch per
-  wake-up instead of paying one lock round-trip per pair.
+  :meth:`get` calls raise :class:`~repro.errors.QueueClosedError`, which
+  the worker loop treats as "no more work, exit".  Items already
+  enqueued at close time are still delivered (close-then-drain), so no
+  ready pair is ever lost.
+* **Batched enqueue.**  :meth:`BlockingQueue.put_many` hands a commit's
+  newly ready pairs over in one critical section.
 
 Statistics (:attr:`total_enqueued`, :attr:`total_dequeued`,
 :attr:`max_depth`, :attr:`blocked_gets`) feed the engine's run report.
@@ -111,40 +109,6 @@ class BlockingQueue(Generic[T]):
                     raise TimeoutError(
                         f"BlockingQueue.get timed out after {timeout}s"
                     )
-
-    def get_many(self, max_items: int, timeout: Optional[float] = None) -> List[T]:
-        """Dequeue between 1 and *max_items* items in one critical section.
-
-        Blocks (like :meth:`get`) while the queue is empty and open; once
-        at least one item is available, drains up to *max_items* without
-        further waiting and returns them in FIFO order.  A batch never
-        waits for the queue to fill — latency is the same as :meth:`get`,
-        only the per-item lock traffic is amortized.
-
-        Raises
-        ------
-        QueueClosedError
-            When the queue is closed and drained before the first item.
-        TimeoutError
-            When *timeout* elapses before the first item.
-        """
-        if max_items < 1:
-            raise ValueError(f"max_items must be >= 1, got {max_items}")
-        with self._cond:
-            waited = False
-            while not self._items:
-                if self._closed:
-                    raise QueueClosedError("queue closed and drained")
-                if not waited:
-                    self.blocked_gets += 1
-                    waited = True
-                if not self._cond.wait(timeout):
-                    raise TimeoutError(
-                        f"BlockingQueue.get_many timed out after {timeout}s"
-                    )
-            n = min(max_items, len(self._items))
-            self.total_dequeued += n
-            return [self._items.popleft() for _ in range(n)]
 
     def close(self) -> None:
         """Close the queue: already-enqueued items are still delivered,

@@ -23,18 +23,17 @@ Differences from the paper's infinite loops (all additive):
   edge histories stay small; off by default (the paper's behaviour).
 * **Failure handling** — a vertex exception aborts the run and re-raises
   as :class:`~repro.errors.VertexExecutionError` from :meth:`run`.
-* **Batched commits** (optional) — with ``batch_size=B > 1`` a worker
-  drains up to B ready pairs per wake-up
-  (:meth:`~repro.runtime.blocking_queue.BlockingQueue.get_many`), commits
-  each pair and prepares the *next* one in the same critical section, and
-  applies all B completions to the scheduling state in one call
-  (:meth:`~repro.core.state.SchedulerState.complete_executions`), so the
-  x-update and readiness scans run once per batch.  Every scheduling-set
-  mutation still happens under the single global lock — only the
-  granularity changes — and a batched apply reaches the same state as
-  applying its completions one at a time, so the paper's serializability
-  argument is untouched (see docs/ALGORITHM.md).  ``batch_size=1`` (the
-  default) is step-for-step the paper's loop.
+* **One schedule** — readiness uses per-dependency (cone) frontiers,
+  value-equal outputs are suppressed at commit time (Δ-elision), and a
+  dequeued ready pair is extended into a *run* of consecutive claimable
+  phases (:meth:`~repro.core.state.SchedulerState.claim_run`) that is
+  prepared under one lock acquisition, computed outside it and committed
+  through one :meth:`~repro.core.state.SchedulerState.complete_executions`
+  critical section.  A single pair is a run of length 1.  Every
+  scheduling-set mutation still happens under the single global lock, so
+  the paper's serializability argument carries over (docs/ALGORITHM.md
+  §5.4, §5.6, §5.7).  The published global-``x_p`` schedule lives on in
+  :class:`~repro.core.state.SchedulerState` and the simulator.
 
 The expensive vertex computation happens *outside* the lock (prepare /
 compute / commit split, see :class:`~repro.core.program.PairRuntime`), so
@@ -53,7 +52,7 @@ from ..core.invariants import InvariantChecker
 from ..core.plan import ExecutionPlan, as_plan
 from ..core.program import PairRuntime, Program, RunResult
 from ..core.state import ADAPTIVE_RUN_CEILING, SchedulerState
-from ..core.tracer import ExecutionTracer, max_concurrent_pairs, max_concurrent_phases
+from ..core.tracer import ExecutionTracer
 from ..errors import EngineError, QueueClosedError
 from ..events import PhaseInput
 from .backend import OS_BACKEND, ThreadingBackend
@@ -62,6 +61,7 @@ from .environment import EnvironmentConfig
 from .feed import PhaseFeed
 from .locks import InstrumentedLock
 from .pool import ComputationThreadPool
+from .retirement import CompletionTail, scheduling_stats
 
 __all__ = ["ParallelEngine"]
 
@@ -69,9 +69,9 @@ __all__ = ["ParallelEngine"]
 # re-checking abort/stop flags (feed mode only; OS backend only).
 _FEED_POLL_S = 0.05
 
-#: Batch-mode phase admissions per environment critical section when run
-#: coalescing is active.  Matches the adaptive run ceiling: a started
-#: horizon deeper than the longest claimable run buys nothing further.
+#: Batch-mode phase admissions per environment critical section.  Matches
+#: the adaptive run ceiling: a started horizon deeper than the longest
+#: claimable run buys nothing further.
 _START_BURST = ADAPTIVE_RUN_CEILING
 
 
@@ -108,37 +108,6 @@ class ParallelEngine:
         used by the schedule-exploration suite to prove it *finds* seeded
         concurrency bugs.  Any object with the matching attribute names
         works; ``None`` (the default) injects nothing.
-    batch_size:
-        Maximum ready pairs a worker drains and commits per wake-up (the
-        batched low-contention commit path).  ``None`` (the default)
-        takes the value from *env* (:class:`EnvironmentConfig`, default
-        1); an explicit integer overrides it.
-    frontier:
-        ``"cone"`` (default) schedules with per-dependency frontiers —
-        independent ancestor cones pipeline phases ahead of slow
-        siblings; ``"global"`` reproduces the published single-``x_p``
-        schedule exactly.  Results are serializable either way.
-    suppress:
-        Change suppression (Δ-elision): drop value-equal outputs at
-        commit time so idle downstream cones are never scheduled.
-        ``None`` (the default) resolves by frontier mode — **on** under
-        ``"cone"`` (the determination wave already handles absent
-        messages), **off** under ``"global"``, preserving the
-        byte-identical published schedule.  Pass an explicit bool to
-        override either way.
-    run_length:
-        Temporal run coalescing (ALGORITHM.md §5.7): a worker extends
-        each dequeued ready pair into a run of consecutive claimable
-        phases (:meth:`~repro.core.state.SchedulerState.claim_run`),
-        executes the members back-to-back and commits them through one
-        critical section.  ``None`` (the default) is adaptive — claim
-        the vertex's current full backlog, capped at
-        :data:`~repro.core.state.ADAPTIVE_RUN_CEILING` — under the
-        ``"cone"`` frontier and off under ``"global"`` (whose clamp
-        cannot certify later phases; the published schedule stays
-        byte-identical).  An explicit integer caps the run length;
-        ``1`` disables coalescing entirely (the pre-coalescing
-        dispatch path, trace-identical to it).
     """
 
     def __init__(
@@ -151,37 +120,18 @@ class ParallelEngine:
         join_timeout: float = 120.0,
         backend: Optional[ThreadingBackend] = None,
         faults: object = None,
-        batch_size: Optional[int] = None,
-        frontier: str = "cone",
-        suppress: Optional[bool] = None,
-        run_length: Optional[int] = None,
     ) -> None:
         if num_threads < 1:
             raise EngineError(f"num_threads must be >= 1, got {num_threads}")
-        if run_length is not None and run_length < 1:
-            raise EngineError(
-                f"run_length must be >= 1 (or None for adaptive), "
-                f"got {run_length}"
-            )
         self.plan = as_plan(program)
         self.program = self.plan.program
         self.num_threads = num_threads
-        self.frontier = frontier
-        self.suppress = (frontier == "cone") if suppress is None else suppress
-        # Coalescing is a cone-mode mechanism: under the global clamp the
-        # effective run length is pinned to 1 (see claim_run).
-        self.run_length = 1 if frontier != "cone" else run_length
         self.checker = checker
         self.tracer = tracer
         self.env = env
         self.join_timeout = join_timeout
         self.backend = backend or OS_BACKEND
         self.faults = faults
-        self.batch_size = env.batch_size if batch_size is None else batch_size
-        if self.batch_size < 1:
-            raise EngineError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
 
     def run(
         self,
@@ -262,13 +212,13 @@ class ParallelEngine:
             self.program,
             phase_inputs,
             stream_records=retire,
-            suppress=self.suppress,
+            suppress=True,
         )
         state = SchedulerState(
             self.program.numbering,
             checker=self.checker,
             preempt=getattr(backend, "preempt", None),
-            frontier=self.frontier,
+            frontier="cone",
         )
         lock = InstrumentedLock(clock=backend.clock, backend=backend)
         queue: BlockingQueue[Tuple[int, int]] = BlockingQueue(backend=backend)
@@ -281,14 +231,9 @@ class ParallelEngine:
         )
         executions: List[Tuple[int, int]] = []
         per_worker_counts: Dict[int, int] = {i: 0 for i in range(self.num_threads)}
-        seen_complete = [0]  # completion-log cursor (guarded by lock)
-        retire_next = [1]  # next phase to retire (guarded by lock)
-        retire_counters = [0, 0]  # phases retired, internal fused messages
         plan = self.plan
-        batch_size = self.batch_size
-        run_cap = self.run_length  # None = adaptive; 1 = coalescing off
-        batch_sizes: Dict[int, int] = {}  # dequeued-batch histogram (under lock)
         tracer = self.tracer
+        tail = CompletionTail(state, runtime, plan, tracer, retire, sink)
         # Bug-injection seams (testing only; see repro.testing.faults).
         faults = self.faults
         unlocked_commit = bool(getattr(faults, "unlocked_commit", False))
@@ -297,147 +242,55 @@ class ParallelEngine:
         commit_guard = (lambda: nullcontext()) if unlocked_commit else (lambda: lock)
         start_guard = (lambda: nullcontext()) if unlocked_start else (lambda: lock)
 
-        def finish_batch(
-            completed: List[Tuple[int, int, List[int]]], worker_id: int
-        ) -> Tuple[List[Tuple[int, int]], int, bool]:
-            # The commit-section tail shared by the batched and the
-            # run-coalescing paths (caller holds the commit guard): apply
-            # the completions in one call, record stats and tracer
-            # events, then retire the extended complete prefix.
-            newly_ready = state.complete_executions(completed)
-            if not retire:
-                executions.extend((cv, cp) for cv, cp, _ in completed)
-            per_worker_counts[worker_id] += len(completed)
-            batch_sizes[len(completed)] = (
-                batch_sizes.get(len(completed), 0) + 1
-            )
-            if tracer is not None:
-                for cv, cp, _ in completed:
-                    tracer.execute_end((cv, cp), worker_id)
-                for pair in newly_ready:
-                    tracer.enqueued(pair)
-            # Completion labels come from the state's log via the
-            # absolute cursor: in global mode it is the prefix order; in
-            # cone mode phases may complete out of order.
-            new_complete = state.completed_since(seen_complete[0])
-            newly_complete = len(new_complete)
-            if tracer is not None:
-                for q in new_complete:
-                    tracer.phase_completed(q)
-            seen_complete[0] += newly_complete
-            if retire and newly_complete:
-                # Retire the extended contiguous complete prefix: stream
-                # each phase's translated records out, then GC every
-                # per-phase structure (bounded-memory guarantee).
-                rn = retire_next[0]
-                while state.phase_started(rn) and state.phase_complete(rn):
-                    ts, entries = runtime.retire_phase(rn)
-                    entries, internal = plan.translate_entries(entries)
-                    retire_counters[1] += internal
-                    if sink is not None:
-                        sink(rn, ts, entries)
-                    rn += 1
-                if rn > retire_next[0]:
-                    state.retire_phases_upto(rn - 1)
-                    retire_counters[0] += rn - retire_next[0]
-                    retire_next[0] = rn
-                state.trim_completed_log(seen_complete[0])
-            done = env_done.is_set() and state.all_started_complete()
-            return newly_ready, newly_complete, done
-
         def worker(worker_id: int) -> None:
-            # Listing 1: the computation process, batched.  A batch of one
-            # is exactly the paper's loop; with B > 1 the worker drains up
-            # to B ready pairs per wake-up, commits pair i and prepares
-            # pair i+1 in the same critical section (no lock round-trip
-            # between them), and applies the whole batch of completions to
-            # the scheduling state in one call, so the x-update and the
-            # readiness scans run once per batch.  With coalescing on
-            # (run_cap != 1) each dequeued pair is first extended into a
-            # run of claimable phases; the whole flattened member list is
-            # prepared under one lock, computed outside it, and committed
-            # — deliveries, suppression latch tests and the one
-            # complete_executions call — in one critical section.
+            # Listing 1: the computation process, one run at a time.  The
+            # dequeued ready pair is extended into a run of claimable
+            # phases; every member is prepared under one lock, computed
+            # outside it, and committed — deliveries, suppression latch
+            # tests and the one complete_executions call — in one
+            # critical section.
             try:
                 while True:
                     try:
-                        batch = queue.get_many(batch_size)
+                        v, p = queue.get()
                     except QueueClosedError:
                         return
                     if abort.is_set():
                         continue  # drain until close
-                    completed: List[Tuple[int, int, List[int]]] = []
-                    newly_ready: List[Tuple[int, int]] = []
-                    newly_complete = 0
-                    done = False
-                    if run_cap != 1:
-                        # Run-coalescing path.  Preparing every member
-                        # up front is safe for the same reason as the
-                        # batched fast path below: a ready pair's inputs
-                        # are fully determined, a claimed member's inputs
-                        # are final by its claim certificate, and no
-                        # batch-mate can depend on another's unapplied
-                        # completion (a dependent pair could not be full
-                        # while its predecessor is still in flight).
-                        with lock:
-                            members: List[Tuple[int, int]] = []
-                            for bv, bp in batch:
-                                members.extend(
-                                    (bv, q)
-                                    for q in state.claim_run(bv, bp, run_cap)
-                                )
-                            ctxs = []
-                            for mv, mp in members:
-                                ctxs.append(runtime.prepare(mv, mp))
-                                if tracer is not None:
-                                    tracer.execute_begin((mv, mp), worker_id)
-                        for (mv, mp), mctx in zip(members, ctxs):
-                            runtime.compute(mv, mctx)
-                        with commit_guard():
-                            # Member commits run back-to-back: each
-                            # delivery updates the edge latch the next
-                            # member's suppression test reads, so runs
-                            # short-circuit between members exactly like
-                            # serial per-phase commits.
-                            for (mv, mp), mctx in zip(members, ctxs):
-                                completed.append(
-                                    (mv, mp, runtime.commit(mv, mp, mctx))
-                                )
-                            newly_ready, newly_complete, done = finish_batch(
-                                completed, worker_id
-                            )
-                    else:
-                        v, p = batch[0]
-                        with lock:
-                            ctx = runtime.prepare(v, p)
+                    # Preparing every member up front is safe: the ready
+                    # head's inputs are fully determined (definition
+                    # (8)) and a claimed member's inputs are final by
+                    # its claim certificate.
+                    with lock:
+                        members = [(v, q) for q in state.claim_run(v, p)]
+                        ctxs = []
+                        for mv, mp in members:
+                            ctxs.append(runtime.prepare(mv, mp))
                             if tracer is not None:
-                                tracer.execute_begin((v, p), worker_id)
-                        for idx, (v, p) in enumerate(batch):
-                            runtime.compute(v, ctx)
-                            last = idx + 1 == len(batch)
-                            with commit_guard():
-                                targets = runtime.commit(v, p, ctx)
-                                completed.append((v, p, targets))
-                                if not last:
-                                    # Fast path: prepare the next dequeued
-                                    # pair inside the same critical section
-                                    # as this commit.  Safe: a ready pair's
-                                    # inputs are fully determined
-                                    # (definition (8)), so no pair in the
-                                    # batch can depend on a batch-mate's
-                                    # still-unapplied completion.
-                                    nv, np_ = batch[idx + 1]
-                                    ctx = runtime.prepare(nv, np_)
-                                    if tracer is not None:
-                                        tracer.execute_begin(
-                                            (nv, np_), worker_id
-                                        )
-                                    continue
-                                (
-                                    newly_ready,
-                                    newly_complete,
-                                    done,
-                                ) = finish_batch(completed, worker_id)
+                                tracer.execute_begin((mv, mp), worker_id)
+                    for (mv, mp), mctx in zip(members, ctxs):
+                        runtime.compute(mv, mctx)
+                    with commit_guard():
+                        # Member commits run back-to-back: each delivery
+                        # updates the edge latch the next member's
+                        # suppression test reads, so runs short-circuit
+                        # between members exactly like serial per-phase
+                        # commits.
+                        completed = [
+                            (mv, mp, runtime.commit(mv, mp, mctx))
+                            for (mv, mp), mctx in zip(members, ctxs)
+                        ]
+                        newly_ready = state.complete_executions(completed)
+                        if not retire:
+                            executions.extend(members)
+                        per_worker_counts[worker_id] += len(members)
+                        if tracer is not None:
+                            for pair in members:
+                                tracer.execute_end(pair, worker_id)
+                            for pair in newly_ready:
+                                tracer.enqueued(pair)
+                        newly_complete = tail.advance()
+                        done = env_done.is_set() and state.all_started_complete()
                     if flow_sem is not None:
                         for _ in range(newly_complete):
                             flow_sem.release()
@@ -462,37 +315,18 @@ class ParallelEngine:
 
         env_errors: List[BaseException] = []
 
-        def start_next_phase(pi: Optional[PhaseInput]) -> bool:
-            # Start one phase (Listing 2 body); registering the feed-
-            # delivered input happens in the same critical section so
-            # workers never observe a started-but-unregistered phase.
+        def start_phases(count: int, pi: Optional[PhaseInput] = None) -> bool:
+            # Start *count* phases (Listing 2 body) under one critical
+            # section: the per-phase start acquisition is exactly the
+            # lock traffic run coalescing exists to remove, and a deeper
+            # started horizon is what lets claim_run extend runs in the
+            # first place.  Registering a feed-delivered input happens in
+            # the same section, so workers never observe a
+            # started-but-unregistered phase.
+            newly_ready: List[Tuple[int, int]] = []
             with start_guard():
                 if pi is not None:
                     runtime.register_phase(pi)
-                newly_ready = state.start_phase()
-                if tracer is not None:
-                    tracer.phase_started(state.pmax)
-                    for pair in newly_ready:
-                        tracer.enqueued(pair)
-            try:
-                queue.put_many(newly_ready)
-            except QueueClosedError:
-                if not abort.is_set():
-                    raise
-                return False
-            if self.env.pacing:
-                backend.sleep(self.env.pacing)
-            return True
-
-        def start_phase_burst(count: int) -> bool:
-            # Coalescing-mode batch admission: start *count* phases under
-            # one critical section.  The per-phase start acquisition is
-            # exactly the lock traffic run coalescing exists to remove —
-            # and a deeper started horizon is what lets claim_run extend
-            # runs in the first place.  Only reached when run_cap != 1,
-            # so the single-pair schedule keeps the loop below untouched.
-            newly_ready: List[Tuple[int, int]] = []
-            with start_guard():
                 for _ in range(count):
                     ready_now = state.start_phase()
                     if tracer is not None:
@@ -506,41 +340,31 @@ class ParallelEngine:
                 if not abort.is_set():
                     raise
                 return False
+            if self.env.pacing:
+                backend.sleep(self.env.pacing)
             return True
 
         def environment() -> None:
             # Listing 2: the environment process.
             try:
-                if feed is None and (run_cap == 1 or self.env.pacing):
-                    for _ in range(runtime.num_phases):
-                        if abort.is_set():
-                            break
-                        if stop_event is not None and stop_event.is_set():
-                            break
-                        if flow_sem is not None:
-                            # Block until a phase slot frees up.  Abort
-                            # paths (worker crash, shutdown watchdog)
-                            # release the semaphore *after* setting the
-                            # abort flag, so this wait is abort-aware
-                            # without polling — no timeout loop burning
-                            # CPU or making virtual-clock runs
-                            # timing-dependent.
-                            flow_sem.acquire()
-                            if abort.is_set():
-                                break
-                        if not start_next_phase(None):
-                            break
-                elif feed is None:
+                if feed is None:
                     remaining = runtime.num_phases
                     while remaining > 0:
                         if abort.is_set():
                             break
                         if stop_event is not None and stop_event.is_set():
                             break
-                        burst = min(_START_BURST, remaining)
+                        # A paced environment starts one phase per tick.
+                        burst = 1 if self.env.pacing else min(_START_BURST, remaining)
                         if flow_sem is not None:
                             # One blocking credit, then take whatever
                             # else the flow window has free right now.
+                            # Abort paths (worker crash, shutdown
+                            # watchdog) release the semaphore *after*
+                            # setting the abort flag, so this wait is
+                            # abort-aware without polling — no timeout
+                            # loop burning CPU or making virtual-clock
+                            # runs timing-dependent.
                             flow_sem.acquire()
                             if abort.is_set():
                                 break
@@ -550,7 +374,7 @@ class ParallelEngine:
                             ):
                                 taken += 1
                             burst = taken
-                        if not start_phase_burst(burst):
+                        if not start_phases(burst):
                             break
                         remaining -= burst
                 else:
@@ -569,7 +393,7 @@ class ParallelEngine:
                             ):
                                 break
                         local = plan.localize_phase_inputs([pi])
-                        if not start_next_phase(local[0]):
+                        if not start_phases(1, local[0]):
                             break
             except BaseException as exc:  # noqa: BLE001 - reported after join
                 env_errors.append(exc)
@@ -636,20 +460,9 @@ class ParallelEngine:
                 f"{state.in_flight_phases()!r}"
             )
 
-        lock_stats = lock.stats()
-        num_batches = sum(batch_sizes.values())
-        num_commits = sum(size * count for size, count in batch_sizes.items())
-        coalescing = dict(
-            enabled=run_cap != 1,
-            run_length_cap=run_cap,
-            **state.coalescing_stats(),
-        )
         stats = {
             "num_threads": self.num_threads,
-            "frontier": state.frontier_stats(),
-            "suppression": runtime.suppression_stats(),
-            "coalescing": coalescing,
-            "lock": lock_stats,
+            "lock": lock.stats(),
             "queue": {
                 "max_depth": queue.max_depth,
                 "total_enqueued": queue.total_enqueued,
@@ -657,39 +470,14 @@ class ParallelEngine:
                 "blocked_gets": queue.blocked_gets,
             },
             "per_worker_executions": dict(per_worker_counts),
-            "edge_entries_peak": runtime.edges.peak_entries,
-            "edge_entries_final": runtime.edges.total_pending_entries(),
-            "batching": {
-                "batch_size": self.batch_size,
-                "batches": num_batches,
-                "batch_sizes": dict(sorted(batch_sizes.items())),
-                "mean_batch_size": (
-                    num_commits / num_batches if num_batches else 0.0
-                ),
-                "commits_per_acquisition": (
-                    num_commits / lock_stats["acquisitions"]
-                    if lock_stats["acquisitions"]
-                    else 0.0
-                ),
-            },
+            **scheduling_stats(state, runtime, tracer, tail),
         }
-        if tracer is not None:
-            intervals = tracer.intervals()
-            stats["max_concurrent_phases"] = max_concurrent_phases(intervals)
-            stats["max_concurrent_pairs"] = max_concurrent_pairs(intervals)
-        if retire:
-            stats["retirement"] = {
-                "phases_retired": retire_counters[0],
-                "internal_messages": retire_counters[1],
-                "executed_pairs": state.executed_pairs,
-            }
-        label = (
-            f"parallel[k={self.num_threads}]"
-            if self.batch_size == 1
-            else f"parallel[k={self.num_threads},b={self.batch_size}]"
-        )
         return self.plan.translate(
             runtime.build_result(
-                label, executions, elapsed, stats, phases_run=state.pmax
+                f"parallel[k={self.num_threads}]",
+                executions,
+                elapsed,
+                stats,
+                phases_run=state.pmax,
             )
         )

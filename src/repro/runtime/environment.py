@@ -12,10 +12,6 @@ supports both styles through :class:`EnvironmentConfig`:
   histories grow with the number of phases in flight; the bound trades a
   little pipelining freedom for bounded memory.  ``None`` reproduces the
   paper exactly.
-* ``batch_size`` — how many ready pairs a computation thread may drain
-  and commit per wake-up (the batched low-contention commit path; see
-  :class:`~repro.runtime.engine.ParallelEngine`).  1 reproduces the
-  paper's one-pair-per-critical-section loop exactly.
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ class EnvironmentConfig:
 
     pacing: float = 0.0
     max_in_flight_phases: Optional[int] = None
-    batch_size: int = 1
 
     def __post_init__(self) -> None:
         if self.pacing < 0:
@@ -43,8 +38,4 @@ class EnvironmentConfig:
             raise EngineError(
                 f"max_in_flight_phases must be >= 1 or None, "
                 f"got {self.max_in_flight_phases}"
-            )
-        if self.batch_size < 1:
-            raise EngineError(
-                f"batch_size must be >= 1, got {self.batch_size}"
             )

@@ -16,45 +16,41 @@ store, the records — and runs both of the paper's loops inline:
 The wire path is designed so IPC cost scales with *change*, not with
 executions:
 
-* **Batched dispatch** (``ipc_batch``): the ready backlog is kept
-  pre-partitioned by sticky worker
-  (:class:`~repro.core.state.ReadyFrontier`) and drained into batches
-  of up to ``ipc_batch`` tasks per frame; a worker answers each
-  :class:`~.protocol.TaskBatch` with one :class:`~.protocol.ResultBatch`,
-  which feeds the batched
-  :meth:`~repro.core.state.SchedulerState.complete_executions` commit
-  whole — one frame each way and one critical section for the lot.
-  Repeated values inside a frame (latched inputs that did not change,
-  successor tuples, recurring outputs) are interned so pickle emits them
-  once.  ``ipc_batch=1`` reproduces the PR-3 one-frame-per-pair wire
-  path exactly.
-* **Per-worker credit window** (``window``): at most ``window`` tasks
-  may be in flight to a worker at once.  ``window=None`` (default) is
-  adaptive — the window widens (doubles, bounded) while the ready
-  backlog leaves a worker starved for credit, and narrows when commits
-  lag behind dispatch (a poll quantum passes with every credit spent and
-  no result).  A deep window keeps workers fed and lets large dispatch
-  batches form; a shallow one bounds the coordinator's in-flight context
-  memory.  A fixed integer pins the window.
+* **Run frames**: the ready backlog is kept pre-partitioned by sticky
+  worker (:class:`~repro.core.state.ReadyFrontier`); each dispatched
+  ready pair is extended into a claimed run
+  (:meth:`~repro.core.state.SchedulerState.claim_run`) and shipped as
+  one frame — a :class:`~.protocol.TaskMsg` for a run of one, a
+  :class:`~.protocol.RunMsg` otherwise, which the worker answers with
+  one :class:`~.protocol.ResultBatch`.  That reply feeds
+  :meth:`~repro.core.state.SchedulerState.complete_executions` whole —
+  one frame each way and one critical section per run.  Repeated values
+  inside a frame (latched inputs that did not change, successor tuples,
+  recurring outputs) are interned so pickle emits them once.
+* **Per-worker credit window**: at most ``window`` tasks may be in
+  flight to a worker at once.  The window is adaptive — it widens
+  (doubles, bounded) while the ready backlog leaves a worker starved for
+  credit, and narrows when commits lag behind dispatch (a poll quantum
+  passes with every credit spent and no result).  A deep window keeps
+  workers fed; a shallow one bounds the coordinator's in-flight context
+  memory.
+* **Worker-side Δ-elision**: value-equal outputs are suppressed in the
+  worker, before they are serialized; the coordinator keeps its
+  commit-time latch check as an idempotent backstop.
 
-Commits are applied exactly like the threaded engine's low-contention
-path: every result already collected (whole result batches, topped up to
-at least ``batch_size`` singles) is applied in one
-:meth:`~repro.core.state.SchedulerState.complete_executions` call inside
-one critical section.  Because the coordinator is single-threaded, its
+Because the coordinator is single-threaded, its
 :class:`~repro.runtime.locks.InstrumentedLock` is never contended — it
-is kept so the stats schema (acquisitions, hold times,
-``commits_per_acquisition``) stays comparable with the threaded engine,
-and so invariant checkers see the same locking discipline: the
-coordinator's single lock remains the only commit point.
+is kept so the stats schema (acquisitions, hold times) stays comparable
+with the threaded engine, and so invariant checkers see the same locking
+discipline: the coordinator's single lock remains the only commit point.
 
 Correctness relies on the same argument as the serial oracle: the
 scheduler never holds two phases of one vertex ready at once, vertices
 are sticky to one worker, and each worker's task queue is FIFO — so
 every behaviour's state evolves in strict phase order, exactly as
-serially.  Batching and credit windows only change *when* ready pairs
-are shipped, never which pairs are ready, so the serializability
-argument is untouched.  Final worker states are shipped back at shutdown
+serially.  Credit windows only change *when* ready pairs are shipped,
+never which pairs are ready, so the serializability argument is
+untouched.  Final worker states are shipped back at shutdown
 as :meth:`~repro.core.vertex.Vertex.snapshot_delta` payloads and applied
 to the coordinator's program (whose behaviours still hold the spawn-time
 baseline — compute only ever runs worker-side), keeping post-run state
@@ -64,7 +60,7 @@ Failure handling prefers the root cause, mirroring the threaded engine:
 a vertex error (re-raised as
 :class:`~repro.errors.VertexExecutionError`) beats a worker crash
 (:class:`~repro.errors.EngineError`), which beats the wedge watchdog.
-Results that arrive before the failure — including a failing batch's
+Results that arrive before the failure — including a failing run's
 surviving prefix — are committed first.
 """
 
@@ -77,25 +73,20 @@ from ...core.invariants import InvariantChecker
 from ...core.plan import ExecutionPlan, as_plan
 from ...core.program import PairRuntime, Program, RunResult
 from ...core.state import ReadyFrontier, SchedulerState
-from ...core.tracer import (
-    ExecutionTracer,
-    max_concurrent_pairs,
-    max_concurrent_phases,
-)
+from ...core.tracer import ExecutionTracer
 from ...core.vertex import VertexContext
 from ...errors import EngineError, VertexExecutionError
 from ...events import PhaseInput
 from ..environment import EnvironmentConfig
 from ..feed import PhaseFeed
 from ..locks import InstrumentedLock
+from ..retirement import CompletionTail, scheduling_stats
 from .lifecycle import ProcessWorkerPool
 from .protocol import (
     FinalStateMsg,
     Interner,
     ResultBatch,
     ResultMsg,
-    RunMsg,
-    TaskBatch,
     WorkerCrashMsg,
     encode,
     run_from_contexts,
@@ -105,6 +96,7 @@ from .protocol import (
 __all__ = ["ProcessEngine"]
 
 _POLL_S = 0.05  # result-queue poll quantum while work is in flight
+_WINDOW_CAP = 16  # widest the adaptive per-worker credit window grows
 
 
 class ProcessEngine:
@@ -132,41 +124,9 @@ class ProcessEngine:
     join_timeout:
         Watchdog: seconds without any worker progress (and at shutdown)
         before the run is declared wedged.
-    batch_size:
-        Minimum queued results drained per critical section (the batched
-        commit path); whole result batches are never split.  ``None``
-        takes ``env.batch_size``.
     start_method:
         ``multiprocessing`` start method; default is ``fork`` where
         available, else ``spawn``.
-    ipc_batch:
-        Maximum tasks per dispatch frame.  1 (default) ships one
-        :class:`~.protocol.TaskMsg` per frame — the PR-3 wire path;
-        larger values ship :class:`~.protocol.TaskBatch` frames with
-        interned payload encoding.
-    window:
-        Per-worker in-flight credit window.  ``None`` (default) adapts
-        between 1 and ``max(16, 4 * ipc_batch)``; an integer pins it.
-    frontier:
-        ``"cone"`` (default) schedules with per-dependency frontiers;
-        ``"global"`` reproduces the published single-``x_p`` schedule
-        exactly.  See :class:`~repro.core.state.SchedulerState`.
-    suppress:
-        Change suppression (Δ-elision); ``None`` (default) resolves by
-        frontier mode — on under ``"cone"``, off under ``"global"`` —
-        exactly as on the threaded engine.  On this engine suppression is
-        applied *worker-side* (suppressed outputs are never serialized);
-        the coordinator keeps its commit-time latch check as an
-        idempotent backstop.
-    run_length:
-        Temporal run coalescing cap
-        (:meth:`~repro.core.state.SchedulerState.claim_run`): each
-        dispatched ready pair is extended into a run of up to this many
-        claimable phases, shipped as one :class:`~.protocol.RunMsg`
-        frame and committed in one critical section.  ``None`` (default)
-        is adaptive under the cone frontier and pinned to 1 (off) under
-        ``"global"``; ``1`` disables coalescing (the pre-coalescing wire
-        path, frame for frame).
     """
 
     def __init__(
@@ -177,45 +137,17 @@ class ProcessEngine:
         tracer: Optional[ExecutionTracer] = None,
         env: EnvironmentConfig = EnvironmentConfig(),
         join_timeout: float = 120.0,
-        batch_size: Optional[int] = None,
         start_method: Optional[str] = None,
-        ipc_batch: int = 1,
-        window: Optional[int] = None,
-        frontier: str = "cone",
-        suppress: Optional[bool] = None,
-        run_length: Optional[int] = None,
     ) -> None:
         if num_workers < 1:
             raise EngineError(f"num_workers must be >= 1, got {num_workers}")
-        if run_length is not None and run_length < 1:
-            raise EngineError(
-                f"run_length must be >= 1 or None, got {run_length}"
-            )
         self.plan = as_plan(program)
         self.program = self.plan.program
         self.num_workers = num_workers
-        self.frontier = frontier
-        # Coalescing needs the cone frontier's per-phase determination
-        # certificates; under "global" the cap pins to 1 (no-op).
-        self.run_length = 1 if frontier != "cone" else run_length
-        self.suppress = (frontier == "cone") if suppress is None else suppress
         self.checker = checker
         self.tracer = tracer
         self.env = env
         self.join_timeout = join_timeout
-        self.batch_size = env.batch_size if batch_size is None else batch_size
-        if self.batch_size < 1:
-            raise EngineError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
-        if ipc_batch < 1:
-            raise EngineError(f"ipc_batch must be >= 1, got {ipc_batch}")
-        if window is not None and window < 1:
-            raise EngineError(
-                f"window must be >= 1 or None (adaptive), got {window}"
-            )
-        self.ipc_batch = ipc_batch
-        self.window = window
         self.start_method = start_method
 
     def run(
@@ -281,27 +213,21 @@ class ProcessEngine:
             self.program,
             phase_inputs,
             stream_records=retire,
-            suppress=self.suppress,
+            suppress=True,
         )
         state = SchedulerState(
             self.program.numbering,
             checker=self.checker,
-            frontier=self.frontier,
+            frontier="cone",
         )
         lock = InstrumentedLock()
         tracer = self.tracer
+        tail = CompletionTail(state, runtime, self.plan, tracer, retire, sink)
         pool = ProcessWorkerPool(
             self.program,
             self.num_workers,
             start_method=self.start_method,
-            worker_config=(
-                {
-                    "suppress": True,
-                    "elidable_succs": runtime.elidable_successor_names(),
-                }
-                if self.suppress
-                else None
-            ),
+            elidable_succs=runtime.elidable_successor_names(),
         )
 
         # Ready-but-unshipped pairs, indexed by sticky worker so each
@@ -312,37 +238,21 @@ class ProcessEngine:
         per_worker_counts: Dict[int, int] = {
             i: 0 for i in range(self.num_workers)
         }
-        batch_sizes: Dict[int, int] = {}
-        seen_complete = 0
-        retire_next = 1  # next phase to retire (retire mode)
-        retire_counters = [0, 0]  # phases retired, internal fused messages
         held: List[PhaseInput] = []  # at most one prefetched feed phase
         last_phase_start = -float("inf")
         finals: Dict[int, FinalStateMsg] = {}
-        run_cap = self.run_length
-        # Interning pays off whenever one frame can carry repeated
-        # values: batched dispatch, and run frames (members of one run
-        # share latched inputs phase over phase).
-        interner = (
-            Interner() if self.ipc_batch > 1 or run_cap != 1 else None
-        )
+        # Members of one run share latched inputs phase over phase, so a
+        # run frame pickles each repeated value once.
+        interner = Interner()
 
         def stopping() -> bool:
             return stop_event is not None and stop_event.is_set()
 
         # Per-worker credit windows (the adaptive in-flight window).
-        adaptive = self.window is None
-        window_floor = 1
-        window_cap = (
-            max(16, 4 * self.ipc_batch) if adaptive else self.window
-        )
-        windows: Dict[int, int] = {
-            w: (max(1, self.ipc_batch) if adaptive else self.window)
-            for w in range(self.num_workers)
-        }
+        windows: Dict[int, int] = {w: 1 for w in range(self.num_workers)}
         worker_load: Dict[int, int] = {w: 0 for w in range(self.num_workers)}
         window_events = {"widenings": 0, "narrowings": 0}
-        window_peak = max(windows.values())
+        window_peak = 1
 
         def can_start_phase() -> bool:
             if stopping():
@@ -356,68 +266,44 @@ class ProcessEngine:
             return time.monotonic() - last_phase_start >= self.env.pacing
 
         def dispatch() -> bool:
-            # Drain the ready backlog into per-worker batches that
-            # respect sticky assignment and the credit windows; prepare
-            # each batch's contexts in one critical section and ship it
-            # as one frame.
+            # Drain the ready backlog per worker, respecting sticky
+            # assignment and the credit windows; extend each ready pair
+            # into a claimed run, prepare every member's context under
+            # the same lock acquisition (inputs are final by the claim
+            # certificate) and ship the run as one frame.
             nonlocal window_peak
             if not pending:
                 return False
             batches, starved = pending.drain(
-                lambda w: windows[w] - worker_load[w],
-                self.ipc_batch,
+                lambda w: windows[w] - worker_load[w]
             )
             for w, pairs in batches:
-                entries: List[Any] = []  # TaskMsg | RunMsg, in order
-                shipped = 0
-                with lock:
-                    for v, p in pairs:
-                        # Temporal coalescing: extend the dispatched
-                        # ready pair into a claimed run; every member's
-                        # context is prepared here, under the same lock
-                        # acquisition (inputs are final by the claim
-                        # certificate).  run_cap == 1 is the
-                        # pre-coalescing path, frame for frame.
-                        phases_ = (
-                            state.claim_run(v, p, run_cap)
-                            if run_cap != 1
-                            else (p,)
-                        )
+                for v, p in pairs:
+                    with lock:
                         prepared: List[Tuple[int, VertexContext]] = []
-                        for q in phases_:
+                        for q in state.claim_run(v, p):
                             ctx = runtime.prepare(v, q)
                             if tracer is not None:
                                 tracer.execute_begin((v, q), w)
                             in_flight[(v, q)] = ctx
                             prepared.append((q, ctx))
-                        shipped += len(prepared)
+                        # A run of one keeps the single-pair wire form.
                         if len(prepared) == 1:
-                            q, ctx = prepared[0]
-                            entries.append(
-                                task_from_context(v, q, ctx, interner)
+                            entry: Any = task_from_context(
+                                v, p, prepared[0][1], interner
                             )
+                            traffic = "tasks"
                         else:
-                            entries.append(
-                                run_from_contexts(v, prepared, interner)
-                            )
-                worker_load[w] += shipped
-                if self.ipc_batch == 1 and len(entries) == 1:
-                    entry = entries[0]
-                    traffic = (
-                        "runs" if isinstance(entry, RunMsg) else "tasks"
-                    )
+                            entry = run_from_contexts(v, prepared, interner)
+                            traffic = "runs"
+                    worker_load[w] += len(prepared)
                     pool.submit_to_worker(w, encode(entry), traffic)
-                else:
-                    pool.submit_to_worker(
-                        w, encode(TaskBatch(tuple(entries))), "task_batches"
-                    )
-            if adaptive:
-                # Backlog left a worker starved for credit: widen.
-                for w in starved:
-                    if windows[w] < window_cap:
-                        windows[w] = min(window_cap, windows[w] * 2)
-                        window_events["widenings"] += 1
-                        window_peak = max(window_peak, windows[w])
+            # Backlog left a worker starved for credit: widen.
+            for w in starved:
+                if windows[w] < _WINDOW_CAP:
+                    windows[w] = min(_WINDOW_CAP, windows[w] * 2)
+                    window_events["widenings"] += 1
+                    window_peak = max(window_peak, windows[w])
             return bool(batches)
 
         def narrow_windows() -> None:
@@ -426,15 +312,13 @@ class ProcessEngine:
             # window (bounding in-flight context memory) rather than
             # keep speculating deeper.
             for w in range(self.num_workers):
-                if worker_load[w] >= windows[w] > window_floor:
+                if worker_load[w] >= windows[w] > 1:
                     windows[w] -= 1
                     window_events["narrowings"] += 1
 
-        def commit_batch(results: List[ResultMsg]) -> None:
-            # The batched commit path: every result in one critical
-            # section, one complete_executions call (same discipline as
-            # the threaded engine's batch_size > 1 mode).
-            nonlocal seen_complete, retire_next
+        def commit_run(results: List[ResultMsg]) -> None:
+            # One worker reply = one run's results: every member commits
+            # in one critical section, one complete_executions call.
             if not results:
                 return
             completed: List[Tuple[int, int, List[int]]] = []
@@ -456,9 +340,6 @@ class ProcessEngine:
                 for res in results:
                     per_worker_counts[res.worker_id] += 1
                     worker_load[res.worker_id] -= 1
-                batch_sizes[len(completed)] = (
-                    batch_sizes.get(len(completed), 0) + 1
-                )
                 if tracer is not None:
                     for res in results:
                         tracer.execute_end(
@@ -466,35 +347,7 @@ class ProcessEngine:
                         )
                     for pair in newly_ready:
                         tracer.enqueued(pair)
-                # Labels come from the completion log via the absolute
-                # cursor (prefix order in global mode; possibly out of
-                # order in cone mode).
-                new_complete = state.completed_since(seen_complete)
-                if tracer is not None:
-                    for q in new_complete:
-                        tracer.phase_completed(q)
-                seen_complete += len(new_complete)
-                if retire and new_complete:
-                    # Retire the extended contiguous complete prefix:
-                    # stream each phase's translated records out, then
-                    # GC every per-phase structure.
-                    rn = retire_next
-                    while state.phase_started(rn) and state.phase_complete(
-                        rn
-                    ):
-                        ts, entries = runtime.retire_phase(rn)
-                        entries, internal = self.plan.translate_entries(
-                            entries
-                        )
-                        retire_counters[1] += internal
-                        if sink is not None:
-                            sink(rn, ts, entries)
-                        rn += 1
-                    if rn > retire_next:
-                        state.retire_phases_upto(rn - 1)
-                        retire_counters[0] += rn - retire_next
-                        retire_next = rn
-                    state.trim_completed_log(seen_complete)
+                tail.advance()
             pending.push(newly_ready)
 
         def requeue_skipped(
@@ -591,10 +444,7 @@ class ProcessEngine:
                         f"engine stalled before quiescence: in-flight "
                         f"phases {state.in_flight_phases()!r}"
                     )
-                # Collect one result frame (bounded poll), then drain
-                # whatever else is already queued until at least
-                # batch_size results are in hand (whole batches are
-                # never split).
+                # Collect one result frame (bounded poll) and commit it.
                 msg = pool.collect(timeout=_POLL_S)
                 if msg is None:
                     dead = pool.dead_workers()
@@ -612,8 +462,7 @@ class ProcessEngine:
                             f"worker {wid} died (exit code {code}) with "
                             f"{len(in_flight)} pairs in flight"
                         )
-                    if adaptive:
-                        narrow_windows()
+                    narrow_windows()
                     if time.monotonic() - last_progress > self.join_timeout:
                         raise EngineError(
                             f"run wedged: no worker result within "
@@ -622,40 +471,31 @@ class ProcessEngine:
                         )
                     continue
                 last_progress = time.monotonic()
+                if isinstance(msg, WorkerCrashMsg):
+                    raise EngineError(
+                        f"worker {msg.worker_id} crashed: {msg.message}"
+                    )
+                entries: Tuple[ResultMsg, ...]
+                if isinstance(msg, ResultBatch):
+                    entries = msg.results
+                    if msg.skipped:
+                        requeue_skipped(msg.worker_id, msg.skipped)
+                else:
+                    assert isinstance(msg, ResultMsg)
+                    entries = (msg,)
                 results: List[ResultMsg] = []
-                while msg is not None:
-                    if isinstance(msg, WorkerCrashMsg):
-                        # Commit everything that survived (earlier
-                        # frames of this sweep included), then surface
-                        # the crash.
-                        commit_batch(results)
-                        raise EngineError(
-                            f"worker {msg.worker_id} crashed: {msg.message}"
+                for res in entries:
+                    if res.error is not None:
+                        # Commit the run's surviving prefix, then surface
+                        # the vertex failure as the root cause.
+                        commit_run(results)
+                        raise VertexExecutionError(
+                            self.program.numbering.name_of(res.vertex),
+                            res.phase,
+                            res.error,
                         )
-                    entries: Tuple[ResultMsg, ...]
-                    if isinstance(msg, ResultBatch):
-                        entries = msg.results
-                        if msg.skipped:
-                            requeue_skipped(msg.worker_id, msg.skipped)
-                    else:
-                        assert isinstance(msg, ResultMsg)
-                        entries = (msg,)
-                    for res in entries:
-                        if res.error is not None:
-                            # Commit what already succeeded, then
-                            # surface the vertex failure as the root
-                            # cause.
-                            commit_batch(results)
-                            raise VertexExecutionError(
-                                self.program.numbering.name_of(res.vertex),
-                                res.phase,
-                                res.error,
-                            )
-                        results.append(res)
-                    if len(results) >= self.batch_size:
-                        break
-                    msg = pool.collect_nowait()
-                commit_batch(results)
+                    results.append(res)
+                commit_run(results)
             # Graceful drain: collect final vertex state deltas and
             # apply them coordinator-side (the coordinator's behaviours
             # still hold the spawn-time baseline), so program state
@@ -676,26 +516,12 @@ class ProcessEngine:
                 pool.terminate()  # pragma: no cover - defensive
         elapsed = time.perf_counter() - started
 
-        lock_stats = lock.stats()
-        num_batches = sum(batch_sizes.values())
-        num_commits = sum(size * count for size, count in batch_sizes.items())
         wire = pool.wire.summary()
-        task_frames = (
-            wire["tasks"]["messages"]
-            + wire["task_batches"]["messages"]
-            + wire["runs"]["messages"]
-        )
+        task_frames = wire["tasks"]["messages"] + wire["runs"]["messages"]
         stats: Dict[str, Any] = {
             "num_workers": self.num_workers,
             "start_method": pool.start_method,
-            "frontier": state.frontier_stats(),
-            "suppression": runtime.suppression_stats(),
-            "coalescing": dict(
-                enabled=run_cap != 1,
-                run_length_cap=self.run_length,
-                **state.coalescing_stats(),
-            ),
-            "lock": lock_stats,
+            "lock": lock.stats(),
             "per_worker_executions": dict(per_worker_counts),
             "per_worker_utilization": {
                 wid: (final.busy_s / elapsed if elapsed > 0 else 0.0)
@@ -704,8 +530,6 @@ class ProcessEngine:
             "ipc_round_trips": task_frames,
             "serialization_bytes": wire,
             "ipc": {
-                "ipc_batch": self.ipc_batch,
-                "window": "adaptive" if adaptive else self.window,
                 "window_final": dict(sorted(windows.items())),
                 "window_peak": window_peak,
                 "window_widenings": window_events["widenings"],
@@ -716,46 +540,16 @@ class ProcessEngine:
                     if task_frames
                     else 0.0
                 ),
-                "interning": (
-                    interner.summary() if interner is not None else None
-                ),
+                "interning": interner.summary(),
             },
-            "edge_entries_peak": runtime.edges.peak_entries,
-            "edge_entries_final": runtime.edges.total_pending_entries(),
-            "batching": {
-                "batch_size": self.batch_size,
-                "batches": num_batches,
-                "batch_sizes": dict(sorted(batch_sizes.items())),
-                "mean_batch_size": (
-                    num_commits / num_batches if num_batches else 0.0
-                ),
-                "commits_per_acquisition": (
-                    num_commits / lock_stats["acquisitions"]
-                    if lock_stats["acquisitions"]
-                    else 0.0
-                ),
-            },
+            **scheduling_stats(state, runtime, tracer, tail),
         }
-        if tracer is not None:
-            intervals = tracer.intervals()
-            stats["max_concurrent_phases"] = max_concurrent_phases(intervals)
-            stats["max_concurrent_pairs"] = max_concurrent_pairs(intervals)
-        if retire:
-            stats["retirement"] = {
-                "phases_retired": retire_counters[0],
-                "internal_messages": retire_counters[1],
-                "executed_pairs": state.executed_pairs,
-            }
-        label_parts = [f"w={self.num_workers}"]
-        if self.batch_size != 1:
-            label_parts.append(f"b={self.batch_size}")
-        if self.ipc_batch != 1:
-            label_parts.append(f"ipc={self.ipc_batch}")
-        if self.window is not None:
-            label_parts.append(f"win={self.window}")
-        label = f"process[{','.join(label_parts)}]"
         return self.plan.translate(
             runtime.build_result(
-                label, executions, elapsed, stats, phases_run=state.pmax
+                f"process[w={self.num_workers}]",
+                executions,
+                elapsed,
+                stats,
+                phases_run=state.pmax,
             )
         )

@@ -60,10 +60,12 @@ class ProcessWorkerPool:
         Worker process count (the paper's k computation processors).
     start_method:
         ``fork`` / ``spawn`` / ``forkserver``; default per platform.
-    worker_config:
-        Optional run-configuration dict shipped to every worker at spawn
-        (see :func:`~repro.runtime.mp.worker.worker_main`); currently the
-        change-suppression setting.
+    elidable_succs:
+        Per vertex name, the successor names whose pairs the coordinator
+        proved elidable
+        (:meth:`~repro.core.program.PairRuntime.elidable_successor_names`);
+        shipped to every worker at spawn for worker-side change
+        suppression.  ``None`` ships an empty map: nothing is elided.
     """
 
     def __init__(
@@ -71,13 +73,13 @@ class ProcessWorkerPool:
         program: Program,
         num_workers: int,
         start_method: Optional[str] = None,
-        worker_config: Optional[Dict[str, Any]] = None,
+        elidable_succs: Optional[Dict[str, Any]] = None,
     ) -> None:
         if num_workers < 1:
             raise EngineError(f"num_workers must be >= 1, got {num_workers}")
         self.program = program
         self.num_workers = num_workers
-        self.worker_config = worker_config
+        self.elidable_succs = dict(elidable_succs or {})
         self.start_method = start_method or default_start_method()
         self._ctx = mp.get_context(self.start_method)
         self.wire = WireStats()
@@ -105,11 +107,7 @@ class ProcessWorkerPool:
     def start(self) -> None:
         """Spawn every worker, shipping its warm behaviour cache."""
         self.result_queue = self._ctx.Queue()
-        config_blob = (
-            encode(self.worker_config)
-            if self.worker_config is not None
-            else None
-        )
+        elidable_blob = encode(self.elidable_succs)
         for worker_id in range(self.num_workers):
             try:
                 blob = encode(self._assigned_behaviors(worker_id))
@@ -120,8 +118,7 @@ class ProcessWorkerPool:
                     f"cannot run on the process engine: {exc}"
                 ) from exc
             self.wire.count("warmup", blob)
-            if config_blob is not None:
-                self.wire.count("warmup", config_blob)
+            self.wire.count("warmup", elidable_blob)
             task_queue = self._ctx.Queue()
             process = self._ctx.Process(
                 target=worker_main,
@@ -130,7 +127,7 @@ class ProcessWorkerPool:
                     task_queue,
                     self.result_queue,
                     blob,
-                    config_blob,
+                    elidable_blob,
                 ),
                 name=f"repro-worker-{worker_id}",
                 daemon=True,
@@ -141,21 +138,13 @@ class ProcessWorkerPool:
             process.start()
         self._started = True
 
-    def submit(
-        self, v: int, frame: bytes, traffic_class: str = "tasks"
-    ) -> None:
-        """Send a task frame to vertex *v*'s worker.
-
-        *traffic_class* attributes the frame's bytes (``"tasks"`` for a
-        single :class:`~.protocol.TaskMsg`, ``"task_batches"`` for a
-        :class:`~.protocol.TaskBatch`)."""
-        self.wire.count(traffic_class, frame)
-        self._task_queues[self.worker_of(v)].put(frame)
-
     def submit_to_worker(
         self, worker_id: int, frame: bytes, traffic_class: str
     ) -> None:
-        """Send a frame straight to *worker_id*'s task queue."""
+        """Send a frame to *worker_id*'s task queue, metering its bytes
+        under *traffic_class* (``"tasks"`` for a single
+        :class:`~.protocol.TaskMsg`, ``"runs"`` for a
+        :class:`~.protocol.RunMsg`)."""
         self.wire.count(traffic_class, frame)
         self._task_queues[worker_id].put(frame)
 

@@ -8,28 +8,24 @@ below, pickled into a bytes frame by :func:`encode` and restored by
   pair.  Carries the *prepared* context snapshot (latched inputs, the
   changed set, successor names, and the external phase payload), never
   live engine objects, so a frame is self-contained and replayable.
-* :class:`TaskBatch` — coordinator -> worker: several :class:`TaskMsg`
-  in one frame (the ``ipc_batch > 1`` dispatch path).  One frame costs
-  one pickle header and one queue round trip regardless of how many
-  tasks it carries, and values repeated across the batch (latched inputs
-  that did not change, successor tuples) are pickled once and
-  back-referenced — see :class:`Interner`.
 * :class:`RunMsg` — coordinator -> worker: a *temporally coalesced* run
   (v, [p..p+k]) claimed via
-  :meth:`~repro.core.state.SchedulerState.claim_run`.  The vertex id,
-  name and successor tuple ride the frame once; each
-  :class:`RunMember` carries only the per-phase payload (phase, latched
-  inputs, changed set, external input).  The worker expands the run to
-  per-member tasks **in phase order** with :func:`tasks_from_run` and
-  answers with an ordinary :class:`ResultBatch`, so mid-run faults reuse
-  the skip-after-error salvage path unchanged: the failing member's
-  phase is attributed exactly and the unexecuted tail is reported in
-  ``skipped``.  A :class:`TaskBatch` may mix :class:`TaskMsg` and
-  :class:`RunMsg` entries.
+  :meth:`~repro.core.state.SchedulerState.claim_run`; a run of one
+  member travels as a plain :class:`TaskMsg`.  The vertex id, name and
+  successor tuple ride the frame once; each :class:`RunMember` carries
+  only the per-phase payload (phase, latched inputs, changed set,
+  external input).  One frame costs one pickle header and one queue
+  round trip regardless of how many members it carries, and values
+  repeated across them (latched inputs that did not change) are pickled
+  once and back-referenced — see :class:`Interner`.  The worker expands
+  the run to per-member tasks **in phase order** with
+  :func:`tasks_from_run` and answers with a :class:`ResultBatch`; on a
+  mid-run fault the failing member's phase is attributed exactly and
+  the unexecuted tail is reported in ``skipped``.
 * :class:`ResultMsg` — worker -> coordinator: one pair's outputs and
   records, or the vertex failure that occurred instead.
 * :class:`ResultBatch` — worker -> coordinator: the results of one
-  :class:`TaskBatch`, in task order.  When a task fails, the batch
+  :class:`RunMsg`, in member order.  When a member fails, the batch
   carries every result produced *before* the failure, the error result
   itself, and the ``(vertex, phase)`` pairs that were skipped, so the
   coordinator can commit the survivors before surfacing the error.
@@ -57,13 +53,12 @@ from __future__ import annotations
 import pickle
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ...core.vertex import VertexContext
 
 __all__ = [
     "TaskMsg",
-    "TaskBatch",
     "RunMember",
     "RunMsg",
     "ResultMsg",
@@ -119,20 +114,6 @@ class RunMsg:
 
 
 @dataclass(frozen=True, slots=True)
-class TaskBatch:
-    """Several tasks for one worker in one frame, executed in order.
-
-    Entries may be single-pair :class:`TaskMsg` frames or coalesced
-    :class:`RunMsg` frames; the worker expands runs to per-member tasks
-    in place.  A zero-length batch is legal on the wire (the worker
-    answers with a zero-length :class:`ResultBatch`); the engine never
-    sends one.
-    """
-
-    tasks: Tuple[Union[TaskMsg, RunMsg], ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
 class ResultMsg:
     """One executed pair: outputs + records, or the vertex error.
 
@@ -160,10 +141,10 @@ class ResultMsg:
 
 @dataclass(frozen=True, slots=True)
 class ResultBatch:
-    """The results of one :class:`TaskBatch`, in task order.
+    """The results of one :class:`RunMsg`, in member order.
 
-    ``skipped`` lists the ``(vertex, phase)`` pairs of tasks that were
-    *not* executed because an earlier task in the batch failed (their
+    ``skipped`` lists the ``(vertex, phase)`` pairs of members that were
+    *not* executed because an earlier member of the run failed (their
     results would be discarded by the coordinator's error path anyway).
     Results that precede an error entry are the batch's survivors: the
     coordinator commits them before re-raising the error.
@@ -237,7 +218,7 @@ class Interner:
     never alias), so repeated message values — latched inputs that did
     not change between phases, successor tuples, recurring outputs —
     become identical objects and collapse to memo references inside a
-    :class:`TaskBatch` / :class:`ResultBatch` frame.
+    :class:`RunMsg` / :class:`ResultBatch` frame.
 
     Unhashable values pass through untouched.  The table is bounded in
     *both* dimensions — entry count and retained bytes — because a long
@@ -316,8 +297,8 @@ def task_from_context(
     """Snapshot a prepared context into a task frame (coordinator side).
 
     With an *interner*, input values, the successor tuple and the phase
-    payload are canonicalised so repeats across a batch pickle as memo
-    back-references.
+    payload are canonicalised to the same objects a later run frame
+    will reference.
     """
     if interner is None:
         inputs = dict(ctx.inputs)
@@ -430,13 +411,11 @@ class WireStats:
     """Byte and message counters per traffic class (coordinator side).
 
     Classes: ``warmup`` (behaviour blobs shipped at spawn), ``tasks``
-    (single-task frames), ``task_batches`` (:class:`TaskBatch` frames),
-    ``runs`` (coalesced :class:`RunMsg` frames sent alone), ``results``
-    (single-result frames, incl. crash reports), ``result_batches``
-    (:class:`ResultBatch` frames), ``final_state`` (shutdown replies),
-    ``shutdown`` (the drain requests).  Every frame that crosses a queue
-    is counted under exactly one class — a run inside a
-    :class:`TaskBatch` counts under ``task_batches`` — so
+    (single-task frames), ``runs`` (coalesced :class:`RunMsg` frames),
+    ``results`` (single-result frames, incl. crash reports),
+    ``result_batches`` (:class:`ResultBatch` frames), ``final_state``
+    (shutdown replies), ``shutdown`` (the drain requests).  Every frame
+    that crosses a queue is counted under exactly one class, so
     ``total_bytes`` equals the actual pipe traffic plus the spawn-time
     warmup blobs.
     """
@@ -444,7 +423,6 @@ class WireStats:
     CLASSES = (
         "warmup",
         "tasks",
-        "task_batches",
         "runs",
         "results",
         "result_batches",

@@ -9,13 +9,14 @@ exactly as it would in the serial oracle, with no state round-tripping
 per task.
 
 The loop mirrors the computation thread of Listing 1 with the critical
-sections removed: dequeue a task (or a :class:`~.protocol.TaskBatch`),
-execute the behaviour against the shipped context snapshot, send back
-outputs + records.  A batch executes in order and answers with one
-:class:`~.protocol.ResultBatch`; output values recurring across the
-batch are interned so the reply frame pickles them once.  All
-scheduling-set bookkeeping stays coordinator-side, under the
-coordinator's lock.
+sections removed: dequeue a task (or a coalesced
+:class:`~.protocol.RunMsg`), execute the behaviour against the shipped
+context snapshot, send back outputs + records.  A run executes in phase
+order and answers with one :class:`~.protocol.ResultBatch`; output
+values recurring across the run are interned so the reply frame pickles
+them once.  Value-equal outputs are suppressed here, before they are
+serialized (:class:`_SuppressFilter`).  All scheduling-set bookkeeping
+stays coordinator-side, under the coordinator's lock.
 
 At startup the worker snapshots each behaviour's spawn-time state; the
 shutdown reply carries :meth:`~repro.core.vertex.Vertex.snapshot_delta`
@@ -25,7 +26,7 @@ costs bytes proportional to what actually changed.
 A vertex exception becomes an error :class:`~.protocol.ResultMsg` (the
 coordinator re-raises it as
 :class:`~repro.errors.VertexExecutionError`); a failure of the loop
-itself becomes a :class:`~.protocol.WorkerCrashMsg`.  When a batch
+itself becomes a :class:`~.protocol.WorkerCrashMsg`.  When a run
 reply fails to pickle, the worker salvages it result-by-result — the
 poisoned result degrades to an error entry, the survivors still ship and
 commit.  Either way the worker keeps draining its task queue until told
@@ -35,7 +36,7 @@ to shut down, so the coordinator never blocks on a dead letter.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Tuple
 
 from ...core.ports import stable_equal
 from ...core.vertex import Vertex
@@ -47,7 +48,6 @@ from .protocol import (
     ResultMsg,
     RunMsg,
     ShutdownMsg,
-    TaskBatch,
     TaskMsg,
     WorkerCrashMsg,
     context_from_task,
@@ -106,8 +106,8 @@ def _execute(
     worker_id: int,
     behaviors: Dict[str, Vertex],
     task: TaskMsg,
+    suppress_filter: _SuppressFilter,
     interner: Interner | None = None,
-    suppress_filter: "_SuppressFilter | None" = None,
 ) -> ResultMsg:
     ctx = context_from_task(task)
     started = time.perf_counter()
@@ -131,12 +131,9 @@ def _execute(
             error=f"{exc}",
             compute_s=time.perf_counter() - started,
         )
-    raw_outputs = dict(ctx.outputs)
-    suppressed: Tuple[str, ...] = ()
-    if suppress_filter is not None:
-        raw_outputs, suppressed = suppress_filter.filter(
-            task.name, raw_outputs
-        )
+    raw_outputs, suppressed = suppress_filter.filter(
+        task.name, dict(ctx.outputs)
+    )
     if interner is None:
         outputs = raw_outputs
         records = tuple(ctx.records)
@@ -231,29 +228,22 @@ def worker_main(
     task_queue: Any,
     result_queue: Any,
     behaviors_blob: bytes,
-    config_blob: Optional[bytes] = None,
+    elidable_blob: bytes,
 ) -> None:
     """Entry point of one worker process.
 
     *behaviors_blob* is the pickled ``{vertex name: Vertex}`` mapping for
-    this worker's assigned vertices — the warm cache.  *config_blob*, if
-    present, pickles the run configuration dict; currently the change-
-    suppression setting (``{"suppress": bool, "elidable_succs": {vertex
-    name: frozenset of successor names}}``).  Queue elements are protocol
-    frames (bytes); see :mod:`~repro.runtime.mp.protocol`.
+    this worker's assigned vertices — the warm cache.  *elidable_blob*
+    pickles the change-suppression map ``{vertex name: frozenset of
+    successor names}`` (see :class:`_SuppressFilter`).  Queue elements
+    are protocol frames (bytes); see :mod:`~repro.runtime.mp.protocol`.
     """
     try:
         behaviors: Dict[str, Vertex] = decode(behaviors_blob)
         baselines: Dict[str, Any] = {
             name: beh.snapshot_state() for name, beh in behaviors.items()
         }
-        suppress_filter: Optional[_SuppressFilter] = None
-        if config_blob is not None:
-            config = decode(config_blob)
-            if config.get("suppress"):
-                suppress_filter = _SuppressFilter(
-                    dict(config.get("elidable_succs") or {})
-                )
+        suppress_filter = _SuppressFilter(decode(elidable_blob))
         interner = Interner()
         busy_s = 0.0
         executed = 0
@@ -277,48 +267,31 @@ def worker_main(
                     )
                 )
                 return
-            if isinstance(msg, (TaskBatch, RunMsg)):
+            if isinstance(msg, RunMsg):
                 # A coalesced run expands to its per-member tasks in
-                # phase order, whether it arrived alone or inside a
-                # batch; the skip-after-error rule below then gives
-                # mid-run fault salvage for free (the failing member's
-                # phase is attributed exactly, the unexecuted tail is
-                # reported in ``skipped`` for coordinator requeue).
-                entries = (
-                    msg.tasks if isinstance(msg, TaskBatch) else (msg,)
-                )
+                # phase order; the skip-after-error rule gives mid-run
+                # fault salvage (the failing member's phase is
+                # attributed exactly, the unexecuted tail is reported in
+                # ``skipped`` for coordinator requeue).
                 results: List[ResultMsg] = []
                 skipped: List[Tuple[int, int]] = []
-                for entry in entries:
-                    tasks = (
-                        tasks_from_run(entry)
-                        if isinstance(entry, RunMsg)
-                        else (entry,)
+                for task in tasks_from_run(msg):
+                    if results and results[-1].error is not None:
+                        # An earlier member failed: later ones must not
+                        # advance this worker's state.
+                        skipped.append((task.vertex, task.phase))
+                        continue
+                    result = _execute(
+                        worker_id, behaviors, task, suppress_filter, interner
                     )
-                    for task in tasks:
-                        if results and results[-1].error is not None:
-                            # An earlier task failed: its successors in
-                            # the batch must not advance this worker's
-                            # state.
-                            skipped.append((task.vertex, task.phase))
-                            continue
-                        result = _execute(
-                            worker_id,
-                            behaviors,
-                            task,
-                            interner,
-                            suppress_filter,
-                        )
-                        busy_s += result.compute_s
-                        executed += 1
-                        results.append(result)
+                    busy_s += result.compute_s
+                    executed += 1
+                    results.append(result)
                 result_queue.put(
                     _encode_result_batch(worker_id, results, skipped)
                 )
                 continue
-            result = _execute(
-                worker_id, behaviors, msg, suppress_filter=suppress_filter
-            )
+            result = _execute(worker_id, behaviors, msg, suppress_filter)
             busy_s += result.compute_s
             executed += 1
             result_queue.put(encode(result))

@@ -194,12 +194,7 @@ class ServeConfig:
     engine: str = "parallel"
     threads: int = 2
     workers: int = 2
-    batch_size: int = 1
-    ipc_batch: int = 1
-    window: Optional[int] = None
     fuse: bool = True
-    frontier: str = "cone"
-    run_length: Optional[int] = None  # temporal coalescing cap (1 = off)
     max_in_flight: Optional[int] = 8
     wait: float = 2.0
     quantum: float = 1.0
@@ -223,8 +218,6 @@ class ServeConfig:
                 raise ServeError(f"{name} must be >= 0")
         if self.feed_capacity < 1 or self.emit_capacity < 1:
             raise ServeError("feed_capacity and emit_capacity must be >= 1")
-        if self.run_length is not None and self.run_length < 1:
-            raise ServeError("run_length must be >= 1 or None (adaptive)")
         if self.join_timeout <= 0:
             raise ServeError("join_timeout must be > 0")
 
@@ -296,9 +289,6 @@ class ServeSession:
                 self.plan,
                 num_threads=cfg.threads,
                 env=env,
-                batch_size=cfg.batch_size,
-                frontier=cfg.frontier,
-                run_length=cfg.run_length,
                 join_timeout=cfg.join_timeout,
             )
         from ..runtime.mp.engine import ProcessEngine
@@ -307,11 +297,6 @@ class ServeSession:
             self.plan,
             num_workers=cfg.workers,
             env=env,
-            batch_size=cfg.batch_size,
-            ipc_batch=cfg.ipc_batch,
-            window=cfg.window,
-            frontier=cfg.frontier,
-            run_length=cfg.run_length,
             join_timeout=cfg.join_timeout,
         )
 

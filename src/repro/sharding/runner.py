@@ -61,6 +61,9 @@ __all__ = [
 ]
 
 _ENGINES = ("serial", "parallel", "process", "simulated")
+#: Every key ``engine_options`` may carry; an engine reads the ones that
+#: apply to it, and anything else is an error rather than ignored.
+_ENGINE_OPTIONS = frozenset({"threads", "workers", "processors", "start_method"})
 
 
 def stream_phases(
@@ -163,7 +166,6 @@ class ShardedEngine:
         engine: str = "serial",
         engine_options: Optional[Mapping[str, Any]] = None,
         fuse: bool = True,
-        frontier: str = "cone",
         router: Optional[KeyRouter] = None,
     ) -> None:
         if engine not in _ENGINES:
@@ -176,8 +178,13 @@ class ShardedEngine:
         )
         self.engine = engine
         self.engine_options = dict(engine_options or {})
+        unknown = sorted(set(self.engine_options) - _ENGINE_OPTIONS)
+        if unknown:
+            raise ShardingError(
+                f"unknown engine_options {unknown!r} (expected a subset of "
+                f"{sorted(_ENGINE_OPTIONS)!r})"
+            )
         self.fuse = fuse
-        self.frontier = frontier
         self.num_shards = num_shards
 
     # ------------------------------------------------------------------
@@ -199,8 +206,6 @@ class ShardedEngine:
             return ParallelEngine(
                 plan,
                 num_threads=opts.get("threads", 2),
-                batch_size=opts.get("batch_size", 1),
-                frontier=self.frontier,
             ).run(phases)
         if self.engine == "process":
             from ..runtime.mp import ProcessEngine
@@ -208,11 +213,7 @@ class ShardedEngine:
             return ProcessEngine(
                 plan,
                 num_workers=opts.get("workers", 2),
-                batch_size=opts.get("batch_size", 1),
                 start_method=opts.get("start_method"),
-                ipc_batch=opts.get("ipc_batch", 1),
-                window=opts.get("window") or None,
-                frontier=self.frontier,
             ).run(phases)
         from ..simulator import CostModel, SimulatedEngine
 
@@ -221,7 +222,7 @@ class ShardedEngine:
             num_workers=opts.get("workers", 2),
             num_processors=opts.get("processors", 2),
             cost_model=CostModel(),
-            frontier=self.frontier,
+            frontier="cone",
         ).run(phases)
 
     # ------------------------------------------------------------------

@@ -16,10 +16,12 @@ prediction by sweeping workers = processors with a coarse compute grain.
 Simulated thread anatomy (mirroring :class:`~repro.runtime.engine`):
 
 * **worker**: block on the run queue (no CPU while blocked) → optional
-  dequeue burst → *locked* prepare burst → compute burst (CPU but no
-  lock — this is where parallelism happens) → *locked* commit +
-  bookkeeping burst (deliver messages, ``complete_execution``, enqueue
-  newly ready pairs).
+  dequeue burst → *locked* claim + prepare burst → compute burst (CPU
+  but no lock — this is where parallelism happens; a run's members
+  execute back-to-back on one processor grant) → *locked* commit +
+  bookkeeping burst (deliver messages, ``complete_executions``, enqueue
+  newly ready pairs).  Under the ``"global"`` frontier a run is always
+  the single dequeued pair — the published loop.
 * **environment**: per phase, a *locked* phase-start burst, then an
   optional unscheduled sleep (``env_interval``).
 
@@ -76,22 +78,14 @@ class SimulatedEngine:
         As for :class:`~repro.runtime.engine.ParallelEngine`; the tracer's
         clock is rebound to virtual time.
     frontier:
-        ``"global"`` (default) or ``"cone"`` — see
-        :class:`~repro.core.state.SchedulerState`.  The simulator keeps
-        the published schedule as its default so the DES figures and
-        barrier-comparison baselines stay pinned; the CLI passes the
-        knob explicitly.
-    suppress:
-        Change suppression (Δ-elision) in the shared commit path.
-        Default **off** — unlike the real engines the simulator models
-        the published workloads, so its figures stay pinned; the CLI and
-        the differential campaign pass the knob explicitly.
-    run_length:
-        Temporal run coalescing cap (see
-        :meth:`~repro.core.state.SchedulerState.claim_run`).  ``None``
-        is adaptive under the cone frontier; under ``"global"`` the knob
-        is pinned to 1, so the default simulator figures stay byte
-        identical.  ``1`` disables coalescing.
+        The one scheduling selector.  ``"global"`` (default) is Listings
+        1-2 as published — one ``x_p`` per phase, every message
+        delivered, one pair per dispatch — so the DES figures and the
+        barrier-comparison baselines stay pinned.  ``"cone"`` is what
+        the real engines do: per-dependency frontiers, change
+        suppression (Δ-elision) and adaptive run coalescing
+        (:meth:`~repro.core.state.SchedulerState.claim_run`), all
+        derived from the mode.
     """
 
     def __init__(
@@ -105,8 +99,6 @@ class SimulatedEngine:
         max_in_flight_phases: Optional[int] = None,
         queue_discipline: str = "fifo",
         frontier: str = "global",
-        suppress: bool = False,
-        run_length: Optional[int] = None,
     ) -> None:
         if num_workers < 1:
             raise SimulationError(f"num_workers must be >= 1, got {num_workers}")
@@ -124,14 +116,6 @@ class SimulatedEngine:
         self.num_workers = num_workers
         self.num_processors = num_processors
         self.frontier = frontier
-        self.suppress = suppress
-        if run_length is not None and run_length < 1:
-            raise SimulationError(
-                f"run_length must be >= 1 or None, got {run_length}"
-            )
-        # Coalescing needs the cone frontier's per-phase determination
-        # certificates; under "global" the cap pins to 1 (no-op).
-        self.run_length = 1 if frontier != "cone" else run_length
         self.cost_model = cost_model or CostModel()
         self.checker = checker
         self.tracer = tracer
@@ -200,7 +184,9 @@ class SimulatedEngine:
         phase_inputs = self.plan.localize_phase_inputs(phase_inputs)
         self.program.reset()
         self.cost_model.reset()
-        runtime = PairRuntime(self.program, phase_inputs, suppress=self.suppress)
+        runtime = PairRuntime(
+            self.program, phase_inputs, suppress=self.frontier == "cone"
+        )
         state = SchedulerState(
             self.program.numbering,
             checker=self.checker,
@@ -244,8 +230,6 @@ class SimulatedEngine:
         def maybe_close() -> None:
             if env_done[0] and state.all_started_complete():
                 queue.put(_CLOSE)
-
-        run_cap = self.run_length
 
         def member_cost(mv: int, mp: int, ctx: Any) -> float:
             stage = names.name_of(mv)
@@ -293,76 +277,40 @@ class SimulatedEngine:
 
                 holder: Dict[str, Any] = {}
 
-                if run_cap != 1:
-                    # Run-coalescing path: claim and prepare the whole
-                    # run in one locked prepare burst, execute its
-                    # members back-to-back on one processor grant, then
-                    # commit them all in one bookkeeping burst.
-                    def do_prepare_run() -> None:
-                        members = [
-                            (v, q) for q in state.claim_run(v, p, run_cap)
-                        ]
-                        holder["members"] = members
-                        holder["ctxs"] = [
-                            runtime.prepare(mv, mp) for mv, mp in members
-                        ]
-
-                    yield from locked_burst(cm.prepare_cost, do_prepare_run)
-
-                    yield procs.request()
-                    for (mv, mp), ctx in zip(
-                        holder["members"], holder["ctxs"]
-                    ):
-                        if tracer is not None:
-                            tracer.execute_begin((mv, mp), worker_id)
-                        runtime.compute(mv, ctx)
-                        duration = member_cost(mv, mp, ctx)
-                        if duration > 0:
-                            yield sim.timeout(duration)
-                        if tracer is not None:
-                            tracer.execute_end((mv, mp), worker_id)
-                    procs.release()
-
-                    def do_commit_run() -> None:
-                        completed = []
-                        for (mv, mp), ctx in zip(
-                            holder["members"], holder["ctxs"]
-                        ):
-                            completed.append(
-                                (mv, mp, runtime.commit(mv, mp, ctx))
-                            )
-                            executions.append((mv, mp))
-                            per_worker[worker_id] += 1
-                        finish_commit(state.complete_executions(completed))
-
-                    yield from locked_burst(
-                        cm.bookkeeping_cost, do_commit_run
-                    )
-                    continue
-
+                # Claim and prepare the whole run in one locked prepare
+                # burst, execute its members back-to-back on one
+                # processor grant (the parallel region), then commit
+                # them all in one bookkeeping burst.
                 def do_prepare() -> None:
-                    holder["ctx"] = runtime.prepare(v, p)
+                    members = [(v, q) for q in state.claim_run(v, p)]
+                    holder["members"] = members
+                    holder["ctxs"] = [
+                        runtime.prepare(mv, mp) for mv, mp in members
+                    ]
 
                 yield from locked_burst(cm.prepare_cost, do_prepare)
 
-                # Compute: the parallel region.
                 yield procs.request()
-                if tracer is not None:
-                    tracer.execute_begin((v, p), worker_id)
-                runtime.compute(v, holder["ctx"])
-                duration = member_cost(v, p, holder["ctx"])
-                if duration > 0:
-                    yield sim.timeout(duration)
-                if tracer is not None:
-                    tracer.execute_end((v, p), worker_id)
+                for (mv, mp), ctx in zip(holder["members"], holder["ctxs"]):
+                    if tracer is not None:
+                        tracer.execute_begin((mv, mp), worker_id)
+                    runtime.compute(mv, ctx)
+                    duration = member_cost(mv, mp, ctx)
+                    if duration > 0:
+                        yield sim.timeout(duration)
+                    if tracer is not None:
+                        tracer.execute_end((mv, mp), worker_id)
                 procs.release()
 
                 def do_commit() -> None:
-                    targets = runtime.commit(v, p, holder["ctx"])
-                    newly_ready = state.complete_execution(v, p, targets)
-                    executions.append((v, p))
-                    per_worker[worker_id] += 1
-                    finish_commit(newly_ready)
+                    completed = []
+                    for (mv, mp), ctx in zip(
+                        holder["members"], holder["ctxs"]
+                    ):
+                        completed.append((mv, mp, runtime.commit(mv, mp, ctx)))
+                        executions.append((mv, mp))
+                        per_worker[worker_id] += 1
+                    finish_commit(state.complete_executions(completed))
 
                 yield from locked_burst(cm.bookkeeping_cost, do_commit)
 
@@ -411,11 +359,7 @@ class SimulatedEngine:
             "num_processors": self.num_processors,
             "frontier": state.frontier_stats(),
             "suppression": runtime.suppression_stats(),
-            "coalescing": dict(
-                enabled=self.run_length != 1,
-                run_length_cap=self.run_length,
-                **state.coalescing_stats(),
-            ),
+            "coalescing": state.coalescing_stats(),
             "lock": {
                 "total_requests": lock.total_requests,
                 "contended_requests": lock.contended_requests,

@@ -94,7 +94,13 @@ class WorkloadSpec:
     stream_seed: int
     threads: int
     skew: bool = False
-    suppress: bool = False
+    #: Suppression-friendly family: coarse-palette sources, value-pure
+    #: interiors and change-only sinks, so Δ-elision is *reachable*.
+    elidable: bool = False
+    #: Flow-control bound on started-but-incomplete phases (``None``:
+    #: unthrottled).  A bound makes phase admission interleave with
+    #: commits instead of one up-front burst.
+    max_in_flight: Optional[int] = None
 
     def build(self) -> Tuple[Program, List[PhaseInput]]:
         graph = random_dag(
@@ -110,7 +116,7 @@ class WorkloadSpec:
                 behaviors[name] = FunctionVertex(
                     _sparse_source(
                         name, self.stream_seed, self.delta_prob,
-                        coarse=self.suppress,
+                        coarse=self.elidable,
                     )
                 )
             else:
@@ -122,16 +128,16 @@ class WorkloadSpec:
     def _inner_behavior(self, graph, name: str) -> Vertex:
         """Inner-vertex behaviour for one non-source vertex.
 
-        Plain campaigns use the opted-out ``_latched_sum`` wrapper (an
-        arbitrary function is not suppressible, so suppression — even
-        when enabled — elides nothing).  The ``suppress`` campaign makes
+        Plain workloads use the opted-out ``_latched_sum`` wrapper (an
+        arbitrary function is not suppressible, so the engines' change
+        suppression elides nothing).  The ``elidable`` family makes
         elision *reachable*: interior vertices opt in as value-pure
         re-emitters, and sinks become change-only recorders
         (:class:`~repro.models.basic.ChangeRecorder`) so the elision
         closure terminates — exactly the contract the engine must then
         honour against the unsuppressed oracle.
         """
-        if not self.suppress:
+        if not self.elidable:
             return FunctionVertex(_latched_sum)
         if not graph.successors(name):
             from ..models.basic import ChangeRecorder
@@ -143,8 +149,8 @@ class WorkloadSpec:
         """With ``skew``, wrap every behaviour so one seeded vertex per
         phase burns a deterministic spin before delegating — an
         artificially slow straggler that stresses cone independence
-        (siblings outside the straggler's cone should pipeline past it
-        under ``frontier="cone"``).  Values are unchanged, so the serial
+        (siblings outside the straggler's cone should pipeline past
+        it).  Values are unchanged, so the serial
         oracle comparison is unaffected."""
         if not self.skew:
             return behaviors
@@ -176,7 +182,7 @@ class WorkloadSpec:
             if name in sources:
                 behaviors[name] = SparseSource(
                     name, self.stream_seed, self.delta_prob,
-                    coarse=self.suppress,
+                    coarse=self.elidable,
                 )
             else:
                 behaviors[name] = self._inner_behavior(graph, name)
@@ -191,7 +197,12 @@ class WorkloadSpec:
             f"delta~{self.delta_prob:.2f} stream_seed={self.stream_seed} "
             f"threads={self.threads}"
             + (" skew" if self.skew else "")
-            + (" suppress" if self.suppress else "")
+            + (" elidable" if self.elidable else "")
+            + (
+                f" in-flight<={self.max_in_flight}"
+                if self.max_in_flight is not None
+                else ""
+            )
         )
 
 
@@ -319,7 +330,7 @@ class SkewedVertex(Vertex):
 
 def spec_for_run(master_seed: int, index: int, max_vertices: int = 8,
                  max_phases: int = 6, threads: Optional[int] = None,
-                 skew: bool = False, suppress: bool = False) -> WorkloadSpec:
+                 skew: bool = False) -> WorkloadSpec:
     """Derive run *index*'s workload from the master seed (order-free)."""
     rs = random.Random(f"fuzz:{master_seed}:{index}")
     return WorkloadSpec(
@@ -331,7 +342,8 @@ def spec_for_run(master_seed: int, index: int, max_vertices: int = 8,
         stream_seed=rs.randrange(2**31),
         threads=threads if threads is not None else rs.randint(2, 4),
         skew=skew,
-        suppress=suppress,
+        elidable=rs.random() < 0.5,
+        max_in_flight=rs.choice([None, 1, 2]),
     )
 
 
@@ -363,29 +375,18 @@ def run_one(
     policy: SchedulingPolicy,
     faults: Optional[FaultPlan] = None,
     max_steps: int = 250_000,
-    batch_size: int = 1,
     fuse: bool = False,
-    frontier: str = "cone",
-    suppress: bool = False,
-    run_length: Optional[int] = 1,
 ) -> RunOutcome:
     """Run *spec* serially (oracle) and under *policy*; judge the result.
 
-    *batch_size* > 1 explores the batched commit path: the engine drains
-    and commits up to that many pairs per worker wake-up, still judged
-    against the same serial oracle and invariant monitor.  *fuse* compiles
-    the workload with linear-chain fusion before the engine runs it — the
-    oracle always executes the *unfused* program, so the judgement is
-    exactly the tentpole correctness bar: a fused parallel run must be
-    indistinguishable from the original serial semantics.  *frontier*
-    selects the readiness rule (``"cone"`` per-dependency frontiers or
-    ``"global"`` for the paper's x_p clamp); the monitor's invariant
-    checks follow the mode automatically.  *suppress* runs the engine
-    with change suppression on (build the spec with ``suppress=True`` so
-    elision is reachable); the judgement switches to the elision-aware
-    check — records must still equal the *unsuppressed* oracle's exactly.
-    *run_length* sets the temporal run coalescing cap (default 1: off —
-    the historical campaign; ``None`` is adaptive).
+    *fuse* compiles the workload with linear-chain fusion before the
+    engine runs it — the oracle always executes the *unfused* program, so
+    a fused parallel run must be indistinguishable from the original
+    serial semantics.  The engine always runs its one schedule (cone
+    frontier, change suppression, adaptive runs); the monitor's invariant
+    checks follow it.  For an ``elidable`` spec the judgement is the
+    elision-aware check — records must still equal the *unsuppressed*
+    oracle's exactly; otherwise nothing may be elided at all.
     """
     program, phases = spec.build()
     serial = SerialExecutor(program).run(phases)
@@ -397,13 +398,9 @@ def run_one(
         num_threads=spec.threads,
         checker=monitor,
         tracer=monitor,
-        env=EnvironmentConfig(),
+        env=EnvironmentConfig(max_in_flight_phases=spec.max_in_flight),
         backend=VirtualBackend(scheduler),
         faults=faults,
-        batch_size=batch_size,
-        frontier=frontier,
-        suppress=suppress,
-        run_length=run_length,
     )
     outcome = RunOutcome(spec=spec, policy_desc=policy.describe(), passed=False)
     error: Optional[BaseException] = None
@@ -437,7 +434,7 @@ def run_one(
     if not monitor.ok:
         outcome.reason = monitor.report()
         return outcome
-    report = check_serializable(serial, result, allow_elision=suppress)
+    report = check_serializable(serial, result, allow_elision=spec.elidable)
     if not report:
         outcome.reason = f"serializability violated: {report}"
         return outcome
@@ -467,11 +464,7 @@ class FuzzFailure:
     reason: str
     trace_names: List[str]
     shrunk_spec: Optional[WorkloadSpec] = None
-    batch_size: int = 1
     fuse: bool = False
-    frontier: str = "cone"
-    suppress: bool = False
-    run_length: Optional[int] = 1
     engine_config: Optional[Dict[str, object]] = None
 
     def summary(self) -> str:
@@ -479,16 +472,8 @@ class FuzzFailure:
             f"fuzz failure at run {self.run_index} (master seed "
             f"{self.master_seed}):",
             f"  workload: {self.spec.describe()}",
-            f"  policy:   {self.policy_name}(seed={self.policy_seed})",
-            f"  batch:    {self.batch_size}"
+            f"  policy:   {self.policy_name}(seed={self.policy_seed})"
             + ("  (fused plan)" if self.fuse else ""),
-            f"  frontier: {self.frontier}"
-            + ("  (suppression on)" if self.suppress else "")
-            + (
-                f"  (run-length {self.run_length or 'adaptive'})"
-                if self.run_length != 1
-                else ""
-            ),
             *(
                 [f"  engine:   {self.engine_config!r}"]
                 if self.engine_config is not None
@@ -514,11 +499,7 @@ class FuzzFailure:
             "spec": asdict(self.spec),
             "policy_name": self.policy_name,
             "policy_seed": self.policy_seed,
-            "batch_size": self.batch_size,
             "fuse": self.fuse,
-            "frontier": self.frontier,
-            "suppress": self.suppress,
-            "run_length": self.run_length,
             "reason": self.reason,
             "trace_names": list(self.trace_names),
             "shrunk_spec": (
@@ -581,25 +562,18 @@ def fuzz(
     max_vertices: int = 8,
     max_phases: int = 6,
     max_steps: int = 250_000,
-    batch_size: int = 1,
     fuse: bool = False,
-    frontier: str = "cone",
     skew: bool = False,
-    suppress: bool = False,
-    run_length: Optional[int] = 1,
 ) -> FuzzReport:
     """Explore *runs* random (workload, interleaving) pairs.
 
-    Policies rotate per run; each run's policy seed and workload derive
-    from ``(seed, run index)``, so the campaign is reproducible and any
-    single run can be replayed in isolation.  *batch_size* runs the
-    campaign over the batched commit path; *fuse* runs it over fused
-    execution plans (oracle stays unfused); *frontier* selects the
-    readiness rule and is recorded on every failure so replays are exact;
-    *skew* artificially slows one seeded vertex per phase (see
-    :class:`SkewedVertex`) to stress cone independence; *suppress* turns
-    change suppression on (with suppression-friendly workloads) and
-    judges with the elision-aware check against the unsuppressed oracle.
+    Policies rotate per run; each run's policy seed and workload —
+    including its thread count, its flow-control bound and whether it is
+    suppression-friendly — derive from ``(seed, run index)``, so the
+    campaign is reproducible and any single run can be replayed in
+    isolation.  *fuse* runs the campaign over fused execution plans
+    (oracle stays unfused); *skew* artificially slows one seeded vertex
+    per phase (see :class:`SkewedVertex`) to stress cone independence.
     """
     if not policies:
         raise ValueError("fuzz needs at least one scheduling policy")
@@ -609,13 +583,12 @@ def fuzz(
     total_checks = 0
     for i in range(runs):
         spec = spec_for_run(seed, i, max_vertices, max_phases, threads,
-                            skew=skew, suppress=suppress)
+                            skew=skew)
         policy_name = policies[i % len(policies)]
         policy_seed = random.Random(f"policy:{seed}:{i}").randrange(2**31)
         outcome = run_one(
             spec, make_policy(policy_name, policy_seed), faults, max_steps,
-            batch_size=batch_size, fuse=fuse, frontier=frontier,
-            suppress=suppress, run_length=run_length,
+            fuse=fuse,
         )
         hashes[outcome.trace_hash] = hashes.get(outcome.trace_hash, 0) + 1
         total_steps += outcome.steps
@@ -629,17 +602,12 @@ def fuzz(
                 policy_seed=policy_seed,
                 reason=outcome.reason,
                 trace_names=outcome.trace_names,
-                batch_size=batch_size,
                 fuse=fuse,
-                frontier=frontier,
-                suppress=suppress,
-                run_length=run_length,
             )
             if do_shrink:
                 failure.shrunk_spec = shrink(
                     spec, policy_name, policy_seed, faults, max_steps,
-                    batch_size=batch_size, fuse=fuse, frontier=frontier,
-                    suppress=suppress, run_length=run_length,
+                    fuse=fuse,
                 )
             failures.append(failure)
             if stop_on_failure:
@@ -660,21 +628,11 @@ def fuzz(
 
 
 def process_config_for_run(master_seed: int, index: int) -> Dict[str, object]:
-    """Derive run *index*'s process-engine knobs from the master seed.
-
-    Sweeps the wire-path configuration space: worker count, commit batch
-    size, dispatch batch (``ipc_batch``) and credit window (fixed small,
-    fixed deep, or adaptive) — the knobs whose interaction with readiness
-    gating the campaign is meant to stress.
-    """
+    """Derive run *index*'s process-engine configuration — the worker
+    count, which decides the sticky vertex partition — from the master
+    seed."""
     rs = random.Random(f"fuzz-process:{master_seed}:{index}")
-    ipc_batch = rs.choice([1, 2, 3, 8])
-    return {
-        "workers": rs.randint(1, 3),
-        "batch_size": rs.choice([1, 4]),
-        "ipc_batch": ipc_batch,
-        "window": rs.choice([None, 1, 2, 4 * ipc_batch]),
-    }
+    return {"workers": rs.randint(1, 3)}
 
 
 def run_one_process(
@@ -682,9 +640,6 @@ def run_one_process(
     config: Dict[str, object],
     start_method: str = "spawn",
     fuse: bool = False,
-    frontier: str = "cone",
-    suppress: bool = False,
-    run_length: Optional[int] = 1,
 ) -> RunOutcome:
     """Run *spec* on the process engine under *config*; judge vs serial.
 
@@ -706,23 +661,15 @@ def run_one_process(
         name: beh.snapshot_state() for name, beh in program.behaviors.items()
     }
     desc = (
-        f"process[w={config['workers']},b={config['batch_size']},"
-        f"ipc={config['ipc_batch']},win={config['window']},"
-        f"{start_method},{frontier}{',fused' if fuse else ''}"
-        f"{',suppress' if suppress else ''}"
-        f"{'' if run_length == 1 else f',rl={run_length or chr(42)}'}]"
+        f"process[w={config['workers']},{start_method}"
+        f"{',fused' if fuse else ''}]"
     )
     outcome = RunOutcome(spec=spec, policy_desc=desc, passed=False)
     engine = ProcessEngine(
         compile_plan(program, fuse=fuse),
         num_workers=int(config["workers"]),
-        batch_size=int(config["batch_size"]),
-        ipc_batch=int(config["ipc_batch"]),
-        window=config["window"],  # type: ignore[arg-type]
+        env=EnvironmentConfig(max_in_flight_phases=spec.max_in_flight),
         start_method=start_method,
-        frontier=frontier,
-        suppress=suppress,
-        run_length=run_length,
     )
     try:
         result = engine.run(phases)
@@ -734,7 +681,7 @@ def run_one_process(
     outcome.serial = serial
     outcome.parallel = result
     outcome.steps = result.execution_count
-    report = check_serializable(serial, result, allow_elision=suppress)
+    report = check_serializable(serial, result, allow_elision=spec.elidable)
     if not report:
         outcome.reason = f"serializability violated: {report}"
         return outcome
@@ -758,16 +705,13 @@ def fuzz_process(
     max_phases: int = 5,
     start_method: str = "spawn",
     fuse: bool = False,
-    frontier: str = "cone",
     skew: bool = False,
-    suppress: bool = False,
-    run_length: Optional[int] = 1,
 ) -> FuzzReport:
-    """Explore *runs* random workloads across process wire-path configs.
+    """Explore *runs* random workloads on real worker processes.
 
     Each run derives a workload (small graphs — every run pays real
-    process spawns) and a ``(workers, batch_size, ipc_batch, window)``
-    configuration from the master seed, runs it on the
+    process spawns) and a worker count from the master seed, runs it on
+    the
     :class:`~repro.runtime.mp.ProcessEngine` and judges it against the
     serial oracle — results *and* final behaviour state.  Defaults to
     the ``spawn`` start method, the strictest pickling path.
@@ -778,11 +722,10 @@ def fuzz_process(
     i = -1
     for i in range(runs):
         spec = spec_for_run(seed, i, max_vertices, max_phases, threads=2,
-                            skew=skew, suppress=suppress)
+                            skew=skew)
         config = process_config_for_run(seed, i)
         outcome = run_one_process(
-            spec, config, start_method=start_method, fuse=fuse,
-            frontier=frontier, suppress=suppress, run_length=run_length,
+            spec, config, start_method=start_method, fuse=fuse
         )
         configs[outcome.policy_desc] = configs.get(outcome.policy_desc, 0) + 1
         total_steps += outcome.steps
@@ -796,11 +739,7 @@ def fuzz_process(
                     policy_seed=0,
                     reason=outcome.reason,
                     trace_names=[],
-                    batch_size=int(config["batch_size"]),
                     fuse=fuse,
-                    frontier=frontier,
-                    suppress=suppress,
-                    run_length=run_length,
                     engine_config=dict(config, start_method=start_method),
                 )
             )
@@ -823,11 +762,7 @@ def shrink(
     faults: Optional[FaultPlan] = None,
     max_steps: int = 250_000,
     budget: int = 24,
-    batch_size: int = 1,
     fuse: bool = False,
-    frontier: str = "cone",
-    suppress: bool = False,
-    run_length: Optional[int] = 1,
 ) -> WorkloadSpec:
     """Greedily minimise a failing spec while it keeps failing.
 
@@ -840,8 +775,7 @@ def shrink(
     def still_fails(candidate: WorkloadSpec) -> bool:
         outcome = run_one(
             candidate, make_policy(policy_name, policy_seed), faults, max_steps,
-            batch_size=batch_size, fuse=fuse, frontier=frontier,
-            suppress=suppress, run_length=run_length,
+            fuse=fuse,
         )
         return not outcome.passed
 
@@ -885,16 +819,12 @@ def replay_failure(
     if exact:
         return run_one(
             failure.spec, ReplayPolicy(failure.trace_names), faults,
-            batch_size=failure.batch_size, fuse=failure.fuse,
-            frontier=failure.frontier, suppress=failure.suppress,
-            run_length=failure.run_length,
+            fuse=failure.fuse,
         )
     spec = failure.shrunk_spec or failure.spec
     return run_one(
         spec, make_policy(failure.policy_name, failure.policy_seed), faults,
-        batch_size=failure.batch_size, fuse=failure.fuse,
-        frontier=failure.frontier, suppress=failure.suppress,
-        run_length=failure.run_length,
+        fuse=failure.fuse,
     )
 
 
@@ -934,7 +864,6 @@ class ShardedSpec:
     engine: str
     threads: int
     fuse: bool
-    frontier: str
     window: int
     clock_noise: float
     delay_mean: float
@@ -948,7 +877,7 @@ class ShardedSpec:
             f"{self.shards} shards ({self.engine}"
             + (f", k={self.threads}" if self.engine == "parallel" else "")
             + (", fused" if self.fuse else "")
-            + f", frontier={self.frontier}, noise={self.clock_noise}, "
+            + f", noise={self.clock_noise}, "
             f"drop={self.drop_rate})"
         )
 
@@ -969,7 +898,6 @@ def sharded_spec_for_run(
         engine=engine if engine else rng.choice(["serial", "parallel"]),
         threads=rng.randint(2, 3),
         fuse=rng.random() < 0.5,
-        frontier=rng.choice(["cone", "global"]),
         window=rng.randint(4, 10),
         clock_noise=rng.choice([0.0, 0.05, 0.2]),
         delay_mean=rng.choice([0.0, 0.3, 1.0]),
@@ -1032,7 +960,6 @@ def run_one_sharded(spec: ShardedSpec) -> Optional[str]:
         engine=spec.engine,
         engine_options={"threads": spec.threads},
         fuse=spec.fuse,
-        frontier=spec.frontier,
     )
     result = engine.run_stream(
         sharded_wl.arrivals,
@@ -1089,7 +1016,7 @@ def fuzz_sharded(
     """Explore *runs* random keyed workloads across shard layouts.
 
     Each run derives a keyed workload plus a (shards, engine, fuse,
-    frontier, traffic-noise) configuration from the master seed and
+    traffic-noise) configuration from the master seed and
     judges the sharded run against the single-instance serial oracle —
     merged outputs, final per-key state, and stats schema.  Fix *shards*
     / *engine* to pin those axes (the CI smoke runs 2 and 4).
@@ -1113,7 +1040,6 @@ def fuzz_sharded(
                     reason=reason,
                     trace_names=[],
                     fuse=spec.fuse,
-                    frontier=spec.frontier,
                     engine_config={
                         "shards": spec.shards,
                         "engine": spec.engine,

@@ -2,8 +2,7 @@
 
 ``repro run --stats-json`` output must validate against the documented
 schema (:mod:`repro.analysis.stats`) for every engine — in particular the
-``frontier`` section every scheduling engine now reports — in both
-frontier modes.
+``frontier`` section every scheduling engine reports.
 """
 
 import json
@@ -48,13 +47,11 @@ class TestStatsJsonSchema:
     @pytest.mark.parametrize(
         "engine", ["serial", "parallel", "process", "simulated"]
     )
-    @pytest.mark.parametrize("frontier", ["global", "cone"])
-    def test_every_engine_validates(self, spec_file, tmp_path, engine,
-                                    frontier):
-        out_path = tmp_path / f"{engine}-{frontier}.json"
+    def test_every_engine_validates(self, spec_file, tmp_path, engine):
+        out_path = tmp_path / f"{engine}.json"
         assert main([
             "run", spec_file, "--engine", engine, "--no-fuse",
-            "--frontier", frontier, "--stats-json", str(out_path),
+            "--stats-json", str(out_path),
         ]) == 0
         payload = json.loads(out_path.read_text())
         errors = validate_engine_stats(payload["engine"], payload["stats"])
@@ -63,17 +60,8 @@ class TestStatsJsonSchema:
             assert payload["stats"] == {}
         else:
             section = payload["stats"]["frontier"]
-            assert section["mode"] == frontier
+            assert section["mode"] == "cone"
             assert section["cone_count"] == 3  # a 3-vertex chain
-
-    def test_threaded_stats_report_requested_mode(self, spec_file, tmp_path):
-        out_path = tmp_path / "t.json"
-        assert main([
-            "run", spec_file, "--engine", "parallel", "--threads", "2",
-            "--stats-json", str(out_path),
-        ]) == 0  # default --frontier is cone
-        payload = json.loads(out_path.read_text())
-        assert payload["stats"]["frontier"]["mode"] == "cone"
 
 
 class TestValidatorUnit:
@@ -117,8 +105,6 @@ class TestValidatorUnit:
                 "ineligible_vertices": 0,
             },
             "coalescing": {
-                "enabled": False,
-                "run_length_cap": 1,
                 "runs_scheduled": 0,
                 "pairs_coalesced": 0,
                 "mean_run_length": 0.0,
@@ -140,8 +126,6 @@ class TestValidatorUnit:
 
 def _good_coalescing_section():
     return {
-        "enabled": True,
-        "run_length_cap": None,
         "runs_scheduled": 10,
         "pairs_coalesced": 30,
         "mean_run_length": 4.0,
@@ -152,8 +136,6 @@ class TestCoalescingValidator:
     def test_accepts_valid_sections(self):
         assert validate_coalescing_stats(_good_coalescing_section()) == []
         assert validate_coalescing_stats({
-            "enabled": False,
-            "run_length_cap": 1,
             "runs_scheduled": 0,
             "pairs_coalesced": 0,
             "mean_run_length": 0.0,
@@ -161,29 +143,17 @@ class TestCoalescingValidator:
 
     def test_rejects_bad_types(self):
         errors = validate_coalescing_stats({
-            "enabled": "yes",
-            "run_length_cap": 0,
             "runs_scheduled": True,
             "pairs_coalesced": -1,
             "mean_run_length": "many",
         })
-        assert len(errors) == 5
+        assert len(errors) == 3
 
     def test_rejects_inconsistent_mean(self):
         section = _good_coalescing_section()
         section["mean_run_length"] = 2.5  # should be 40/10
         errors = validate_coalescing_stats(section)
         assert any("mean_run_length" in e for e in errors)
-
-    def test_disabled_implies_no_runs(self):
-        # The run-length-1 dispatch paths never enter claim_run, so a
-        # disabled run reporting scheduled runs is a scheduler bug.
-        section = _good_coalescing_section()
-        section["enabled"] = False
-        section["run_length_cap"] = 1
-        errors = validate_coalescing_stats(section)
-        assert any("runs_scheduled" in e for e in errors)
-        assert any("pairs_coalesced" in e for e in errors)
 
     def test_rejects_unknown_keys(self):
         section = _good_coalescing_section()

@@ -8,7 +8,6 @@ from collections import deque
 import pytest
 
 from repro.core.state import ReadyFrontier, SchedulerState, drain_ready_batches
-from repro.errors import SchedulerError
 from repro.graph.model import ComputationGraph
 from repro.graph.numbering import number_graph
 
@@ -21,7 +20,7 @@ class TestReadyFrontier:
     def test_fifo_per_worker(self):
         f = ReadyFrontier(lambda v: sticky(v))
         f.push([(1, 1), (3, 1), (2, 1), (1, 2), (4, 1)])
-        batches, starved = f.drain(lambda w: 100, chunk=100)
+        batches, starved = f.drain(lambda w: 100)
         assert not starved
         assert dict(batches) == {
             0: [(1, 1), (3, 1), (1, 2)],
@@ -32,45 +31,34 @@ class TestReadyFrontier:
     def test_capacity_limits_and_starvation(self):
         f = ReadyFrontier(lambda v: 0)
         f.push([(1, 1), (1, 2), (1, 3)])
-        batches, starved = f.drain(lambda w: 2, chunk=100)
+        batches, starved = f.drain(lambda w: 2)
         assert batches == [(0, [(1, 1), (1, 2)])]
         assert starved == {0}
         assert len(f) == 1
         # Leftovers keep their order on the next drain.
-        batches, starved = f.drain(lambda w: 2, chunk=100)
+        batches, starved = f.drain(lambda w: 2)
         assert batches == [(0, [(1, 3)])] and not starved
-
-    def test_chunk_splits_batches(self):
-        f = ReadyFrontier(lambda v: 0)
-        f.push([(1, p) for p in range(1, 6)])
-        batches, _ = f.drain(lambda w: 100, chunk=2)
-        assert [len(pairs) for _, pairs in batches] == [2, 2, 1]
 
     def test_push_front_preserves_relative_order(self):
         f = ReadyFrontier(lambda v: 0)
         f.push([(1, 3)])
         f.push_front(0, [(1, 1), (1, 2)])
-        batches, _ = f.drain(lambda w: 100, chunk=100)
+        batches, _ = f.drain(lambda w: 100)
         assert batches == [(0, [(1, 1), (1, 2), (1, 3)])]
 
     def test_negative_capacity_treated_as_zero(self):
         f = ReadyFrontier(lambda v: 0)
         f.push([(1, 1)])
-        batches, starved = f.drain(lambda w: -3, chunk=4)
+        batches, starved = f.drain(lambda w: -3)
         assert batches == [] and starved == {0}
         assert len(f) == 1
 
-    def test_chunk_must_be_positive(self):
-        f = ReadyFrontier(lambda v: 0)
-        with pytest.raises(SchedulerError):
-            f.drain(lambda w: 1, chunk=0)
-
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("chunk", [1, 2, 7])
-    def test_equivalent_to_reference_drain(self, workers, chunk):
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_equivalent_to_reference_drain(self, workers, seed):
         import random
 
-        rng = random.Random(workers * 31 + chunk)
+        rng = random.Random(workers * 31 + seed)
         pairs = [
             (rng.randint(1, 9), rng.randint(1, 5)) for _ in range(40)
         ]
@@ -78,11 +66,11 @@ class TestReadyFrontier:
 
         ref = deque(pairs)
         ref_batches, ref_starved = drain_ready_batches(
-            ref, lambda v: sticky(v, workers), lambda w: caps[w], chunk
+            ref, lambda v: sticky(v, workers), lambda w: caps[w]
         )
         f = ReadyFrontier(lambda v: sticky(v, workers))
         f.push(pairs)
-        got_batches, got_starved = f.drain(lambda w: caps[w], chunk)
+        got_batches, got_starved = f.drain(lambda w: caps[w])
 
         assert got_starved == ref_starved
         # Same pairs to the same workers in the same per-worker order
@@ -95,10 +83,10 @@ class TestReadyFrontier:
 
         assert by_worker(got_batches) == by_worker(ref_batches)
         # Same leftovers, same order.
-        leftovers, _ = f.drain(lambda w: 10_000, chunk=10_000)
+        leftovers, _ = f.drain(lambda w: 10_000)
         assert by_worker(leftovers) == by_worker(
             drain_ready_batches(
-                ref, lambda v: sticky(v, workers), lambda w: 10_000, 10_000
+                ref, lambda v: sticky(v, workers), lambda w: 10_000
             )[0]
         )
 

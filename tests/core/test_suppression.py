@@ -1,6 +1,6 @@
 """Change-suppression (Δ-elision) unit and end-to-end tests.
 
-Covers the three layers of the tentpole:
+Covers the three layers of the mechanism:
 
 * :func:`repro.core.ports.stable_equal` — the conservative latch test;
 * the elidability recurrence (``PairRuntime._compute_elide_ok``) over the
@@ -189,10 +189,10 @@ class TestEndToEndElision:
     def oracle(self):
         return SerialExecutor(chain_program(ChangeRecorder())).run(phases())
 
-    def test_parallel_cone_elides_and_matches_oracle(self):
+    def test_parallel_elides_and_matches_oracle(self):
         serial = self.oracle()
         result = ParallelEngine(
-            chain_program(ChangeRecorder()), num_threads=2, frontier="cone"
+            chain_program(ChangeRecorder()), num_threads=2
         ).run(phases())
         section = result.stats["suppression"]
         assert section["enabled"]
@@ -203,45 +203,10 @@ class TestEndToEndElision:
         assert check_serializable(serial, result, allow_elision=True)
         assert result.records == serial.records
 
-    def test_parallel_global_defaults_off(self):
-        serial = self.oracle()
-        result = ParallelEngine(
-            chain_program(ChangeRecorder()), num_threads=2, frontier="global"
-        ).run(phases())
-        section = result.stats["suppression"]
-        assert not section["enabled"]
-        assert section["suppressed_messages"] == 0
-        assert result.execution_count == serial.execution_count
-        assert check_serializable(serial, result)
-
-    def test_explicit_opt_in_under_global(self):
-        serial = self.oracle()
-        result = ParallelEngine(
-            chain_program(ChangeRecorder()),
-            num_threads=2,
-            frontier="global",
-            suppress=True,
-        ).run(phases())
-        assert result.stats["suppression"]["enabled"]
-        assert result.execution_count < serial.execution_count
-        assert check_serializable(serial, result, allow_elision=True)
-        assert result.records == serial.records
-
-    def test_explicit_opt_out_under_cone(self):
-        serial = self.oracle()
-        result = ParallelEngine(
-            chain_program(ChangeRecorder()),
-            num_threads=2,
-            frontier="cone",
-            suppress=False,
-        ).run(phases())
-        assert not result.stats["suppression"]["enabled"]
-        assert result.execution_count == serial.execution_count
-
     def test_fused_plan_elides_too(self):
         serial = self.oracle()
         plan = compile_plan(chain_program(ChangeRecorder()), fuse=True)
-        result = ParallelEngine(plan, num_threads=2, frontier="cone").run(
+        result = ParallelEngine(plan, num_threads=2).run(
             phases()
         )
         assert result.stats["suppression"]["enabled"]
@@ -256,18 +221,24 @@ class TestEndToEndElision:
         assert suppressed.execution_count < serial.execution_count
         assert suppressed.records == serial.records
 
-    def test_simulated_engine_suppress_knob(self):
+    def test_simulated_cone_elides_and_global_does_not(self):
         serial = self.oracle()
         result = SimulatedEngine(
             chain_program(ChangeRecorder()),
             num_workers=2,
             num_processors=2,
-            suppress=True,
+            frontier="cone",
         ).run(phases())
         assert result.stats["suppression"]["enabled"]
         assert result.execution_count < serial.execution_count
         assert check_serializable(serial, result, allow_elision=True)
         assert result.records == serial.records
+        published = SimulatedEngine(
+            chain_program(ChangeRecorder()), num_workers=2, num_processors=2
+        ).run(phases())
+        assert not published.stats["suppression"]["enabled"]
+        assert published.execution_count == serial.execution_count
+        assert check_serializable(serial, published)
 
 
 class TestOptOutSemantics:
@@ -277,7 +248,7 @@ class TestOptOutSemantics:
     def test_arrival_counter_sees_every_arrival(self):
         serial = SerialExecutor(chain_program(ArrivalCounter())).run(phases())
         result = ParallelEngine(
-            chain_program(ArrivalCounter()), num_threads=2, frontier="cone"
+            chain_program(ArrivalCounter()), num_threads=2
         ).run(phases())
         assert result.stats["suppression"]["enabled"]
         # The chain above the counter is not elidable (nothing silent
@@ -309,7 +280,7 @@ class TestOptOutSemantics:
             )
 
         serial = SerialExecutor(build()).run(phases(30))
-        result = ParallelEngine(build(), num_threads=2, frontier="cone").run(
+        result = ParallelEngine(build(), num_threads=2).run(
             phases(30)
         )
         assert check_serializable(serial, result, allow_elision=True)
@@ -321,13 +292,13 @@ class TestSuppressionStatsAccounting:
         from repro.analysis.stats import validate_engine_stats
 
         result = ParallelEngine(
-            chain_program(ChangeRecorder()), num_threads=2, frontier="cone"
+            chain_program(ChangeRecorder()), num_threads=2
         ).run(phases())
         assert validate_engine_stats("parallel[k=2]", result.stats) == []
 
     def test_direct_elisions_bounded_by_suppressed_messages(self):
         result = ParallelEngine(
-            chain_program(ChangeRecorder()), num_threads=2, frontier="cone"
+            chain_program(ChangeRecorder()), num_threads=2
         ).run(phases())
         section = result.stats["suppression"]
         assert section["elided_executions"] <= section["suppressed_messages"]
@@ -336,6 +307,6 @@ class TestSuppressionStatsAccounting:
         # Even a constant-valued chain delivers its first value end to
         # end: the sink records exactly one entry.
         result = ParallelEngine(
-            chain_program(ChangeRecorder()), num_threads=2, frontier="cone"
+            chain_program(ChangeRecorder()), num_threads=2
         ).run(phases())
         assert sum(len(v) for v in result.records.values()) == 1

@@ -301,83 +301,6 @@ class TestZeroMessageLastPhase:
             assert result.phases_run == 3
 
 
-class TestGetMany:
-    """Bounded batch dequeue — the batched commit path's entry point."""
-
-    def test_drains_up_to_max_items_in_order(self):
-        q = BlockingQueue()
-        q.put_many([0, 1, 2, 3, 4])
-        assert q.get_many(3) == [0, 1, 2]
-        assert q.get_many(10) == [3, 4]  # bounded by what's available
-
-    def test_single_item_batch_matches_get(self):
-        q = BlockingQueue()
-        q.put_many(["a", "b"])
-        assert q.get_many(1) == ["a"]
-        assert q.get() == "b"
-
-    def test_invalid_max_items_rejected(self):
-        q = BlockingQueue()
-        with pytest.raises(ValueError):
-            q.get_many(0)
-        with pytest.raises(ValueError):
-            q.get_many(-1)
-
-    def test_timeout_when_empty(self):
-        q = BlockingQueue()
-        with pytest.raises(TimeoutError):
-            q.get_many(4, timeout=0.01)
-
-    def test_blocks_until_put_then_takes_what_arrived(self):
-        q = BlockingQueue()
-        got = []
-
-        def getter():
-            got.extend(q.get_many(8))
-
-        t = threading.Thread(target=getter)
-        t.start()
-        time.sleep(0.05)
-        q.put_many([1, 2])
-        t.join(timeout=2)
-        # A woken getter takes what's there — it never waits to fill the
-        # batch, or a quiescent run would deadlock on a partial batch.
-        assert got == [1, 2]
-
-    def test_close_then_drain_in_batches(self):
-        q = BlockingQueue()
-        q.put_many([1, 2, 3])
-        q.close()
-        assert q.get_many(2) == [1, 2]  # leftovers still delivered
-        assert q.get_many(2) == [3]
-        with pytest.raises(QueueClosedError):
-            q.get_many(2)
-
-    def test_close_wakes_blocked_batch_getter(self):
-        q = BlockingQueue()
-        outcome = []
-
-        def getter():
-            try:
-                q.get_many(4, timeout=30.0)
-            except QueueClosedError:
-                outcome.append("closed")
-
-        t = threading.Thread(target=getter)
-        t.start()
-        time.sleep(0.05)
-        q.close()
-        t.join(timeout=2)
-        assert outcome == ["closed"]
-
-    def test_counts_dequeued_items_not_batches(self):
-        q = BlockingQueue()
-        q.put_many([1, 2, 3, 4, 5])
-        q.get_many(3)
-        q.get_many(3)
-        assert q.total_dequeued == 5
-
-
 class TestBlockedGetsStat:
     """``blocked_gets`` counts *waits*, not calls — the contention signal
     the lock-contention benchmark reads."""
@@ -411,15 +334,6 @@ class TestBlockedGetsStat:
         for _ in range(3):
             with pytest.raises(QueueClosedError):
                 q.get()
-        assert q.blocked_gets == 0
-
-    def test_closed_and_drained_get_many_is_not_blocked(self):
-        q = BlockingQueue()
-        q.put(1)
-        q.close()
-        assert q.get_many(4) == [1]
-        with pytest.raises(QueueClosedError):
-            q.get_many(4)
         assert q.blocked_gets == 0
 
     def test_timed_out_get_still_counts_as_blocked(self):

@@ -1,28 +1,20 @@
-"""Temporal phase-run coalescing (ALGORITHM.md §5.7).
-
-Three layers of coverage:
+"""Temporal phase-run coalescing (ALGORITHM.md §5.7): the mechanisms.
 
 * **SchedulerState unit tests** for ``claim_run`` — the claim ledger,
-  head validation, the salvage re-dispatch path and the commit
-  equivalence (one batch vs member-at-a-time must reach the same state);
-* a **differential engine matrix** over the seeded fuzz corpus:
-  {coalesced, single-pair} × cone × {fused, unfused} across the virtual,
-  threaded, process and DES-simulated engines, always judged against the
-  unfused serial oracle (the virtual rows also run the invariant-checked
-  :class:`~repro.testing.monitor.RaceMonitor`);
-* **property checks** that the optimisation actually engages: runs form
-  on deep pipelines, scheduler lock acquisitions drop, suppression keeps
-  short-circuiting *inside* a run, a mid-run vertex failure attributes
-  the exact failing phase with the unexecuted tail salvaged, and the
-  global frontier stays pinned to single-pair dispatch.
+  head validation, the adaptive ceiling, the salvage re-dispatch path and
+  the commit equivalence (one batch vs member-at-a-time must reach the
+  same state);
+* **mid-run fault salvage** on the process backend: a mid-run vertex
+  failure attributes the exact failing phase with the unexecuted tail
+  reported for requeue.
+
+Engine-level equivalence against the serial oracle (and the check that
+runs actually form) lives in ``tests/test_differential.py``.
 """
 
 import pytest
 
-from repro.analysis.serializability import check_serializable
 from repro.core.invariants import InvariantChecker
-from repro.core.plan import compile_plan
-from repro.core.serial import SerialExecutor
 from repro.core.state import ADAPTIVE_RUN_CEILING, SchedulerState
 from repro.errors import (
     DuplicateExecutionError,
@@ -35,7 +27,6 @@ from repro.graph.model import ComputationGraph
 from repro.graph.numbering import number_graph
 from repro.core.program import Program
 from repro.core.vertex import Vertex
-from repro.runtime.engine import ParallelEngine
 from repro.runtime.mp import ProcessEngine
 from repro.runtime.mp.lifecycle import ProcessWorkerPool
 from repro.runtime.mp.protocol import (
@@ -44,25 +35,6 @@ from repro.runtime.mp.protocol import (
     RunMsg,
     encode,
 )
-from repro.simulator import SimulatedEngine
-from repro.streams.workloads import pipeline_workload
-from repro.testing.fuzz import (
-    process_config_for_run,
-    run_one,
-    run_one_process,
-    spec_for_run,
-)
-from repro.testing.schedule import make_policy
-
-CORPUS_SEED = 2025  # same corpus as the frontier-equivalence matrix
-POLICIES = ("random", "round-robin", "priority", "random")
-
-RUN_LENGTHS = (None, 1)  # adaptive coalescing vs the single-pair baseline
-FUSE = (False, True)
-
-
-def policy_for(i):
-    return make_policy(POLICIES[i % len(POLICIES)], 1000 + i)
 
 
 # ---------------------------------------------------------------------------
@@ -99,18 +71,6 @@ class TestClaimRun:
         assert (2, 2) in st.full_set()
         assert st.is_run_claimed((2, 2))
         assert not st.is_run_claimed((2, 1))  # the head was ready, not claimed
-
-    def test_cap_bounds_the_walk(self):
-        st = chain_state()
-        advance_source(st, 4)
-        assert st.claim_run(2, 1, max_len=2) == [1, 2]
-        assert st.run_claimed_set() == {(2, 2)}
-
-    def test_cap_below_one_rejected(self):
-        st = chain_state()
-        advance_source(st, 2)
-        with pytest.raises(SchedulerError, match="max_len"):
-            st.claim_run(2, 1, max_len=0)
 
     def test_global_mode_never_extends(self):
         st = chain_state(frontier="global")
@@ -183,246 +143,6 @@ class TestClaimRun:
 
 
 # ---------------------------------------------------------------------------
-# Differential engine matrix (vs the unfused serial oracle)
-# ---------------------------------------------------------------------------
-
-
-class TestVirtualEngineMatrix:
-    @pytest.mark.parametrize("run_length", RUN_LENGTHS)
-    @pytest.mark.parametrize("fuse", FUSE)
-    def test_campaign_matches_serial_oracle(self, run_length, fuse):
-        size = 200 if run_length is None else 60
-        for i in range(size):
-            spec = spec_for_run(CORPUS_SEED, i)
-            outcome = run_one(
-                spec, policy_for(i), fuse=fuse, frontier="cone",
-                run_length=run_length,
-            )
-            assert outcome.passed, (
-                f"spec {i} [{spec.describe()}] run_length={run_length} "
-                f"fuse={fuse}: {outcome.reason}"
-            )
-
-    def test_fixed_cap_campaign(self):
-        for i in range(60):
-            spec = spec_for_run(CORPUS_SEED, i)
-            outcome = run_one(
-                spec, policy_for(i), frontier="cone", run_length=3
-            )
-            assert outcome.passed, (
-                f"spec {i} run_length=3: {outcome.reason}"
-            )
-
-    def test_single_pair_trace_identical_to_default(self):
-        # run_length=1 must not merely be equivalent — it must replay
-        # the pre-coalescing schedule step for step.
-        for i in range(20):
-            spec = spec_for_run(CORPUS_SEED, i)
-            base = run_one(spec, policy_for(i), frontier="cone")
-            pinned = run_one(
-                spec, policy_for(i), frontier="cone", run_length=1
-            )
-            assert base.passed and pinned.passed
-            assert base.trace_hash == pinned.trace_hash, f"spec {i}"
-
-
-class TestSuppressionInsideRuns:
-    """Change suppression composed with coalescing: member commits run
-    back-to-back, and each one updates the edge latch the *next* member's
-    suppression test reads — judged with the elision-aware check against
-    the unsuppressed oracle."""
-
-    @pytest.mark.parametrize("fuse", FUSE)
-    def test_virtual_campaign(self, fuse):
-        for i in range(60):
-            spec = spec_for_run(CORPUS_SEED, i, suppress=True)
-            outcome = run_one(
-                spec, policy_for(i), fuse=fuse, frontier="cone",
-                suppress=True, run_length=None,
-            )
-            assert outcome.passed, (
-                f"spec {i} [{spec.describe()}] fuse={fuse} "
-                f"suppress+coalesce: {outcome.reason}"
-            )
-
-    def test_campaign_is_not_vacuous(self):
-        # At least some corpus runs must both coalesce a run AND
-        # suppress a message, or the composition above tests nothing.
-        both = 0
-        for i in range(60):
-            spec = spec_for_run(CORPUS_SEED, i, suppress=True)
-            outcome = run_one(
-                spec, policy_for(i), frontier="cone", suppress=True,
-                run_length=None,
-            )
-            assert outcome.passed
-            stats = outcome.parallel.stats
-            if (
-                stats["coalescing"]["pairs_coalesced"] > 0
-                and stats["suppression"]["suppressed_messages"] > 0
-            ):
-                both += 1
-        assert both >= 5, (
-            f"only {both}/60 runs exercised suppression inside a "
-            f"coalesced schedule"
-        )
-
-
-def run_threaded(spec, run_length, fuse):
-    program, phases = spec.build_picklable()
-    serial = SerialExecutor(program).run(phases)
-    serial_state = {
-        name: beh.snapshot_state() for name, beh in program.behaviors.items()
-    }
-    engine = ParallelEngine(
-        compile_plan(program, fuse=fuse),
-        num_threads=spec.threads,
-        frontier="cone",
-        run_length=run_length,
-    )
-    result = engine.run(phases)
-    report = check_serializable(serial, result)
-    diffs = {
-        name: (expected, program.behaviors[name].snapshot_state())
-        for name, expected in serial_state.items()
-        if program.behaviors[name].snapshot_state() != expected
-    }
-    return report, diffs, result
-
-
-class TestThreadedEngineMatrix:
-    @pytest.mark.parametrize("run_length", RUN_LENGTHS)
-    @pytest.mark.parametrize("fuse", FUSE)
-    def test_threaded_matches_serial_oracle(self, run_length, fuse):
-        for i in range(12):
-            spec = spec_for_run(CORPUS_SEED, i)
-            report, diffs, result = run_threaded(spec, run_length, fuse)
-            assert report, (
-                f"spec {i} run_length={run_length} fuse={fuse}: {report}"
-            )
-            assert not diffs, (
-                f"spec {i} run_length={run_length} fuse={fuse}: "
-                f"final state diverged: {diffs}"
-            )
-            section = result.stats["coalescing"]
-            assert section["enabled"] == (run_length != 1)
-            assert section["run_length_cap"] == run_length
-
-
-class TestProcessEngineMatrix:
-    @pytest.mark.parametrize("run_length", RUN_LENGTHS)
-    def test_process_matches_serial_oracle(self, run_length):
-        for i in range(4):
-            spec = spec_for_run(CORPUS_SEED, i, max_vertices=6, max_phases=4)
-            config = process_config_for_run(CORPUS_SEED, i)
-            outcome = run_one_process(
-                spec, config, start_method="fork", frontier="cone",
-                run_length=run_length,
-            )
-            assert outcome.passed, (
-                f"spec {i} run_length={run_length}: {outcome.reason}"
-            )
-
-
-class TestSimulatedEngineMatrix:
-    @pytest.mark.parametrize("run_length", (None, 3, 1))
-    def test_simulated_matches_serial_oracle(self, run_length):
-        for i in range(8):
-            spec = spec_for_run(CORPUS_SEED, i)
-            program, phases = spec.build()
-            serial = SerialExecutor(program).run(phases)
-            result = SimulatedEngine(
-                program, num_workers=2, num_processors=2, frontier="cone",
-                run_length=run_length,
-            ).run(phases)
-            report = check_serializable(serial, result)
-            assert report, f"spec {i} run_length={run_length}: {report}"
-            section = result.stats["coalescing"]
-            assert section["enabled"] == (run_length != 1)
-
-
-# ---------------------------------------------------------------------------
-# The optimisation actually engages
-# ---------------------------------------------------------------------------
-
-
-class TestCoalescingEngages:
-    def test_deep_pipeline_forms_runs_and_sheds_lock_traffic(self):
-        program, phases = pipeline_workload(depth=6, phases=40, seed=11)
-        serial = SerialExecutor(program).run(phases)
-
-        def run(run_length):
-            prog, phs = pipeline_workload(depth=6, phases=40, seed=11)
-            engine = ParallelEngine(
-                compile_plan(prog), num_threads=3, frontier="cone",
-                run_length=run_length,
-            )
-            return engine.run(phs)
-
-        coalesced = run(None)
-        single = run(1)
-        report = check_serializable(serial, coalesced)
-        assert report, report
-        section = coalesced.stats["coalescing"]
-        assert section["runs_scheduled"] > 0
-        assert section["pairs_coalesced"] > 0
-        assert section["mean_run_length"] > 1.0
-        assert single.stats["coalescing"]["pairs_coalesced"] == 0
-        # The headline: one prepare + one commit critical section per
-        # run, not per pair, so the scheduler lock is hit far less.
-        assert (
-            coalesced.stats["lock"]["acquisitions"]
-            < single.stats["lock"]["acquisitions"]
-        )
-
-    def test_simulated_pipeline_sheds_lock_requests(self):
-        def run(run_length):
-            prog, phs = pipeline_workload(depth=5, phases=30, seed=7)
-            return SimulatedEngine(
-                prog, num_workers=2, num_processors=2, frontier="cone",
-                run_length=run_length,
-            ).run(phs)
-
-        coalesced, single = run(None), run(1)
-        assert coalesced.records == single.records
-        assert (
-            coalesced.stats["lock"]["total_requests"]
-            < single.stats["lock"]["total_requests"]
-        )
-        assert coalesced.stats["coalescing"]["pairs_coalesced"] > 0
-
-    def test_global_frontier_pins_to_single_pair(self):
-        # Coalescing must never perturb the Listing 1/2 global schedule:
-        # requesting it under the global frontier is a silent no-op.
-        prog, phs = pipeline_workload(depth=4, phases=12, seed=3)
-        engine = ParallelEngine(
-            compile_plan(prog), num_threads=2, frontier="global",
-            run_length=None,
-        )
-        result = engine.run(phs)
-        section = result.stats["coalescing"]
-        assert section == {
-            "enabled": False,
-            "run_length_cap": 1,
-            "runs_scheduled": 0,
-            "pairs_coalesced": 0,
-            "mean_run_length": 0.0,
-        }
-
-    def test_run_length_validated(self):
-        from repro.errors import EngineError, SimulationError
-
-        prog, _ = pipeline_workload(depth=3, phases=4, seed=1)
-        plan = compile_plan(prog)
-        with pytest.raises(EngineError, match="run_length"):
-            ParallelEngine(plan, num_threads=2, run_length=0)
-        with pytest.raises(EngineError, match="run_length"):
-            ProcessEngine(prog, num_workers=1, run_length=-2)
-        with pytest.raises(SimulationError, match="run_length"):
-            SimulatedEngine(prog, num_workers=1, run_length=0)
-
-
-# ---------------------------------------------------------------------------
 # Mid-run fault salvage
 # ---------------------------------------------------------------------------
 
@@ -470,9 +190,7 @@ class TestMidRunSalvage:
 
     def test_engine_surfaces_exact_phase_and_stays_reusable(self):
         prog = _solo_program(_BoomMidRun())
-        engine = ProcessEngine(
-            prog, num_workers=1, frontier="cone", run_length=None
-        )
+        engine = ProcessEngine(prog, num_workers=1)
         with pytest.raises(VertexExecutionError) as exc_info:
             engine.run([PhaseInput(p, float(p)) for p in range(1, 7)])
         assert exc_info.value.vertex == "a"

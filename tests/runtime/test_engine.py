@@ -126,6 +126,31 @@ class TestFailureHandling:
         res = engine.run(signals(2))
         assert res.execution_count == 2
 
+    def test_mid_chain_fault_surfaces_member_name_through_fused_plan(self):
+        from repro.core.plan import compile_plan
+        from repro.core.vertex import EMIT_NOTHING, Vertex
+        from repro.streams.workloads import pipeline_workload
+
+        class ExplodeAtPhase(Vertex):
+            def on_execute(self, ctx):
+                if ctx.phase == 4:
+                    raise RuntimeError("injected mid-chain fault")
+                vals = ctx.changed_values()
+                if not vals:
+                    return EMIT_NOTHING
+                (value,) = vals.values()
+                return value
+
+        program, phases = pipeline_workload(depth=6, phases=10)
+        victim = program.graph.vertices()[3]  # an interior chain member
+        program.behaviors[victim] = ExplodeAtPhase()
+        plan = compile_plan(program)
+        assert len(plan.members(plan.stage_of[victim])) > 1
+        with pytest.raises(VertexExecutionError) as err:
+            ParallelEngine(plan, num_threads=2).run(phases)
+        assert err.value.vertex == victim
+        assert err.value.phase == 4
+
 
 class TestFlowControl:
     def test_bounded_in_flight_matches_serial(self):
@@ -310,98 +335,3 @@ class TestFlowControlAbort:
             engine.run(phases)
         sched.shutdown()
         assert sched.now() == 0.0
-
-
-class TestBatchedCommits:
-    """The batched low-contention commit path (``batch_size`` > 1)."""
-
-    @pytest.mark.parametrize("batch", [2, 4, 16])
-    @pytest.mark.parametrize("threads", [1, 4])
-    def test_matches_serial_oracle(self, batch, threads):
-        prog, phases = grid_workload(3, 3, phases=20, seed=5)
-        serial = SerialExecutor(prog).run(phases)
-        res = ParallelEngine(
-            prog, num_threads=threads, batch_size=batch
-        ).run(phases)
-        assert_serializable(serial, res)
-
-    def test_invariant_checker_clean_when_batched(self):
-        prog, phases = fig1_workload(phases=15)
-        checker = InvariantChecker()
-        ParallelEngine(
-            prog, num_threads=3, batch_size=4, checker=checker
-        ).run(phases)
-        assert checker.checks_run > 0
-        assert checker.violations == []
-
-    def test_batching_stats_account_for_every_commit(self):
-        # run_length=1: a coalesced run commits all its members in one
-        # critical section, which the batching stats record as a single
-        # batch larger than batch_size — here we verify the explicit
-        # member-batching accumulator, so pin single-pair dispatch.
-        prog, phases = grid_workload(3, 3, phases=10, seed=1)
-        res = ParallelEngine(
-            prog, num_threads=2, batch_size=8, run_length=1
-        ).run(phases)
-        b = res.stats["batching"]
-        assert b["batch_size"] == 8
-        assert sum(b["batch_sizes"].values()) == b["batches"]
-        assert (
-            sum(size * n for size, n in b["batch_sizes"].items())
-            == res.execution_count
-        )
-        assert max(b["batch_sizes"]) <= 8
-        assert b["mean_batch_size"] >= 1.0
-        assert b["commits_per_acquisition"] > 0.0
-
-    def test_engine_label(self):
-        prog = make_chain_program(2, {1: "x"})
-        res = ParallelEngine(prog, num_threads=2, batch_size=1).run(signals(1))
-        assert res.engine == "parallel[k=2]"  # unchanged from the paper loop
-        res = ParallelEngine(prog, num_threads=2, batch_size=3).run(signals(1))
-        assert res.engine == "parallel[k=2,b=3]"
-
-    def test_batch_size_flows_from_env_config(self):
-        prog = make_chain_program(2, {1: "x"})
-        res = ParallelEngine(
-            prog, num_threads=1, env=EnvironmentConfig(batch_size=4)
-        ).run(signals(1))
-        assert res.stats["batching"]["batch_size"] == 4
-        # An explicit engine kwarg overrides the environment default.
-        res = ParallelEngine(
-            prog,
-            num_threads=1,
-            env=EnvironmentConfig(batch_size=4),
-            batch_size=2,
-        ).run(signals(1))
-        assert res.stats["batching"]["batch_size"] == 2
-
-    def test_invalid_batch_size_rejected(self):
-        prog = make_chain_program(2, {})
-        with pytest.raises(EngineError):
-            ParallelEngine(prog, batch_size=0)
-        with pytest.raises(EngineError):
-            EnvironmentConfig(batch_size=0)
-
-    def test_batch_one_is_step_identical_to_default(self):
-        # batch_size=1 must be *step-for-step* the paper's unbatched loop:
-        # the same virtual-scheduler seed yields the same decision trace.
-        from repro.testing.fuzz import run_one, spec_for_run
-        from repro.testing.schedule import RandomPolicy
-
-        for seed in range(3):
-            spec = spec_for_run(7, seed)
-            a = run_one(spec, RandomPolicy(seed=11 + seed))  # default path
-            b = run_one(spec, RandomPolicy(seed=11 + seed), batch_size=1)
-            assert a.passed and b.passed, (a.reason, b.reason)
-            assert a.trace_hash == b.trace_hash
-            assert a.parallel.records == b.parallel.records
-
-    def test_batched_serializable_under_virtual_scheduler(self):
-        from repro.testing.fuzz import run_one, spec_for_run
-        from repro.testing.schedule import PriorityFuzzPolicy
-
-        for i in range(4):
-            spec = spec_for_run(3, i)
-            out = run_one(spec, PriorityFuzzPolicy(seed=i), batch_size=4)
-            assert out.passed, out.reason

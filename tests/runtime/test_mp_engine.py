@@ -112,14 +112,6 @@ class TestBasicExecution:
         par = ProcessEngine(prog, num_workers=2).run(phases)
         assert par.records == serial.records
 
-    def test_batched_commits_match_oracle(self):
-        prog, phases = grid_workload(3, 3, phases=12, seed=5)
-        serial = SerialExecutor(prog).run(phases)
-        par = ProcessEngine(prog, num_workers=2, batch_size=4).run(phases)
-        assert_serializable(serial, par)
-        assert par.engine == "process[w=2,b=4]"
-        assert par.stats["batching"]["batch_size"] == 4
-
     def test_zero_phases(self):
         prog = make_chain_program(2, {})
         res = ProcessEngine(prog, num_workers=2).run([])
@@ -130,8 +122,6 @@ class TestBasicExecution:
         prog = make_chain_program(2, {})
         with pytest.raises(EngineError):
             ProcessEngine(prog, num_workers=0)
-        with pytest.raises(EngineError):
-            ProcessEngine(prog, num_workers=2, batch_size=0)
 
     def test_rerun_same_engine_object(self):
         prog = make_chain_program(3, {1: 1, 2: 2})
@@ -227,9 +217,7 @@ class TestFailureHandling:
 class TestStatsSchema:
     def test_stats_keys_present(self):
         prog, phases = grid_workload(3, 2, phases=6, seed=3)
-        # run_length=1 pins the single-pair wire path; the frame-per-pair
-        # assertions below are meaningless under run coalescing.
-        res = ProcessEngine(prog, num_workers=2, run_length=1).run(phases)
+        res = ProcessEngine(prog, num_workers=2).run(phases)
         stats = res.stats
         assert stats["num_workers"] == 2
         assert stats["start_method"] == default_start_method()
@@ -241,17 +229,21 @@ class TestStatsSchema:
         )
         assert set(stats["per_worker_utilization"]) == {0, 1}
         assert all(u >= 0.0 for u in stats["per_worker_utilization"].values())
-        # One task frame per executed pair.
-        assert stats["ipc_round_trips"] == res.execution_count
         wire = stats["serialization_bytes"]
-        for cls in ("warmup", "tasks", "results", "final_state"):
+        for cls in ("warmup", "final_state"):
             assert wire[cls]["messages"] >= 1
-            assert wire[cls]["bytes"] >= 0
+            assert wire[cls]["bytes"] > 0
         assert wire["total_bytes"] > 0
-        assert wire["tasks"]["messages"] == res.execution_count
-        batching = stats["batching"]
-        assert batching["batch_size"] == 1
-        assert batching["mean_batch_size"] == 1.0
+        assert "task_batches" not in wire
+        # One frame per dispatched run (a single pair is a run of one),
+        # answered by one reply frame each.
+        frames = wire["tasks"]["messages"] + wire["runs"]["messages"]
+        assert stats["ipc_round_trips"] == frames >= 1
+        assert frames == stats["coalescing"]["runs_scheduled"]
+        assert wire["results"]["messages"] == wire["tasks"]["messages"]
+        assert wire["result_batches"]["messages"] == wire["runs"]["messages"]
+        assert stats["ipc"]["task_frames"] == frames
+        assert "batching" not in stats
         assert stats["edge_entries_peak"] >= stats["edge_entries_final"]
 
     def test_sticky_assignment_covers_all_workers(self):

@@ -1,8 +1,8 @@
-"""Tests for the batched wire path of the process backend.
+"""Tests for the wire path of the process backend.
 
-Covers the PR-4 surface: ``TaskBatch``/``ResultBatch`` framing (including
-the edge cases — truncated frames, zero-length batches, failures and
-crashes mid-batch), the :class:`~repro.runtime.mp.protocol.Interner`,
+Covers ``RunMsg``/``ResultBatch`` framing (including the edge cases —
+truncated frames, zero-length runs, failures and crashes mid-run), the
+:class:`~repro.runtime.mp.protocol.Interner`,
 :func:`~repro.core.state.drain_ready_batches`, delta state sync
 (:meth:`~repro.core.vertex.Vertex.snapshot_delta`), the adaptive credit
 window, and the byte-metering regression check (per-class wire stats
@@ -14,12 +14,11 @@ import pickle
 
 import pytest
 
-from repro.analysis.serializability import assert_serializable
 from repro.core.serial import SerialExecutor
 from repro.core.state import drain_ready_batches
 from repro.core.program import Program
 from repro.core.vertex import Vertex
-from repro.errors import EngineError, SchedulerError, VertexExecutionError
+from repro.errors import EngineError, VertexExecutionError
 from repro.events import PhaseInput
 from repro.graph.model import ComputationGraph
 from repro.runtime.mp import ProcessEngine
@@ -28,8 +27,8 @@ from repro.runtime.mp.protocol import (
     Interner,
     ResultBatch,
     ResultMsg,
+    RunMember,
     RunMsg,
-    TaskBatch,
     TaskMsg,
     context_from_task,
     decode,
@@ -40,7 +39,7 @@ from repro.runtime.mp.protocol import (
 from repro.streams.workloads import grid_workload
 from repro.testing import fuzz_process
 
-from tests.conftest import make_chain_program, signals
+from tests.conftest import make_chain_program
 
 
 # ---------------------------------------------------------------------------
@@ -49,17 +48,6 @@ from tests.conftest import make_chain_program, signals
 
 
 class TestBatchFraming:
-    def test_task_batch_round_trip(self):
-        tasks = tuple(
-            TaskMsg(
-                vertex=1, name="a", phase=p, inputs={"x": p},
-                changed=("x",), successors=("b",),
-            )
-            for p in range(1, 4)
-        )
-        batch = TaskBatch(tasks)
-        assert decode(encode(batch)) == batch
-
     def test_result_batch_round_trip(self):
         batch = ResultBatch(
             worker_id=1,
@@ -74,24 +62,25 @@ class TestBatchFraming:
     def test_truncated_frame_raises_not_corrupts(self):
         # Frames are whole pickle blobs: a partial read must fail loudly,
         # never yield a half-parsed message.
-        frame = encode(TaskBatch((TaskMsg(
+        frame = encode(TaskMsg(
             vertex=1, name="a", phase=1, inputs={},
             changed=(), successors=(),
-        ),)))
+        ))
         for cut in (1, len(frame) // 2, len(frame) - 1):
             with pytest.raises((pickle.UnpicklingError, EOFError,
                                 AttributeError, IndexError)):
                 decode(frame[:cut])
 
-    def test_zero_length_batch_is_legal_on_wire(self):
-        # The engine never sends one, but a zero-length TaskBatch must
-        # not wedge or crash a worker: it answers with an empty
-        # ResultBatch and keeps serving.
+    def test_zero_length_run_is_legal_on_wire(self):
+        # The engine never sends one, but a zero-member RunMsg must not
+        # wedge or crash a worker: it answers with an empty ResultBatch
+        # and keeps serving.
         prog = make_chain_program(2, {1: "x"})
         pool = ProcessWorkerPool(prog, num_workers=1)
         try:
             pool.start()
-            pool.submit_to_worker(0, encode(TaskBatch(())), "task_batches")
+            empty = RunMsg(vertex=1, name="n0", successors=())
+            pool.submit_to_worker(0, encode(empty), "runs")
             msg = pool.collect(timeout=30.0)
             assert msg == ResultBatch(worker_id=0, results=(), skipped=())
             finals = pool.shutdown(timeout=30.0)
@@ -113,21 +102,23 @@ def _solo_program(behavior: Vertex) -> Program:
     return Program(g, {"a": behavior})
 
 
-class TestMidBatchFailure:
+class TestMidRunFailure:
     def test_worker_reports_survivors_and_skips(self):
-        # A batch [a@1, a@2(fails), a@3]: the reply must carry a@1's
+        # A run [a@1, a@2(fails), a@3]: the reply must carry a@1's
         # result, a@2's error entry, and a@3 as skipped — never a@3
         # executed out of order past the failure.
         prog = _solo_program(_BoomAtPhase2())
         pool = ProcessWorkerPool(prog, num_workers=1)
         try:
             pool.start()
-            tasks = tuple(
-                TaskMsg(vertex=1, name="a", phase=p, inputs={},
-                        changed=(), successors=())
-                for p in (1, 2, 3)
+            run = RunMsg(
+                vertex=1, name="a", successors=(),
+                members=tuple(
+                    RunMember(phase=p, inputs={}, changed=())
+                    for p in (1, 2, 3)
+                ),
             )
-            pool.submit_to_worker(0, encode(TaskBatch(tasks)), "task_batches")
+            pool.submit_to_worker(0, encode(run), "runs")
             msg = pool.collect(timeout=30.0)
             assert isinstance(msg, ResultBatch)
             assert [r.phase for r in msg.results] == [1, 2]
@@ -140,7 +131,7 @@ class TestMidBatchFailure:
 
     def test_engine_surfaces_error_and_stays_reusable(self):
         prog = _solo_program(_BoomAtPhase2())
-        engine = ProcessEngine(prog, num_workers=1, ipc_batch=4)
+        engine = ProcessEngine(prog, num_workers=1)
         with pytest.raises(VertexExecutionError) as exc_info:
             engine.run([PhaseInput(p, float(p)) for p in range(1, 5)])
         assert exc_info.value.vertex == "a"
@@ -159,25 +150,24 @@ class _UnpicklableResult(Vertex):
 class _ExitHard(Vertex):
     def on_execute(self, ctx):
         if ctx.phase == 2:
-            os._exit(3)  # simulates a worker death mid-batch
+            os._exit(3)  # simulates a worker death mid-run
         return ("ok", ctx.phase)
 
 
-class TestMidBatchCrash:
+class TestMidRunCrash:
     def test_unpicklable_result_degrades_to_error(self):
         # The reply frame cannot pickle: the worker salvages it
         # result-by-result, so the coordinator still gets the survivors
         # and a VertexExecutionError for the poison result — not a
         # wedged run or a WorkerCrashMsg.
         prog = _solo_program(_UnpicklableResult())
-        engine = ProcessEngine(prog, num_workers=1, ipc_batch=4)
+        engine = ProcessEngine(prog, num_workers=1)
         with pytest.raises(VertexExecutionError, match="not picklable"):
             engine.run([PhaseInput(p, float(p)) for p in range(1, 5)])
 
     def test_worker_death_mid_batch_is_clean_engine_error(self):
         prog = _solo_program(_ExitHard())
-        engine = ProcessEngine(prog, num_workers=1, ipc_batch=4,
-                               join_timeout=30.0)
+        engine = ProcessEngine(prog, num_workers=1, join_timeout=30.0)
         with pytest.raises(EngineError, match="died|crashed"):
             engine.run([PhaseInput(p, float(p)) for p in range(1, 5)])
 
@@ -275,19 +265,17 @@ class TestSalvageEncoding:
 
 
 class TestDrainReadyBatches:
-    def test_routes_by_assignment_and_chunks(self):
+    def test_routes_by_assignment(self):
         from collections import deque
 
         pending = deque([(v, 1) for v in range(1, 8)])
         batches, starved = drain_ready_batches(
-            pending, lambda v: (v - 1) % 2, lambda w: 99, chunk=2
+            pending, lambda v: (v - 1) % 2, lambda w: 99
         )
         assert not pending and not starved
-        assert [(w, pairs) for w, pairs in batches] == [
-            (0, [(1, 1), (3, 1)]),
-            (0, [(5, 1), (7, 1)]),
-            (1, [(2, 1), (4, 1)]),
-            (1, [(6, 1)]),
+        assert batches == [
+            (0, [(1, 1), (3, 1), (5, 1), (7, 1)]),
+            (1, [(2, 1), (4, 1), (6, 1)]),
         ]
 
     def test_respects_capacity_and_reports_starvation(self):
@@ -295,7 +283,7 @@ class TestDrainReadyBatches:
 
         pending = deque([(1, p) for p in range(1, 6)])
         batches, starved = drain_ready_batches(
-            pending, lambda v: 0, lambda w: 2, chunk=8
+            pending, lambda v: 0, lambda w: 2
         )
         assert batches == [(0, [(1, 1), (1, 2)])]
         assert starved == {0}
@@ -308,16 +296,10 @@ class TestDrainReadyBatches:
 
         pending = deque([(1, 1)])
         batches, starved = drain_ready_batches(
-            pending, lambda v: 0, lambda w: 0, chunk=4
+            pending, lambda v: 0, lambda w: 0
         )
         assert batches == [] and starved == {0}
         assert list(pending) == [(1, 1)]
-
-    def test_invalid_chunk_rejected(self):
-        from collections import deque
-
-        with pytest.raises(SchedulerError):
-            drain_ready_batches(deque(), lambda v: 0, lambda w: 1, chunk=0)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +332,7 @@ class TestInterner:
             interner.intern(f"v{i}")
         assert len(interner._table) <= 4
 
-    def test_interned_batch_frame_is_smaller(self):
+    def test_interned_frame_is_smaller(self):
         def fresh_payload():
             # Equal but distinct objects each call — what latched inputs
             # across separately prepared contexts look like.
@@ -369,8 +351,8 @@ class TestInterner:
                 inputs={"x": interner.intern(fresh_payload())},
                 changed=(), successors=("b",),
             ))
-        plain = encode(TaskBatch(tuple(tasks_plain)))
-        interned = encode(TaskBatch(tuple(tasks_interned)))
+        plain = encode(tuple(tasks_plain))
+        interned = encode(tuple(tasks_interned))
         assert len(interned) < len(plain)
 
     def test_byte_meter_tracks_retained_values(self):
@@ -453,33 +435,23 @@ class TestRunFraming:
             assert t.changed == ("up",)
 
     def test_header_rides_once(self):
-        # A run frame carries name/successors once; the equivalent batch
-        # of single-pair tasks repeats them per member.
+        # A run frame carries name/successors once; the equivalent
+        # single-pair tasks repeat them per member.
         prepared = _prepared_members(range(1, 9), payload="v" * 64)
         run_frame = encode(run_from_contexts(3, prepared, Interner()))
-        singles = encode(TaskBatch(tuple(
+        singles = encode(tuple(
             TaskMsg(
                 vertex=3, name="mid", phase=p,
                 inputs=dict(ctx.inputs), changed=tuple(sorted(ctx.changed)),
                 successors=tuple(ctx._successors),
             )
             for p, ctx in prepared
-        )))
+        ))
         assert len(run_frame) < len(singles)
 
     def test_empty_run_rejected(self):
         with pytest.raises(ValueError):
             run_from_contexts(3, [])
-
-    def test_runs_nest_inside_task_batches(self):
-        run = run_from_contexts(3, _prepared_members([2, 3]))
-        lone = TaskMsg(
-            vertex=5, name="tail", phase=2, inputs={}, changed=(),
-            successors=(),
-        )
-        batch = decode(encode(TaskBatch((run, lone))))
-        kinds = [type(e) for e in batch.tasks]
-        assert kinds == [RunMsg, TaskMsg]
 
 
 # ---------------------------------------------------------------------------
@@ -579,85 +551,44 @@ class TestSnapshotDelta:
 
 
 # ---------------------------------------------------------------------------
-# The batched engine end to end
+# The engine's wire path end to end
 # ---------------------------------------------------------------------------
 
 
-class TestBatchedEngine:
-    @pytest.mark.parametrize("ipc_batch,window", [
-        (2, None), (8, None), (8, 4), (4, 1), (3, 2),
-    ])
-    def test_matches_serial_oracle(self, ipc_batch, window):
-        prog, phases = grid_workload(3, 3, phases=12, seed=6)
-        serial = SerialExecutor(prog).run(phases)
-        par = ProcessEngine(
-            prog, num_workers=2, batch_size=4,
-            ipc_batch=ipc_batch, window=window,
-        ).run(phases)
-        assert_serializable(serial, par)
-        assert par.records == serial.records
+class TestWirePathEngine:
+    def test_round_trips_scale_with_runs_not_executions(self):
+        from repro.streams.workloads import pipeline_workload
 
-    def test_round_trips_scale_with_batches_not_executions(self):
-        prog, phases = grid_workload(4, 2, phases=10, seed=1)
-        res = ProcessEngine(
-            prog, num_workers=2, batch_size=4, ipc_batch=4
-        ).run(phases)
+        prog, phases = pipeline_workload(depth=5, phases=30, seed=3)
+        res = ProcessEngine(prog, num_workers=2).run(phases)
         assert res.stats["ipc_round_trips"] < res.execution_count
         wire = res.stats["serialization_bytes"]
-        assert wire["task_batches"]["messages"] == (
-            res.stats["ipc_round_trips"]
-        )
-        assert wire["tasks"]["messages"] == 0
-        assert wire["result_batches"]["messages"] >= 1
+        assert wire["runs"]["messages"] >= 1
+        assert wire["result_batches"]["messages"] == wire["runs"]["messages"]
         assert res.stats["ipc"]["mean_tasks_per_frame"] > 1.0
 
     def test_label_and_ipc_stats_schema(self):
         prog, phases = grid_workload(3, 2, phases=6, seed=3)
-        res = ProcessEngine(
-            prog, num_workers=2, batch_size=4, ipc_batch=8, window=4
-        ).run(phases)
-        assert res.engine == "process[w=2,b=4,ipc=8,win=4]"
+        res = ProcessEngine(prog, num_workers=2).run(phases)
+        assert res.engine == "process[w=2]"
         ipc = res.stats["ipc"]
-        assert ipc["ipc_batch"] == 8
-        assert ipc["window"] == 4
+        assert set(ipc) == {
+            "window_final", "window_peak", "window_widenings",
+            "window_narrowings", "task_frames", "mean_tasks_per_frame",
+            "interning",
+        }
         assert set(ipc["window_final"]) == {0, 1}
         assert ipc["task_frames"] == res.stats["ipc_round_trips"]
         assert ipc["interning"]["misses"] >= 0
 
-    def test_default_path_is_unchanged(self):
-        # ipc_batch=1 + run_length=1 must reproduce the PR-3 wire path:
-        # one TaskMsg frame per executed pair, no batch frames, no
-        # interning (run_length=1 disables run coalescing, which would
-        # otherwise ship RunMsg frames under the default cone frontier).
-        prog, phases = grid_workload(3, 2, phases=6, seed=3)
-        res = ProcessEngine(prog, num_workers=2, run_length=1).run(phases)
-        assert res.engine == "process[w=2]"
-        wire = res.stats["serialization_bytes"]
-        assert wire["tasks"]["messages"] == res.execution_count
-        assert wire["task_batches"]["messages"] == 0
-        assert wire["result_batches"]["messages"] == 0
-        assert res.stats["ipc"]["window"] == "adaptive"
-        assert res.stats["ipc"]["interning"] is None
-
     def test_adaptive_window_widens_under_backlog(self):
-        # run_length=1: coalescing folds the backlog into runs before the
-        # window controller ever sees pressure, so widening is a
-        # single-pair-dispatch behaviour.
+        # Four sources become ready at once for the only worker, whose
+        # credit window starts at one task: the backlog starves it.
         prog, phases = grid_workload(4, 3, phases=20, seed=2)
-        res = ProcessEngine(
-            prog, num_workers=2, batch_size=4, ipc_batch=2, run_length=1
-        ).run(phases)
+        res = ProcessEngine(prog, num_workers=1).run(phases)
         ipc = res.stats["ipc"]
-        assert ipc["window"] == "adaptive"
         assert ipc["window_peak"] >= 2
         assert ipc["window_widenings"] >= 1
-
-    def test_invalid_knobs_rejected(self):
-        prog = make_chain_program(2, {})
-        with pytest.raises(EngineError):
-            ProcessEngine(prog, ipc_batch=0)
-        with pytest.raises(EngineError):
-            ProcessEngine(prog, window=0)
 
     def test_post_run_state_matches_serial_via_deltas(self):
         # Sources mutate worker-side state (RNG advance); after the run
@@ -670,7 +601,7 @@ class TestBatchedEngine:
             n: normalized(b.snapshot_state())
             for n, b in prog.behaviors.items()
         }
-        ProcessEngine(prog, num_workers=2, ipc_batch=4).run(phases)
+        ProcessEngine(prog, num_workers=2).run(phases)
         actual = {
             n: normalized(b.snapshot_state())
             for n, b in prog.behaviors.items()
@@ -710,9 +641,7 @@ class _MeteredQueue:
 
 
 class TestMeteringRegression:
-    @pytest.mark.parametrize("ipc_batch", [1, 4])
-    def test_per_class_bytes_sum_to_pipe_traffic(self, monkeypatch,
-                                                 ipc_batch):
+    def test_per_class_bytes_sum_to_pipe_traffic(self, monkeypatch):
         # Independently meter every byte the coordinator moves through
         # the queues, then require the engine's per-class accounting to
         # sum to exactly that (plus the warmup blobs, which travel via
@@ -729,11 +658,9 @@ class TestMeteringRegression:
 
         monkeypatch.setattr(ProcessWorkerPool, "start", recording_start)
         prog, phases = grid_workload(3, 3, phases=8, seed=4)
-        res = ProcessEngine(
-            prog, num_workers=2, batch_size=4, ipc_batch=ipc_batch
-        ).run(phases)
+        res = ProcessEngine(prog, num_workers=2).run(phases)
         wire = res.stats["serialization_bytes"]
-        sent_classes = ("tasks", "runs", "task_batches", "shutdown")
+        sent_classes = ("tasks", "runs", "shutdown")
         recv_classes = ("results", "result_batches", "final_state")
         assert sum(wire[c]["bytes"] for c in sent_classes) == sum(sent)
         assert sum(wire[c]["bytes"] for c in recv_classes) == sum(received)

@@ -4,7 +4,7 @@ The continuous-operation contract (satellites of the serve layer):
 
 * **Incremental admission** — phases handed to a running engine through a
   :class:`PhaseFeed` produce results identical to supplying the same
-  phases up front, across the engine × frontier × fusion matrix.
+  phases up front, across the engine × fusion matrix.
 * **Retirement** — ``retire=True`` streams each completed phase's records
   through the sink exactly once, in phase order, matching the serial
   oracle, while the engine's per-phase state is released.
@@ -56,20 +56,15 @@ WORKLOADS = {
 
 class TestIncrementalAdmissionParallel:
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    @pytest.mark.parametrize("frontier", ["cone", "global"])
     @pytest.mark.parametrize("fuse", [True, False])
-    def test_feed_equals_upfront(self, workload, frontier, fuse):
+    def test_feed_equals_upfront(self, workload, fuse):
         program, phases = WORKLOADS[workload]()
         plan = compile_plan(program, fuse=fuse)
         serial = SerialExecutor(program).run(phases)
 
-        upfront = ParallelEngine(
-            plan, num_threads=2, frontier=frontier
-        ).run(phases)
+        upfront = ParallelEngine(plan, num_threads=2).run(phases)
         feed, producer = _feed_all(phases)
-        streamed = ParallelEngine(
-            plan, num_threads=2, frontier=frontier
-        ).run_feed(feed)
+        streamed = ParallelEngine(plan, num_threads=2).run_feed(feed)
         producer.join(timeout=30)
 
         assert streamed.records == upfront.records
@@ -78,18 +73,14 @@ class TestIncrementalAdmissionParallel:
 
 
 class TestIncrementalAdmissionProcess:
-    @pytest.mark.parametrize(
-        "frontier,fuse", [("cone", True), ("cone", False), ("global", True)]
-    )
-    def test_feed_equals_upfront(self, frontier, fuse):
+    @pytest.mark.parametrize("fuse", [True, False])
+    def test_feed_equals_upfront(self, fuse):
         program, phases = WORKLOADS["pipeline"]()
         plan = compile_plan(program, fuse=fuse)
         serial = SerialExecutor(program).run(phases)
 
         feed, producer = _feed_all(phases)
-        streamed = ProcessEngine(
-            plan, num_workers=2, ipc_batch=2, frontier=frontier
-        ).run_feed(feed)
+        streamed = ProcessEngine(plan, num_workers=2).run_feed(feed)
         producer.join(timeout=60)
 
         assert streamed.phases_run == len(phases)
@@ -129,7 +120,7 @@ class TestRetirement:
 
         sink_log = []
         feed, producer = _feed_all(phases)
-        result = ProcessEngine(plan, num_workers=2, ipc_batch=2).run_feed(
+        result = ProcessEngine(plan, num_workers=2).run_feed(
             feed,
             sink=lambda p, ts, entries: sink_log.append((p, ts, entries)),
             retire=True,

@@ -121,7 +121,6 @@ class TestProcessPipeline:
             ServeConfig(
                 engine="process",
                 workers=2,
-                ipc_batch=2,
                 wait=workload.wait,
                 quantum=workload.quantum,
                 check_sample=5,

@@ -182,6 +182,20 @@ class TestRoutingErrors:
                 wl.program, wl.key_of_source.__getitem__, 2, engine="gpu"
             )
 
+    def test_unknown_engine_option_rejected(self):
+        # A stale scheduling knob must be an error, not silently ignored.
+        from repro.errors import ShardingError
+
+        wl = build_keyed_workload(num_keys=2, ticks=5, seed=0)
+        with pytest.raises(ShardingError, match="batch_size"):
+            ShardedEngine(
+                wl.program,
+                wl.key_of_source.__getitem__,
+                2,
+                engine="parallel",
+                engine_options={"threads": 2, "batch_size": 4},
+            )
+
 
 class TestDeterminism:
     def test_same_workload_same_merged_output(self):

@@ -1,0 +1,94 @@
+"""The scheduling surface is closed (ROADMAP aim 2).
+
+The real engines run exactly one schedule — cone frontier, Δ-elision,
+adaptive runs — and ``SimulatedEngine.frontier`` is the only scheduling
+selector left in the system.  These tests pin the constructor parameter
+names, the :class:`ServeConfig` fields and the CLI flags, so a re-grown
+knob fails tier-1 here instead of quietly doubling the configurations the
+differential suite and the benchmark must cover.  If one of them fails
+because you added a scheduling option: ROADMAP aim 2 asks for a value the
+code derives from what it can observe, not for a new setting.
+"""
+
+import dataclasses
+import inspect
+
+import pytest
+
+from repro.cli import build_parser, main
+from repro.runtime.engine import ParallelEngine
+from repro.runtime.environment import EnvironmentConfig
+from repro.runtime.mp import ProcessEngine
+from repro.serve import ServeConfig
+from repro.sharding import ShardedEngine
+from repro.simulator import SimulatedEngine
+
+AIM_2 = "scheduling surface changed — see ROADMAP aim 2 before adding a knob"
+
+REMOVED_FLAGS = (
+    "--frontier", "--suppress", "--run-length", "--batch-size",
+    "--ipc-batch", "--window",
+)
+
+
+def params(cls):
+    return list(inspect.signature(cls.__init__).parameters)[1:]
+
+
+def test_engine_constructor_parameters_are_pinned():
+    assert params(ParallelEngine) == [
+        "program", "num_threads", "checker", "tracer", "env",
+        "join_timeout", "backend", "faults",
+    ], AIM_2
+    assert params(ProcessEngine) == [
+        "program", "num_workers", "checker", "tracer", "env",
+        "join_timeout", "start_method",
+    ], AIM_2
+    assert params(SimulatedEngine) == [
+        "program", "num_workers", "num_processors", "cost_model",
+        "checker", "tracer", "max_in_flight_phases", "queue_discipline",
+        "frontier",
+    ], AIM_2
+    assert params(ShardedEngine) == [
+        "program", "key_of", "num_shards", "engine", "engine_options",
+        "fuse", "router",
+    ], AIM_2
+
+
+def test_config_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(ServeConfig)] == [
+        "engine", "threads", "workers", "fuse", "max_in_flight", "wait",
+        "quantum", "max_buffered", "max_late_kept", "feed_capacity",
+        "emit_capacity", "announce_queue", "check_sample", "stats_every",
+        "rss_sample_every", "join_timeout",
+    ], AIM_2
+    assert [f.name for f in dataclasses.fields(EnvironmentConfig)] == [
+        "pacing", "max_in_flight_phases",
+    ], AIM_2
+
+
+def subparser(command):
+    (action,) = [
+        a for a in build_parser()._actions if hasattr(a, "choices") and a.choices
+    ]
+    return action.choices[command]
+
+
+@pytest.mark.parametrize("command", ["run", "serve", "fuzz"])
+def test_help_mentions_no_removed_knob(command):
+    text = subparser(command).format_help()
+    for flag in REMOVED_FLAGS:
+        assert flag not in text, f"{command} --help mentions {flag}: {AIM_2}"
+
+
+@pytest.mark.parametrize("command", ["run", "serve", "fuzz"])
+@pytest.mark.parametrize("flag", REMOVED_FLAGS)
+def test_removed_flag_is_an_ordinary_argparse_error(command, flag, capsys):
+    argv = [command] + ([] if command == "fuzz" else ["spec.xml"])
+    value = ["cone"] if flag == "--frontier" else ["2"]
+    if flag == "--suppress":
+        value = []
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + [flag] + value)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -59,10 +59,10 @@ class TestRun:
     def test_process_engine_check_and_workers(self, spec_file, capsys):
         assert main([
             "run", spec_file, "--engine", "process",
-            "--workers", "2", "--batch-size", "2", "--check",
+            "--workers", "2", "--check",
         ]) == 0
         out = capsys.readouterr().out
-        assert "process[w=2,b=2]" in out
+        assert "process[w=2]" in out
         assert "is serializable" in out
 
     def test_stats_json_to_file(self, spec_file, tmp_path, capsys):
@@ -370,7 +370,7 @@ class TestServe:
             "--stats-json", str(out_path),
         ]
         if engine == "process":
-            argv += ["--workers", "2", "--ipc-batch", "2"]
+            argv += ["--workers", "2"]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert f"serve[{engine}]" in out

@@ -1,0 +1,236 @@
+"""The differential suite: every engine against the serial oracle.
+
+One module instead of a matrix per feature (ROADMAP aim 3).  The axes:
+
+* **engine** — the virtual-scheduler campaign (explored interleavings of
+  the threaded engine, every scheduler mutation invariant-checked by the
+  :class:`~repro.testing.monitor.RaceMonitor`), the threaded engine on
+  real threads, the process engine on real worker processes, and the DES
+  simulator in both of its modes: ``cone`` (what the real engines do) and
+  ``global`` (Listings 1-2 as published);
+* **fuse** — the plan compiled with linear-chain fusion or not (the
+  oracle always runs the unfused program);
+* **workload family** — sparse random DAGs, the same DAGs with a seeded
+  straggler per phase, the suppression-friendly mix on which Δ-elision is
+  reachable, and deep linear pipelines on which runs form.
+
+Every cell is **record-exact** against :class:`SerialExecutor`; the
+executed-pair and message comparison is strict wherever nothing can be
+elided and elision-aware (subset / at-most) where it can.  Real-engine
+cells also compare final behaviour state.
+
+The last class keeps the suite honest: the corpus really elides, the
+pipelines really form runs longer than one, the process backend really
+ships run frames, fusion really shrinks the plan, and the simulator's
+global mode really is the published schedule.
+"""
+
+from dataclasses import dataclass, replace
+
+import pytest
+
+from repro.analysis.serializability import check_serializable
+from repro.core.plan import compile_plan
+from repro.core.serial import SerialExecutor
+from repro.runtime.engine import ParallelEngine
+from repro.runtime.environment import EnvironmentConfig
+from repro.runtime.mp import ProcessEngine
+from repro.simulator import SimulatedEngine
+from repro.streams.workloads import pipeline_workload
+from repro.testing.fuzz import process_config_for_run, run_one, spec_for_run
+from repro.testing.schedule import make_policy
+
+from tests.models.test_pickling import normalized
+
+SEED = 2025
+POLICIES = ("random", "round-robin", "priority", "random")
+
+ENGINES = ("virtual", "threaded", "process", "simulated-cone", "simulated-global")
+#: Specs per cell: the virtual campaign is cheap and explores schedules,
+#: so it carries the breadth; every process run pays real forks.
+CORPUS = {
+    "virtual": 200,
+    "threaded": 12,
+    "process": 3,
+    "simulated-cone": 8,
+    "simulated-global": 8,
+}
+
+
+@dataclass(frozen=True)
+class PipelineSpec:
+    """A deep linear pipeline with the :class:`WorkloadSpec` surface the
+    fuzz runners read (``build``, ``threads``, ``elidable``, ...)."""
+
+    depth: int
+    phases: int
+    seed: int
+    threads: int = 3
+    elidable: bool = False
+    max_in_flight = None
+
+    def build(self):
+        return pipeline_workload(
+            depth=self.depth, phases=self.phases, seed=self.seed
+        )
+
+    build_picklable = build
+
+    def describe(self):
+        return f"pipeline depth={self.depth} phases={self.phases} seed={self.seed}"
+
+
+def small(engine):
+    # Process runs stay small: each one spawns its own workers.
+    return {"max_vertices": 6, "max_phases": 4} if engine == "process" else {}
+
+
+FAMILIES = {
+    "sparse": lambda e, i: replace(
+        spec_for_run(SEED, i, **small(e)), elidable=False
+    ),
+    "skewed": lambda e, i: replace(
+        spec_for_run(SEED, i, skew=True, **small(e)), elidable=False
+    ),
+    "elidable": lambda e, i: replace(
+        spec_for_run(SEED, i, **small(e)), elidable=True
+    ),
+    "pipeline": lambda e, i: PipelineSpec(
+        depth=4 + i % 4, phases=(10 if e == "process" else 30) + 5 * (i % 3),
+        seed=i,
+    ),
+}
+
+
+def policy_for(i):
+    return make_policy(POLICIES[i % len(POLICIES)], 1000 + i)
+
+
+def run_cell(engine, spec, index, fuse):
+    """Run *spec* on *engine*; returns ``(serial, result)`` once the
+    judgement has passed: serializability, plus the invariant monitor on
+    the virtual campaign and final behaviour state everywhere else."""
+    where = f"{engine} fuse={fuse} spec {index} [{spec.describe()}]"
+    if engine == "virtual":
+        outcome = run_one(spec, policy_for(index), fuse=fuse)
+        assert outcome.passed, f"{where}: {outcome.reason}"
+        return outcome.serial, outcome.parallel
+
+    def state():
+        return {
+            name: normalized(beh.snapshot_state())
+            for name, beh in program.behaviors.items()
+        }
+
+    program, phases = spec.build_picklable()  # stateful sources
+    serial = SerialExecutor(program).run(phases)
+    serial_state = state()
+    plan = compile_plan(program, fuse=fuse)
+    env = EnvironmentConfig(max_in_flight_phases=spec.max_in_flight)
+    if engine == "threaded":
+        result = ParallelEngine(
+            plan, num_threads=spec.threads, env=env
+        ).run(phases)
+    elif engine == "process":
+        # fork keeps the matrix affordable; the fuzz_process campaign
+        # covers the spawn start method.
+        result = ProcessEngine(
+            plan,
+            num_workers=process_config_for_run(SEED, index)["workers"],
+            env=env,
+            start_method="fork",
+        ).run(phases)
+    else:
+        result = SimulatedEngine(
+            plan, num_workers=2, num_processors=2,
+            frontier=engine.split("-")[1],
+        ).run(phases)
+    elides = spec.elidable and engine != "simulated-global"
+    report = check_serializable(serial, result, allow_elision=elides)
+    assert report, f"{where}: {report}"
+    final_state = state()
+    diverged = {
+        name: (expected, final_state[name])
+        for name, expected in serial_state.items()
+        if final_state[name] != expected
+    }
+    assert not diverged, f"{where}: final state diverged: {diverged}"
+    return serial, result
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("fuse", [False, True], ids=["unfused", "fused"])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_record_exact_against_serial_oracle(engine, fuse, family):
+    for i in range(CORPUS[engine]):
+        spec = FAMILIES[family](engine, i)
+        serial, result = run_cell(engine, spec, i, fuse)
+        assert result.records == serial.records, (
+            f"{engine} fuse={fuse} {family} spec {i} [{spec.describe()}]"
+        )
+        assert result.phases_run == serial.phases_run
+
+
+class TestTheSuiteIsNotVacuous:
+    def test_elidable_corpus_elides_and_coalesces(self):
+        suppressing = eliding = both = 0
+        for i in range(60):
+            spec = FAMILIES["elidable"]("virtual", i)
+            serial, result = run_cell("virtual", spec, i, fuse=False)
+            stats = result.stats
+            assert stats["suppression"]["enabled"]
+            suppressed = stats["suppression"]["suppressed_messages"] > 0
+            suppressing += suppressed
+            eliding += result.execution_count < serial.execution_count
+            both += suppressed and stats["coalescing"]["pairs_coalesced"] > 0
+        assert suppressing >= 10, f"only {suppressing}/60 runs suppressed"
+        assert eliding >= 5, f"only {eliding}/60 runs elided an execution"
+        assert both >= 5, (
+            f"only {both}/60 runs suppressed inside a coalesced schedule"
+        )
+
+    @pytest.mark.parametrize("engine", ["threaded", "simulated-cone"])
+    def test_deep_pipeline_forms_runs(self, engine):
+        spec = PipelineSpec(depth=6, phases=40, seed=11)
+        _, result = run_cell(engine, spec, 0, fuse=False)
+        section = result.stats["coalescing"]
+        assert section["pairs_coalesced"] > 0
+        assert section["mean_run_length"] > 1.0
+        # One prepare and one commit critical section per run, not per
+        # pair, so the lock is taken fewer than twice per execution.
+        lock = result.stats["lock"]
+        taken = lock.get("acquisitions", lock.get("total_requests"))
+        assert taken < 2 * result.execution_count
+
+    def test_process_runs_ship_run_frames(self):
+        spec = PipelineSpec(depth=5, phases=30, seed=3)
+        _, result = run_cell("process", spec, 0, fuse=False)
+        wire = result.stats["serialization_bytes"]
+        assert wire["runs"]["messages"] > 0
+        assert wire["result_batches"]["messages"] == wire["runs"]["messages"]
+        assert result.stats["ipc_round_trips"] < result.execution_count
+
+    def test_fusion_shrinks_the_plan(self):
+        assert any(
+            compile_plan(FAMILIES["sparse"]("virtual", i).build()[0]).fused
+            for i in range(20)
+        ), "the random corpus never fuses a chain"
+        spec = PipelineSpec(depth=8, phases=20, seed=0)
+        _, result = run_cell("threaded", spec, 0, fuse=True)
+        fusion = result.stats["fusion"]
+        # An 8-deep chain fuses to one stage: >= 2x fewer scheduled pairs.
+        assert fusion["member_executions"] >= 2 * fusion["scheduled_pairs"]
+
+    def test_simulated_global_is_the_published_schedule(self):
+        spec = PipelineSpec(depth=4, phases=12, seed=3)
+        _, result = run_cell("simulated-global", spec, 0, fuse=False)
+        assert result.stats["frontier"]["mode"] == "global"
+        assert not result.stats["suppression"]["enabled"]
+        assert result.stats["coalescing"] == {
+            "runs_scheduled": 0,
+            "pairs_coalesced": 0,
+            "mean_run_length": 0.0,
+        }
+        _, cone = run_cell("simulated-cone", spec, 0, fuse=False)
+        assert cone.stats["frontier"]["mode"] == "cone"
+        assert cone.stats["suppression"]["enabled"]

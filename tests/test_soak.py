@@ -65,7 +65,9 @@ class TestSoak:
         checker = InvariantChecker()
         par = ParallelEngine(prog, num_threads=4, checker=checker).run(phases)
         assert_serializable(serial, par)
-        assert checker.checks_run > 100
+        # One check per phase-start burst and per committed run, so the
+        # count tracks runs, not executions.
+        assert checker.checks_run > 20
         assert checker.violations == []
 
     def test_tight_flow_control_under_threads(self):

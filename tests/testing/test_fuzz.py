@@ -32,6 +32,16 @@ class TestWorkloadSpec:
         specs = {spec_for_run(0, i) for i in range(10)}
         assert len(specs) > 1
 
+    def test_flow_bound_and_family_derive_from_the_run_seed(self):
+        # Admission must interleave with commits in part of every
+        # campaign (a burst-admitted short stream gives an unlocked
+        # start nothing to race with), and part of it must be able to
+        # elide; both are workload dimensions like ``threads``.
+        specs = [spec_for_run(0, i) for i in range(40)]
+        assert {s.max_in_flight for s in specs} == {None, 1, 2}
+        assert {s.elidable for s in specs} == {True, False}
+        assert specs == [spec_for_run(0, i) for i in range(40)]
+
     def test_sources_are_delta_sparse(self):
         # With a low delta probability, some phases emit nothing.
         spec = WorkloadSpec(
@@ -60,6 +70,45 @@ class TestCleanCampaign:
         assert a.total_steps == b.total_steps
         assert a.distinct_interleavings == b.distinct_interleavings
 
+    def test_fused_campaign_passes(self):
+        # Fusion compiled in, oracle left unfused.
+        report = fuzz(runs=30, seed=1234, fuse=True, do_shrink=False)
+        assert report.ok, report.summary()
+        assert report.runs == 30
+
+    def test_mid_chain_fault_inside_fused_vertex_is_judged(self):
+        # A failing member of a fused stage is a judged failure naming
+        # the member, not a harness crash.
+        from repro.core.plan import compile_plan
+        from repro.core.vertex import Vertex
+
+        class ExplodeAtPhase1(Vertex):
+            def on_execute(self, ctx):
+                raise RuntimeError("injected mid-chain fault")
+
+        for i in range(40):
+            spec = spec_for_run(7, i)
+            program, _ = spec.build()
+            plan = compile_plan(program)
+            stage = next(
+                (s for s, m in plan.members_of.items() if len(m) > 1), None
+            )
+            if stage is not None:
+                break
+        assert stage is not None, "corpus never fuses a chain"
+        victim = plan.members_of[stage][-1]
+
+        class SabotagedSpec(type(spec)):
+            def build(self):
+                prog, phases = super().build()
+                prog.behaviors[victim] = ExplodeAtPhase1()
+                return prog, phases
+
+        bad_spec = SabotagedSpec(**spec.__dict__)
+        outcome = run_one(bad_spec, make_policy("random", 5), fuse=True)
+        assert not outcome.passed
+        assert victim in outcome.reason
+
     def test_single_run_passes_each_policy(self):
         spec = spec_for_run(1, 0)
         for policy in ("random", "round-robin", "priority"):
@@ -73,7 +122,8 @@ class TestCleanCampaign:
 class TestSeededBugsAreFound:
     def test_fault_found_within_bounded_runs(self, fault):
         # Acceptance criterion: the seeded bug must be found within 100
-        # explored schedules, reporting a replayable (seed, policy, trace).
+        # explored schedules of the engine's one dispatch path, reporting
+        # a replayable (seed, policy, trace).
         report = fuzz(runs=100, seed=0, faults=FaultPlan.named(fault))
         assert not report.ok, f"{fault} survived {report.runs} schedules"
         failure = report.failures[0]
