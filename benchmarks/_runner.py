@@ -1,7 +1,7 @@
 """Shared scaffolding for the standalone benchmark scripts.
 
 The pytest-benchmark suites in this directory run under pytest; the
-standalone scripts (``bench_lock_contention.py``, ``bench_mp_speedup.py``)
+standalone scripts (``bench_fusion.py``, ``bench_sharding.py``)
 are plain ``python benchmarks/bench_X.py`` programs so CI can smoke them
 cheaply and the full runs can commit their results as ``BENCH_X.json``.
 This module factors out what every standalone script repeats:
@@ -20,8 +20,7 @@ Result files share the envelope::
 
 where ``criterion`` carries the acceptance verdict (``passed`` plus
 whatever evidence the script records), or ``null`` when not evaluated
-(quick mode, or hardware that cannot express the criterion — see
-``bench_mp_speedup.py``).
+(quick mode, or hardware that cannot express the criterion).
 """
 
 from __future__ import annotations

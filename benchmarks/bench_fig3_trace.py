@@ -8,67 +8,25 @@ figure's glyph scheme, and times a full 2-phase scheduler replay.
 from __future__ import annotations
 
 from repro.analysis.ascii_viz import render_frames, render_graph
-from repro.core.invariants import InvariantChecker
-from repro.core.state import SchedulerState
-from repro.core.tracer import ExecutionTracer
-from repro.graph.generators import fig3_graph
+from repro.graph.generators import FIG3_EXPECTED, fig3_graph, fig3_replay
 from repro.graph.numbering import number_graph
 
 from .conftest import emit
 
-# (label, action) where action is ("start",) or ("exec", v, p, outputs).
-STEPS = [
-    ("(a) Phase 1 initiated", ("start",)),
-    ("(b) (1,1) executed, generated output", ("exec", 1, 1, [3])),
-    ("(c) Phase 2 initiated", ("start",)),
-    ("(d) (1,2) executed, generated no output", ("exec", 1, 2, [])),
-    ("(e) (2,1) executed, generated output", ("exec", 2, 1, [3, 4])),
-    ("(f) (2,2) executed, generated output", ("exec", 2, 2, [3, 4])),
-    ("(g) (3,1) executed, generated output", ("exec", 3, 1, [5])),
-    ("(h) (4,1) executed, generated output", ("exec", 4, 1, [5, 6])),
-]
-
-EXPECTED = {
-    "(a)": dict(ready={(1, 1), (2, 1)}, partial=set()),
-    "(b)": dict(ready={(2, 1)}, partial={(3, 1)}),
-    "(c)": dict(ready={(2, 1), (1, 2)}, partial={(3, 1)}),
-    "(d)": dict(ready={(2, 1)}, partial={(3, 1)}),
-    "(e)": dict(ready={(2, 2), (3, 1), (4, 1)}, partial=set()),
-    "(f)": dict(ready={(3, 1), (4, 1)}, partial=set()),
-    "(g)": dict(ready={(3, 2), (4, 1)}, partial={(5, 1)}),
-    "(h)": dict(ready={(3, 2), (4, 2), (5, 1), (6, 1)}, partial=set()),
-}
-
-
-def replay():
-    nb = number_graph(fig3_graph())
-    state = SchedulerState(nb, checker=InvariantChecker())
-    tracer = ExecutionTracer()
-    for label, action in STEPS:
-        if action[0] == "start":
-            state.start_phase()
-        else:
-            _, v, p, outs = action
-            state.complete_execution(v, p, outs)
-        tracer.capture_sets(state, label)
-    return state, tracer
-
 
 def test_fig3_trace(benchmark):
-    state, tracer = benchmark.pedantic(replay, iterations=1, rounds=5)
+    snapshots = benchmark.pedantic(fig3_replay, iterations=1, rounds=5)
 
     nb = number_graph(fig3_graph())
-    frames = render_frames(tracer.snapshots, n=6, phases=[1, 2])
+    frames = render_frames(snapshots, n=6, phases=[1, 2])
     emit(
         "Figure 3: execution trace of the 6-vertex graph",
         render_graph(fig3_graph(), nb) + "\n\n" + frames,
     )
 
-    for snap in tracer.snapshots:
-        key = snap.label[:3]
-        expected = EXPECTED[key]
-        assert snap.ready == expected["ready"], snap.label
-        assert snap.partial == expected["partial"], snap.label
+    assert len(snapshots) == 8
+    for snap, (ready, partial) in zip(snapshots, FIG3_EXPECTED):
+        assert snap.ready == ready, snap.label
+        assert snap.partial == partial, snap.label
 
-    benchmark.extra_info["steps_verified"] = len(tracer.snapshots)
-    assert len(tracer.snapshots) == 8
+    benchmark.extra_info["steps_verified"] = len(snapshots)

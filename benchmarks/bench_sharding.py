@@ -14,8 +14,8 @@ what a shard actually buys on a keyed laundering workload:
 * **oracle equality** — every row's merged entries and final per-key
   detector state must equal the single-instance serial run (zero late
   events: the workload generator computes a covering wait);
-* wall time, reported but not gated (1-core caveat, as for
-  ``bench_mp_speedup.py``).
+* wall time, reported but not gated (a 1-core container cannot
+  express wall-clock scale-out).
 
 Acceptance criterion (full mode): every row oracle-equal, and the max
 per-shard execution count strictly decreases at every step of

@@ -13,8 +13,6 @@ Run:  python examples/pipeline_visualization.py
 
 from repro.analysis.ascii_viz import render_frames, render_graph
 from repro.baselines.barrier import barrier_simulated_engine
-from repro.core.invariants import InvariantChecker
-from repro.core.state import SchedulerState
 from repro.core.tracer import ExecutionTracer, max_concurrent_phases
 from repro.errors import NumberingError
 from repro.graph.generators import (
@@ -23,6 +21,7 @@ from repro.graph.generators import (
     fig2a_numbering,
     fig2b_numbering,
     fig3_graph,
+    fig3_replay,
 )
 from repro.graph.numbering import Numbering, compute_S, number_graph, verify_numbering
 from repro.simulator.costs import CostModel
@@ -53,30 +52,8 @@ def figure3() -> None:
     print("\n" + "=" * 72)
     print("FIGURE 3 — eight steps of a 6-vertex execution")
     print("=" * 72)
-    nb = number_graph(fig3_graph())
-    print(render_graph(fig3_graph(), nb), "\n")
-    state = SchedulerState(nb, checker=InvariantChecker())
-    tracer = ExecutionTracer()
-    script = [
-        ("(a) Phase 1 initiated", lambda: state.start_phase()),
-        ("(b) (1,1) executed, generated output",
-         lambda: state.complete_execution(1, 1, [3])),
-        ("(c) Phase 2 initiated", lambda: state.start_phase()),
-        ("(d) (1,2) executed, generated no output",
-         lambda: state.complete_execution(1, 2, [])),
-        ("(e) (2,1) executed, generated output",
-         lambda: state.complete_execution(2, 1, [3, 4])),
-        ("(f) (2,2) executed, generated output",
-         lambda: state.complete_execution(2, 2, [3, 4])),
-        ("(g) (3,1) executed, generated output",
-         lambda: state.complete_execution(3, 1, [5])),
-        ("(h) (4,1) executed, generated output",
-         lambda: state.complete_execution(4, 1, [5, 6])),
-    ]
-    for label, action in script:
-        action()
-        tracer.capture_sets(state, label)
-    print(render_frames(tracer.snapshots, n=6, phases=[1, 2]))
+    print(render_graph(fig3_graph(), number_graph(fig3_graph())), "\n")
+    print(render_frames(fig3_replay(), n=6, phases=[1, 2]))
 
 
 def figure1() -> None:

@@ -9,74 +9,30 @@ Stats schema
 Every scheduling engine (``parallel``, ``process``, ``simulated``)
 attaches a ``stats`` dict to its :class:`~repro.core.program.RunResult`;
 the serial oracle attaches an empty dict (it has no scheduler).  The
-engine-agnostic portion validated by :func:`validate_engine_stats`:
+shape of every documented section is one declarative table
+(:data:`_SCHEMA`: key → type, minimum, allowed values, nested section)
+checked by one walker; the meaning of each key is in ``docs/API.md``.
+:func:`validate_engine_stats` requires, by engine-name prefix:
 
-* ``stats["frontier"]`` — required for every scheduling engine:
+* every scheduling engine — the sections
+  :meth:`repro.runtime.core.ScheduleCore.result` attaches: ``frontier``
+  (readiness rule, cone count, phase skew), ``suppression`` (Δ-elision,
+  ALGORITHM.md §5.6), ``coalescing`` (phase runs, §5.7; with the law
+  ``mean_run_length`` = members / runs), ``per_worker_executions`` and
+  the edge-store counters ``edge_entries_peak`` / ``edge_entries_final``;
+* the sharded meta-engine (``"sharded..."``) — ``sharding``, forbidden
+  elsewhere, and no top-level ``frontier`` (the per-shard runs keep
+  their own full stats on ``ShardedRunResult.shard_results``).
 
-  - ``mode``: ``"global"`` or ``"cone"`` — the readiness rule the run
-    used (:class:`~repro.core.state.SchedulerState`);
-  - ``cone_count``: int >= 1 — number of distinct ancestor cones in the
-    compiled graph (:class:`~repro.graph.cones.ConeIndex`);
-  - ``max_phase_skew``: int >= 0 — the largest ``q - oldest_incomplete``
-    observed when a non-source pair became ready: how far ahead of the
-    oldest in-flight phase some vertex's work pipelined.  Both modes
-    pipeline; cone mode typically reports larger skew because the x_p
-    clamp no longer couples independent cones;
-  - ``frontier_advances``: int >= 0 — per-phase frontier-counter
-    advancement events (x_p steps in global mode, per-phase determined
-    prefix steps in cone mode).
-
-* ``stats["sharding"]`` — required for the sharded meta-engine
-  (``RunResult.engine`` starting with ``"sharded"``), forbidden
-  elsewhere: shard count, feed mode, router identity, per-shard
-  key/phase/execution/late counters and the merge-alignment counters
-  (see :mod:`repro.sharding`).  The per-shard engine runs keep their own
-  full stats (frontier section included) on the nested
-  ``ShardedRunResult.shard_results``.
-
-* ``stats["suppression"]`` — required for every scheduling engine
-  (change suppression, ALGORITHM.md §5.6):
-
-  - ``enabled``: bool — whether the run elided value-equal outputs;
-  - ``suppressed_messages``: int >= 0 — outputs equal to the edge latch
-    that were never delivered (0 when disabled);
-  - ``elided_executions``: int >= 0 — downstream pairs that were marked
-    determined without being scheduled because **every** inbound message
-    was suppressed (direct elisions only — cascaded determination of
-    farther descendants is not attributed);
-  - ``ineligible_vertices``: int >= 0 — vertices whose pairs were
-    excluded from elision by the per-vertex contract
-    (:attr:`~repro.core.vertex.Vertex.suppressible` and the sink /
-    successor-closure rule).
-
-* ``stats["coalescing"]`` — required for every scheduling engine
-  (temporal phase-run coalescing, ALGORITHM.md §5.7):
-
-  - ``runs_scheduled``: int >= 0 — cone-mode ``claim_run`` dispatches
-    (a run of one still counts: it paid one dispatch; a
-    global-frontier run never extends and reports 0);
-  - ``pairs_coalesced``: int >= 0 — extension members that rode along
-    with a run head instead of paying their own dispatch;
-  - ``mean_run_length``: float >= 0 — members per run
-    (``(runs_scheduled + pairs_coalesced) / runs_scheduled``; 0.0
-    before any run).
-
-* ``stats["serve"]`` — the continuous-operation service layer
-  (:mod:`repro.serve`) reports its session document with a ``serve``
-  section: ingest/retire/stream counters, backpressure accounting
-  (reorder-buffer rejects + feed stalls), stage high-water marks, the
-  RSS high-water, and the oracle spot-check tallies.  Validated by
-  :func:`validate_serve_stats` (used by the serve tests and by CI
-  consumers of ``repro serve --stats-json``).
-
-The rest of the dict is engine-specific (lock contention, IPC counters,
-virtual-processor utilization, ...) and intentionally open — the
-validator checks shape, not exhaustiveness.
+:func:`validate_serve_stats` checks the ``serve`` section of the
+:mod:`repro.serve` session document (``repro serve --stats-json``).  The
+rest of a ``stats`` dict is engine-specific (lock contention, IPC
+counters, ...) and intentionally open: shape, not exhaustiveness.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..core.program import RunResult
 
@@ -93,357 +49,269 @@ __all__ = [
 ]
 
 #: Engine name prefixes that denote a scheduling engine (one that runs
-#: :class:`~repro.core.state.SchedulerState` and must report a
-#: ``frontier`` stats section).
+#: :class:`~repro.runtime.core.ScheduleCore` and reports its sections).
 SCHEDULING_ENGINE_PREFIXES = ("parallel", "process", "simulated")
 
 #: Engine name prefix of the sharded meta-engine (N replicated engine
 #: instances behind a key router; see :mod:`repro.sharding`).
 SHARDED_ENGINE_PREFIX = "sharded"
 
-_FRONTIER_MODES = ("global", "cone")
+# The schema, as data.  A rule is: an ``int`` (the value is an int, not a
+# bool, and at least that), ``bool`` / ``str`` / ``float`` (a bool, a
+# string, any number), a tuple (one of these values), a dict (a mapping
+# with exactly these keys, each under its own rule; the single key
+# ``_EACH`` instead puts every value of an open mapping under one rule),
+# or a one-element list (a list whose entries all follow that rule).
+_EACH = "*"
 
-_SHARDING_MODES = ("stream", "phases")
+#: What :meth:`repro.runtime.core.ScheduleCore.result` guarantees on
+#: every scheduling engine.
+_SCHEDULING_SCHEMA: Dict[str, Any] = {
+    "frontier": {
+        "mode": ("global", "cone"),
+        "cone_count": 1,
+        "max_phase_skew": 0,
+        "frontier_advances": 0,
+    },
+    "suppression": {
+        "enabled": bool,
+        "suppressed_messages": 0,
+        "elided_executions": 0,
+        "ineligible_vertices": 0,
+    },
+    "coalescing": {
+        "runs_scheduled": 0,
+        "pairs_coalesced": 0,
+        "mean_run_length": float,
+    },
+    "per_worker_executions": {_EACH: 0},
+    "edge_entries_peak": 0,
+    "edge_entries_final": 0,
+}
 
-_PER_SHARD_KEYS = (
-    "shard",
-    "keys",
-    "vertices",
-    "phases",
-    "executions",
-    "messages",
-    "late_events",
-)
+_SCHEMA: Dict[str, Any] = {
+    **_SCHEDULING_SCHEMA,
+    "sharding": {
+        "num_shards": 1,
+        "keys": 0,
+        "mode": ("stream", "phases"),
+        "router": {"algorithm": str, "num_shards": 1},
+        "per_shard": [
+            {
+                "shard": 0, "keys": 0, "vertices": 0, "phases": 0,
+                "executions": 0, "messages": 0, "late_events": 0,
+            }
+        ],
+        "merge": {"phases_merged": 0, "max_buffered": 0},
+    },
+    "serve": {
+        "engine": ("parallel", "process"),
+        "phases_ingested": 0, "phases_retired": 0, "results_streamed": 0,
+        "events_accepted": 0, "late_events": 0, "buffer_rejects": 0,
+        "feed_stalls": 0, "backpressure_stalls": 0, "buffer_high_water": 0,
+        "feed_high_water": 0, "rss_high_water_bytes": 0, "sse_dropped": 0,
+        "spot_checks_passed": 0, "spot_checks_failed": 0,
+    },
+}
+
+_KINDS = {bool: "a bool", str: "a string", float: "a number"}
 
 
-def validate_frontier_stats(section: Any, where: str = "frontier") -> List[str]:
-    """Validate one ``stats["frontier"]`` section; returns error strings
-    (empty list == valid)."""
-    errors: List[str] = []
-    if not isinstance(section, Mapping):
-        return [f"{where}: expected a mapping, got {type(section).__name__}"]
-    mode = section.get("mode")
-    if mode not in _FRONTIER_MODES:
-        errors.append(
-            f"{where}.mode: expected one of {_FRONTIER_MODES}, got {mode!r}"
-        )
-    for key, minimum in (
-        ("cone_count", 1),
-        ("max_phase_skew", 0),
-        ("frontier_advances", 0),
-    ):
-        value = section.get(key)
-        if not isinstance(value, int) or isinstance(value, bool):
-            errors.append(
-                f"{where}.{key}: expected an int, got {value!r}"
-            )
-        elif value < minimum:
-            errors.append(f"{where}.{key}: expected >= {minimum}, got {value}")
-    extra = set(section) - {"mode", "cone_count", "max_phase_skew",
-                            "frontier_advances"}
-    if extra:
-        errors.append(f"{where}: unexpected keys {sorted(extra)}")
-    return errors
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-_SUPPRESSION_COUNTERS = (
-    "suppressed_messages",
-    "elided_executions",
-    "ineligible_vertices",
-)
-
-
-def validate_suppression_stats(
-    section: Any, where: str = "suppression"
-) -> List[str]:
-    """Validate one ``stats["suppression"]`` section; returns error
-    strings (empty list == valid)."""
-    errors: List[str] = []
-    if not isinstance(section, Mapping):
-        return [f"{where}: expected a mapping, got {type(section).__name__}"]
-    enabled = section.get("enabled")
-    if not isinstance(enabled, bool):
-        errors.append(f"{where}.enabled: expected a bool, got {enabled!r}")
-    values: Dict[str, int] = {}
-    for key in _SUPPRESSION_COUNTERS:
-        value = section.get(key)
-        if not isinstance(value, int) or isinstance(value, bool):
-            errors.append(f"{where}.{key}: expected an int, got {value!r}")
-        elif value < 0:
-            errors.append(f"{where}.{key}: expected >= 0, got {value}")
+def _check(value: Any, rule: Any, label: str, errors: List[str]) -> None:
+    """Append to *errors* whatever is wrong with *value* under *rule*."""
+    if isinstance(rule, dict):
+        if not isinstance(value, Mapping):
+            errors.append(f"{label}: expected a mapping, got {type(value).__name__}")
+        elif _EACH in rule:
+            for key, item in value.items():
+                _check(item, rule[_EACH], f"{label}.{key}", errors)
         else:
-            values[key] = value
-    if enabled is False:
+            for key, sub in rule.items():
+                _check(value.get(key), sub, f"{label}.{key}", errors)
+            extra = set(value) - set(rule)
+            if extra:
+                errors.append(f"{label}: unexpected keys {sorted(extra)}")
+    elif isinstance(rule, list):
+        if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
+            errors.append(f"{label}: expected a list, got {type(value).__name__}")
+        else:
+            for i, entry in enumerate(value):
+                _check(entry, rule[0], f"{label}[{i}]", errors)
+    elif isinstance(rule, tuple):
+        if value not in rule:
+            errors.append(f"{label}: expected one of {rule}, got {value!r}")
+    elif rule in _KINDS:
+        number = _is_int(value) or isinstance(value, float)
+        if not (number if rule is float else isinstance(value, rule)):
+            errors.append(f"{label}: expected {_KINDS[rule]}, got {value!r}")
+    elif not _is_int(value):
+        errors.append(f"{label}: expected an int, got {value!r}")
+    elif value < rule:
+        errors.append(f"{label}: expected >= {rule}, got {value}")
+
+
+def _counts(section: Any, *keys: str) -> Optional[List[int]]:
+    """The named counters, when every one is a valid non-negative int —
+    the precondition of each cross-field law below."""
+    if not isinstance(section, Mapping):
+        return None
+    values = [section.get(key) for key in keys]
+    return values if all(_is_int(v) and v >= 0 for v in values) else None
+
+
+def _suppression_law(section: Mapping, where: str, errors: List[str]) -> None:
+    # A disabled run elides nothing.
+    if section.get("enabled") is False:
         for key in ("suppressed_messages", "elided_executions"):
-            if values.get(key):
+            got = _counts(section, key)
+            if got and got[0]:
                 errors.append(
                     f"{where}.{key}: expected 0 when suppression is "
-                    f"disabled, got {values[key]}"
+                    f"disabled, got {got[0]}"
                 )
-    extra = set(section) - set(_SUPPRESSION_COUNTERS) - {"enabled"}
-    if extra:
-        errors.append(f"{where}: unexpected keys {sorted(extra)}")
-    return errors
 
 
-_COALESCING_COUNTERS = ("runs_scheduled", "pairs_coalesced")
-
-
-def validate_coalescing_stats(
-    section: Any, where: str = "coalescing"
-) -> List[str]:
-    """Validate one ``stats["coalescing"]`` section; returns error
-    strings (empty list == valid).
-
-    Beyond per-key shape, checks the scheduler-side consistency law:
-    ``mean_run_length`` is exactly members-per-run.
-    """
-    errors: List[str] = []
-    if not isinstance(section, Mapping):
-        return [f"{where}: expected a mapping, got {type(section).__name__}"]
-    values: Dict[str, int] = {}
-    for key in _COALESCING_COUNTERS:
-        value = section.get(key)
-        if not isinstance(value, int) or isinstance(value, bool):
-            errors.append(f"{where}.{key}: expected an int, got {value!r}")
-        elif value < 0:
-            errors.append(f"{where}.{key}: expected >= 0, got {value}")
-        else:
-            values[key] = value
+def _coalescing_law(section: Mapping, where: str, errors: List[str]) -> None:
+    # ``mean_run_length`` is exactly members-per-run.
+    got = _counts(section, "runs_scheduled", "pairs_coalesced")
     mean = section.get("mean_run_length")
-    if not isinstance(mean, (int, float)) or isinstance(mean, bool):
-        errors.append(
-            f"{where}.mean_run_length: expected a number, got {mean!r}"
-        )
-    elif set(_COALESCING_COUNTERS) <= set(values):
-        runs = values["runs_scheduled"]
-        members = runs + values["pairs_coalesced"]
+    if got and (_is_int(mean) or isinstance(mean, float)):
+        runs, members = got[0], got[0] + got[1]
         expect = (members / runs) if runs else 0.0
         if abs(mean - expect) > 1e-9:
             errors.append(
                 f"{where}.mean_run_length: expected {expect} "
                 f"(= {members}/{runs}), got {mean}"
             )
-    extra = set(section) - set(_COALESCING_COUNTERS) - {"mean_run_length"}
-    if extra:
-        errors.append(f"{where}: unexpected keys {sorted(extra)}")
+
+
+def _sharding_law(section: Mapping, where: str, errors: List[str]) -> None:
+    # One ``per_shard`` entry per shard, in shard order.
+    per_shard = section.get("per_shard")
+    if not isinstance(per_shard, (list, tuple)):
+        return  # the shape check has already said so
+    got = _counts(section, "num_shards")
+    if got and len(per_shard) != got[0]:
+        errors.append(
+            f"{where}.per_shard: expected {got[0]} entries, got {len(per_shard)}"
+        )
+    for i, entry in enumerate(per_shard):
+        got = _counts(entry, "shard")
+        if got and got[0] != i:
+            errors.append(
+                f"{where}.per_shard[{i}].shard: expected {i}, got {got[0]}"
+            )
+
+
+def _serve_law(section: Mapping, where: str, errors: List[str]) -> None:
+    # Nothing retires before it is ingested, every retired phase is
+    # streamed, and the backpressure total is exactly rejects + stalls.
+    got = _counts(section, "phases_retired", "phases_ingested")
+    if got and got[0] > got[1]:
+        errors.append(
+            f"{where}: phases_retired {got[0]} exceeds phases_ingested {got[1]}"
+        )
+    got = _counts(section, "results_streamed", "phases_retired")
+    if got and got[0] != got[1]:
+        errors.append(
+            f"{where}: results_streamed {got[0]} != phases_retired "
+            f"{got[1]} (every retired phase must be streamed exactly once)"
+        )
+    got = _counts(section, "backpressure_stalls", "buffer_rejects", "feed_stalls")
+    if got and got[0] != got[1] + got[2]:
+        errors.append(
+            f"{where}: backpressure_stalls must equal buffer_rejects + feed_stalls"
+        )
+
+
+#: The cross-field laws a section's shape cannot express.
+_LAWS = {
+    "suppression": _suppression_law,
+    "coalescing": _coalescing_law,
+    "sharding": _sharding_law,
+    "serve": _serve_law,
+}
+
+
+def _validate(name: str, section: Any, where: str) -> List[str]:
+    errors: List[str] = []
+    _check(section, _SCHEMA[name], where, errors)
+    if name in _LAWS and isinstance(section, Mapping):
+        _LAWS[name](section, where, errors)
     return errors
+
+
+def validate_frontier_stats(section: Any, where: str = "frontier") -> List[str]:
+    """Validate one ``stats["frontier"]`` section; returns error strings
+    (empty list == valid)."""
+    return _validate("frontier", section, where)
+
+
+def validate_suppression_stats(
+    section: Any, where: str = "suppression"
+) -> List[str]:
+    """As :func:`validate_frontier_stats`; a disabled run elides nothing."""
+    return _validate("suppression", section, where)
+
+
+def validate_coalescing_stats(
+    section: Any, where: str = "coalescing"
+) -> List[str]:
+    """As :func:`validate_frontier_stats`; ``mean_run_length`` must be
+    exactly members-per-run."""
+    return _validate("coalescing", section, where)
 
 
 def validate_sharding_stats(section: Any, where: str = "sharding") -> List[str]:
-    """Validate one ``stats["sharding"]`` section; returns error strings
-    (empty list == valid)."""
-    errors: List[str] = []
-    if not isinstance(section, Mapping):
-        return [f"{where}: expected a mapping, got {type(section).__name__}"]
-
-    def require_int(mapping: Mapping, key: str, label: str, minimum: int = 0):
-        value = mapping.get(key)
-        if not isinstance(value, int) or isinstance(value, bool):
-            errors.append(f"{label}: expected an int, got {value!r}")
-            return None
-        if value < minimum:
-            errors.append(f"{label}: expected >= {minimum}, got {value}")
-        return value
-
-    num_shards = require_int(section, "num_shards", f"{where}.num_shards", 1)
-    require_int(section, "keys", f"{where}.keys", 0)
-    mode = section.get("mode")
-    if mode not in _SHARDING_MODES:
-        errors.append(
-            f"{where}.mode: expected one of {_SHARDING_MODES}, got {mode!r}"
-        )
-    router = section.get("router")
-    if not isinstance(router, Mapping):
-        errors.append(
-            f"{where}.router: expected a mapping, got {type(router).__name__}"
-        )
-    else:
-        if not isinstance(router.get("algorithm"), str):
-            errors.append(
-                f"{where}.router.algorithm: expected a string, got "
-                f"{router.get('algorithm')!r}"
-            )
-        require_int(router, "num_shards", f"{where}.router.num_shards", 1)
-    per_shard = section.get("per_shard")
-    if not isinstance(per_shard, Sequence) or isinstance(per_shard, (str, bytes)):
-        errors.append(
-            f"{where}.per_shard: expected a list, got "
-            f"{type(per_shard).__name__}"
-        )
-    else:
-        if num_shards is not None and len(per_shard) != num_shards:
-            errors.append(
-                f"{where}.per_shard: expected {num_shards} entries, "
-                f"got {len(per_shard)}"
-            )
-        for i, entry in enumerate(per_shard):
-            if not isinstance(entry, Mapping):
-                errors.append(
-                    f"{where}.per_shard[{i}]: expected a mapping, got "
-                    f"{type(entry).__name__}"
-                )
-                continue
-            for key in _PER_SHARD_KEYS:
-                require_int(entry, key, f"{where}.per_shard[{i}].{key}", 0)
-            shard = entry.get("shard")
-            if isinstance(shard, int) and shard != i:
-                errors.append(
-                    f"{where}.per_shard[{i}].shard: expected {i}, got {shard}"
-                )
-            extra = set(entry) - set(_PER_SHARD_KEYS)
-            if extra:
-                errors.append(
-                    f"{where}.per_shard[{i}]: unexpected keys {sorted(extra)}"
-                )
-    merge = section.get("merge")
-    if not isinstance(merge, Mapping):
-        errors.append(
-            f"{where}.merge: expected a mapping, got {type(merge).__name__}"
-        )
-    else:
-        require_int(merge, "phases_merged", f"{where}.merge.phases_merged", 0)
-        require_int(merge, "max_buffered", f"{where}.merge.max_buffered", 0)
-    extra = set(section) - {
-        "num_shards", "keys", "mode", "router", "per_shard", "merge",
-    }
-    if extra:
-        errors.append(f"{where}: unexpected keys {sorted(extra)}")
-    return errors
-
-
-_SERVE_ENGINES = ("parallel", "process")
-
-_SERVE_COUNTERS = (
-    "phases_ingested",
-    "phases_retired",
-    "results_streamed",
-    "events_accepted",
-    "late_events",
-    "buffer_rejects",
-    "feed_stalls",
-    "backpressure_stalls",
-    "buffer_high_water",
-    "feed_high_water",
-    "rss_high_water_bytes",
-    "sse_dropped",
-    "spot_checks_passed",
-    "spot_checks_failed",
-)
+    """As :func:`validate_frontier_stats`; ``per_shard`` must hold one
+    entry per shard, in shard order."""
+    return _validate("sharding", section, where)
 
 
 def validate_serve_stats(section: Any, where: str = "serve") -> List[str]:
-    """Validate one ``stats["serve"]`` section; returns error strings
-    (empty list == valid).
-
-    Beyond per-counter shape, checks the cross-counter invariants the
-    serve pipeline guarantees: nothing retires before it is ingested,
-    every retired phase is streamed, and the backpressure total is
-    exactly rejects + stalls.
-    """
-    errors: List[str] = []
-    if not isinstance(section, Mapping):
-        return [f"{where}: expected a mapping, got {type(section).__name__}"]
-    engine = section.get("engine")
-    if engine not in _SERVE_ENGINES:
-        errors.append(
-            f"{where}.engine: expected one of {_SERVE_ENGINES}, got {engine!r}"
-        )
-    values: Dict[str, int] = {}
-    for key in _SERVE_COUNTERS:
-        value = section.get(key)
-        if not isinstance(value, int) or isinstance(value, bool):
-            errors.append(f"{where}.{key}: expected an int, got {value!r}")
-        elif value < 0:
-            errors.append(f"{where}.{key}: expected >= 0, got {value}")
-        else:
-            values[key] = value
-    extra = set(section) - set(_SERVE_COUNTERS) - {"engine"}
-    if extra:
-        errors.append(f"{where}: unexpected keys {sorted(extra)}")
-    if {"phases_retired", "phases_ingested"} <= set(values) and (
-        values["phases_retired"] > values["phases_ingested"]
-    ):
-        errors.append(
-            f"{where}: phases_retired {values['phases_retired']} exceeds "
-            f"phases_ingested {values['phases_ingested']}"
-        )
-    if {"results_streamed", "phases_retired"} <= set(values) and (
-        values["results_streamed"] != values["phases_retired"]
-    ):
-        errors.append(
-            f"{where}: results_streamed {values['results_streamed']} != "
-            f"phases_retired {values['phases_retired']} (every retired "
-            f"phase must be streamed exactly once)"
-        )
-    if {"backpressure_stalls", "buffer_rejects", "feed_stalls"} <= set(
-        values
-    ) and (
-        values["backpressure_stalls"]
-        != values["buffer_rejects"] + values["feed_stalls"]
-    ):
-        errors.append(
-            f"{where}: backpressure_stalls must equal buffer_rejects + "
-            f"feed_stalls"
-        )
-    return errors
+    """As :func:`validate_frontier_stats`, plus the cross-counter
+    invariants the serve pipeline guarantees."""
+    return _validate("serve", section, where)
 
 
 def validate_engine_stats(engine: str, stats: Any) -> List[str]:
     """Validate a result's ``stats`` dict against the documented schema.
 
     *engine* is :attr:`RunResult.engine` (e.g. ``"parallel[k=2]"``); the
-    prefix decides whether a ``frontier`` section is required.  Returns a
-    list of error strings — empty means valid.  Used by the stats-schema
-    regression tests and by CI consumers of ``repro run --stats-json``.
+    prefix decides which sections are required.  Returns a list of error
+    strings — empty means valid.  Used by the stats-schema regression
+    tests and by CI consumers of ``repro run --stats-json``.
     """
-    errors: List[str] = []
     if not isinstance(stats, Mapping):
         return [f"stats: expected a mapping, got {type(stats).__name__}"]
-    if engine.startswith(SHARDED_ENGINE_PREFIX):
-        if "sharding" not in stats:
-            errors.append(
-                f"stats.sharding: required for sharded engine {engine!r}"
-            )
+    errors: List[str] = []
+    sharded = engine.startswith(SHARDED_ENGINE_PREFIX)
+    scheduling = engine.startswith(SCHEDULING_ENGINE_PREFIXES)
+    kind = "sharded" if sharded else "scheduling"
+    required = ("sharding",) if sharded else tuple(_SCHEDULING_SCHEMA)
+    for name in required if sharded or scheduling else ():
+        if name not in stats:
+            errors.append(f"stats.{name}: required for {kind} engine {engine!r}")
         else:
-            errors.extend(validate_sharding_stats(stats["sharding"]))
-        if "frontier" in stats:
-            errors.append(
-                f"stats.frontier: unexpected at the top level for "
-                f"{engine!r} (frontier stats live on the per-shard runs)"
-            )
-        return errors
-    if "sharding" in stats:
+            errors.extend(_validate(name, stats[name], name))
+    if sharded and "frontier" in stats:
+        errors.append(
+            f"stats.frontier: unexpected at the top level for "
+            f"{engine!r} (frontier stats live on the per-shard runs)"
+        )
+    if not sharded and "sharding" in stats:
         errors.append(
             f"stats.sharding: unexpected for engine {engine!r} "
             f"(only the sharded meta-engine reports it)"
         )
-    scheduling = engine.startswith(SCHEDULING_ENGINE_PREFIXES)
-    if not scheduling:
-        if "frontier" in stats:
-            errors.append(
-                f"stats.frontier: unexpected for engine {engine!r} "
-                f"(no scheduler)"
-            )
-        return errors
-    if "frontier" not in stats:
+    if not (sharded or scheduling) and "frontier" in stats:
         errors.append(
-            f"stats.frontier: required for scheduling engine {engine!r}"
+            f"stats.frontier: unexpected for engine {engine!r} (no scheduler)"
         )
-    else:
-        errors.extend(validate_frontier_stats(stats["frontier"]))
-    if "suppression" not in stats:
-        errors.append(
-            f"stats.suppression: required for scheduling engine {engine!r}"
-        )
-    else:
-        errors.extend(validate_suppression_stats(stats["suppression"]))
-    if "coalescing" not in stats:
-        errors.append(
-            f"stats.coalescing: required for scheduling engine {engine!r}"
-        )
-    else:
-        errors.extend(validate_coalescing_stats(stats["coalescing"]))
     return errors
 
 

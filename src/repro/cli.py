@@ -308,11 +308,11 @@ _PROFILE_STAGES = (
     ("scheduling", (
         "complete_execution", "complete_executions", "claim_run",
         "start_phase", "_refresh_ready", "_determination_wave", "drain",
-        "push", "push_front",
+        "push", "push_front", "admit", "claim",
     )),
     ("serialization", ("encode", "decode", "dumps", "loads", "intern")),
     ("retirement", ("retire_phase", "translate_entries",
-                    "retire_phases_upto")),
+                    "retire_phases_upto", "_advance")),
 )
 
 
@@ -748,11 +748,8 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
 
 def _cmd_figures(_args: argparse.Namespace) -> int:
     from .analysis.ascii_viz import render_frames, render_graph
-    from .core.invariants import InvariantChecker
-    from .core.state import SchedulerState
-    from .core.tracer import ExecutionTracer
-    from .graph.generators import fig2_graph, fig2b_numbering, fig3_graph
-    from .graph.numbering import Numbering, number_graph
+    from .graph.generators import fig2_graph, fig2b_numbering, fig3_replay
+    from .graph.numbering import Numbering
 
     print("Figure 2 (satisfactory numbering):")
     nb2 = Numbering.from_mapping(fig2_graph(), fig2b_numbering())
@@ -760,23 +757,7 @@ def _cmd_figures(_args: argparse.Namespace) -> int:
     print(f"m-sequence: {nb2.m_sequence()}\n")
 
     print("Figure 3 (execution trace):")
-    nb3 = number_graph(fig3_graph())
-    state = SchedulerState(nb3, checker=InvariantChecker())
-    tracer = ExecutionTracer()
-    steps = [
-        ("(a) Phase 1 initiated", lambda: state.start_phase()),
-        ("(b) (1,1) executed", lambda: state.complete_execution(1, 1, [3])),
-        ("(c) Phase 2 initiated", lambda: state.start_phase()),
-        ("(d) (1,2) executed", lambda: state.complete_execution(1, 2, [])),
-        ("(e) (2,1) executed", lambda: state.complete_execution(2, 1, [3, 4])),
-        ("(f) (2,2) executed", lambda: state.complete_execution(2, 2, [3, 4])),
-        ("(g) (3,1) executed", lambda: state.complete_execution(3, 1, [5])),
-        ("(h) (4,1) executed", lambda: state.complete_execution(4, 1, [5, 6])),
-    ]
-    for label, action in steps:
-        action()
-        tracer.capture_sets(state, label)
-    print(render_frames(tracer.snapshots, n=6, phases=[1, 2]))
+    print(render_frames(fig3_replay(), n=6, phases=[1, 2]))
     return 0
 
 
@@ -805,31 +786,20 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
     policies = ALL_POLICIES if args.policy == "all" else (args.policy,)
     faults = FaultPlan.named(args.inject) if args.inject else None
+    if faults is not None and (args.shards or args.engine == "process"):
+        print("error: --inject requires the thread campaign "
+              "(virtual scheduler)", file=sys.stderr)
+        return 2
     if args.shards:
         from .testing import fuzz_sharded
 
-        if args.inject:
-            print("error: --inject requires the thread campaign "
-                  "(virtual scheduler)", file=sys.stderr)
-            return 2
         report = fuzz_sharded(
             runs=args.runs,
             seed=args.seed,
             shards=args.shards,
             stop_on_failure=not args.keep_going,
         )
-        print(report.summary())
-        if args.failure_artifacts and report.failures:
-            for path in write_failure_artifacts(
-                report, args.failure_artifacts
-            ):
-                print(f"failure artifact written: {path}")
-        return 0 if report.ok else 4
-    if args.engine == "process":
-        if args.inject:
-            print("error: --inject requires the thread campaign "
-                  "(virtual scheduler)", file=sys.stderr)
-            return 2
+    elif args.engine == "process":
         report = fuzz_process(
             runs=args.runs,
             seed=args.seed,
@@ -839,30 +809,23 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             fuse=args.fuse,
             skew=args.skew,
         )
-        print(report.summary())
-        if args.failure_artifacts and report.failures:
-            for path in write_failure_artifacts(
-                report, args.failure_artifacts
-            ):
-                print(f"failure artifact written: {path}")
-        return 0 if report.ok else 4
-    report = fuzz(
-        runs=args.runs,
-        seed=args.seed,
-        threads=args.threads,
-        policies=policies,
-        faults=faults,
-        stop_on_failure=not args.keep_going,
-        do_shrink=not args.no_shrink,
-        max_vertices=args.max_vertices,
-        max_phases=args.max_phases,
-        fuse=args.fuse,
-        skew=args.skew,
-    )
+    else:
+        report = fuzz(
+            runs=args.runs,
+            seed=args.seed,
+            threads=args.threads,
+            policies=policies,
+            faults=faults,
+            stop_on_failure=not args.keep_going,
+            do_shrink=not args.no_shrink,
+            max_vertices=args.max_vertices,
+            max_phases=args.max_phases,
+            fuse=args.fuse,
+            skew=args.skew,
+        )
     print(report.summary())
     if args.failure_artifacts and report.failures:
-        written = write_failure_artifacts(report, args.failure_artifacts)
-        for path in written:
+        for path in write_failure_artifacts(report, args.failure_artifacts):
             print(f"failure artifact written: {path}")
     if faults is not None:
         # Inverted verdict: a fault campaign *must* find its seeded bug.

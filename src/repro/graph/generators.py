@@ -36,6 +36,9 @@ __all__ = [
     "fig2a_numbering",
     "fig2b_numbering",
     "fig3_graph",
+    "FIG3_STEPS",
+    "FIG3_EXPECTED",
+    "fig3_replay",
     "chain_graph",
     "diamond_graph",
     "fan_out_graph",
@@ -139,6 +142,54 @@ def fig3_graph() -> ComputationGraph:
         ]
     )
     return g
+
+
+#: Figure 3's eight steps: ``(label, executed)`` where *executed* is
+#: ``None`` for "the environment starts the next phase" and
+#: ``(v, p, output_targets)`` for "pair (v, p) executed and sent these".
+FIG3_STEPS = (
+    ("(a) Phase 1 initiated", None),
+    ("(b) (1,1) executed", (1, 1, (3,))),
+    ("(c) Phase 2 initiated", None),
+    ("(d) (1,2) executed", (1, 2, ())),
+    ("(e) (2,1) executed", (2, 1, (3, 4))),
+    ("(f) (2,2) executed", (2, 2, (3, 4))),
+    ("(g) (3,1) executed", (3, 1, (5,))),
+    ("(h) (4,1) executed", (4, 1, (5, 6))),
+)
+
+#: The figure's ``(ready, partial)`` sets after each step.
+FIG3_EXPECTED = (
+    ({(1, 1), (2, 1)}, set()),
+    ({(2, 1)}, {(3, 1)}),
+    ({(2, 1), (1, 2)}, {(3, 1)}),
+    ({(2, 1)}, {(3, 1)}),
+    ({(2, 2), (3, 1), (4, 1)}, set()),
+    ({(3, 1), (4, 1)}, set()),
+    ({(3, 2), (4, 1)}, {(5, 1)}),
+    ({(3, 2), (4, 2), (5, 1), (6, 1)}, set()),
+)
+
+
+def fig3_replay() -> list:
+    """Replay :data:`FIG3_STEPS` on the published (global-frontier)
+    scheduler with the invariant checker attached; returns one
+    :class:`~repro.core.tracer.SetSnapshot` per step."""
+    # Imported here: repro.core builds on repro.graph, not the reverse.
+    from ..core.invariants import InvariantChecker
+    from ..core.state import SchedulerState
+    from ..core.tracer import ExecutionTracer
+    from .numbering import number_graph
+
+    state = SchedulerState(number_graph(fig3_graph()), checker=InvariantChecker())
+    tracer = ExecutionTracer()
+    for label, executed in FIG3_STEPS:
+        if executed is None:
+            state.start_phase()
+        else:
+            state.complete_execution(*executed)
+        tracer.capture_sets(state, label)
+    return tracer.snapshots
 
 
 # ---------------------------------------------------------------------------

@@ -18,17 +18,16 @@ from typing import List
 
 from .analysis.stats import format_table
 from .baselines.barrier import barrier_simulated_engine
-from .core.invariants import InvariantChecker
-from .core.state import SchedulerState
 from .core.tracer import ExecutionTracer, max_concurrent_phases
 from .errors import NumberingError
 from .graph.generators import (
+    FIG3_EXPECTED,
     fig2_graph,
     fig2a_numbering,
     fig2b_numbering,
-    fig3_graph,
+    fig3_replay,
 )
-from .graph.numbering import Numbering, compute_S, number_graph, verify_numbering
+from .graph.numbering import Numbering, compute_S, verify_numbering
 from .simulator.costs import CostModel
 from .simulator.machine import SimulatedEngine
 from .simulator.metrics import speedup_curve
@@ -82,41 +81,12 @@ def _fig2() -> List[str]:
     return out
 
 
-_FIG3_STEPS = [
-    ("start", None, None, None),
-    ("exec", 1, 1, [3]),
-    ("start", None, None, None),
-    ("exec", 1, 2, []),
-    ("exec", 2, 1, [3, 4]),
-    ("exec", 2, 2, [3, 4]),
-    ("exec", 3, 1, [5]),
-    ("exec", 4, 1, [5, 6]),
-]
-
-_FIG3_EXPECT_READY = [
-    {(1, 1), (2, 1)},
-    {(2, 1)},
-    {(2, 1), (1, 2)},
-    {(2, 1)},
-    {(2, 2), (3, 1), (4, 1)},
-    {(3, 1), (4, 1)},
-    {(3, 2), (4, 1)},
-    {(3, 2), (4, 2), (5, 1), (6, 1)},
-]
-
-
 def _fig3() -> List[str]:
     out = ["## Figure 3 — execution trace", ""]
-    nb = number_graph(fig3_graph())
-    state = SchedulerState(nb, checker=InvariantChecker())
-    verified = 0
-    for (kind, v, p, targets), expect in zip(_FIG3_STEPS, _FIG3_EXPECT_READY):
-        if kind == "start":
-            state.start_phase()
-        else:
-            state.complete_execution(v, p, targets)
-        if state.ready_set() == expect:
-            verified += 1
+    verified = sum(
+        snap.ready == ready
+        for snap, (ready, _) in zip(fig3_replay(), FIG3_EXPECTED)
+    )
     out.append(f"* 8 steps replayed with the invariant checker attached; "
                f"ready-set membership verified at {verified}/8 steps")
     out.append(f"**{'REPRODUCED' if verified == 8 else 'DIVERGED'}**")

@@ -11,6 +11,9 @@ provides the equivalent substrate built on :mod:`threading` —
 * :class:`~repro.runtime.pool.ComputationThreadPool` — worker threads;
 * :class:`~repro.runtime.environment.EnvironmentConfig` — pacing and flow
   control for the environment process (Listing 2);
+* :class:`~repro.runtime.core.ScheduleCore` — the Listing 1 / Listing 2
+  critical-section bodies (admit / claim / commit / result), shared by
+  every engine;
 * :class:`~repro.runtime.engine.ParallelEngine` — the full algorithm;
 * :class:`~repro.runtime.mp.ProcessEngine` — the same algorithm on worker
   *processes* (true shared-memory parallelism past the GIL; see
@@ -21,6 +24,7 @@ from .blocking_queue import BlockingQueue
 from .locks import InstrumentedLock
 from .pool import ComputationThreadPool
 from .environment import EnvironmentConfig
+from .core import ScheduleCore
 from .engine import ParallelEngine
 from .mp import ProcessEngine
 
@@ -29,6 +33,7 @@ __all__ = [
     "InstrumentedLock",
     "ComputationThreadPool",
     "EnvironmentConfig",
+    "ScheduleCore",
     "ParallelEngine",
     "ProcessEngine",
 ]

@@ -26,14 +26,15 @@ Differences from the paper's infinite loops (all additive):
 * **One schedule** — readiness uses per-dependency (cone) frontiers,
   value-equal outputs are suppressed at commit time (Δ-elision), and a
   dequeued ready pair is extended into a *run* of consecutive claimable
-  phases (:meth:`~repro.core.state.SchedulerState.claim_run`) that is
-  prepared under one lock acquisition, computed outside it and committed
-  through one :meth:`~repro.core.state.SchedulerState.complete_executions`
-  critical section.  A single pair is a run of length 1.  Every
-  scheduling-set mutation still happens under the single global lock, so
-  the paper's serializability argument carries over (docs/ALGORITHM.md
-  §5.4, §5.6, §5.7).  The published global-``x_p`` schedule lives on in
-  :class:`~repro.core.state.SchedulerState` and the simulator.
+  phases that is prepared under one lock acquisition, computed outside
+  it and committed in one critical section.  A single pair is a run of
+  length 1.  The critical-section bodies are
+  :class:`~repro.runtime.core.ScheduleCore`'s, shared with the process
+  engine and the simulator; this module keeps what is particular to peer
+  threads.  Every scheduling-set mutation still happens under the single
+  global lock, so the paper's serializability argument carries over
+  (docs/ALGORITHM.md §5.4, §5.6, §5.7).  The published global-``x_p``
+  schedule lives on in the simulator's ``frontier="global"``.
 
 The expensive vertex computation happens *outside* the lock (prepare /
 compute / commit split, see :class:`~repro.core.program.PairRuntime`), so
@@ -46,22 +47,22 @@ without that confound; this engine is the *correctness* vehicle.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..core.invariants import InvariantChecker
 from ..core.plan import ExecutionPlan, as_plan
-from ..core.program import PairRuntime, Program, RunResult
-from ..core.state import ADAPTIVE_RUN_CEILING, SchedulerState
+from ..core.program import Program, RunResult
+from ..core.state import ADAPTIVE_RUN_CEILING
 from ..core.tracer import ExecutionTracer
 from ..errors import EngineError, QueueClosedError
 from ..events import PhaseInput
 from .backend import OS_BACKEND, ThreadingBackend
 from .blocking_queue import BlockingQueue
+from .core import ScheduleCore
 from .environment import EnvironmentConfig
 from .feed import PhaseFeed
 from .locks import InstrumentedLock
 from .pool import ComputationThreadPool
-from .retirement import CompletionTail, scheduling_stats
 
 __all__ = ["ParallelEngine"]
 
@@ -197,29 +198,19 @@ class ParallelEngine:
         retire: bool = False,
         stop_event: object = None,
     ) -> RunResult:
-        if retire and self.tracer is not None:
-            raise EngineError(
-                "retirement discards the per-phase data a tracer needs; "
-                "run with tracer=None or retire=False"
-            )
-        if feed is None:
-            phase_inputs = self.plan.localize_phase_inputs(phase_inputs or [])
-        else:
-            phase_inputs = []
-        self.program.reset()
         backend = self.backend
-        runtime = PairRuntime(
-            self.program,
+        tracer = self.tracer
+        core = ScheduleCore(
+            self.plan,
             phase_inputs,
-            stream_records=retire,
-            suppress=True,
-        )
-        state = SchedulerState(
-            self.program.numbering,
+            self.num_threads,
             checker=self.checker,
+            tracer=tracer,
             preempt=getattr(backend, "preempt", None),
-            frontier="cone",
+            retire=retire,
+            sink=sink,
         )
+        runtime = core.runtime
         lock = InstrumentedLock(clock=backend.clock, backend=backend)
         queue: BlockingQueue[Tuple[int, int]] = BlockingQueue(backend=backend)
         abort = backend.event()
@@ -229,11 +220,6 @@ class ParallelEngine:
             if self.env.max_in_flight_phases is not None
             else None
         )
-        executions: List[Tuple[int, int]] = []
-        per_worker_counts: Dict[int, int] = {i: 0 for i in range(self.num_threads)}
-        plan = self.plan
-        tracer = self.tracer
-        tail = CompletionTail(state, runtime, plan, tracer, retire, sink)
         # Bug-injection seams (testing only; see repro.testing.faults).
         faults = self.faults
         unlocked_commit = bool(getattr(faults, "unlocked_commit", False))
@@ -244,11 +230,10 @@ class ParallelEngine:
 
         def worker(worker_id: int) -> None:
             # Listing 1: the computation process, one run at a time.  The
-            # dequeued ready pair is extended into a run of claimable
-            # phases; every member is prepared under one lock, computed
-            # outside it, and committed — deliveries, suppression latch
-            # tests and the one complete_executions call — in one
-            # critical section.
+            # dequeued ready pair is claimed as a run of prepared members
+            # under one lock, computed outside it, and committed —
+            # deliveries, suppression latch tests and the one
+            # ScheduleCore.commit — in one critical section.
             try:
                 while True:
                     try:
@@ -257,19 +242,13 @@ class ParallelEngine:
                         return
                     if abort.is_set():
                         continue  # drain until close
-                    # Preparing every member up front is safe: the ready
-                    # head's inputs are fully determined (definition
-                    # (8)) and a claimed member's inputs are final by
-                    # its claim certificate.
                     with lock:
-                        members = [(v, q) for q in state.claim_run(v, p)]
-                        ctxs = []
-                        for mv, mp in members:
-                            ctxs.append(runtime.prepare(mv, mp))
-                            if tracer is not None:
-                                tracer.execute_begin((mv, mp), worker_id)
-                    for (mv, mp), mctx in zip(members, ctxs):
-                        runtime.compute(mv, mctx)
+                        run = core.claim(v, p)
+                        if tracer is not None:
+                            for q, _ in run:
+                                tracer.execute_begin((v, q), worker_id)
+                    for _, ctx in run:
+                        runtime.compute(v, ctx)
                     with commit_guard():
                         # Member commits run back-to-back: each delivery
                         # updates the edge latch the next member's
@@ -277,20 +256,13 @@ class ParallelEngine:
                         # between members exactly like serial per-phase
                         # commits.
                         completed = [
-                            (mv, mp, runtime.commit(mv, mp, mctx))
-                            for (mv, mp), mctx in zip(members, ctxs)
+                            (v, q, runtime.commit(v, q, ctx)) for q, ctx in run
                         ]
-                        newly_ready = state.complete_executions(completed)
-                        if not retire:
-                            executions.extend(members)
-                        per_worker_counts[worker_id] += len(members)
                         if tracer is not None:
-                            for pair in members:
-                                tracer.execute_end(pair, worker_id)
-                            for pair in newly_ready:
-                                tracer.enqueued(pair)
-                        newly_complete = tail.advance()
-                        done = env_done.is_set() and state.all_started_complete()
+                            for q, _ in run:
+                                tracer.execute_end((v, q), worker_id)
+                        newly_ready, newly_complete = core.commit(worker_id, completed)
+                        done = env_done.is_set() and core.quiescent
                     if flow_sem is not None:
                         for _ in range(newly_complete):
                             flow_sem.release()
@@ -319,21 +291,10 @@ class ParallelEngine:
             # Start *count* phases (Listing 2 body) under one critical
             # section: the per-phase start acquisition is exactly the
             # lock traffic run coalescing exists to remove, and a deeper
-            # started horizon is what lets claim_run extend runs in the
-            # first place.  Registering a feed-delivered input happens in
-            # the same section, so workers never observe a
-            # started-but-unregistered phase.
-            newly_ready: List[Tuple[int, int]] = []
+            # started horizon is what lets a claim extend runs in the
+            # first place.
             with start_guard():
-                if pi is not None:
-                    runtime.register_phase(pi)
-                for _ in range(count):
-                    ready_now = state.start_phase()
-                    if tracer is not None:
-                        tracer.phase_started(state.pmax)
-                        for pair in ready_now:
-                            tracer.enqueued(pair)
-                    newly_ready.extend(ready_now)
+                newly_ready = core.admit(count, pi)
             try:
                 queue.put_many(newly_ready)
             except QueueClosedError:
@@ -348,7 +309,7 @@ class ParallelEngine:
             # Listing 2: the environment process.
             try:
                 if feed is None:
-                    remaining = runtime.num_phases
+                    remaining = core.phases_unadmitted
                     while remaining > 0:
                         if abort.is_set():
                             break
@@ -392,8 +353,7 @@ class ParallelEngine:
                                 stop_event is not None and stop_event.is_set()
                             ):
                                 break
-                        local = plan.localize_phase_inputs([pi])
-                        if not start_phases(1, local[0]):
+                        if not start_phases(1, pi):
                             break
             except BaseException as exc:  # noqa: BLE001 - reported after join
                 env_errors.append(exc)
@@ -404,7 +364,7 @@ class ParallelEngine:
                 # runs and the race where the last completion preceded
                 # env_done), or if we are aborting.
                 with lock:
-                    quiescent = state.all_started_complete()
+                    quiescent = core.quiescent
                 if quiescent or abort.is_set():
                     queue.close()
 
@@ -454,30 +414,17 @@ class ParallelEngine:
         if env_wedged:
             raise EngineError("environment thread failed to terminate")
 
-        if not state.all_started_complete():
-            raise EngineError(
-                f"engine stopped before quiescence: in-flight phases "
-                f"{state.in_flight_phases()!r}"
-            )
-
-        stats = {
-            "num_threads": self.num_threads,
-            "lock": lock.stats(),
-            "queue": {
-                "max_depth": queue.max_depth,
-                "total_enqueued": queue.total_enqueued,
-                "total_dequeued": queue.total_dequeued,
-                "blocked_gets": queue.blocked_gets,
+        return core.result(
+            f"parallel[k={self.num_threads}]",
+            elapsed,
+            {
+                "num_threads": self.num_threads,
+                "lock": lock.stats(),
+                "queue": {
+                    "max_depth": queue.max_depth,
+                    "total_enqueued": queue.total_enqueued,
+                    "total_dequeued": queue.total_dequeued,
+                    "blocked_gets": queue.blocked_gets,
+                },
             },
-            "per_worker_executions": dict(per_worker_counts),
-            **scheduling_stats(state, runtime, tracer, tail),
-        }
-        return self.plan.translate(
-            runtime.build_result(
-                f"parallel[k={self.num_threads}]",
-                executions,
-                elapsed,
-                stats,
-                phases_run=state.pmax,
-            )
         )

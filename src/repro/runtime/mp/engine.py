@@ -13,17 +13,18 @@ store, the records — and runs both of the paper's loops inline:
   (:class:`~repro.runtime.mp.lifecycle.ProcessWorkerPool`), and *commit*
   the returned outputs under the lock.
 
+The critical-section bodies themselves are the threaded engine's:
+:class:`~repro.runtime.core.ScheduleCore`.
+
 The wire path is designed so IPC cost scales with *change*, not with
 executions:
 
 * **Run frames**: the ready backlog is kept pre-partitioned by sticky
   worker (:class:`~repro.core.state.ReadyFrontier`); each dispatched
-  ready pair is extended into a claimed run
-  (:meth:`~repro.core.state.SchedulerState.claim_run`) and shipped as
-  one frame — a :class:`~.protocol.TaskMsg` for a run of one, a
+  ready pair is extended into a claimed run and shipped as one frame — a
+  :class:`~.protocol.TaskMsg` for a run of one, a
   :class:`~.protocol.RunMsg` otherwise, which the worker answers with
-  one :class:`~.protocol.ResultBatch`.  That reply feeds
-  :meth:`~repro.core.state.SchedulerState.complete_executions` whole —
+  one :class:`~.protocol.ResultBatch`.  That reply is committed whole —
   one frame each way and one critical section per run.  Repeated values
   inside a frame (latched inputs that did not change, successor tuples,
   recurring outputs) are interned so pickle emits them once.
@@ -71,16 +72,16 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ...core.invariants import InvariantChecker
 from ...core.plan import ExecutionPlan, as_plan
-from ...core.program import PairRuntime, Program, RunResult
-from ...core.state import ReadyFrontier, SchedulerState
+from ...core.program import Program, RunResult
+from ...core.state import ReadyFrontier
 from ...core.tracer import ExecutionTracer
 from ...core.vertex import VertexContext
 from ...errors import EngineError, VertexExecutionError
 from ...events import PhaseInput
+from ..core import ScheduleCore
 from ..environment import EnvironmentConfig
 from ..feed import PhaseFeed
 from ..locks import InstrumentedLock
-from ..retirement import CompletionTail, scheduling_stats
 from .lifecycle import ProcessWorkerPool
 from .protocol import (
     FinalStateMsg,
@@ -199,30 +200,18 @@ class ProcessEngine:
         retire: bool = False,
         stop_event: object = None,
     ) -> RunResult:
-        if retire and self.tracer is not None:
-            raise EngineError(
-                "retirement discards the per-phase data a tracer needs; "
-                "run with tracer=None or retire=False"
-            )
-        if feed is None:
-            phase_inputs = self.plan.localize_phase_inputs(phase_inputs or [])
-        else:
-            phase_inputs = []
-        self.program.reset()
-        runtime = PairRuntime(
-            self.program,
-            phase_inputs,
-            stream_records=retire,
-            suppress=True,
-        )
-        state = SchedulerState(
-            self.program.numbering,
-            checker=self.checker,
-            frontier="cone",
-        )
-        lock = InstrumentedLock()
         tracer = self.tracer
-        tail = CompletionTail(state, runtime, self.plan, tracer, retire, sink)
+        core = ScheduleCore(
+            self.plan,
+            phase_inputs,
+            self.num_workers,
+            checker=self.checker,
+            tracer=tracer,
+            retire=retire,
+            sink=sink,
+        )
+        runtime = core.runtime
+        lock = InstrumentedLock()
         pool = ProcessWorkerPool(
             self.program,
             self.num_workers,
@@ -234,10 +223,6 @@ class ProcessEngine:
         # dispatch drain is O(pairs shipped), not O(backlog).
         pending = ReadyFrontier(pool.worker_of)
         in_flight: Dict[Tuple[int, int], VertexContext] = {}
-        executions: List[Tuple[int, int]] = []
-        per_worker_counts: Dict[int, int] = {
-            i: 0 for i in range(self.num_workers)
-        }
         held: List[PhaseInput] = []  # at most one prefetched feed phase
         last_phase_start = -float("inf")
         finals: Dict[int, FinalStateMsg] = {}
@@ -257,20 +242,18 @@ class ProcessEngine:
         def can_start_phase() -> bool:
             if stopping():
                 return False
-            if feed is None and state.next_phase > runtime.num_phases:
+            if feed is None and core.phases_unadmitted <= 0:
                 return False
             if self.env.max_in_flight_phases is not None:
-                in_flight_phases = state.pmax - state.complete_phase_count
-                if in_flight_phases >= self.env.max_in_flight_phases:
+                if core.phases_in_flight >= self.env.max_in_flight_phases:
                     return False
             return time.monotonic() - last_phase_start >= self.env.pacing
 
         def dispatch() -> bool:
             # Drain the ready backlog per worker, respecting sticky
             # assignment and the credit windows; extend each ready pair
-            # into a claimed run, prepare every member's context under
-            # the same lock acquisition (inputs are final by the claim
-            # certificate) and ship the run as one frame.
+            # into a claimed run of prepared contexts under one lock
+            # acquisition and ship the run as one frame.
             nonlocal window_peak
             if not pending:
                 return False
@@ -280,13 +263,11 @@ class ProcessEngine:
             for w, pairs in batches:
                 for v, p in pairs:
                     with lock:
-                        prepared: List[Tuple[int, VertexContext]] = []
-                        for q in state.claim_run(v, p):
-                            ctx = runtime.prepare(v, q)
+                        prepared = core.claim(v, p)
+                        for q, ctx in prepared:
                             if tracer is not None:
                                 tracer.execute_begin((v, q), w)
                             in_flight[(v, q)] = ctx
-                            prepared.append((q, ctx))
                         # A run of one keeps the single-pair wire form.
                         if len(prepared) == 1:
                             entry: Any = task_from_context(
@@ -318,7 +299,7 @@ class ProcessEngine:
 
         def commit_run(results: List[ResultMsg]) -> None:
             # One worker reply = one run's results: every member commits
-            # in one critical section, one complete_executions call.
+            # in one critical section, one ScheduleCore.commit call.
             if not results:
                 return
             completed: List[Tuple[int, int, List[int]]] = []
@@ -334,20 +315,12 @@ class ProcessEngine:
                         res.suppressed,
                     )
                     completed.append((res.vertex, res.phase, targets))
-                newly_ready = state.complete_executions(completed)
-                if not retire:
-                    executions.extend((cv, cp) for cv, cp, _ in completed)
-                for res in results:
-                    per_worker_counts[res.worker_id] += 1
                     worker_load[res.worker_id] -= 1
-                if tracer is not None:
-                    for res in results:
+                    if tracer is not None:
                         tracer.execute_end(
                             (res.vertex, res.phase), res.worker_id
                         )
-                    for pair in newly_ready:
-                        tracer.enqueued(pair)
-                tail.advance()
+                newly_ready, _ = core.commit(results[0].worker_id, completed)
             pending.push(newly_ready)
 
         def requeue_skipped(
@@ -375,26 +348,13 @@ class ProcessEngine:
                 # admission); ``held`` carries at most one prefetched
                 # phase from the idle wait below.
                 while can_start_phase():
-                    if feed is not None:
-                        if not held:
-                            pi = feed.get(timeout=0)
-                            if pi is None:
-                                break
-                            held.append(pi)
-                        local = self.plan.localize_phase_inputs(
-                            [held.pop()]
-                        )
-                        next_input = local[0]
-                    else:
-                        next_input = None
+                    if feed is not None and not held:
+                        pi = feed.get(timeout=0)
+                        if pi is None:
+                            break
+                        held.append(pi)
                     with lock:
-                        if next_input is not None:
-                            runtime.register_phase(next_input)
-                        newly_ready = state.start_phase()
-                        if tracer is not None:
-                            tracer.phase_started(state.pmax)
-                            for pair in newly_ready:
-                                tracer.enqueued(pair)
+                        newly_ready = core.admit(1, held.pop() if held else None)
                     pending.push(newly_ready)
                     last_phase_start = time.monotonic()
                     progressed = True
@@ -402,13 +362,11 @@ class ProcessEngine:
                     progressed = True
                 if not in_flight:
                     stream_done = (
-                        state.next_phase > runtime.num_phases
+                        core.phases_unadmitted <= 0
                         if feed is None
                         else (feed.drained and not held)
                     )
-                    if (
-                        stream_done or stopping()
-                    ) and state.all_started_complete():
+                    if (stream_done or stopping()) and core.quiescent:
                         break  # quiescent: every started phase committed
                     if progressed:
                         continue
@@ -425,7 +383,7 @@ class ProcessEngine:
                         else:
                             time.sleep(_POLL_S)
                         continue
-                    if self.env.pacing and state.next_phase <= runtime.num_phases:
+                    if self.env.pacing and core.phases_unadmitted > 0:
                         # Idle only because the environment is pacing.
                         time.sleep(
                             min(
@@ -442,7 +400,7 @@ class ProcessEngine:
                         continue
                     raise EngineError(
                         f"engine stalled before quiescence: in-flight "
-                        f"phases {state.in_flight_phases()!r}"
+                        f"phases {core.state.in_flight_phases()!r}"
                     )
                 # Collect one result frame (bounded poll) and commit it.
                 msg = pool.collect(timeout=_POLL_S)
@@ -518,38 +476,31 @@ class ProcessEngine:
 
         wire = pool.wire.summary()
         task_frames = wire["tasks"]["messages"] + wire["runs"]["messages"]
-        stats: Dict[str, Any] = {
-            "num_workers": self.num_workers,
-            "start_method": pool.start_method,
-            "lock": lock.stats(),
-            "per_worker_executions": dict(per_worker_counts),
-            "per_worker_utilization": {
-                wid: (final.busy_s / elapsed if elapsed > 0 else 0.0)
-                for wid, final in sorted(finals.items())
+        return core.result(
+            f"process[w={self.num_workers}]",
+            elapsed,
+            {
+                "num_workers": self.num_workers,
+                "start_method": pool.start_method,
+                "lock": lock.stats(),
+                "per_worker_utilization": {
+                    wid: (final.busy_s / elapsed if elapsed > 0 else 0.0)
+                    for wid, final in sorted(finals.items())
+                },
+                "ipc_round_trips": task_frames,
+                "serialization_bytes": wire,
+                "ipc": {
+                    "window_final": dict(sorted(windows.items())),
+                    "window_peak": window_peak,
+                    "window_widenings": window_events["widenings"],
+                    "window_narrowings": window_events["narrowings"],
+                    "task_frames": task_frames,
+                    "mean_tasks_per_frame": (
+                        core.state.executed_pairs / task_frames
+                        if task_frames
+                        else 0.0
+                    ),
+                    "interning": interner.summary(),
+                },
             },
-            "ipc_round_trips": task_frames,
-            "serialization_bytes": wire,
-            "ipc": {
-                "window_final": dict(sorted(windows.items())),
-                "window_peak": window_peak,
-                "window_widenings": window_events["widenings"],
-                "window_narrowings": window_events["narrowings"],
-                "task_frames": task_frames,
-                "mean_tasks_per_frame": (
-                    sum(per_worker_counts.values()) / task_frames
-                    if task_frames
-                    else 0.0
-                ),
-                "interning": interner.summary(),
-            },
-            **scheduling_stats(state, runtime, tracer, tail),
-        }
-        return self.plan.translate(
-            runtime.build_result(
-                f"process[w={self.num_workers}]",
-                executions,
-                elapsed,
-                stats,
-                phases_run=state.pmax,
-            )
         )

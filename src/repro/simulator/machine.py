@@ -36,7 +36,6 @@ from __future__ import annotations
 from typing import (
     Any,
     Callable,
-    Dict,
     Generator,
     List,
     Optional,
@@ -47,11 +46,11 @@ from typing import (
 
 from ..core.invariants import InvariantChecker
 from ..core.plan import ExecutionPlan, as_plan
-from ..core.program import PairRuntime, Program, RunResult
-from ..core.state import SchedulerState
-from ..core.tracer import ExecutionTracer, max_concurrent_pairs, max_concurrent_phases
+from ..core.program import Program, RunResult
+from ..core.tracer import ExecutionTracer
 from ..errors import SimulationError
 from ..events import PhaseInput
+from ..runtime.core import ScheduleCore
 from .costs import CostModel
 from .des import Event, Resource, Simulation, Store
 
@@ -181,45 +180,41 @@ class SimulatedEngine:
     def run(self, phase_inputs: Sequence[PhaseInput]) -> RunResult:
         """Execute every phase in virtual time; ``wall_time`` of the result
         is the virtual makespan."""
-        phase_inputs = self.plan.localize_phase_inputs(phase_inputs)
-        self.program.reset()
         self.cost_model.reset()
-        runtime = PairRuntime(
-            self.program, phase_inputs, suppress=self.frontier == "cone"
-        )
-        state = SchedulerState(
-            self.program.numbering,
-            checker=self.checker,
+        tracer = self.tracer
+        core = ScheduleCore(
+            self.plan,
+            phase_inputs,
+            self.num_workers,
             frontier=self.frontier,
+            checker=self.checker,
+            tracer=tracer,
         )
+        runtime = core.runtime
         sim = Simulation()
         lock = Resource(sim, 1, name="global-lock")
         procs = Resource(sim, self.num_processors, name="processors")
         queue = self._make_queue(sim)
-        tracer = self.tracer
         if tracer is not None:
             tracer.set_clock(lambda: sim.now)
 
-        executions: List[Tuple[int, int]] = []
-        per_worker: Dict[int, int] = {i: 0 for i in range(self.num_workers)}
         env_done = [False]
         flow_waiter: List[Optional[Event]] = [None]  # env blocked on flow control
-        seen_complete = [0]
         cm = self.cost_model
         names = self.program.numbering
         max_in_flight = self.max_in_flight_phases
 
         def locked_burst(
-            duration: float, fn: Optional[Callable[[], None]] = None
-        ) -> Generator[Event, Any, None]:
+            duration: float, fn: Callable[[], Any]
+        ) -> Generator[Event, Any, Any]:
             yield lock.request()
             yield procs.request()
-            if fn is not None:
-                fn()
+            out = fn()
             if duration > 0:
                 yield sim.timeout(duration)
             procs.release()
             lock.release()
+            return out
 
         def cpu_burst(duration: float) -> Generator[Event, Any, None]:
             yield procs.request()
@@ -228,7 +223,7 @@ class SimulatedEngine:
             procs.release()
 
         def maybe_close() -> None:
-            if env_done[0] and state.all_started_complete():
+            if env_done[0] and core.quiescent:
                 queue.put(_CLOSE)
 
         def member_cost(mv: int, mp: int, ctx: Any) -> float:
@@ -242,28 +237,9 @@ class SimulatedEngine:
             trace = ctx.records[-1]
             return sum(cm.vertex_cost(member, mp) for member in trace.members)
 
-        def finish_commit(newly_ready: List[Tuple[int, int]]) -> None:
-            # Shared commit tail (runs under the bookkeeping lock burst).
+        def enqueue(newly_ready: List[Tuple[int, int]]) -> None:
             for pair in newly_ready:
-                if tracer is not None:
-                    tracer.enqueued(pair)
                 queue.put(pair)
-            if tracer is not None:
-                completed_log = state.completed_log
-                while seen_complete[0] < len(completed_log):
-                    tracer.phase_completed(completed_log[seen_complete[0]])
-                    seen_complete[0] += 1
-            # Flow control: wake the environment when phase completions
-            # open room for another in-flight phase.
-            waiter = flow_waiter[0]
-            if (
-                waiter is not None
-                and max_in_flight is not None
-                and state.pmax - state.complete_phase_count < max_in_flight
-            ):
-                flow_waiter[0] = None
-                waiter.succeed()
-            maybe_close()
 
         def worker(worker_id: int) -> Generator[Event, Any, None]:
             while True:
@@ -275,65 +251,54 @@ class SimulatedEngine:
                 if cm.dequeue_cost:
                     yield from cpu_burst(cm.dequeue_cost)
 
-                holder: Dict[str, Any] = {}
-
                 # Claim and prepare the whole run in one locked prepare
                 # burst, execute its members back-to-back on one
                 # processor grant (the parallel region), then commit
                 # them all in one bookkeeping burst.
-                def do_prepare() -> None:
-                    members = [(v, q) for q in state.claim_run(v, p)]
-                    holder["members"] = members
-                    holder["ctxs"] = [
-                        runtime.prepare(mv, mp) for mv, mp in members
-                    ]
-
-                yield from locked_burst(cm.prepare_cost, do_prepare)
+                run = yield from locked_burst(cm.prepare_cost, lambda: core.claim(v, p))
 
                 yield procs.request()
-                for (mv, mp), ctx in zip(holder["members"], holder["ctxs"]):
+                for q, ctx in run:
                     if tracer is not None:
-                        tracer.execute_begin((mv, mp), worker_id)
-                    runtime.compute(mv, ctx)
-                    duration = member_cost(mv, mp, ctx)
+                        tracer.execute_begin((v, q), worker_id)
+                    runtime.compute(v, ctx)
+                    duration = member_cost(v, q, ctx)
                     if duration > 0:
                         yield sim.timeout(duration)
                     if tracer is not None:
-                        tracer.execute_end((mv, mp), worker_id)
+                        tracer.execute_end((v, q), worker_id)
                 procs.release()
 
                 def do_commit() -> None:
-                    completed = []
-                    for (mv, mp), ctx in zip(
-                        holder["members"], holder["ctxs"]
+                    completed = [(v, q, runtime.commit(v, q, ctx)) for q, ctx in run]
+                    enqueue(core.commit(worker_id, completed)[0])
+                    # Flow control: wake the environment when phase
+                    # completions open room for another in-flight phase.
+                    waiter = flow_waiter[0]
+                    if (
+                        waiter is not None
+                        and max_in_flight is not None
+                        and core.phases_in_flight < max_in_flight
                     ):
-                        completed.append((mv, mp, runtime.commit(mv, mp, ctx)))
-                        executions.append((mv, mp))
-                        per_worker[worker_id] += 1
-                    finish_commit(state.complete_executions(completed))
+                        flow_waiter[0] = None
+                        waiter.succeed()
+                    maybe_close()
 
                 yield from locked_burst(cm.bookkeeping_cost, do_commit)
 
         def environment() -> Generator[Event, Any, None]:
-            for _ in range(runtime.num_phases):
+            for _ in range(core.phases_unadmitted):
                 if max_in_flight is not None:
                     # Callbacks run atomically, so this check-then-wait is
                     # race-free within the simulation.
-                    while state.pmax - state.complete_phase_count >= max_in_flight:
+                    while core.phases_in_flight >= max_in_flight:
                         waiter = sim.event()
                         flow_waiter[0] = waiter
                         yield waiter
 
-                def do_start() -> None:
-                    newly_ready = state.start_phase()
-                    if tracer is not None:
-                        tracer.phase_started(state.pmax)
-                    for pair in newly_ready:
-                        if tracer is not None:
-                            tracer.enqueued(pair)
-                        queue.put(pair)
-
-                yield from locked_burst(cm.phase_start_cost, do_start)
+                yield from locked_burst(
+                    cm.phase_start_cost, lambda: enqueue(core.admit())
+                )
                 if cm.env_interval:
                     yield sim.timeout(cm.env_interval)
 
@@ -348,41 +313,23 @@ class SimulatedEngine:
         sim.start(environment(), name="environment")
         makespan = sim.run()
 
-        if not state.all_started_complete():
-            raise SimulationError(
-                f"simulation drained without quiescence: in-flight phases "
-                f"{state.in_flight_phases()!r} — simulated deadlock"
-            )
-
-        stats: Dict[str, Any] = {
-            "num_workers": self.num_workers,
-            "num_processors": self.num_processors,
-            "frontier": state.frontier_stats(),
-            "suppression": runtime.suppression_stats(),
-            "coalescing": state.coalescing_stats(),
-            "lock": {
-                "total_requests": lock.total_requests,
-                "contended_requests": lock.contended_requests,
-                "busy_time": lock.usage_integral,
-                "utilization": lock.utilization(makespan),
+        return core.result(
+            f"simulated[k={self.num_workers},P={self.num_processors}]",
+            makespan,
+            {
+                "num_workers": self.num_workers,
+                "num_processors": self.num_processors,
+                "lock": {
+                    "total_requests": lock.total_requests,
+                    "contended_requests": lock.contended_requests,
+                    "busy_time": lock.usage_integral,
+                    "utilization": lock.utilization(makespan),
+                },
+                "processors": {
+                    "cpu_seconds": procs.usage_integral,
+                    "utilization": procs.utilization(makespan),
+                },
+                "queue_max_depth": queue.max_depth,
+                "grain_bookkeeping_cost": cm.bookkeeping_cost,
             },
-            "processors": {
-                "cpu_seconds": procs.usage_integral,
-                "utilization": procs.utilization(makespan),
-            },
-            "queue_max_depth": queue.max_depth,
-            "grain_bookkeeping_cost": cm.bookkeeping_cost,
-            "edge_entries_peak": runtime.edges.peak_entries,
-        }
-        if tracer is not None:
-            intervals = tracer.intervals()
-            stats["max_concurrent_phases"] = max_concurrent_phases(intervals)
-            stats["max_concurrent_pairs"] = max_concurrent_pairs(intervals)
-        return self.plan.translate(
-            runtime.build_result(
-                f"simulated[k={self.num_workers},P={self.num_processors}]",
-                executions,
-                makespan,
-                stats,
-            )
         )

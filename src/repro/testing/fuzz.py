@@ -28,7 +28,7 @@ import hashlib
 import json
 import random
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.serializability import check_serializable
 from ..core.plan import compile_plan
@@ -529,26 +529,65 @@ class FuzzReport:
         return not self.failures
 
     def summary(self) -> str:
-        if self.campaign == "sharded":
-            head = (
-                f"fuzz[sharded]: {self.runs} runs (seed "
-                f"{self.master_seed}), {self.distinct_interleavings} "
-                f"distinct shard/engine configs"
-            )
-            tail = " -- all oracle-equal, no violations"
-        else:
-            head = (
-                f"fuzz: {self.runs} runs (seed {self.master_seed}), "
-                f"{self.distinct_interleavings} distinct interleavings, "
-                f"{self.total_steps} scheduling decisions, "
-                f"{self.total_checks} invariant checks"
-            )
-            tail = " -- all serializable, no violations"
+        head, verdict = _DESCRIBE[self.campaign]
+        head = head.format(report=self)
         if self.ok:
-            return head + tail
+            return head + verdict
         parts = [head, f"{len(self.failures)} failure(s):"]
         parts += [f.summary() for f in self.failures]
         return "\n".join(parts)
+
+
+#: Per campaign: what the report's counters mean, and the all-clear verdict.
+_DESCRIBE = {
+    "schedule": (
+        "fuzz: {report.runs} runs (seed {report.master_seed}), "
+        "{report.distinct_interleavings} distinct interleavings, "
+        "{report.total_steps} scheduling decisions, "
+        "{report.total_checks} invariant checks",
+        " -- all serializable, no violations",
+    ),
+    "sharded": (
+        "fuzz[sharded]: {report.runs} runs (seed {report.master_seed}), "
+        "{report.distinct_interleavings} distinct shard/engine configs",
+        " -- all oracle-equal, no violations",
+    ),
+}
+
+
+def _campaign(
+    runs: int,
+    seed: int,
+    stop_on_failure: bool,
+    attempt: Callable[[int], Tuple[str, int, int, Optional[Dict[str, Any]]]],
+    campaign: str = "schedule",
+) -> FuzzReport:
+    """The one campaign loop: *attempt(i)* derives run *i*'s spec from
+    the master seed, runs and judges it, and returns ``(what makes the
+    run distinct, steps, invariant checks, failure)`` — *failure* being
+    ``None`` or the campaign-specific :class:`FuzzFailure` fields."""
+    distinct: Set[str] = set()
+    failures: List[FuzzFailure] = []
+    total_steps = total_checks = done = 0
+    for i in range(runs):
+        done = i + 1
+        key, steps, checks, failure = attempt(i)
+        distinct.add(key)
+        total_steps += steps
+        total_checks += checks
+        if failure is not None:
+            failures.append(FuzzFailure(run_index=i, master_seed=seed, **failure))
+            if stop_on_failure:
+                break
+    return FuzzReport(
+        runs=done,
+        master_seed=seed,
+        distinct_interleavings=len(distinct),
+        total_steps=total_steps,
+        total_checks=total_checks,
+        failures=failures,
+        campaign=campaign,
+    )
 
 
 def fuzz(
@@ -577,11 +616,8 @@ def fuzz(
     """
     if not policies:
         raise ValueError("fuzz needs at least one scheduling policy")
-    hashes: Dict[str, int] = {}
-    failures: List[FuzzFailure] = []
-    total_steps = 0
-    total_checks = 0
-    for i in range(runs):
+
+    def attempt(i: int):
         spec = spec_for_run(seed, i, max_vertices, max_phases, threads,
                             skew=skew)
         policy_name = policies[i % len(policies)]
@@ -590,13 +626,9 @@ def fuzz(
             spec, make_policy(policy_name, policy_seed), faults, max_steps,
             fuse=fuse,
         )
-        hashes[outcome.trace_hash] = hashes.get(outcome.trace_hash, 0) + 1
-        total_steps += outcome.steps
-        total_checks += outcome.checks_run
+        failure = None
         if not outcome.passed:
-            failure = FuzzFailure(
-                run_index=i,
-                master_seed=seed,
+            failure = dict(
                 spec=spec,
                 policy_name=policy_name,
                 policy_seed=policy_seed,
@@ -605,21 +637,13 @@ def fuzz(
                 fuse=fuse,
             )
             if do_shrink:
-                failure.shrunk_spec = shrink(
+                failure["shrunk_spec"] = shrink(
                     spec, policy_name, policy_seed, faults, max_steps,
                     fuse=fuse,
                 )
-            failures.append(failure)
-            if stop_on_failure:
-                break
-    return FuzzReport(
-        runs=i + 1 if runs else 0,
-        master_seed=seed,
-        distinct_interleavings=len(hashes),
-        total_steps=total_steps,
-        total_checks=total_checks,
-        failures=failures,
-    )
+        return outcome.trace_hash, outcome.steps, outcome.checks_run, failure
+
+    return _campaign(runs, seed, stop_on_failure, attempt)
 
 
 # ---------------------------------------------------------------------------
@@ -716,43 +740,28 @@ def fuzz_process(
     serial oracle — results *and* final behaviour state.  Defaults to
     the ``spawn`` start method, the strictest pickling path.
     """
-    failures: List[FuzzFailure] = []
-    configs: Dict[str, int] = {}
-    total_steps = 0
-    i = -1
-    for i in range(runs):
+
+    def attempt(i: int):
         spec = spec_for_run(seed, i, max_vertices, max_phases, threads=2,
                             skew=skew)
         config = process_config_for_run(seed, i)
         outcome = run_one_process(
             spec, config, start_method=start_method, fuse=fuse
         )
-        configs[outcome.policy_desc] = configs.get(outcome.policy_desc, 0) + 1
-        total_steps += outcome.steps
+        failure = None
         if not outcome.passed:
-            failures.append(
-                FuzzFailure(
-                    run_index=i,
-                    master_seed=seed,
-                    spec=spec,
-                    policy_name="process",
-                    policy_seed=0,
-                    reason=outcome.reason,
-                    trace_names=[],
-                    fuse=fuse,
-                    engine_config=dict(config, start_method=start_method),
-                )
+            failure = dict(
+                spec=spec,
+                policy_name="process",
+                policy_seed=0,
+                reason=outcome.reason,
+                trace_names=[],
+                fuse=fuse,
+                engine_config=dict(config, start_method=start_method),
             )
-            if stop_on_failure:
-                break
-    return FuzzReport(
-        runs=i + 1 if runs else 0,
-        master_seed=seed,
-        distinct_interleavings=len(configs),
-        total_steps=total_steps,
-        total_checks=0,
-        failures=failures,
-    )
+        return outcome.policy_desc, outcome.steps, 0, failure
+
+    return _campaign(runs, seed, stop_on_failure, attempt)
 
 
 def shrink(
@@ -1021,40 +1030,25 @@ def fuzz_sharded(
     merged outputs, final per-key state, and stats schema.  Fix *shards*
     / *engine* to pin those axes (the CI smoke runs 2 and 4).
     """
-    failures: List[FuzzFailure] = []
-    configs: Dict[str, int] = {}
-    i = -1
-    for i in range(runs):
+
+    def attempt(i: int):
         spec = sharded_spec_for_run(seed, i, shards=shards, engine=engine)
-        config_key = f"{spec.shards}x{spec.engine}"
-        configs[config_key] = configs.get(config_key, 0) + 1
         reason = run_one_sharded(spec)
+        failure = None
         if reason is not None:
-            failures.append(
-                FuzzFailure(
-                    run_index=i,
-                    master_seed=seed,
-                    spec=spec,
-                    policy_name="sharded",
-                    policy_seed=0,
-                    reason=reason,
-                    trace_names=[],
-                    fuse=spec.fuse,
-                    engine_config={
-                        "shards": spec.shards,
-                        "engine": spec.engine,
-                        "threads": spec.threads,
-                    },
-                )
+            failure = dict(
+                spec=spec,
+                policy_name="sharded",
+                policy_seed=0,
+                reason=reason,
+                trace_names=[],
+                fuse=spec.fuse,
+                engine_config={
+                    "shards": spec.shards,
+                    "engine": spec.engine,
+                    "threads": spec.threads,
+                },
             )
-            if stop_on_failure:
-                break
-    return FuzzReport(
-        runs=i + 1 if runs else 0,
-        master_seed=seed,
-        distinct_interleavings=len(configs),
-        total_steps=0,
-        total_checks=0,
-        failures=failures,
-        campaign="sharded",
-    )
+        return f"{spec.shards}x{spec.engine}", 0, 0, failure
+
+    return _campaign(runs, seed, stop_on_failure, attempt, campaign="sharded")

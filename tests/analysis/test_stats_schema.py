@@ -109,15 +109,25 @@ class TestValidatorUnit:
                 "pairs_coalesced": 0,
                 "mean_run_length": 0.0,
             },
+            "per_worker_executions": {0: 3, "1": 4},  # int or JSON keys
+            "edge_entries_peak": 5,
+            "edge_entries_final": 0,
         }
         for engine in ("parallel[k=2]", "process[w=2]", "simulated[k=2,P=2]"):
             assert validate_engine_stats(engine, good) == []
-        # Scheduling engines must report the suppression and coalescing
-        # sections.
+        # Scheduling engines must report every section ScheduleCore.result
+        # guarantees.
         missing = {"frontier": dict(good["frontier"])}
         errors = validate_engine_stats("parallel[k=2]", missing)
-        assert any("suppression" in e for e in errors)
-        assert any("coalescing" in e for e in errors)
+        for section in (
+            "suppression", "coalescing", "per_worker_executions",
+            "edge_entries_peak", "edge_entries_final",
+        ):
+            assert any(section in e for e in errors), section
+        bad = dict(good, per_worker_executions={0: -1}, edge_entries_final=True)
+        errors = validate_engine_stats("simulated[k=2,P=2]", bad)
+        assert any("per_worker_executions.0" in e for e in errors)
+        assert any("edge_entries_final" in e for e in errors)
 
     def test_non_mapping_stats(self):
         assert validate_engine_stats("parallel[k=1]", None) != []

@@ -8,6 +8,10 @@ knob fails tier-1 here instead of quietly doubling the configurations the
 differential suite and the benchmark must cover.  If one of them fails
 because you added a scheduling option: ROADMAP aim 2 asks for a value the
 code derives from what it can observe, not for a new setting.
+
+The last test pins :class:`~repro.runtime.core.ScheduleCore` the same
+way: four operations and one constructor are the whole interface between
+the run lifecycle and the engines that drive it.
 """
 
 import dataclasses
@@ -16,6 +20,7 @@ import inspect
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runtime.core import ScheduleCore
 from repro.runtime.engine import ParallelEngine
 from repro.runtime.environment import EnvironmentConfig
 from repro.runtime.mp import ProcessEngine
@@ -92,3 +97,28 @@ def test_removed_flag_is_an_ordinary_argparse_error(command, flag, capsys):
         main(argv + [flag] + value)
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+CORE = (
+    "ScheduleCore's surface changed — ROADMAP aim 2: the run lifecycle is "
+    "admit / claim / commit / result, once; an engine-specific need belongs "
+    "in that engine's driver, not in a fifth operation or a new parameter"
+)
+
+
+def test_schedule_core_surface_is_pinned():
+    assert params(ScheduleCore) == [
+        "plan", "phase_inputs", "num_workers", "frontier", "checker",
+        "tracer", "preempt", "retire", "sink",
+    ], CORE
+    operations = {
+        name: list(inspect.signature(member).parameters)[1:]
+        for name, member in vars(ScheduleCore).items()
+        if inspect.isfunction(member) and not name.startswith("_")
+    }
+    assert operations == {
+        "admit": ["count", "fed_input"],
+        "claim": ["v", "p"],
+        "commit": ["worker", "completed"],
+        "result": ["label", "elapsed", "engine_stats"],
+    }, CORE

@@ -5,9 +5,12 @@ One module instead of a matrix per feature (ROADMAP aim 3).  The axes:
 * **engine** — the virtual-scheduler campaign (explored interleavings of
   the threaded engine, every scheduler mutation invariant-checked by the
   :class:`~repro.testing.monitor.RaceMonitor`), the threaded engine on
-  real threads, the process engine on real worker processes, and the DES
+  real threads, the process engine on real worker processes, the DES
   simulator in both of its modes: ``cone`` (what the real engines do) and
-  ``global`` (Listings 1-2 as published);
+  ``global`` (Listings 1-2 as published), and ``inline`` — no engine at
+  all, a single-threaded loop over
+  :class:`~repro.runtime.core.ScheduleCore`'s four operations (the proof
+  that the run lifecycle lives in the core, not in its drivers);
 * **fuse** — the plan compiled with linear-chain fusion or not (the
   oracle always runs the unfused program);
 * **workload family** — sparse random DAGs, the same DAGs with a seeded
@@ -25,13 +28,16 @@ ships run frames, fusion really shrinks the plan, and the simulator's
 global mode really is the published schedule.
 """
 
+from collections import deque
 from dataclasses import dataclass, replace
 
 import pytest
 
 from repro.analysis.serializability import check_serializable
+from repro.analysis.stats import validate_engine_stats
 from repro.core.plan import compile_plan
 from repro.core.serial import SerialExecutor
+from repro.runtime.core import ScheduleCore
 from repro.runtime.engine import ParallelEngine
 from repro.runtime.environment import EnvironmentConfig
 from repro.runtime.mp import ProcessEngine
@@ -45,7 +51,10 @@ from tests.models.test_pickling import normalized
 SEED = 2025
 POLICIES = ("random", "round-robin", "priority", "random")
 
-ENGINES = ("virtual", "threaded", "process", "simulated-cone", "simulated-global")
+ENGINES = (
+    "virtual", "threaded", "process", "simulated-cone", "simulated-global",
+    "inline",
+)
 #: Specs per cell: the virtual campaign is cheap and explores schedules,
 #: so it carries the breadth; every process run pays real forks.
 CORPUS = {
@@ -54,6 +63,7 @@ CORPUS = {
     "process": 3,
     "simulated-cone": 8,
     "simulated-global": 8,
+    "inline": 40,
 }
 
 
@@ -106,6 +116,22 @@ def policy_for(i):
     return make_policy(POLICIES[i % len(POLICIES)], 1000 + i)
 
 
+def run_inline(plan, phases, newest_first=False, **core_options):
+    """The whole run lifecycle with no engine: admit every phase, then
+    pop a ready pair, claim its run, compute, commit, until quiescent.
+    Returns the core (for its completion log) and the result."""
+    core = ScheduleCore(plan, phases, 1, **core_options)
+    ready = deque(core.admit(core.phases_unadmitted))
+    while ready:
+        v, p = ready.pop() if newest_first else ready.popleft()
+        run = core.claim(v, p)
+        for _, ctx in run:
+            core.runtime.compute(v, ctx)
+        completed = [(v, q, core.runtime.commit(v, q, ctx)) for q, ctx in run]
+        ready.extend(core.commit(0, completed)[0])
+    return core, core.result("inline", 0.0, {})
+
+
 def run_cell(engine, spec, index, fuse):
     """Run *spec* on *engine*; returns ``(serial, result)`` once the
     judgement has passed: serializability, plus the invariant monitor on
@@ -140,6 +166,8 @@ def run_cell(engine, spec, index, fuse):
             env=env,
             start_method="fork",
         ).run(phases)
+    elif engine == "inline":
+        _, result = run_inline(plan, phases)
     else:
         result = SimulatedEngine(
             plan, num_workers=2, num_processors=2,
@@ -169,6 +197,63 @@ def test_record_exact_against_serial_oracle(engine, fuse, family):
             f"{engine} fuse={fuse} {family} spec {i} [{spec.describe()}]"
         )
         assert result.phases_run == serial.phases_run
+
+
+@pytest.mark.parametrize("fuse", [False, True], ids=["unfused", "fused"])
+def test_inline_retirement_sinks_each_phase_once_in_phase_order(fuse):
+    """The completion tail lives in the core: a retiring inline run hands
+    the sink every phase exactly once, ascending, with the oracle's
+    records — also on newest-first schedules whose phases *complete* out
+    of order (checked on the same schedule without retirement, where the
+    completion log survives)."""
+    out_of_order = 0
+    for family in sorted(FAMILIES):
+        for i in range(12):
+            spec = FAMILIES[family]("inline", i)
+            program, phases = spec.build_picklable()
+            serial = SerialExecutor(program).run(phases)
+            plan = compile_plan(program, fuse=fuse)
+            core, _ = run_inline(plan, phases, newest_first=True)
+            log = list(core.state.completed_log)
+            assert sorted(log) == list(range(1, len(phases) + 1))
+            out_of_order += log != sorted(log)
+            sunk = []
+            _, result = run_inline(
+                plan, phases, newest_first=True, retire=True,
+                sink=lambda p, ts, entries: sunk.append((p, entries)),
+            )
+            where = f"inline fuse={fuse} {family} spec {i} [{spec.describe()}]"
+            assert [p for p, _ in sunk] == sorted(log), where
+            records = {}
+            for p, entries in sunk:
+                for name, value in entries:
+                    records.setdefault(name, []).append((p, value))
+            assert records == serial.records, where
+            assert result.executions == [] and result.records == {}
+            assert result.stats["retirement"]["phases_retired"] == len(phases)
+    assert out_of_order >= 5, (
+        f"only {out_of_order} schedules completed phases out of order"
+    )
+
+
+@pytest.mark.parametrize(
+    "engine", ["threaded", "process", "simulated-cone", "simulated-global"]
+)
+def test_scheduling_sections_are_identical_across_engines(engine):
+    """Every engine's result carries exactly the sections
+    ``ScheduleCore.result`` attaches — an inline run, which adds nothing
+    of its own, is the reference — with identical keys inside each."""
+    spec = PipelineSpec(depth=4, phases=12, seed=5)
+    _, reference = run_cell("inline", spec, 0, fuse=False)
+    _, result = run_cell(engine, spec, 0, fuse=False)
+    assert validate_engine_stats(result.engine, result.stats) == []
+    assert set(reference.stats) <= set(result.stats)
+    for name, section in reference.stats.items():
+        if isinstance(section, dict) and name != "per_worker_executions":
+            assert set(result.stats[name]) == set(section), name
+    per_worker = result.stats["per_worker_executions"]
+    assert sorted(per_worker) == list(range(len(per_worker)))
+    assert sum(per_worker.values()) == result.execution_count
 
 
 class TestTheSuiteIsNotVacuous:
