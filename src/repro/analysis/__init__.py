@@ -6,11 +6,9 @@ from .serializability import (
     SerializabilityReport,
 )
 from .stats import (
-    summarize_speedup,
     format_table,
     message_rate_summary,
     validate_engine_stats,
-    validate_sharding_stats,
     validate_coalescing_stats,
 )
 from .ascii_viz import render_graph, render_snapshot, render_frames
@@ -21,11 +19,9 @@ __all__ = [
     "assert_serializable",
     "check_serializable",
     "SerializabilityReport",
-    "summarize_speedup",
     "format_table",
     "message_rate_summary",
     "validate_engine_stats",
-    "validate_sharding_stats",
     "validate_coalescing_stats",
     "render_graph",
     "render_snapshot",

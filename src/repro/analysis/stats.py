@@ -19,10 +19,7 @@ checked by one walker; the meaning of each key is in ``docs/API.md``.
   (readiness rule, cone count, phase skew), ``suppression`` (Δ-elision,
   ALGORITHM.md §5.6), ``coalescing`` (phase runs, §5.7; with the law
   ``mean_run_length`` = members / runs), ``per_worker_executions`` and
-  the edge-store counters ``edge_entries_peak`` / ``edge_entries_final``;
-* the sharded meta-engine (``"sharded..."``) — ``sharding``, forbidden
-  elsewhere, and no top-level ``frontier`` (the per-shard runs keep
-  their own full stats on ``ShardedRunResult.shard_results``).
+  the edge-store counters ``edge_entries_peak`` / ``edge_entries_final``.
 
 :func:`validate_serve_stats` checks the ``serve`` section of the
 :mod:`repro.serve` session document (``repro serve --stats-json``).  The
@@ -38,12 +35,10 @@ from ..core.program import RunResult
 
 __all__ = [
     "format_table",
-    "summarize_speedup",
     "message_rate_summary",
     "validate_frontier_stats",
     "validate_suppression_stats",
     "validate_coalescing_stats",
-    "validate_sharding_stats",
     "validate_serve_stats",
     "validate_engine_stats",
 ]
@@ -52,16 +47,11 @@ __all__ = [
 #: :class:`~repro.runtime.core.ScheduleCore` and reports its sections).
 SCHEDULING_ENGINE_PREFIXES = ("parallel", "process", "simulated")
 
-#: Engine name prefix of the sharded meta-engine (N replicated engine
-#: instances behind a key router; see :mod:`repro.sharding`).
-SHARDED_ENGINE_PREFIX = "sharded"
-
 # The schema, as data.  A rule is: an ``int`` (the value is an int, not a
-# bool, and at least that), ``bool`` / ``str`` / ``float`` (a bool, a
-# string, any number), a tuple (one of these values), a dict (a mapping
-# with exactly these keys, each under its own rule; the single key
-# ``_EACH`` instead puts every value of an open mapping under one rule),
-# or a one-element list (a list whose entries all follow that rule).
+# bool, and at least that), ``bool`` / ``float`` (a bool, any number), a
+# tuple (one of these values), or a dict (a mapping with exactly these
+# keys, each under its own rule; the single key ``_EACH`` instead puts
+# every value of an open mapping under one rule).
 _EACH = "*"
 
 #: What :meth:`repro.runtime.core.ScheduleCore.result` guarantees on
@@ -91,19 +81,6 @@ _SCHEDULING_SCHEMA: Dict[str, Any] = {
 
 _SCHEMA: Dict[str, Any] = {
     **_SCHEDULING_SCHEMA,
-    "sharding": {
-        "num_shards": 1,
-        "keys": 0,
-        "mode": ("stream", "phases"),
-        "router": {"algorithm": str, "num_shards": 1},
-        "per_shard": [
-            {
-                "shard": 0, "keys": 0, "vertices": 0, "phases": 0,
-                "executions": 0, "messages": 0, "late_events": 0,
-            }
-        ],
-        "merge": {"phases_merged": 0, "max_buffered": 0},
-    },
     "serve": {
         "engine": ("parallel", "process"),
         "phases_ingested": 0, "phases_retired": 0, "results_streamed": 0,
@@ -114,7 +91,7 @@ _SCHEMA: Dict[str, Any] = {
     },
 }
 
-_KINDS = {bool: "a bool", str: "a string", float: "a number"}
+_KINDS = {bool: "a bool", float: "a number"}
 
 
 def _is_int(value: Any) -> bool:
@@ -135,12 +112,6 @@ def _check(value: Any, rule: Any, label: str, errors: List[str]) -> None:
             extra = set(value) - set(rule)
             if extra:
                 errors.append(f"{label}: unexpected keys {sorted(extra)}")
-    elif isinstance(rule, list):
-        if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
-            errors.append(f"{label}: expected a list, got {type(value).__name__}")
-        else:
-            for i, entry in enumerate(value):
-                _check(entry, rule[0], f"{label}[{i}]", errors)
     elif isinstance(rule, tuple):
         if value not in rule:
             errors.append(f"{label}: expected one of {rule}, got {value!r}")
@@ -189,24 +160,6 @@ def _coalescing_law(section: Mapping, where: str, errors: List[str]) -> None:
             )
 
 
-def _sharding_law(section: Mapping, where: str, errors: List[str]) -> None:
-    # One ``per_shard`` entry per shard, in shard order.
-    per_shard = section.get("per_shard")
-    if not isinstance(per_shard, (list, tuple)):
-        return  # the shape check has already said so
-    got = _counts(section, "num_shards")
-    if got and len(per_shard) != got[0]:
-        errors.append(
-            f"{where}.per_shard: expected {got[0]} entries, got {len(per_shard)}"
-        )
-    for i, entry in enumerate(per_shard):
-        got = _counts(entry, "shard")
-        if got and got[0] != i:
-            errors.append(
-                f"{where}.per_shard[{i}].shard: expected {i}, got {got[0]}"
-            )
-
-
 def _serve_law(section: Mapping, where: str, errors: List[str]) -> None:
     # Nothing retires before it is ingested, every retired phase is
     # streamed, and the backpressure total is exactly rejects + stalls.
@@ -232,7 +185,6 @@ def _serve_law(section: Mapping, where: str, errors: List[str]) -> None:
 _LAWS = {
     "suppression": _suppression_law,
     "coalescing": _coalescing_law,
-    "sharding": _sharding_law,
     "serve": _serve_law,
 }
 
@@ -266,12 +218,6 @@ def validate_coalescing_stats(
     return _validate("coalescing", section, where)
 
 
-def validate_sharding_stats(section: Any, where: str = "sharding") -> List[str]:
-    """As :func:`validate_frontier_stats`; ``per_shard`` must hold one
-    entry per shard, in shard order."""
-    return _validate("sharding", section, where)
-
-
 def validate_serve_stats(section: Any, where: str = "serve") -> List[str]:
     """As :func:`validate_frontier_stats`, plus the cross-counter
     invariants the serve pipeline guarantees."""
@@ -289,26 +235,15 @@ def validate_engine_stats(engine: str, stats: Any) -> List[str]:
     if not isinstance(stats, Mapping):
         return [f"stats: expected a mapping, got {type(stats).__name__}"]
     errors: List[str] = []
-    sharded = engine.startswith(SHARDED_ENGINE_PREFIX)
     scheduling = engine.startswith(SCHEDULING_ENGINE_PREFIXES)
-    kind = "sharded" if sharded else "scheduling"
-    required = ("sharding",) if sharded else tuple(_SCHEDULING_SCHEMA)
-    for name in required if sharded or scheduling else ():
+    for name in _SCHEDULING_SCHEMA if scheduling else ():
         if name not in stats:
-            errors.append(f"stats.{name}: required for {kind} engine {engine!r}")
+            errors.append(
+                f"stats.{name}: required for scheduling engine {engine!r}"
+            )
         else:
             errors.extend(_validate(name, stats[name], name))
-    if sharded and "frontier" in stats:
-        errors.append(
-            f"stats.frontier: unexpected at the top level for "
-            f"{engine!r} (frontier stats live on the per-shard runs)"
-        )
-    if not sharded and "sharding" in stats:
-        errors.append(
-            f"stats.sharding: unexpected for engine {engine!r} "
-            f"(only the sharded meta-engine reports it)"
-        )
-    if not (sharded or scheduling) and "frontier" in stats:
+    if not scheduling and "frontier" in stats:
         errors.append(
             f"stats.frontier: unexpected for engine {engine!r} (no scheduler)"
         )
@@ -343,31 +278,6 @@ def format_table(
     for row in str_rows:
         lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def summarize_speedup(results: Sequence[RunResult]) -> Dict[str, Any]:
-    """Speedup summary for a sweep of runs of the same workload.
-
-    The first result is the baseline; returns per-run speedups and the
-    peak.  Works for both wall-clock and virtual-time results.
-    """
-    if not results:
-        return {"runs": [], "peak_speedup": 0.0}
-    base = results[0].wall_time
-    runs: List[Dict[str, Any]] = []
-    for r in results:
-        runs.append(
-            {
-                "engine": r.engine,
-                "time": r.wall_time,
-                "speedup": base / r.wall_time if r.wall_time else float("inf"),
-            }
-        )
-    return {
-        "runs": runs,
-        "peak_speedup": max(r["speedup"] for r in runs),
-        "baseline": results[0].engine,
-    }
 
 
 def message_rate_summary(

@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import signal
 import sys
 import threading
 from typing import Iterator, Optional, Sequence
 
 from . import __version__
-from .errors import ReproError
+from .errors import BackpressureError, ReproError
 from .testing.faults import FAULT_NAMES
 from .testing.schedule import POLICY_NAMES
 
@@ -80,18 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="profile the engine run with cProfile, dump the "
                           "pstats file to PATH, and print a per-stage "
                           "wall-time breakdown")
-    run.add_argument("--shards", type=int, default=0, metavar="N",
-                     help="run the spec as N keyed shards (replicated "
-                          "engine instances behind a stable key router) "
-                          "and merge the outputs; requires a "
-                          "key-separable graph (default 0: single "
-                          "instance)")
-    run.add_argument("--key-by", choices=["source", "bracket"],
-                     default="bracket",
-                     help="key derivation for --shards: 'bracket' "
-                          "(default) keys a source by its [...] suffix "
-                          "(txn[a3] -> a3), 'source' makes every source "
-                          "its own key")
     run.add_argument("--check", action="store_true",
                      help="also run the (unsuppressed) serial oracle and "
                           "verify serializability with the elision-aware "
@@ -123,12 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--fuse", action=argparse.BooleanOptionalAction,
                        default=True,
                        help="linear-chain vertex fusion (default on)")
-    serve.add_argument("--shards", type=int, default=0, metavar="N",
-                       help="serve as N keyed shards with watermark-"
-                            "aligned merge (requires key-separable graph)")
-    serve.add_argument("--key-by", choices=["source", "bracket"],
-                       default="bracket",
-                       help="key derivation for --shards (default bracket)")
     serve.add_argument("--wait", type=float, default=2.0,
                        help="watermark wait before sealing a timestamp "
                             "(default 2.0)")
@@ -241,12 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(seeded) vertex per phase, stressing "
                            "cone-independent pipelining where lanes race "
                            "far ahead of a straggler")
-    fuzz.add_argument("--shards", type=int, default=0, metavar="N",
-                      help="sharded campaign: random keyed workloads "
-                           "run as N replicated instances and judged "
-                           "against the single-instance serial oracle "
-                           "(merged outputs, final per-key state, stats "
-                           "schema); the inner engine varies per run")
     fuzz.add_argument("--failure-artifacts", metavar="DIR", default=None,
                       help="on failure, write one JSON reproduction file "
                            "(seed, spec, policy, step trace) per failure "
@@ -359,15 +336,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     spec = _load(args.spec)
     phases = spec.phase_inputs()
-    if args.shards:
-        return _run_sharded(args, spec, phases)
     plan = compile_plan(spec.program, fuse=args.fuse)
     stopped = False
     profiler = None
     thread_profiles: list = []
     if args.profile is not None:
         import cProfile
-        import threading
 
         # cProfile only instruments the calling thread; the threaded
         # engine does its prepare/compute/commit work on pool threads.
@@ -413,8 +387,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             frontier="cone",
         ).run(phases)
     if profiler is not None:
-        import threading
-
         profiler.disable()
         threading.setprofile(None)
         breakdown = _stage_breakdown(
@@ -455,9 +427,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"(mean run length {coalescing['mean_run_length']:.2f})")
 
     if args.stats_json is not None:
-        import json
-
-        payload = {
+        _write_stats_json(args.stats_json, {
             "spec": spec.name,
             "engine": result.engine,
             "phases_run": result.phases_run,
@@ -465,15 +435,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "message_count": result.message_count,
             "wall_time": result.wall_time,
             "stats": result.stats,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True, default=str)
-        if args.stats_json == "-":
-            print(text)
-        else:
-            from pathlib import Path
-
-            Path(args.stats_json).write_text(text + "\n")
-            print(f"stats written to {args.stats_json}")
+        })
     for vertex in sorted(result.records):
         log = result.records[vertex]
         print(f"\n{vertex} ({len(log)} records):")
@@ -493,100 +455,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_sharded(args: argparse.Namespace, spec, phases) -> int:
-    """The ``repro run --shards N`` path: N replicated instances of the
-    spec's program behind a stable key router, outputs merged back into
-    global phase order."""
-    from .analysis.stats import validate_engine_stats
-    from .core.serial import SerialExecutor
-    from .sharding import ShardedEngine, key_by_bracket, key_by_source
-
-    key_of = key_by_source if args.key_by == "source" else key_by_bracket
-    engine = ShardedEngine(
-        spec.program,
-        key_of,
-        args.shards,
-        engine=args.engine,
-        engine_options={
-            "threads": args.threads,
-            "workers": args.workers,
-            "processors": args.processors,
-            "start_method": args.start_method,
-        },
-        fuse=args.fuse,
-    )
-    result = engine.run(phases)
-    sharding = result.stats["sharding"]
-    print(f"{spec.name}: {result.engine} ran {result.phases_run} merged "
-          f"phases, {result.execution_count} pair executions, "
-          f"{result.message_count} messages, "
-          f"wall time {result.wall_time:.4f}")
-    per_shard = ", ".join(
-        f"#{e['shard']}: {e['keys']} keys/{e['executions']} exec"
-        for e in sharding["per_shard"]
-    )
-    print(f"sharding: {sharding['num_shards']} shards over "
-          f"{sharding['keys']} keys via {sharding['router']['algorithm']} "
-          f"({per_shard})")
-
-    if args.stats_json is not None:
-        import json
-
-        payload = {
-            "spec": spec.name,
-            "engine": result.engine,
-            "phases_run": result.phases_run,
-            "execution_count": result.execution_count,
-            "message_count": result.message_count,
-            "wall_time": result.wall_time,
-            "stats": result.stats,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True, default=str)
-        if args.stats_json == "-":
-            print(text)
-        else:
-            from pathlib import Path
-
-            Path(args.stats_json).write_text(text + "\n")
-            print(f"stats written to {args.stats_json}")
-
-    records = result.records
-    for vertex in sorted(records):
-        log = records[vertex]
-        print(f"\n{vertex} ({len(log)} records):")
-        for phase, value in log[: args.max_records]:
-            print(f"  phase {phase:5d}  {value!r}")
-        if len(log) > args.max_records:
-            print(f"  ... {len(log) - args.max_records} more")
-
-    if args.check:
-        oracle = SerialExecutor(spec.program).run(phases)
-        problems = []
-        if result.phases_run != oracle.phases_run:
-            problems.append(
-                f"merged phases {result.phases_run} != oracle "
-                f"{oracle.phases_run}"
-            )
-        if records != oracle.records:
-            diverged = sorted(
-                v
-                for v in set(records) | set(oracle.records)
-                if records.get(v) != oracle.records.get(v)
-            )
-            problems.append(f"records diverge for {diverged[:5]!r}")
-        problems.extend(validate_engine_stats(result.engine, result.stats))
-        if problems:
-            print("\nsharded-vs-oracle: DIVERGED")
-            for p in problems:
-                print(f"  - {p}")
-            return 2
-        print(f"\nsharded-vs-oracle: equivalent "
-              f"({result.engine} == {oracle.engine}); stats schema OK")
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serve import ServeConfig, ServeServer, ServeSession, ShardedServeSession
+    from .serve import ServeConfig, ServeServer, ServeSession
 
     spec = _load(args.spec)
     cfg = ServeConfig(
@@ -602,17 +472,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         check_sample=args.check_sample,
         stats_every=args.stats_every,
     )
-    if args.shards:
-        from .sharding import key_by_bracket, key_by_source
-
-        key_of = key_by_source if args.key_by == "source" else key_by_bracket
-        session = ShardedServeSession(
-            spec.program, key_of, args.shards, cfg
-        )
-    else:
-        session = ServeSession(spec.program, cfg)
+    session = ServeSession(spec.program, cfg)
     session.start()
-    stopped = False
     with _signal_stop() as stop:
         if args.input is not None:
             _serve_replay(session, args, stop)
@@ -656,8 +517,6 @@ def _serve_replay(session, args: argparse.Namespace, stop) -> None:
     by retrying (the in-process analogue of an HTTP producer seeing 429
     and backing off)."""
     import time
-
-    from .errors import BackpressureError
 
     fh = sys.stdin if args.input == "-" else open(args.input, "r")
     try:
@@ -782,24 +641,14 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         fuzz_process,
         write_failure_artifacts,
     )
-    from .testing.schedule import POLICY_NAMES as ALL_POLICIES
 
-    policies = ALL_POLICIES if args.policy == "all" else (args.policy,)
+    policies = POLICY_NAMES if args.policy == "all" else (args.policy,)
     faults = FaultPlan.named(args.inject) if args.inject else None
-    if faults is not None and (args.shards or args.engine == "process"):
+    if faults is not None and args.engine == "process":
         print("error: --inject requires the thread campaign "
               "(virtual scheduler)", file=sys.stderr)
         return 2
-    if args.shards:
-        from .testing import fuzz_sharded
-
-        report = fuzz_sharded(
-            runs=args.runs,
-            seed=args.seed,
-            shards=args.shards,
-            stop_on_failure=not args.keep_going,
-        )
-    elif args.engine == "process":
+    if args.engine == "process":
         report = fuzz_process(
             runs=args.runs,
             seed=args.seed,
@@ -855,7 +704,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # meet a closed pipe here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # ``repro run SPEC | head -1``: devnull absorbs the exit-time flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -31,7 +31,6 @@ __all__ = [
     "SerializabilityError",
     "SimulationError",
     "WorkloadError",
-    "ShardingError",
     "BackpressureError",
     "ServeError",
     "ScheduleError",
@@ -178,12 +177,6 @@ class SimulationError(ReproError):
 
 class WorkloadError(ReproError):
     """A workload builder was given inconsistent parameters."""
-
-
-class ShardingError(ReproError):
-    """A keyed program cannot be sharded as requested, or the shard
-    layer's merge/routing contracts were violated (a key-crossing
-    vertex, an out-of-order merge offer, an unroutable key type)."""
 
 
 # ---------------------------------------------------------------------------

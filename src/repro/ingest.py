@@ -55,9 +55,9 @@ def bin_timestamp(timestamp: float, quantum: float) -> float:
     """Round *timestamp* to the nearest multiple of *quantum*, half-up.
 
     The binning rule must be a pure function of the timestamp — every
-    consumer (the single-instance buffer, each shard's buffer, workload
-    generators computing safe waits) has to place a given stamp in the
-    same snapshot.  Python's ``round()`` is banker's round-half-even, so
+    consumer (the reorder buffer, workload generators computing safe
+    waits) has to place a given stamp in the same
+    snapshot.  Python's ``round()`` is banker's round-half-even, so
     exact half-quantum stamps used to bin by parity (0.5 -> 0.0 but
     1.5 -> 2.0 at quantum 1): identical sensor offsets landed in
     different phases.  Half-up keeps "nearest instant" semantics with a

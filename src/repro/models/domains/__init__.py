@@ -14,7 +14,7 @@ its phase inputs:
 * :mod:`~repro.models.domains.intrusion` — multi-sensor composite
   condition detection;
 * :mod:`~repro.models.domains.keyed` — per-account laundering chains:
-  the key-separable heavy-traffic fixture the shard layer is judged on.
+  independent heavy-traffic chains, the serve layer's fixture.
 """
 
 from .power import build_power_pricing_program, build_power_pricing_workload

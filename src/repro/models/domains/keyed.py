@@ -1,27 +1,25 @@
-"""Keyed account-laundering traffic: the shard layer's heavy fixture.
+"""Keyed account-laundering traffic: the serve layer's heavy fixture.
 
-The sharding oracle tests need a workload that is (a) **keyed** — one
-independent detection chain per account, so the program is
-key-separable; (b) **externally driven** — sources emit only what the
-stream delivers (``PassthroughSource``), so a shard that never sees a
-timestamp produces exactly what the single instance produces for the
-keys it owns; and (c) **bit-deterministic per key** — an account's event
-stream is a pure function of ``(seed, key)``, so the oracle and every
-shard layout see identical per-key data.
+The serve and differential tests need a workload that is (a) **keyed** —
+one independent detection chain per account, a graph whose components
+share no path, so the scheduler may run them concurrently; (b)
+**externally driven** — sources emit only what the stream delivers
+(``PassthroughSource``), so a chain is silent in a phase that brings it
+no event; and (c) **bit-deterministic per key** — an account's event
+stream is a pure function of ``(seed, key)``, so every run sees
+identical per-key data no matter which other keys share it.
 
 Each account runs ``txn[k] -> detect[k] -> audit[k]``: transactions
 (amount payloads keyed by account) feed a structuring detector that
 alerts when an amount spikes against the account's own rolling baseline
 — the money-laundering shape from Section 1, per key.  Alert payloads
-deliberately contain **no phase numbers**: shard-local phase numbering
-differs from the single instance's, so values must be phase-free for
-timestamp-space comparison (records are compared at their binned
-timestamps, values byte-for-byte).
+deliberately contain **no phase numbers**, so a record's value does not
+depend on how many phases other keys' traffic opened before it.
 
 :func:`keyed_arrivals` also computes the exact watermark wait that
 guarantees zero lateness for its own traffic (the worst
 arrival-minus-binned-timestamp gap), which is the condition under which
-sharded and single-instance runs are provably identical.
+a run fed in arrival order equals one fed in timestamp order.
 """
 
 from __future__ import annotations
@@ -101,8 +99,7 @@ def build_keyed_program(
 ) -> Tuple[Program, Dict[str, Hashable]]:
     """One ``txn -> detect -> audit`` chain per key.
 
-    Returns the program and the source -> key mapping the shard planner
-    consumes (``key_of_source.__getitem__`` is a valid ``key_of``).
+    Returns the program and the source -> key mapping.
     """
     if not keys:
         raise WorkloadError("at least one key is required")
@@ -148,8 +145,7 @@ def keyed_arrivals(
 
     Returns ``(arrivals in arrival order, wait)`` where *wait* is the
     smallest watermark wait with **zero lateness** for this traffic —
-    run both the single instance and every shard with it and the streams
-    are loss-free, which is the sharding equality precondition.
+    a reorder buffer run with it drops nothing.
     """
     if ticks < 0:
         raise WorkloadError("ticks must be >= 0")
@@ -198,7 +194,7 @@ def keyed_arrival_stream(
     """:func:`keyed_arrivals` as a **bounded-memory generator**.
 
     The list form materialises ``keys * ticks`` events up front — fine
-    for the sharding tests, fatal for the serve layer's soak runs
+    for the differential tests, fatal for the serve layer's soak runs
     (10^5+ phases must not allocate the whole stream).  This yields the
     same events in the same arrival order while holding only the
     events still "in the network": per key, draws are identical to the
@@ -277,7 +273,7 @@ def build_keyed_workload(
     quantum: float = 1.0,
     **traffic: Any,
 ) -> KeyedWorkload:
-    """The standard sharding fixture: *num_keys* account chains plus
+    """The standard keyed fixture: *num_keys* account chains plus
     their arrival stream and safe wait."""
     if num_keys < 1:
         raise WorkloadError(f"num_keys must be >= 1, got {num_keys}")

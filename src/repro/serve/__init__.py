@@ -15,13 +15,10 @@ stream with bounded memory:
 * :mod:`repro.serve.server` — a stdlib :class:`ThreadingHTTPServer`
   exposing NDJSON ingest (``POST /events``), the SSE result stream
   (``GET /stream``), stats and health.
-* :mod:`repro.serve.sharded` — :class:`ShardedServeSession` runs one
-  session per key shard and merges retired phases in watermark order.
 """
 
 from .server import ServeServer
 from .session import OracleSpotChecker, ServeConfig, ServeSession
-from .sharded import ShardedServeSession
 from .sse import MessageAnnouncer, format_sse
 
 __all__ = [
@@ -30,6 +27,5 @@ __all__ = [
     "ServeConfig",
     "ServeServer",
     "ServeSession",
-    "ShardedServeSession",
     "format_sse",
 ]

@@ -378,8 +378,8 @@ class ServeSession:
                 pi = PhaseInput(phase, ts, {})
             verdict = self.checker.observe(pi, entries)
         if self._on_retired is not None:
-            # The sharded session's merge hook; an exception here is an
-            # emitter failure (it propagates to _emit_main's handler).
+            # The in-process sink hook; an exception here is an emitter
+            # failure (it propagates to _emit_main's handler).
             self._on_retired(phase, ts, entries)
         self.announcer.announce(phase_frame(phase, ts, entries, verdict))
         self.results_streamed += 1

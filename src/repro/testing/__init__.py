@@ -21,18 +21,14 @@ from .fuzz import (
     FuzzFailure,
     FuzzReport,
     RunOutcome,
-    ShardedSpec,
     SparseSource,
     WorkloadSpec,
     fuzz,
     fuzz_process,
-    fuzz_sharded,
     process_config_for_run,
     replay_failure,
     run_one,
     run_one_process,
-    run_one_sharded,
-    sharded_spec_for_run,
     shrink,
     spec_for_run,
     write_failure_artifacts,
@@ -74,10 +70,6 @@ __all__ = [
     "WorkloadSpec",
     "fuzz",
     "fuzz_process",
-    "fuzz_sharded",
-    "ShardedSpec",
-    "sharded_spec_for_run",
-    "run_one_sharded",
     "make_policy",
     "process_config_for_run",
     "replay_failure",

@@ -63,10 +63,6 @@ __all__ = [
     "run_one_process",
     "fuzz_process",
     "process_config_for_run",
-    "ShardedSpec",
-    "sharded_spec_for_run",
-    "run_one_sharded",
-    "fuzz_sharded",
     "replay_failure",
     "shrink",
     "write_failure_artifacts",
@@ -519,40 +515,23 @@ class FuzzReport:
     total_steps: int
     total_checks: int
     failures: List[FuzzFailure] = field(default_factory=list)
-    #: "schedule" for the virtual-scheduler campaigns; "sharded" for the
-    #: sharded-vs-oracle campaign (whose counters mean shard/engine
-    #: configs, not interleavings).
-    campaign: str = "schedule"
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def summary(self) -> str:
-        head, verdict = _DESCRIBE[self.campaign]
-        head = head.format(report=self)
+        head = (
+            f"fuzz: {self.runs} runs (seed {self.master_seed}), "
+            f"{self.distinct_interleavings} distinct interleavings, "
+            f"{self.total_steps} scheduling decisions, "
+            f"{self.total_checks} invariant checks"
+        )
         if self.ok:
-            return head + verdict
+            return head + " -- all serializable, no violations"
         parts = [head, f"{len(self.failures)} failure(s):"]
         parts += [f.summary() for f in self.failures]
         return "\n".join(parts)
-
-
-#: Per campaign: what the report's counters mean, and the all-clear verdict.
-_DESCRIBE = {
-    "schedule": (
-        "fuzz: {report.runs} runs (seed {report.master_seed}), "
-        "{report.distinct_interleavings} distinct interleavings, "
-        "{report.total_steps} scheduling decisions, "
-        "{report.total_checks} invariant checks",
-        " -- all serializable, no violations",
-    ),
-    "sharded": (
-        "fuzz[sharded]: {report.runs} runs (seed {report.master_seed}), "
-        "{report.distinct_interleavings} distinct shard/engine configs",
-        " -- all oracle-equal, no violations",
-    ),
-}
 
 
 def _campaign(
@@ -560,7 +539,6 @@ def _campaign(
     seed: int,
     stop_on_failure: bool,
     attempt: Callable[[int], Tuple[str, int, int, Optional[Dict[str, Any]]]],
-    campaign: str = "schedule",
 ) -> FuzzReport:
     """The one campaign loop: *attempt(i)* derives run *i*'s spec from
     the master seed, runs and judges it, and returns ``(what makes the
@@ -586,7 +564,6 @@ def _campaign(
         total_steps=total_steps,
         total_checks=total_checks,
         failures=failures,
-        campaign=campaign,
     )
 
 
@@ -855,200 +832,3 @@ def write_failure_artifacts(report: FuzzReport, directory: str) -> List[str]:
         path.write_text(json.dumps(f.to_dict(), indent=2) + "\n")
         written.append(str(path))
     return written
-
-
-# ---------------------------------------------------------------------------
-# Sharded campaign: keyed workloads across replicated engine instances
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardedSpec:
-    """One derived sharded-campaign configuration (all from the seed)."""
-
-    seed: int
-    num_keys: int
-    ticks: int
-    shards: int
-    engine: str
-    threads: int
-    fuse: bool
-    window: int
-    clock_noise: float
-    delay_mean: float
-    delay_jitter: float
-    drop_rate: float
-    anomaly_rate: float
-
-    def describe(self) -> str:
-        return (
-            f"keyed[{self.num_keys} keys x {self.ticks} ticks] on "
-            f"{self.shards} shards ({self.engine}"
-            + (f", k={self.threads}" if self.engine == "parallel" else "")
-            + (", fused" if self.fuse else "")
-            + f", noise={self.clock_noise}, "
-            f"drop={self.drop_rate})"
-        )
-
-
-def sharded_spec_for_run(
-    master_seed: int,
-    index: int,
-    shards: Optional[int] = None,
-    engine: Optional[str] = None,
-) -> ShardedSpec:
-    """Derive one sharded run configuration from the master seed."""
-    rng = random.Random(f"{master_seed}|sharded|{index}")
-    return ShardedSpec(
-        seed=rng.randrange(2**31),
-        num_keys=rng.randint(3, 9),
-        ticks=rng.randint(8, 24),
-        shards=shards if shards else rng.choice([2, 3, 4]),
-        engine=engine if engine else rng.choice(["serial", "parallel"]),
-        threads=rng.randint(2, 3),
-        fuse=rng.random() < 0.5,
-        window=rng.randint(4, 10),
-        clock_noise=rng.choice([0.0, 0.05, 0.2]),
-        delay_mean=rng.choice([0.0, 0.3, 1.0]),
-        delay_jitter=rng.choice([0.1, 0.5, 1.5]),
-        drop_rate=rng.choice([0.0, 0.1, 0.3]),
-        anomaly_rate=rng.choice([0.02, 0.08, 0.2]),
-    )
-
-
-def _build_sharded_workload(spec: ShardedSpec):
-    from ..models.domains.keyed import build_keyed_workload
-
-    return build_keyed_workload(
-        num_keys=spec.num_keys,
-        ticks=spec.ticks,
-        seed=spec.seed,
-        window=spec.window,
-        clock_noise=spec.clock_noise,
-        delay_mean=spec.delay_mean,
-        delay_jitter=spec.delay_jitter,
-        drop_rate=spec.drop_rate,
-        anomaly_rate=spec.anomaly_rate,
-    )
-
-
-def run_one_sharded(spec: ShardedSpec) -> Optional[str]:
-    """Run one sharded configuration against the single-instance serial
-    oracle; returns a failure reason or ``None``.
-
-    Judged on three axes: merged timestamp-keyed outputs, final
-    per-key detector state, and the ``stats["sharding"]`` schema.  The
-    workload's wait guarantees zero lateness, so sharded and
-    single-instance ingestion see identical event sets by construction.
-    """
-    from ..analysis.stats import validate_engine_stats
-    from ..sharding import ShardedEngine, flatten_entries, stream_phases
-
-    oracle_wl = _build_sharded_workload(spec)
-    phases, buf = stream_phases(
-        oracle_wl.arrivals, wait=oracle_wl.wait, quantum=oracle_wl.quantum
-    )
-    if buf.late_count:
-        return (
-            f"oracle buffer dropped {buf.late_count} events despite the "
-            f"zero-lateness wait"
-        )
-    oracle = SerialExecutor(oracle_wl.program).run(phases)
-    oracle_entries = flatten_entries(oracle, phases)
-    oracle_state = {
-        v: b.snapshot_state()
-        for v, b in oracle_wl.program.behaviors.items()
-        if v.startswith("detect")
-    }
-
-    sharded_wl = _build_sharded_workload(spec)
-    engine = ShardedEngine(
-        sharded_wl.program,
-        sharded_wl.key_of_source.__getitem__,
-        spec.shards,
-        engine=spec.engine,
-        engine_options={"threads": spec.threads},
-        fuse=spec.fuse,
-    )
-    result = engine.run_stream(
-        sharded_wl.arrivals,
-        sharded_wl.key_of_event,
-        wait=sharded_wl.wait,
-        quantum=sharded_wl.quantum,
-    )
-
-    merged = result.entries()
-    if merged != oracle_entries:
-        extra = [r for r in merged if r not in oracle_entries][:3]
-        missing = [r for r in oracle_entries if r not in merged][:3]
-        return (
-            f"merged entries diverge from the serial oracle "
-            f"({len(merged)} vs {len(oracle_entries)} rows; "
-            f"extra={extra!r}, missing={missing!r})"
-        )
-    if result.phases_run != oracle.phases_run:
-        return (
-            f"merged phase count {result.phases_run} != oracle "
-            f"{oracle.phases_run}"
-        )
-    sharded_state = {
-        v: s
-        for v, s in result.final_states().items()
-        if v.startswith("detect")
-    }
-    if sharded_state != oracle_state:
-        diverged = sorted(
-            v
-            for v in oracle_state
-            if sharded_state.get(v) != oracle_state[v]
-        )
-        return f"final detector state diverges for {diverged[:5]!r}"
-    schema_errors = validate_engine_stats(result.engine, result.stats)
-    if schema_errors:
-        return f"stats schema invalid: {schema_errors!r}"
-    late = sum(
-        entry["late_events"]
-        for entry in result.stats["sharding"]["per_shard"]
-    )
-    if late:
-        return f"shards recorded {late} late events under a safe wait"
-    return None
-
-
-def fuzz_sharded(
-    runs: int = 12,
-    seed: int = 0,
-    shards: Optional[int] = None,
-    engine: Optional[str] = None,
-    stop_on_failure: bool = True,
-) -> FuzzReport:
-    """Explore *runs* random keyed workloads across shard layouts.
-
-    Each run derives a keyed workload plus a (shards, engine, fuse,
-    traffic-noise) configuration from the master seed and
-    judges the sharded run against the single-instance serial oracle —
-    merged outputs, final per-key state, and stats schema.  Fix *shards*
-    / *engine* to pin those axes (the CI smoke runs 2 and 4).
-    """
-
-    def attempt(i: int):
-        spec = sharded_spec_for_run(seed, i, shards=shards, engine=engine)
-        reason = run_one_sharded(spec)
-        failure = None
-        if reason is not None:
-            failure = dict(
-                spec=spec,
-                policy_name="sharded",
-                policy_seed=0,
-                reason=reason,
-                trace_names=[],
-                fuse=spec.fuse,
-                engine_config={
-                    "shards": spec.shards,
-                    "engine": spec.engine,
-                    "threads": spec.threads,
-                },
-            )
-        return f"{spec.shards}x{spec.engine}", 0, 0, failure
-
-    return _campaign(runs, seed, stop_on_failure, attempt, campaign="sharded")

@@ -1,6 +1,6 @@
 """Tests for statistics helpers and table formatting."""
 
-from repro.analysis.stats import format_table, message_rate_summary, summarize_speedup
+from repro.analysis.stats import format_table, message_rate_summary
 from repro.core.program import RunResult
 
 
@@ -35,18 +35,6 @@ class TestFormatTable:
     def test_ints_and_strings_passthrough(self):
         table = format_table(["a", "b"], [[7, "seven"]])
         assert "7" in table and "seven" in table
-
-
-class TestSpeedupSummary:
-    def test_baseline_first(self):
-        summary = summarize_speedup([rr("k1", 10.0), rr("k2", 5.0), rr("k4", 2.5)])
-        speeds = [r["speedup"] for r in summary["runs"]]
-        assert speeds == [1.0, 2.0, 4.0]
-        assert summary["peak_speedup"] == 4.0
-        assert summary["baseline"] == "k1"
-
-    def test_empty(self):
-        assert summarize_speedup([])["runs"] == []
 
 
 class TestMessageRateSummary:

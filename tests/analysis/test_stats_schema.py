@@ -14,7 +14,6 @@ from repro.analysis.stats import (
     validate_coalescing_stats,
     validate_engine_stats,
     validate_frontier_stats,
-    validate_sharding_stats,
 )
 from repro.cli import main
 
@@ -172,116 +171,3 @@ class TestCoalescingValidator:
             "unexpected keys" in e
             for e in validate_coalescing_stats(section)
         )
-
-
-def _good_sharding_section(num_shards=2):
-    return {
-        "num_shards": num_shards,
-        "mode": "stream",
-        "keys": 4,
-        "router": {"algorithm": "blake2b-64", "num_shards": num_shards},
-        "per_shard": [
-            {
-                "shard": i,
-                "keys": 2,
-                "vertices": 6,
-                "phases": 10,
-                "executions": 60,
-                "messages": 30,
-                "late_events": 0,
-            }
-            for i in range(num_shards)
-        ],
-        "merge": {"phases_merged": 10, "max_buffered": 3},
-    }
-
-
-class TestShardingValidator:
-    def test_accepts_valid_section(self):
-        assert validate_sharding_stats(_good_sharding_section()) == []
-
-    def test_rejects_missing_and_extra_keys(self):
-        section = _good_sharding_section()
-        del section["router"]
-        section["bonus"] = 1
-        errors = validate_sharding_stats(section)
-        assert any("router" in e for e in errors)
-        assert any("unexpected" in e for e in errors)
-
-    def test_rejects_wrong_shard_count(self):
-        section = _good_sharding_section()
-        section["per_shard"] = section["per_shard"][:1]
-        assert validate_sharding_stats(section) != []
-
-    def test_rejects_misordered_shard_indices(self):
-        section = _good_sharding_section()
-        section["per_shard"][0]["shard"] = 1
-        section["per_shard"][1]["shard"] = 0
-        assert validate_sharding_stats(section) != []
-
-    def test_rejects_bad_mode(self):
-        section = _good_sharding_section()
-        section["mode"] = "telepathy"
-        assert validate_sharding_stats(section) != []
-
-    def test_rejects_negative_counters(self):
-        section = _good_sharding_section()
-        section["per_shard"][1]["late_events"] = -1
-        assert validate_sharding_stats(section) != []
-
-    def test_sharded_engine_dispatch(self):
-        label = "sharded[n=2,serial]"
-        good = {"sharding": _good_sharding_section()}
-        assert validate_engine_stats(label, good) == []
-        # Missing sharding section: invalid.
-        assert validate_engine_stats(label, {}) != []
-        # Frontier at top level of a sharded result: the per-shard runs
-        # own their frontiers; the merged result must not claim one.
-        bad = dict(good)
-        bad["frontier"] = {
-            "mode": "cone", "cone_count": 1, "max_phase_skew": 0,
-            "frontier_advances": 0,
-        }
-        assert validate_engine_stats(label, bad) != []
-
-    def test_non_sharded_engine_rejects_sharding_section(self):
-        stats = {
-            "frontier": {
-                "mode": "global", "cone_count": 1, "max_phase_skew": 0,
-                "frontier_advances": 0,
-            },
-            "sharding": _good_sharding_section(),
-        }
-        assert validate_engine_stats("parallel[k=2]", stats) != []
-
-
-class TestShardedStatsJson:
-    def test_cli_sharded_stats_validate(self, tmp_path):
-        spec = tmp_path / "keyed.xml"
-        spec.write_text("""
-<computation name="keyed-mini">
-  <graph>
-    <vertex id="txn[a]" class="RandomWalkSensor">
-      <param name="seed" value="1" type="int"/>
-    </vertex>
-    <vertex id="out[a]" class="Recorder"/>
-    <edge from="txn[a]" to="out[a]"/>
-    <vertex id="txn[b]" class="RandomWalkSensor">
-      <param name="seed" value="2" type="int"/>
-    </vertex>
-    <vertex id="out[b]" class="Recorder"/>
-    <edge from="txn[b]" to="out[b]"/>
-  </graph>
-  <simulation timesteps="6" interval="1.0" seed="5"/>
-</computation>
-""")
-        out_path = tmp_path / "sharded.json"
-        assert main([
-            "run", str(spec), "--shards", "2", "--key-by", "bracket",
-            "--stats-json", str(out_path),
-        ]) == 0
-        payload = json.loads(out_path.read_text())
-        assert payload["engine"].startswith("sharded[n=2,")
-        errors = validate_engine_stats(payload["engine"], payload["stats"])
-        assert not errors, errors
-        assert payload["stats"]["sharding"]["mode"] == "phases"

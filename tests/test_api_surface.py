@@ -7,7 +7,9 @@ names, the :class:`ServeConfig` fields and the CLI flags, so a re-grown
 knob fails tier-1 here instead of quietly doubling the configurations the
 differential suite and the benchmark must cover.  If one of them fails
 because you added a scheduling option: ROADMAP aim 2 asks for a value the
-code derives from what it can observe, not for a new setting.
+code derives from what it can observe, not for a new setting.  One
+engine instance per program is pinned the same way: the key-sharding
+topology stays deleted.
 
 The last test pins :class:`~repro.runtime.core.ScheduleCore` the same
 way: four operations and one constructor are the whole interface between
@@ -15,6 +17,7 @@ the run lifecycle and the engines that drive it.
 """
 
 import dataclasses
+import importlib.util
 import inspect
 
 import pytest
@@ -25,14 +28,13 @@ from repro.runtime.engine import ParallelEngine
 from repro.runtime.environment import EnvironmentConfig
 from repro.runtime.mp import ProcessEngine
 from repro.serve import ServeConfig
-from repro.sharding import ShardedEngine
 from repro.simulator import SimulatedEngine
 
 AIM_2 = "scheduling surface changed — see ROADMAP aim 2 before adding a knob"
 
 REMOVED_FLAGS = (
     "--frontier", "--suppress", "--run-length", "--batch-size",
-    "--ipc-batch", "--window",
+    "--ipc-batch", "--window", "--shards", "--key-by",
 )
 
 
@@ -54,10 +56,6 @@ def test_engine_constructor_parameters_are_pinned():
         "checker", "tracer", "max_in_flight_phases", "queue_discipline",
         "frontier",
     ], AIM_2
-    assert params(ShardedEngine) == [
-        "program", "key_of", "num_shards", "engine", "engine_options",
-        "fuse", "router",
-    ], AIM_2
 
 
 def test_config_fields_are_pinned():
@@ -70,6 +68,22 @@ def test_config_fields_are_pinned():
     assert [f.name for f in dataclasses.fields(EnvironmentConfig)] == [
         "pacing", "max_in_flight_phases",
     ], AIM_2
+
+
+ONE_INSTANCE = (
+    "a second execution topology re-appeared — ROADMAP aim 2: one engine "
+    "instance, one reorder buffer and one watermark per program; a keyed "
+    "program is a graph whose components are independent, and the "
+    "scheduler already runs those concurrently"
+)
+
+
+def test_key_sharding_topology_is_gone():
+    import repro.serve
+
+    assert "ShardedServeSession" not in repro.serve.__all__, ONE_INSTANCE
+    # No spec <=> ``import repro.sharding`` raises ModuleNotFoundError.
+    assert importlib.util.find_spec("repro.sharding") is None, ONE_INSTANCE
 
 
 def subparser(command):

@@ -155,89 +155,6 @@ class TestRun:
         assert body(serial_out) == body(parallel_out)
 
 
-KEYED_SPEC = """
-<computation name="cli-keyed">
-  <graph>
-    <vertex id="txn[a]" class="RandomWalkSensor">
-      <param name="seed" value="1" type="int"/>
-    </vertex>
-    <vertex id="avg[a]" class="MovingAverage">
-      <param name="window" value="3" type="int"/>
-    </vertex>
-    <vertex id="out[a]" class="Recorder"/>
-    <edge from="txn[a]" to="avg[a]"/>
-    <edge from="avg[a]" to="out[a]"/>
-    <vertex id="txn[b]" class="RandomWalkSensor">
-      <param name="seed" value="2" type="int"/>
-    </vertex>
-    <vertex id="avg[b]" class="MovingAverage">
-      <param name="window" value="4" type="int"/>
-    </vertex>
-    <vertex id="out[b]" class="Recorder"/>
-    <edge from="txn[b]" to="avg[b]"/>
-    <edge from="avg[b]" to="out[b]"/>
-    <vertex id="txn[c]" class="RandomWalkSensor">
-      <param name="seed" value="3" type="int"/>
-    </vertex>
-    <vertex id="out[c]" class="Recorder"/>
-    <edge from="txn[c]" to="out[c]"/>
-  </graph>
-  <simulation timesteps="12" interval="1.0" seed="7"/>
-</computation>
-"""
-
-
-@pytest.fixture
-def keyed_spec_file(tmp_path: Path) -> str:
-    path = tmp_path / "keyed.xml"
-    path.write_text(KEYED_SPEC)
-    return str(path)
-
-
-class TestShardedRun:
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_sharded_check_passes(self, keyed_spec_file, capsys, shards):
-        assert main([
-            "run", keyed_spec_file, "--shards", str(shards),
-            "--engine", "serial", "--check",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert f"sharded[n={shards},serial]" in out
-        assert "sharded-vs-oracle: equivalent" in out
-        assert "stats schema OK" in out
-
-    def test_sharded_parallel_engine(self, keyed_spec_file, capsys):
-        assert main([
-            "run", keyed_spec_file, "--shards", "2", "--engine", "parallel",
-            "--threads", "2", "--check",
-        ]) == 0
-        assert "sharded[n=2,parallel]" in capsys.readouterr().out
-
-    def test_sharded_no_fuse(self, keyed_spec_file, capsys):
-        assert main([
-            "run", keyed_spec_file, "--shards", "2", "--no-fuse", "--check",
-        ]) == 0
-        assert "equivalent" in capsys.readouterr().out
-
-    def test_key_by_source_shards_every_source_alone(
-        self, keyed_spec_file, capsys
-    ):
-        assert main([
-            "run", keyed_spec_file, "--shards", "2", "--key-by", "source",
-            "--check",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "3 keys" in out
-
-    def test_non_separable_spec_fails_cleanly(self, spec_file, capsys):
-        # The plain 3-vertex chain has one source; sharding it across 2
-        # is fine — but key_by requires routable keys; build a truly
-        # cross-key spec instead via the unkeyed demo feeding one sink.
-        assert main(["run", spec_file, "--shards", "2", "--check"]) == 0
-        out = capsys.readouterr().out
-        assert "1 keys" in out
-
-
 class TestInfoValidate:
     def test_info(self, spec_file, capsys):
         assert main(["info", spec_file]) == 0
@@ -255,6 +172,50 @@ class TestInfoValidate:
         bad.write_text("<computation><graph><vertex id='v'/></graph></computation>")
         assert main(["validate", str(bad)]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestClosedStdout:
+    """``repro run SPEC | head -1``: the reader leaves after one line."""
+
+    @pytest.mark.parametrize(
+        "argv", [["run", "--engine", "serial"], ["info"]], ids=["run", "info"]
+    )
+    def test_exits_nonzero_with_empty_stderr(self, tmp_path, argv):
+        import os
+        import subprocess
+        import sys
+
+        # 1,200 chains print > 130 kB for either verb — more than a pipe
+        # holds — so the child is still writing when the reader goes away.
+        chains = "".join(
+            f'<vertex id="s{i}" class="RandomWalkSensor">'
+            f'<param name="seed" value="{i}" type="int"/></vertex>'
+            f'<vertex id="o{i}" class="Recorder"/>'
+            f'<edge from="s{i}" to="o{i}"/>'
+            for i in range(1200)
+        )
+        spec = tmp_path / "wide.xml"
+        spec.write_text(
+            f'<computation name="wide"><graph>{chains}</graph>'
+            '<simulation timesteps="3" interval="1.0" seed="5"/>'
+            "</computation>"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv, str(spec)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(Path("src").resolve())),
+        )
+        try:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) != 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.stderr.close()
+        assert err == b""
 
 
 class TestSpeedup:
@@ -309,21 +270,6 @@ class TestFuzz:
         first = capsys.readouterr().out
         assert main(["fuzz", "--runs", "8", "--seed", "3"]) == 0
         assert capsys.readouterr().out == first
-
-
-class TestShardedFuzz:
-    def test_sharded_campaign_exits_zero(self, capsys):
-        assert main(["fuzz", "--shards", "2", "--runs", "3",
-                     "--seed", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "sharded" in out
-
-    def test_sharded_rejects_inject(self, capsys):
-        assert main([
-            "fuzz", "--shards", "2", "--runs", "3", "--seed", "0",
-            "--inject", "unlocked_commit",
-        ]) == 2
-        assert "--inject" in capsys.readouterr().err
 
 
 SERVE_SPEC = Path("specs/serve_accounts.xml")
@@ -386,21 +332,6 @@ class TestServe:
         assert serve["phases_retired"] > 0
         assert serve["spot_checks_passed"] == serve["phases_retired"]
         assert serve["spot_checks_failed"] == 0
-
-    def test_replay_sharded(self, tmp_path, capsys):
-        events = tmp_path / "events.ndjson"
-        _serve_ndjson(events)
-        out_path = tmp_path / "stats.json"
-        assert main([
-            "serve", str(SERVE_SPEC), "--shards", "2", "--key-by", "bracket",
-            "--input", str(events), "--check-sample", "1",
-            "--stats-json", str(out_path),
-        ]) == 0
-        import json as _json
-
-        stats = _json.loads(out_path.read_text())
-        assert stats["sharding"]["num_shards"] == 2
-        assert stats["serve"]["spot_checks_failed"] == 0
 
     def test_replay_deterministic_across_engines(self, tmp_path, capsys):
         events = tmp_path / "events.ndjson"

@@ -15,7 +15,9 @@ One module instead of a matrix per feature (ROADMAP aim 3).  The axes:
   oracle always runs the unfused program);
 * **workload family** — sparse random DAGs, the same DAGs with a seeded
   straggler per phase, the suppression-friendly mix on which Δ-elision is
-  reachable, and deep linear pipelines on which runs form.
+  reachable, deep linear pipelines on which runs form, and keyed traffic:
+  independent per-account chains fed in arrival order through one
+  reorder buffer.
 
 Every cell is **record-exact** against :class:`SerialExecutor`; the
 executed-pair and message comparison is strict wherever nothing can be
@@ -37,6 +39,8 @@ from repro.analysis.serializability import check_serializable
 from repro.analysis.stats import validate_engine_stats
 from repro.core.plan import compile_plan
 from repro.core.serial import SerialExecutor
+from repro.ingest import ReorderBuffer, bin_timestamp
+from repro.models.domains.keyed import build_keyed_workload
 from repro.runtime.core import ScheduleCore
 from repro.runtime.engine import ParallelEngine
 from repro.runtime.environment import EnvironmentConfig
@@ -90,6 +94,44 @@ class PipelineSpec:
         return f"pipeline depth={self.depth} phases={self.phases} seed={self.seed}"
 
 
+@dataclass(frozen=True)
+class KeyedSpec:
+    """Independent ``txn -> detect -> audit`` chains, one per account,
+    whose events arrive out of timestamp order — inside the covering
+    wait, so none is late — and are sealed into phases by the one
+    :class:`ReorderBuffer` a program has."""
+
+    num_keys: int
+    ticks: int
+    seed: int
+    delay_jitter: float
+    threads: int = 3
+    elidable: bool = False
+    max_in_flight = None
+
+    def workload(self):
+        return build_keyed_workload(
+            self.num_keys, self.ticks, self.seed,
+            delay_jitter=self.delay_jitter, anomaly_rate=0.25,
+        )
+
+    def build(self):
+        workload = self.workload()
+        buffer = ReorderBuffer(wait=workload.wait, quantum=workload.quantum)
+        phases = [p for a in workload.arrivals for p in buffer.offer(a)]
+        phases.extend(buffer.flush())
+        assert buffer.late_count == 0
+        return workload.program, phases
+
+    build_picklable = build
+
+    def describe(self):
+        return (
+            f"keyed keys={self.num_keys} ticks={self.ticks} seed={self.seed} "
+            f"jitter={self.delay_jitter}"
+        )
+
+
 def small(engine):
     # Process runs stay small: each one spawns its own workers.
     return {"max_vertices": 6, "max_phases": 4} if engine == "process" else {}
@@ -108,6 +150,11 @@ FAMILIES = {
     "pipeline": lambda e, i: PipelineSpec(
         depth=4 + i % 4, phases=(10 if e == "process" else 30) + 5 * (i % 3),
         seed=i,
+    ),
+    # Jitter 1.6 delivers a tick's stragglers after the next tick's events.
+    "keyed": lambda e, i: KeyedSpec(
+        num_keys=2 + i % 3, ticks=(12 if e == "process" else 16) + i % 5,
+        seed=i, delay_jitter=(0.4, 1.0, 1.6)[i % 3],
     ),
 }
 
@@ -305,6 +352,23 @@ class TestTheSuiteIsNotVacuous:
         fusion = result.stats["fusion"]
         # An 8-deep chain fuses to one stage: >= 2x fewer scheduled pairs.
         assert fusion["member_executions"] >= 2 * fusion["scheduled_pairs"]
+
+    def test_keyed_corpus_alerts_and_reorders_across_phases(self):
+        alerting = crossing = 0
+        for i in range(12):
+            spec = FAMILIES["keyed"]("inline", i)
+            serial, _ = run_cell("inline", spec, i, fuse=False)
+            alerting += any(serial.records.values())
+            bins = [
+                bin_timestamp(a.event.timestamp, 1.0)
+                for a in spec.workload().arrivals
+            ]
+            crossing += bins != sorted(bins)
+        assert alerting >= 10, f"only {alerting}/12 keyed runs recorded an alert"
+        assert crossing >= 3, (
+            f"only {crossing}/12 keyed streams deliver a phase's event after "
+            f"a later phase's"
+        )
 
     def test_simulated_global_is_the_published_schedule(self):
         spec = PipelineSpec(depth=4, phases=12, seed=3)

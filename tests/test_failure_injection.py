@@ -1,6 +1,8 @@
 """Failure injection across engines: vertex exceptions must surface as
 typed errors from every engine, leaving no silent corruption."""
 
+import threading
+
 import pytest
 
 from repro.core.program import Program
@@ -15,6 +17,11 @@ from repro.simulator.machine import SimulatedEngine
 from tests.conftest import signals
 
 
+class Chatty(SourceVertex):
+    def on_execute(self, ctx):
+        return ctx.phase
+
+
 def failing_program(fail_phase: int = 2) -> Program:
     g = ComputationGraph.from_edges([("src", "mid"), ("mid", "out")])
 
@@ -23,16 +30,34 @@ def failing_program(fail_phase: int = 2) -> Program:
             raise RuntimeError("injected failure")
         return ctx.input("src")
 
-    class Chatty(SourceVertex):
-        def on_execute(self, ctx):
-            return ctx.phase
-
     return Program(
         g,
         {
             "src": Chatty(),
             "mid": FunctionVertex(mid),
             "out": FunctionVertex(lambda ctx: ctx.input("mid")),
+        },
+    )
+
+
+def failing_two_chains() -> Program:
+    """Two chains with no path between them; only ``mid[a]`` fails."""
+    g = ComputationGraph.from_edges(
+        [("src[a]", "mid[a]"), ("src[b]", "mid[b]")]
+    )
+
+    def fail_on_2(ctx):
+        if ctx.phase == 2:
+            raise RuntimeError("injected failure")
+        return ctx.changed and 1
+
+    return Program(
+        g,
+        {
+            "src[a]": Chatty(),
+            "mid[a]": FunctionVertex(fail_on_2),
+            "src[b]": Chatty(),
+            "mid[b]": FunctionVertex(lambda c: c.input("src[b]")),
         },
     )
 
@@ -48,12 +73,25 @@ class TestSerialFailure:
 
 
 class TestParallelFailure:
-    @pytest.mark.parametrize("threads", [1, 4])
-    def test_raises_and_terminates(self, threads):
-        prog = failing_program()
-        engine = ParallelEngine(prog, num_threads=threads, join_timeout=30)
-        with pytest.raises(VertexExecutionError, match="injected failure"):
+    @pytest.mark.parametrize(
+        "build, vertex, threads",
+        [
+            pytest.param(failing_program, "mid", 1, id="1"),
+            pytest.param(failing_program, "mid", 4, id="4"),
+            # The failing (v, p) of one chain surfaces while the threads
+            # working the other, independent chain are joined too.
+            pytest.param(failing_two_chains, "mid[a]", 4, id="two-chains-4"),
+        ],
+    )
+    def test_raises_and_terminates(self, build, vertex, threads):
+        before = threading.active_count()
+        engine = ParallelEngine(build(), num_threads=threads, join_timeout=30)
+        with pytest.raises(
+            VertexExecutionError, match="injected failure"
+        ) as ei:
             engine.run(signals(5))
+        assert (ei.value.vertex, ei.value.phase) == (vertex, 2)
+        assert threading.active_count() <= before
 
     def test_failure_on_first_phase(self):
         prog = failing_program(fail_phase=1)
@@ -71,39 +109,6 @@ class TestSimulatedFailure:
         prog = failing_program()
         with pytest.raises(VertexExecutionError, match="injected failure"):
             SimulatedEngine(prog, num_workers=2).run(signals(5))
-
-
-class TestShardedFailure:
-    def test_raises_from_run(self):
-        # Two independent failing chains: key-separable, so the sharded
-        # meta-engine accepts it and must surface the inner failure.
-        from repro.sharding import ShardedEngine, key_by_bracket
-
-        g = ComputationGraph.from_edges(
-            [("src[a]", "mid[a]"), ("src[b]", "mid[b]")]
-        )
-
-        def fail_on_2(ctx):
-            if ctx.phase == 2:
-                raise RuntimeError("injected failure")
-            return ctx.changed and 1
-
-        class Chatty(SourceVertex):
-            def on_execute(self, ctx):
-                return ctx.phase
-
-        prog = Program(
-            g,
-            {
-                "src[a]": Chatty(),
-                "mid[a]": FunctionVertex(fail_on_2),
-                "src[b]": Chatty(),
-                "mid[b]": FunctionVertex(lambda c: c.input("src[b]")),
-            },
-        )
-        engine = ShardedEngine(prog, key_by_bracket, 2)
-        with pytest.raises(VertexExecutionError, match="injected failure"):
-            engine.run(signals(5))
 
 
 class TestSourceFailure:
