@@ -19,7 +19,11 @@ checked by one walker; the meaning of each key is in ``docs/API.md``.
   (readiness rule, cone count, phase skew), ``suppression`` (Δ-elision,
   ALGORITHM.md §5.6), ``coalescing`` (phase runs, §5.7; with the law
   ``mean_run_length`` = members / runs), ``per_worker_executions`` and
-  the edge-store counters ``edge_entries_peak`` / ``edge_entries_final``.
+  the edge-store counters ``edge_entries_peak`` / ``edge_entries_final``;
+* the threaded engine (``parallel``) adds ``drain`` — which thread
+  executed the runs (the environment inline, or the pool) — validated
+  wherever it appears, with the law ``inline_runs + pooled_runs`` =
+  ``coalescing.runs_scheduled``.
 
 :func:`validate_serve_stats` checks the ``serve`` section of the
 :mod:`repro.serve` session document (``repro serve --stats-json``).  The
@@ -81,6 +85,11 @@ _SCHEDULING_SCHEMA: Dict[str, Any] = {
 
 _SCHEMA: Dict[str, Any] = {
     **_SCHEDULING_SCHEMA,
+    # What :class:`repro.runtime.engine.ParallelEngine` adds.
+    "drain": {
+        "inline_runs": 0, "pooled_runs": 0, "handovers": 0,
+        "feed_burst_max": 0,
+    },
     "serve": {
         "engine": ("parallel", "process"),
         "phases_ingested": 0, "phases_retired": 0, "results_streamed": 0,
@@ -243,6 +252,17 @@ def validate_engine_stats(engine: str, stats: Any) -> List[str]:
             )
         else:
             errors.extend(_validate(name, stats[name], name))
+    # The threaded engine's own section: checked wherever it appears,
+    # and every scheduled run was executed by exactly one of the two.
+    if "drain" in stats:
+        errors.extend(_validate("drain", stats["drain"], "drain"))
+    runs = _counts(stats.get("drain"), "inline_runs", "pooled_runs")
+    scheduled = _counts(stats.get("coalescing"), "runs_scheduled")
+    if runs and scheduled and sum(runs) != scheduled[0]:
+        errors.append(
+            f"drain: inline_runs + pooled_runs = {sum(runs)} != "
+            f"coalescing.runs_scheduled {scheduled[0]}"
+        )
     if not scheduling and "frontier" in stats:
         errors.append(
             f"stats.frontier: unexpected for engine {engine!r} (no scheduler)"

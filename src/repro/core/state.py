@@ -726,7 +726,10 @@ class SchedulerState:
         if not batch:
             return []
         affected: List[int] = []
-        touched_phases: List[int] = []
+        # Touched phases in first-touch order (an insertion-ordered set:
+        # a 64-member run must not pay a list scan per member).
+        touched: Dict[int, None] = {}
+        preempt = self._preempt_hook
         for v, p, output_targets in batch:
             pair = (v, p)
             claimed = pair in self._run_claimed
@@ -749,15 +752,18 @@ class SchedulerState:
             else:
                 self._ready.remove(pair)
             self._msg.discard(pair)
-            self._pending[p].discard(v)
+            pending = self._pending[p]
+            pending.discard(v)
             self._full_phases[v].discard(p)
             self._executed_pairs += 1
             self._generation += 1
-            self._preempt("complete_execution:pair-removed")
+            if preempt is not None:
+                preempt("complete_execution:pair-removed")
 
             # Statements 1.8-1.11: outputs enter the partial set.
-            partial_heap = self._partial_by_phase.setdefault(p, LazyMinHeap())
-            pending = self._pending[p]
+            partial_heap = self._partial_by_phase.get(p)
+            if partial_heap is None:
+                partial_heap = self._partial_by_phase[p] = LazyMinHeap()
             for w in output_targets:
                 if not v < w <= self.N:
                     raise SchedulerError(
@@ -774,10 +780,11 @@ class SchedulerState:
                 pending.add(w)
 
             self._generation += 1
-            self._preempt("complete_execution:outputs-inserted")
+            if preempt is not None:
+                preempt("complete_execution:outputs-inserted")
             affected.append(v)
-            if p not in touched_phases:
-                touched_phases.append(p)
+            touched[p] = None
+        touched_phases = list(touched)
 
         if self.frontier == "cone":
             return self._finish_batch_cone(

@@ -258,10 +258,6 @@ class KeyedWorkload:
     arrivals: List[ArrivingEvent]
     wait: float
     quantum: float
-    key_field: str = "account"
-
-    def key_of_event(self, arriving: ArrivingEvent) -> Hashable:
-        return arriving.event.value[self.key_field]
 
 
 def build_keyed_workload(

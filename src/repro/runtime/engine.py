@@ -35,24 +35,44 @@ Differences from the paper's infinite loops (all additive):
   global lock, so the paper's serializability argument carries over
   (docs/ALGORITHM.md §5.4, §5.6, §5.7).  The published global-``x_p``
   schedule lives on in the simulator's ``frontier="global"``.
+* **The environment is a peer when work is cheap** — the paper promises
+  speed-up only when vertex compute dwarfs the bookkeeping around it.
+  In the other regime a hand-off (run queue, condition variable, a
+  contended lock, a thread switch under one GIL) costs more than the run
+  it hands over, so a batch :meth:`~ParallelEngine.run` measures both
+  halves of every run with the backend's clock and the environment
+  thread keeps, and executes itself, each ready pair whose vertex's
+  compute reads strictly cheaper than the critical sections around it —
+  whichever thread's commit made the pair ready.  It runs the same
+  ``execute_run`` as the workers, under the same lock, as worker
+  ``num_threads``: a (k+1)-th Listing-1 process (ALGORITHM.md §5.8).
+  Expensive vertices go to the run queue and fan out as in the paper; a
+  vertex nobody has measured costs the environment one execution to find
+  out.  A paced environment, a fed one (:meth:`~ParallelEngine.run_feed`)
+  and every run on a clock that does not advance
+  (:class:`~repro.testing.schedule.VirtualBackend`) never execute, so
+  schedule exploration sees exactly the peer-worker algorithm.
+  ``stats["drain"]`` says which regime a run was in.
 
 The expensive vertex computation happens *outside* the lock (prepare /
 compute / commit split, see :class:`~repro.core.program.PairRuntime`), so
 vertices that release the GIL (NumPy kernels, I/O, C extensions) genuinely
 execute in parallel.  Pure-Python vertex work is serialised by the GIL —
 the simulated SMP (:mod:`repro.simulator`) exists to evaluate speedup
-without that confound; this engine is the *correctness* vehicle.
+without that confound.
 """
 
 from __future__ import annotations
 
+import time
+from collections import deque
 from contextlib import nullcontext
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Union
 
 from ..core.invariants import InvariantChecker
 from ..core.plan import ExecutionPlan, as_plan
 from ..core.program import Program, RunResult
-from ..core.state import ADAPTIVE_RUN_CEILING
+from ..core.state import ADAPTIVE_RUN_CEILING, Pair
 from ..core.tracer import ExecutionTracer
 from ..errors import EngineError, QueueClosedError
 from ..events import PhaseInput
@@ -70,9 +90,9 @@ __all__ = ["ParallelEngine"]
 # re-checking abort/stop flags (feed mode only; OS backend only).
 _FEED_POLL_S = 0.05
 
-#: Batch-mode phase admissions per environment critical section.  Matches
-#: the adaptive run ceiling: a started horizon deeper than the longest
-#: claimable run buys nothing further.
+#: Most phases one environment critical section starts — a batch burst or
+#: a feed backlog.  Matches the adaptive run ceiling: a started horizon
+#: deeper than the longest claimable run buys nothing further.
 _START_BURST = ADAPTIVE_RUN_CEILING
 
 
@@ -95,10 +115,12 @@ class ParallelEngine:
     env:
         Environment pacing / flow control (:class:`EnvironmentConfig`).
     join_timeout:
-        Watchdog: seconds to wait for threads at shutdown before declaring
-        the run wedged.  A batch :meth:`run` is timed from its start; a
-        :meth:`run_feed` only from the moment its feed is closed or a
-        stop is requested (a served stream may stay open for days).
+        Watchdog: the run is wedged once no run of pairs has committed
+        for this many seconds while threads are still alive.  A healthy
+        batch :meth:`run` may last any multiple of it; a
+        :meth:`run_feed` is watched only from the moment its feed is
+        closed or a stop is requested (a served stream may idle for
+        days).
     backend:
         Threading backend supplying locks, events, threads, and the clock
         (default: real OS threads).  The deterministic test scheduler
@@ -165,10 +187,14 @@ class ParallelEngine:
         """Execute phases as a :class:`PhaseFeed` delivers them.
 
         The continuous-operation entry point: the environment thread
-        admits each sealed phase the moment the feed hands it over, and
-        the run ends when the feed is closed and drained (or *stop_event*
-        is set — in-flight phases still drain).  OS backend only: the
-        feed blocks on a real condition variable.
+        blocks for the next sealed phase, then admits it together with
+        every phase the feed already holds — one critical section, one
+        flow-control credit each and never waiting for one, at most
+        ``ADAPTIVE_RUN_CEILING`` — so a backlog starts as one horizon
+        that runs can coalesce over.  The run ends when the feed is
+        closed and drained (or *stop_event* is set, which is honoured
+        between bursts — in-flight phases still drain).  OS backend
+        only: the feed blocks on a real condition variable.
 
         With ``retire=True`` the engine additionally *retires* each
         phase as soon as the completed prefix extends — handing
@@ -199,11 +225,15 @@ class ParallelEngine:
         stop_event: object = None,
     ) -> RunResult:
         backend = self.backend
+        clock = backend.clock
         tracer = self.tracer
+        # The environment thread executes runs too: it is worker
+        # ``num_threads`` in the per-worker execution counts.
+        env_id = self.num_threads
         core = ScheduleCore(
             self.plan,
             phase_inputs,
-            self.num_threads,
+            self.num_threads + 1,
             checker=self.checker,
             tracer=tracer,
             preempt=getattr(backend, "preempt", None),
@@ -211,8 +241,8 @@ class ParallelEngine:
             sink=sink,
         )
         runtime = core.runtime
-        lock = InstrumentedLock(clock=backend.clock, backend=backend)
-        queue: BlockingQueue[Tuple[int, int]] = BlockingQueue(backend=backend)
+        lock = InstrumentedLock(clock=clock, backend=backend)
+        queue: BlockingQueue[Pair] = BlockingQueue(backend=backend)
         abort = backend.event()
         env_done = backend.event()
         flow_sem = (
@@ -228,12 +258,124 @@ class ParallelEngine:
         commit_guard = (lambda: nullcontext()) if unlocked_commit else (lambda: lock)
         start_guard = (lambda: nullcontext()) if unlocked_start else (lambda: lock)
 
+        # The regime estimates, in clock seconds per pair, each the last
+        # measurement: what a vertex's compute costs (per vertex), and
+        # what the critical sections around a compute cost (one number;
+        # before the first commit, what a phase start costs).  Written
+        # inside the critical section they time.
+        compute_cost: Dict[int, float] = {}
+        locked_cost = 0.0
+        # Ready pairs the environment executes itself.  Anyone may add
+        # one, inside a critical section and only while ``draining`` —
+        # which the environment raises when it starts phases and lowers,
+        # under the lock, once the deque is empty — so it never parks on
+        # flow control while work waits here.
+        mine: Deque[Pair] = deque()
+        draining = False
+        # A paced environment keeps its tick cadence and a fed one stays
+        # on its feed: neither executes.  (A served stream shares its
+        # interpreter with ingest and egress threads; draining inline
+        # there measured slower end to end, see CHANGES.md PR 20.)
+        may_drain = feed is None and not self.env.pacing
+        drain = {
+            "inline_runs": 0,
+            "pooled_runs": 0,
+            "handovers": 0,
+            "feed_burst_max": 0,
+        }
+
+        def place(newly_ready: List[Pair]) -> List[Pair]:
+            # Inside a critical section: each newly ready pair goes to
+            # exactly one of the environment's deque — while it drains,
+            # when the vertex's compute reads strictly cheaper than the
+            # locked time a hand-off is made of — or the run queue (the
+            # pairs returned).  A vertex not measured yet reads as free.
+            if not draining:
+                return newly_ready
+            pooled = []
+            for pair in newly_ready:
+                if compute_cost.get(pair[0], 0.0) < locked_cost:
+                    mine.append(pair)
+                else:
+                    pooled.append(pair)
+            return pooled
+
+        def enqueue(pairs: List[Pair]) -> bool:
+            # False once an abort has closed the queue under us.
+            try:
+                queue.put_many(pairs)
+            except QueueClosedError:
+                if not abort.is_set():
+                    raise
+                return False
+            return True
+
+        def execute_run(worker_id: int, v: int, p: int) -> None:
+            # Listing 1's body, one run at a time.  The ready pair is
+            # claimed as a run of prepared members under one lock,
+            # computed outside it, and committed — deliveries, suppression
+            # latch tests and the one ScheduleCore.commit — in one
+            # critical section; each newly ready pair is then placed
+            # exactly once.
+            nonlocal locked_cost
+            inline = worker_id == env_id
+            with lock:
+                claim_began = clock()
+                run = core.claim(v, p)
+                drain["inline_runs" if inline else "pooled_runs"] += 1
+                if tracer is not None:
+                    # (A member handed over below begins again when the
+                    # pool claims it; trace readers keep the last begin.)
+                    for q, _ in run:
+                        tracer.execute_begin((v, q), worker_id)
+                locked = clock() - claim_began
+            # What the environment stakes on a vertex nobody has measured
+            # is bounded: once computing it has cost more than the locked
+            # time the whole run stands for, it keeps what it has computed
+            # and the pool gets the rest of the run.
+            staking = inline and v not in compute_cost
+            budget = locked_cost * len(run)
+            executed = 0
+            compute_began = clock()
+            for _, ctx in run:
+                runtime.compute(v, ctx)
+                executed += 1
+                if staking and clock() - compute_began >= budget:
+                    break
+            computed = clock() - compute_began
+            with commit_guard():
+                commit_began = clock()
+                # Member commits run back-to-back: each delivery updates
+                # the edge latch the next member's suppression test
+                # reads, so runs short-circuit between members exactly
+                # like serial per-phase commits.
+                completed = [
+                    (v, q, runtime.commit(v, q, ctx)) for q, ctx in run[:executed]
+                ]
+                if tracer is not None:
+                    for _, q, _ in completed:
+                        tracer.execute_end((v, q), worker_id)
+                newly_ready, newly_complete = core.commit(worker_id, completed)
+                done = env_done.is_set() and core.quiescent
+                compute_cost[v] = computed / executed
+                locked_cost = (locked + clock() - commit_began) / executed
+                pooled = place(newly_ready)
+            if flow_sem is not None:
+                for _ in range(newly_complete):
+                    flow_sem.release()
+            if enqueue(pooled) and duplicate_enqueue:
+                enqueue(pooled)
+            if executed < len(run):
+                # The unexecuted tail keeps its claims; its head is
+                # re-dispatched like any ready pair and claimed again
+                # (SchedulerState.claim_run accepts a claimed head).
+                drain["handovers"] += 1
+                enqueue([(v, run[executed][0])])
+            if done:
+                queue.close()
+
         def worker(worker_id: int) -> None:
-            # Listing 1: the computation process, one run at a time.  The
-            # dequeued ready pair is claimed as a run of prepared members
-            # under one lock, computed outside it, and committed —
-            # deliveries, suppression latch tests and the one
-            # ScheduleCore.commit — in one critical section.
+            # Listing 1: the computation process.
             try:
                 while True:
                     try:
@@ -242,39 +384,7 @@ class ParallelEngine:
                         return
                     if abort.is_set():
                         continue  # drain until close
-                    with lock:
-                        run = core.claim(v, p)
-                        if tracer is not None:
-                            for q, _ in run:
-                                tracer.execute_begin((v, q), worker_id)
-                    for _, ctx in run:
-                        runtime.compute(v, ctx)
-                    with commit_guard():
-                        # Member commits run back-to-back: each delivery
-                        # updates the edge latch the next member's
-                        # suppression test reads, so runs short-circuit
-                        # between members exactly like serial per-phase
-                        # commits.
-                        completed = [
-                            (v, q, runtime.commit(v, q, ctx)) for q, ctx in run
-                        ]
-                        if tracer is not None:
-                            for q, _ in run:
-                                tracer.execute_end((v, q), worker_id)
-                        newly_ready, newly_complete = core.commit(worker_id, completed)
-                        done = env_done.is_set() and core.quiescent
-                    if flow_sem is not None:
-                        for _ in range(newly_complete):
-                            flow_sem.release()
-                    try:
-                        queue.put_many(newly_ready)
-                        if duplicate_enqueue:
-                            queue.put_many(newly_ready)
-                    except QueueClosedError:
-                        if not abort.is_set():
-                            raise
-                    if done:
-                        queue.close()
+                    execute_run(worker_id, v, p)
             except BaseException:
                 # A failed worker must not leave the others blocked on the
                 # queue or the environment parked on flow control: flag the
@@ -287,23 +397,43 @@ class ParallelEngine:
 
         env_errors: List[BaseException] = []
 
-        def start_phases(count: int, pi: Optional[PhaseInput] = None) -> bool:
-            # Start *count* phases (Listing 2 body) under one critical
-            # section: the per-phase start acquisition is exactly the
-            # lock traffic run coalescing exists to remove, and a deeper
-            # started horizon is what lets a claim extend runs in the
-            # first place.
+        def start_phases(count: int = 0, fed: Sequence[PhaseInput] = ()) -> bool:
+            # Start phases (Listing 2 body) under one critical section —
+            # *count* registered ones, or one per feed-delivered input:
+            # the per-phase start acquisition is exactly the lock traffic
+            # run coalescing exists to remove, and a deeper started
+            # horizon is what lets a claim extend runs in the first
+            # place.  Then the peer half: run what was placed here, and
+            # what the commits of any thread add, until nothing is left.
+            nonlocal locked_cost, draining
             with start_guard():
-                newly_ready = core.admit(count, pi)
-            try:
-                queue.put_many(newly_ready)
-            except QueueClosedError:
-                if not abort.is_set():
-                    raise
+                began = clock()
+                if fed:
+                    newly_ready = [pair for pi in fed for pair in core.admit(1, pi)]
+                else:
+                    newly_ready = core.admit(count)
+                if not compute_cost:
+                    locked_cost = (clock() - began) / (len(fed) or count)
+                # Nothing reads cheap on a clock that does not advance
+                # (VirtualBackend: 0 < 0), so schedule exploration always
+                # sees the peer-worker algorithm.
+                draining = may_drain and locked_cost > 0.0
+                pooled = place(newly_ready)
+            if not enqueue(pooled):
                 return False
+            while draining:
+                while mine and not abort.is_set():
+                    execute_run(env_id, *mine.popleft())
+                with lock:
+                    if not mine or abort.is_set():
+                        draining = False
+            mine.clear()  # an abort abandons the rest, as the workers do
             if self.env.pacing:
                 backend.sleep(self.env.pacing)
             return True
+
+        def stopping() -> bool:
+            return stop_event is not None and stop_event.is_set()
 
         def environment() -> None:
             # Listing 2: the environment process.
@@ -311,9 +441,7 @@ class ParallelEngine:
                 if feed is None:
                     remaining = core.phases_unadmitted
                     while remaining > 0:
-                        if abort.is_set():
-                            break
-                        if stop_event is not None and stop_event.is_set():
+                        if abort.is_set() or stopping():
                             break
                         # A paced environment starts one phase per tick.
                         burst = 1 if self.env.pacing else min(_START_BURST, remaining)
@@ -340,7 +468,7 @@ class ParallelEngine:
                         remaining -= burst
                 else:
                     while not abort.is_set():
-                        if stop_event is not None and stop_event.is_set():
+                        if stopping():
                             break
                         pi = feed.get(timeout=_FEED_POLL_S)
                         if pi is None:
@@ -349,11 +477,24 @@ class ParallelEngine:
                             continue
                         if flow_sem is not None:
                             flow_sem.acquire()
-                            if abort.is_set() or (
-                                stop_event is not None and stop_event.is_set()
-                            ):
+                            if abort.is_set() or stopping():
                                 break
-                        if not start_phases(1, pi):
+                        # Everything the feed already holds rides along
+                        # (one flow credit each, never waiting for one):
+                        # a thread that drains phase p before it looks at
+                        # the feed again would otherwise never have two
+                        # started phases to coalesce.
+                        fed = [pi]
+                        while (
+                            len(fed) < _START_BURST
+                            and feed.depth
+                            and (flow_sem is None or flow_sem.acquire(blocking=False))
+                        ):
+                            fed.append(feed.get(timeout=0))
+                        drain["feed_burst_max"] = max(
+                            drain["feed_burst_max"], len(fed)
+                        )
+                        if not start_phases(fed=fed):
                             break
             except BaseException as exc:  # noqa: BLE001 - reported after join
                 env_errors.append(exc)
@@ -373,7 +514,24 @@ class ParallelEngine:
         )
         env_thread = backend.thread(target=environment, name="environment")
 
-        started = backend.clock()
+        def outlast(alive: Callable[[], bool], wait: Callable[[float], object]) -> None:
+            # The watchdog: *wait* in slices until *alive()* is false or
+            # no run has committed for join_timeout (real) seconds.  A
+            # run that merely lasts longer than the timeout is healthy.
+            # (A virtual task's join ignores its timeout and returns
+            # only when the task is done, so this never spins there.)
+            slice_s = self.join_timeout / 4
+            seen = core.state.executed_pairs
+            quiet_since = time.monotonic()
+            while alive():
+                wait(slice_s)
+                now = core.state.executed_pairs
+                if now != seen:
+                    seen, quiet_since = now, time.monotonic()
+                elif time.monotonic() - quiet_since >= self.join_timeout:
+                    return
+
+        started = clock()
         pool.start()
         env_thread.start()
         if feed is not None:
@@ -381,12 +539,10 @@ class ParallelEngine:
             # open; the watchdog below only times the wind-down that
             # follows a close, a stop request or an abort.
             while env_thread.is_alive() and not (
-                feed.closed
-                or abort.is_set()
-                or (stop_event is not None and stop_event.is_set())
+                feed.closed or abort.is_set() or stopping()
             ):
                 env_thread.join(_FEED_POLL_S)
-        env_thread.join(self.join_timeout)
+        outlast(env_thread.is_alive, env_thread.join)
         env_wedged = env_thread.is_alive()
         if env_wedged:
             # The environment is stuck (e.g. parked on flow control behind
@@ -398,12 +554,13 @@ class ParallelEngine:
             queue.close()
             if flow_sem is not None:
                 flow_sem.release()
+        outlast(pool.any_alive, pool.wait)
         join_error: Optional[EngineError] = None
         try:
-            pool.join(self.join_timeout)
+            pool.join(0)
         except EngineError as exc:
             join_error = exc
-        elapsed = backend.clock() - started
+        elapsed = clock() - started
         # Prefer the root cause: a worker or environment exception explains
         # the run better than any watchdog timeout it caused.
         pool.reraise()
@@ -426,5 +583,6 @@ class ParallelEngine:
                     "total_dequeued": queue.total_dequeued,
                     "blocked_gets": queue.blocked_gets,
                 },
+                "drain": drain,
             },
         )

@@ -11,6 +11,7 @@ hanging the test suite.
 from __future__ import annotations
 
 import threading
+import time
 from typing import Callable, List, Optional
 
 from ..errors import EngineError
@@ -68,6 +69,13 @@ class ComputationThreadPool:
         for t in self._threads:
             t.start()
 
+    def wait(self, timeout: Optional[float] = None) -> None:
+        """Join every thread for at most *timeout* seconds in total
+        (:meth:`any_alive` says whether that was enough)."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        for t in self._threads:
+            t.join(None if deadline is None else max(0.0, deadline - time.monotonic()))
+
     def join(self, timeout: Optional[float] = None) -> None:
         """Join every thread.  With a *timeout*, raises
         :class:`EngineError` if any thread is still alive afterwards.
@@ -77,18 +85,7 @@ class ComputationThreadPool:
         attribute): a crashed worker that wedges a sibling is reported by
         its root cause, not just the wedge.
         """
-        deadline = None
-        if timeout is not None:
-            import time
-
-            deadline = time.monotonic() + timeout
-        for t in self._threads:
-            remaining = None
-            if deadline is not None:
-                import time
-
-                remaining = max(0.0, deadline - time.monotonic())
-            t.join(remaining)
+        self.wait(timeout)
         stuck = [t.name for t in self._threads if t.is_alive()]
         if stuck:
             with self._error_lock:

@@ -10,6 +10,9 @@ The continuous-operation contract (satellites of the serve layer):
   oracle, while the engine's per-phase state is released.
 * **Graceful stop** — a stop event set mid-stream drains in-flight phases
   and returns a result covering exactly the started prefix.
+* **Burst admission** — a backlog in the feed starts in one critical
+  section (never past the flow-control window or the run ceiling), a stop
+  is honoured between bursts, and retirement stays once-and-ascending.
 """
 
 import threading
@@ -19,8 +22,10 @@ import pytest
 from repro.analysis.serializability import assert_serializable
 from repro.core.plan import compile_plan
 from repro.core.serial import SerialExecutor
+from repro.core.tracer import ExecutionTracer
 from repro.errors import EngineError
 from repro.runtime.engine import ParallelEngine
+from repro.runtime.environment import EnvironmentConfig
 from repro.runtime.feed import PhaseFeed
 from repro.runtime.mp.engine import ProcessEngine
 from repro.streams.workloads import comb_workload, pipeline_workload
@@ -204,3 +209,97 @@ class TestGracefulStop:
         producer.join(timeout=30)
         assert result.phases_run == 0
         assert result.execution_count == 0
+
+
+def _backlog(phases):
+    """A closed feed already holding every phase: one burst per look."""
+    feed = PhaseFeed(capacity=len(phases))
+    for pi in phases:
+        feed.put(pi)
+    feed.close()
+    return feed
+
+
+class TestFeedBursts:
+    """``run_feed`` admits everything the feed already holds in one
+    critical section (one flow credit each), so served runs coalesce."""
+
+    def test_backlog_is_admitted_in_one_burst_and_coalesces(self):
+        program, phases = pipeline_workload(depth=5, phases=40, seed=3)
+        serial = SerialExecutor(program).run(phases)
+        result = ParallelEngine(program, num_threads=2).run_feed(_backlog(phases))
+        assert_serializable(serial, result)
+        assert result.stats["drain"]["feed_burst_max"] == len(phases)
+        assert result.stats["coalescing"]["mean_run_length"] > 1.0
+        # A fed environment stays on its feed: it never executes.
+        assert result.stats["drain"]["inline_runs"] == 0
+        assert result.stats["per_worker_executions"][2] == 0
+
+    def test_burst_is_capped_at_the_run_ceiling(self):
+        from repro.core.state import ADAPTIVE_RUN_CEILING
+
+        program, phases = pipeline_workload(depth=3, phases=150, seed=1)
+        result = ParallelEngine(program, num_threads=2).run_feed(_backlog(phases))
+        assert result.phases_run == len(phases)
+        assert result.stats["drain"]["feed_burst_max"] == ADAPTIVE_RUN_CEILING
+
+    @pytest.mark.parametrize("in_flight", [1, 3])
+    def test_burst_never_exceeds_max_in_flight(self, in_flight):
+        program, phases = comb_workload(lanes=3, depth=3, phases=30, seed=4)
+        serial = SerialExecutor(program).run(phases)
+        tracer = ExecutionTracer()
+        result = ParallelEngine(
+            program,
+            num_threads=2,
+            tracer=tracer,
+            env=EnvironmentConfig(max_in_flight_phases=in_flight),
+        ).run_feed(_backlog(phases))
+        assert_serializable(serial, result)
+        assert 1 <= result.stats["drain"]["feed_burst_max"] <= in_flight
+        # Tracer events are appended under the global lock: replaying
+        # them gives the exact number of phases in flight at every step.
+        in_flight_now = peak = 0
+        for ev in tracer.events:
+            if ev.kind == "phase_started":
+                in_flight_now += 1
+                peak = max(peak, in_flight_now)
+            elif ev.kind == "phase_completed":
+                in_flight_now -= 1
+        assert peak <= in_flight
+
+    def test_stop_is_honoured_between_bursts(self):
+        from repro.core.state import ADAPTIVE_RUN_CEILING
+
+        program, phases = pipeline_workload(depth=3, phases=200, seed=2)
+        stop = threading.Event()
+
+        class StopOnceTheFirstBurstIsIn(ExecutionTracer):
+            def phase_started(self, phase):
+                super().phase_started(phase)
+                if phase == ADAPTIVE_RUN_CEILING:
+                    stop.set()
+
+        result = ParallelEngine(
+            program, num_threads=2, tracer=StopOnceTheFirstBurstIsIn()
+        ).run_feed(_backlog(phases), stop_event=stop)
+        # The burst in progress is admitted whole and drains; no second
+        # burst starts although the feed still holds 136 phases.
+        assert result.phases_run == ADAPTIVE_RUN_CEILING
+        serial = SerialExecutor(program).run(phases[:ADAPTIVE_RUN_CEILING])
+        assert_serializable(serial, result)
+
+    @pytest.mark.parametrize("fuse", [True, False])
+    def test_retire_sinks_each_phase_once_ascending_across_bursts(self, fuse):
+        program, phases = comb_workload(lanes=3, depth=3, phases=90, seed=4)
+        plan = compile_plan(program, fuse=fuse)
+        serial = SerialExecutor(program).run(phases)
+        sink_log = []
+        result = ParallelEngine(plan, num_threads=2).run_feed(
+            _backlog(phases),
+            sink=lambda p, ts, entries: sink_log.append((p, ts, entries)),
+            retire=True,
+        )
+        assert result.stats["drain"]["feed_burst_max"] > 1
+        assert [p for p, _, _ in sink_log] == list(range(1, len(phases) + 1))
+        assert _records_from_sink(sink_log) == serial.records
+        assert result.stats["retirement"]["phases_retired"] == len(phases)

@@ -5,7 +5,11 @@ One module instead of a matrix per feature (ROADMAP aim 3).  The axes:
 * **engine** — the virtual-scheduler campaign (explored interleavings of
   the threaded engine, every scheduler mutation invariant-checked by the
   :class:`~repro.testing.monitor.RaceMonitor`), the threaded engine on
-  real threads, the process engine on real worker processes, the DES
+  real threads in both of its regimes (``threaded``: the real clock, on
+  which these cheap vertices are drained inline by the environment
+  thread; ``threaded-pooled``: a clock scripted so compute always reads
+  dearer than the locked sections, so every run goes through the pool),
+  the process engine on real worker processes, the DES
   simulator in both of its modes: ``cone`` (what the real engines do) and
   ``global`` (Listings 1-2 as published), and ``inline`` — no engine at
   all, a single-threaded loop over
@@ -51,19 +55,21 @@ from repro.testing.fuzz import process_config_for_run, run_one, spec_for_run
 from repro.testing.schedule import make_policy
 
 from tests.models.test_pickling import normalized
+from tests.runtime.regime_clock import RegimeClockBackend
 
 SEED = 2025
 POLICIES = ("random", "round-robin", "priority", "random")
 
 ENGINES = (
-    "virtual", "threaded", "process", "simulated-cone", "simulated-global",
-    "inline",
+    "virtual", "threaded", "threaded-pooled", "process", "simulated-cone",
+    "simulated-global", "inline",
 )
 #: Specs per cell: the virtual campaign is cheap and explores schedules,
 #: so it carries the breadth; every process run pays real forks.
 CORPUS = {
     "virtual": 200,
     "threaded": 12,
+    "threaded-pooled": 12,
     "process": 3,
     "simulated-cone": 8,
     "simulated-global": 8,
@@ -200,10 +206,15 @@ def run_cell(engine, spec, index, fuse):
     serial_state = state()
     plan = compile_plan(program, fuse=fuse)
     env = EnvironmentConfig(max_in_flight_phases=spec.max_in_flight)
-    if engine == "threaded":
+    if engine in ("threaded", "threaded-pooled"):
+        backend = (
+            RegimeClockBackend(compute_dear=True)
+            if engine == "threaded-pooled" else None
+        )
         result = ParallelEngine(
-            plan, num_threads=spec.threads, env=env
+            plan, num_threads=spec.threads, env=env, backend=backend
         ).run(phases)
+        assert validate_engine_stats(result.engine, result.stats) == [], where
     elif engine == "process":
         # fork keeps the matrix affordable; the fuzz_process campaign
         # covers the spawn start method.
@@ -237,6 +248,7 @@ def run_cell(engine, spec, index, fuse):
 @pytest.mark.parametrize("fuse", [False, True], ids=["unfused", "fused"])
 @pytest.mark.parametrize("engine", ENGINES)
 def test_record_exact_against_serial_oracle(engine, fuse, family):
+    inline_runs = pooled_runs = 0
     for i in range(CORPUS[engine]):
         spec = FAMILIES[family](engine, i)
         serial, result = run_cell(engine, spec, i, fuse)
@@ -244,6 +256,14 @@ def test_record_exact_against_serial_oracle(engine, fuse, family):
             f"{engine} fuse={fuse} {family} spec {i} [{spec.describe()}]"
         )
         assert result.phases_run == serial.phases_run
+        drain = result.stats.get("drain", {})
+        inline_runs += drain.get("inline_runs", 0)
+        pooled_runs += drain.get("pooled_runs", 0)
+    # Both regimes of the threaded engine are really exercised.
+    if engine == "threaded":
+        assert inline_runs > 0, "the environment never drained a run inline"
+    if engine == "threaded-pooled":
+        assert inline_runs == 0 and pooled_runs > 0
 
 
 @pytest.mark.parametrize("fuse", [False, True], ids=["unfused", "fused"])

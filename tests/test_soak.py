@@ -14,6 +14,8 @@ default (tier-1) run — select it with ``pytest -m soak``.  For targeted,
 ``tests/testing`` and ``repro fuzz``.
 """
 
+import sys
+
 import pytest
 
 pytestmark = pytest.mark.soak
@@ -25,6 +27,9 @@ from repro.models.domains import build_crisis_workload
 from repro.runtime.engine import ParallelEngine
 from repro.runtime.environment import EnvironmentConfig
 from repro.streams.workloads import fanin_workload, fig1_workload, pipeline_workload
+
+from tests.runtime.regime_clock import RegimeClockBackend
+from tests.test_differential import FAMILIES, run_cell
 
 
 class TestSoak:
@@ -79,3 +84,63 @@ class TestSoak:
             env=EnvironmentConfig(max_in_flight_phases=2),
         ).run(phases)
         assert_serializable(serial, par)
+
+    @pytest.mark.parametrize("engine", ["threaded", "threaded-pooled"])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_both_drain_regimes_under_a_short_switch_interval(
+        self, engine, family
+    ):
+        """The differential cells of the threaded engine — environment
+        draining inline, and everything through the pool — on a deeper
+        corpus, with the interpreter switching threads 100x as often so
+        the environment's lock-free deque pops and the workers' locked
+        appends interleave at many more points."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(5e-5)
+        try:
+            for i in range(12, 42):
+                spec = FAMILIES[family](engine, i)
+                serial, result = run_cell(engine, spec, i, fuse=bool(i % 2))
+                assert result.records == serial.records, (
+                    f"{engine} {family} spec {i} [{spec.describe()}]"
+                )
+                assert result.phases_run == serial.phases_run
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("trial", range(4))
+    def test_regime_flapping_under_a_short_switch_interval(self, trial):
+        """The mixed regime is where the hand-back protocol works hardest:
+        workers append to the environment's deque while it drains, and it
+        must lower its flag under the lock before it may stop.  A scripted
+        clock flips the regime every few phases; more threads than cores,
+        invariants checked at every mutation, an exact oracle."""
+        backend = RegimeClockBackend(compute_dear=False)
+        prog, phases = fig1_workload(phases=240, seed=trial)
+        source = prog.behaviors[prog.graph.sources()[0]]
+        walk = source.on_execute
+
+        def flapping(ctx):
+            backend.compute_dear = (ctx.phase // (3 + trial)) % 2 == 1
+            return walk(ctx)
+
+        source.on_execute = flapping
+        serial = SerialExecutor(prog).run(phases)
+        checker = InvariantChecker()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(5e-5)
+        try:
+            par = ParallelEngine(
+                prog, num_threads=4, checker=checker, backend=backend
+            ).run(phases)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_serializable(serial, par)
+        assert par.records == serial.records
+        assert checker.violations == []
+        drain = par.stats["drain"]
+        assert drain["inline_runs"] > 0 and drain["pooled_runs"] > 0
+        assert (
+            drain["inline_runs"] + drain["pooled_runs"]
+            == par.stats["coalescing"]["runs_scheduled"]
+        )
