@@ -15,7 +15,7 @@ performed to maintain the data structures" qualifier:
 from __future__ import annotations
 
 from repro.analysis.stats import format_table
-from repro.core.state import SchedulerState
+from repro.core.reference import ReferenceScheduler
 from repro.graph.numbering import number_graph
 from repro.simulator.costs import CostModel
 from repro.simulator.metrics import speedup_curve
@@ -29,7 +29,7 @@ RATIOS = [1, 4, 16, 64, 256]
 def drain_state(prog, phases_count: int) -> int:
     """Drive the scheduler (no vertex work) through phases_count phases of
     full-load execution; returns executed pair count."""
-    state = SchedulerState(prog.numbering)
+    state = ReferenceScheduler(prog.numbering)
     succs = {
         v: prog.numbering.successor_indices(v)
         for v in range(1, prog.n + 1)

@@ -16,8 +16,9 @@ checked by one walker; the meaning of each key is in ``docs/API.md``.
 
 * every scheduling engine — the sections
   :meth:`repro.runtime.core.ScheduleCore.result` attaches: ``frontier``
-  (readiness rule, cone count, phase skew), ``suppression`` (Δ-elision,
-  ALGORITHM.md §5.6), ``coalescing`` (phase runs, §5.7; with the law
+  (readiness rule, cone count, phase skew; ``frontier_advances`` iff
+  the rule is the published ``x_p``), ``suppression`` (Δ-elision, §5.6
+  of ALGORITHM.md), ``coalescing`` (phase runs, §5.7; with the law
   ``mean_run_length`` = members / runs), ``per_worker_executions`` and
   the edge-store counters ``edge_entries_peak`` / ``edge_entries_final``;
 * the threaded engine (``parallel``) adds ``drain`` — which thread
@@ -65,7 +66,6 @@ _SCHEDULING_SCHEMA: Dict[str, Any] = {
         "mode": ("global", "cone"),
         "cone_count": 1,
         "max_phase_skew": 0,
-        "frontier_advances": 0,
     },
     "suppression": {
         "enabled": bool,
@@ -200,7 +200,15 @@ _LAWS = {
 
 def _validate(name: str, section: Any, where: str) -> List[str]:
     errors: List[str] = []
-    _check(section, _SCHEMA[name], where, errors)
+    rule = _SCHEMA[name]
+    if (
+        name == "frontier"
+        and isinstance(section, Mapping)
+        and section.get("mode") == "global"
+    ):
+        # Only Listings 1-2 have an x_p to count the advances of.
+        rule = {**rule, "frontier_advances": 0}
+    _check(section, rule, where, errors)
     if name in _LAWS and isinstance(section, Mapping):
         _LAWS[name](section, where, errors)
     return errors

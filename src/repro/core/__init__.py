@@ -2,8 +2,11 @@
 
 * :mod:`~repro.core.pairsets` — the "custom data structures" backing the
   partial / full / ready sets.
-* :mod:`~repro.core.state` — :class:`SchedulerState`, the exact Listing 1 /
-  Listing 2 set manipulations.
+* :mod:`~repro.core.state` — :class:`SchedulerState`, the cone-rule
+  scheduler every real engine runs.
+* :mod:`~repro.core.reference` — :class:`ReferenceScheduler`, the exact
+  Listing 1 / Listing 2 set manipulations (the specification; imported
+  on demand, a production run never loads it).
 * :mod:`~repro.core.invariants` — ghost ``msg`` variables and a runtime
   checker for definitions (7)-(9).
 * :mod:`~repro.core.ports` — per-edge message latches with the
@@ -14,7 +17,7 @@
   serializability evidence, pipelining measurements).
 """
 
-from .state import SchedulerState, Pair, ReadyFrontier
+from .state import SchedulerState, Pair
 from .invariants import InvariantChecker
 from .program import Program, PairRuntime, RunResult
 from .plan import ExecutionPlan, FusedVertex, FusedTrace, compile_plan, as_plan
@@ -34,7 +37,6 @@ from .ports import EdgeStore
 __all__ = [
     "SchedulerState",
     "Pair",
-    "ReadyFrontier",
     "InvariantChecker",
     "Program",
     "ExecutionPlan",

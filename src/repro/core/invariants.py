@@ -20,23 +20,24 @@ turning the paper's proof obligations into executable checks:
 The checker is O(|msg| + pmax) per call; it is attached in tests and
 debugging runs and omitted in performance runs.
 
-For a state running in **cone-frontier mode** the definitions change
-(ALGORITHM.md §5.4), so the checker re-derives the cone-mode ground truth
-instead: per in-flight phase it computes *determinedness* as the least
-fixed point of "no message waits and every direct predecessor is
-determined" seeded by the executed vertices — one ascending-index pass,
-since edges only point upward — then checks
+For the engines' scheduler (:class:`repro.core.state.SchedulerState`) the
+definitions change (ALGORITHM.md §5.4), so the checker re-derives the
+cone-rule ground truth instead, reading the scheduler only through its
+public views: per in-flight phase it computes *determinedness* as the
+least fixed point of "no message waits and every direct predecessor is
+determined" — one ascending-index pass, since edges only point upward —
+then checks
 
 * ``full = {(v,p) | msg(v,p) ∧ every pred determined}`` and
   ``partial`` its complement over ``msg``;
 * ``ready = {(v,q) ∈ full | v settled through q-1}`` (determined for
   every earlier started phase) minus the run-claim ledger — claimed run
   extensions (ALGORITHM.md §5.7) execute without entering ready;
-* the live per-phase ``undet`` counters, ``det`` flags and per-vertex
-  settled pointers against the derivation;
-* ``x_p = vmin_p - 1`` (or ``N``) **without** the clamp — in cone mode
-  ``x`` is a per-phase diagnostic, deliberately allowed to overtake;
-* phase completion = all ``N`` vertices determined.
+* the live ``undet`` counters, determined flags, per-phase determined /
+  waiting counts, per-vertex settled pointers and full backlogs against
+  the derivation;
+* phase completion = all ``N`` vertices determined, and the completion
+  count, log and retired prefix against it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 from ..errors import InvariantViolation
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .state import Pair, SchedulerState
+    from .reference import ReferenceScheduler
+    from .state import SchedulerState
 
 __all__ = ["InvariantChecker"]
 
@@ -67,27 +69,22 @@ class InvariantChecker:
         self.checks_run = 0
         self.violations: List[str] = []
 
-    def check(self, state: "SchedulerState") -> None:
+    def check(self, state: "SchedulerState | ReferenceScheduler") -> None:
         """Verify every invariant against *state*; see class docstring.
 
-        Branches on the state's frontier mode: the published definitions
-        (7)-(9) for ``"global"``, the per-dependency definitions of
-        ALGORITHM.md §5.4 for ``"cone"``.
+        Branches on the scheduler's rule: the published definitions
+        (7)-(9) for the ``"global"`` frontier of
+        :class:`~repro.core.reference.ReferenceScheduler`, the
+        per-dependency definitions of ALGORITHM.md §5.4 for the
+        ``"cone"`` rule of :class:`~repro.core.state.SchedulerState`.
         """
         self.checks_run += 1
-        if getattr(state, "frontier", "global") == "cone":
+        if state.frontier == "cone":
             self._check_cone(state)
             return
         n = state.N
         pmax = state.pmax
-        # Run coalescing is a cone-mode mechanism: claim_run never
-        # extends a run under the global clamp, so the ledger stays empty.
-        if state.run_claimed_set():
-            self._fail(
-                f"global mode must not claim run extensions: "
-                f"{sorted(state.run_claimed_set())}"
-            )
-        msg_pairs: Set[Tuple[int, int]] = set(state._msg)
+        msg_pairs = state.msg_set()
 
         # pmax-consistency: no pair with a phase outside 1..pmax.
         for v, p in msg_pairs:
@@ -136,10 +133,8 @@ class InvariantChecker:
             if v not in min_phase or p < min_phase[v]:
                 min_phase[v] = p
         ready_def = {(v, p) for v, p in min_phase.items()}
-        # The live ready set may lag ready_def only by pairs currently
-        # being *executed*?  No: execution removes pairs from full and
-        # ready together inside the same critical section, so at every
-        # quiescent point ready must equal the definition exactly.
+        # Execution removes a pair from full and ready inside one critical
+        # section, so at every unlock ready equals the definition exactly.
         if live_ready != ready_def:
             self._fail(
                 f"ready set diverges from definition (8): "
@@ -173,131 +168,109 @@ class InvariantChecker:
                     f"(vmin={vmin.get(p)}, x_{p-1}={xprev})"
                 )
 
-        # Unstarted phases must hold no state.
-        for p in vmin:
-            if p > pmax:
-                self._fail(f"pairs exist for unstarted phase {p} > pmax={pmax}")
-
     def _check_cone(self, state: "SchedulerState") -> None:
-        """Cone-frontier ground truth: re-derive determinedness per
-        in-flight phase as a least fixed point (one ascending-index pass
-        suffices — edges only point upward), then compare every live
-        structure against the derivation.  See the module docstring."""
+        """Cone-rule ground truth: re-derive determinedness per in-flight
+        phase as a least fixed point (one ascending-index pass suffices —
+        edges only point upward), then compare every live structure,
+        read through the scheduler's public views, against the
+        derivation.  See the module docstring."""
         n = state.N
         pmax = state.pmax
-        cones = state._cones
-        msg_pairs: Set[Tuple[int, int]] = set(state._msg)
+        cones = state.cones
+        live_full = state.full_set()
+        live_partial = state.partial_set()
+        live_ready = state.ready_set()
+        claimed = state.run_claimed_set()
+        # msg(v, p) holds exactly for the waiting pairs.
+        msg_pairs = live_full | live_partial
 
+        by_phase: Dict[int, Set[int]] = {}
         for v, p in msg_pairs:
             if not 1 <= p <= pmax:
                 self._fail(f"msg({v},{p}) set but phase outside 1..pmax={pmax}")
             if not 1 <= v <= n:
                 self._fail(f"msg({v},{p}) set but vertex outside 1..N={n}")
-
-        by_phase: Dict[int, Set[int]] = {}
-        for v, p in msg_pairs:
             by_phase.setdefault(p, set()).add(v)
 
-        # Completion bookkeeping: the set, the log and the count agree,
-        # and complete phases hold no state at all.  Retired phases
-        # (1..retired_upto, always a contiguous complete prefix) have
-        # left the set, and the log may have had a consumed prefix
-        # trimmed — the counts and enumerations account for both.
-        retired = getattr(state, "retired_upto", 0)
-        complete = state._complete_set
-        if len(complete) != state.complete_phase_count - retired:
+        # Completion bookkeeping: a started phase is complete or in
+        # flight, the count and the log agree with that split, complete
+        # phases hold no message, and the retired prefix (whose log
+        # entries may have been trimmed) is complete.
+        retired = state.retired_upto
+        in_flight = state.in_flight_phases()
+        complete = [
+            p for p in range(1, pmax + 1) if state.phase_complete(p)
+        ]
+        if sorted(complete + in_flight) != list(range(1, pmax + 1)):
             self._fail(
-                f"complete-set size {len(complete)} != complete_phase_count "
-                f"{state.complete_phase_count} - retired {retired}"
+                f"complete phases {complete} and in-flight phases "
+                f"{in_flight} do not partition 1..pmax={pmax}"
             )
-        trimmed = getattr(state, "_completed_base", 0)
-        if trimmed == 0 and retired == 0:
-            if sorted(state._completed_log) != sorted(complete):
+        if len(complete) != state.complete_phase_count:
+            self._fail(
+                f"{len(complete)} phases are complete but "
+                f"complete_phase_count is {state.complete_phase_count}"
+            )
+        log = list(state.completed_log)
+        trimmed = state.completed_total - len(log)
+        if trimmed == 0:
+            if sorted(log) != complete:
                 self._fail(
-                    f"completion log {state._completed_log} does not "
-                    f"enumerate the complete set {sorted(complete)}"
+                    f"completion log {log} does not enumerate the "
+                    f"complete phases {complete}"
                 )
         else:
-            # The untrimmed suffix must hold only phases that really
-            # completed (still in the set, or since retired).
-            for p in state._completed_log:
-                if p not in complete and not p <= retired:
+            for p in log:
+                if not state.phase_complete(p):
                     self._fail(
-                        f"completion log holds phase {p} which is neither "
-                        f"complete nor retired (retired_upto={retired})"
+                        f"completion log holds phase {p} which is not complete"
                     )
+        if in_flight and in_flight[0] <= retired:
+            self._fail(
+                f"phase {in_flight[0]} is in flight but retired "
+                f"(retired_upto={retired})"
+            )
         for p in complete:
-            if not 1 <= p <= pmax:
-                self._fail(f"phase {p} complete but outside 1..pmax={pmax}")
-            if p <= retired:
-                self._fail(
-                    f"phase {p} still in the complete set but retired "
-                    f"(retired_upto={retired})"
-                )
             if by_phase.get(p):
                 self._fail(
                     f"complete phase {p} still has messages: "
                     f"{sorted(by_phase[p])}"
                 )
-        for p in by_phase:
-            if p <= retired:
-                self._fail(
-                    f"retired phase {p} still has messages: "
-                    f"{sorted(by_phase[p])}"
-                )
 
-        # Per-phase determinedness fixed point + live-array comparison.
+        # Per-phase determinedness fixed point + live-counter comparison.
+        live = state.counters()
         full_def: Set[Tuple[int, int]] = set()
         partial_def: Set[Tuple[int, int]] = set()
-        det_by_phase: Dict[int, bytearray] = {}
-        for p in range(1, pmax + 1):
-            if p in complete or p <= retired:
-                continue
-            live_det = state._det.get(p)
-            live_undet = state._undet.get(p)
-            if live_det is None or live_undet is None:
-                self._fail(f"in-flight phase {p} lost its det/undet arrays")
-                continue
+        det_by_phase: Dict[int, List[bool]] = {}
+        for p in in_flight:
             msgs = by_phase.get(p, set())
-            det = bytearray(n + 1)
+            det = [False] * (n + 1)
             for v in range(1, n + 1):
-                if v not in msgs and all(det[u] for u in cones.preds[v]):
-                    det[v] = 1
+                det[v] = v not in msgs and all(det[u] for u in cones.preds[v])
             det_by_phase[p] = det
-            det_count = sum(det[1:])
-            if det_count == n:
+            if sum(det) == n:
                 self._fail(
                     f"phase {p} has every vertex determined but was not "
                     f"marked complete"
                 )
-            if state._det_count.get(p) != det_count:
-                self._fail(
-                    f"det_count[{p}]={state._det_count.get(p)} but the "
-                    f"definition yields {det_count}"
-                )
-            for v in range(1, n + 1):
-                if bool(live_det[v]) != bool(det[v]):
+            undet = [0] + [
+                sum(1 for u in cones.preds[v] if not det[u])
+                for v in range(1, n + 1)
+            ]
+            expected = (det, undet, sum(det), len(msgs))
+            names = ("determined flags", "undet counters", "determined count",
+                     "waiting count")
+            for name, got, want in zip(names, live["phases"][p], expected):
+                if got != want:
                     self._fail(
-                        f"determined({v},{p}) is {bool(live_det[v])} live "
-                        f"but {bool(det[v])} by definition"
-                    )
-                expected_undet = sum(
-                    1 for u in cones.preds[v] if not det[u]
-                )
-                if live_undet[v] != expected_undet:
-                    self._fail(
-                        f"undet[{p}][{v}]={live_undet[v]} but {expected_undet} "
-                        f"predecessors are undetermined"
+                        f"phase {p} {name}: {got} live but {want} by definition"
                     )
             for v in msgs:
-                if all(det[u] for u in cones.preds[v]):
+                if undet[v] == 0:
                     full_def.add((v, p))
                 else:
                     partial_def.add((v, p))
 
-        live_full = state.full_set()
-        live_partial = state.partial_set()
-        live_ready = state.ready_set()
         if live_full != full_def:
             self._fail(
                 f"full set diverges from the per-dependency definition: "
@@ -311,24 +284,29 @@ class InvariantChecker:
                 f"def-only={sorted(partial_def - live_partial)}"
             )
 
-        # Settled pointers: longest determined prefix of started phases.
-        def determined(v: int, r: int) -> bool:
-            if r in complete or r <= retired:
-                return True
-            det = det_by_phase.get(r)
-            return det is not None and bool(det[v])
-
+        # Settled pointers: longest determined prefix of started phases;
+        # full backlogs: what claim_run's adaptive ceiling reads.
         settled_def = [0] * (n + 1)
+        backlog_def = [0] * (n + 1)
+        for v, _ in full_def:
+            backlog_def[v] += 1
         for v in range(1, n + 1):
             s = 0
-            while s < pmax and determined(v, s + 1):
+            while s < pmax and (
+                s + 1 not in det_by_phase or det_by_phase[s + 1][v]
+            ):
                 s += 1
             settled_def[v] = s
-            if state._settled[v] != s:
-                self._fail(
-                    f"settled[{v}]={state._settled[v]} but the vertex is "
-                    f"determined exactly through phase {s}"
-                )
+        if live["settled"][1:] != settled_def[1:]:
+            self._fail(
+                f"settled pointers {live['settled'][1:]} but the vertices are "
+                f"determined exactly through phases {settled_def[1:]}"
+            )
+        if live["full_backlog"][1:] != backlog_def[1:]:
+            self._fail(
+                f"full backlogs {live['full_backlog'][1:]} but the vertices "
+                f"have {backlog_def[1:]} full pairs"
+            )
 
         # Ready: full pairs whose vertex is settled through q-1 — minus
         # the claim ledger.  A claimed run extension is licensed to
@@ -336,16 +314,13 @@ class InvariantChecker:
         # (settled lags behind the uncommitted run head), but when an
         # earlier member commits separately (the fault-salvage path) the
         # gate can open while the pair stays claimed.  Every claimed pair
-        # must itself be full and must never also be ready.
-        claimed = state.run_claimed_set()
+        # must itself be full.  (One status byte per pair makes partial,
+        # ready and claimed disjoint, and ready a subset of full, by
+        # construction.)
         for v, q in sorted(claimed):
             if (v, q) not in full_def:
                 self._fail(
                     f"claimed run extension ({v},{q}) is not a full pair"
-                )
-            if (v, q) in live_ready:
-                self._fail(
-                    f"claimed run extension ({v},{q}) is also in ready"
                 )
         ready_def = {
             (v, q) for v, q in full_def if settled_def[v] == q - 1
@@ -356,32 +331,6 @@ class InvariantChecker:
                 f"live-only={sorted(live_ready - ready_def)}, "
                 f"def-only={sorted(ready_def - live_ready)}"
             )
-        if not live_ready <= live_full:
-            self._fail("ready is not a subset of full")
-        if live_partial & live_full:
-            self._fail(
-                f"partial and full intersect: {sorted(live_partial & live_full)}"
-            )
-
-        # x-consistency: per-phase, unclamped (the diagnostic form).
-        vmin: Dict[int, int] = {}
-        for v, p in msg_pairs:
-            if v < vmin.get(p, n + 1):
-                vmin[p] = v
-        if state.x(0) != n:
-            self._fail(f"x_0 must be N={n}, got {state.x(0)}")
-        for p in range(1, pmax + 1):
-            xp = state.x(p)
-            expected = (vmin[p] - 1) if p in vmin else n
-            if xp != expected:
-                self._fail(
-                    f"x_{p}={xp} but the unclamped per-phase update yields "
-                    f"{expected} (vmin={vmin.get(p)})"
-                )
-
-        for p in vmin:
-            if p > pmax:
-                self._fail(f"pairs exist for unstarted phase {p} > pmax={pmax}")
 
     def _fail(self, message: str) -> None:
         self.violations.append(message)

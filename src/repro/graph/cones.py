@@ -3,8 +3,8 @@
 The global frontier ``x_p`` of Listing 1 serialises readiness across the
 whole graph: a pair ``(w, q)`` becomes full only once ``x_q >= enable(w)``,
 so one slow low-indexed vertex holds back *every* higher-indexed vertex in
-the phase — even vertices it cannot reach.  The per-dependency frontier
-mode of :class:`~repro.core.state.SchedulerState` relaxes this to the true
+the phase — even vertices it cannot reach.  The cone rule of the engines'
+:class:`~repro.core.state.SchedulerState` relaxes this to the true
 data dependencies: a pair waits only on its **ancestor cone**, the set of
 vertices with a directed path into it.
 
@@ -44,9 +44,7 @@ class ConeIndex:
 
     All tables are indexed ``1..N`` (slot 0 unused), matching the paper's
     vertex indices.  Construction is O(N + E); the ancestor bitmasks (and
-    everything derived from them) are computed lazily on first use, so a
-    scheduler running in global-frontier mode pays only for the adjacency
-    tables.
+    everything derived from them) are computed lazily on first use.
     """
 
     __slots__ = ("numbering", "n", "enable", "preds", "succs", "in_degree", "_masks", "_cone_count")

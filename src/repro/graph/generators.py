@@ -172,16 +172,18 @@ FIG3_EXPECTED = (
 
 
 def fig3_replay() -> list:
-    """Replay :data:`FIG3_STEPS` on the published (global-frontier)
-    scheduler with the invariant checker attached; returns one
+    """Replay :data:`FIG3_STEPS` on the published scheduler (Listings
+    1-2) with the invariant checker attached; returns one
     :class:`~repro.core.tracer.SetSnapshot` per step."""
     # Imported here: repro.core builds on repro.graph, not the reverse.
     from ..core.invariants import InvariantChecker
-    from ..core.state import SchedulerState
+    from ..core.reference import ReferenceScheduler
     from ..core.tracer import ExecutionTracer
     from .numbering import number_graph
 
-    state = SchedulerState(number_graph(fig3_graph()), checker=InvariantChecker())
+    state = ReferenceScheduler(
+        number_graph(fig3_graph()), checker=InvariantChecker()
+    )
     tracer = ExecutionTracer()
     for label, executed in FIG3_STEPS:
         if executed is None:

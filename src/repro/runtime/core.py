@@ -29,7 +29,7 @@ from ..core.program import PairRuntime, RunResult
 from ..core.state import SchedulerState
 from ..core.tracer import ExecutionTracer, max_concurrent_pairs, max_concurrent_phases
 from ..core.vertex import VertexContext
-from ..errors import EngineError
+from ..errors import EngineError, SchedulerError
 from ..events import PhaseInput
 
 __all__ = ["ScheduleCore"]
@@ -40,12 +40,13 @@ class ScheduleCore:
 
     *phase_inputs* are a batch run's external (un-localized) inputs, or
     ``None`` when phases arrive one at a time through :meth:`admit`.
-    *num_workers* sizes the per-worker execution counts.  *frontier* is
-    ``"cone"`` (per-dependency frontiers, Δ-elision, adaptive runs — the
-    real engines) or ``"global"`` (Listings 1-2 as published).  The
-    *tracer* receives phase-started, enqueued and phase-completed events
-    from here; ``execute_begin`` / ``execute_end`` stay with the driver,
-    which knows the worker and the clock.  With *retire*, each phase is
+    *num_workers* sizes the per-worker execution counts.  *frontier*
+    picks the scheduler: ``"cone"`` (``SchedulerState``: cone rule,
+    Δ-elision, adaptive runs — the real engines) or ``"global"``
+    (``ReferenceScheduler``: Listings 1-2 as published).  The *tracer*
+    receives phase-started, enqueued and phase-completed events from
+    here; ``execute_begin`` / ``execute_end`` stay with the driver, which
+    knows the worker and the clock.  With *retire*, each phase is
     retired as soon as the complete prefix extends: ``sink(phase,
     timestamp, entries)`` gets its translated record entries, then every
     per-phase structure is garbage-collected.  *sink* runs inside the
@@ -77,11 +78,17 @@ class ScheduleCore:
             stream_records=retire,
             suppress=frontier == "cone",
         )
-        self.state = SchedulerState(
-            plan.program.numbering,
-            checker=checker,
-            preempt=preempt,
-            frontier=frontier,
+        if frontier == "cone":
+            scheduler = SchedulerState
+        elif frontier == "global":
+            # The specification; a real engine never loads it.
+            from ..core.reference import ReferenceScheduler as scheduler
+        else:
+            raise SchedulerError(
+                f"frontier must be 'global' or 'cone', got {frontier!r}"
+            )
+        self.state = scheduler(
+            plan.program.numbering, checker=checker, preempt=preempt
         )
         self._tracer = tracer
         self._retire = retire

@@ -115,9 +115,9 @@ class ParallelEngine:
     env:
         Environment pacing / flow control (:class:`EnvironmentConfig`).
     join_timeout:
-        Watchdog: the run is wedged once no run of pairs has committed
-        for this many seconds while threads are still alive.  A healthy
-        batch :meth:`run` may last any multiple of it; a
+        Watchdog: the run is wedged once no pair has been computed or
+        committed for this many seconds while threads are still alive.
+        A healthy batch :meth:`run` may last any multiple of it; a
         :meth:`run_feed` is watched only from the moment its feed is
         closed or a stop is requested (a served stream may idle for
         days).
@@ -283,6 +283,9 @@ class ParallelEngine:
             "handovers": 0,
             "feed_burst_max": 0,
         }
+        # Members computed, one single-writer slot per thread: the
+        # watchdog's sign of life inside a run that has not committed yet.
+        computed_members = [0] * (self.num_threads + 1)
 
         def place(newly_ready: List[Pair]) -> List[Pair]:
             # Inside a critical section: each newly ready pair goes to
@@ -340,6 +343,7 @@ class ParallelEngine:
             for _, ctx in run:
                 runtime.compute(v, ctx)
                 executed += 1
+                computed_members[worker_id] += 1
                 if staking and clock() - compute_began >= budget:
                     break
             computed = clock() - compute_began
@@ -516,16 +520,19 @@ class ParallelEngine:
 
         def outlast(alive: Callable[[], bool], wait: Callable[[float], object]) -> None:
             # The watchdog: *wait* in slices until *alive()* is false or
-            # no run has committed for join_timeout (real) seconds.  A
-            # run that merely lasts longer than the timeout is healthy.
-            # (A virtual task's join ignores its timeout and returns
-            # only when the task is done, so this never spins there.)
+            # nothing has been computed or committed for join_timeout
+            # (real) seconds.  A batch, or one coalesced run, that merely
+            # lasts longer is healthy.  (A virtual task's join ignores its
+            # timeout and returns only when done: no spinning there.)
+            def progress() -> int:
+                return core.state.executed_pairs + sum(computed_members)
+
             slice_s = self.join_timeout / 4
-            seen = core.state.executed_pairs
+            seen = progress()
             quiet_since = time.monotonic()
             while alive():
                 wait(slice_s)
-                now = core.state.executed_pairs
+                now = progress()
                 if now != seen:
                     seen, quiet_since = now, time.monotonic()
                 elif time.monotonic() - quiet_since >= self.join_timeout:

@@ -14,6 +14,8 @@ interpreters.
   per-worker cache of vertex behaviours, executed on demand);
 * :mod:`~repro.runtime.mp.lifecycle` — spawn, sticky vertex assignment,
   graceful and crash shutdown of the worker pool;
+* :mod:`~repro.runtime.mp.frontier` — the ready backlog, one FIFO
+  bucket per sticky worker;
 * :mod:`~repro.runtime.mp.engine` — :class:`ProcessEngine`, the
   coordinator loop (Listing 1 + 2 with the compute step remoted).
 

@@ -20,7 +20,7 @@ The wire path is designed so IPC cost scales with *change*, not with
 executions:
 
 * **Run frames**: the ready backlog is kept pre-partitioned by sticky
-  worker (:class:`~repro.core.state.ReadyFrontier`); each dispatched
+  worker (:class:`~.frontier.ReadyFrontier`); each dispatched
   ready pair is extended into a claimed run and shipped as one frame — a
   :class:`~.protocol.TaskMsg` for a run of one, a
   :class:`~.protocol.RunMsg` otherwise, which the worker answers with
@@ -73,7 +73,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from ...core.invariants import InvariantChecker
 from ...core.plan import ExecutionPlan, as_plan
 from ...core.program import Program, RunResult
-from ...core.state import ReadyFrontier
 from ...core.tracer import ExecutionTracer
 from ...core.vertex import VertexContext
 from ...errors import EngineError, VertexExecutionError
@@ -82,6 +81,7 @@ from ..core import ScheduleCore
 from ..environment import EnvironmentConfig
 from ..feed import PhaseFeed
 from ..locks import InstrumentedLock
+from .frontier import ReadyFrontier
 from .lifecycle import ProcessWorkerPool
 from .protocol import (
     FinalStateMsg,

@@ -4,7 +4,8 @@ CPython's GIL serialises pure-Python threads, so the paper's Section 4
 measurements (speedup of k computation threads on a P-processor SMP)
 cannot be observed directly with Python threads executing Python vertex
 code.  This package substitutes the *hardware*, not the algorithm: the
-exact same :class:`~repro.core.state.SchedulerState`,
+same schedulers (the engines' :class:`~repro.core.state.SchedulerState`
+or the published :class:`~repro.core.reference.ReferenceScheduler`),
 :class:`~repro.core.program.PairRuntime` and vertex behaviours execute
 under a discrete-event simulation of
 

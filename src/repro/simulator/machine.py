@@ -1,7 +1,8 @@
 """The simulated SMP engine.
 
-:class:`SimulatedEngine` executes a program with the *real* scheduler
-(:class:`~repro.core.state.SchedulerState`) and *real* vertex behaviours,
+:class:`SimulatedEngine` executes a program with a *real* scheduler (the
+published :class:`~repro.core.reference.ReferenceScheduler` or the
+engines' :class:`~repro.core.state.SchedulerState`) and *real* vertex behaviours,
 but on simulated hardware: k worker threads and one environment thread
 multiplex over P processors and contend for the single global lock, all in
 virtual time driven by a :class:`~repro.simulator.costs.CostModel`.

@@ -38,7 +38,8 @@ from typing import Any, Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .core.invariants import InvariantChecker
 from .core.program import PairRuntime, Program
-from .core.state import Pair, SchedulerState
+from .core.reference import ReferenceScheduler
+from .core.state import Pair
 from .errors import ReproError
 from .events import PhaseInput
 
@@ -87,7 +88,9 @@ class _Replay:
     def __init__(self, program: Program, phases: Sequence[PhaseInput]) -> None:
         program.reset()
         self.runtime = PairRuntime(program, phases)
-        self.state = SchedulerState(program.numbering, checker=InvariantChecker())
+        self.state = ReferenceScheduler(
+            program.numbering, checker=InvariantChecker()
+        )
         self.ready: Set[Pair] = set()
         self.executed: Set[Pair] = set()
         self.started = 0

@@ -65,21 +65,34 @@ class TestStatsJsonSchema:
 
 class TestValidatorUnit:
     def test_accepts_valid_section(self):
-        assert validate_frontier_stats({
-            "mode": "cone",
-            "cone_count": 4,
-            "max_phase_skew": 2,
-            "frontier_advances": 17,
-        }) == []
+        cone = {"mode": "cone", "cone_count": 4, "max_phase_skew": 2}
+        assert validate_frontier_stats(cone) == []
+        assert validate_frontier_stats(
+            {**cone, "mode": "global", "frontier_advances": 17}
+        ) == []
+
+    def test_frontier_advances_belongs_to_the_global_mode_only(self):
+        # Only Listings 1-2 have an x_p whose advances can be counted.
+        cone = {"mode": "cone", "cone_count": 4, "max_phase_skew": 2}
+        errors = validate_frontier_stats({**cone, "frontier_advances": 17})
+        assert any("unexpected keys" in e for e in errors)
+        errors = validate_frontier_stats({**cone, "mode": "global"})
+        assert any("frontier_advances" in e for e in errors)
 
     def test_rejects_bad_mode_and_types(self):
         errors = validate_frontier_stats({
             "mode": "both",
             "cone_count": 0,
             "max_phase_skew": True,
+        })
+        assert len(errors) == 3
+        errors = validate_frontier_stats({
+            "mode": "global",
+            "cone_count": 1,
+            "max_phase_skew": 0,
             "frontier_advances": "many",
         })
-        assert len(errors) == 4
+        assert len(errors) == 1
 
     def test_rejects_unknown_keys_and_missing(self):
         errors = validate_frontier_stats({"mode": "global", "extra": 1})

@@ -1,0 +1,142 @@
+"""The engines' scheduler (``repro.core.state.SchedulerState``): one
+negative test per check its hot path keeps, and the invariant checker
+holding its representation to account.
+
+The run-claim checks (head must be ready or claimed, an executed head is
+a duplicate) live in ``tests/runtime/test_coalescing.py``; retiring past
+an incomplete phase in ``tests/core/test_retirement.py``; random legal
+operation sequences under the strict checker in
+``tests/core/test_state_properties.py``.
+"""
+
+import pytest
+
+from repro.core.invariants import InvariantChecker
+from repro.core.state import CLAIMED, FULL, PARTIAL, SchedulerState
+from repro.errors import DuplicateExecutionError, InvariantViolation, SchedulerError
+from repro.graph.model import ComputationGraph
+from repro.graph.numbering import number_graph
+
+
+def two_cones(checker=True):
+    """Sources 1 and 2, each feeding its own sink: 1 -> 3, 2 -> 4."""
+    nb = number_graph(ComputationGraph.from_edges([("a", "c"), ("b", "d")]))
+    assert [nb.index_of[name] for name in "abcd"] == [1, 2, 3, 4]
+    return SchedulerState(nb, checker=InvariantChecker() if checker else None)
+
+
+class TestHotPathChecks:
+    def test_completing_a_never_ready_pair(self):
+        st = two_cones()
+        st.start_phase()
+        with pytest.raises(SchedulerError, match="not in the ready set"):
+            st.complete_execution(3, 1, [])  # no message ever arrived
+        st.start_phase()
+        with pytest.raises(SchedulerError, match="not in the ready set"):
+            st.complete_execution(1, 2, [])  # full, but (1, 1) is ahead
+        with pytest.raises(SchedulerError):
+            st.complete_execution(1, 3, [])  # phase not started
+        with pytest.raises(SchedulerError):
+            st.complete_execution(9, 1, [])  # no such vertex
+
+    def test_completing_an_executed_pair_is_a_duplicate(self):
+        st = two_cones()
+        st.start_phase()
+        st.start_phase()
+        st.complete_execution(1, 1, [3])
+        with pytest.raises(DuplicateExecutionError):
+            st.complete_execution(1, 1, [3])
+        # ... also once its phase is complete and holds no state at all.
+        st.complete_executions([(2, 1, []), (3, 1, [])])
+        assert st.phase_complete(1)
+        with pytest.raises(DuplicateExecutionError):
+            st.complete_execution(1, 1, [3])
+
+    @pytest.mark.parametrize("target", [1, 2, 0, 5])
+    def test_an_output_must_go_to_a_higher_index_in_range(self, target):
+        st = two_cones()
+        st.start_phase()
+        with pytest.raises(SchedulerError, match="lower to higher"):
+            st.complete_execution(2, 1, [target])
+
+    def test_a_message_for_a_determined_pair(self):
+        # (3, 1) is determined without executing once its one predecessor
+        # ran silently; a message that names it afterwards would wait
+        # forever, so it is an error rather than a stranded partial pair.
+        st = two_cones()
+        st.start_phase()
+        st.complete_execution(1, 1, [])
+        assert not st.phase_complete(1) and not st.msg(3, 1)
+        with pytest.raises(SchedulerError, match="after the pair was determined"):
+            st.complete_execution(2, 1, [3])
+
+    def test_a_pair_never_enters_ready_twice(self):
+        st = two_cones(checker=False)
+        st.start_phase()
+        assert st.is_ready((1, 1))
+        st._phases[1].status[1] = FULL  # a lost update
+        with pytest.raises(DuplicateExecutionError, match="second time"):
+            st.start_phase()
+
+    def test_an_undet_counter_never_goes_negative(self):
+        st = two_cones(checker=False)
+        st.start_phase()
+        st._phases[1].undet[3] = 0  # as if vertex 1 had been counted already
+        with pytest.raises(SchedulerError, match="went negative"):
+            st.complete_execution(1, 1, [3])
+
+
+class TestTheCheckerJudgesTheRepresentation:
+    """Every incrementally maintained piece, corrupted, is a violation."""
+
+    def healthy(self):
+        st = two_cones(checker=False)
+        st.start_phase()
+        st.start_phase()
+        st.complete_execution(1, 1, [3])
+        st.claim_run(3, 1)
+        InvariantChecker().check(st)
+        return st
+
+    def violation(self, st):
+        with pytest.raises(InvariantViolation) as caught:
+            InvariantChecker().check(st)
+        return str(caught.value)
+
+    def test_views_are_the_status_bytes(self):
+        st = self.healthy()
+        assert st.ready_set() == {(2, 1), (3, 1), (1, 2)}
+        assert st.full_set() == st.ready_set() | {(2, 2)}
+        assert st.partial_set() == st.run_claimed_set() == frozenset()
+        assert st.msg(2, 2) and not st.msg(1, 1) and not st.msg(4, 1)
+
+    def test_status_bytes(self):
+        st = self.healthy()
+        st._phases[1].status[3] = PARTIAL  # full by definition
+        assert "full set diverges" in self.violation(st)
+        st = self.healthy()
+        st._phases[1].status[2] = FULL  # at its gate: ready by definition
+        assert "ready set diverges" in self.violation(st)
+        st = self.healthy()
+        st._phases[2].status[4] = CLAIMED  # a message from nowhere
+        assert "waiting count" in self.violation(st)
+
+    def test_counters(self):
+        for corrupt, expected in [
+            (lambda st: st._phases[1].undet.__setitem__(4, 0), "undet counters"),
+            (lambda st: setattr(st._phases[1], "det_count", 3), "determined count"),
+            (lambda st: setattr(st._phases[2], "waiting", 1), "waiting count"),
+            (lambda st: st._settled.__setitem__(1, 0), "settled pointers"),
+            (lambda st: st._full_count.__setitem__(2, 1), "full backlogs"),
+        ]:
+            st = self.healthy()
+            corrupt(st)
+            assert expected in self.violation(st)
+
+    def test_completion_bookkeeping(self):
+        st = self.healthy()
+        st.complete_phase_count = 1
+        assert "complete_phase_count" in self.violation(st)
+        st = self.healthy()
+        st.completed_log.append(1)
+        assert "completion log" in self.violation(st)

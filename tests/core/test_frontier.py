@@ -1,5 +1,5 @@
-"""The indexed scheduler frontier: :class:`ReadyFrontier`, snapshot
-caching, and the batched-vs-singular completion paths."""
+"""The dispatch backlog (:class:`ReadyFrontier`), the derived set views,
+and the batched-vs-singular completion paths — on both schedulers."""
 
 from __future__ import annotations
 
@@ -7,13 +7,31 @@ from collections import deque
 
 import pytest
 
-from repro.core.state import ReadyFrontier, SchedulerState, drain_ready_batches
+from repro.core.reference import ReferenceScheduler
+from repro.core.state import SchedulerState
 from repro.graph.model import ComputationGraph
 from repro.graph.numbering import number_graph
+from repro.runtime.mp.frontier import ReadyFrontier
+
+SCHEDULERS = (SchedulerState, ReferenceScheduler)
 
 
 def sticky(v: int, workers: int = 2) -> int:
     return (v - 1) % workers
+
+
+def reference_drain(pending, assign, capacity):
+    """The O(backlog) sweep :class:`ReadyFrontier` replaces: route each
+    pair of the FIFO *pending* to ``assign(v)`` while that worker has
+    credit; the rest stay, in order."""
+    taken, left = {}, deque()
+    for pair in pending:
+        w = assign(pair[0])
+        if len(taken.get(w, ())) < max(0, capacity(w)):
+            taken.setdefault(w, []).append(pair)
+        else:
+            left.append(pair)
+    return taken, left
 
 
 class TestReadyFrontier:
@@ -64,90 +82,61 @@ class TestReadyFrontier:
         ]
         caps = {w: rng.randint(0, 6) for w in range(workers)}
 
-        ref = deque(pairs)
-        ref_batches, ref_starved = drain_ready_batches(
-            ref, lambda v: sticky(v, workers), lambda w: caps[w]
-        )
-        f = ReadyFrontier(lambda v: sticky(v, workers))
+        def assign(v):
+            return sticky(v, workers)
+
+        ref_taken, ref_left = reference_drain(deque(pairs), assign, caps.get)
+        f = ReadyFrontier(assign)
         f.push(pairs)
-        got_batches, got_starved = f.drain(lambda w: caps[w])
+        got_batches, got_starved = f.drain(caps.get)
 
-        assert got_starved == ref_starved
         # Same pairs to the same workers in the same per-worker order
-        # (cross-worker batch emission order is not part of the contract).
-        def by_worker(batches):
-            out = {}
-            for w, chunk_pairs in batches:
-                out.setdefault(w, []).extend(chunk_pairs)
-            return out
-
-        assert by_worker(got_batches) == by_worker(ref_batches)
+        # (cross-worker batch emission order is not part of the contract),
+        # and exactly the workers with leftovers are reported starved.
+        assert dict(got_batches) == ref_taken
+        assert got_starved == {assign(v) for v, _ in ref_left}
         # Same leftovers, same order.
         leftovers, _ = f.drain(lambda w: 10_000)
-        assert by_worker(leftovers) == by_worker(
-            drain_ready_batches(
-                ref, lambda v: sticky(v, workers), lambda w: 10_000
-            )[0]
-        )
+        assert dict(leftovers) == reference_drain(
+            ref_left, assign, lambda w: 10_000
+        )[0]
 
 
-def chain_state(n: int = 4) -> SchedulerState:
+def chain_state(scheduler, n: int = 4):
     g = ComputationGraph()
     names = [f"v{i}" for i in range(n)]
     g.add_vertices(names)
     for a, b in zip(names, names[1:]):
         g.add_edge(a, b)
-    return SchedulerState(number_graph(g))
+    return scheduler(number_graph(g))
 
 
 class TestSnapshotCaching:
-    def test_stats_reads_build_no_snapshots(self):
-        st = chain_state()
-        st.start_phase()
-        st.ready_set()  # warm every cache once
-        st.partial_set()
-        st.full_set()
-        before = st.snapshot_builds
-        for _ in range(50):
-            st.ready_backlog
-            st.in_flight_phases()
-            st.complete_phase_count
-            st.phase_complete(1)
-            st.is_ready((1, 1))
-        assert st.snapshot_builds == before
-
-    def test_repeated_snapshots_cached_between_mutations(self):
-        st = chain_state()
-        st.start_phase()
-        before = st.snapshot_builds
-        for _ in range(10):
-            st.ready_set()
-        assert st.snapshot_builds == before + 1
-        # A mutation invalidates; the next read rebuilds exactly once.
-        st.complete_execution(1, 1, [2])
-        for _ in range(10):
-            st.ready_set()
-        assert st.snapshot_builds == before + 2
+    """The set views are snapshots of the state at the time of the call."""
 
     def test_snapshots_track_mutations(self):
-        st = chain_state()
-        st.start_phase()
-        assert st.ready_set() == frozenset({(1, 1)})
-        st.complete_execution(1, 1, [2])
-        assert st.ready_set() == frozenset({(2, 1)})
-        assert (1, 1) not in st.ready_set()
+        for scheduler in SCHEDULERS:
+            st = chain_state(scheduler)
+            st.start_phase()
+            before = st.ready_set()
+            assert before == frozenset({(1, 1)}) and st.is_ready((1, 1))
+            st.complete_execution(1, 1, [2])
+            assert st.ready_set() == frozenset({(2, 1)})
+            assert not st.is_ready((1, 1))
+            assert before == frozenset({(1, 1)})  # the old snapshot is a copy
 
     def test_in_flight_phases_is_complete_suffix(self):
-        st = chain_state(3)
-        st.start_phase()
-        st.start_phase()
-        assert st.in_flight_phases() == [1, 2]
-        for p in (1, 2):
-            st.complete_execution(1, p, [2])
-            st.complete_execution(2, p, [3])
-            st.complete_execution(3, p, [])
-        assert st.in_flight_phases() == []
-        assert st.complete_phase_count == 2
+        for scheduler in SCHEDULERS:
+            st = chain_state(scheduler, 3)
+            st.start_phase()
+            st.start_phase()
+            assert st.in_flight_phases() == [1, 2]
+            for p in (1, 2):
+                st.complete_execution(1, p, [2])
+                st.complete_execution(2, p, [3])
+                st.complete_execution(3, p, [])
+            assert st.in_flight_phases() == []
+            assert st.complete_phase_count == 2
 
 
 class TestBatchedCompletionEquivalence:
@@ -155,70 +144,71 @@ class TestBatchedCompletionEquivalence:
     ``complete_executions`` (batch) must drive identical ready-set
     evolution from identical states."""
 
-    def diamond_state(self):
-        g = ComputationGraph.from_edges(
-            [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
-        )
-        return SchedulerState(number_graph(g)), number_graph(g).index_of
-
     def test_singular_delegates_to_batch(self):
-        st1 = chain_state()
-        st2 = chain_state()
-        st1.start_phase()
-        st2.start_phase()
-        r1 = st1.complete_execution(1, 1, [2])
-        r2 = st2.complete_executions([(1, 1, [2])])
-        assert r1 == r2
-        assert st1.ready_set() == st2.ready_set()
-        assert st1.partial_set() == st2.partial_set()
-        assert st1.full_set() == st2.full_set()
+        for scheduler in SCHEDULERS:
+            st1 = chain_state(scheduler)
+            st2 = chain_state(scheduler)
+            st1.start_phase()
+            st2.start_phase()
+            r1 = st1.complete_execution(1, 1, [2])
+            r2 = st2.complete_executions([(1, 1, [2])])
+            assert r1 == r2
+            assert st1.ready_set() == st2.ready_set()
+            assert st1.partial_set() == st2.partial_set()
+            assert st1.full_set() == st2.full_set()
 
     def test_batch_matches_singular_loop(self):
-        sa, idx = self.diamond_state()
-        sb, _ = self.diamond_state()
-        for st in (sa, sb):
-            st.start_phase()
-            st.start_phase()
-        a, b, c, d = idx["a"], idx["b"], idx["c"], idx["d"]
-        # Make (b,1) and (c,1) simultaneously ready on both states.
-        ready_a = sa.complete_execution(a, 1, [b, c])
-        ready_b = sb.complete_execution(a, 1, [b, c])
-        assert ready_a == ready_b
+        nb = number_graph(
+            ComputationGraph.from_edges(
+                [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
+            )
+        )
+        a, b, c, d = (nb.index_of[name] for name in "abcd")
+        for scheduler in SCHEDULERS:
+            sa, sb = scheduler(nb), scheduler(nb)
+            for st in (sa, sb):
+                st.start_phase()
+                st.start_phase()
+            # Make (b,1) and (c,1) simultaneously ready on both states.
+            ready_a = sa.complete_execution(a, 1, [b, c])
+            ready_b = sb.complete_execution(a, 1, [b, c])
+            assert ready_a == ready_b
 
-        singular = []
-        for v, p in ready_a:
-            singular.extend(sa.complete_execution(v, p, [d]))
-        batched = sb.complete_executions([(v, p, [d]) for v, p in ready_b])
+            singular = []
+            for v, p in ready_a:
+                singular.extend(sa.complete_execution(v, p, [d]))
+            batched = sb.complete_executions([(v, p, [d]) for v, p in ready_b])
 
-        assert sorted(singular) == sorted(batched)
-        assert sa.ready_set() == sb.ready_set()
-        assert sa.partial_set() == sb.partial_set()
-        assert sa.full_set() == sb.full_set()
-        assert sa.in_flight_phases() == sb.in_flight_phases()
-        assert sa.executed_pairs == sb.executed_pairs
+            assert sorted(singular) == sorted(batched)
+            assert sa.ready_set() == sb.ready_set()
+            assert sa.partial_set() == sb.partial_set()
+            assert sa.full_set() == sb.full_set()
+            assert sa.in_flight_phases() == sb.in_flight_phases()
+            assert sa.executed_pairs == sb.executed_pairs
 
     def test_full_run_evolution_identical(self):
         # Drive two chain states phase-interleaved to quiescence, one
         # completing pairs one at a time, one batching everything ready;
         # the observable set evolution must coincide at every boundary.
-        sa = chain_state(4)
-        sb = chain_state(4)
-        evolution_a, evolution_b = [], []
-        pend_a = list(sa.start_phase()) + list(sa.start_phase())
-        pend_b = list(sb.start_phase()) + list(sb.start_phase())
-        while pend_a or pend_b:
-            new_a = []
-            for v, p in pend_a:
-                new_a.extend(
-                    sa.complete_execution(v, p, [v + 1] if v < sa.N else [])
+        for scheduler in SCHEDULERS:
+            sa = chain_state(scheduler, 4)
+            sb = chain_state(scheduler, 4)
+            evolution_a, evolution_b = [], []
+            pend_a = list(sa.start_phase()) + list(sa.start_phase())
+            pend_b = list(sb.start_phase()) + list(sb.start_phase())
+            while pend_a or pend_b:
+                new_a = []
+                for v, p in pend_a:
+                    new_a.extend(
+                        sa.complete_execution(v, p, [v + 1] if v < sa.N else [])
+                    )
+                evolution_a.append((sa.ready_set(), sa.full_set()))
+                pend_a = new_a
+                pend_b = list(
+                    sb.complete_executions(
+                        [(v, p, [v + 1] if v < sb.N else []) for v, p in pend_b]
+                    )
                 )
-            evolution_a.append((sa.ready_set(), sa.full_set()))
-            pend_a = new_a
-            pend_b = list(
-                sb.complete_executions(
-                    [(v, p, [v + 1] if v < sb.N else []) for v, p in pend_b]
-                )
-            )
-            evolution_b.append((sb.ready_set(), sb.full_set()))
-        assert evolution_a == evolution_b
-        assert sa.all_started_complete() and sb.all_started_complete()
+                evolution_b.append((sb.ready_set(), sb.full_set()))
+            assert evolution_a == evolution_b
+            assert sa.all_started_complete() and sb.all_started_complete()

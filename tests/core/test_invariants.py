@@ -3,15 +3,15 @@
 import pytest
 
 from repro.core.invariants import InvariantChecker
-from repro.core.state import SchedulerState
+from repro.core.reference import ReferenceScheduler
 from repro.errors import InvariantViolation
 from repro.graph.generators import fig3_graph
 from repro.graph.numbering import number_graph
 
 
-def healthy_state() -> SchedulerState:
+def healthy_state() -> ReferenceScheduler:
     nb = number_graph(fig3_graph())
-    st = SchedulerState(nb)
+    st = ReferenceScheduler(nb)
     st.start_phase()
     st.complete_execution(1, 1, [3])
     return st
@@ -26,7 +26,7 @@ class TestHealthyStates:
 
     def test_initial_state_passes(self):
         nb = number_graph(fig3_graph())
-        InvariantChecker().check(SchedulerState(nb))
+        InvariantChecker().check(ReferenceScheduler(nb))
 
     def test_repr(self):
         c = InvariantChecker()

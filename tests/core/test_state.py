@@ -1,4 +1,4 @@
-"""Tests for SchedulerState — the Listing 1/2 set manipulations.
+"""Tests for ReferenceScheduler — the Listing 1/2 set manipulations.
 
 The centrepiece is the exact reproduction of the paper's Figure 3 step
 sequence, plus error paths (exactly-once, non-ready execution, bad edge
@@ -8,15 +8,15 @@ directions) and the x-frontier behaviour (clamping, completion cascades).
 import pytest
 
 from repro.core.invariants import InvariantChecker
-from repro.core.state import SchedulerState
+from repro.core.reference import ReferenceScheduler
 from repro.errors import DuplicateExecutionError, SchedulerError
 from repro.graph.generators import chain_graph, fan_in_graph, fig3_graph
 from repro.graph.numbering import number_graph
 
 
-def fig3_state(checker: bool = True) -> SchedulerState:
+def fig3_state(checker: bool = True) -> ReferenceScheduler:
     nb = number_graph(fig3_graph())
-    return SchedulerState(nb, checker=InvariantChecker() if checker else None)
+    return ReferenceScheduler(nb, checker=InvariantChecker() if checker else None)
 
 
 class TestInitialState:
@@ -202,7 +202,7 @@ class TestXFrontier:
         """Sources that emit nothing still finish the phase: x reaches N
         without any vertex beyond the sources executing."""
         nb = number_graph(fan_in_graph(3))
-        st = SchedulerState(nb, checker=InvariantChecker())
+        st = ReferenceScheduler(nb, checker=InvariantChecker())
         st.start_phase()
         st.complete_execution(1, 1, [])
         st.complete_execution(2, 1, [])
@@ -215,7 +215,7 @@ class TestXFrontier:
     def test_completion_cascades_to_later_phases(self):
         """Finishing phase p can complete p+1 .. pmax in one update."""
         nb = number_graph(chain_graph(2))
-        st = SchedulerState(nb, checker=InvariantChecker())
+        st = ReferenceScheduler(nb, checker=InvariantChecker())
         st.start_phase()
         st.start_phase()
         st.start_phase()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.invariants import InvariantChecker
-from repro.core.state import SchedulerState
+from repro.core.reference import ReferenceScheduler
 from repro.core.tracer import (
     ExecutionTracer,
     SetSnapshot,
@@ -97,7 +97,7 @@ class TestConcurrencyProfiles:
 class TestSnapshots:
     def test_capture_sets(self):
         nb = number_graph(fig3_graph())
-        st = SchedulerState(nb, checker=InvariantChecker())
+        st = ReferenceScheduler(nb, checker=InvariantChecker())
         tr = ExecutionTracer(clock=FakeClock())
         st.start_phase()
         snap = tr.capture_sets(st, "(a) phase 1 initiated")
@@ -122,7 +122,7 @@ class TestSnapshots:
 
     def test_snapshots_are_immutable_copies(self):
         nb = number_graph(fig3_graph())
-        st = SchedulerState(nb)
+        st = ReferenceScheduler(nb)
         tr = ExecutionTracer()
         st.start_phase()
         snap = tr.capture_sets(st, "before")

@@ -15,6 +15,7 @@ runs actually form) lives in ``tests/test_differential.py``.
 import pytest
 
 from repro.core.invariants import InvariantChecker
+from repro.core.reference import ReferenceScheduler
 from repro.core.state import ADAPTIVE_RUN_CEILING, SchedulerState
 from repro.errors import (
     DuplicateExecutionError,
@@ -44,11 +45,8 @@ from repro.runtime.mp.protocol import (
 
 def chain_state(n=3, frontier="cone", checker=True):
     nb = number_graph(chain_graph(n))
-    return SchedulerState(
-        nb,
-        checker=InvariantChecker() if checker else None,
-        frontier=frontier,
-    )
+    scheduler = SchedulerState if frontier == "cone" else ReferenceScheduler
+    return scheduler(nb, checker=InvariantChecker() if checker else None)
 
 
 def advance_source(st, phases, source=1, target=2):

@@ -559,6 +559,23 @@ class TestProgressWatchdog:
         assert res.wall_time > 2 * 0.25
         assert res.phases_run == 150 and res.execution_count == 300
 
+    def test_one_coalesced_run_longer_than_the_timeout_completes(self):
+        # Regression: progress was counted at commit only, so one healthy
+        # run whose members together outlast the timeout read as a wedge.
+        # All 40 phases are admitted in one burst, the source drains, and
+        # the slow vertex's backlog is claimed as one pooled run.
+        prog = self._slow_chain(0.02)
+        phases = [PhaseInput(k, float(k), {"v1": k}) for k in range(1, 41)]
+        res = ParallelEngine(
+            prog,
+            num_threads=2,
+            backend=RegimeClockBackend(compute_dear=True),
+            join_timeout=0.3,
+        ).run(phases)
+        assert res.stats["coalescing"]["runs_scheduled"] == 2
+        assert res.wall_time > 2 * 0.3
+        assert res.records == SerialExecutor(self._slow_chain(0.0)).run(phases).records
+
     def test_stalled_worker_is_detected_within_twice_the_timeout(self):
         release = threading.Event()
 

@@ -2,8 +2,7 @@
 
 Covers ``RunMsg``/``ResultBatch`` framing (including the edge cases —
 truncated frames, zero-length runs, failures and crashes mid-run), the
-:class:`~repro.runtime.mp.protocol.Interner`,
-:func:`~repro.core.state.drain_ready_batches`, delta state sync
+:class:`~repro.runtime.mp.protocol.Interner`, delta state sync
 (:meth:`~repro.core.vertex.Vertex.snapshot_delta`), the adaptive credit
 window, and the byte-metering regression check (per-class wire stats
 must sum to the actual coordinator-side queue traffic).
@@ -15,7 +14,6 @@ import pickle
 import pytest
 
 from repro.core.serial import SerialExecutor
-from repro.core.state import drain_ready_batches
 from repro.core.program import Program
 from repro.core.vertex import Vertex
 from repro.errors import EngineError, VertexExecutionError
@@ -257,49 +255,6 @@ class TestSalvageEncoding:
         b.__cause__ = a
         text = _describe_pickle_failure(a)
         assert text == "TypeError: a <- ValueError: b"
-
-
-# ---------------------------------------------------------------------------
-# drain_ready_batches
-# ---------------------------------------------------------------------------
-
-
-class TestDrainReadyBatches:
-    def test_routes_by_assignment(self):
-        from collections import deque
-
-        pending = deque([(v, 1) for v in range(1, 8)])
-        batches, starved = drain_ready_batches(
-            pending, lambda v: (v - 1) % 2, lambda w: 99
-        )
-        assert not pending and not starved
-        assert batches == [
-            (0, [(1, 1), (3, 1), (5, 1), (7, 1)]),
-            (1, [(2, 1), (4, 1), (6, 1)]),
-        ]
-
-    def test_respects_capacity_and_reports_starvation(self):
-        from collections import deque
-
-        pending = deque([(1, p) for p in range(1, 6)])
-        batches, starved = drain_ready_batches(
-            pending, lambda v: 0, lambda w: 2
-        )
-        assert batches == [(0, [(1, 1), (1, 2)])]
-        assert starved == {0}
-        # Leftovers keep their order — the per-worker FIFO the phase
-        # ordering argument relies on.
-        assert list(pending) == [(1, 3), (1, 4), (1, 5)]
-
-    def test_zero_capacity_takes_nothing(self):
-        from collections import deque
-
-        pending = deque([(1, 1)])
-        batches, starved = drain_ready_batches(
-            pending, lambda v: 0, lambda w: 0
-        )
-        assert batches == [] and starved == {0}
-        assert list(pending) == [(1, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,19 @@ code derives from what it can observe, not for a new setting.  One
 engine instance per program is pinned the same way: the key-sharding
 topology stays deleted.
 
-The last test pins :class:`~repro.runtime.core.ScheduleCore` the same
-way: four operations and one constructor are the whole interface between
-the run lifecycle and the engines that drive it.
+One test pins :class:`~repro.runtime.core.ScheduleCore` the same way:
+four operations and one constructor are the whole interface between the
+run lifecycle and the engines that drive it.  The last keeps the two
+schedulers apart: neither takes a mode, and a production entry point
+never loads the specification.
 """
 
 import dataclasses
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -136,3 +141,23 @@ def test_schedule_core_surface_is_pinned():
         "commit": ["worker", "completed"],
         "result": ["label", "elapsed", "engine_stats"],
     }, CORE
+
+
+def test_the_two_schedulers_stay_apart():
+    from repro.core.reference import ReferenceScheduler
+    from repro.core.state import SchedulerState
+
+    for scheduler in (SchedulerState, ReferenceScheduler):
+        assert params(scheduler) == ["numbering", "checker", "preempt"], AIM_2
+    # The engines run core/state.py; core/reference.py (and the
+    # LazyMinHeap only it uses) is loaded on demand, by
+    # ScheduleCore(frontier="global") and the verification tools.
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro, repro.cli, repro.serve, repro.runtime.mp\n"
+         "print([m for m in ('repro.core.reference', 'repro.core.pairsets')"
+         " if m in sys.modules])"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert loaded.stdout.strip() == "[]", loaded.stdout

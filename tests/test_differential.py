@@ -28,12 +28,20 @@ executed-pair and message comparison is strict wherever nothing can be
 elided and elision-aware (subset / at-most) where it can.  Real-engine
 cells also compare final behaviour state.
 
+One more cell holds the two *schedulers* side by side, with no engine in
+between: the published :class:`ReferenceScheduler` and the engines'
+:class:`SchedulerState`, driven through every family in the serial
+completion order — whatever the global ``x_p`` makes ready, the cone
+rule has made ready too (docs/ALGORITHM.md §5.4: the same schedule
+family, cone ⊇ global).
+
 The last class keeps the suite honest: the corpus really elides, the
 pipelines really form runs longer than one, the process backend really
 ships run frames, fusion really shrinks the plan, and the simulator's
 global mode really is the published schedule.
 """
 
+import random
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -41,8 +49,12 @@ import pytest
 
 from repro.analysis.serializability import check_serializable
 from repro.analysis.stats import validate_engine_stats
+from repro.core.invariants import InvariantChecker
 from repro.core.plan import compile_plan
+from repro.core.program import PairRuntime
+from repro.core.reference import ReferenceScheduler
 from repro.core.serial import SerialExecutor
+from repro.core.state import SchedulerState
 from repro.ingest import ReorderBuffer, bin_timestamp
 from repro.models.domains.keyed import build_keyed_workload
 from repro.runtime.core import ScheduleCore
@@ -266,6 +278,57 @@ def test_record_exact_against_serial_oracle(engine, fuse, family):
         assert inline_runs == 0 and pooled_runs > 0
 
 
+@pytest.mark.parametrize("order", ["serial", "random"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_cone_schedule_contains_the_published_schedule(family, order):
+    """Reference-vs-cone: start every phase, then complete pairs on both
+    schedulers, with the outputs the real behaviours produce, in the
+    serial order (phase-major, index-minor) or in a seeded random order
+    that is legal under the reference.  After every step each pair the
+    reference holds ready is ready in the cone scheduler as well — so
+    the order is legal on both and the executed sets stay equal.  (In
+    the serial order the two rules coincide; in a random one the cone
+    rule gets strictly ahead where cones are independent — the keyed
+    family's per-account chains.)
+    """
+    ahead = 0
+    for i in range(12):
+        rng = random.Random(i)
+        spec = FAMILIES[family]("inline", i)
+        program, phases = spec.build()
+        program.reset()
+        runtime = PairRuntime(program, phases)
+        reference = ReferenceScheduler(program.numbering, checker=InvariantChecker())
+        cone = SchedulerState(program.numbering, checker=InvariantChecker())
+        where = f"{family} spec {i} [{spec.describe()}]"
+
+        def in_step(step):
+            published, ours = reference.ready_set(), cone.ready_set()
+            assert published <= ours, (
+                f"{where} after {step}: ready under x_p but not under the "
+                f"cone rule: {sorted(published - ours)}"
+            )
+            return ours > published
+
+        for p in range(1, len(phases) + 1):
+            reference.start_phase()
+            cone.start_phase()
+            ahead += in_step(f"start of phase {p}")
+        while reference.ready_set():
+            p, v = min((p, v) for v, p in reference.ready_set())
+            if order == "random":
+                v, p = rng.choice(sorted(reference.ready_set()))
+            targets = runtime.execute(v, p)
+            reference.complete_execution(v, p, targets)
+            cone.complete_execution(v, p, targets)
+            ahead += in_step(f"({v},{p})")
+        assert reference.all_started_complete() and cone.all_started_complete()
+        assert reference.executed_pairs == cone.executed_pairs
+        assert sorted(reference.completed_log) == sorted(cone.completed_log)
+    if (family, order) == ("keyed", "random"):
+        assert ahead, "the cone rule never had more ready than x_p allows"
+
+
 @pytest.mark.parametrize("fuse", [False, True], ids=["unfused", "fused"])
 def test_inline_retirement_sinks_each_phase_once_in_phase_order(fuse):
     """The completion tail lives in the core: a retiring inline run hands
@@ -308,10 +371,13 @@ def test_inline_retirement_sinks_each_phase_once_in_phase_order(fuse):
 )
 def test_scheduling_sections_are_identical_across_engines(engine):
     """Every engine's result carries exactly the sections
-    ``ScheduleCore.result`` attaches — an inline run, which adds nothing
-    of its own, is the reference — with identical keys inside each."""
+    ``ScheduleCore.result`` attaches — an inline run under the same
+    frontier, which adds nothing of its own, is the reference — with
+    identical keys inside each."""
     spec = PipelineSpec(depth=4, phases=12, seed=5)
-    _, reference = run_cell("inline", spec, 0, fuse=False)
+    program, phases = spec.build()
+    frontier = "global" if engine == "simulated-global" else "cone"
+    _, reference = run_inline(compile_plan(program, fuse=False), phases, frontier=frontier)
     _, result = run_cell(engine, spec, 0, fuse=False)
     assert validate_engine_stats(result.engine, result.stats) == []
     assert set(reference.stats) <= set(result.stats)

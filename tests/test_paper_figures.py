@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis.ascii_viz import render_frames
 from repro.core.invariants import InvariantChecker
-from repro.core.state import SchedulerState
+from repro.core.reference import ReferenceScheduler
 from repro.core.tracer import ExecutionTracer, max_concurrent_phases
 from repro.errors import NumberingError
 from repro.graph.generators import (
@@ -88,7 +88,7 @@ class TestFigure3:
 
     def run_steps(self):
         nb = number_graph(fig3_graph())
-        state = SchedulerState(nb, checker=InvariantChecker())
+        state = ReferenceScheduler(nb, checker=InvariantChecker())
         tracer = ExecutionTracer()
         steps = []
 

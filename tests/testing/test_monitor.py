@@ -3,7 +3,7 @@ stamped with their schedule step."""
 
 import pytest
 
-from repro.core.state import SchedulerState
+from repro.core.reference import ReferenceScheduler
 from repro.errors import InvariantViolation
 from repro.graph.generators import fig3_graph
 from repro.graph.numbering import number_graph
@@ -31,7 +31,7 @@ def drive_clean(state):
 class TestCleanRuns:
     def test_fig3_sequence_is_clean(self, numbering):
         monitor = RaceMonitor()
-        state = SchedulerState(numbering, checker=monitor)
+        state = ReferenceScheduler(numbering, checker=monitor)
         drive_clean(state)
         assert monitor.ok
         assert monitor.checks_run == 8
@@ -40,7 +40,7 @@ class TestCleanRuns:
 
     def test_tracer_protocol_lifecycle_clean(self, numbering):
         monitor = RaceMonitor()
-        state = SchedulerState(numbering, checker=monitor)
+        state = ReferenceScheduler(numbering, checker=monitor)
         pairs = state.start_phase()
         monitor.phase_started(1)
         for pair in pairs:
@@ -63,7 +63,7 @@ class TestViolations:
 
     def test_execute_begin_outside_ready_flagged(self, numbering):
         monitor = RaceMonitor()
-        state = SchedulerState(numbering, checker=monitor)
+        state = ReferenceScheduler(numbering, checker=monitor)
         state.start_phase()  # runs check(), capturing the state
         monitor.execute_begin((6, 1), worker=1)  # (6,1) is not ready yet
         assert not monitor.ok
@@ -93,7 +93,7 @@ class TestViolations:
         # Unlike the strict InvariantChecker, the monitor must keep the
         # engine coherent: check() records and returns.
         monitor = RaceMonitor()
-        state = SchedulerState(numbering, checker=monitor)
+        state = ReferenceScheduler(numbering, checker=monitor)
         state.start_phase()
         monitor._executed.add((1, 1))  # fake an executed pair still live
         state.complete_execution(2, 1, [3, 4])  # triggers check()
