@@ -20,7 +20,13 @@ checked by one walker; the meaning of each key is in ``docs/API.md``.
   the rule is the published ``x_p``), ``suppression`` (Δ-elision, §5.6
   of ALGORITHM.md), ``coalescing`` (phase runs, §5.7; with the law
   ``mean_run_length`` = members / runs), ``per_worker_executions`` and
-  the edge-store counters ``edge_entries_peak`` / ``edge_entries_final``;
+  the edge-store counters ``edge_entries_peak`` / ``edge_entries_final``.
+  The peak is sampled once per committed run — after all of the run's
+  sends, before its one input GC — not once per member, so on a schedule
+  with runs longer than one it can read a few entries above the largest
+  number buffered between two member commits; a run of one (the serial
+  oracle, the simulator's published schedule) samples as before, and
+  ``edge_entries_peak >= edge_entries_final`` always;
 * the threaded engine (``parallel``) adds ``drain`` — which thread
   executed the runs (the environment inline, or the pool) — validated
   wherever it appears, with the law ``inline_runs + pooled_runs`` =

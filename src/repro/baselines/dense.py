@@ -51,7 +51,6 @@ class DenseDataflowExecutor:
     def run(self, phase_inputs: Sequence[PhaseInput]) -> RunResult:
         self.program.reset()
         runtime = PairRuntime(self.program, phase_inputs)
-        nb = self.program.numbering
         n = self.program.n
         executions: List[Tuple[int, int]] = []
         # Last value sent on each edge, for re-sending unchanged values.
@@ -59,20 +58,19 @@ class DenseDataflowExecutor:
         started = time.perf_counter()
         for p in range(1, runtime.num_phases + 1):
             for v in range(1, n + 1):
-                ctx = runtime.prepare(v, p)
-                runtime.compute(v, ctx)
+                ctxs = runtime.prepare(v, (p,))
+                runtime.compute(v, ctxs)
                 # Densify: any successor the behaviour skipped receives the
                 # previous value again, so downstream sees a full input set.
-                name_of = nb.name_of
-                for w in runtime.edges.succs[v]:
-                    wname = name_of(w)
-                    if wname in ctx.outputs:
-                        last_sent[(v, w)] = ctx.outputs[wname]
+                outputs = ctxs[0].outputs
+                for wname, w, _ in runtime.edges.out_channels[v]:
+                    if wname in outputs:
+                        last_sent[(v, w)] = outputs[wname]
                     elif (v, w) in last_sent:
-                        ctx.outputs[wname] = last_sent[(v, w)]
+                        outputs[wname] = last_sent[(v, w)]
                     # An edge that has never carried a value stays silent:
                     # there is no "previous value" to re-send yet.
-                runtime.commit(v, p, ctx)
+                runtime.commit(v, (p,), ctxs)
                 executions.append((v, p))
         elapsed = time.perf_counter() - started
         return runtime.build_result(

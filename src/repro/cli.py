@@ -276,21 +276,75 @@ def _write_stats_json(dest: str, payload: dict) -> None:
         print(f"stats written to {dest}")
 
 
-# Profile classification: function-name → pipeline stage.  Order
-# matters — first match wins.
+# Profile classification: (module under ``repro/``, function) → pipeline
+# stage.  Keyed on the module as well, because the bare names collide —
+# ``PairRuntime.commit`` delivers messages, ``ScheduleCore.commit`` runs the
+# scheduler, and a statistics window's ``push`` is neither.  Two kinds of
+# entry name no module of ours: ``""`` is any module (``on_execute`` is
+# the hook user code overrides anywhere) and ``"~"`` is cProfile's file
+# name for a built-in.
 _PROFILE_STAGES = (
-    ("prepare", ("prepare", "gather_inputs")),
-    ("compute", ("compute", "on_execute")),
-    ("commit", ("commit", "commit_remote", "deliver", "consume")),
-    ("scheduling", (
-        "complete_execution", "complete_executions", "claim_run",
-        "start_phase", "_refresh_ready", "_determination_wave", "drain",
-        "push", "push_front", "admit", "claim",
+    ("prepare", (
+        ("core/program.py", "prepare"),
+        ("core/ports.py", "read_run"),
+        ("core/vertex.py", "owning"),
     )),
-    ("serialization", ("encode", "decode", "dumps", "loads", "intern")),
-    ("retirement", ("retire_phase", "translate_entries",
-                    "retire_phases_upto", "_advance")),
+    ("compute", (
+        ("core/program.py", "compute"),
+        ("", "on_execute"),
+        ("core/vertex.py", "finish"),
+        ("core/vertex.py", "emit"),
+        ("core/vertex.py", "emit_to"),
+        ("core/vertex.py", "record"),
+    )),
+    ("commit", (
+        ("core/program.py", "commit"),
+        ("core/program.py", "commit_remote"),
+        ("core/ports.py", "send"),
+        ("core/ports.py", "stable_equal"),
+        ("core/ports.py", "settle_run"),
+        ("core/ports.py", "consume_upto"),
+        ("core/vertex.py", "adopt_results"),
+    )),
+    ("scheduling", (
+        ("core/state.py", "start_phase"),
+        ("core/state.py", "claim_run"),
+        ("core/state.py", "complete_executions"),
+        ("core/state.py", "_determination_wave"),
+        ("core/state.py", "_fire"),
+        ("runtime/core.py", "admit"),
+        ("runtime/core.py", "claim"),
+        ("runtime/core.py", "commit"),
+        ("runtime/mp/frontier.py", "push"),
+        ("runtime/mp/frontier.py", "push_front"),
+        ("runtime/mp/frontier.py", "drain"),
+    )),
+    ("serialization", (
+        ("runtime/mp/protocol.py", "encode"),
+        ("runtime/mp/protocol.py", "decode"),
+        ("runtime/mp/protocol.py", "intern"),
+        ("runtime/mp/protocol.py", "task_from_context"),
+        ("runtime/mp/protocol.py", "run_from_contexts"),
+        ("~", "<built-in method _pickle.dumps>"),
+        ("~", "<built-in method _pickle.loads>"),
+    )),
+    ("retirement", (
+        ("core/program.py", "retire_phase"),
+        ("core/plan.py", "translate_entries"),
+        ("core/state.py", "retire_phases_upto"),
+        ("runtime/core.py", "_advance"),
+    )),
 )
+_STAGE_OF = {
+    entry: stage for stage, entries in _PROFILE_STAGES for entry in entries
+}
+
+
+def _stage_of(filename: str, funcname: str) -> Optional[str]:
+    """The pipeline stage of one cProfile row, or ``None`` for "other"."""
+    _, found, module = filename.replace("\\", "/").rpartition("/repro/")
+    stage = _STAGE_OF.get((module if found else filename, funcname))
+    return stage or _STAGE_OF.get(("", funcname))
 
 
 def _stage_breakdown(profiler, thread_profiles=(), dump_path=None) -> dict:
@@ -316,16 +370,11 @@ def _stage_breakdown(profiler, thread_profiles=(), dump_path=None) -> dict:
     stages = {name: 0.0 for name, _ in _PROFILE_STAGES}
     stages["other"] = 0.0
     total = 0.0
-    for (_file, _line, funcname), (
+    for (filename, _line, funcname), (
         _cc, _nc, tottime, _cumtime, _callers
     ) in st.stats.items():  # type: ignore[attr-defined]
         total += tottime
-        for stage, names in _PROFILE_STAGES:
-            if funcname in names:
-                stages[stage] += tottime
-                break
-        else:
-            stages["other"] += tottime
+        stages[_stage_of(filename, funcname) or "other"] += tottime
     return {"total_s": total, "stages": stages}
 
 

@@ -218,13 +218,13 @@ class FusedVertex(Vertex):
                 sub_inputs = {prev: self._latch[member.name]}
                 sub_changed = {prev}
                 sub_phase_input = None
-            sub = VertexContext(
-                name=member.name,
-                phase=ctx.phase,
-                inputs=sub_inputs,
-                changed=sub_changed,
-                successors=member.successors,
-                phase_input=sub_phase_input,
+            sub = VertexContext.owning(
+                member.name,
+                ctx.phase,
+                sub_inputs,
+                sub_changed,
+                member.successors,
+                sub_phase_input,
             )
             try:
                 returned = member.behavior.on_execute(sub)
@@ -348,15 +348,13 @@ class RelabeledVertex(Vertex):
         return bool(getattr(self.behavior, "silent_on_unchanged", False))
 
     def on_execute(self, ctx: VertexContext) -> Any:
-        sub = VertexContext(
-            name=self._name,
-            phase=ctx.phase,
-            inputs={
-                self._in_map.get(k, k): v for k, v in ctx.inputs.items()
-            },
-            changed={self._in_map.get(k, k) for k in ctx.changed},
-            successors=self._successors,
-            phase_input=ctx.phase_input,
+        sub = VertexContext.owning(
+            self._name,
+            ctx.phase,
+            {self._in_map.get(k, k): v for k, v in ctx.inputs.items()},
+            {self._in_map.get(k, k) for k in ctx.changed},
+            self._successors,
+            ctx.phase_input,
         )
         returned = self.behavior.on_execute(sub)
         sub.finish(returned)

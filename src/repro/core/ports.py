@@ -11,16 +11,19 @@ phase ``p`` reads the newest entry whose phase is ``<= p``.
 increasing phase order, because a sender executes its phases in order) and
 garbage-collects superseded entries once the consumer has moved past them.
 
-:class:`EdgeStore` owns one channel per graph edge, keyed by
-``(src_index, dst_index)``, plus the per-vertex input/output index tables
-the engines use.  All mutation happens inside the engine's single global
-lock, so the structures themselves are unsynchronised.
+:class:`EdgeStore` owns one channel per graph edge and, per vertex, the
+flat in- and out-channel tables the pair data path walks: a *run* — one
+vertex, ascending phases — reads each input channel once
+(:meth:`EdgeChannel.read_run`), sends member by member, and is accounted
+and garbage-collected once (:meth:`EdgeStore.settle_run`).  All mutation
+happens inside the engine's single global lock, so the structures
+themselves are unsynchronised.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from ..errors import SchedulerError
 from ..graph.numbering import Numbering
@@ -125,18 +128,32 @@ class EdgeChannel:
         self._phases.append(phase)
         self._values.append(value)
 
-    def read_at(self, phase: int) -> Tuple[Any, bool]:
-        """``(value, changed)`` as observed by a consumer executing *phase*.
+    def read_run(
+        self,
+        name: str,
+        phases: Sequence[int],
+        inputs: Sequence[Dict[str, Any]],
+        changed: Sequence[Set[str]],
+    ) -> None:
+        """Fill in what a consumer executing each of the ascending
+        *phases* observes on this input, under the key *name*.
 
-        *value* is the newest entry with phase ``<= phase`` (``NO_VALUE``
-        if none); *changed* is True iff an entry exists at exactly *phase*
-        (i.e. a message for this phase is waiting on this input).
+        ``inputs[i][name]`` becomes the newest entry with phase ``<=
+        phases[i]`` (left unset if there is none); *name* joins
+        ``changed[i]`` iff an entry exists at exactly ``phases[i]`` (a
+        message for that phase is waiting on this input).  Entries and
+        phases both ascend, so one forward cursor serves the whole run.
         """
-        idx = bisect_right(self._phases, phase)
-        if idx == 0:
-            return NO_VALUE, False
-        changed = self._phases[idx - 1] == phase
-        return self._values[idx - 1], changed
+        at, values = self._phases, self._values
+        n = len(at)
+        i = 0
+        for k, phase in enumerate(phases):
+            while i < n and at[i] <= phase:
+                i += 1
+            if i:
+                inputs[k][name] = values[i - 1]
+                if at[i - 1] == phase:
+                    changed[k].add(name)
 
     def consume_upto(self, phase: int) -> int:
         """Mark phases ``<= phase`` consumed and drop superseded entries.
@@ -179,13 +196,14 @@ class EdgeChannel:
 
 
 class EdgeStore:
-    """All edge channels of one run, with index-based adjacency tables.
+    """All edge channels of one run, with flat per-vertex channel tables.
 
-    Parameters
-    ----------
-    numbering:
-        The restricted numbering; channels are keyed by vertex *indices*
-        so the hot path never touches strings.
+    Built once per run of the program.  ``in_channels[v]`` lists
+    ``(predecessor name, channel)`` and ``out_channels[v]`` lists
+    ``(successor name, successor index, channel)``, both in ascending
+    neighbour-index order (slot 0 unused) — the form the pair data path
+    walks, so it never hashes an edge tuple or translates between
+    indices and names.  ``preds`` / ``succs`` are the index adjacency.
     """
 
     def __init__(self, numbering: Numbering) -> None:
@@ -200,16 +218,24 @@ class EdgeStore:
         self.live_entries = 0
         self.peak_entries = 0
         # Δ-elision accounting: outputs dropped at commit time because
-        # their value matched the edge latch (see would_suppress).
+        # their value matched the edge latch (``stable_equal``).
         self.suppressed_messages = 0
         g = numbering.graph
-        for v in range(1, numbering.n + 1):
-            name = numbering.name_of(v)
-            self.preds[v] = sorted(numbering.index_of[u] for u in g.predecessors(name))
-            self.succs[v] = sorted(numbering.index_of[w] for w in g.successors(name))
-        for v, succs in self.succs.items():
-            for w in succs:
+        n = numbering.n
+        names = [""] + [numbering.name_of(v) for v in range(1, n + 1)]
+        for v in range(1, n + 1):
+            self.preds[v] = sorted(numbering.index_of[u] for u in g.predecessors(names[v]))
+            self.succs[v] = sorted(numbering.index_of[w] for w in g.successors(names[v]))
+            for w in self.succs[v]:
                 self._channels[(v, w)] = EdgeChannel()
+        self.in_channels: List[List[Tuple[str, EdgeChannel]]] = [[]] + [
+            [(names[u], self._channels[(u, v)]) for u in self.preds[v]]
+            for v in range(1, n + 1)
+        ]
+        self.out_channels: List[List[Tuple[str, int, EdgeChannel]]] = [[]] + [
+            [(names[w], w, self._channels[(v, w)]) for w in self.succs[v]]
+            for v in range(1, n + 1)
+        ]
 
     def channel(self, src: int, dst: int) -> EdgeChannel:
         try:
@@ -217,49 +243,20 @@ class EdgeStore:
         except KeyError:
             raise SchedulerError(f"no edge {src} -> {dst}") from None
 
-    def deliver(self, src: int, phase: int, outputs: Dict[int, Any]) -> None:
-        """Record *src*'s phase-*phase* messages (dst index -> value)."""
-        for dst, value in outputs.items():
-            self.channel(src, dst).send(phase, value)
-        self.live_entries += len(outputs)
-        if self.live_entries > self.peak_entries:
-            self.peak_entries = self.live_entries
-
-    def would_suppress(self, src: int, dst: int, value: Any) -> bool:
-        """True iff delivering *value* on ``src -> dst`` would repeat the
-        edge's latched value under :func:`stable_equal`.
-
-        A first message on an edge is never suppressible (there is no
-        latch for the consumer to fall back on).
-        """
-        ch = self._channels[(src, dst)]
-        return bool(ch._values) and stable_equal(ch._values[-1], value)
-
-    def record_suppressed(self, count: int) -> None:
-        """Account *count* suppressed deliveries (caller holds the lock)."""
-        self.suppressed_messages += count
-
-    def gather_inputs(self, dst: int, phase: int) -> Tuple[Dict[int, Any], List[int]]:
-        """Snapshot *dst*'s inputs for executing *phase*.
-
-        Returns ``(values, changed)``: latched value per predecessor index
-        (predecessors that never sent are omitted) and the list of
-        predecessor indices whose value changed at exactly *phase*.
-        """
-        values: Dict[int, Any] = {}
-        changed: List[int] = []
-        for src in self.preds[dst]:
-            value, is_new = self._channels[(src, dst)].read_at(phase)
-            if value is not NO_VALUE:
-                values[src] = value
-            if is_new:
-                changed.append(src)
-        return values, changed
-
-    def consume(self, dst: int, phase: int) -> None:
-        """GC all of *dst*'s input channels up to *phase* (post-execution)."""
-        for src in self.preds[dst]:
-            self.live_entries -= self._channels[(src, dst)].consume_upto(phase)
+    def settle_run(self, dst: int, upto: int, sent: int, suppressed: int) -> None:
+        """Close the books on one committed run of *dst* (caller holds
+        the lock): account the messages it *sent* and *suppressed*, sample
+        the high-water mark — after the run's sends, before its GC — and
+        garbage-collect *dst*'s input channels up to *upto*, the last
+        committed member's phase.  ``consume_upto`` is monotone, so one
+        GC there leaves the channels as the per-member GCs would."""
+        self.suppressed_messages += suppressed
+        live = self.live_entries + sent
+        if live > self.peak_entries:
+            self.peak_entries = live
+        for _, ch in self.in_channels[dst]:
+            live -= ch.consume_upto(upto)
+        self.live_entries = live
 
     def total_pending_entries(self) -> int:
         """Total stored entries across channels (memory instrumentation)."""

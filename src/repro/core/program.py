@@ -6,18 +6,21 @@ graph vertex.  Programs are engine-agnostic: the threaded engine, the
 serial oracle, the simulated SMP, and the baselines all execute the same
 program, which is what makes serializability checking meaningful.
 
-:class:`PairRuntime` implements the mechanics of executing one vertex-phase
-pair, split into three steps so the threaded engine can hold the global
-lock only around the bookkeeping:
+:class:`PairRuntime` implements the mechanics of executing a *run* — one
+vertex over ascending phases, the unit the scheduler hands out; a single
+vertex-phase pair is a run of one — split into three steps so the
+threaded engine can hold the global lock only around the bookkeeping:
 
-* :meth:`PairRuntime.prepare` (under the lock) — snapshot the pair's inputs
-  from the edge store and build the :class:`VertexContext`;
+* :meth:`PairRuntime.prepare` (under the lock) — walk each input channel
+  once and build one :class:`VertexContext` per member;
 * :meth:`PairRuntime.compute` (outside the lock) — run the vertex
-  behaviour: the expensive model evaluation the paper parallelises;
-* :meth:`PairRuntime.commit` (under the lock) — deliver output messages to
-  edge channels, garbage-collect consumed input entries, append records,
-  and return the *indices* of the vertices that received outputs (the set
-  Listing 1's statement 1.8 iterates over).
+  behaviour over the members in order: the expensive model evaluation
+  the paper parallelises;
+* :meth:`PairRuntime.commit` (under the lock) — deliver the members'
+  output messages back to back, append their records, garbage-collect
+  the consumed inputs once, and return per member the *indices* of the
+  vertices that received outputs (the set Listing 1's statement 1.8
+  iterates over).
 
 :class:`RunResult` is the externally visible outcome of a run: the per-
 vertex records, the executed pairs in completion order, and counters.
@@ -29,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
     List,
@@ -43,7 +47,7 @@ from ..errors import GraphError, SchedulerError, VertexExecutionError
 from ..events import PhaseInput
 from ..graph.model import ComputationGraph
 from ..graph.numbering import Numbering, number_graph
-from .ports import EdgeStore
+from .ports import EdgeStore, stable_equal
 from .vertex import Vertex, VertexContext
 
 __all__ = ["Program", "PairRuntime", "RunResult"]
@@ -218,14 +222,7 @@ class PairRuntime:
         nm = program.numbering
         self._names: List[str] = [""] + [nm.name_of(i) for i in range(1, nm.n + 1)]
         self._succ_names: List[List[str]] = [[]] + [
-            [self._lookup_name(w) for w in self.edges.succs[v]]
-            for v in range(1, nm.n + 1)
-        ]
-        # Per-vertex (successor name, successor index) pairs in ascending
-        # index order: commit walks this instead of building and sorting a
-        # dict per call (the scheduler-op hot path).
-        self._succ_pairs: List[List[Tuple[str, int]]] = [[]] + [
-            [(self._names[w], w) for w in self.edges.succs[v]]
+            [self._names[w] for w in self.edges.succs[v]]
             for v in range(1, nm.n + 1)
         ]
         # Per-vertex record-log cache: after the first record, commits
@@ -282,9 +279,6 @@ class PairRuntime:
                 ok[v] = silent or all(ok[w] for w in ws)
         return ok
 
-    def _lookup_name(self, index: int) -> str:
-        return self.program.numbering.name_of(index)
-
     def register_phase(self, pi: PhaseInput) -> None:
         """Append the next phase's inputs.
 
@@ -307,130 +301,165 @@ class PairRuntime:
 
     # -- the three execution steps ------------------------------------------
 
-    def prepare(self, v: int, p: int) -> VertexContext:
-        """Snapshot inputs and build the context (call under the lock)."""
-        name = self._names[v]
-        raw_inputs, raw_changed = self.edges.gather_inputs(v, p)
-        inputs = {self._names[src]: val for src, val in raw_inputs.items()}
-        changed = {self._names[src] for src in raw_changed}
-        phase_input = None
-        if v in self._source_indices:
-            pi = self._phase_inputs.get(p)
-            if pi is not None:
-                phase_input = pi.values.get(name)
-        return VertexContext(
-            name=name,
-            phase=p,
-            inputs=inputs,
-            changed=changed,
-            successors=self._succ_names[v],
-            phase_input=phase_input,
-        )
+    def prepare(self, v: int, phases: Sequence[int]) -> List[VertexContext]:
+        """Snapshot the inputs of the run ``(v, phases)`` — ascending
+        phases — and build one context per member (call under the lock).
 
-    def compute(self, v: int, ctx: VertexContext) -> VertexContext:
-        """Run the vertex behaviour (call outside the lock)."""
-        behavior = self.program.behavior(v)
-        try:
-            returned = behavior.on_execute(ctx)
-        except VertexExecutionError:
-            raise
-        except Exception as exc:
-            raise VertexExecutionError(ctx.name, ctx.phase, str(exc)) from exc
-        ctx.finish(returned)
-        return ctx
-
-    def commit(self, v: int, p: int, ctx: VertexContext) -> List[int]:
-        """Deliver outputs, GC inputs, append records (call under the lock).
-
-        Returns the indices of vertices that received an output — exactly
-        the ``w`` of Listing 1's statement 1.8.  The per-vertex successor
-        pairs are pre-sorted by index, so the returned list is ascending
-        without a per-commit sort, and the suppression latch test runs
-        inline on the same walk.
+        Every member is prepared up front: a claimed member's inputs are
+        final (its claim certificate), so no commit can change what a
+        later member reads.  Each input channel is walked once.
         """
-        outs = ctx.outputs
+        inputs: List[Dict[str, Any]] = [{} for _ in phases]
+        changed: List[Set[str]] = [set() for _ in phases]
+        for pred, channel in self.edges.in_channels[v]:
+            channel.read_run(pred, phases, inputs, changed)
+        name = self._names[v]
+        successors = self._succ_names[v]
+        payloads: List[Any] = [None] * len(phases)
+        if v in self._source_indices:
+            phase_inputs = self._phase_inputs
+            for k, p in enumerate(phases):
+                pi = phase_inputs.get(p)
+                if pi is not None:
+                    payloads[k] = pi.values.get(name)
+        owning = VertexContext.owning
+        return [
+            owning(name, p, inputs[k], changed[k], successors, payloads[k])
+            for k, p in enumerate(phases)
+        ]
+
+    def compute(
+        self,
+        v: int,
+        ctxs: Sequence[VertexContext],
+        after_member: Optional[Callable[[], bool]] = None,
+    ) -> int:
+        """Run the vertex behaviour over the run's members in order (call
+        outside the lock); returns how many executed.
+
+        *after_member* is called after each member and stops the run
+        after it by returning true (the threaded engine's staking budget
+        and watchdog counter).  A failing member raises
+        :class:`VertexExecutionError` naming its exact phase.
+        """
+        on_execute = self.program.behavior(v).on_execute
+        executed = 0
+        for ctx in ctxs:
+            try:
+                ctx.finish(on_execute(ctx))
+            except VertexExecutionError:
+                raise
+            except Exception as exc:
+                raise VertexExecutionError(ctx.name, ctx.phase, str(exc)) from exc
+            executed += 1
+            # Outside the try: the engine's callback is not the vertex.
+            if after_member is not None and after_member():
+                break
+        return executed
+
+    def commit(
+        self, v: int, phases: Sequence[int], ctxs: Sequence[VertexContext]
+    ) -> List[Tuple[int, int, List[int]]]:
+        """Deliver outputs, append records, GC inputs (call under the lock).
+
+        Commits the members ``zip(phases, ctxs)`` back to back — member
+        *i*'s delivery is the latch member *i + 1*'s suppression test
+        reads, exactly as serial per-phase commits — then accounts the
+        edges and garbage-collects *v*'s inputs once, up to the last
+        member's phase.  Returns ``(v, phase, targets)`` per member —
+        what :meth:`SchedulerState.complete_executions` takes — *targets*
+        being the indices of the vertices that received an output, the
+        ``w`` of Listing 1's statement 1.8, ascending.
+        """
         suppress = self.suppress
-        targets: List[int] = []
-        if outs:
-            edges = self.edges
-            elide_ok = self._elide_ok
-            outputs_by_index: Dict[int, Any] = {}
-            suppressed = 0
-            for wname, w in self._succ_pairs[v]:
-                if wname not in outs:
-                    continue
-                value = outs[wname]
-                if (
-                    suppress
-                    and elide_ok[w]
-                    and edges.would_suppress(v, w, value)
-                ):
-                    suppressed += 1
-                    self._elide_candidates.setdefault(p, set()).add(w)
-                    continue
-                outputs_by_index[w] = value
-                targets.append(w)
-            if suppressed:
-                edges.record_suppressed(suppressed)
-            edges.deliver(v, p, outputs_by_index)
-            self.message_count += len(outputs_by_index)
-        self.edges.consume(v, p)
-        if ctx.records:
-            if self.stream_records:
-                seg = self._records_by_phase[p]
-                for value in ctx.records:
-                    seg.append((ctx.name, value))
-            else:
-                log = self._record_logs[v]
-                if log is None:
-                    log = self._record_logs[v] = self.records.setdefault(
-                        ctx.name, []
-                    )
-                for value in ctx.records:
-                    log.append((p, value))
-        self.execution_count += 1
-        if suppress:
-            cands = self._elide_candidates.get(p)
-            if cands is not None:
-                # The pair executed after all (another input did change),
-                # so it was not elided.
-                cands.discard(v)
-        return targets
+        elide_ok = self._elide_ok
+        out_channels = self.edges.out_channels[v]
+        stream = self.stream_records
+        completed: List[Tuple[int, int, List[int]]] = []
+        sent = suppressed = 0
+        for p, ctx in zip(phases, ctxs):
+            outs = ctx._outputs
+            targets: List[int] = []
+            if outs:
+                for wname, w, channel in out_channels:
+                    if wname not in outs:
+                        continue
+                    value = outs[wname]
+                    # A first message finds NO_VALUE on the latch, which
+                    # equals nothing: it is never suppressed.
+                    if (
+                        suppress
+                        and elide_ok[w]
+                        and stable_equal(channel.last_sent, value)
+                    ):
+                        suppressed += 1
+                        self._elide_candidates.setdefault(p, set()).add(w)
+                        continue
+                    channel.send(p, value)
+                    targets.append(w)
+                sent += len(targets)
+            records = ctx._records
+            if records:
+                if stream:
+                    seg = self._records_by_phase[p]
+                    for value in records:
+                        seg.append((ctx.name, value))
+                else:
+                    log = self._record_logs[v]
+                    if log is None:
+                        log = self._record_logs[v] = self.records.setdefault(
+                            ctx.name, []
+                        )
+                    for value in records:
+                        log.append((p, value))
+            if suppress:
+                cands = self._elide_candidates.get(p)
+                if cands is not None:
+                    # The pair executed after all (another input did
+                    # change), so it was not elided.
+                    cands.discard(v)
+            completed.append((v, p, targets))
+        if completed:
+            self.message_count += sent
+            self.execution_count += len(completed)
+            self.edges.settle_run(v, completed[-1][1], sent, suppressed)
+        return completed
 
     def execute(self, v: int, p: int) -> List[int]:
-        """prepare + compute + commit in one step (single-threaded engines)."""
-        ctx = self.prepare(v, p)
-        self.compute(v, ctx)
-        return self.commit(v, p, ctx)
+        """prepare + compute + commit of the run of one ``(v, [p])``
+        (single-threaded drivers); returns its output targets."""
+        phases = (p,)
+        ctxs = self.prepare(v, phases)
+        self.compute(v, ctxs)
+        return self.commit(v, phases, ctxs)[0][2]
 
     def commit_remote(
         self,
         v: int,
-        p: int,
-        ctx: VertexContext,
-        outputs: Mapping[str, Any],
-        records: Sequence[Any],
-        suppressed: Sequence[str] = (),
-    ) -> List[int]:
-        """Commit a pair whose compute step ran in another process.
+        phases: Sequence[int],
+        ctxs: Sequence[VertexContext],
+        replies: Sequence[Tuple[Mapping[str, Any], Sequence[Any], Sequence[str]]],
+    ) -> List[Tuple[int, int, List[int]]]:
+        """Commit a run whose compute step ran in another process.
 
-        The coordinator prepared *ctx* locally, shipped it to a worker,
-        and got back the worker's *outputs* (successor name -> value) and
-        *records*; this adopts them into *ctx* and commits as usual (call
-        under the lock).  *suppressed* names successors whose outputs the
-        worker elided before serialization — the worker's last-emitted
-        cache mirrors the edge latch (sticky assignment, in-order
-        phases), so they are accounted here without the values ever
-        crossing the wire.
+        The coordinator prepared *ctxs* locally, shipped them to a
+        worker, and got back per member ``(outputs, records,
+        suppressed)``; this adopts each into its context and commits as
+        usual (call under the lock).  *suppressed* names successors
+        whose outputs the worker elided before serialization — the
+        worker's last-emitted cache mirrors the edge latch (sticky
+        assignment, in-order phases), so they are accounted here without
+        the values ever crossing the wire.
         """
-        if suppressed:
-            index_of = self.program.numbering.index_of
-            self.edges.record_suppressed(len(suppressed))
-            cands = self._elide_candidates.setdefault(p, set())
-            for wname in suppressed:
-                cands.add(index_of[wname])
-        ctx.adopt_results(outputs, records)
-        return self.commit(v, p, ctx)
+        index_of = self.program.numbering.index_of
+        for p, ctx, (outputs, records, suppressed) in zip(phases, ctxs, replies):
+            if suppressed:
+                self.edges.suppressed_messages += len(suppressed)
+                cands = self._elide_candidates.setdefault(p, set())
+                for wname in suppressed:
+                    cands.add(index_of[wname])
+            ctx.adopt_results(outputs, records)
+        return self.commit(v, phases, ctxs)
 
     def elidable_successor_names(self) -> Dict[str, FrozenSet[str]]:
         """Per-vertex successor names whose pairs are elidable — the

@@ -144,6 +144,31 @@ class VertexContext:
         self._records: List[Any] = []
         self._emitted_explicitly = False
 
+    @classmethod
+    def owning(
+        cls,
+        name: str,
+        phase: int,
+        inputs: Dict[str, Any],
+        changed: Set[str],
+        successors: Sequence[str],
+        phase_input: Any = None,
+    ) -> "VertexContext":
+        """The constructor without its defensive copies (engine use
+        only): the context takes ownership of the freshly built *inputs*
+        and *changed*, and shares *successors*, which it never mutates."""
+        self = cls.__new__(cls)
+        self.name = name
+        self.phase = phase
+        self.inputs = inputs
+        self.changed = changed
+        self.phase_input = phase_input
+        self._successors = successors
+        self._outputs = {}
+        self._records = []
+        self._emitted_explicitly = False
+        return self
+
     # -- observation ---------------------------------------------------
 
     @property

@@ -14,7 +14,7 @@ environment thread wrap each call in the one global
 :class:`~repro.runtime.locks.InstrumentedLock`; the single-threaded
 process coordinator holds its (uncontended) lock for the same sections;
 the simulator runs them in a locked burst on its virtual ``global-lock``
-resource.  Vertex compute and the per-member ``PairRuntime.commit`` /
+resource.  Vertex compute and the run's ``PairRuntime.commit`` /
 ``commit_remote`` deliveries stay with the driver, between ``claim`` and
 ``commit`` — compute outside the lock, deliveries inside it.
 """
@@ -139,23 +139,23 @@ class ScheduleCore:
             newly_ready.extend(ready_now)
         return newly_ready
 
-    def claim(self, v: int, p: int) -> List[Tuple[int, VertexContext]]:
+    def claim(self, v: int, p: int) -> Tuple[List[int], List[VertexContext]]:
         """Extend the dequeued ready pair ``(v, p)`` into a run and
-        prepare every member: ``[(phase, context)]`` in execution order.
+        prepare every member: ``(phases, contexts)`` in execution order.
         Preparing up front is safe: the ready head's inputs are fully
         determined (definition (8)) and a claimed member's inputs are
         final by its claim certificate."""
-        prepare = self.runtime.prepare
-        return [(q, prepare(v, q)) for q in self.state.claim_run(v, p)]
+        phases = self.state.claim_run(v, p)
+        return phases, self.runtime.prepare(v, phases)
 
     def commit(
         self, worker: int, completed: Sequence[Tuple[int, int, Sequence[int]]]
     ) -> Tuple[List[Tuple[int, int]], int]:
         """Listing 1's post-execution section for one run: *completed*
-        is ``(v, p, output_targets)`` per member, the targets being what
-        the driver's :meth:`PairRuntime.commit` / ``commit_remote``
-        delivered.  Returns the newly ready pairs and how many phases
-        newly completed (the flow-control credits to release)."""
+        is ``(v, p, output_targets)`` per member — what the driver's
+        :meth:`PairRuntime.commit` / ``commit_remote`` returned.  Returns
+        the newly ready pairs and how many phases newly completed (the
+        flow-control credits to release)."""
         newly_ready = self.state.complete_executions(completed)
         if not self._retire:
             self._executions.extend((v, p) for v, p, _ in completed)

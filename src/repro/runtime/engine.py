@@ -41,11 +41,13 @@ Differences from the paper's infinite loops (all additive):
   contended lock, a thread switch under one GIL) costs more than the run
   it hands over, so a batch :meth:`~ParallelEngine.run` measures both
   halves of every run with the backend's clock and the environment
-  thread keeps, and executes itself, each ready pair whose vertex's
-  compute reads strictly cheaper than the critical sections around it —
-  whichever thread's commit made the pair ready.  It runs the same
-  ``execute_run`` as the workers, under the same lock, as worker
-  ``num_threads``: a (k+1)-th Listing-1 process (ALGORITHM.md §5.8).
+  thread keeps, and executes itself, each ready pair whose vertex's last
+  run computed strictly cheaper than the critical sections around that
+  same run — whichever thread's commit made the pair ready.  It runs the
+  same ``execute_run`` as the workers, under the same lock, as worker
+  ``num_threads``: a (k+1)-th Listing-1 process (ALGORITHM.md §5.8),
+  and once it has started its last phase it stays one — parked while
+  its deque is empty — until nothing is in flight.
   Expensive vertices go to the run queue and fan out as in the paper; a
   vertex nobody has measured costs the environment one execution to find
   out.  A paced environment, a fed one (:meth:`~ParallelEngine.run_feed`)
@@ -258,12 +260,16 @@ class ParallelEngine:
         commit_guard = (lambda: nullcontext()) if unlocked_commit else (lambda: lock)
         start_guard = (lambda: nullcontext()) if unlocked_start else (lambda: lock)
 
-        # The regime estimates, in clock seconds per pair, each the last
-        # measurement: what a vertex's compute costs (per vertex), and
-        # what the critical sections around a compute cost (one number;
-        # before the first commit, what a phase start costs).  Written
-        # inside the critical section they time.
-        compute_cost: Dict[int, float] = {}
+        # The regime estimates, each the last measurement, written inside
+        # the critical section they time.  Per vertex: whether its last
+        # run's compute cost strictly less than the critical sections
+        # around that same run — one run, one thread, the same members on
+        # both sides, so a cold cache or a lost GIL slows both instead of
+        # tipping the comparison.  One number, in clock seconds per pair:
+        # the locked time of the last run of any vertex (before the first
+        # commit, what a phase start costs) — the stake on a vertex nobody
+        # has measured.
+        cheap: Dict[int, bool] = {}
         locked_cost = 0.0
         # Ready pairs the environment executes itself.  Anyone may add
         # one, inside a critical section and only while ``draining`` —
@@ -272,6 +278,11 @@ class ParallelEngine:
         # flow control while work waits here.
         mine: Deque[Pair] = deque()
         draining = False
+        # What the environment parks on once it has no phase left to
+        # start (see ``start_phases``): set by the critical section that
+        # gives the deque a pair or makes the run quiescent, and by an
+        # abort.
+        handed = backend.event()
         # A paced environment keeps its tick cadence and a fed one stays
         # on its feed: neither executes.  (A served stream shares its
         # interpreter with ingest and egress threads; draining inline
@@ -290,18 +301,30 @@ class ParallelEngine:
         def place(newly_ready: List[Pair]) -> List[Pair]:
             # Inside a critical section: each newly ready pair goes to
             # exactly one of the environment's deque — while it drains,
-            # when the vertex's compute reads strictly cheaper than the
+            # when the vertex's compute read strictly cheaper than the
             # locked time a hand-off is made of — or the run queue (the
             # pairs returned).  A vertex not measured yet reads as free.
             if not draining:
                 return newly_ready
             pooled = []
             for pair in newly_ready:
-                if compute_cost.get(pair[0], 0.0) < locked_cost:
+                if cheap.get(pair[0], True):
                     mine.append(pair)
                 else:
                     pooled.append(pair)
+            if mine or core.quiescent:
+                handed.set()
             return pooled
+
+        def abort_run() -> None:
+            # Flag the abort, then wake everyone it could leave blocked:
+            # workers on the queue, the environment on flow control or
+            # parked on ``handed``.
+            abort.set()
+            queue.close()
+            if flow_sem is not None:
+                flow_sem.release()
+            handed.set()
 
         def enqueue(pairs: List[Pair]) -> bool:
             # False once an abort has closed the queue under us.
@@ -324,57 +347,51 @@ class ParallelEngine:
             inline = worker_id == env_id
             with lock:
                 claim_began = clock()
-                run = core.claim(v, p)
+                phases, ctxs = core.claim(v, p)
                 drain["inline_runs" if inline else "pooled_runs"] += 1
                 if tracer is not None:
                     # (A member handed over below begins again when the
                     # pool claims it; trace readers keep the last begin.)
-                    for q, _ in run:
+                    for q in phases:
                         tracer.execute_begin((v, q), worker_id)
                 locked = clock() - claim_began
             # What the environment stakes on a vertex nobody has measured
             # is bounded: once computing it has cost more than the locked
             # time the whole run stands for, it keeps what it has computed
             # and the pool gets the rest of the run.
-            staking = inline and v not in compute_cost
-            budget = locked_cost * len(run)
-            executed = 0
-            compute_began = clock()
-            for _, ctx in run:
-                runtime.compute(v, ctx)
-                executed += 1
+            staking = inline and v not in cheap
+            budget = locked_cost * len(phases)
+
+            def after_member() -> bool:
                 computed_members[worker_id] += 1
-                if staking and clock() - compute_began >= budget:
-                    break
+                return staking and clock() - compute_began >= budget
+
+            compute_began = clock()
+            executed = runtime.compute(v, ctxs, after_member)
             computed = clock() - compute_began
             with commit_guard():
                 commit_began = clock()
-                # Member commits run back-to-back: each delivery updates
-                # the edge latch the next member's suppression test
-                # reads, so runs short-circuit between members exactly
-                # like serial per-phase commits.
-                completed = [
-                    (v, q, runtime.commit(v, q, ctx)) for q, ctx in run[:executed]
-                ]
+                completed = runtime.commit(v, phases[:executed], ctxs)
                 if tracer is not None:
                     for _, q, _ in completed:
                         tracer.execute_end((v, q), worker_id)
                 newly_ready, newly_complete = core.commit(worker_id, completed)
                 done = env_done.is_set() and core.quiescent
-                compute_cost[v] = computed / executed
-                locked_cost = (locked + clock() - commit_began) / executed
+                locked += clock() - commit_began
+                cheap[v] = computed < locked
+                locked_cost = locked / executed
                 pooled = place(newly_ready)
             if flow_sem is not None:
                 for _ in range(newly_complete):
                     flow_sem.release()
             if enqueue(pooled) and duplicate_enqueue:
                 enqueue(pooled)
-            if executed < len(run):
+            if executed < len(phases):
                 # The unexecuted tail keeps its claims; its head is
                 # re-dispatched like any ready pair and claimed again
                 # (SchedulerState.claim_run accepts a claimed head).
                 drain["handovers"] += 1
-                enqueue([(v, run[executed][0])])
+                enqueue([(v, phases[executed])])
             if done:
                 queue.close()
 
@@ -391,12 +408,8 @@ class ParallelEngine:
                     execute_run(worker_id, v, p)
             except BaseException:
                 # A failed worker must not leave the others blocked on the
-                # queue or the environment parked on flow control: flag the
-                # abort, wake everyone, then propagate.
-                abort.set()
-                queue.close()
-                if flow_sem is not None:
-                    flow_sem.release()
+                # queue or the environment parked: abort, then propagate.
+                abort_run()
                 raise
 
         env_errors: List[BaseException] = []
@@ -408,7 +421,9 @@ class ParallelEngine:
             # run coalescing exists to remove, and a deeper started
             # horizon is what lets a claim extend runs in the first
             # place.  Then the peer half: run what was placed here, and
-            # what the commits of any thread add, until nothing is left.
+            # what the commits of any thread add, until nothing is left —
+            # in the deque, or, once the batch has no phase left to start,
+            # in flight anywhere.
             nonlocal locked_cost, draining
             with start_guard():
                 began = clock()
@@ -416,7 +431,7 @@ class ParallelEngine:
                     newly_ready = [pair for pi in fed for pair in core.admit(1, pi)]
                 else:
                     newly_ready = core.admit(count)
-                if not compute_cost:
+                if not cheap:
                     locked_cost = (clock() - began) / (len(fed) or count)
                 # Nothing reads cheap on a clock that does not advance
                 # (VirtualBackend: 0 < 0), so schedule exploration always
@@ -429,8 +444,26 @@ class ParallelEngine:
                 while mine and not abort.is_set():
                     execute_run(env_id, *mine.popleft())
                 with lock:
-                    if not mine or abort.is_set():
+                    # An empty deque ends the drain while there are phases
+                    # to start: they are the work.  With none left, what
+                    # the pool still holds may ready cheap pairs, so the
+                    # environment parks — off the GIL, which is also what
+                    # lets the pool get to them — until one is handed
+                    # back or nothing is in flight.  The event is cleared
+                    # *before* the test: ``abort_run`` sets it without
+                    # the lock, and a set that lands after the test must
+                    # still end the wait.
+                    handed.clear()
+                    park = not (
+                        core.phases_unadmitted
+                        or mine
+                        or core.quiescent
+                        or abort.is_set()
+                    )
+                    if not park and (not mine or abort.is_set()):
                         draining = False
+                if park:
+                    handed.wait()
             mine.clear()  # an abort abandons the rest, as the workers do
             if self.env.pacing:
                 backend.sleep(self.env.pacing)
@@ -557,10 +590,7 @@ class ParallelEngine:
             # join the pool below — a wedged environment must not leak
             # live computation threads into the caller, nor mask the
             # root-cause worker exception with a generic EngineError.
-            abort.set()
-            queue.close()
-            if flow_sem is not None:
-                flow_sem.release()
+            abort_run()
         outlast(pool.any_alive, pool.wait)
         join_error: Optional[EngineError] = None
         try:

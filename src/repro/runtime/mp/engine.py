@@ -263,7 +263,7 @@ class ProcessEngine:
             for w, pairs in batches:
                 for v, p in pairs:
                     with lock:
-                        prepared = core.claim(v, p)
+                        prepared = list(zip(*core.claim(v, p)))
                         for q, ctx in prepared:
                             if tracer is not None:
                                 tracer.execute_begin((v, q), w)
@@ -298,29 +298,25 @@ class ProcessEngine:
                     window_events["narrowings"] += 1
 
         def commit_run(results: List[ResultMsg]) -> None:
-            # One worker reply = one run's results: every member commits
-            # in one critical section, one ScheduleCore.commit call.
+            # One worker reply = one run's results (its surviving prefix
+            # when a member failed): the members commit as one run, in
+            # one critical section, one ScheduleCore.commit call.
             if not results:
                 return
-            completed: List[Tuple[int, int, List[int]]] = []
+            worker_id, v = results[0].worker_id, results[0].vertex
+            phases = [res.phase for res in results]
             with lock:
-                for res in results:
-                    ctx = in_flight.pop((res.vertex, res.phase))
-                    targets = runtime.commit_remote(
-                        res.vertex,
-                        res.phase,
-                        ctx,
-                        res.outputs,
-                        res.records,
-                        res.suppressed,
-                    )
-                    completed.append((res.vertex, res.phase, targets))
-                    worker_load[res.worker_id] -= 1
-                    if tracer is not None:
-                        tracer.execute_end(
-                            (res.vertex, res.phase), res.worker_id
-                        )
-                newly_ready, _ = core.commit(results[0].worker_id, completed)
+                completed = runtime.commit_remote(
+                    v,
+                    phases,
+                    [in_flight.pop((v, q)) for q in phases],
+                    [(res.outputs, res.records, res.suppressed) for res in results],
+                )
+                worker_load[worker_id] -= len(results)
+                if tracer is not None:
+                    for q in phases:
+                        tracer.execute_end((v, q), worker_id)
+                newly_ready, _ = core.commit(worker_id, completed)
             pending.push(newly_ready)
 
         def requeue_skipped(

@@ -256,13 +256,16 @@ class SimulatedEngine:
                 # burst, execute its members back-to-back on one
                 # processor grant (the parallel region), then commit
                 # them all in one bookkeeping burst.
-                run = yield from locked_burst(cm.prepare_cost, lambda: core.claim(v, p))
+                phases, ctxs = yield from locked_burst(
+                    cm.prepare_cost, lambda: core.claim(v, p)
+                )
 
                 yield procs.request()
-                for q, ctx in run:
+                for q, ctx in zip(phases, ctxs):
                     if tracer is not None:
                         tracer.execute_begin((v, q), worker_id)
-                    runtime.compute(v, ctx)
+                    # Each member computes when its virtual time starts.
+                    runtime.compute(v, (ctx,))
                     duration = member_cost(v, q, ctx)
                     if duration > 0:
                         yield sim.timeout(duration)
@@ -271,7 +274,7 @@ class SimulatedEngine:
                 procs.release()
 
                 def do_commit() -> None:
-                    completed = [(v, q, runtime.commit(v, q, ctx)) for q, ctx in run]
+                    completed = runtime.commit(v, phases, ctxs)
                     enqueue(core.commit(worker_id, completed)[0])
                     # Flow control: wake the environment when phase
                     # completions open room for another in-flight phase.

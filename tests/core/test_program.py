@@ -1,9 +1,16 @@
 """Tests for Program, PairRuntime and RunResult."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.program import PairRuntime, Program, RunResult
-from repro.core.vertex import EMIT_NOTHING, FunctionVertex, PassthroughSource
+from repro.core.vertex import (
+    EMIT_NOTHING,
+    FunctionVertex,
+    PassthroughSource,
+    Vertex,
+    VertexContext,
+)
 from repro.errors import GraphError, SchedulerError, VertexExecutionError
 from repro.events import PhaseInput
 from repro.graph.generators import chain_graph, fig3_graph
@@ -96,9 +103,8 @@ class TestPairRuntime:
     def test_source_phase_input_delivery(self):
         p = tiny_program()
         rt = PairRuntime(p, [PhaseInput(1, 0.0, {"v1": 7}), PhaseInput(2, 1.0)])
-        ctx = rt.prepare(1, 1)
+        ctx, ctx2 = rt.prepare(1, [1, 2])
         assert ctx.phase_input == 7
-        ctx2 = rt.prepare(1, 2)
         assert ctx2.phase_input is None  # bare signal
 
     def test_vertex_exception_wrapped(self):
@@ -113,9 +119,9 @@ class TestPairRuntime:
             pass
 
         rt = PairRuntime(p, [PhaseInput(1, 0.0)])
-        ctx = rt.prepare(1, 1)
+        ctxs = rt.prepare(1, [1])
         with pytest.raises(VertexExecutionError, match="kaboom") as ei:
-            rt.compute(1, ctx)
+            rt.compute(1, ctxs)
         assert ei.value.vertex == "v1"
         assert ei.value.phase == 1
         assert isinstance(ei.value.__cause__, ValueError)
@@ -164,6 +170,243 @@ class TestPairRuntime:
         assert res.stats == {"k": 1}
         assert res.records_for("v2") == [(1, 1)]
         assert res.records_for("ghost") == []
+
+
+class ChangeOnly(Vertex):
+    """Emits the sum of its latched inputs when it differs from the last
+    sum emitted — honours ``silent_on_unchanged``, so messages into it
+    are elidable."""
+
+    silent_on_unchanged = True
+
+    def __init__(self, preds):
+        self.preds = preds
+        self.last = None
+
+    def reset(self):
+        self.last = None
+
+    def on_execute(self, ctx):
+        total = sum(ctx.input(p, 0) for p in self.preds)
+        if total == self.last:
+            return EMIT_NOTHING
+        self.last = total
+        return total
+
+
+def _observe(ctx):
+    ctx.record((sorted(ctx.inputs.items()), sorted(ctx.changed)))
+
+
+def diamond_runtime(payloads):
+    """s1, s2 -> m -> t and s2 -> t, suppression on: value-equal source
+    messages into ``m`` are dropped (its pair is then never scheduled),
+    ``t`` observes every arrival."""
+    g = ComputationGraph()
+    g.add_vertices(["s1", "s2", "m", "t"])
+    for edge in [("s1", "m"), ("s2", "m"), ("m", "t"), ("s2", "t")]:
+        g.add_edge(*edge)
+    program = Program(g, {
+        "s1": PassthroughSource(),
+        "s2": PassthroughSource(),
+        "m": ChangeOnly(("s1", "s2")),
+        "t": FunctionVertex(_observe),
+    })
+    phases = [
+        PhaseInput(p, float(p), {k: v for k, v in row.items() if v is not None})
+        for p, row in enumerate(payloads, start=1)
+    ]
+    return PairRuntime(program, phases, suppress=True)
+
+
+def drive(rt, splits):
+    """Execute the diamond vertex by vertex, each vertex's phases cut
+    into the runs ``splits(phases)`` yields; returns everything a member
+    observed and produced, in execution order."""
+    seen = []
+    waiting = {v: set() for v in range(1, rt.program.n + 1)}
+    for v in rt.program.numbering.source_indices():
+        waiting[v] = set(range(1, rt.num_phases + 1))
+    for v in range(1, rt.program.n + 1):
+        for run in splits(sorted(waiting[v])):
+            ctxs = rt.prepare(v, run)
+            observed = [
+                (c.phase, dict(c.inputs), set(c.changed), c.phase_input)
+                for c in ctxs
+            ]
+            assert rt.compute(v, ctxs) == len(run)
+            produced = [(dict(c.outputs), list(c.records)) for c in ctxs]
+            completed = rt.commit(v, run, ctxs)
+            seen.append((observed, produced, completed))
+            for _, p, targets in completed:
+                for w in targets:
+                    waiting[w].add(p)
+    return [m for run in seen for m in zip(*run)]
+
+
+def end_state(rt):
+    return {
+        "channels": {
+            edge: repr(ch) for edge, ch in sorted(rt.edges._channels.items())
+        },
+        "live": rt.edges.live_entries,
+        "messages": rt.message_count,
+        "executions": rt.execution_count,
+        "records": rt.records,
+        "suppression": rt.suppression_stats(),
+    }
+
+
+payload = st.one_of(st.none(), st.integers(0, 2))
+histories = st.lists(
+    st.fixed_dictionaries({"s1": payload, "s2": payload}), min_size=1, max_size=12
+)
+
+
+class TestRunEqualsPairwise:
+    """A run of *k* is *k* runs of one: same contexts, outputs, records,
+    targets, channel contents and counters — silent predecessors, elided
+    members (so run phases are not consecutive), sources with and without
+    a phase payload."""
+
+    @given(histories, st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_whole_runs_cut_runs_and_single_pairs_agree(self, payloads, rng):
+        def whole(phases):
+            return [phases] if phases else []
+
+        def pairwise(phases):
+            return [[p] for p in phases]
+
+        def cut(phases):
+            # A partial commit (run[:executed]) and the re-claimed tail.
+            k = rng.randint(0, len(phases))
+            return [part for part in (phases[:k], phases[k:]) if part]
+
+        runtimes = [diamond_runtime(payloads) for _ in range(3)]
+        by_pair, by_run, by_cut = (
+            drive(rt, splits)
+            for rt, splits in zip(runtimes, (pairwise, whole, cut))
+        )
+        assert by_run == by_pair
+        assert by_cut == by_pair
+        expected = end_state(runtimes[0])
+        for rt in runtimes[1:]:
+            assert end_state(rt) == expected
+            # Sampled once per run, after its sends and before its GC.
+            assert rt.edges.peak_entries >= runtimes[0].edges.peak_entries
+            assert rt.edges.peak_entries >= rt.edges.total_pending_entries()
+
+    def test_the_histories_reach_suppression_and_gaps(self):
+        rows = [{"s1": 1, "s2": 2}, {"s1": 1, "s2": None}, {"s1": 2, "s2": 2}]
+        rt = diamond_runtime(rows)
+        members = drive(rt, lambda phases: [phases] if phases else [])
+        m = rt.program.numbering.index_of["m"]
+        assert [obs[0] for obs, _, (v, _, _) in members if v == m] == [1, 3]
+        stats = rt.suppression_stats()
+        assert stats["suppressed_messages"] == 2  # s1's phase 2, s2's phase 3
+        assert stats["elided_executions"] == 1  # (m, 2)
+
+
+class TestRunGuards:
+    """The checks the pair path made per member still fire on the run path."""
+
+    ROWS = [{"s1": 1, "s2": 2}, {"s1": 1, "s2": 3}, {"s1": 1, "s2": 3}]
+
+    def test_commit_rejects_phases_out_of_order(self):
+        rt = diamond_runtime(self.ROWS)
+        ctxs = rt.prepare(2, [2, 1])
+        rt.compute(2, ctxs)
+        with pytest.raises(SchedulerError, match="strictly increasing"):
+            rt.commit(2, [2, 1], ctxs)
+
+    def test_commit_rejects_a_message_behind_the_consumers_gc(self):
+        rt = diamond_runtime([{"s1": 1}, {"s1": 2}, {"s1": 3}])
+        rt.execute(1, 1)
+        rt.execute(3, 2)  # m has moved past phase 2: inputs GC'd up to it
+        with pytest.raises(SchedulerError, match="after the consumer"):
+            rt.execute(1, 2)
+
+    def test_first_message_of_a_run_is_never_suppressed(self):
+        rt = diamond_runtime(self.ROWS)
+        ctxs = rt.prepare(1, [1, 2, 3])
+        rt.compute(1, ctxs)
+        completed = rt.commit(1, [1, 2, 3], ctxs)
+        # Member 1's send is the latch members 2 and 3 are tested against.
+        assert [targets for _, _, targets in completed] == [[3], [], []]
+        assert rt.edges.suppressed_messages == 2
+        assert rt.message_count == 1
+
+    def test_unprovable_equality_is_never_suppressed(self):
+        rows = [{"s1": [1], "s2": None}] * 2  # a list is outside stable_equal
+        rt = diamond_runtime(rows)
+        assert [rt.execute(1, p) for p in (1, 2)] == [[3], [3]]
+        assert rt.edges.suppressed_messages == 0
+
+    def test_elide_candidate_is_dropped_when_the_pair_executes_anyway(self):
+        rt = diamond_runtime(self.ROWS)
+        drive(rt, lambda phases: [phases] if phases else [])
+        # s1's value-equal phase 2 and 3 messages into m were suppressed;
+        # (m, 2) ran anyway (s2 changed), only (m, 3) was elided.
+        assert rt.edges.suppressed_messages == 3
+        assert rt.suppression_stats()["elided_executions"] == 1
+
+    def failing_program(self, fail):
+        g = chain_graph(2)
+        return Program(g, {"v1": PassthroughSource(), "v2": FunctionVertex(fail)})
+
+    def test_failing_member_is_named_exactly_and_the_prefix_survives(self):
+        def fail(ctx):
+            if ctx.phase == 5:
+                raise ValueError("member three")
+            return ctx.phase
+
+        rt = PairRuntime(self.failing_program(fail), signals(9))
+        ctxs = rt.prepare(2, [2, 3, 5, 8])
+        with pytest.raises(VertexExecutionError, match="member three") as ei:
+            rt.compute(2, ctxs)
+        assert (ei.value.vertex, ei.value.phase) == ("v2", 5)
+        assert [c.records for c in ctxs] == [[2], [3], [], []]
+        assert [p for _, p, _ in rt.commit(2, [2, 3], ctxs)] == [2, 3]
+
+    def test_emit_to_a_stranger_fails_on_an_engine_built_context(self):
+        rt = PairRuntime(
+            self.failing_program(lambda ctx: ctx.emit_to("v1", 0)), signals(2)
+        )
+        with pytest.raises(VertexExecutionError, match="not a successor") as ei:
+            rt.compute(2, rt.prepare(2, [1, 2]))
+        assert (ei.value.vertex, ei.value.phase) == ("v2", 1)
+
+    def test_after_member_stops_the_run_where_it_says(self):
+        rt = diamond_runtime(self.ROWS)
+        ctxs = rt.prepare(1, [1, 2, 3])
+        calls = []
+        executed = rt.compute(1, ctxs, lambda: calls.append(1) or len(calls) == 2)
+        assert executed == 2 and len(calls) == 2
+        assert [bool(c.outputs) for c in ctxs] == [True, True, False]
+        assert [p for _, p, _ in rt.commit(1, [1, 2], ctxs)] == [1, 2]
+
+    def test_after_member_failure_is_not_blamed_on_the_vertex(self):
+        rt = diamond_runtime(self.ROWS)
+
+        def broken_callback():
+            raise RuntimeError("engine bug")
+
+        with pytest.raises(RuntimeError, match="engine bug"):
+            rt.compute(1, rt.prepare(1, [1, 2]), broken_callback)
+
+    def test_engine_built_contexts_own_their_containers(self):
+        # prepare hands each context fresh containers (no defensive copy
+        # is needed); the public constructor still copies what it is given.
+        rt = diamond_runtime(self.ROWS)
+        rt.execute(1, 1)
+        a, b = rt.prepare(3, [1, 2])
+        assert a.inputs == b.inputs == {"s1": 1}
+        assert a.inputs is not b.inputs and a.changed is not b.changed
+        given_inputs = {"x": 1}
+        ctx = VertexContext("v", 1, given_inputs, {"x"}, ["w"])
+        given_inputs["x"] = 2
+        assert ctx.inputs == {"x": 1}
 
 
 class TestRunResult:

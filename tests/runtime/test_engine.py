@@ -487,6 +487,38 @@ class TestEnvironmentPeer:
         assert ran_on == ["environment"]
         assert _engine_threads() == before
 
+    def test_pool_failure_wakes_the_parked_environment(self):
+        # The sink is dear, so it runs in the pool; its last phase fails
+        # only after every cheap pair is done, i.e. while the environment
+        # has started its last burst, drained it and parked.  The abort
+        # must end that wait itself, not the join_timeout watchdog.
+        backend = RegimeClockBackend(compute_dear=False)
+        prog, phases = pipeline_workload(depth=5, phases=150, seed=3)
+        sink = prog.graph.vertices()[-1]
+        orig = prog.behaviors[sink].on_execute
+        ran_on = []
+
+        def dear_then_boom(ctx):
+            backend.spend(1000.0)
+            if ctx.phase == 150:
+                ran_on.append(threading.current_thread().name)
+                time.sleep(0.05)
+                raise RuntimeError("raised in the pool")
+            return orig(ctx)
+
+        prog.behaviors[sink].on_execute = dear_then_boom
+        engine = ParallelEngine(
+            prog, num_threads=2, backend=backend, join_timeout=20.0
+        )
+        before = _engine_threads()
+        began = time.monotonic()
+        with pytest.raises(VertexExecutionError, match="in the pool") as ei:
+            engine.run(phases)
+        assert time.monotonic() - began < 5.0
+        assert (ei.value.vertex, ei.value.phase) == (sink, 150)
+        assert len(ran_on) == 1 and ran_on[0].startswith("compute-")
+        assert _engine_threads() == before
+
     def test_paced_environment_never_executes(self):
         prog = make_chain_program(3, {1: 1, 2: 2, 3: 3})
         res = ParallelEngine(

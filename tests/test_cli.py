@@ -155,6 +155,72 @@ class TestRun:
         assert body(serial_out) == body(parallel_out)
 
 
+class TestProfileStages:
+    """``repro run --profile`` bills a cProfile row to a stage by
+    (module, function): bare names collide across layers."""
+
+    def test_every_entry_resolves_to_a_live_function(self):
+        import importlib
+        import inspect
+
+        from repro.cli import _PROFILE_STAGES
+        from repro.core.vertex import Vertex
+
+        for _, entries in _PROFILE_STAGES:
+            for module, name in entries:
+                if module == "":  # the hook user code overrides anywhere
+                    assert inspect.isfunction(getattr(Vertex, name)), name
+                elif module == "~":  # "<built-in method _pickle.dumps>"
+                    owner, _, attr = name[len("<built-in method "):-1].partition(".")
+                    assert inspect.isbuiltin(
+                        getattr(importlib.import_module(owner), attr)
+                    ), name
+                else:
+                    mod = importlib.import_module(
+                        "repro." + module[: -len(".py")].replace("/", ".")
+                    )
+                    owners = [mod] + [
+                        cls
+                        for cls in vars(mod).values()
+                        if inspect.isclass(cls) and cls.__module__ == mod.__name__
+                    ]
+                    assert any(
+                        inspect.isfunction(vars(owner).get(name))
+                        or isinstance(vars(owner).get(name), classmethod)
+                        for owner in owners
+                    ), f"{module}:{name} names no function"
+
+    def test_same_name_in_another_layer_is_not_billed(self):
+        from repro.cli import _stage_of
+
+        src = "/site-packages/repro/"
+        assert _stage_of(src + "core/program.py", "commit") == "commit"
+        assert _stage_of(src + "runtime/core.py", "commit") == "scheduling"
+        assert _stage_of(src + "runtime/mp/frontier.py", "push") == "scheduling"
+        assert _stage_of(src + "models/statistics.py", "push") is None
+        assert _stage_of(src + "models/statistics.py", "on_execute") == "compute"
+        assert _stage_of("/elsewhere/user_vertices.py", "on_execute") == "compute"
+        assert _stage_of("/elsewhere/user_vertices.py", "compute") is None
+        assert _stage_of("~", "<built-in method _pickle.dumps>") == "serialization"
+
+    @pytest.mark.parametrize("engine", ["parallel", "process"])
+    def test_profiled_run_reaches_the_data_path_stages(
+        self, spec_file, tmp_path, engine
+    ):
+        import json
+
+        stats = tmp_path / "stats.json"
+        assert main([
+            "run", spec_file, "--engine", engine, "--no-fuse",
+            "--profile", str(tmp_path / "run.pstats"),
+            "--stats-json", str(stats),
+        ]) == 0
+        stages = json.loads(stats.read_text())["stats"]["profile"]["stages"]
+        busy = {"prepare", "commit", "scheduling"}
+        busy |= {"compute"} if engine == "parallel" else {"serialization"}
+        assert all(stages[stage] > 0.0 for stage in busy), stages
+
+
 class TestInfoValidate:
     def test_info(self, spec_file, capsys):
         assert main(["info", spec_file]) == 0

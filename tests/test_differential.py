@@ -35,6 +35,11 @@ completion order — whatever the global ``x_p`` makes ready, the cone
 rule has made ready too (docs/ALGORITHM.md §5.4: the same schedule
 family, cone ⊇ global).
 
+Another holds the *data path* against itself: the same claims committed
+as whole runs, as runs of one, and as a cut run plus its re-claimed tail
+(``PairRuntime`` prepares, computes and commits a run as one unit; a pair
+is a run of one) must leave the same records, counters and channels.
+
 The last class keeps the suite honest: the corpus really elides, the
 pipelines really form runs longer than one, the process backend really
 ships run frames, fusion really shrinks the plan, and the simulator's
@@ -181,19 +186,41 @@ def policy_for(i):
     return make_policy(POLICIES[i % len(POLICIES)], 1000 + i)
 
 
-def run_inline(plan, phases, newest_first=False, **core_options):
+def whole(runtime, v, phases, ctxs):
+    """The data path as the engines drive it: the run as one unit."""
+    runtime.compute(v, ctxs)
+    return runtime.commit(v, phases, ctxs)
+
+
+def pairwise(runtime, v, phases, ctxs):
+    """The same members as runs of one, each prepared at its turn."""
+    completed = []
+    for q in phases:
+        one = runtime.prepare(v, [q])
+        runtime.compute(v, one)
+        completed += runtime.commit(v, [q], one)
+    return completed
+
+
+def run_inline(
+    plan, phases, newest_first=False, data_path=whole, cut=None, **core_options
+):
     """The whole run lifecycle with no engine: admit every phase, then
     pop a ready pair, claim its run, compute, commit, until quiescent.
-    Returns the core (for its completion log) and the result."""
+    With *cut* (a ``random.Random``) a run commits only a drawn prefix
+    and the head of its still-claimed tail is dispatched again — the
+    threaded engine's staking break.  Returns the core (for its
+    completion log) and the result."""
     core = ScheduleCore(plan, phases, 1, **core_options)
     ready = deque(core.admit(core.phases_unadmitted))
     while ready:
         v, p = ready.pop() if newest_first else ready.popleft()
-        run = core.claim(v, p)
-        for _, ctx in run:
-            core.runtime.compute(v, ctx)
-        completed = [(v, q, core.runtime.commit(v, q, ctx)) for q, ctx in run]
+        run, ctxs = core.claim(v, p)
+        keep = len(run) if cut is None else cut.randint(1, len(run))
+        completed = data_path(core.runtime, v, run[:keep], ctxs[:keep])
         ready.extend(core.commit(0, completed)[0])
+        if keep < len(run):
+            ready.append((v, run[keep]))
     return core, core.result("inline", 0.0, {})
 
 
@@ -276,6 +303,54 @@ def test_record_exact_against_serial_oracle(engine, fuse, family):
         assert inline_runs > 0, "the environment never drained a run inline"
     if engine == "threaded-pooled":
         assert inline_runs == 0 and pooled_runs > 0
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("fuse", [False, True], ids=["unfused", "fused"])
+def test_a_run_is_its_members_one_at_a_time(fuse, family):
+    """Run-vs-pairwise: the same claims, committed as whole runs, as runs
+    of one, and as a drawn prefix plus the re-claimed tail, leave the
+    same records, executions, messages, suppression and coalescing
+    counts and the same entries on every channel.  Only
+    ``edge_entries_peak`` may differ: it is sampled once per commit."""
+    coalesced = 0
+    for i in range(CORPUS["inline"]):
+        spec = FAMILIES[family]("inline", i)
+        where = f"fuse={fuse} {family} spec {i} [{spec.describe()}]"
+        outcomes = []
+        for data_path, cut in (
+            (whole, None), (pairwise, None), (whole, random.Random(i)),
+        ):
+            program, phases = spec.build_picklable()
+            core, result = run_inline(
+                compile_plan(program, fuse=fuse), phases,
+                data_path=data_path, cut=cut,
+            )
+            stats = dict(result.stats)
+            outcomes.append({
+                "records": result.records,
+                "executions": result.executions,
+                "messages": result.message_count,
+                "suppression": stats["suppression"],
+                "edge_entries_final": stats["edge_entries_final"],
+                "channels": {
+                    edge: repr(channel)
+                    for edge, channel in core.runtime.edges._channels.items()
+                },
+                "coalescing": stats["coalescing"],
+                "peak": stats["edge_entries_peak"],
+            })
+        by_run, by_pair, by_cut = outcomes
+        coalesced += by_run["coalescing"]["pairs_coalesced"]
+        assert by_run.pop("peak") >= by_pair.pop("peak"), where
+        assert by_run == by_pair, where
+        # A cut run is claimed twice and completes in another order.
+        for outcome in (by_run, by_cut):
+            outcome["executions"] = sorted(outcome["executions"])
+            del outcome["coalescing"]
+        assert by_cut.pop("peak") >= by_cut["edge_entries_final"], where
+        assert by_cut == by_run, where
+    assert coalesced, "no run of this family had more than one member"
 
 
 @pytest.mark.parametrize("order", ["serial", "random"])
