@@ -11,7 +11,6 @@ argument.
 from __future__ import annotations
 
 from repro.analysis.stats import format_table
-from repro.baselines.barrier import barrier_simulated_engine
 from repro.simulator.costs import CostModel
 from repro.simulator.machine import SimulatedEngine
 from repro.streams.workloads import grid_workload
@@ -30,8 +29,9 @@ def run_shape(width: int, depth: int):
     pipe = SimulatedEngine(
         prog, num_workers=WORKERS, num_processors=PROCS, cost_model=COST
     ).run(phases)
-    barr = barrier_simulated_engine(
-        prog, num_workers=WORKERS, num_processors=PROCS, cost_model=COST
+    barr = SimulatedEngine(
+        prog, num_workers=WORKERS, num_processors=PROCS, cost_model=COST,
+        max_in_flight_phases=1,
     ).run(phases)
     assert pipe.records == barr.records
     return pipe.wall_time, barr.wall_time

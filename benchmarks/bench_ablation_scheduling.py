@@ -23,7 +23,6 @@ from __future__ import annotations
 import statistics
 
 from repro.analysis.stats import format_table
-from repro.baselines.barrier import barrier_simulated_engine
 from repro.core.serial import SerialExecutor
 from repro.core.tracer import ExecutionTracer
 from repro.simulator.costs import CostModel
@@ -76,8 +75,9 @@ def run_all():
             ]
         )
     tracer = ExecutionTracer()
-    res = barrier_simulated_engine(
-        prog, num_workers=4, num_processors=4, cost_model=COST, tracer=tracer
+    res = SimulatedEngine(
+        prog, num_workers=4, num_processors=4, cost_model=COST, tracer=tracer,
+        max_in_flight_phases=1,
     ).run(phases)
     assert res.records == serial.records
     lats = completion_times(tracer)

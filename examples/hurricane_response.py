@@ -3,15 +3,15 @@
 
 A storm track, per-region flood gauges, shelter occupancy and road-closure
 feeds fuse into per-region evacuation recommendations.  The run prints the
-emergency-ops event log as the storm approaches the coast, then renders
-the worker timeline of a parallel execution so the pipelining is visible.
+emergency-ops event log as the storm approaches the coast, then measures
+how many phases a parallel execution keeps in flight at once.
 
 Run:  python examples/hurricane_response.py
 """
 
 from repro import SerialExecutor
-from repro.analysis import assert_serializable, render_timeline, worker_utilization
-from repro.core.tracer import ExecutionTracer
+from repro.analysis import assert_serializable
+from repro.core.tracer import ExecutionTracer, max_concurrent_phases
 from repro.models.domains.crisis import build_crisis_workload
 from repro.runtime.engine import ParallelEngine
 from repro.simulator.costs import CostModel
@@ -47,11 +47,9 @@ def main() -> None:
         cost_model=CostModel(compute_cost=1.0, bookkeeping_cost=0.02),
         tracer=tracer,
     ).run(phases)
-    print("\nworker timeline (digits = phase number mod 10):")
-    print(render_timeline(tracer, width=72))
-    util = worker_utilization(tracer)
-    print("worker busy fractions:",
-          {f"w{k}": round(v, 2) for k, v in util.items()})
+    print(f"\npipelining on 4 simulated processors: up to "
+          f"{max_concurrent_phases(tracer.intervals())} phases in flight "
+          f"at once")
     print("\nparallel run serializable ✓")
 
 

@@ -12,7 +12,6 @@ Run:  python examples/pipeline_visualization.py
 """
 
 from repro.analysis.ascii_viz import render_frames, render_graph
-from repro.baselines.barrier import barrier_simulated_engine
 from repro.core.tracer import ExecutionTracer, max_concurrent_phases
 from repro.errors import NumberingError
 from repro.graph.generators import (
@@ -65,8 +64,9 @@ def figure1() -> None:
     for label, factory in [
         ("pipelined", lambda p, t: SimulatedEngine(
             p, num_workers=10, num_processors=10, cost_model=cost, tracer=t)),
-        ("barrier  ", lambda p, t: barrier_simulated_engine(
-            p, num_workers=10, num_processors=10, cost_model=cost, tracer=t)),
+        ("barrier  ", lambda p, t: SimulatedEngine(
+            p, num_workers=10, num_processors=10, cost_model=cost, tracer=t,
+            max_in_flight_phases=1)),
     ]:
         prog, phases = fig1_workload(phases=40)
         tracer = ExecutionTracer()

@@ -25,7 +25,7 @@ Quick start
 >>> result.records["out"]
 [(1, 42)]
 
-Layers (see DESIGN.md for the full inventory):
+Layers (docs/ARCHITECTURE.md §1.2 has the full inventory):
 
 * :mod:`repro.graph` — computation graphs and the restricted vertex
   numbering of Section 3.1.1;
@@ -35,7 +35,7 @@ Layers (see DESIGN.md for the full inventory):
   thread pool, environment process);
 * :mod:`repro.simulator` — a discrete-event simulated SMP for speedup
   experiments independent of the Python GIL;
-* :mod:`repro.baselines` — dense-dataflow and phase-barrier executors;
+* :mod:`repro.baselines` — the dense-dataflow executor;
 * :mod:`repro.models`, :mod:`repro.streams` — the model library and the
   synthetic workloads of the paper's motivating domains;
 * :mod:`repro.spec` — XML computation specifications;
@@ -54,7 +54,7 @@ from .errors import (
     SerializabilityError,
     SpecError,
 )
-from .events import Event, Message, PhaseAssembler, PhaseInput, assemble_phases
+from .events import Event, PhaseAssembler, PhaseInput, assemble_phases
 from .graph import ComputationGraph, Numbering, number_graph, verify_numbering
 from .core import (
     EMIT_NOTHING,
@@ -88,7 +88,6 @@ __all__ = [
     "SpecError",
     # events
     "Event",
-    "Message",
     "PhaseInput",
     "PhaseAssembler",
     "assemble_phases",

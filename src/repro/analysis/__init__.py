@@ -12,8 +12,6 @@ from .stats import (
     validate_coalescing_stats,
 )
 from .ascii_viz import render_graph, render_snapshot, render_frames
-from .timeline import render_timeline, worker_utilization
-from .export import save_result, load_result, result_to_dict, result_from_dict
 
 __all__ = [
     "assert_serializable",
@@ -26,10 +24,4 @@ __all__ = [
     "render_graph",
     "render_snapshot",
     "render_frames",
-    "render_timeline",
-    "worker_utilization",
-    "save_result",
-    "load_result",
-    "result_to_dict",
-    "result_from_dict",
 ]

@@ -22,7 +22,7 @@ returns a structured report; :func:`assert_serializable` raises
 
 Elision-aware mode
 ------------------
-Change suppression (ALGORITHM.md §5.6) deliberately executes *fewer*
+Change suppression (docs/ARCHITECTURE.md §5.6) deliberately executes *fewer*
 pairs and sends *fewer* messages than the unsuppressed oracle while
 keeping the records identical — the latch-bisimulation argument.  With
 ``allow_elision=True`` the check verifies exactly that contract:

@@ -11,14 +11,15 @@ attaches a ``stats`` dict to its :class:`~repro.core.program.RunResult`;
 the serial oracle attaches an empty dict (it has no scheduler).  The
 shape of every documented section is one declarative table
 (:data:`_SCHEMA`: key → type, minimum, allowed values, nested section)
-checked by one walker; the meaning of each key is in ``docs/API.md``.
+checked by one walker; the meaning of each key is in
+docs/ARCHITECTURE.md §7.
 :func:`validate_engine_stats` requires, by engine-name prefix:
 
 * every scheduling engine — the sections
   :meth:`repro.runtime.core.ScheduleCore.result` attaches: ``frontier``
   (readiness rule, cone count, phase skew; ``frontier_advances`` iff
-  the rule is the published ``x_p``), ``suppression`` (Δ-elision, §5.6
-  of ALGORITHM.md), ``coalescing`` (phase runs, §5.7; with the law
+  the rule is the published ``x_p``), ``suppression`` (Δ-elision,
+  docs/ARCHITECTURE.md §5.6), ``coalescing`` (phase runs, §5.7; with the law
   ``mean_run_length`` = members / runs), ``per_worker_executions`` and
   the edge-store counters ``edge_entries_peak`` / ``edge_entries_final``.
   The peak is sampled once per committed run — after all of the run's

@@ -7,18 +7,13 @@
   scale with N x phases regardless of how rarely anything changes — the
   paper's money-laundering example puts the Δ-dataflow message rate at
   one *millionth* of this baseline's.
-* :func:`~repro.baselines.barrier.barrier_parallel_engine` /
-  :func:`~repro.baselines.barrier.barrier_simulated_engine` — phase-barrier
-  execution: full intra-phase parallelism but no pipelining (phase p
-  completes before phase p+1 starts).  This isolates the benefit of the
-  paper's multi-phase pipelining.
+
+The other baseline of Section 2 — complete phase p before starting phase
+p+1 — needs no executor: it is the real engines with one phase in flight,
+``ParallelEngine(..., env=EnvironmentConfig(max_in_flight_phases=1))`` /
+``SimulatedEngine(..., max_in_flight_phases=1)``.
 """
 
 from .dense import DenseDataflowExecutor
-from .barrier import barrier_parallel_engine, barrier_simulated_engine
 
-__all__ = [
-    "DenseDataflowExecutor",
-    "barrier_parallel_engine",
-    "barrier_simulated_engine",
-]
+__all__ = ["DenseDataflowExecutor"]

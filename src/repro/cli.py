@@ -8,7 +8,9 @@
   m-sequence without running;
 * ``validate SPEC.xml`` — parse + validate, exit non-zero on problems;
 * ``speedup SPEC.xml`` — simulated speedup sweep over worker counts;
-* ``figures`` — render the paper's Figures 1–3 in the terminal;
+* ``report`` — run the paper's five exhibits (Figures 1–3, both
+  Section 4 results) and print paper-vs-measured values with the
+  Figure 2 graph and Figure 3 frames rendered;
 * ``serve SPEC.xml`` — continuous-operation service mode: ingest live
   NDJSON events (HTTP or file/stdin replay), stream retired-phase
   results over SSE, bounded memory throughout (see :mod:`repro.serve`);
@@ -164,8 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="fixed CPU count (default: workers + 1)")
     speedup.add_argument("--compute-cost", type=float, default=1.0)
     speedup.add_argument("--bookkeeping-cost", type=float, default=0.05)
-
-    sub.add_parser("figures", help="render the paper's figures (terminal)")
 
     report = sub.add_parser(
         "report", help="run the headline experiments, emit a Markdown report"
@@ -323,7 +323,6 @@ _PROFILE_STAGES = (
         ("runtime/mp/protocol.py", "encode"),
         ("runtime/mp/protocol.py", "decode"),
         ("runtime/mp/protocol.py", "intern"),
-        ("runtime/mp/protocol.py", "task_from_context"),
         ("runtime/mp/protocol.py", "run_from_contexts"),
         ("~", "<built-in method _pickle.dumps>"),
         ("~", "<built-in method _pickle.loads>"),
@@ -654,21 +653,6 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figures(_args: argparse.Namespace) -> int:
-    from .analysis.ascii_viz import render_frames, render_graph
-    from .graph.generators import fig2_graph, fig2b_numbering, fig3_replay
-    from .graph.numbering import Numbering
-
-    print("Figure 2 (satisfactory numbering):")
-    nb2 = Numbering.from_mapping(fig2_graph(), fig2b_numbering())
-    print(render_graph(fig2_graph(), nb2))
-    print(f"m-sequence: {nb2.m_sequence()}\n")
-
-    print("Figure 3 (execution trace):")
-    print(render_frames(fig3_replay(), n=6, phases=[1, 2]))
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from .report import generate_report
 
@@ -743,7 +727,6 @@ _COMMANDS = {
     "info": _cmd_info,
     "validate": _cmd_validate,
     "speedup": _cmd_speedup,
-    "figures": _cmd_figures,
     "report": _cmd_report,
     "fuzz": _cmd_fuzz,
 }

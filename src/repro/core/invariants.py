@@ -21,7 +21,7 @@ The checker is O(|msg| + pmax) per call; it is attached in tests and
 debugging runs and omitted in performance runs.
 
 For the engines' scheduler (:class:`repro.core.state.SchedulerState`) the
-definitions change (ALGORITHM.md §5.4), so the checker re-derives the
+definitions change (docs/ARCHITECTURE.md §5.4), so the checker re-derives the
 cone-rule ground truth instead, reading the scheduler only through its
 public views: per in-flight phase it computes *determinedness* as the
 least fixed point of "no message waits and every direct predecessor is
@@ -32,7 +32,7 @@ then checks
   ``partial`` its complement over ``msg``;
 * ``ready = {(v,q) ∈ full | v settled through q-1}`` (determined for
   every earlier started phase) minus the run-claim ledger — claimed run
-  extensions (ALGORITHM.md §5.7) execute without entering ready;
+  extensions (docs/ARCHITECTURE.md §5.7) execute without entering ready;
 * the live ``undet`` counters, determined flags, per-phase determined /
   waiting counts, per-vertex settled pointers and full backlogs against
   the derivation;
@@ -75,7 +75,7 @@ class InvariantChecker:
         Branches on the scheduler's rule: the published definitions
         (7)-(9) for the ``"global"`` frontier of
         :class:`~repro.core.reference.ReferenceScheduler`, the
-        per-dependency definitions of ALGORITHM.md §5.4 for the
+        per-dependency definitions of docs/ARCHITECTURE.md §5.4 for the
         ``"cone"`` rule of :class:`~repro.core.state.SchedulerState`.
         """
         self.checks_run += 1

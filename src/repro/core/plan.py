@@ -17,7 +17,7 @@ the rest of the chain), and the chain edge's latched previous value is
 kept as fused-vertex state, exactly mirroring the per-edge latches of
 :class:`~repro.core.ports.EdgeStore`.
 
-Serializability argument (sketch; see ``docs/ALGORITHM.md`` for the full
+Serializability argument (sketch; docs/ARCHITECTURE.md §5.2 has the full
 version): an interior chain member's **only** input is its chain edge, so
 in the serial order its phase-``p`` execution depends on nothing but the
 phase-``p`` execution of its predecessor.  Fusion merely *pre-applies*

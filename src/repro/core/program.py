@@ -50,7 +50,7 @@ from ..graph.numbering import Numbering, number_graph
 from .ports import EdgeStore, stable_equal
 from .vertex import Vertex, VertexContext
 
-__all__ = ["Program", "PairRuntime", "RunResult"]
+__all__ = ["Program", "PairRuntime", "RunResult", "compute_members"]
 
 
 class Program:
@@ -172,6 +172,37 @@ class RunResult:
             f"executions={self.execution_count}, messages={self.message_count}, "
             f"wall_time={self.wall_time:.6f})"
         )
+
+
+def compute_members(
+    on_execute: Callable[[VertexContext], Any],
+    ctxs: Sequence[VertexContext],
+    after_member: Optional[Callable[[], bool]] = None,
+) -> int:
+    """The member loop of a run, the same in every address space: call
+    *on_execute* on each prepared context in phase order and return how
+    many members executed.
+
+    A failing member stops the run — later members must not advance the
+    behaviour's state — and raises :class:`VertexExecutionError` naming
+    its exact phase, not the run head's.  *after_member* is called after
+    each successful member and stops the run after it by returning true
+    (the threaded engine's staking budget and watchdog counter; the
+    process worker builds the member's reply entry there).
+    """
+    executed = 0
+    for ctx in ctxs:
+        try:
+            ctx.finish(on_execute(ctx))
+        except VertexExecutionError:
+            raise
+        except Exception as exc:
+            raise VertexExecutionError(ctx.name, ctx.phase, str(exc)) from exc
+        executed += 1
+        # Outside the try: the engine's callback is not the vertex.
+        if after_member is not None and after_member():
+            break
+    return executed
 
 
 class PairRuntime:
@@ -335,27 +366,11 @@ class PairRuntime:
         after_member: Optional[Callable[[], bool]] = None,
     ) -> int:
         """Run the vertex behaviour over the run's members in order (call
-        outside the lock); returns how many executed.
-
-        *after_member* is called after each member and stops the run
-        after it by returning true (the threaded engine's staking budget
-        and watchdog counter).  A failing member raises
-        :class:`VertexExecutionError` naming its exact phase.
-        """
-        on_execute = self.program.behavior(v).on_execute
-        executed = 0
-        for ctx in ctxs:
-            try:
-                ctx.finish(on_execute(ctx))
-            except VertexExecutionError:
-                raise
-            except Exception as exc:
-                raise VertexExecutionError(ctx.name, ctx.phase, str(exc)) from exc
-            executed += 1
-            # Outside the try: the engine's callback is not the vertex.
-            if after_member is not None and after_member():
-                break
-        return executed
+        outside the lock); returns how many executed — see
+        :func:`compute_members`, the loop the process workers share."""
+        return compute_members(
+            self.program.behavior(v).on_execute, ctxs, after_member
+        )
 
     def commit(
         self, v: int, phases: Sequence[int], ctxs: Sequence[VertexContext]

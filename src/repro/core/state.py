@@ -9,8 +9,8 @@ specification, this one is the schedule the engines pay for.  Like it,
 this class is passive and **not** thread-safe — the engines wrap every
 call in the algorithm's one global lock.
 
-The rule (ALGORITHM.md §5.4)
-----------------------------
+The rule (docs/ARCHITECTURE.md §5.4)
+------------------------------------
 The global ``x_p`` makes ``(w, q)`` wait for every lower-indexed vertex of
 phase *q*, even ones that cannot reach *w*; the cone rule waits only on
 *w*'s ancestor cone:
@@ -64,7 +64,7 @@ already *full* has every direct predecessor determined for *q*, so its
 inputs are final too.  :meth:`~SchedulerState.claim_run` extends a
 dequeued ready pair into a run of such members (``CLAIMED``: licensed to
 execute, never ready), committed through one
-:meth:`~SchedulerState.complete_executions` (ALGORITHM.md §5.7).
+:meth:`~SchedulerState.complete_executions` (docs/ARCHITECTURE.md §5.7).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Every error raised deliberately by the library derives from
 :class:`ReproError`, so callers can catch library failures without also
 swallowing programming errors such as :class:`TypeError`.
 
-The hierarchy mirrors the layering of the system described in DESIGN.md:
+The hierarchy mirrors the layering of the system (docs/ARCHITECTURE.md §1.2):
 graph construction and numbering errors sit below scheduling errors, which
 sit below engine errors.
 """
@@ -23,7 +23,6 @@ __all__ = [
     "DuplicateExecutionError",
     "InvariantViolation",
     "EngineError",
-    "EngineShutdownError",
     "VertexExecutionError",
     "QueueClosedError",
     "SpecError",
@@ -124,20 +123,17 @@ class EngineError(ReproError):
     """The parallel engine failed or was misused."""
 
 
-class EngineShutdownError(EngineError):
-    """An operation was attempted on an engine that has been shut down."""
-
-
 class VertexExecutionError(EngineError):
     """A vertex raised an exception while executing a phase.
 
     Wraps the original exception (available as ``__cause__``) and records
-    the vertex name and phase for diagnosis.
+    the vertex name, the phase and the bare *message* for diagnosis.
     """
 
     def __init__(self, vertex: str, phase: int, message: str = "") -> None:
         self.vertex = vertex
         self.phase = phase
+        self.message = message
         detail = f": {message}" if message else ""
         super().__init__(
             f"vertex {vertex!r} failed while executing phase {phase}{detail}"

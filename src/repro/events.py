@@ -1,4 +1,4 @@
-"""Events, messages, and phase assembly.
+"""Events and phase assembly.
 
 The paper's model (Section 2): external events carry timestamps; all events
 with the same timestamp form a *phase* (a snapshot of the environment at
@@ -9,8 +9,7 @@ This module provides:
 
 * :class:`Event` — a timestamped external observation addressed to a source
   vertex.
-* :class:`Message` — an internal vertex-to-vertex value tagged with the
-  phase that produced it (the unit carried by graph edges).
+* :class:`PhaseInput` — the external inputs of one phase.
 * :class:`PhaseAssembler` — groups a timestamp-ordered event stream into
   phases, assigning sequential phase numbers starting at 1, exactly as the
   paper's indexing scheme requires.
@@ -19,11 +18,11 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Tuple
+from typing import Any, Dict, Iterable, List, Mapping
 
 from .errors import PhaseOrderError
 
-__all__ = ["Event", "Message", "PhaseInput", "PhaseAssembler", "assemble_phases"]
+__all__ = ["Event", "PhaseInput", "PhaseAssembler", "assemble_phases"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,25 +47,6 @@ class Event:
     def __post_init__(self) -> None:
         if not isinstance(self.source, str) or not self.source:
             raise ValueError("Event.source must be a non-empty string")
-
-
-@dataclass(frozen=True, slots=True)
-class Message:
-    """An internal message flowing along a graph edge.
-
-    A message is produced by the execution of a vertex-phase pair ``(v, p)``
-    and is tagged with that phase ``p``; a consumer executing phase ``q``
-    observes the message iff ``p <= q`` (Section 3.1's input semantics:
-    consumers use previous values for inputs that did not change).
-    """
-
-    phase: int
-    sender: str
-    value: Any
-
-    def __post_init__(self) -> None:
-        if self.phase < 1:
-            raise ValueError(f"Message.phase must be >= 1, got {self.phase}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,8 +172,3 @@ def assemble_phases(events: Iterable[Event]) -> List[PhaseInput]:
         pa.add(ev)
     return pa.finish()
 
-
-def iter_phase_pairs(phases: Iterable[PhaseInput]) -> Iterator[Tuple[int, float]]:
-    """Yield ``(phase, timestamp)`` pairs — handy for logging and tests."""
-    for pi in phases:
-        yield pi.phase, pi.timestamp

@@ -2,22 +2,24 @@
 
 :func:`generate_report` runs every headline experiment of the paper
 (Figures 1–3 and both Section 4 results) and returns a Markdown report of
-paper-vs-measured values, so EXPERIMENTS.md-style evidence can be
-regenerated on any machine with one command::
+paper-vs-measured values with the Figure 2 graph and the Figure 3 frames
+rendered in it, so the evidence in EXPERIMENTS.md can be regenerated on
+any machine with one command::
 
     python -m repro report            # print to stdout
     python -m repro report -o out.md  # write a file
 
 ``quick=True`` shrinks the workloads for CI-speed smoke reporting (the
-shapes still hold; absolute virtual times differ).
+shapes still hold; absolute virtual times differ).  The assertions behind
+each verdict are pinned by ``tests/test_paper_figures.py``.
 """
 
 from __future__ import annotations
 
 from typing import List
 
+from .analysis.ascii_viz import render_frames, render_graph
 from .analysis.stats import format_table
-from .baselines.barrier import barrier_simulated_engine
 from .core.tracer import ExecutionTracer, max_concurrent_phases
 from .errors import NumberingError
 from .graph.generators import (
@@ -41,15 +43,15 @@ def _fig1(quick: bool) -> List[str]:
     cost = CostModel(compute_cost=1.0, bookkeeping_cost=0.001)
     out = ["## Figure 1 — pipelining depth", ""]
     rows = []
-    for label, factory in (
-        ("pipelined", lambda p, t: SimulatedEngine(
-            p, num_workers=10, num_processors=10, cost_model=cost, tracer=t)),
-        ("barrier", lambda p, t: barrier_simulated_engine(
-            p, num_workers=10, num_processors=10, cost_model=cost, tracer=t)),
-    ):
+    # The barrier baseline of Section 2 is the same engine with one
+    # phase in flight.
+    for label, in_flight in (("pipelined", None), ("barrier", 1)):
         prog, phases = fig1_workload(phases=phases_n)
         tracer = ExecutionTracer()
-        result = factory(prog, tracer).run(phases)
+        result = SimulatedEngine(
+            prog, num_workers=10, num_processors=10, cost_model=cost,
+            tracer=tracer, max_in_flight_phases=in_flight,
+        ).run(phases)
         rows.append([label, max_concurrent_phases(tracer.intervals()),
                      result.wall_time])
     out.append("paper: 5 phases in flight on the depth-5 graph")
@@ -72,6 +74,7 @@ def _fig2() -> List[str]:
     except NumberingError:
         rejected = True
     s2 = sorted(compute_S(g, fig2a_numbering(), 2))
+    out.extend(["```", render_graph(g, nb), "```", ""])
     out.append(f"* m-sequence (paper [3, 3, 4, 5, 5, 6, 7, 7]): "
                f"measured {nb.m_sequence()}")
     out.append(f"* S(2) under numbering (a) (paper {{1, 2, 3, 5}}): "
@@ -83,12 +86,14 @@ def _fig2() -> List[str]:
 
 def _fig3() -> List[str]:
     out = ["## Figure 3 — execution trace", ""]
+    snapshots = fig3_replay()
     verified = sum(
-        snap.ready == ready
-        for snap, (ready, _) in zip(fig3_replay(), FIG3_EXPECTED)
+        (snap.ready, snap.partial) == expected
+        for snap, expected in zip(snapshots, FIG3_EXPECTED)
     )
+    out.extend(["```", render_frames(snapshots, n=6, phases=[1, 2]), "```", ""])
     out.append(f"* 8 steps replayed with the invariant checker attached; "
-               f"ready-set membership verified at {verified}/8 steps")
+               f"ready and partial membership verified at {verified}/8 steps")
     out.append(f"**{'REPRODUCED' if verified == 8 else 'DIVERGED'}**")
     return out
 

@@ -33,7 +33,7 @@ Differences from the paper's infinite loops (all additive):
   engine and the simulator; this module keeps what is particular to peer
   threads.  Every scheduling-set mutation still happens under the single
   global lock, so the paper's serializability argument carries over
-  (docs/ALGORITHM.md §5.4, §5.6, §5.7).  The published global-``x_p``
+  (docs/ARCHITECTURE.md §5.4, §5.6, §5.7).  The published global-``x_p``
   schedule lives on in the simulator's ``frontier="global"``.
 * **The environment is a peer when work is cheap** — the paper promises
   speed-up only when vertex compute dwarfs the bookkeeping around it.
@@ -45,8 +45,8 @@ Differences from the paper's infinite loops (all additive):
   run computed strictly cheaper than the critical sections around that
   same run — whichever thread's commit made the pair ready.  It runs the
   same ``execute_run`` as the workers, under the same lock, as worker
-  ``num_threads``: a (k+1)-th Listing-1 process (ALGORITHM.md §5.8),
-  and once it has started its last phase it stays one — parked while
+  ``num_threads``: a (k+1)-th Listing-1 process (docs/ARCHITECTURE.md
+  §5.8), and once it has started its last phase it stays one — parked while
   its deque is empty — until nothing is in flight.
   Expensive vertices go to the run queue and fan out as in the paper; a
   vertex nobody has measured costs the environment one execution to find

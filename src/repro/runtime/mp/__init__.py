@@ -8,7 +8,7 @@ parallel configuration the paper targets: a **coordinator** that owns the
 **worker processes** that execute vertex computations in their own
 interpreters.
 
-* :mod:`~repro.runtime.mp.protocol` — the wire protocol: task / result /
+* :mod:`~repro.runtime.mp.protocol` — the wire protocol: run / result /
   shutdown framing, pickle round-tripping, and byte accounting;
 * :mod:`~repro.runtime.mp.worker` — the worker-process main loop (a warm
   per-worker cache of vertex behaviours, executed on demand);
@@ -23,12 +23,12 @@ Select it from the CLI with ``repro run SPEC --engine process``.
 """
 
 from .engine import ProcessEngine
-from .protocol import ResultMsg, ShutdownMsg, TaskMsg, WorkerCrashMsg
+from .protocol import ResultBatch, RunMsg, ShutdownMsg, WorkerCrashMsg
 
 __all__ = [
     "ProcessEngine",
-    "TaskMsg",
-    "ResultMsg",
+    "RunMsg",
+    "ResultBatch",
     "ShutdownMsg",
     "WorkerCrashMsg",
 ]

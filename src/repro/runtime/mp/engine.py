@@ -21,11 +21,11 @@ executions:
 
 * **Run frames**: the ready backlog is kept pre-partitioned by sticky
   worker (:class:`~.frontier.ReadyFrontier`); each dispatched
-  ready pair is extended into a claimed run and shipped as one frame — a
-  :class:`~.protocol.TaskMsg` for a run of one, a
-  :class:`~.protocol.RunMsg` otherwise, which the worker answers with
-  one :class:`~.protocol.ResultBatch`.  That reply is committed whole —
-  one frame each way and one critical section per run.  Repeated values
+  ready pair is extended into a claimed run and shipped as one
+  :class:`~.protocol.RunMsg` (a single pair is a run of one), which the
+  worker answers with one :class:`~.protocol.ResultBatch`.  That reply
+  is committed whole — one frame each way and one critical section per
+  run, and one fault behaviour whatever the run's length.  Repeated values
   inside a frame (latched inputs that did not change, successor tuples,
   recurring outputs) are interned so pickle emits them once.
 * **Per-worker credit window**: at most ``window`` tasks may be in
@@ -68,7 +68,7 @@ surviving prefix — are committed first.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ...core.invariants import InvariantChecker
 from ...core.plan import ExecutionPlan, as_plan
@@ -91,7 +91,6 @@ from .protocol import (
     WorkerCrashMsg,
     encode,
     run_from_contexts,
-    task_from_context,
 )
 
 __all__ = ["ProcessEngine"]
@@ -268,17 +267,9 @@ class ProcessEngine:
                             if tracer is not None:
                                 tracer.execute_begin((v, q), w)
                             in_flight[(v, q)] = ctx
-                        # A run of one keeps the single-pair wire form.
-                        if len(prepared) == 1:
-                            entry: Any = task_from_context(
-                                v, p, prepared[0][1], interner
-                            )
-                            traffic = "tasks"
-                        else:
-                            entry = run_from_contexts(v, prepared, interner)
-                            traffic = "runs"
+                        run = run_from_contexts(v, prepared, interner)
                     worker_load[w] += len(prepared)
-                    pool.submit_to_worker(w, encode(entry), traffic)
+                    pool.submit_to_worker(w, encode(run))
             # Backlog left a worker starved for credit: widen.
             for w in starved:
                 if windows[w] < _WINDOW_CAP:
@@ -429,16 +420,11 @@ class ProcessEngine:
                     raise EngineError(
                         f"worker {msg.worker_id} crashed: {msg.message}"
                     )
-                entries: Tuple[ResultMsg, ...]
-                if isinstance(msg, ResultBatch):
-                    entries = msg.results
-                    if msg.skipped:
-                        requeue_skipped(msg.worker_id, msg.skipped)
-                else:
-                    assert isinstance(msg, ResultMsg)
-                    entries = (msg,)
+                assert isinstance(msg, ResultBatch)
+                if msg.skipped:
+                    requeue_skipped(msg.worker_id, msg.skipped)
                 results: List[ResultMsg] = []
-                for res in entries:
+                for res in msg.results:
                     if res.error is not None:
                         # Commit the run's surviving prefix, then surface
                         # the vertex failure as the root cause.
@@ -456,8 +442,6 @@ class ProcessEngine:
             # after the run matches a serial execution.
             finals = pool.shutdown(self.join_timeout, collect_state=True)
             for final in finals.values():
-                for name, snapshot in final.states.items():
-                    self.program.behaviors[name].restore_state(snapshot)
                 for name, delta in final.deltas.items():
                     self.program.behaviors[name].apply_delta(delta)
         except BaseException as exc:
@@ -471,7 +455,7 @@ class ProcessEngine:
         elapsed = time.perf_counter() - started
 
         wire = pool.wire.summary()
-        task_frames = wire["tasks"]["messages"] + wire["runs"]["messages"]
+        task_frames = wire["runs"]["messages"]
         return core.result(
             f"process[w={self.num_workers}]",
             elapsed,

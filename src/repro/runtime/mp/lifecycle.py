@@ -12,7 +12,7 @@
   uniformly.
 * **Graceful shutdown** — a :class:`~.protocol.ShutdownMsg` per worker,
   then a join with watchdog timeout; the workers' parting
-  :class:`~.protocol.FinalStateMsg` frames (vertex-state snapshots,
+  :class:`~.protocol.FinalStateMsg` frames (vertex-state deltas,
   busy-seconds, executed counts) are collected for the engine.
 * **Crash shutdown** — :meth:`terminate` kills outright; used when the
   run already failed and the root cause must not be masked by a wedged
@@ -138,22 +138,18 @@ class ProcessWorkerPool:
             process.start()
         self._started = True
 
-    def submit_to_worker(
-        self, worker_id: int, frame: bytes, traffic_class: str
-    ) -> None:
-        """Send a frame to *worker_id*'s task queue, metering its bytes
-        under *traffic_class* (``"tasks"`` for a single
-        :class:`~.protocol.TaskMsg`, ``"runs"`` for a
-        :class:`~.protocol.RunMsg`)."""
-        self.wire.count(traffic_class, frame)
+    def submit_to_worker(self, worker_id: int, frame: bytes) -> None:
+        """Send an encoded :class:`~.protocol.RunMsg` to *worker_id*'s
+        task queue, metering its bytes under ``"runs"``."""
+        self.wire.count("runs", frame)
         self._task_queues[worker_id].put(frame)
 
     def collect(self, timeout: float) -> Optional[object]:
         """Next worker message within *timeout* seconds, or ``None``.
 
         The frame's bytes are metered under the class of the *decoded*
-        message (results / result_batches / final_state), so every
-        received byte lands in exactly one class."""
+        message (result_batches / final_state), so every received byte
+        lands in exactly one class."""
         try:
             frame = self.result_queue.get(timeout=timeout)
         except queue_mod.Empty:
@@ -225,7 +221,7 @@ class ProcessWorkerPool:
                 continue
             if isinstance(msg, FinalStateMsg):
                 finals[msg.worker_id] = msg
-            # Stale ResultMsg frames from an aborted run are drained and
+            # Stale result frames from an aborted run are drained and
             # dropped here; crash messages surface as missing finals.
         self._join_all(max(0.0, deadline - time.monotonic()) + 1.0)
         return finals

@@ -4,30 +4,22 @@ Everything that crosses a process boundary is one of the message types
 below, pickled into a bytes frame by :func:`encode` and restored by
 :func:`decode`:
 
-* :class:`TaskMsg` — coordinator -> worker: execute one vertex-phase
-  pair.  Carries the *prepared* context snapshot (latched inputs, the
-  changed set, successor names, and the external phase payload), never
-  live engine objects, so a frame is self-contained and replayable.
-* :class:`RunMsg` — coordinator -> worker: a *temporally coalesced* run
+* :class:`RunMsg` — coordinator -> worker, the only task frame: one run
   (v, [p..p+k]) claimed via
-  :meth:`~repro.core.state.SchedulerState.claim_run`; a run of one
-  member travels as a plain :class:`TaskMsg`.  The vertex id, name and
-  successor tuple ride the frame once; each :class:`RunMember` carries
-  only the per-phase payload (phase, latched inputs, changed set,
-  external input).  One frame costs one pickle header and one queue
-  round trip regardless of how many members it carries, and values
-  repeated across them (latched inputs that did not change) are pickled
-  once and back-referenced — see :class:`Interner`.  The worker expands
-  the run to per-member tasks **in phase order** with
-  :func:`tasks_from_run` and answers with a :class:`ResultBatch`; on a
-  mid-run fault the failing member's phase is attributed exactly and
-  the unexecuted tail is reported in ``skipped``.
-* :class:`ResultMsg` — worker -> coordinator: one pair's outputs and
-  records, or the vertex failure that occurred instead.
-* :class:`ResultBatch` — worker -> coordinator: the results of one
-  :class:`RunMsg`, in member order.  When a member fails, the batch
-  carries every result produced *before* the failure, the error result
-  itself, and the ``(vertex, phase)`` pairs that were skipped, so the
+  :meth:`~repro.core.state.SchedulerState.claim_run`; a single pair is a
+  run of one.  It carries *prepared* context snapshots, never live
+  engine objects, so a frame is self-contained and replayable.  The
+  vertex id, name and successor tuple ride the frame once; each
+  :class:`RunMember` carries only the per-phase payload (phase, latched
+  inputs, changed set, external input).  One frame costs one pickle
+  header and one queue round trip regardless of how many members it
+  carries, and values repeated across them (latched inputs that did not
+  change) are pickled once and back-referenced — see :class:`Interner`.
+* :class:`ResultBatch` — worker -> coordinator, the only result frame:
+  one :class:`ResultMsg` entry per executed member of a :class:`RunMsg`,
+  in member order.  When a member fails, the batch carries every result
+  produced *before* the failure, the error entry itself (its exact
+  phase), and the ``(vertex, phase)`` pairs that were skipped, so the
   coordinator can commit the survivors before surfacing the error.
 * :class:`ShutdownMsg` — coordinator -> worker: drain and exit; with
   ``collect_state=True`` the worker answers with a :class:`FinalStateMsg`
@@ -53,12 +45,12 @@ from __future__ import annotations
 import pickle
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ...core.vertex import VertexContext
 
 __all__ = [
-    "TaskMsg",
     "RunMember",
     "RunMsg",
     "ResultMsg",
@@ -68,33 +60,29 @@ __all__ = [
     "WorkerCrashMsg",
     "encode",
     "decode",
-    "task_from_context",
-    "context_from_task",
     "run_from_contexts",
-    "tasks_from_run",
     "traffic_class_of",
     "Interner",
     "WireStats",
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class TaskMsg:
-    """Execute pair ``(vertex, phase)`` against the snapshotted context."""
-
-    vertex: int
-    name: str
-    phase: int
-    inputs: Dict[str, Any]
-    changed: Tuple[str, ...]
-    successors: Tuple[str, ...]
-    phase_input: Any = None
+def _positional(cls: type) -> type:
+    """Pickle *cls* as ``cls(*field values)``: a slotted dataclass
+    otherwise pickles through per-instance ``fields()`` walks in Python,
+    several microseconds per object each way — per frame, on the
+    coordinator's one thread, that is the dominant encode/decode cost of
+    a run of one."""
+    values = attrgetter(*cls.__slots__)
+    cls.__reduce__ = lambda self: (cls, values(self))
+    return cls
 
 
+@_positional
 @dataclass(frozen=True, slots=True)
 class RunMember:
-    """One phase of a coalesced run: the per-phase payload only (the
-    vertex id, name and successors ride the enclosing :class:`RunMsg`)."""
+    """One phase of a run: the per-phase payload only (the vertex id,
+    name and successors ride the enclosing :class:`RunMsg`)."""
 
     phase: int
     inputs: Dict[str, Any]
@@ -102,9 +90,10 @@ class RunMember:
     phase_input: Any = None
 
 
+@_positional
 @dataclass(frozen=True, slots=True)
 class RunMsg:
-    """A temporally coalesced run (v, [p..p+k]): members execute
+    """A run (v, [p..p+k]), one member or many: members execute
     back-to-back worker-side, in the order given (ascending phase)."""
 
     vertex: int
@@ -113,9 +102,11 @@ class RunMsg:
     members: Tuple[RunMember, ...] = ()
 
 
+@_positional
 @dataclass(frozen=True, slots=True)
 class ResultMsg:
-    """One executed pair: outputs + records, or the vertex error.
+    """One executed member of a run — an entry of a :class:`ResultBatch`,
+    never a frame of its own: outputs + records, or the vertex error.
 
     ``error`` is ``None`` on success, else the stringified vertex failure
     (the coordinator re-raises it as
@@ -139,6 +130,7 @@ class ResultMsg:
     suppressed: Tuple[str, ...] = ()
 
 
+@_positional
 @dataclass(frozen=True, slots=True)
 class ResultBatch:
     """The results of one :class:`RunMsg`, in member order.
@@ -171,14 +163,10 @@ class FinalStateMsg:
     :meth:`~repro.core.vertex.Vertex.snapshot_delta` payload taken
     against the behaviour's spawn-time state — which is exactly the state
     the coordinator's own copy still holds, because the compute step only
-    ever runs worker-side.  ``states`` carries full
-    :meth:`~repro.core.vertex.Vertex.snapshot_state` snapshots and is
-    kept for tooling that wants the unconditional form; the engine ships
-    deltas.
+    ever runs worker-side.
     """
 
     worker_id: int
-    states: Dict[str, Any] = field(default_factory=dict)
     deltas: Dict[str, Any] = field(default_factory=dict)
     busy_s: float = 0.0
     executed: int = 0
@@ -291,77 +279,29 @@ class Interner:
         }
 
 
-def task_from_context(
-    v: int, p: int, ctx: VertexContext, interner: Optional[Interner] = None
-) -> TaskMsg:
-    """Snapshot a prepared context into a task frame (coordinator side).
-
-    With an *interner*, input values, the successor tuple and the phase
-    payload are canonicalised to the same objects a later run frame
-    will reference.
-    """
-    if interner is None:
-        inputs = dict(ctx.inputs)
-        successors: Tuple[str, ...] = tuple(ctx._successors)
-        phase_input = ctx.phase_input
-    else:
-        intern = interner.intern
-        inputs = {k: intern(val) for k, val in ctx.inputs.items()}
-        successors = intern(tuple(ctx._successors))
-        phase_input = intern(ctx.phase_input)
-    return TaskMsg(
-        vertex=v,
-        name=ctx.name,
-        phase=p,
-        inputs=inputs,
-        changed=tuple(sorted(ctx.changed)),
-        successors=successors,
-        phase_input=phase_input,
-    )
-
-
-def context_from_task(task: TaskMsg) -> VertexContext:
-    """Rebuild the execution context from a task frame (worker side)."""
-    return VertexContext(
-        name=task.name,
-        phase=task.phase,
-        inputs=task.inputs,
-        changed=set(task.changed),
-        successors=list(task.successors),
-        phase_input=task.phase_input,
-    )
-
-
 def run_from_contexts(
     v: int,
     prepared: Sequence[Tuple[int, VertexContext]],
-    interner: Optional[Interner] = None,
+    interner: Interner,
 ) -> RunMsg:
     """Snapshot a claimed run's prepared contexts into one run frame.
 
     *prepared* is the ascending-phase list of ``(phase, ctx)`` for the
     members of one :meth:`~repro.core.state.SchedulerState.claim_run`
     result.  The vertex name and successor tuple are taken from the head
-    context and ride the frame once.
+    context and ride the frame once; input values, changed sets and
+    phase payloads are canonicalised through *interner*, so a value that
+    recurs within the frame pickles once.
     """
     if not prepared:
         raise ValueError("run_from_contexts: empty member list")
     head = prepared[0][1]
-    if interner is None:
-        successors: Tuple[str, ...] = tuple(head._successors)
-        members = tuple(
-            RunMember(
-                phase=p,
-                inputs=dict(ctx.inputs),
-                changed=tuple(sorted(ctx.changed)),
-                phase_input=ctx.phase_input,
-            )
-            for p, ctx in prepared
-        )
-    else:
-        intern = interner.intern
-        successors = intern(tuple(head._successors))
-        members = tuple(
+    intern = interner.intern
+    return RunMsg(
+        vertex=v,
+        name=head.name,
+        successors=intern(tuple(head._successors)),
+        members=tuple(
             RunMember(
                 phase=p,
                 inputs={k: intern(val) for k, val in ctx.inputs.items()},
@@ -369,66 +309,33 @@ def run_from_contexts(
                 phase_input=intern(ctx.phase_input),
             )
             for p, ctx in prepared
-        )
-    return RunMsg(
-        vertex=v, name=head.name, successors=successors, members=members
+        ),
     )
-
-
-def tasks_from_run(run: RunMsg) -> List[TaskMsg]:
-    """Expand a run frame to per-member tasks, in frame (phase) order
-    (worker side).  Each expanded task is indistinguishable from a
-    single-pair :class:`TaskMsg`, so the worker loop's execute /
-    skip-after-error salvage machinery applies unchanged."""
-    return [
-        TaskMsg(
-            vertex=run.vertex,
-            name=run.name,
-            phase=m.phase,
-            inputs=m.inputs,
-            changed=m.changed,
-            successors=run.successors,
-            phase_input=m.phase_input,
-        )
-        for m in run.members
-    ]
 
 
 def traffic_class_of(msg: object) -> str:
     """The :class:`WireStats` class of a decoded worker->coordinator
     message (the coordinator->worker classes are chosen at the send
     site, where the type is statically known)."""
-    if isinstance(msg, ResultBatch):
-        return "result_batches"
     if isinstance(msg, FinalStateMsg):
         return "final_state"
-    # ResultMsg and WorkerCrashMsg share the single-result class, as in
-    # the PR-3 wire path.
-    return "results"
+    # A ResultBatch, or the WorkerCrashMsg a worker sent in its place.
+    return "result_batches"
 
 
 class WireStats:
     """Byte and message counters per traffic class (coordinator side).
 
-    Classes: ``warmup`` (behaviour blobs shipped at spawn), ``tasks``
-    (single-task frames), ``runs`` (coalesced :class:`RunMsg` frames),
-    ``results`` (single-result frames, incl. crash reports),
-    ``result_batches`` (:class:`ResultBatch` frames), ``final_state``
-    (shutdown replies), ``shutdown`` (the drain requests).  Every frame
-    that crosses a queue is counted under exactly one class, so
-    ``total_bytes`` equals the actual pipe traffic plus the spawn-time
-    warmup blobs.
+    Classes: ``warmup`` (behaviour blobs shipped at spawn), ``runs``
+    (:class:`RunMsg` frames), ``result_batches`` (their replies:
+    :class:`ResultBatch` frames, or the crash report sent instead),
+    ``final_state`` (shutdown replies), ``shutdown`` (the drain
+    requests).  Every frame that crosses a queue is counted under
+    exactly one class, so ``total_bytes`` equals the actual pipe traffic
+    plus the spawn-time warmup blobs.
     """
 
-    CLASSES = (
-        "warmup",
-        "tasks",
-        "runs",
-        "results",
-        "result_batches",
-        "final_state",
-        "shutdown",
-    )
+    CLASSES = ("warmup", "runs", "result_batches", "final_state", "shutdown")
 
     def __init__(self) -> None:
         self.bytes: Dict[str, int] = {c: 0 for c in self.CLASSES}

@@ -9,10 +9,12 @@ exactly as it would in the serial oracle, with no state round-tripping
 per task.
 
 The loop mirrors the computation thread of Listing 1 with the critical
-sections removed: dequeue a task (or a coalesced
-:class:`~.protocol.RunMsg`), execute the behaviour against the shipped
-context snapshot, send back outputs + records.  A run executes in phase
-order and answers with one :class:`~.protocol.ResultBatch`; output
+sections removed: dequeue a :class:`~.protocol.RunMsg`, execute the
+behaviour against the shipped context snapshots, send back outputs +
+records in one :class:`~.protocol.ResultBatch`.  The members run through
+:func:`~repro.core.program.compute_members` — the loop the in-process
+engines use — so phase order, stop-after-failure and exact-phase fault
+attribution are the same behaviour in every address space.  Output
 values recurring across the run are interned so the reply frame pickles
 them once.  Value-equal outputs are suppressed here, before they are
 serialized (:class:`_SuppressFilter`).  All scheduling-set bookkeeping
@@ -23,14 +25,14 @@ shutdown reply carries :meth:`~repro.core.vertex.Vertex.snapshot_delta`
 payloads against those baselines, so re-synchronising the coordinator
 costs bytes proportional to what actually changed.
 
-A vertex exception becomes an error :class:`~.protocol.ResultMsg` (the
-coordinator re-raises it as
+A vertex exception becomes an error :class:`~.protocol.ResultMsg` entry
+(the coordinator re-raises it as
 :class:`~repro.errors.VertexExecutionError`); a failure of the loop
-itself becomes a :class:`~.protocol.WorkerCrashMsg`.  When a run
-reply fails to pickle, the worker salvages it result-by-result — the
-poisoned result degrades to an error entry, the survivors still ship and
-commit.  Either way the worker keeps draining its task queue until told
-to shut down, so the coordinator never blocks on a dead letter.
+itself becomes a :class:`~.protocol.WorkerCrashMsg`.  When a reply fails
+to pickle, the worker salvages it result-by-result — the poisoned result
+degrades to an error entry, the survivors still ship and commit.  Either
+way the worker keeps draining its task queue until told to shut down, so
+the coordinator never blocks on a dead letter.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ import time
 from typing import Any, Dict, FrozenSet, List, Tuple
 
 from ...core.ports import stable_equal
-from ...core.vertex import Vertex
+from ...core.program import compute_members
+from ...core.vertex import Vertex, VertexContext
 from ...errors import VertexExecutionError
 from .protocol import (
     FinalStateMsg,
@@ -48,12 +51,9 @@ from .protocol import (
     ResultMsg,
     RunMsg,
     ShutdownMsg,
-    TaskMsg,
     WorkerCrashMsg,
-    context_from_task,
     decode,
     encode,
-    tasks_from_run,
 )
 
 __all__ = ["worker_main"]
@@ -102,54 +102,69 @@ class _SuppressFilter:
         return kept, tuple(suppressed)
 
 
-def _execute(
+def _compute_run(
     worker_id: int,
-    behaviors: Dict[str, Vertex],
-    task: TaskMsg,
+    behavior: Vertex,
+    run: RunMsg,
     suppress_filter: _SuppressFilter,
-    interner: Interner | None = None,
-) -> ResultMsg:
-    ctx = context_from_task(task)
+    interner: Interner,
+) -> Tuple[List[ResultMsg], List[Tuple[int, int]]]:
+    """Execute *run*'s members; return the reply's ``(results, skipped)``.
+
+    One result entry per member that ran, the failing one (an error
+    entry naming its phase) last; *skipped* is the tail behind it, which
+    must not advance this worker's state.  ``compute_s`` of an entry
+    spans its ``on_execute``, the suppression filter and the interning.
+    """
+    successors = list(run.successors)
+    ctxs = [
+        VertexContext.owning(
+            run.name, m.phase, m.inputs, set(m.changed), successors, m.phase_input
+        )
+        for m in run.members
+    ]
+    results: List[ResultMsg] = []
+    intern = interner.intern
     started = time.perf_counter()
-    try:
-        behavior = behaviors[task.name]
-        returned = behavior.on_execute(ctx)
-        ctx.finish(returned)
-    except VertexExecutionError as exc:
-        return ResultMsg(
-            worker_id=worker_id,
-            vertex=task.vertex,
-            phase=task.phase,
-            error=str(exc),
-            compute_s=time.perf_counter() - started,
-        )
-    except Exception as exc:  # noqa: BLE001 - becomes VertexExecutionError
-        return ResultMsg(
-            worker_id=worker_id,
-            vertex=task.vertex,
-            phase=task.phase,
-            error=f"{exc}",
-            compute_s=time.perf_counter() - started,
-        )
-    raw_outputs, suppressed = suppress_filter.filter(
-        task.name, dict(ctx.outputs)
-    )
-    if interner is None:
-        outputs = raw_outputs
-        records = tuple(ctx.records)
-    else:
-        intern = interner.intern
-        outputs = {k: intern(v) for k, v in raw_outputs.items()}
+
+    def member_done() -> bool:
+        nonlocal started
+        ctx = ctxs[len(results)]
+        outputs, suppressed = suppress_filter.filter(run.name, ctx.outputs)
+        outputs = {k: intern(v) for k, v in outputs.items()}
         records = tuple(intern(r) for r in ctx.records)
-    return ResultMsg(
-        worker_id=worker_id,
-        vertex=task.vertex,
-        phase=task.phase,
-        outputs=outputs,
-        records=records,
-        compute_s=time.perf_counter() - started,
-        suppressed=suppressed,
-    )
+        now = time.perf_counter()
+        results.append(
+            ResultMsg(
+                worker_id=worker_id,
+                vertex=run.vertex,
+                phase=ctx.phase,
+                outputs=outputs,
+                records=records,
+                compute_s=now - started,
+                suppressed=suppressed,
+            )
+        )
+        started = now
+        return False
+
+    try:
+        compute_members(behavior.on_execute, ctxs, member_done)
+    except VertexExecutionError as exc:
+        # The coordinator re-raises with this vertex's name and phase
+        # around the bare message; an error that names another vertex
+        # (a fused stage's member) keeps its own attribution inside it.
+        results.append(
+            ResultMsg(
+                worker_id=worker_id,
+                vertex=run.vertex,
+                phase=ctxs[len(results)].phase,
+                error=exc.message if exc.vertex == run.name else str(exc),
+                compute_s=time.perf_counter() - started,
+            )
+        )
+    skipped = [(run.vertex, ctx.phase) for ctx in ctxs[len(results):]]
+    return results, skipped
 
 
 def _describe_pickle_failure(exc: BaseException) -> str:
@@ -184,7 +199,7 @@ def _encode_result_batch(
     never moved into ``skipped``: the coordinator re-dispatches skipped
     pairs, and a pair that already ran on this worker must not run a
     second time (the warm-cached behaviour state has already advanced).
-    ``skipped`` therefore passes through exactly as the task loop built
+    ``skipped`` therefore passes through exactly as the member loop built
     it — pairs that were genuinely never executed.
     """
     try:
@@ -267,34 +282,12 @@ def worker_main(
                     )
                 )
                 return
-            if isinstance(msg, RunMsg):
-                # A coalesced run expands to its per-member tasks in
-                # phase order; the skip-after-error rule gives mid-run
-                # fault salvage (the failing member's phase is
-                # attributed exactly, the unexecuted tail is reported in
-                # ``skipped`` for coordinator requeue).
-                results: List[ResultMsg] = []
-                skipped: List[Tuple[int, int]] = []
-                for task in tasks_from_run(msg):
-                    if results and results[-1].error is not None:
-                        # An earlier member failed: later ones must not
-                        # advance this worker's state.
-                        skipped.append((task.vertex, task.phase))
-                        continue
-                    result = _execute(
-                        worker_id, behaviors, task, suppress_filter, interner
-                    )
-                    busy_s += result.compute_s
-                    executed += 1
-                    results.append(result)
-                result_queue.put(
-                    _encode_result_batch(worker_id, results, skipped)
-                )
-                continue
-            result = _execute(worker_id, behaviors, msg, suppress_filter)
-            busy_s += result.compute_s
-            executed += 1
-            result_queue.put(encode(result))
+            results, skipped = _compute_run(
+                worker_id, behaviors[msg.name], msg, suppress_filter, interner
+            )
+            busy_s += sum(result.compute_s for result in results)
+            executed += len(results)
+            result_queue.put(_encode_result_batch(worker_id, results, skipped))
     except (KeyboardInterrupt, SystemExit):  # terminate() / Ctrl-C paths
         raise
     except BaseException as exc:  # noqa: BLE001 - reported to coordinator

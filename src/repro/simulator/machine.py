@@ -8,11 +8,12 @@ multiplex over P processors and contend for the single global lock, all in
 virtual time driven by a :class:`~repro.simulator.costs.CostModel`.
 
 This is the substitution for the paper's dual-processor Solaris testbed
-(see DESIGN.md §2): the Section 4 experiment — "identical computations see
-a speedup of approximately 50% when two computation threads are running" —
-is reproduced by comparing virtual makespans at ``num_workers=1`` and
-``num_workers=2`` with ``num_processors=2``, and the near-linear-speedup
-prediction by sweeping workers = processors with a coarse compute grain.
+(see docs/ARCHITECTURE.md §1.3): the Section 4 experiment — "identical
+computations see a speedup of approximately 50% when two computation
+threads are running" — is reproduced by comparing virtual makespans at
+``num_workers=1`` and ``num_workers=2`` with ``num_processors=2``, and
+the near-linear-speedup prediction by sweeping workers = processors with
+a coarse compute grain.
 
 Simulated thread anatomy (mirroring :class:`~repro.runtime.engine`):
 

@@ -1,4 +1,4 @@
-"""Temporal phase-run coalescing (ALGORITHM.md §5.7): the mechanisms.
+"""Temporal phase-run coalescing (docs/ARCHITECTURE.md §5.7): the mechanisms.
 
 * **SchedulerState unit tests** for ``claim_run`` — the claim ledger,
   head validation, the adaptive ceiling, the salvage re-dispatch path and
@@ -174,7 +174,7 @@ class TestMidRunSalvage:
                     for p in range(1, 6)
                 ),
             )
-            pool.submit_to_worker(0, encode(run), "runs")
+            pool.submit_to_worker(0, encode(run))
             msg = pool.collect(timeout=30.0)
             assert isinstance(msg, ResultBatch)
             assert [r.phase for r in msg.results] == [1, 2, 3]

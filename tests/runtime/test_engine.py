@@ -357,7 +357,7 @@ def _engine_threads():
 
 class TestEnvironmentPeer:
     """The environment thread executes runs itself while that is cheaper
-    than handing them over (ALGORITHM.md §5.8).  Where a test needs a
+    than handing them over (docs/ARCHITECTURE.md §5.8).  Where a test needs a
     particular regime it scripts the clock (``RegimeClockBackend``)
     instead of trusting the host's timings."""
 

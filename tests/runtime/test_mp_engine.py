@@ -17,13 +17,12 @@ from repro.runtime.environment import EnvironmentConfig
 from repro.runtime.mp import ProcessEngine
 from repro.runtime.mp.lifecycle import ProcessWorkerPool, default_start_method
 from repro.runtime.mp.protocol import (
+    Interner,
     ResultMsg,
-    TaskMsg,
     WireStats,
-    context_from_task,
     decode,
     encode,
-    task_from_context,
+    run_from_contexts,
 )
 from repro.streams.workloads import (
     cpu_heavy_workload,
@@ -46,16 +45,17 @@ class TestProtocol:
             successors=["v4", "v5"],
             phase_input=("tick", 7),
         )
-        task = task_from_context(3, 7, ctx)
-        clone = decode(encode(task))
-        assert clone == task
-        rebuilt = context_from_task(clone)
-        assert rebuilt.name == "v3"
-        assert rebuilt.phase == 7
-        assert rebuilt.inputs == {"v1": 1.5, "v2": "x"}
-        assert rebuilt.changed == {"v1"}
-        assert list(rebuilt._successors) == ["v4", "v5"]
-        assert rebuilt.phase_input == ("tick", 7)
+        # A single pair travels as a run of one: there is no other form.
+        run = run_from_contexts(3, [(7, ctx)], Interner())
+        clone = decode(encode(run))
+        assert clone == run
+        assert (clone.vertex, clone.name) == (3, "v3")
+        assert clone.successors == ("v4", "v5")
+        (member,) = clone.members
+        assert member.phase == 7
+        assert member.inputs == {"v1": 1.5, "v2": "x"}
+        assert member.changed == ("v1",)
+        assert member.phase_input == ("tick", 7)
 
     def test_result_frame_round_trip(self):
         res = ResultMsg(
@@ -66,12 +66,12 @@ class TestProtocol:
 
     def test_wire_stats_accumulates(self):
         ws = WireStats()
-        ws.count("tasks", b"12345")
-        ws.count("tasks", b"123")
-        ws.count("results", b"12")
+        ws.count("runs", b"12345")
+        ws.count("runs", b"123")
+        ws.count("result_batches", b"12")
         summary = ws.summary()
-        assert summary["tasks"] == {"messages": 2, "bytes": 8}
-        assert summary["results"] == {"messages": 1, "bytes": 2}
+        assert summary["runs"] == {"messages": 2, "bytes": 8}
+        assert summary["result_batches"] == {"messages": 1, "bytes": 2}
         assert summary["total_bytes"] == 10
 
     def test_wire_stats_rejects_unknown_class(self):
@@ -237,11 +237,11 @@ class TestStatsSchema:
         assert "task_batches" not in wire
         # One frame per dispatched run (a single pair is a run of one),
         # answered by one reply frame each.
-        frames = wire["tasks"]["messages"] + wire["runs"]["messages"]
+        assert "tasks" not in wire and "results" not in wire
+        frames = wire["runs"]["messages"]
         assert stats["ipc_round_trips"] == frames >= 1
         assert frames == stats["coalescing"]["runs_scheduled"]
-        assert wire["results"]["messages"] == wire["tasks"]["messages"]
-        assert wire["result_batches"]["messages"] == wire["runs"]["messages"]
+        assert wire["result_batches"]["messages"] == frames
         assert stats["ipc"]["task_frames"] == frames
         assert "batching" not in stats
         assert stats["edge_entries_peak"] >= stats["edge_entries_final"]

@@ -17,8 +17,11 @@ from repro.core.serial import SerialExecutor
 from repro.core.program import Program
 from repro.core.vertex import Vertex
 from repro.errors import EngineError, VertexExecutionError
+from repro.core.vertex import VertexContext
 from repro.events import PhaseInput
 from repro.graph.model import ComputationGraph
+from repro.runtime.environment import EnvironmentConfig
+from repro.runtime.feed import PhaseFeed
 from repro.runtime.mp import ProcessEngine
 from repro.runtime.mp.lifecycle import ProcessWorkerPool
 from repro.runtime.mp.protocol import (
@@ -27,12 +30,9 @@ from repro.runtime.mp.protocol import (
     ResultMsg,
     RunMember,
     RunMsg,
-    TaskMsg,
-    context_from_task,
     decode,
     encode,
     run_from_contexts,
-    tasks_from_run,
 )
 from repro.streams.workloads import grid_workload
 from repro.testing import fuzz_process
@@ -60,9 +60,9 @@ class TestBatchFraming:
     def test_truncated_frame_raises_not_corrupts(self):
         # Frames are whole pickle blobs: a partial read must fail loudly,
         # never yield a half-parsed message.
-        frame = encode(TaskMsg(
-            vertex=1, name="a", phase=1, inputs={},
-            changed=(), successors=(),
+        frame = encode(RunMsg(
+            vertex=1, name="a", successors=(),
+            members=(RunMember(phase=1, inputs={}, changed=()),),
         ))
         for cut in (1, len(frame) // 2, len(frame) - 1):
             with pytest.raises((pickle.UnpicklingError, EOFError,
@@ -78,7 +78,7 @@ class TestBatchFraming:
         try:
             pool.start()
             empty = RunMsg(vertex=1, name="n0", successors=())
-            pool.submit_to_worker(0, encode(empty), "runs")
+            pool.submit_to_worker(0, encode(empty))
             msg = pool.collect(timeout=30.0)
             assert msg == ResultBatch(worker_id=0, results=(), skipped=())
             finals = pool.shutdown(timeout=30.0)
@@ -116,7 +116,7 @@ class TestMidRunFailure:
                     for p in (1, 2, 3)
                 ),
             )
-            pool.submit_to_worker(0, encode(run), "runs")
+            pool.submit_to_worker(0, encode(run))
             msg = pool.collect(timeout=30.0)
             assert isinstance(msg, ResultBatch)
             assert [r.phase for r in msg.results] == [1, 2]
@@ -145,6 +145,14 @@ class _UnpicklableResult(Vertex):
         return ("ok", ctx.phase)
 
 
+def _closed_feed(n):
+    feed = PhaseFeed(capacity=n)
+    for p in range(1, n + 1):
+        feed.put(PhaseInput(p, float(p)))
+    feed.close()
+    return feed
+
+
 class _ExitHard(Vertex):
     def on_execute(self, ctx):
         if ctx.phase == 2:
@@ -153,6 +161,36 @@ class _ExitHard(Vertex):
 
 
 class TestMidRunCrash:
+    @pytest.mark.parametrize("max_in_flight", [1, None])
+    @pytest.mark.parametrize("behavior, detail", [
+        (_BoomAtPhase2, "kaboom"),
+        (_UnpicklableResult, "result not picklable"),
+    ])
+    def test_fault_parity_across_run_length(
+        self, behavior, detail, max_in_flight
+    ):
+        # One phase in flight makes every run a run of one (what
+        # incremental admission in ``repro serve`` produces); unbounded
+        # admission coalesces a@1..a@4 into one run.  Regression: the
+        # run-of-one wire form had no salvage, so an unpicklable phase-2
+        # result surfaced as "EngineError: worker 0 crashed" — no
+        # vertex, no phase.  Same fault, same error, at every length,
+        # with phase 1 committed first.
+        engine = ProcessEngine(
+            _solo_program(behavior()),
+            num_workers=1,
+            env=EnvironmentConfig(max_in_flight_phases=max_in_flight),
+        )
+        records = []
+        with pytest.raises(VertexExecutionError, match=detail) as exc_info:
+            engine.run_feed(
+                _closed_feed(4), retire=True,
+                sink=lambda p, ts, recs: records.append((p, recs)),
+            )
+        assert exc_info.value.vertex == "a"
+        assert exc_info.value.phase == 2
+        assert records == [(1, [("a", ("ok", 1))])]
+
     def test_unpicklable_result_degrades_to_error(self):
         # The reply frame cannot pickle: the worker salvages it
         # result-by-result, so the coordinator still gets the survivors
@@ -293,21 +331,18 @@ class TestInterner:
             # across separately prepared contexts look like.
             return "".join(["a repeated latched value"] * 4)
 
-        tasks_plain = []
-        tasks_interned = []
         interner = Interner()
-        for p in range(1, 9):
-            tasks_plain.append(TaskMsg(
-                vertex=1, name="a", phase=p,
-                inputs={"x": fresh_payload()}, changed=(), successors=("b",),
-            ))
-            tasks_interned.append(TaskMsg(
-                vertex=1, name="a", phase=p,
-                inputs={"x": interner.intern(fresh_payload())},
-                changed=(), successors=("b",),
-            ))
-        plain = encode(tuple(tasks_plain))
-        interned = encode(tuple(tasks_interned))
+        plain = encode(tuple(
+            RunMember(phase=p, inputs={"x": fresh_payload()}, changed=())
+            for p in range(1, 9)
+        ))
+        interned = encode(tuple(
+            RunMember(
+                phase=p, inputs={"x": interner.intern(fresh_payload())},
+                changed=(),
+            )
+            for p in range(1, 9)
+        ))
         assert len(interned) < len(plain)
 
     def test_byte_meter_tracks_retained_values(self):
@@ -365,48 +400,40 @@ class TestInterner:
 def _prepared_members(phases, payload="latched"):
     """Ascending (phase, ctx) members the way the coordinator prepares
     them for one claimed run."""
-    prepared = []
-    for p in phases:
-        task = TaskMsg(
-            vertex=3, name="mid", phase=p,
-            inputs={"up": payload}, changed=("up",),
-            successors=("down", "side"), phase_input=None,
-        )
-        prepared.append((p, context_from_task(task)))
-    return prepared
+    return [
+        (p, VertexContext(
+            name="mid", phase=p, inputs={"up": payload}, changed={"up"},
+            successors=["down", "side"],
+        ))
+        for p in phases
+    ]
 
 
 class TestRunFraming:
     def test_round_trip_expands_in_phase_order(self):
-        run = run_from_contexts(3, _prepared_members([4, 5, 6]))
+        run = run_from_contexts(3, _prepared_members([4, 5, 6]), Interner())
         decoded = decode(encode(run))
-        tasks = tasks_from_run(decoded)
-        assert [t.phase for t in tasks] == [4, 5, 6]
-        for t in tasks:
-            assert t.vertex == 3
-            assert t.name == "mid"
-            assert t.successors == ("down", "side")
-            assert t.inputs == {"up": "latched"}
-            assert t.changed == ("up",)
+        assert (decoded.vertex, decoded.name) == (3, "mid")
+        assert decoded.successors == ("down", "side")
+        assert [m.phase for m in decoded.members] == [4, 5, 6]
+        for m in decoded.members:
+            assert m.inputs == {"up": "latched"}
+            assert m.changed == ("up",)
 
     def test_header_rides_once(self):
-        # A run frame carries name/successors once; the equivalent
-        # single-pair tasks repeat them per member.
+        # A run frame carries name/successors once; the same members
+        # shipped as runs of one repeat them per frame.
         prepared = _prepared_members(range(1, 9), payload="v" * 64)
         run_frame = encode(run_from_contexts(3, prepared, Interner()))
-        singles = encode(tuple(
-            TaskMsg(
-                vertex=3, name="mid", phase=p,
-                inputs=dict(ctx.inputs), changed=tuple(sorted(ctx.changed)),
-                successors=tuple(ctx._successors),
-            )
-            for p, ctx in prepared
-        ))
-        assert len(run_frame) < len(singles)
+        singles = sum(
+            len(encode(run_from_contexts(3, [member], Interner())))
+            for member in prepared
+        )
+        assert len(run_frame) < singles
 
     def test_empty_run_rejected(self):
         with pytest.raises(ValueError):
-            run_from_contexts(3, [])
+            run_from_contexts(3, [], Interner())
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +642,8 @@ class TestMeteringRegression:
         prog, phases = grid_workload(3, 3, phases=8, seed=4)
         res = ProcessEngine(prog, num_workers=2).run(phases)
         wire = res.stats["serialization_bytes"]
-        sent_classes = ("tasks", "runs", "shutdown")
-        recv_classes = ("results", "result_batches", "final_state")
+        sent_classes = ("runs", "shutdown")
+        recv_classes = ("result_batches", "final_state")
         assert sum(wire[c]["bytes"] for c in sent_classes) == sum(sent)
         assert sum(wire[c]["bytes"] for c in recv_classes) == sum(received)
         assert sum(wire[c]["messages"] for c in sent_classes) == len(sent)

@@ -118,6 +118,27 @@ def test_removed_flag_is_an_ordinary_argparse_error(command, flag, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_removed_verb_is_an_ordinary_argparse_error(capsys):
+    # ``repro report`` is the one exhibit runner; it prints what
+    # ``repro figures`` printed.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["figures"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'figures'" in capsys.readouterr().err
+
+
+def test_the_process_wire_has_one_form():
+    # A single pair is a run of one: RunMsg out, ResultBatch back.  A
+    # second frame type is a second fault behaviour to keep in step.
+    from repro.runtime.mp import protocol
+
+    assert "TaskMsg" not in protocol.__all__, AIM_2
+    assert not hasattr(protocol, "TaskMsg"), AIM_2
+    assert protocol.WireStats.CLASSES == (
+        "warmup", "runs", "result_batches", "final_state", "shutdown",
+    ), AIM_2
+
+
 CORE = (
     "ScheduleCore's surface changed — ROADMAP aim 2: the run lifecycle is "
     "admit / claim / commit / result, once; an engine-specific need belongs "

@@ -303,9 +303,12 @@ class TestSpeedup:
 
 class TestFigures:
     def test_renders(self, capsys):
-        assert main(["figures"]) == 0
+        # ``repro report`` is the one exhibit runner: the Figure 2 graph
+        # and the Figure 3 frames are rendered in its output.
+        assert main(["report", "--quick"]) == 0
         out = capsys.readouterr().out
-        assert "m-sequence: [3, 3, 4, 5, 5, 6, 7, 7]" in out
+        assert "graph 'fig2': 7 vertices, 8 edges" in out
+        assert "measured [3, 3, 4, 5, 5, 6, 7, 7]" in out
         assert "(h) (4,1) executed" in out
         assert "legend" in out
 

@@ -32,7 +32,7 @@ One more cell holds the two *schedulers* side by side, with no engine in
 between: the published :class:`ReferenceScheduler` and the engines'
 :class:`SchedulerState`, driven through every family in the serial
 completion order — whatever the global ``x_p`` makes ready, the cone
-rule has made ready too (docs/ALGORITHM.md §5.4: the same schedule
+rule has made ready too (docs/ARCHITECTURE.md §5.4: the same schedule
 family, cone ⊇ global).
 
 Another holds the *data path* against itself: the same claims committed

@@ -1,4 +1,4 @@
-"""Tests for events, messages, and phase assembly."""
+"""Tests for events and phase assembly."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import PhaseOrderError
 from repro.events import (
     Event,
-    Message,
     PhaseAssembler,
     PhaseInput,
     assemble_phases,
-    iter_phase_pairs,
 )
 
 
@@ -31,16 +29,6 @@ class TestEvent:
     def test_non_string_source_rejected(self):
         with pytest.raises(ValueError):
             Event(0.0, 3, 1)  # type: ignore[arg-type]
-
-
-class TestMessage:
-    def test_fields(self):
-        m = Message(2, "v", "payload")
-        assert (m.phase, m.sender, m.value) == (2, "v", "payload")
-
-    def test_phase_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Message(0, "v", None)
 
 
 class TestPhaseInput:
@@ -115,10 +103,6 @@ class TestPhaseAssembler:
         pa.add(Event(1.0, "a", 2))
         pa.finish()
         assert pa.next_phase == 3
-
-    def test_iter_phase_pairs(self):
-        phases = assemble_phases([Event(0.0, "a", 1), Event(3.0, "a", 2)])
-        assert list(iter_phase_pairs(phases)) == [(1, 0.0), (2, 3.0)]
 
     @given(
         st.lists(

@@ -8,10 +8,6 @@ comparable) over every workload family — all results must agree.
 import pytest
 
 from repro.analysis.serializability import assert_serializable
-from repro.baselines.barrier import (
-    barrier_parallel_engine,
-    barrier_simulated_engine,
-)
 from repro.core.invariants import InvariantChecker
 from repro.core.serial import SerialExecutor
 from repro.models.domains import (
@@ -22,6 +18,7 @@ from repro.models.domains import (
     build_power_pricing_workload,
 )
 from repro.runtime.engine import ParallelEngine
+from repro.runtime.environment import EnvironmentConfig
 from repro.simulator.costs import CostModel
 from repro.simulator.machine import SimulatedEngine
 from repro.streams.workloads import (
@@ -79,10 +76,17 @@ class TestEngineMatrix:
         prog, phases = builder()
         serial = SerialExecutor(prog).run(phases)
         assert_serializable(
-            serial, barrier_parallel_engine(prog, num_threads=2).run(phases)
+            serial,
+            ParallelEngine(
+                prog, num_threads=2,
+                env=EnvironmentConfig(max_in_flight_phases=1),
+            ).run(phases),
         )
         assert_serializable(
-            serial, barrier_simulated_engine(prog, num_workers=2).run(phases)
+            serial,
+            SimulatedEngine(
+                prog, num_workers=2, max_in_flight_phases=1
+            ).run(phases),
         )
 
     def test_invariants_hold_under_threads(self, builder):
