@@ -28,10 +28,12 @@ docs/ARCHITECTURE.md §7.
   number buffered between two member commits; a run of one (the serial
   oracle, the simulator's published schedule) samples as before, and
   ``edge_entries_peak >= edge_entries_final`` always;
-* the threaded engine (``parallel``) adds ``drain`` — which thread
-  executed the runs (the environment inline, or the pool) — validated
-  wherever it appears, with the law ``inline_runs + pooled_runs`` =
-  ``coalescing.runs_scheduled``.
+* the real engines (``parallel``, ``process``) add ``drain`` — who
+  executed the runs: the environment thread / the coordinator itself
+  (``inline_runs``) or the pool / a worker process (``pooled_runs``),
+  how many staked runs were cut and handed over, the largest feed burst
+  — validated wherever it appears, with the law
+  ``inline_runs + pooled_runs`` = ``coalescing.runs_scheduled``.
 
 :func:`validate_serve_stats` checks the ``serve`` section of the
 :mod:`repro.serve` session document (``repro serve --stats-json``).  The
@@ -92,7 +94,7 @@ _SCHEDULING_SCHEMA: Dict[str, Any] = {
 
 _SCHEMA: Dict[str, Any] = {
     **_SCHEDULING_SCHEMA,
-    # What :class:`repro.runtime.engine.ParallelEngine` adds.
+    # What ParallelEngine and ProcessEngine add.
     "drain": {
         "inline_runs": 0, "pooled_runs": 0, "handovers": 0,
         "feed_burst_max": 0,
@@ -267,8 +269,8 @@ def validate_engine_stats(engine: str, stats: Any) -> List[str]:
             )
         else:
             errors.extend(_validate(name, stats[name], name))
-    # The threaded engine's own section: checked wherever it appears,
-    # and every scheduled run was executed by exactly one of the two.
+    # The real engines' own section: checked wherever it appears, and
+    # every scheduled run was executed by exactly one of the two.
     if "drain" in stats:
         errors.extend(_validate("drain", stats["drain"], "drain"))
     runs = _counts(stats.get("drain"), "inline_runs", "pooled_runs")

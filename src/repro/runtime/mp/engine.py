@@ -1,78 +1,86 @@
 """The process-parallel engine: coordinator loop + worker processes.
 
 :class:`ProcessEngine` is the paper's algorithm with the compute step
-remoted.  One **coordinator** (this process) owns every shared data
-structure — the :class:`~repro.core.state.SchedulerState`, the edge
-store, the records — and runs both of the paper's loops inline:
+remoted *where that pays*.  One **coordinator** (this process) owns every
+shared data structure — the :class:`~repro.core.state.SchedulerState`,
+the edge store, the records — and runs both of the paper's loops inline:
 
-* Listing 2 (environment): start the next phase whenever pacing and flow
-  control allow;
+* Listing 2 (environment): start every phase pacing and flow control
+  allow, a whole feed backlog under one critical section;
 * Listing 1 (computation), split at the prepare/compute/commit seam of
-  :class:`~repro.core.program.PairRuntime`: *prepare* ready pairs under
-  the lock, ship the snapshotted contexts to each vertex's sticky worker
-  (:class:`~repro.runtime.mp.lifecycle.ProcessWorkerPool`), and *commit*
-  the returned outputs under the lock.
+  :class:`~repro.core.program.PairRuntime`: *prepare* a ready run under
+  the lock, compute it, and *commit* its outputs under the lock.
 
 The critical-section bodies themselves are the threaded engine's:
 :class:`~repro.runtime.core.ScheduleCore`.
 
-The wire path is designed so IPC cost scales with *change*, not with
-executions:
+**Where a run computes is measured, not configured** (the paper
+promises speed-up only when vertex compute dwarfs the bookkeeping around
+it, and a trip to a worker is this engine's dearest bookkeeping;
+docs/ARCHITECTURE.md §5.8).  Every vertex starts *resident*: the
+coordinator, worker ``num_workers`` of its own ``ScheduleCore``, claims
+its ready runs, computes and commits them, no frame built.  Each
+resident run's compute is compared, in this thread's CPU seconds, with
+what marshalling that run would cost (per member, the last shipped run's
+measurement; before any, one frame encoded and decoded unsent).  A run
+of a vertex that did not just read cheap is *staked*: it stops once it
+has cost the whole run's trip, its tail keeping its claims.
+``_DEAR_RUNS`` dear runs in a row **promote** the vertex, one-way, to its
+sticky worker once that worker is up: its next frame carries the state
+the resident runs left, and from then on it takes the wire path:
 
 * **Run frames**: the ready backlog is kept pre-partitioned by sticky
-  worker (:class:`~.frontier.ReadyFrontier`); each dispatched
-  ready pair is extended into a claimed run and shipped as one
-  :class:`~.protocol.RunMsg` (a single pair is a run of one), which the
-  worker answers with one :class:`~.protocol.ResultBatch`.  That reply
-  is committed whole — one frame each way and one critical section per
-  run, and one fault behaviour whatever the run's length.  Repeated values
-  inside a frame (latched inputs that did not change, successor tuples,
-  recurring outputs) are interned so pickle emits them once.
-* **Per-worker credit window**: at most ``window`` tasks may be in
-  flight to a worker at once.  The window is adaptive — it widens
-  (doubles, bounded) while the ready backlog leaves a worker starved for
-  credit, and narrows when commits lag behind dispatch (a poll quantum
-  passes with every credit spent and no result).  A deep window keeps
-  workers fed; a shallow one bounds the coordinator's in-flight context
-  memory.
+  worker (:class:`~.frontier.ReadyFrontier`); each dispatched ready pair
+  is extended into a claimed run and shipped as one
+  :class:`~.protocol.RunMsg` (a single pair is a run of one), answered
+  by one :class:`~.protocol.ResultBatch` that is committed whole — one
+  frame each way, one critical section and one fault behaviour whatever
+  the run's length.  Repeated values in a frame are interned so pickle
+  emits them once.
+* **Per-worker credit window**: at most ``window`` tasks in flight to a
+  worker; it doubles (bounded) while the backlog leaves the worker
+  starved for credit and narrows when commits lag behind dispatch.
 * **Worker-side Δ-elision**: value-equal outputs are suppressed in the
-  worker, before they are serialized; the coordinator keeps its
-  commit-time latch check as an idempotent backstop.
+  worker, before they are serialized; the coordinator's commit-time
+  latch check stays as an idempotent backstop (and covers a freshly
+  promoted vertex, whose worker-side cache starts empty).
 
-Because the coordinator is single-threaded, its
-:class:`~repro.runtime.locks.InstrumentedLock` is never contended — it
-is kept so the stats schema (acquisitions, hold times) stays comparable
-with the threaded engine, and so invariant checkers see the same locking
-discipline: the coordinator's single lock remains the only commit point.
+The coordinator is single-threaded, so its
+:class:`~repro.runtime.locks.InstrumentedLock` is never contended — it is
+kept so the stats schema stays comparable with the threaded engine and
+invariant checkers see the same discipline: one lock, the only commit
+point.
 
 Correctness relies on the same argument as the serial oracle: the
-scheduler never holds two phases of one vertex ready at once, vertices
-are sticky to one worker, and each worker's task queue is FIFO — so
-every behaviour's state evolves in strict phase order, exactly as
-serially.  Credit windows only change *when* ready pairs are shipped,
-never which pairs are ready, so the serializability argument is
-untouched.  Final worker states are shipped back at shutdown
-as :meth:`~repro.core.vertex.Vertex.snapshot_delta` payloads and applied
-to the coordinator's program (whose behaviours still hold the spawn-time
-baseline — compute only ever runs worker-side), keeping post-run state
-consistent for ``--check``-style oracle comparisons.
+scheduler never holds two phases of one vertex ready at once, a vertex
+executes in one place at a time (here, then — after its state has moved,
+FIFO ahead of the first member that needs it — on one worker), so every
+behaviour's state evolves in strict phase order, exactly as serially.
+Placement and credit windows only change *where* and *when* ready pairs
+execute, never which pairs are ready.  At shutdown the promoted
+vertices' states come back as
+:meth:`~repro.core.vertex.Vertex.snapshot_delta` payloads and are applied
+to the coordinator's copies (which still hold the state they were
+promoted with), so post-run program state matches a serial execution.
 
 Failure handling prefers the root cause, mirroring the threaded engine:
-a vertex error (re-raised as
-:class:`~repro.errors.VertexExecutionError`) beats a worker crash
+a vertex error, resident or remote (:class:`~repro.errors.VertexExecutionError`
+naming the vertex and the exact phase) beats a worker crash
 (:class:`~repro.errors.EngineError`), which beats the wedge watchdog.
-Results that arrive before the failure — including a failing run's
-surviving prefix — are committed first.
+Results that precede the failure — a failing run's surviving prefix
+included — are committed first.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from collections import deque
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from ...core.invariants import InvariantChecker
 from ...core.plan import ExecutionPlan, as_plan
 from ...core.program import Program, RunResult
+from ...core.state import ADAPTIVE_RUN_CEILING, Pair
 from ...core.tracer import ExecutionTracer
 from ...core.vertex import VertexContext
 from ...errors import EngineError, VertexExecutionError
@@ -84,11 +92,11 @@ from ..locks import InstrumentedLock
 from .frontier import ReadyFrontier
 from .lifecycle import ProcessWorkerPool
 from .protocol import (
-    FinalStateMsg,
     Interner,
     ResultBatch,
     ResultMsg,
     WorkerCrashMsg,
+    decode,
     encode,
     run_from_contexts,
 )
@@ -97,6 +105,17 @@ __all__ = ["ProcessEngine"]
 
 _POLL_S = 0.05  # result-queue poll quantum while work is in flight
 _WINDOW_CAP = 16  # widest the adaptive per-worker credit window grows
+_START_BURST = ADAPTIVE_RUN_CEILING  # most phases one admission starts
+#: The placement clock: this thread's CPU seconds, so a quantum lost to
+#: an ingest or emit thread on the same GIL is not read as compute.
+#: Tests script it (``repro.testing.scripted_placement``); nothing reads
+#: cheap on a clock that does not advance.
+_clock = time.thread_time
+#: Dear runs in a row that promote a vertex.  On a shared VM ~0.1 % of a
+#: microsecond vertex's runs read 50-130 us of CPU (EXPERIMENTS.md): two in
+#: a row would move a cheap vertex every few minutes of a long serve, three
+#: about once a day; each costs a dear vertex one more bounded stake.
+_DEAR_RUNS = 3
 
 
 class ProcessEngine:
@@ -111,7 +130,7 @@ class ProcessEngine:
     num_workers:
         Number of worker processes (the paper's k computation
         processors).  The coordinator rides this process, like the
-        paper's environment process.
+        paper's environment process, and executes the cheap vertices.
     checker:
         Optional :class:`InvariantChecker`, invoked at every state
         mutation (inside the lock).
@@ -122,8 +141,8 @@ class ProcessEngine:
     env:
         Environment pacing / flow control (:class:`EnvironmentConfig`).
     join_timeout:
-        Watchdog: seconds without any worker progress (and at shutdown)
-        before the run is declared wedged.
+        Watchdog: seconds without a worker frame or a resident commit
+        (and at shutdown) before the run is declared wedged.
     start_method:
         ``multiprocessing`` start method; default is ``fork`` where
         available, else ``spawn``.
@@ -200,10 +219,14 @@ class ProcessEngine:
         stop_event: object = None,
     ) -> RunResult:
         tracer = self.tracer
+        clock = _clock
+        # The coordinator executes runs too: it is worker ``num_workers``
+        # in the per-worker execution counts.
+        me = self.num_workers
         core = ScheduleCore(
             self.plan,
             phase_inputs,
-            self.num_workers,
+            self.num_workers + 1,
             checker=self.checker,
             tracer=tracer,
             retire=retire,
@@ -218,16 +241,35 @@ class ProcessEngine:
             elidable_succs=runtime.elidable_successor_names(),
         )
 
-        # Ready-but-unshipped pairs, indexed by sticky worker so each
-        # dispatch drain is O(pairs shipped), not O(backlog).
+        # Ready pairs: of promoted vertices, indexed by sticky worker so
+        # each dispatch drain is O(pairs shipped), not O(backlog); of
+        # resident vertices, which the coordinator executes itself.
         pending = ReadyFrontier(pool.worker_of)
-        in_flight: Dict[Tuple[int, int], VertexContext] = {}
+        mine: Deque[Pair] = deque()
+        in_flight: Dict[Pair, VertexContext] = {}
         held: List[PhaseInput] = []  # at most one prefetched feed phase
         last_phase_start = -float("inf")
-        finals: Dict[int, FinalStateMsg] = {}
         # Members of one run share latched inputs phase over phase, so a
         # run frame pickles each repeated value once.
         interner = Interner()
+
+        # Placement.  Every vertex starts resident (ScheduleCore has just
+        # reset the program: this process holds exactly the initial
+        # state).  ``standing[v]``: -1 its last run computed cheaper than
+        # its trip, 0 never measured, k > 0 its last k runs did not;
+        # ``_DEAR_RUNS`` in a row promote it (None), one-way, so one slow
+        # sample cannot move a vertex and no later one can move it back.
+        standing: List[Optional[int]] = [0] * (self.program.numbering.n + 1)
+        unshipped: Set[int] = set()  # promoted, state not yet on the wire
+        promoted: List[str] = []
+        # Marshalling CPU per member, each the last measurement: build,
+        # encode and queue a run frame; receive and decode its reply.
+        send_cost: Optional[float] = None
+        recv_cost = 0.0
+        shipped_members = 0
+        drain = dict.fromkeys(
+            ("inline_runs", "pooled_runs", "handovers", "feed_burst_max"), 0
+        )
 
         def stopping() -> bool:
             return stop_event is not None and stop_event.is_set()
@@ -238,22 +280,113 @@ class ProcessEngine:
         window_events = {"widenings": 0, "narrowings": 0}
         window_peak = 1
 
-        def can_start_phase() -> bool:
+        def trace(mark: str, v: int, phases: Iterable[int], worker: int) -> None:
+            if tracer is not None:
+                for q in phases:
+                    getattr(tracer, mark)((v, q), worker)
+
+        def place(pairs: Iterable[Pair]) -> None:
+            # Each newly ready pair goes to exactly one of the two backlogs.
+            for pair in pairs:
+                if standing[pair[0]] is None:
+                    pending.push((pair,))
+                else:
+                    mine.append(pair)
+
+        def can_start_phase(taken: int) -> bool:
             if stopping():
                 return False
-            if feed is None and core.phases_unadmitted <= 0:
+            if feed is None and core.phases_unadmitted <= taken:
                 return False
-            if self.env.max_in_flight_phases is not None:
-                if core.phases_in_flight >= self.env.max_in_flight_phases:
-                    return False
+            window = self.env.max_in_flight_phases
+            if window is not None and core.phases_in_flight + taken >= window:
+                return False
             return time.monotonic() - last_phase_start >= self.env.pacing
+
+        def admit_burst() -> bool:
+            # Listing 2, inlined: start every phase pacing and flow
+            # control allow — a batch's next ones, or the backlog a feed
+            # holds (``held``: at most one phase the idle wait prefetched)
+            # — under one critical section: one horizon to coalesce over.
+            nonlocal last_phase_start
+            fed: List[PhaseInput] = []
+            taken = 0
+            while taken < _START_BURST and can_start_phase(taken):
+                if feed is not None:
+                    pi = held.pop() if held else feed.get(timeout=0)
+                    if pi is None:
+                        break
+                    fed.append(pi)
+                taken += 1
+                if self.env.pacing:
+                    break  # a paced environment starts one phase per tick
+            if not taken:
+                return False
+            with lock:
+                if feed is None:
+                    place(core.admit(taken))
+                for pi in fed:
+                    place(core.admit(1, pi))
+            last_phase_start = time.monotonic()
+            drain["feed_burst_max"] = max(drain["feed_burst_max"], len(fed))
+            return True
+
+        def run_resident(v: int, p: int) -> None:
+            # Listing 1's body with no wire in it — and what computing
+            # cost, compared with what shipping would have.
+            nonlocal send_cost, last_progress
+            with lock:
+                phases, ctxs = core.claim(v, p)
+                trace("execute_begin", v, phases, me)
+            drain["inline_runs"] += 1
+            if send_cost is None:
+                # Nothing has been shipped yet: marshal this run once,
+                # unsent, to price the trip.
+                began = clock()
+                decode(encode(run_from_contexts(v, list(zip(phases, ctxs)), interner)))
+                send_cost = (clock() - began) / len(phases)
+            trip = send_cost + recv_cost
+            # A vertex whose last run did not read cheap is staked: the
+            # run stops once it has cost what shipping all of it would.
+            budget = trip * len(phases)
+            failure: Optional[VertexExecutionError] = None
+            began = clock()
+            try:
+                executed = runtime.compute(
+                    v,
+                    ctxs,
+                    (lambda: clock() - began >= budget) if standing[v] >= 0 else None,
+                )
+            except VertexExecutionError as exc:
+                failure, executed = exc, phases.index(exc.phase)
+            if clock() - began < trip * executed:
+                standing[v] = -1
+            else:
+                standing[v] = max(standing[v], 0) + 1
+                if standing[v] >= _DEAR_RUNS and pool.answered(pool.worker_of(v)):
+                    standing[v] = None
+                    unshipped.add(v)
+                    promoted.append(ctxs[0].name)  # its plan-space name
+            with lock:
+                completed = runtime.commit(v, phases[:executed], ctxs)
+                trace("execute_end", v, phases[:executed], me)
+                place(core.commit(me, completed)[0])
+            last_progress = time.monotonic()
+            if failure is not None:
+                raise failure
+            if executed < len(phases):
+                # The tail keeps its claims; its head is dispatched again,
+                # to wherever the vertex now lives.
+                drain["handovers"] += 1
+                place([(v, phases[executed])])
 
         def dispatch() -> bool:
             # Drain the ready backlog per worker, respecting sticky
             # assignment and the credit windows; extend each ready pair
             # into a claimed run of prepared contexts under one lock
-            # acquisition and ship the run as one frame.
-            nonlocal window_peak
+            # acquisition and ship the run as one frame — the first time,
+            # with the state the vertex's resident runs left.
+            nonlocal window_peak, send_cost, shipped_members
             if not pending:
                 return False
             batches, starved = pending.drain(
@@ -263,13 +396,19 @@ class ProcessEngine:
                 for v, p in pairs:
                     with lock:
                         prepared = list(zip(*core.claim(v, p)))
-                        for q, ctx in prepared:
-                            if tracer is not None:
-                                tracer.execute_begin((v, q), w)
-                            in_flight[(v, q)] = ctx
-                        run = run_from_contexts(v, prepared, interner)
+                        trace("execute_begin", v, (q for q, _ in prepared), w)
+                        in_flight.update(((v, q), ctx) for q, ctx in prepared)
+                        began = clock()
+                        state = None
+                        if v in unshipped:
+                            unshipped.discard(v)
+                            state = ("full", self.program.behavior(v).snapshot_state())
+                        run = run_from_contexts(v, prepared, interner, state)
                     worker_load[w] += len(prepared)
                     pool.submit_to_worker(w, encode(run))
+                    send_cost = (clock() - began) / len(prepared)
+                    shipped_members += len(prepared)
+                    drain["pooled_runs"] += 1
             # Backlog left a worker starved for credit: widen.
             for w in starved:
                 if windows[w] < _WINDOW_CAP:
@@ -279,10 +418,8 @@ class ProcessEngine:
             return bool(batches)
 
         def narrow_windows() -> None:
-            # A poll quantum elapsed with no result while every credit
-            # of a worker is spent: commits lag dispatch, so shrink its
-            # window (bounding in-flight context memory) rather than
-            # keep speculating deeper.
+            # A poll quantum passed with no result and every credit of a
+            # worker spent: commits lag dispatch, so shrink its window.
             for w in range(self.num_workers):
                 if worker_load[w] >= windows[w] > 1:
                     windows[w] -= 1
@@ -290,8 +427,7 @@ class ProcessEngine:
 
         def commit_run(results: List[ResultMsg]) -> None:
             # One worker reply = one run's results (its surviving prefix
-            # when a member failed): the members commit as one run, in
-            # one critical section, one ScheduleCore.commit call.
+            # when a member failed), committed in one critical section.
             if not results:
                 return
             worker_id, v = results[0].worker_id, results[0].vertex
@@ -304,154 +440,124 @@ class ProcessEngine:
                     [(res.outputs, res.records, res.suppressed) for res in results],
                 )
                 worker_load[worker_id] -= len(results)
-                if tracer is not None:
-                    for q in phases:
-                        tracer.execute_end((v, q), worker_id)
-                newly_ready, _ = core.commit(worker_id, completed)
-            pending.push(newly_ready)
+                trace("execute_end", v, phases, worker_id)
+                place(core.commit(worker_id, completed)[0])
 
-        def requeue_skipped(
-            worker_id: int, skipped: Sequence[Tuple[int, int]]
-        ) -> None:
-            # Tasks a worker declined to execute (an earlier task of the
-            # batch failed) are still in the coordinator's ready set:
-            # put them back at the head of the worker's bucket, oldest
-            # first, so a surviving run would re-dispatch them in order.
+        def requeue_skipped(worker_id: int, skipped: Sequence[Pair]) -> None:
+            # Members a worker skipped behind a failed one are still
+            # claimed here: back to the head of its bucket, oldest first.
             for pair in skipped:
                 in_flight.pop(pair, None)
                 worker_load[worker_id] -= 1
             pending.push_front(worker_id, skipped)
 
+        def receive(msg: object) -> None:
+            # One worker frame: a run's reply, or a crash report.
+            if isinstance(msg, WorkerCrashMsg):
+                raise EngineError(
+                    f"worker {msg.worker_id} crashed: {msg.message}"
+                )
+            assert isinstance(msg, ResultBatch)
+            if msg.skipped:
+                requeue_skipped(msg.worker_id, msg.skipped)
+            results: List[ResultMsg] = []
+            for res in msg.results:
+                if res.error is not None:
+                    # Commit the run's surviving prefix, then surface
+                    # the vertex failure as the root cause.
+                    commit_run(results)
+                    raise VertexExecutionError(
+                        self.program.numbering.name_of(res.vertex),
+                        res.phase,
+                        res.error,
+                    )
+                results.append(res)
+            commit_run(results)
+
         started = time.perf_counter()
-        error: Optional[BaseException] = None
         try:
             pool.start()
             last_progress = time.monotonic()
             while True:
                 progressed = False
-                # Listing 2, inlined: start phases as pacing and flow
-                # control allow.  In feed mode each phase is registered
-                # the moment the feed hands it over (incremental
-                # admission); ``held`` carries at most one prefetched
-                # phase from the idle wait below.
-                while can_start_phase():
-                    if feed is not None and not held:
-                        pi = feed.get(timeout=0)
-                        if pi is None:
-                            break
-                        held.append(pi)
-                    with lock:
-                        newly_ready = core.admit(1, held.pop() if held else None)
-                    pending.push(newly_ready)
-                    last_phase_start = time.monotonic()
+                while admit_burst():
                     progressed = True
                 if dispatch():
                     progressed = True
-                if not in_flight:
-                    stream_done = (
-                        core.phases_unadmitted <= 0
-                        if feed is None
-                        else (feed.drained and not held)
-                    )
-                    if (stream_done or stopping()) and core.quiescent:
-                        break  # quiescent: every started phase committed
-                    if progressed:
+                if in_flight:
+                    # Replies first, so workers stay fed; block for one
+                    # only with no run to execute here meanwhile.
+                    began = clock()
+                    msg = pool.collect(timeout=0 if mine else _POLL_S)
+                    if msg is not None:
+                        if isinstance(msg, ResultBatch) and msg.results:
+                            recv_cost = (clock() - began) / len(msg.results)
+                        last_progress = time.monotonic()
+                        receive(msg)
                         continue
-                    if feed is not None:
-                        # Idle: nothing in flight, nothing startable —
-                        # park on the feed until a phase arrives or the
-                        # producer closes it.  (With a phase already
-                        # held, idling means flow control or pacing is
-                        # gating it: sleep a tick and re-check.)
-                        if not held:
-                            pi = feed.get(timeout=_POLL_S)
-                            if pi is not None:
-                                held.append(pi)
-                        else:
-                            time.sleep(_POLL_S)
-                        continue
-                    if self.env.pacing and core.phases_unadmitted > 0:
-                        # Idle only because the environment is pacing.
-                        time.sleep(
-                            min(
-                                self.env.pacing,
-                                max(
-                                    0.0,
-                                    last_phase_start
-                                    + self.env.pacing
-                                    - time.monotonic(),
-                                )
-                                + 1e-4,
-                            )
-                        )
-                        continue
-                    raise EngineError(
-                        f"engine stalled before quiescence: in-flight "
-                        f"phases {core.state.in_flight_phases()!r}"
-                    )
-                # Collect one result frame (bounded poll) and commit it.
-                msg = pool.collect(timeout=_POLL_S)
-                if msg is None:
-                    dead = pool.dead_workers()
-                    if dead:
-                        # Give a queued crash report precedence over the
-                        # bare exit code.
-                        crash = pool.collect_nowait()
-                        if isinstance(crash, WorkerCrashMsg):
+                    if not mine:
+                        dead = pool.dead_workers()
+                        if dead:
+                            # Give a queued crash report precedence over
+                            # the bare exit code.
+                            crash = pool.collect(timeout=0)
+                            if isinstance(crash, WorkerCrashMsg):
+                                receive(crash)
+                            wid, code = dead[0]
                             raise EngineError(
-                                f"worker {crash.worker_id} crashed: "
-                                f"{crash.message}"
+                                f"worker {wid} died (exit code {code}) with "
+                                f"{len(in_flight)} pairs in flight"
                             )
-                        wid, code = dead[0]
-                        raise EngineError(
-                            f"worker {wid} died (exit code {code}) with "
-                            f"{len(in_flight)} pairs in flight"
-                        )
-                    narrow_windows()
-                    if time.monotonic() - last_progress > self.join_timeout:
-                        raise EngineError(
-                            f"run wedged: no worker result within "
-                            f"{self.join_timeout}s "
-                            f"({len(in_flight)} pairs in flight)"
-                        )
+                        narrow_windows()
+                        if time.monotonic() - last_progress > self.join_timeout:
+                            raise EngineError(
+                                f"run wedged: no progress within "
+                                f"{self.join_timeout}s "
+                                f"({len(in_flight)} pairs in flight)"
+                            )
+                        continue
+                if mine:
+                    run_resident(*mine.popleft())
                     continue
-                last_progress = time.monotonic()
-                if isinstance(msg, WorkerCrashMsg):
-                    raise EngineError(
-                        f"worker {msg.worker_id} crashed: {msg.message}"
-                    )
-                assert isinstance(msg, ResultBatch)
-                if msg.skipped:
-                    requeue_skipped(msg.worker_id, msg.skipped)
-                results: List[ResultMsg] = []
-                for res in msg.results:
-                    if res.error is not None:
-                        # Commit the run's surviving prefix, then surface
-                        # the vertex failure as the root cause.
-                        commit_run(results)
-                        raise VertexExecutionError(
-                            self.program.numbering.name_of(res.vertex),
-                            res.phase,
-                            res.error,
-                        )
-                    results.append(res)
-                commit_run(results)
-            # Graceful drain: collect final vertex state deltas and
-            # apply them coordinator-side (the coordinator's behaviours
-            # still hold the spawn-time baseline), so program state
-            # after the run matches a serial execution.
+                if feed is None:
+                    stream_done = core.phases_unadmitted <= 0
+                else:
+                    stream_done = feed.drained and not held
+                if (stream_done or stopping()) and core.quiescent:
+                    break  # quiescent: every started phase committed
+                if progressed:
+                    continue
+                if feed is not None:
+                    # Idle: park on the feed until a phase arrives or the
+                    # producer closes it.  (A phase already held is gated
+                    # by flow control or pacing: sleep a tick, re-check.)
+                    if not held:
+                        pi = feed.get(timeout=_POLL_S)
+                        if pi is not None:
+                            held.append(pi)
+                    else:
+                        time.sleep(_POLL_S)
+                    continue
+                if self.env.pacing and core.phases_unadmitted > 0:
+                    # Idle only because the environment is pacing.
+                    due = last_phase_start + self.env.pacing - time.monotonic()
+                    time.sleep(min(self.env.pacing, max(0.0, due) + 1e-4))
+                    continue
+                raise EngineError(
+                    f"engine stalled before quiescence: in-flight "
+                    f"phases {core.state.in_flight_phases()!r}"
+                )
+            # Graceful drain: apply the promoted vertices' final state
+            # deltas to this process's copies (which still hold the state
+            # they were promoted with): post-run state matches serial.
             finals = pool.shutdown(self.join_timeout, collect_state=True)
             for final in finals.values():
                 for name, delta in final.deltas.items():
                     self.program.behaviors[name].apply_delta(delta)
-        except BaseException as exc:
-            error = exc
+        except BaseException:
             # Crash path: never mask the root cause with shutdown issues.
             pool.terminate()
             raise
-        finally:
-            if error is None and not finals:
-                pool.terminate()  # pragma: no cover - defensive
         elapsed = time.perf_counter() - started
 
         wire = pool.wire.summary()
@@ -469,6 +575,7 @@ class ProcessEngine:
                 },
                 "ipc_round_trips": task_frames,
                 "serialization_bytes": wire,
+                "drain": drain,
                 "ipc": {
                     "window_final": dict(sorted(windows.items())),
                     "window_peak": window_peak,
@@ -476,10 +583,9 @@ class ProcessEngine:
                     "window_narrowings": window_events["narrowings"],
                     "task_frames": task_frames,
                     "mean_tasks_per_frame": (
-                        core.state.executed_pairs / task_frames
-                        if task_frames
-                        else 0.0
+                        shipped_members / task_frames if task_frames else 0.0
                     ),
+                    "promoted": promoted,
                     "interning": interner.summary(),
                 },
             },

@@ -6,14 +6,17 @@
   own task queue plus one shared result queue.  Vertices are assigned
   round-robin by numbering index (``worker_of(v) = (v - 1) % W``) and the
   assigned behaviours are shipped once, pickled, at spawn — the worker's
-  warm cache.  The start method defaults to ``fork`` where available
-  (cheap on Linux) and ``spawn`` elsewhere; either way behaviours cross
-  the boundary by explicit pickle, so picklability is exercised
-  uniformly.
+  warm cache, used from the moment the coordinator promotes a vertex.
+  The start method defaults to ``fork`` where available (cheap on Linux)
+  and ``spawn`` elsewhere; either way behaviours cross the boundary by
+  explicit pickle, so an unpicklable *program* fails here, before any
+  pair runs.  Each worker sets an event once it is up
+  (:meth:`ProcessWorkerPool.answered`): until then the coordinator
+  keeps its vertices, so it never waits for a boot.
 * **Graceful shutdown** — a :class:`~.protocol.ShutdownMsg` per worker,
   then a join with watchdog timeout; the workers' parting
   :class:`~.protocol.FinalStateMsg` frames (vertex-state deltas,
-  busy-seconds, executed counts) are collected for the engine.
+  busy-seconds) are collected for the engine.
 * **Crash shutdown** — :meth:`terminate` kills outright; used when the
   run already failed and the root cause must not be masked by a wedged
   drain (the error-preference discipline of the threaded engine's
@@ -85,6 +88,7 @@ class ProcessWorkerPool:
         self.wire = WireStats()
         self._task_queues: List[Any] = []
         self._processes: List[Any] = []
+        self._ready: List[Any] = []
         self.result_queue: Any = None
         self._started = False
 
@@ -120,6 +124,7 @@ class ProcessWorkerPool:
             self.wire.count("warmup", blob)
             self.wire.count("warmup", elidable_blob)
             task_queue = self._ctx.Queue()
+            ready = self._ctx.Event()
             process = self._ctx.Process(
                 target=worker_main,
                 args=(
@@ -128,15 +133,21 @@ class ProcessWorkerPool:
                     self.result_queue,
                     blob,
                     elidable_blob,
+                    ready,
                 ),
                 name=f"repro-worker-{worker_id}",
                 daemon=True,
             )
             self._task_queues.append(task_queue)
             self._processes.append(process)
+            self._ready.append(ready)
         for process in self._processes:
             process.start()
         self._started = True
+
+    def answered(self, worker_id: int) -> bool:
+        """Whether *worker_id* has booted and reported in."""
+        return self._ready[worker_id].is_set()
 
     def submit_to_worker(self, worker_id: int, frame: bytes) -> None:
         """Send an encoded :class:`~.protocol.RunMsg` to *worker_id*'s
@@ -145,23 +156,14 @@ class ProcessWorkerPool:
         self._task_queues[worker_id].put(frame)
 
     def collect(self, timeout: float) -> Optional[object]:
-        """Next worker message within *timeout* seconds, or ``None``.
+        """Next worker message within *timeout* seconds (0: only one
+        already queued), or ``None``.
 
         The frame's bytes are metered under the class of the *decoded*
         message (result_batches / final_state), so every received byte
         lands in exactly one class."""
         try:
             frame = self.result_queue.get(timeout=timeout)
-        except queue_mod.Empty:
-            return None
-        msg = decode(frame)
-        self.wire.count(traffic_class_of(msg), frame)
-        return msg
-
-    def collect_nowait(self) -> Optional[object]:
-        """Next worker message if one is already queued, else ``None``."""
-        try:
-            frame = self.result_queue.get_nowait()
         except queue_mod.Empty:
             return None
         msg = decode(frame)

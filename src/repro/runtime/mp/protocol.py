@@ -15,6 +15,10 @@ below, pickled into a bytes frame by :func:`encode` and restored by
   header and one queue round trip regardless of how many members it
   carries, and values repeated across them (latched inputs that did not
   change) are pickled once and back-referenced — see :class:`Interner`.
+  The first frame of a vertex the coordinator has *promoted* (it ran the
+  vertex itself until then) also carries the state those runs left, in
+  ``state``, so it reaches the worker exactly once and ahead of every
+  member that needs it.
 * :class:`ResultBatch` — worker -> coordinator, the only result frame:
   one :class:`ResultMsg` entry per executed member of a :class:`RunMsg`,
   in member order.  When a member fails, the batch carries every result
@@ -23,9 +27,10 @@ below, pickled into a bytes frame by :func:`encode` and restored by
   coordinator can commit the survivors before surfacing the error.
 * :class:`ShutdownMsg` — coordinator -> worker: drain and exit; with
   ``collect_state=True`` the worker answers with a :class:`FinalStateMsg`
-  carrying a :meth:`~repro.core.vertex.Vertex.snapshot_delta` per cached
-  behaviour (relative to its spawn-time state), so the coordinator can
-  re-synchronise its own program state by paying only for what changed.
+  carrying a :meth:`~repro.core.vertex.Vertex.snapshot_delta` per
+  promoted behaviour (relative to the state it adopted), so the
+  coordinator can re-synchronise its own program state by paying only
+  for what changed.
 * :class:`WorkerCrashMsg` — worker -> coordinator: the worker loop itself
   failed (bad frame, unpicklable state, ...).  Distinct from a vertex
   failure so the engine can report the right root cause.
@@ -94,12 +99,16 @@ class RunMember:
 @dataclass(frozen=True, slots=True)
 class RunMsg:
     """A run (v, [p..p+k]), one member or many: members execute
-    back-to-back worker-side, in the order given (ascending phase)."""
+    back-to-back worker-side, in the order given (ascending phase).
+    ``state``, on a promoted vertex's first frame only, is an
+    :meth:`~repro.core.vertex.Vertex.apply_delta` payload the worker
+    applies (and re-baselines on) before the first member."""
 
     vertex: int
     name: str
     successors: Tuple[str, ...]
     members: Tuple[RunMember, ...] = ()
+    state: Any = None
 
 
 @_positional
@@ -157,19 +166,19 @@ class ShutdownMsg:
 @dataclass(frozen=True, slots=True)
 class FinalStateMsg:
     """The worker's parting report: per-vertex state deltas (when
-    requested), cumulative busy seconds, and executed-pair count.
+    requested) and cumulative busy seconds.
 
-    ``deltas`` maps vertex name to a
+    ``deltas`` maps the name of each vertex this worker adopted to a
     :meth:`~repro.core.vertex.Vertex.snapshot_delta` payload taken
-    against the behaviour's spawn-time state — which is exactly the state
-    the coordinator's own copy still holds, because the compute step only
-    ever runs worker-side.
+    against the adopted state — which is exactly the state the
+    coordinator's own copy still holds, because promotion is one-way.  A
+    vertex that never left the coordinator is not named: its worker copy
+    is stale, and a delta ships RNGs and arrays unconditionally.
     """
 
     worker_id: int
     deltas: Dict[str, Any] = field(default_factory=dict)
     busy_s: float = 0.0
-    executed: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,6 +292,7 @@ def run_from_contexts(
     v: int,
     prepared: Sequence[Tuple[int, VertexContext]],
     interner: Interner,
+    state: Any = None,
 ) -> RunMsg:
     """Snapshot a claimed run's prepared contexts into one run frame.
 
@@ -310,6 +320,7 @@ def run_from_contexts(
             )
             for p, ctx in prepared
         ),
+        state=state,
     )
 
 

@@ -1,12 +1,14 @@
 """The worker-process main loop.
 
 Each worker owns a **warm cache** of the vertex behaviours assigned to it
-(sticky assignment: a vertex's every phase executes on the same worker),
-unpickled once at startup from the blob the coordinator shipped.  Because
+(sticky assignment: once the coordinator, where every vertex starts out,
+promotes one, its every later phase executes on the same worker),
+unpickled once at startup from the blob the coordinator shipped.  The
+first :class:`~.protocol.RunMsg` of a vertex carries the state its
+coordinator-side runs left, applied before the first member.  Because
 the scheduler serialises a vertex's phases — ``(v, p+1)`` becomes ready
-only after ``(v, p)`` completed — the cached behaviour's state evolves
-exactly as it would in the serial oracle, with no state round-tripping
-per task.
+only after ``(v, p)`` completed — the cached behaviour's state then
+evolves exactly as in the serial oracle, with no state per task.
 
 The loop mirrors the computation thread of Listing 1 with the critical
 sections removed: dequeue a :class:`~.protocol.RunMsg`, execute the
@@ -20,10 +22,11 @@ them once.  Value-equal outputs are suppressed here, before they are
 serialized (:class:`_SuppressFilter`).  All scheduling-set bookkeeping
 stays coordinator-side, under the coordinator's lock.
 
-At startup the worker snapshots each behaviour's spawn-time state; the
+On adopting a vertex the worker snapshots the adopted state; the
 shutdown reply carries :meth:`~repro.core.vertex.Vertex.snapshot_delta`
-payloads against those baselines, so re-synchronising the coordinator
-costs bytes proportional to what actually changed.
+payloads against those baselines — for adopted vertices only — so
+re-synchronising the coordinator costs bytes proportional to what
+actually changed.
 
 A vertex exception becomes an error :class:`~.protocol.ResultMsg` entry
 (the coordinator re-raises it as
@@ -244,32 +247,33 @@ def worker_main(
     result_queue: Any,
     behaviors_blob: bytes,
     elidable_blob: bytes,
+    ready: Any,
 ) -> None:
     """Entry point of one worker process.
 
     *behaviors_blob* is the pickled ``{vertex name: Vertex}`` mapping for
     this worker's assigned vertices — the warm cache.  *elidable_blob*
     pickles the change-suppression map ``{vertex name: frozenset of
-    successor names}`` (see :class:`_SuppressFilter`).  Queue elements
-    are protocol frames (bytes); see :mod:`~repro.runtime.mp.protocol`.
+    successor names}`` (see :class:`_SuppressFilter`).  *ready* is the
+    event this worker sets once both are unpickled: the coordinator
+    promotes no vertex to a worker that has not.  Queue elements are
+    protocol frames (bytes); see :mod:`~repro.runtime.mp.protocol`.
     """
     try:
         behaviors: Dict[str, Vertex] = decode(behaviors_blob)
-        baselines: Dict[str, Any] = {
-            name: beh.snapshot_state() for name, beh in behaviors.items()
-        }
+        baselines: Dict[str, Any] = {}  # adopted vertices only
         suppress_filter = _SuppressFilter(decode(elidable_blob))
         interner = Interner()
         busy_s = 0.0
-        executed = 0
+        ready.set()
         while True:
             msg = decode(task_queue.get())
             if isinstance(msg, ShutdownMsg):
                 deltas: Dict[str, Any] = {}
                 if msg.collect_state:
                     deltas = {
-                        name: beh.snapshot_delta(baselines[name])
-                        for name, beh in behaviors.items()
+                        name: behaviors[name].snapshot_delta(baseline)
+                        for name, baseline in baselines.items()
                     }
                 result_queue.put(
                     encode(
@@ -277,16 +281,18 @@ def worker_main(
                             worker_id=worker_id,
                             deltas=deltas,
                             busy_s=busy_s,
-                            executed=executed,
                         )
                     )
                 )
                 return
+            behavior = behaviors[msg.name]
+            if msg.state is not None:
+                behavior.apply_delta(msg.state)
+                baselines[msg.name] = behavior.snapshot_state()
             results, skipped = _compute_run(
-                worker_id, behaviors[msg.name], msg, suppress_filter, interner
+                worker_id, behavior, msg, suppress_filter, interner
             )
             busy_s += sum(result.compute_s for result in results)
-            executed += len(results)
             result_queue.put(_encode_result_batch(worker_id, results, skipped))
     except (KeyboardInterrupt, SystemExit):  # terminate() / Ctrl-C paths
         raise

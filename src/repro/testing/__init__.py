@@ -26,6 +26,7 @@ from .fuzz import (
     fuzz,
     fuzz_process,
     process_config_for_run,
+    scripted_placement,
     replay_failure,
     run_one,
     run_one_process,
@@ -72,6 +73,7 @@ __all__ = [
     "fuzz_process",
     "make_policy",
     "process_config_for_run",
+    "scripted_placement",
     "replay_failure",
     "run_one",
     "run_one_process",

@@ -27,6 +27,8 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -63,6 +65,7 @@ __all__ = [
     "run_one_process",
     "fuzz_process",
     "process_config_for_run",
+    "scripted_placement",
     "replay_failure",
     "shrink",
     "write_failure_artifacts",
@@ -630,10 +633,44 @@ def fuzz(
 
 def process_config_for_run(master_seed: int, index: int) -> Dict[str, object]:
     """Derive run *index*'s process-engine configuration — the worker
-    count, which decides the sticky vertex partition — from the master
-    seed."""
+    count, which decides the sticky vertex partition, and the placement
+    regime (``remote``: under :func:`scripted_placement`, so the wire is
+    exercised; else the real clock, on which these vertices stay in the
+    coordinator) — from the master seed."""
     rs = random.Random(f"fuzz-process:{master_seed}:{index}")
-    return {"workers": rs.randint(1, 3)}
+    return {"workers": rs.randint(1, 3), "remote": rs.random() < 0.5}
+
+
+@contextmanager
+def scripted_placement(
+    clock: Callable[[], float] = lambda: 0.0, dear_runs: int = 1
+):
+    """Script where :class:`~repro.runtime.mp.ProcessEngine` executes:
+    swap its placement clock and promotion streak, and start no run
+    before its workers are up (a small one otherwise ends first, all
+    resident).  The defaults — a clock that stands still, on which
+    nothing reads cheap, and a streak of one — promote every vertex at
+    its first pair: the wire under test."""
+    from ..runtime.mp import engine
+    from ..runtime.mp.lifecycle import ProcessWorkerPool as Pool
+
+    start = Pool.start
+
+    def start_and_wait(pool: Any) -> None:
+        start(pool)
+        while not (
+            all(map(pool.answered, range(pool.num_workers)))
+            or pool.dead_workers()
+        ):
+            time.sleep(0.001)
+
+    saved = engine._clock, engine._DEAR_RUNS
+    engine._clock, engine._DEAR_RUNS, Pool.start = clock, dear_runs, start_and_wait
+    try:
+        yield
+    finally:
+        engine._clock, engine._DEAR_RUNS = saved
+        Pool.start = start
 
 
 def run_one_process(
@@ -663,7 +700,7 @@ def run_one_process(
     }
     desc = (
         f"process[w={config['workers']},{start_method}"
-        f"{',fused' if fuse else ''}]"
+        f"{',fused' if fuse else ''}{',remote' if config.get('remote') else ''}]"
     )
     outcome = RunOutcome(spec=spec, policy_desc=desc, passed=False)
     engine = ProcessEngine(
@@ -673,7 +710,8 @@ def run_one_process(
         start_method=start_method,
     )
     try:
-        result = engine.run(phases)
+        with scripted_placement() if config.get("remote") else nullcontext():
+            result = engine.run(phases)
     except Exception as exc:  # noqa: BLE001 - judged, not a harness crash
         outcome.error = exc
         outcome.serial = serial

@@ -86,6 +86,18 @@ def harness():
     return VertexHarness
 
 
+@pytest.fixture
+def process_remote():
+    """Keep the process wire under test: on a clock that stands still
+    nothing reads cheap, so ``ProcessEngine`` promotes every vertex at
+    its first pair (which the coordinator executes) and every later pair
+    crosses the pipe."""
+    from repro.testing import scripted_placement
+
+    with scripted_placement():
+        yield
+
+
 # ---------------------------------------------------------------------------
 # Tiny reusable programs
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from its ``on_execute``.
 """
 
 import threading
+from contextlib import contextmanager
+from unittest import mock
 
 from repro.runtime.backend import ThreadingBackend
 
@@ -70,3 +72,47 @@ class RegimeClockBackend(ThreadingBackend):
     def spend(self, seconds):
         """Advance the calling thread's clock: scripted compute time."""
         self._local.now = getattr(self._local, "now", 0.0) + seconds
+
+
+class ProcessRegimeClock:
+    """The process coordinator's placement clock, scripted.
+
+    :class:`~repro.runtime.mp.ProcessEngine` keeps a vertex in the
+    coordinator while computing one of its runs costs this thread less
+    CPU than marshalling that run would, both read through
+    ``repro.runtime.mp.engine._clock``
+    (:func:`repro.testing.scripted_placement` swaps it).  This clock
+    stands still except where the script says otherwise: every frame the
+    coordinator encodes (the unsent one it prices the trip with
+    included) costs ``wire`` seconds, and compute costs nothing — so
+    every vertex stays resident — until an ``on_execute`` calls
+    :meth:`spend`.
+    """
+
+    def __init__(self, wire=1.0):
+        self.wire = wire
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+    def spend(self, seconds):
+        """Advance the clock: scripted compute time."""
+        self.now += seconds
+
+    @contextmanager
+    def scripted(self, dear_runs):
+        """Script the engine inside the ``with``: this clock, promotion
+        after *dear_runs* dear runs in a row."""
+        from repro.runtime.mp import engine
+        from repro.testing import scripted_placement
+
+        real_encode = engine.encode
+
+        def encode(msg):
+            self.now += self.wire
+            return real_encode(msg)
+
+        with mock.patch.object(engine, "encode", encode):
+            with scripted_placement(self, dear_runs):
+                yield self

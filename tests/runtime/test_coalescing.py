@@ -187,6 +187,16 @@ class TestMidRunSalvage:
             pool.terminate()
 
     def test_engine_surfaces_exact_phase_and_stays_reusable(self):
+        # The run computes in the coordinator (a microsecond vertex).
+        self.check_engine_surfaces_exact_phase()
+
+    def test_engine_surfaces_exact_phase_from_a_shipped_run(
+        self, process_remote
+    ):
+        # a@1 staked in the coordinator, a@2.. shipped: the same fault.
+        self.check_engine_surfaces_exact_phase()
+
+    def check_engine_surfaces_exact_phase(self):
         prog = _solo_program(_BoomMidRun())
         engine = ProcessEngine(prog, num_workers=1)
         with pytest.raises(VertexExecutionError) as exc_info:

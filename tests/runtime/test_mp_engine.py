@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from repro.analysis.serializability import assert_serializable
+from repro.analysis.stats import validate_engine_stats
 from repro.core.invariants import InvariantChecker
 from repro.core.program import Program
 from repro.core.serial import SerialExecutor
@@ -215,10 +216,11 @@ class TestFailureHandling:
 
 
 class TestStatsSchema:
-    def test_stats_keys_present(self):
+    def test_stats_keys_present(self, process_remote):
         prog, phases = grid_workload(3, 2, phases=6, seed=3)
         res = ProcessEngine(prog, num_workers=2).run(phases)
         stats = res.stats
+        assert validate_engine_stats(res.engine, stats) == []
         assert stats["num_workers"] == 2
         assert stats["start_method"] == default_start_method()
         for key in ("acquisitions", "contended_acquisitions",
@@ -227,6 +229,9 @@ class TestStatsSchema:
         assert sum(stats["per_worker_executions"].values()) == (
             res.execution_count
         )
+        # The coordinator executes too (slot num_workers); utilization
+        # stays the workers'.
+        assert set(stats["per_worker_executions"]) == {0, 1, 2}
         assert set(stats["per_worker_utilization"]) == {0, 1}
         assert all(u >= 0.0 for u in stats["per_worker_utilization"].values())
         wire = stats["serialization_bytes"]
@@ -235,21 +240,26 @@ class TestStatsSchema:
             assert wire[cls]["bytes"] > 0
         assert wire["total_bytes"] > 0
         assert "task_batches" not in wire
-        # One frame per dispatched run (a single pair is a run of one),
+        # One frame per shipped run (a single pair is a run of one),
         # answered by one reply frame each.
         assert "tasks" not in wire and "results" not in wire
         frames = wire["runs"]["messages"]
         assert stats["ipc_round_trips"] == frames >= 1
-        assert frames == stats["coalescing"]["runs_scheduled"]
+        drain = stats["drain"]
+        assert frames == drain["pooled_runs"]
+        assert drain["inline_runs"] + frames == (
+            stats["coalescing"]["runs_scheduled"]
+        )
         assert wire["result_batches"]["messages"] == frames
         assert stats["ipc"]["task_frames"] == frames
         assert "batching" not in stats
         assert stats["edge_entries_peak"] >= stats["edge_entries_final"]
 
-    def test_sticky_assignment_covers_all_workers(self):
+    def test_sticky_assignment_covers_all_workers(self, process_remote):
         prog, phases = grid_workload(3, 3, phases=8, seed=4)
         res = ProcessEngine(prog, num_workers=3).run(phases)
-        # 12 vertices over 3 workers: every worker executes something.
+        # 12 promoted vertices over 3 workers: every worker executes
+        # something (and the coordinator each vertex's first pair).
         assert all(
             count > 0
             for count in res.stats["per_worker_executions"].values()

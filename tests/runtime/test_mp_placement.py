@@ -1,0 +1,319 @@
+"""Where the process engine executes a vertex, and that its state moves
+exactly once.
+
+:class:`~repro.runtime.mp.ProcessEngine` starts every vertex in the
+coordinator and promotes it to its sticky worker — one-way — once
+``_DEAR_RUNS`` runs in a row each cost the coordinator more CPU to
+compute than marshalling them would.  These tests script both sides of
+that comparison (:class:`~tests.runtime.regime_clock.ProcessRegimeClock`):
+a frame costs ``WIRE`` seconds, compute nothing until a vertex spends
+``DEAR``.  Every vertex notes the process each phase ran in; the note is
+behaviour state, so the worker's entries come home with the final delta.
+"""
+
+import os
+import time
+
+import pytest
+
+from repro.core.program import Program
+from repro.core.serial import SerialExecutor
+from repro.core.vertex import Vertex
+from repro.errors import EngineError, VertexExecutionError
+from repro.events import PhaseInput
+from repro.graph.model import ComputationGraph
+from repro.models.basic import Recorder
+from repro.models.sensors import RandomWalkSensor
+from repro.models.statistics import ZScoreDetector
+from repro.runtime.environment import EnvironmentConfig
+from repro.runtime.feed import PhaseFeed
+from repro.runtime.mp import ProcessEngine, engine as mp_engine
+from repro.runtime.mp.lifecycle import ProcessWorkerPool
+
+from tests.models.test_pickling import normalized
+from tests.runtime.regime_clock import ProcessRegimeClock
+
+WIRE = 50e-6  # what marshalling one frame costs on the scripted clock
+DEAR = 5e-3  # a scripted compute cost far above it
+ONE_AT_A_TIME = EnvironmentConfig(max_in_flight_phases=1)  # runs of one
+CLOCK = ProcessRegimeClock(WIRE)  # the coordinator's; a worker's copy is inert
+
+
+class Scripted:
+    """Mixin: compute reads dear in the phases ``dear`` holds, and every
+    phase notes the process it ran in."""
+
+    dear = ()
+
+    def on_execute(self, ctx):
+        if ctx.phase in self.dear:
+            CLOCK.spend(DEAR)
+        self.__dict__.setdefault("where", {})[ctx.phase] = os.getpid()
+        return super().on_execute(ctx)
+
+
+class Walk(Scripted, RandomWalkSensor):
+    pass
+
+
+class Detect(Scripted, ZScoreDetector):
+    pass
+
+
+class Sink(Scripted, Recorder):
+    pass
+
+
+class ThirdOfAStake(Detect):
+    """Each member costs 0.4 frames: a run staked at one frame's worth
+    is cut after its third."""
+
+    def on_execute(self, ctx):
+        CLOCK.spend(0.4 * WIRE)
+        return super().on_execute(ctx)
+
+
+class BoomAtFive(Vertex):
+    def on_execute(self, ctx):
+        if ctx.phase == 5:
+            raise ValueError("kaboom")
+        return ("ok", ctx.phase)
+
+
+class Napper(Vertex):
+    """Sleeps (wall time, no CPU): ``naps`` seconds per phase in the
+    coordinator, ``far_nap`` once, at phase 2, in a worker."""
+
+    def __init__(self, naps=0.0, far_nap=0.0, dear=()):
+        self.naps, self.far_nap, self.dear = naps, far_nap, dear
+        self.home = os.getpid()
+
+    def on_execute(self, ctx):
+        if ctx.phase in self.dear:
+            CLOCK.spend(DEAR)
+        if os.getpid() == self.home:
+            time.sleep(self.naps)
+        elif ctx.phase == 2:
+            time.sleep(self.far_nap)
+        return ("ok", ctx.phase)
+
+
+def chain(detector=Detect, **dear):
+    """walk -> detect -> sink; ``dear[name]`` are that vertex's dear phases."""
+    g = ComputationGraph("chain")
+    for name in ("walk", "detect", "sink"):
+        g.add_vertex(name)
+    g.add_edge("walk", "detect")
+    g.add_edge("detect", "sink")
+    behaviors = {
+        "walk": Walk(seed=7, step=1.0),
+        "detect": detector(window=6, threshold=1.2),
+        "sink": Sink(),
+    }
+    for name, phases in dear.items():
+        behaviors[name].dear = phases
+    return Program(g, behaviors)
+
+
+def solo(behavior):
+    g = ComputationGraph("solo")
+    g.add_vertex("a")
+    return Program(g, {"a": behavior})
+
+
+def signals(n):
+    return [PhaseInput(p, float(p)) for p in range(1, n + 1)]
+
+
+def state(program):
+    """Behaviour state by value, without the where-it-ran notes."""
+    out = {}
+    for name, beh in program.behaviors.items():
+        snapshot = beh.snapshot_state()
+        snapshot.pop("where", None)
+        out[name] = normalized(snapshot)
+    return out
+
+
+def oracle(program, phases):
+    serial = SerialExecutor(program).run(phases)
+    return serial.records, state(program)
+
+
+def here(program, name):
+    """The phases of *name* that ran in this (the coordinator's) process."""
+    where = program.behaviors[name].where
+    return sorted(p for p, pid in where.items() if pid == os.getpid())
+
+
+@pytest.fixture
+def clock():
+    CLOCK.now = 0.0
+    with CLOCK.scripted(dear_runs=mp_engine._DEAR_RUNS):
+        yield CLOCK
+
+
+@pytest.fixture
+def finals(monkeypatch):
+    """The FinalStateMsg of every worker of the runs of this test."""
+    seen = []
+    shutdown = ProcessWorkerPool.shutdown
+
+    def recording(pool, *args, **kwargs):
+        out = shutdown(pool, *args, **kwargs)
+        seen.extend(out.values())
+        return out
+
+    monkeypatch.setattr(ProcessWorkerPool, "shutdown", recording)
+    return seen
+
+
+class TestPlacementRule:
+    def test_cheap_vertices_never_leave_the_coordinator(self, clock, finals):
+        program = chain()
+        records, final = oracle(program, signals(20))
+        result = ProcessEngine(program, 2, env=ONE_AT_A_TIME).run(signals(20))
+        assert result.records == records and state(program) == final
+        stats = result.stats
+        assert stats["ipc"]["promoted"] == []
+        assert stats["ipc_round_trips"] == stats["drain"]["pooled_runs"] == 0
+        assert stats["per_worker_executions"][2] == result.execution_count
+        assert here(program, "detect") == list(range(1, 21))
+        # An unpromoted worker copy is stale: it must not come home.
+        assert [final.deltas for final in finals] == [{}, {}]
+
+    def test_one_slow_sample_moves_nothing(self, clock):
+        # A 5 ms stall in a single run of a microsecond vertex — a lost
+        # quantum, a collector pause — and, later, as many in a row as
+        # the streak allows short of promotion.
+        streak = mp_engine._DEAR_RUNS
+        stalls = (4, *range(8, 8 + streak - 1))
+        program = chain(detect=stalls)
+        records, final = oracle(program, signals(16))
+        result = ProcessEngine(program, 2, env=ONE_AT_A_TIME).run(signals(16))
+        assert result.records == records and state(program) == final
+        assert result.stats["ipc"]["promoted"] == []
+        assert result.stats["drain"]["pooled_runs"] == 0
+
+    def test_a_vertex_that_turns_dear_is_promoted_within_the_streak(
+        self, clock, finals
+    ):
+        streak, k = mp_engine._DEAR_RUNS, 5
+        program = chain(detect=range(k, 100))
+        records, final = oracle(program, signals(16))
+        result = ProcessEngine(program, 2, env=ONE_AT_A_TIME).run(signals(16))
+        assert result.records == records and state(program) == final
+        assert result.stats["ipc"]["promoted"] == ["detect"]
+        # Resident through its streak-th dear run, never again after it.
+        assert here(program, "detect") == list(range(1, k + streak))
+        assert here(program, "walk") == list(range(1, 17))
+        assert result.stats["drain"]["pooled_runs"] == 16 - (k + streak - 1)
+        # Only the promoted vertex's state comes home.
+        assert sorted(n for final in finals for n in final.deltas) == ["detect"]
+
+    def test_nothing_is_promoted_to_a_worker_that_has_not_answered(
+        self, clock, monkeypatch
+    ):
+        # Up for the scripted start's wait (one call per worker), then
+        # silent for every question the engine asks.
+        up = iter([True, True])
+        monkeypatch.setattr(
+            ProcessWorkerPool, "answered", lambda pool, w: next(up, False)
+        )
+        program = chain(detect=range(1, 100), sink=range(1, 100))
+        records, final = oracle(program, signals(10))
+        result = ProcessEngine(program, 2, env=ONE_AT_A_TIME).run(signals(10))
+        assert result.records == records and state(program) == final
+        assert result.stats["ipc"]["promoted"] == []
+        assert result.stats["ipc_round_trips"] == 0
+
+
+class TestStateMovesOnce:
+    @pytest.mark.parametrize("vertex", ["walk", "detect"])
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_promotion_after_k_resident_phases_ends_oracle_equal(
+        self, clock, vertex, k
+    ):
+        # A seeded source (its RNG ships with every delta) and a windowed
+        # detector: the state k resident phases left continues worker-side.
+        program = chain(**{vertex: range(k, 100)})
+        records, final = oracle(program, signals(14))
+        result = ProcessEngine(program, 2, env=ONE_AT_A_TIME).run(signals(14))
+        assert result.stats["ipc"]["promoted"] == [vertex]
+        moved = k + mp_engine._DEAR_RUNS
+        assert here(program, vertex) == list(range(1, moved))
+        assert sorted(program.behaviors[vertex].where) == list(range(1, 15))
+        assert result.records == records
+        assert state(program) == final
+
+    def test_a_cut_run_commits_its_prefix_and_ships_its_tail_once(self):
+        # A batch: the source's one run of 9 prices the trip at WIRE / 9 a
+        # member, so detect's run of 9 stakes WIRE and, at 0.4 WIRE a
+        # member, is cut after three.  Dear at once (a streak of one):
+        # members 1-3 are committed from here, 4-9 cross the pipe — once,
+        # behind the state the first three left.
+        CLOCK.now = 0.0
+        program = chain(ThirdOfAStake)
+        serial = SerialExecutor(program).run(signals(9))
+        final = state(program)
+        with CLOCK.scripted(dear_runs=1):
+            result = ProcessEngine(program, 2).run(signals(9))
+        assert here(program, "detect") == [1, 2, 3]
+        assert sorted(program.behaviors["detect"].where) == list(range(1, 10))
+        assert result.stats["ipc"]["promoted"] == ["detect"]
+        assert result.stats["drain"]["handovers"] == 1
+        assert sorted(result.executions) == sorted(serial.executions)
+        assert result.records == serial.records
+        assert state(program) == final
+
+
+def closed_feed(n):
+    feed = PhaseFeed(capacity=n)
+    for pi in signals(n):
+        feed.put(pi)
+    feed.close()
+    return feed
+
+
+class TestFaultsAndTheWatchdog:
+    @pytest.mark.parametrize("env", [ONE_AT_A_TIME, EnvironmentConfig()])
+    def test_a_resident_fault_names_its_phase_and_keeps_the_prefix(self, env):
+        # The real clock: a microsecond vertex never leaves the
+        # coordinator, whether its phases come as runs of one or as one
+        # run of eight.
+        engine = ProcessEngine(solo(BoomAtFive()), 1, env=env)
+        sunk = []
+        with pytest.raises(VertexExecutionError, match="kaboom") as exc_info:
+            engine.run_feed(
+                closed_feed(8), retire=True,
+                sink=lambda p, ts, entries: sunk.append((p, entries)),
+            )
+        assert (exc_info.value.vertex, exc_info.value.phase) == ("a", 5)
+        assert sunk == [(p, [("a", ("ok", p))]) for p in (1, 2, 3, 4)]
+        assert engine.run(signals(3)).execution_count == 3
+
+    def test_resident_work_is_progress_to_the_wedge_watchdog(self):
+        # "far" is promoted at its first pair and its worker then takes
+        # 0.7 s over the tail; meanwhile "near" keeps the coordinator
+        # busy for 10 x 0.05 s, longer than join_timeout.  Regression:
+        # only worker frames counted as progress, so the first poll
+        # after the resident run read "run wedged".
+        g = ComputationGraph("pair")
+        g.add_vertex("far")
+        g.add_vertex("near")
+        program = Program(g, {
+            "far": Napper(far_nap=0.7, dear=(1,)),
+            "near": Napper(naps=0.05),
+        })
+        CLOCK.now = 0.0
+        with CLOCK.scripted(dear_runs=1):
+            result = ProcessEngine(program, 1, join_timeout=0.4).run(signals(10))
+        assert result.stats["ipc"]["promoted"] == ["far"]
+        assert result.execution_count == 20
+
+    def test_a_silent_worker_still_trips_the_watchdog(self):
+        program = solo(Napper(far_nap=5.0, dear=(1,)))
+        CLOCK.now = 0.0
+        with CLOCK.scripted(dear_runs=1):
+            with pytest.raises(EngineError, match="run wedged"):
+                ProcessEngine(program, 1, join_timeout=0.3).run(signals(4))

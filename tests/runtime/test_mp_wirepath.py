@@ -8,6 +8,7 @@ window, and the byte-metering regression check (per-class wire stats
 must sum to the actual coordinator-side queue traffic).
 """
 
+import multiprocessing
 import os
 import pickle
 
@@ -127,7 +128,7 @@ class TestMidRunFailure:
         finally:
             pool.terminate()
 
-    def test_engine_surfaces_error_and_stays_reusable(self):
+    def test_engine_surfaces_error_and_stays_reusable(self, process_remote):
         prog = _solo_program(_BoomAtPhase2())
         engine = ProcessEngine(prog, num_workers=1)
         with pytest.raises(VertexExecutionError) as exc_info:
@@ -155,11 +156,14 @@ def _closed_feed(n):
 
 class _ExitHard(Vertex):
     def on_execute(self, ctx):
-        if ctx.phase == 2:
+        # Worker-side only: executed in the coordinator (a placement
+        # regression) this must fail the test, not end pytest.
+        if ctx.phase == 2 and multiprocessing.parent_process() is not None:
             os._exit(3)  # simulates a worker death mid-run
         return ("ok", ctx.phase)
 
 
+@pytest.mark.usefixtures("process_remote")
 class TestMidRunCrash:
     @pytest.mark.parametrize("max_in_flight", [1, None])
     @pytest.mark.parametrize("behavior, detail", [
@@ -537,6 +541,7 @@ class TestSnapshotDelta:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("process_remote")
 class TestWirePathEngine:
     def test_round_trips_scale_with_runs_not_executions(self):
         from repro.streams.workloads import pipeline_workload
@@ -557,8 +562,9 @@ class TestWirePathEngine:
         assert set(ipc) == {
             "window_final", "window_peak", "window_widenings",
             "window_narrowings", "task_frames", "mean_tasks_per_frame",
-            "interning",
+            "promoted", "interning",
         }
+        assert set(ipc["promoted"]) <= set(prog.behaviors)
         assert set(ipc["window_final"]) == {0, 1}
         assert ipc["task_frames"] == res.stats["ipc_round_trips"]
         assert ipc["interning"]["misses"] >= 0
@@ -623,7 +629,9 @@ class _MeteredQueue:
 
 
 class TestMeteringRegression:
-    def test_per_class_bytes_sum_to_pipe_traffic(self, monkeypatch):
+    def test_per_class_bytes_sum_to_pipe_traffic(
+        self, monkeypatch, process_remote
+    ):
         # Independently meter every byte the coordinator moves through
         # the queues, then require the engine's per-class accounting to
         # sum to exactly that (plus the warmup blobs, which travel via
@@ -656,6 +664,7 @@ class TestMeteringRegression:
         )
         assert wire["final_state"]["messages"] == 2  # one per worker
         assert wire["shutdown"]["messages"] == 2
+        assert wire["runs"]["messages"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,12 @@ One module instead of a matrix per feature (ROADMAP aim 3).  The axes:
   which these cheap vertices are drained inline by the environment
   thread; ``threaded-pooled``: a clock scripted so compute always reads
   dearer than the locked sections, so every run goes through the pool),
-  the process engine on real worker processes, the DES
+  the process engine on real worker processes, again in both placements
+  (``process``: the real clock, on which these vertices never leave the
+  coordinator; ``process-remote``: a clock that stands still, on which
+  nothing reads cheap, so every vertex is promoted at its first pair —
+  its state applied worker-side mid-run — and every later pair crosses
+  the pipe), the DES
   simulator in both of its modes: ``cone`` (what the real engines do) and
   ``global`` (Listings 1-2 as published), and ``inline`` — no engine at
   all, a single-threaded loop over
@@ -48,6 +53,7 @@ global mode really is the published schedule.
 
 import random
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import pytest
@@ -68,7 +74,12 @@ from repro.runtime.environment import EnvironmentConfig
 from repro.runtime.mp import ProcessEngine
 from repro.simulator import SimulatedEngine
 from repro.streams.workloads import pipeline_workload
-from repro.testing.fuzz import process_config_for_run, run_one, spec_for_run
+from repro.testing.fuzz import (
+    process_config_for_run,
+    run_one,
+    scripted_placement,
+    spec_for_run,
+)
 from repro.testing.schedule import make_policy
 
 from tests.models.test_pickling import normalized
@@ -78,8 +89,8 @@ SEED = 2025
 POLICIES = ("random", "round-robin", "priority", "random")
 
 ENGINES = (
-    "virtual", "threaded", "threaded-pooled", "process", "simulated-cone",
-    "simulated-global", "inline",
+    "virtual", "threaded", "threaded-pooled", "process", "process-remote",
+    "simulated-cone", "simulated-global", "inline",
 )
 #: Specs per cell: the virtual campaign is cheap and explores schedules,
 #: so it carries the breadth; every process run pays real forks.
@@ -88,6 +99,7 @@ CORPUS = {
     "threaded": 12,
     "threaded-pooled": 12,
     "process": 3,
+    "process-remote": 3,
     "simulated-cone": 8,
     "simulated-global": 8,
     "inline": 40,
@@ -157,7 +169,11 @@ class KeyedSpec:
 
 def small(engine):
     # Process runs stay small: each one spawns its own workers.
-    return {"max_vertices": 6, "max_phases": 4} if engine == "process" else {}
+    return {"max_vertices": 6, "max_phases": 4} if process(engine) else {}
+
+
+def process(engine):
+    return engine.startswith("process")
 
 
 FAMILIES = {
@@ -171,12 +187,12 @@ FAMILIES = {
         spec_for_run(SEED, i, **small(e)), elidable=True
     ),
     "pipeline": lambda e, i: PipelineSpec(
-        depth=4 + i % 4, phases=(10 if e == "process" else 30) + 5 * (i % 3),
+        depth=4 + i % 4, phases=(10 if process(e) else 30) + 5 * (i % 3),
         seed=i,
     ),
     # Jitter 1.6 delivers a tick's stragglers after the next tick's events.
     "keyed": lambda e, i: KeyedSpec(
-        num_keys=2 + i % 3, ticks=(12 if e == "process" else 16) + i % 5,
+        num_keys=2 + i % 3, ticks=(12 if process(e) else 16) + i % 5,
         seed=i, delay_jitter=(0.4, 1.0, 1.6)[i % 3],
     ),
 }
@@ -254,15 +270,17 @@ def run_cell(engine, spec, index, fuse):
             plan, num_threads=spec.threads, env=env, backend=backend
         ).run(phases)
         assert validate_engine_stats(result.engine, result.stats) == [], where
-    elif engine == "process":
+    elif process(engine):
         # fork keeps the matrix affordable; the fuzz_process campaign
         # covers the spawn start method.
-        result = ProcessEngine(
-            plan,
-            num_workers=process_config_for_run(SEED, index)["workers"],
-            env=env,
-            start_method="fork",
-        ).run(phases)
+        with scripted_placement() if engine == "process-remote" else nullcontext():
+            result = ProcessEngine(
+                plan,
+                num_workers=process_config_for_run(SEED, index)["workers"],
+                env=env,
+                start_method="fork",
+            ).run(phases)
+        assert validate_engine_stats(result.engine, result.stats) == [], where
     elif engine == "inline":
         _, result = run_inline(plan, phases)
     else:
@@ -303,6 +321,12 @@ def test_record_exact_against_serial_oracle(engine, fuse, family):
         assert inline_runs > 0, "the environment never drained a run inline"
     if engine == "threaded-pooled":
         assert inline_runs == 0 and pooled_runs > 0
+    # And both placements of the process engine (on the real clock a
+    # fused stage may honestly read dearer than its trip).
+    if engine == "process":
+        assert inline_runs > pooled_runs
+    if engine == "process-remote":
+        assert pooled_runs > 0
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -442,7 +466,8 @@ def test_inline_retirement_sinks_each_phase_once_in_phase_order(fuse):
 
 
 @pytest.mark.parametrize(
-    "engine", ["threaded", "process", "simulated-cone", "simulated-global"]
+    "engine",
+    ["threaded", "process", "process-remote", "simulated-cone", "simulated-global"],
 )
 def test_scheduling_sections_are_identical_across_engines(engine):
     """Every engine's result carries exactly the sections
@@ -497,11 +522,17 @@ class TestTheSuiteIsNotVacuous:
 
     def test_process_runs_ship_run_frames(self):
         spec = PipelineSpec(depth=5, phases=30, seed=3)
-        _, result = run_cell("process", spec, 0, fuse=False)
+        _, result = run_cell("process-remote", spec, 0, fuse=False)
         wire = result.stats["serialization_bytes"]
         assert wire["runs"]["messages"] > 0
         assert wire["result_batches"]["messages"] == wire["runs"]["messages"]
         assert result.stats["ipc_round_trips"] < result.execution_count
+        # Every vertex was promoted, at its first pair: the coordinator
+        # executed one member of each, the workers the rest.
+        names = sorted(spec.build()[0].behaviors)
+        assert sorted(result.stats["ipc"]["promoted"]) == names
+        per_worker = result.stats["per_worker_executions"]
+        assert per_worker[max(per_worker)] == len(names)
 
     def test_fusion_shrinks_the_plan(self):
         assert any(
