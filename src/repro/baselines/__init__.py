@@ -9,9 +9,9 @@
   one *millionth* of this baseline's.
 
 The other baseline of Section 2 — complete phase p before starting phase
-p+1 — needs no executor: it is the real engines with one phase in flight,
-``ParallelEngine(..., env=EnvironmentConfig(max_in_flight_phases=1))`` /
-``SimulatedEngine(..., max_in_flight_phases=1)``.
+p+1 — needs no executor: it is any engine with one phase in flight,
+``ParallelEngine`` / ``ProcessEngine`` / ``SimulatedEngine(...,
+max_in_flight_phases=1)``.
 """
 
 from .dense import DenseDataflowExecutor

@@ -316,7 +316,6 @@ _PROFILE_STAGES = (
         ("runtime/core.py", "claim"),
         ("runtime/core.py", "commit"),
         ("runtime/mp/frontier.py", "push"),
-        ("runtime/mp/frontier.py", "push_front"),
         ("runtime/mp/frontier.py", "drain"),
     )),
     ("serialization", (

@@ -9,8 +9,9 @@ provides the equivalent substrate built on :mod:`threading` —
 * :class:`~repro.runtime.locks.InstrumentedLock` — the single global lock,
   with contention / hold-time statistics for the Section 4 analysis;
 * :class:`~repro.runtime.pool.ComputationThreadPool` — worker threads;
-* :class:`~repro.runtime.environment.EnvironmentConfig` — pacing and flow
-  control for the environment process (Listing 2);
+* :class:`~repro.runtime.feed.PhaseFeed` — what the environment process
+  (Listing 2) starts phases from: a live stream, or a batch closed
+  before the run begins;
 * :class:`~repro.runtime.core.ScheduleCore` — the Listing 1 / Listing 2
   critical-section bodies (admit / claim / commit / result), shared by
   every engine;
@@ -23,7 +24,7 @@ provides the equivalent substrate built on :mod:`threading` —
 from .blocking_queue import BlockingQueue
 from .locks import InstrumentedLock
 from .pool import ComputationThreadPool
-from .environment import EnvironmentConfig
+from .feed import PhaseFeed
 from .core import ScheduleCore
 from .engine import ParallelEngine
 from .mp import ProcessEngine
@@ -32,7 +33,7 @@ __all__ = [
     "BlockingQueue",
     "InstrumentedLock",
     "ComputationThreadPool",
-    "EnvironmentConfig",
+    "PhaseFeed",
     "ScheduleCore",
     "ParallelEngine",
     "ProcessEngine",

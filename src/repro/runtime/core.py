@@ -38,10 +38,9 @@ __all__ = ["ScheduleCore"]
 class ScheduleCore:
     """One run's scheduling state and its four critical-section bodies.
 
-    *phase_inputs* are a batch run's external (un-localized) inputs, or
-    ``None`` when phases arrive one at a time through :meth:`admit`.
-    *num_workers* sizes the per-worker execution counts.  *frontier*
-    picks the scheduler: ``"cone"`` (``SchedulerState``: cone rule,
+    Phases arrive one at a time through :meth:`admit`.  *num_workers*
+    sizes the per-worker execution counts.  *frontier* picks the
+    scheduler: ``"cone"`` (``SchedulerState``: cone rule,
     Δ-elision, adaptive runs — the real engines) or ``"global"``
     (``ReferenceScheduler``: Listings 1-2 as published).  The *tracer*
     receives phase-started, enqueued and phase-completed events from
@@ -56,7 +55,6 @@ class ScheduleCore:
     def __init__(
         self,
         plan: ExecutionPlan,
-        phase_inputs: Optional[Sequence[PhaseInput]],
         num_workers: int,
         frontier: str = "cone",
         checker: Optional[InvariantChecker] = None,
@@ -74,7 +72,7 @@ class ScheduleCore:
         plan.program.reset()
         self.runtime = PairRuntime(
             plan.program,
-            plan.localize_phase_inputs(phase_inputs or []),
+            [],
             stream_records=retire,
             suppress=frontier == "cone",
         )
@@ -110,33 +108,22 @@ class ScheduleCore:
         """Started-but-incomplete phases (the flow-control quantity)."""
         return self.state.pmax - self.state.complete_phase_count
 
-    @property
-    def phases_unadmitted(self) -> int:
-        """Registered phases not yet started (a batch run's remainder)."""
-        return self.runtime.num_phases - self.state.pmax
-
     # -- the four operations (call with the driver's lock held) -------------
 
-    def admit(
-        self, count: int = 1, fed_input: Optional[PhaseInput] = None
-    ) -> List[Tuple[int, int]]:
-        """Listing 2's body: start *count* phases; returns the newly
-        ready pairs, each to be placed on the run queue exactly once.
-        A feed-delivered *fed_input* is localized and registered in the
-        same critical section, so no driver ever observes a
-        started-but-unregistered phase."""
-        if fed_input is not None:
-            (local,) = self.plan.localize_phase_inputs([fed_input])
-            self.runtime.register_phase(local)
+    def admit(self, phase_input: PhaseInput) -> List[Tuple[int, int]]:
+        """Listing 2's body: register and start the next phase; returns
+        the newly ready pairs, each to be placed on the run queue exactly
+        once.  The (un-localized) *phase_input* is localized and
+        registered in the same critical section that starts it, so no
+        driver ever observes a started-but-unregistered phase."""
+        (local,) = self.plan.localize_phase_inputs([phase_input])
+        self.runtime.register_phase(local)
         state, tracer = self.state, self._tracer
-        newly_ready: List[Tuple[int, int]] = []
-        for _ in range(count):
-            ready_now = state.start_phase()
-            if tracer is not None:
-                tracer.phase_started(state.pmax)
-                for pair in ready_now:
-                    tracer.enqueued(pair)
-            newly_ready.extend(ready_now)
+        newly_ready = state.start_phase()
+        if tracer is not None:
+            tracer.phase_started(state.pmax)
+            for pair in newly_ready:
+                tracer.enqueued(pair)
         return newly_ready
 
     def claim(self, v: int, p: int) -> Tuple[List[int], List[VertexContext]]:

@@ -12,15 +12,20 @@ sequence of phases with
   enqueueing the newly ready ones.  The paper notes this thread always
   exists, so even the "1 thread" configuration has two threads contending
   for the data structures — which is exactly how it explains the measured
-  2-processor speedup.
+  2-processor speedup.  The paper's environment "merely starts new phases
+  repeatedly"; here it starts what a :class:`~repro.runtime.feed.PhaseFeed`
+  delivers, and a batch :meth:`~ParallelEngine.run` is a feed that closed
+  before the run began — one Listing-2 loop for both.
 
 Differences from the paper's infinite loops (all additive):
 
 * **Termination** — the paper's processes run forever; here the
-  environment stops after the last supplied phase, and the run-queue close
-  protocol lets workers exit once every started phase has completed.
-* **Flow control** (optional) — bound the number of in-flight phases so
-  edge histories stay small; off by default (the paper's behaviour).
+  environment stops once its feed is closed and drained, and the
+  run-queue close protocol lets workers exit once every started phase has
+  completed.
+* **Flow control** (optional ``max_in_flight_phases``) — bound the number
+  of in-flight phases so edge histories stay small; off by default (the
+  paper's behaviour).
 * **Failure handling** — a vertex exception aborts the run and re-raises
   as :class:`~repro.errors.VertexExecutionError` from :meth:`run`.
 * **One schedule** — readiness uses per-dependency (cone) frontiers,
@@ -39,19 +44,21 @@ Differences from the paper's infinite loops (all additive):
   speed-up only when vertex compute dwarfs the bookkeeping around it.
   In the other regime a hand-off (run queue, condition variable, a
   contended lock, a thread switch under one GIL) costs more than the run
-  it hands over, so a batch :meth:`~ParallelEngine.run` measures both
-  halves of every run with the backend's clock and the environment
-  thread keeps, and executes itself, each ready pair whose vertex's last
-  run computed strictly cheaper than the critical sections around that
-  same run — whichever thread's commit made the pair ready.  It runs the
+  it hands over, so when the feed was already closed as the run began (a
+  batch :meth:`~ParallelEngine.run`) the engine measures both halves of
+  every run with the backend's clock and the environment thread keeps,
+  and executes itself, each ready pair whose vertex's last run computed
+  strictly cheaper than the critical sections around that same run —
+  whichever thread's commit made the pair ready.  It runs the
   same ``execute_run`` as the workers, under the same lock, as worker
   ``num_threads``: a (k+1)-th Listing-1 process (docs/ARCHITECTURE.md
   §5.8), and once it has started its last phase it stays one — parked while
   its deque is empty — until nothing is in flight.
   Expensive vertices go to the run queue and fan out as in the paper; a
   vertex nobody has measured costs the environment one execution to find
-  out.  A paced environment, a fed one (:meth:`~ParallelEngine.run_feed`)
-  and every run on a clock that does not advance
+  out.  An environment whose feed is still open at the start
+  (:meth:`~ParallelEngine.run_feed` on a live stream) and every run on a
+  clock that does not advance
   (:class:`~repro.testing.schedule.VirtualBackend`) never execute, so
   schedule exploration sees exactly the peer-worker algorithm.
   ``stats["drain"]`` says which regime a run was in.
@@ -81,7 +88,6 @@ from ..events import PhaseInput
 from .backend import OS_BACKEND, ThreadingBackend
 from .blocking_queue import BlockingQueue
 from .core import ScheduleCore
-from .environment import EnvironmentConfig
 from .feed import PhaseFeed
 from .locks import InstrumentedLock
 from .pool import ComputationThreadPool
@@ -89,12 +95,14 @@ from .pool import ComputationThreadPool
 __all__ = ["ParallelEngine"]
 
 # How long the environment thread parks on an idle PhaseFeed before
-# re-checking abort/stop flags (feed mode only; OS backend only).
+# re-checking abort/stop flags (an open feed only: a closed one never
+# blocks).
 _FEED_POLL_S = 0.05
 
-#: Most phases one environment critical section starts — a batch burst or
-#: a feed backlog.  Matches the adaptive run ceiling: a started horizon
-#: deeper than the longest claimable run buys nothing further.
+#: Most phases one environment critical section starts — a feed backlog,
+#: a batch's next ones included.  Matches the adaptive run ceiling: a
+#: started horizon deeper than the longest claimable run buys nothing
+#: further.
 _START_BURST = ADAPTIVE_RUN_CEILING
 
 
@@ -114,15 +122,18 @@ class ParallelEngine:
     tracer:
         Optional :class:`ExecutionTracer`; receives phase starts, enqueues
         and execution begin/end events (real-time clock).
-    env:
-        Environment pacing / flow control (:class:`EnvironmentConfig`).
+    max_in_flight_phases:
+        Flow control: at most this many started-but-incomplete phases
+        (``None``, the default, is the paper's unthrottled environment;
+        a bound keeps edge histories small, and ``1`` is the
+        phase-barrier baseline).
     join_timeout:
         Watchdog: the run is wedged once no pair has been computed or
         committed for this many seconds while threads are still alive.
-        A healthy batch :meth:`run` may last any multiple of it; a
-        :meth:`run_feed` is watched only from the moment its feed is
-        closed or a stop is requested (a served stream may idle for
-        days).
+        A healthy run may last any multiple of it, and it is watched only
+        from the moment its feed is closed — at once for a batch
+        :meth:`run` — or a stop is requested (a served stream may idle
+        for days).
     backend:
         Threading backend supplying locks, events, threads, and the clock
         (default: real OS threads).  The deterministic test scheduler
@@ -141,19 +152,24 @@ class ParallelEngine:
         num_threads: int = 2,
         checker: Optional[InvariantChecker] = None,
         tracer: Optional[ExecutionTracer] = None,
-        env: EnvironmentConfig = EnvironmentConfig(),
+        max_in_flight_phases: Optional[int] = None,
         join_timeout: float = 120.0,
         backend: Optional[ThreadingBackend] = None,
         faults: object = None,
     ) -> None:
         if num_threads < 1:
             raise EngineError(f"num_threads must be >= 1, got {num_threads}")
+        if max_in_flight_phases is not None and max_in_flight_phases < 1:
+            raise EngineError(
+                f"max_in_flight_phases must be >= 1 or None, "
+                f"got {max_in_flight_phases}"
+            )
         self.plan = as_plan(program)
         self.program = self.plan.program
         self.num_threads = num_threads
         self.checker = checker
         self.tracer = tracer
-        self.env = env
+        self.max_in_flight_phases = max_in_flight_phases
         self.join_timeout = join_timeout
         self.backend = backend or OS_BACKEND
         self.faults = faults
@@ -165,6 +181,11 @@ class ParallelEngine:
     ) -> RunResult:
         """Execute every phase; returns the :class:`RunResult`.
 
+        The phases go into a :class:`PhaseFeed` that is closed before the
+        run begins (:meth:`PhaseFeed.of`): the same Listing-2 loop as
+        :meth:`run_feed`, with the environment a peer worker while that
+        is cheaper than handing runs over.
+
         With *stop_event* (any object with ``is_set()``, e.g. a
         :class:`threading.Event` flipped by a signal handler) the
         environment stops admitting new phases once the event is set;
@@ -175,9 +196,7 @@ class ParallelEngine:
         :class:`~repro.errors.VertexExecutionError`, and
         :class:`EngineError` if threads wedge past *join_timeout*.
         """
-        return self._execute(
-            phase_inputs=phase_inputs, feed=None, stop_event=stop_event
-        )
+        return self._execute(PhaseFeed.of(phase_inputs), stop_event=stop_event)
 
     def run_feed(
         self,
@@ -195,8 +214,8 @@ class ParallelEngine:
         ``ADAPTIVE_RUN_CEILING`` — so a backlog starts as one horizon
         that runs can coalesce over.  The run ends when the feed is
         closed and drained (or *stop_event* is set, which is honoured
-        between bursts — in-flight phases still drain).  OS backend
-        only: the feed blocks on a real condition variable.
+        between bursts — in-flight phases still drain).  An open feed
+        blocks on a real condition variable; a closed one never does.
 
         With ``retire=True`` the engine additionally *retires* each
         phase as soon as the completed prefix extends — handing
@@ -211,17 +230,12 @@ class ParallelEngine:
         must be cheap and non-blocking (hand off to a queue).
         """
         return self._execute(
-            phase_inputs=None,
-            feed=feed,
-            sink=sink,
-            retire=retire,
-            stop_event=stop_event,
+            feed, sink=sink, retire=retire, stop_event=stop_event
         )
 
     def _execute(
         self,
-        phase_inputs: Optional[Sequence[PhaseInput]],
-        feed: Optional[PhaseFeed],
+        feed: PhaseFeed,
         sink: object = None,
         retire: bool = False,
         stop_event: object = None,
@@ -234,7 +248,6 @@ class ParallelEngine:
         env_id = self.num_threads
         core = ScheduleCore(
             self.plan,
-            phase_inputs,
             self.num_threads + 1,
             checker=self.checker,
             tracer=tracer,
@@ -248,8 +261,8 @@ class ParallelEngine:
         abort = backend.event()
         env_done = backend.event()
         flow_sem = (
-            backend.semaphore(self.env.max_in_flight_phases)
-            if self.env.max_in_flight_phases is not None
+            backend.semaphore(self.max_in_flight_phases)
+            if self.max_in_flight_phases is not None
             else None
         )
         # Bug-injection seams (testing only; see repro.testing.faults).
@@ -283,11 +296,12 @@ class ParallelEngine:
         # gives the deque a pair or makes the run quiescent, and by an
         # abort.
         handed = backend.event()
-        # A paced environment keeps its tick cadence and a fed one stays
-        # on its feed: neither executes.  (A served stream shares its
-        # interpreter with ingest and egress threads; draining inline
-        # there measured slower end to end, see CHANGES.md PR 20.)
-        may_drain = feed is None and not self.env.pacing
+        # Only a feed that closed before the run began (a batch) is
+        # drained: one still open keeps the environment on its feed.  (A
+        # served stream shares its interpreter with ingest and egress
+        # threads; draining inline there measured slower end to end, see
+        # CHANGES.md PR 20.)
+        may_drain = feed.closed
         drain = {
             "inline_runs": 0,
             "pooled_runs": 0,
@@ -414,25 +428,21 @@ class ParallelEngine:
 
         env_errors: List[BaseException] = []
 
-        def start_phases(count: int = 0, fed: Sequence[PhaseInput] = ()) -> bool:
-            # Start phases (Listing 2 body) under one critical section —
-            # *count* registered ones, or one per feed-delivered input:
-            # the per-phase start acquisition is exactly the lock traffic
-            # run coalescing exists to remove, and a deeper started
-            # horizon is what lets a claim extend runs in the first
-            # place.  Then the peer half: run what was placed here, and
-            # what the commits of any thread add, until nothing is left —
-            # in the deque, or, once the batch has no phase left to start,
-            # in flight anywhere.
+        def start_phases(fed: Sequence[PhaseInput]) -> bool:
+            # Start the fed phases (Listing 2 body) under one critical
+            # section: the per-phase start acquisition is exactly the
+            # lock traffic run coalescing exists to remove, and a deeper
+            # started horizon is what lets a claim extend runs in the
+            # first place.  Then the peer half: run what was placed here,
+            # and what the commits of any thread add, until nothing is
+            # left — in the deque, or, once the feed holds no phase left
+            # to start, in flight anywhere.
             nonlocal locked_cost, draining
             with start_guard():
                 began = clock()
-                if fed:
-                    newly_ready = [pair for pi in fed for pair in core.admit(1, pi)]
-                else:
-                    newly_ready = core.admit(count)
+                newly_ready = [pair for pi in fed for pair in core.admit(pi)]
                 if not cheap:
-                    locked_cost = (clock() - began) / (len(fed) or count)
+                    locked_cost = (clock() - began) / len(fed)
                 # Nothing reads cheap on a clock that does not advance
                 # (VirtualBackend: 0 < 0), so schedule exploration always
                 # sees the peer-worker algorithm.
@@ -455,7 +465,7 @@ class ParallelEngine:
                     # still end the wait.
                     handed.clear()
                     park = not (
-                        core.phases_unadmitted
+                        feed.depth
                         or mine
                         or core.quiescent
                         or abort.is_set()
@@ -465,8 +475,6 @@ class ParallelEngine:
                 if park:
                     handed.wait()
             mine.clear()  # an abort abandons the rest, as the workers do
-            if self.env.pacing:
-                backend.sleep(self.env.pacing)
             return True
 
         def stopping() -> bool:
@@ -475,64 +483,39 @@ class ParallelEngine:
         def environment() -> None:
             # Listing 2: the environment process.
             try:
-                if feed is None:
-                    remaining = core.phases_unadmitted
-                    while remaining > 0:
+                while not abort.is_set():
+                    if stopping():
+                        break
+                    pi = feed.get(timeout=_FEED_POLL_S)
+                    if pi is None:
+                        if feed.drained:
+                            break
+                        continue
+                    if flow_sem is not None:
+                        # One blocking credit.  Abort paths (worker crash,
+                        # shutdown watchdog) release the semaphore *after*
+                        # setting the abort flag, so this wait is
+                        # abort-aware without polling — no timeout loop
+                        # burning CPU or making virtual-clock runs
+                        # timing-dependent.
+                        flow_sem.acquire()
                         if abort.is_set() or stopping():
                             break
-                        # A paced environment starts one phase per tick.
-                        burst = 1 if self.env.pacing else min(_START_BURST, remaining)
-                        if flow_sem is not None:
-                            # One blocking credit, then take whatever
-                            # else the flow window has free right now.
-                            # Abort paths (worker crash, shutdown
-                            # watchdog) release the semaphore *after*
-                            # setting the abort flag, so this wait is
-                            # abort-aware without polling — no timeout
-                            # loop burning CPU or making virtual-clock
-                            # runs timing-dependent.
-                            flow_sem.acquire()
-                            if abort.is_set():
-                                break
-                            taken = 1
-                            while taken < burst and flow_sem.acquire(
-                                blocking=False
-                            ):
-                                taken += 1
-                            burst = taken
-                        if not start_phases(burst):
-                            break
-                        remaining -= burst
-                else:
-                    while not abort.is_set():
-                        if stopping():
-                            break
-                        pi = feed.get(timeout=_FEED_POLL_S)
-                        if pi is None:
-                            if feed.drained:
-                                break
-                            continue
-                        if flow_sem is not None:
-                            flow_sem.acquire()
-                            if abort.is_set() or stopping():
-                                break
-                        # Everything the feed already holds rides along
-                        # (one flow credit each, never waiting for one):
-                        # a thread that drains phase p before it looks at
-                        # the feed again would otherwise never have two
-                        # started phases to coalesce.
-                        fed = [pi]
-                        while (
-                            len(fed) < _START_BURST
-                            and feed.depth
-                            and (flow_sem is None or flow_sem.acquire(blocking=False))
-                        ):
-                            fed.append(feed.get(timeout=0))
-                        drain["feed_burst_max"] = max(
-                            drain["feed_burst_max"], len(fed)
-                        )
-                        if not start_phases(fed=fed):
-                            break
+                    # Everything the feed already holds rides along (one
+                    # flow credit each, never waiting for one): a thread
+                    # that drains phase p before it looks at the feed
+                    # again would otherwise never have two started phases
+                    # to coalesce.
+                    fed = [pi]
+                    while (
+                        len(fed) < _START_BURST
+                        and feed.depth
+                        and (flow_sem is None or flow_sem.acquire(blocking=False))
+                    ):
+                        fed.append(feed.get(timeout=0))
+                    drain["feed_burst_max"] = max(drain["feed_burst_max"], len(fed))
+                    if not start_phases(fed):
+                        break
             except BaseException as exc:  # noqa: BLE001 - reported after join
                 env_errors.append(exc)
                 abort.set()
@@ -574,14 +557,13 @@ class ParallelEngine:
         started = clock()
         pool.start()
         env_thread.start()
-        if feed is not None:
-            # A feed-mode run lasts as long as its producer keeps the feed
-            # open; the watchdog below only times the wind-down that
-            # follows a close, a stop request or an abort.
-            while env_thread.is_alive() and not (
-                feed.closed or abort.is_set() or stopping()
-            ):
-                env_thread.join(_FEED_POLL_S)
+        # A run lasts as long as its producer keeps the feed open; the
+        # watchdog below only times the wind-down that follows a close, a
+        # stop request or an abort.
+        while not (
+            feed.closed or abort.is_set() or stopping()
+        ) and env_thread.is_alive():
+            env_thread.join(_FEED_POLL_S)
         outlast(env_thread.is_alive, env_thread.join)
         env_wedged = env_thread.is_alive()
         if env_wedged:

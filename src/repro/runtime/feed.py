@@ -4,11 +4,14 @@
 operation mode: the ingest side :meth:`put`\\ s each
 :class:`~repro.events.PhaseInput` the moment the reorder buffer seals it,
 and the engine side :meth:`get`\\ s phases as scheduling capacity frees
-up.  The feed is deliberately tiny — a deque plus one condition variable
-— because both real engines consume it from OS threads; the virtual
-scheduler's cooperative tasks must not block in here, so feeds are an
-OS-backend-only facility (``repro serve`` never runs under the virtual
-scheduler).
+up.  The feed is deliberately tiny — a deque plus one condition variable.
+It is also how a batch run reaches an engine: :meth:`PhaseFeed.of` is a
+feed whose producer finished before the engine started, so both real
+engines have one admission path (Listing 2 "merely starts new phases
+repeatedly").  An open feed blocks on a real condition variable; a
+closed one never does, which is why the virtual scheduler's cooperative
+tasks may consume a closed feed but never an open one (``repro serve``
+never runs under the virtual scheduler).
 
 Backpressure is built in: a full feed blocks the producer (counting the
 stall) until the engine drains below capacity, which is the credit-style
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque, Optional, Sequence
 
 from ..errors import ServeError
 from ..events import PhaseInput
@@ -50,6 +53,19 @@ class PhaseFeed:
         self.put_stalls = 0
         self.high_water = 0
         self.total_put = 0
+
+    @classmethod
+    def of(cls, phase_inputs: Sequence[PhaseInput]) -> "PhaseFeed":
+        """A feed already holding every phase of *phase_inputs*, closed:
+        a batch run, as the engines admit it.  Filled without a producer,
+        so it skips :meth:`put`'s numbering check; the engine's
+        admission (``PairRuntime.register_phase``) makes the same one."""
+        feed = cls()
+        feed._items.extend(phase_inputs)
+        feed.total_put = feed.high_water = len(feed._items)
+        feed.capacity = max(1, feed.total_put)
+        feed._closed = True
+        return feed
 
     # -- producer side --------------------------------------------------
 

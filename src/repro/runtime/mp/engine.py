@@ -5,8 +5,10 @@ remoted *where that pays*.  One **coordinator** (this process) owns every
 shared data structure — the :class:`~repro.core.state.SchedulerState`,
 the edge store, the records — and runs both of the paper's loops inline:
 
-* Listing 2 (environment): start every phase pacing and flow control
-  allow, a whole feed backlog under one critical section;
+* Listing 2 (environment): start every phase its
+  :class:`~repro.runtime.feed.PhaseFeed` holds that flow control allows,
+  the whole backlog under one critical section (a batch
+  :meth:`~ProcessEngine.run` is a feed that closed before the run began);
 * Listing 1 (computation), split at the prepare/compute/commit seam of
   :class:`~repro.core.program.PairRuntime`: *prepare* a ready run under
   the lock, compute it, and *commit* its outputs under the lock.
@@ -86,7 +88,6 @@ from ...core.vertex import VertexContext
 from ...errors import EngineError, VertexExecutionError
 from ...events import PhaseInput
 from ..core import ScheduleCore
-from ..environment import EnvironmentConfig
 from ..feed import PhaseFeed
 from ..locks import InstrumentedLock
 from .frontier import ReadyFrontier
@@ -138,8 +139,9 @@ class ProcessEngine:
         Optional :class:`ExecutionTracer`; ``execute_begin``/``end`` are
         coordinator-side timestamps (dispatch and commit), so intervals
         include queue + wire time, not just on-CPU compute.
-    env:
-        Environment pacing / flow control (:class:`EnvironmentConfig`).
+    max_in_flight_phases:
+        Flow control: at most this many started-but-incomplete phases
+        (``None``, the default: unthrottled, as in the paper).
     join_timeout:
         Watchdog: seconds without a worker frame or a resident commit
         (and at shutdown) before the run is declared wedged.
@@ -154,18 +156,23 @@ class ProcessEngine:
         num_workers: int = 2,
         checker: Optional[InvariantChecker] = None,
         tracer: Optional[ExecutionTracer] = None,
-        env: EnvironmentConfig = EnvironmentConfig(),
+        max_in_flight_phases: Optional[int] = None,
         join_timeout: float = 120.0,
         start_method: Optional[str] = None,
     ) -> None:
         if num_workers < 1:
             raise EngineError(f"num_workers must be >= 1, got {num_workers}")
+        if max_in_flight_phases is not None and max_in_flight_phases < 1:
+            raise EngineError(
+                f"max_in_flight_phases must be >= 1 or None, "
+                f"got {max_in_flight_phases}"
+            )
         self.plan = as_plan(program)
         self.program = self.plan.program
         self.num_workers = num_workers
         self.checker = checker
         self.tracer = tracer
-        self.env = env
+        self.max_in_flight_phases = max_in_flight_phases
         self.join_timeout = join_timeout
         self.start_method = start_method
 
@@ -175,6 +182,10 @@ class ProcessEngine:
         stop_event: object = None,
     ) -> RunResult:
         """Execute every phase; returns the :class:`RunResult`.
+
+        The phases go into a :class:`~repro.runtime.feed.PhaseFeed` that
+        is closed before the run begins: the same admission path as
+        :meth:`run_feed`.
 
         With *stop_event* (any ``is_set()`` object) the coordinator stops
         admitting new phases once the event is set, drains in-flight
@@ -186,9 +197,7 @@ class ProcessEngine:
         :class:`EngineError` on worker crash, unpicklable program, or a
         wedged run.
         """
-        return self._execute(
-            phase_inputs=phase_inputs, feed=None, stop_event=stop_event
-        )
+        return self._execute(PhaseFeed.of(phase_inputs), stop_event=stop_event)
 
     def run_feed(
         self,
@@ -201,19 +210,15 @@ class ProcessEngine:
         delivers them; same contract as
         :meth:`repro.runtime.engine.ParallelEngine.run_feed` (incremental
         admission, optional per-phase retirement through *sink*, graceful
-        *stop_event*)."""
+        *stop_event*).  An open feed blocks on a real condition variable;
+        a closed one never does."""
         return self._execute(
-            phase_inputs=None,
-            feed=feed,
-            sink=sink,
-            retire=retire,
-            stop_event=stop_event,
+            feed, sink=sink, retire=retire, stop_event=stop_event
         )
 
     def _execute(
         self,
-        phase_inputs: Optional[Sequence[PhaseInput]],
-        feed: Optional[PhaseFeed],
+        feed: PhaseFeed,
         sink: object = None,
         retire: bool = False,
         stop_event: object = None,
@@ -225,7 +230,6 @@ class ProcessEngine:
         me = self.num_workers
         core = ScheduleCore(
             self.plan,
-            phase_inputs,
             self.num_workers + 1,
             checker=self.checker,
             tracer=tracer,
@@ -248,7 +252,6 @@ class ProcessEngine:
         mine: Deque[Pair] = deque()
         in_flight: Dict[Pair, VertexContext] = {}
         held: List[PhaseInput] = []  # at most one prefetched feed phase
-        last_phase_start = -float("inf")
         # Members of one run share latched inputs phase over phase, so a
         # run frame pickles each repeated value once.
         interner = Interner()
@@ -296,38 +299,25 @@ class ProcessEngine:
         def can_start_phase(taken: int) -> bool:
             if stopping():
                 return False
-            if feed is None and core.phases_unadmitted <= taken:
-                return False
-            window = self.env.max_in_flight_phases
-            if window is not None and core.phases_in_flight + taken >= window:
-                return False
-            return time.monotonic() - last_phase_start >= self.env.pacing
+            window = self.max_in_flight_phases
+            return window is None or core.phases_in_flight + taken < window
 
         def admit_burst() -> bool:
-            # Listing 2, inlined: start every phase pacing and flow
-            # control allow — a batch's next ones, or the backlog a feed
-            # holds (``held``: at most one phase the idle wait prefetched)
-            # — under one critical section: one horizon to coalesce over.
-            nonlocal last_phase_start
+            # Listing 2, inlined: start the backlog the feed holds
+            # (``held``: at most one phase the idle wait prefetched), as
+            # far as flow control allows, under one critical section: one
+            # horizon to coalesce over.
             fed: List[PhaseInput] = []
-            taken = 0
-            while taken < _START_BURST and can_start_phase(taken):
-                if feed is not None:
-                    pi = held.pop() if held else feed.get(timeout=0)
-                    if pi is None:
-                        break
-                    fed.append(pi)
-                taken += 1
-                if self.env.pacing:
-                    break  # a paced environment starts one phase per tick
-            if not taken:
+            while len(fed) < _START_BURST and can_start_phase(len(fed)):
+                pi = held.pop() if held else feed.get(timeout=0)
+                if pi is None:
+                    break
+                fed.append(pi)
+            if not fed:
                 return False
             with lock:
-                if feed is None:
-                    place(core.admit(taken))
                 for pi in fed:
-                    place(core.admit(1, pi))
-            last_phase_start = time.monotonic()
+                    place(core.admit(pi))
             drain["feed_burst_max"] = max(drain["feed_burst_max"], len(fed))
             return True
 
@@ -443,23 +433,16 @@ class ProcessEngine:
                 trace("execute_end", v, phases, worker_id)
                 place(core.commit(worker_id, completed)[0])
 
-        def requeue_skipped(worker_id: int, skipped: Sequence[Pair]) -> None:
-            # Members a worker skipped behind a failed one are still
-            # claimed here: back to the head of its bucket, oldest first.
-            for pair in skipped:
-                in_flight.pop(pair, None)
-                worker_load[worker_id] -= 1
-            pending.push_front(worker_id, skipped)
-
         def receive(msg: object) -> None:
-            # One worker frame: a run's reply, or a crash report.
+            # One worker frame: a run's reply, or a crash report.  A reply
+            # skips members only behind a failed one, whose error entry
+            # it also carries: the run raises below, and nothing it
+            # skipped is ever dispatched again.
             if isinstance(msg, WorkerCrashMsg):
                 raise EngineError(
                     f"worker {msg.worker_id} crashed: {msg.message}"
                 )
             assert isinstance(msg, ResultBatch)
-            if msg.skipped:
-                requeue_skipped(msg.worker_id, msg.skipped)
             results: List[ResultMsg] = []
             for res in msg.results:
                 if res.error is not None:
@@ -519,34 +502,25 @@ class ProcessEngine:
                 if mine:
                     run_resident(*mine.popleft())
                     continue
-                if feed is None:
-                    stream_done = core.phases_unadmitted <= 0
-                else:
-                    stream_done = feed.drained and not held
-                if (stream_done or stopping()) and core.quiescent:
-                    break  # quiescent: every started phase committed
                 if progressed:
                     continue
-                if feed is not None:
-                    # Idle: park on the feed until a phase arrives or the
-                    # producer closes it.  (A phase already held is gated
-                    # by flow control or pacing: sleep a tick, re-check.)
-                    if not held:
-                        pi = feed.get(timeout=_POLL_S)
-                        if pi is not None:
-                            held.append(pi)
-                    else:
-                        time.sleep(_POLL_S)
-                    continue
-                if self.env.pacing and core.phases_unadmitted > 0:
-                    # Idle only because the environment is pacing.
-                    due = last_phase_start + self.env.pacing - time.monotonic()
-                    time.sleep(min(self.env.pacing, max(0.0, due) + 1e-4))
-                    continue
-                raise EngineError(
-                    f"engine stalled before quiescence: in-flight "
-                    f"phases {core.state.in_flight_phases()!r}"
-                )
+                if not core.quiescent:
+                    # Nothing in flight, nothing to run here, nothing
+                    # left to dispatch: no commit can ever complete the
+                    # started phases, whatever the feed does next.
+                    raise EngineError(
+                        f"engine stalled before quiescence: in-flight "
+                        f"phases {core.state.in_flight_phases()!r}"
+                    )
+                # Quiescent, so flow control admitted anything held: only
+                # a stop request leaves a phase there.
+                if feed.drained or stopping():
+                    break  # every started phase committed
+                # Idle: park on the feed until a phase arrives or the
+                # producer closes it.
+                pi = feed.get(timeout=_POLL_S)
+                if pi is not None:
+                    held.append(pi)
             # Graceful drain: apply the promoted vertices' final state
             # deltas to this process's copies (which still hold the state
             # they were promoted with): post-run state matches serial.

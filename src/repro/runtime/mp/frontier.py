@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Set, Tuple
 
 from ...core.state import Pair
 
@@ -20,7 +20,7 @@ class ReadyFrontier:
     workers that still hold a backlog — not the whole backlog, most of
     which may belong to credit-starved workers.  Per-worker FIFO order,
     which the phase-order argument relies on, holds by construction: a
-    bucket is only appended to, prepended to (requeues) or popped.
+    bucket is only appended to or popped.
 
     The frontier never consults scheduler internals: it only holds pairs
     the scheduler's mutators already returned as ready, so it cannot
@@ -45,18 +45,6 @@ class ReadyFrontier:
             bucket.append(pair)
             self._backlog.add(w)
             self._len += 1
-
-    def push_front(self, worker: int, pairs: Sequence[Pair]) -> None:
-        """Put *pairs* back at the head of *worker*'s bucket, preserving
-        their relative order (the requeue path for skipped tasks)."""
-        bucket = self._buckets.get(worker)
-        if bucket is None:
-            bucket = self._buckets[worker] = deque()
-        for pair in reversed(pairs):
-            bucket.appendleft(pair)
-            self._len += 1
-        if bucket:
-            self._backlog.add(worker)
 
     def drain(
         self, capacity: Callable[[int], int]

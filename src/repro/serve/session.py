@@ -13,11 +13,12 @@ memory bound is the sum of the stage capacities:
   (overflow *blocks* the producer: credit-style throttling);
 * engine — at most ``max_in_flight`` started-but-incomplete phases
   (the environment's flow-control semaphore);
-* emit queue — at most ``emit_capacity`` retired-but-unannounced phases
+* emit queue — at most ``_EMIT_CAPACITY`` retired-but-unannounced phases
   (overflow blocks the retiring worker briefly; the emit thread never
   takes an engine lock, so this cannot deadlock);
-* SSE egress — per-listener queues that *drop* when a consumer stalls
-  (egress must never backpressure the engine).
+* SSE egress — per-listener queues of ``_ANNOUNCE_QUEUE`` frames that
+  *drop* when a consumer stalls (egress must never backpressure the
+  engine).
 
 Everything behind those stages is retired: per-phase pairsets, trace
 segments, chain-edge state and completion-log entries are released as the
@@ -45,7 +46,6 @@ from ..errors import BackpressureError, ServeError
 from ..events import Event, PhaseInput
 from ..ingest import ArrivingEvent, ReorderBuffer
 from ..runtime.engine import ParallelEngine
-from ..runtime.environment import EnvironmentConfig
 from ..runtime.feed import PhaseFeed
 from .sse import MessageAnnouncer, format_sse
 
@@ -57,6 +57,14 @@ __all__ = [
 ]
 
 _ENGINES = ("parallel", "process")
+#: Late events the reorder buffer keeps for inspection (all are counted).
+_MAX_LATE_KEPT = 32
+#: Retired-but-unannounced phases between the engine and the emit thread.
+_EMIT_CAPACITY = 256
+#: Frames one SSE listener may fall behind before it starts dropping.
+_ANNOUNCE_QUEUE = 256
+#: Retired phases between two RSS samples of the high-water mark.
+_RSS_SAMPLE_EVERY = 100
 
 
 def current_rss_bytes() -> int:
@@ -199,13 +207,9 @@ class ServeConfig:
     wait: float = 2.0
     quantum: float = 1.0
     max_buffered: Optional[int] = 64
-    max_late_kept: Optional[int] = 32
     feed_capacity: int = 64
-    emit_capacity: int = 256
-    announce_queue: int = 256
     check_sample: int = 0  # compare every Nth retired phase (0 = off)
     stats_every: int = 0  # announce a stats SSE event every N phases
-    rss_sample_every: int = 100
     join_timeout: float = 120.0
 
     def __post_init__(self) -> None:
@@ -213,11 +217,11 @@ class ServeConfig:
             raise ServeError(
                 f"engine must be one of {_ENGINES}, got {self.engine!r}"
             )
-        for name in ("check_sample", "stats_every", "rss_sample_every"):
+        for name in ("check_sample", "stats_every"):
             if getattr(self, name) < 0:
                 raise ServeError(f"{name} must be >= 0")
-        if self.feed_capacity < 1 or self.emit_capacity < 1:
-            raise ServeError("feed_capacity and emit_capacity must be >= 1")
+        if self.feed_capacity < 1:
+            raise ServeError("feed_capacity must be >= 1")
         if self.join_timeout <= 0:
             raise ServeError("join_timeout must be > 0")
 
@@ -248,10 +252,10 @@ class ServeSession:
             wait=cfg.wait,
             quantum=cfg.quantum,
             max_buffered=cfg.max_buffered,
-            max_late_kept=cfg.max_late_kept,
+            max_late_kept=_MAX_LATE_KEPT,
         )
         self.feed = PhaseFeed(capacity=cfg.feed_capacity)
-        self.announcer = MessageAnnouncer(max_queue=cfg.announce_queue)
+        self.announcer = MessageAnnouncer(max_queue=_ANNOUNCE_QUEUE)
         self.checker: Optional[OracleSpotChecker] = (
             OracleSpotChecker(program, sample_every=cfg.check_sample)
             if cfg.check_sample
@@ -264,7 +268,7 @@ class ServeSession:
         self._pending_lock = threading.Lock()
         self._pending_inputs: Dict[int, PhaseInput] = {}
         self._emit_q: "queue.Queue[Optional[Tuple[int, float, List[Tuple[str, Any]]]]]" = queue.Queue(
-            maxsize=cfg.emit_capacity
+            maxsize=_EMIT_CAPACITY
         )
         self._engine_thread: Optional[threading.Thread] = None
         self._emit_thread: Optional[threading.Thread] = None
@@ -283,12 +287,11 @@ class ServeSession:
 
     def _build_engine(self):
         cfg = self.config
-        env = EnvironmentConfig(max_in_flight_phases=cfg.max_in_flight)
         if cfg.engine == "parallel":
             return ParallelEngine(
                 self.plan,
                 num_threads=cfg.threads,
-                env=env,
+                max_in_flight_phases=cfg.max_in_flight,
                 join_timeout=cfg.join_timeout,
             )
         from ..runtime.mp.engine import ProcessEngine
@@ -296,7 +299,7 @@ class ServeSession:
         return ProcessEngine(
             self.plan,
             num_workers=cfg.workers,
-            env=env,
+            max_in_flight_phases=cfg.max_in_flight,
             join_timeout=cfg.join_timeout,
         )
 
@@ -383,9 +386,7 @@ class ServeSession:
             self._on_retired(phase, ts, entries)
         self.announcer.announce(phase_frame(phase, ts, entries, verdict))
         self.results_streamed += 1
-        if cfg.rss_sample_every and (
-            self.phases_retired % cfg.rss_sample_every == 0
-        ):
+        if self.phases_retired % _RSS_SAMPLE_EVERY == 0:
             rss = current_rss_bytes()
             if rss > self.rss_high_water:
                 self.rss_high_water = rss

@@ -186,7 +186,6 @@ class SimulatedEngine:
         tracer = self.tracer
         core = ScheduleCore(
             self.plan,
-            phase_inputs,
             self.num_workers,
             frontier=self.frontier,
             checker=self.checker,
@@ -292,7 +291,7 @@ class SimulatedEngine:
                 yield from locked_burst(cm.bookkeeping_cost, do_commit)
 
         def environment() -> Generator[Event, Any, None]:
-            for _ in range(core.phases_unadmitted):
+            for pi in phase_inputs:
                 if max_in_flight is not None:
                     # Callbacks run atomically, so this check-then-wait is
                     # race-free within the simulation.
@@ -302,7 +301,7 @@ class SimulatedEngine:
                         yield waiter
 
                 yield from locked_burst(
-                    cm.phase_start_cost, lambda: enqueue(core.admit())
+                    cm.phase_start_cost, lambda pi=pi: enqueue(core.admit(pi))
                 )
                 if cm.env_interval:
                     yield sim.timeout(cm.env_interval)

@@ -40,7 +40,6 @@ from ..core.vertex import EMIT_NOTHING, FunctionVertex, Vertex
 from ..events import PhaseInput
 from ..graph.generators import random_dag
 from ..runtime.engine import ParallelEngine
-from ..runtime.environment import EnvironmentConfig
 from ..streams.generators import phase_signals
 from .faults import FaultPlan
 from .monitor import RaceMonitor
@@ -397,7 +396,7 @@ def run_one(
         num_threads=spec.threads,
         checker=monitor,
         tracer=monitor,
-        env=EnvironmentConfig(max_in_flight_phases=spec.max_in_flight),
+        max_in_flight_phases=spec.max_in_flight,
         backend=VirtualBackend(scheduler),
         faults=faults,
     )
@@ -706,7 +705,7 @@ def run_one_process(
     engine = ProcessEngine(
         compile_plan(program, fuse=fuse),
         num_workers=int(config["workers"]),
-        env=EnvironmentConfig(max_in_flight_phases=spec.max_in_flight),
+        max_in_flight_phases=spec.max_in_flight,
         start_method=start_method,
     )
     try:

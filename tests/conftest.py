@@ -98,6 +98,24 @@ def process_remote():
         yield
 
 
+@pytest.fixture
+def strand(monkeypatch):
+    """``strand(v, p)`` loses the completion of pair ``(v, p)``: the pair
+    still computes and delivers, but the scheduler never hears it
+    committed, so phase *p* can never complete — a stranded phase."""
+    from repro.core.program import PairRuntime
+
+    commit = PairRuntime.commit
+
+    def strand_pair(v, p):
+        def dropping(self, w, phases, ctxs):
+            return [c for c in commit(self, w, phases, ctxs) if c[:2] != (v, p)]
+
+        monkeypatch.setattr(PairRuntime, "commit", dropping)
+
+    return strand_pair
+
+
 # ---------------------------------------------------------------------------
 # Tiny reusable programs
 # ---------------------------------------------------------------------------

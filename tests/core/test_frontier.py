@@ -57,13 +57,6 @@ class TestReadyFrontier:
         batches, starved = f.drain(lambda w: 2)
         assert batches == [(0, [(1, 3)])] and not starved
 
-    def test_push_front_preserves_relative_order(self):
-        f = ReadyFrontier(lambda v: 0)
-        f.push([(1, 3)])
-        f.push_front(0, [(1, 1), (1, 2)])
-        batches, _ = f.drain(lambda w: 100)
-        assert batches == [(0, [(1, 1), (1, 2), (1, 3)])]
-
     def test_negative_capacity_treated_as_zero(self):
         f = ReadyFrontier(lambda v: 0)
         f.push([(1, 1)])

@@ -11,11 +11,13 @@ from repro.core.program import Program
 from repro.core.serial import SerialExecutor
 from repro.core.tracer import ExecutionTracer
 from repro.core.vertex import FunctionVertex, PassthroughSource
-from repro.errors import EngineError, VertexExecutionError
+from repro.errors import EngineError, SchedulerError, VertexExecutionError
 from repro.events import PhaseInput
 from repro.graph.generators import chain_graph, fig1_graph
+from repro.graph.model import ComputationGraph
 from repro.runtime.engine import ParallelEngine
-from repro.runtime.environment import EnvironmentConfig
+from repro.runtime.feed import PhaseFeed
+from repro.runtime.mp import ProcessEngine
 from repro.streams.workloads import (
     SpinningSum,
     cpu_heavy_workload,
@@ -118,6 +120,15 @@ class TestFailureHandling:
         assert ei.value.vertex == "v1"
         assert ei.value.phase == 1
 
+    @pytest.mark.parametrize("engine", [ParallelEngine, ProcessEngine])
+    def test_misnumbered_phases_are_rejected(self, engine):
+        # A batch feed is filled without a producer's numbering check;
+        # admission makes it.
+        prog = make_chain_program(2, {1: "x"})
+        phases = [PhaseInput(1, 1.0), PhaseInput(3, 3.0)]
+        with pytest.raises(SchedulerError, match="numbered sequentially"):
+            engine(prog, 2).run(phases)
+
     def test_engine_usable_after_failure(self):
         g = chain_graph(1)
         state = {"fail": True}
@@ -169,7 +180,7 @@ class TestFlowControl:
         res = ParallelEngine(
             prog,
             num_threads=3,
-            env=EnvironmentConfig(max_in_flight_phases=2),
+            max_in_flight_phases=2,
         ).run(phases)
         assert_serializable(serial, res)
 
@@ -179,22 +190,15 @@ class TestFlowControl:
         res = ParallelEngine(
             prog,
             num_threads=2,
-            env=EnvironmentConfig(max_in_flight_phases=1),
+            max_in_flight_phases=1,
         ).run(phases)
         assert_serializable(serial, res)
 
-    def test_pacing_config(self):
-        prog = make_chain_program(2, {1: 1, 2: 2})
-        res = ParallelEngine(
-            prog, num_threads=1, env=EnvironmentConfig(pacing=0.001)
-        ).run(signals(2))
-        assert res.execution_count == 4
-
     def test_invalid_env_config(self):
-        with pytest.raises(EngineError):
-            EnvironmentConfig(pacing=-1.0)
-        with pytest.raises(EngineError):
-            EnvironmentConfig(max_in_flight_phases=0)
+        prog = make_chain_program(2, {})
+        for engine in (ParallelEngine, ProcessEngine):
+            with pytest.raises(EngineError, match="max_in_flight_phases"):
+                engine(prog, 2, max_in_flight_phases=0)
 
 
 class TestPipelining:
@@ -225,46 +229,64 @@ class TestShutdownErrorPropagation:
     Regressions covered: ``run`` used to raise a generic "environment
     thread failed to terminate" EngineError *without* joining the pool or
     calling ``reraise()`` — leaking live computation threads and masking
-    the vertex exception that wedged the environment in the first place.
+    the vertex exception behind the wedge.  Both wedges here are
+    flow-control wedges: the environment waits for a phase credit that
+    never comes.
     """
 
-    def test_worker_error_beats_wedged_environment(self):
-        # A crashing vertex while the environment sleeps in its pacing
-        # delay: the caller must see the VertexExecutionError, not the
-        # watchdog's generic wedge report.
-        g = chain_graph(1)
+    def test_worker_error_beats_a_flow_control_wedge(self):
+        # Phase 1 fans out to two pooled vertices: "stall" wedges one
+        # worker, "boom" fails on the other once "stall" has started, and
+        # the environment waits on flow control behind them.  The pool's
+        # watchdog then gives up on the stalled worker: the caller must
+        # see the VertexExecutionError, not the watchdog's generic report.
+        started, release = threading.Event(), threading.Event()
 
-        class BoomSource(PassthroughSource):
-            def on_execute(self, ctx):
-                raise RuntimeError("root cause")
+        def stall(ctx):
+            started.set()
+            release.wait(timeout=30)
 
-        prog = Program(g, {"v1": BoomSource()})
+        def boom(ctx):
+            started.wait(timeout=30)
+            raise RuntimeError("root cause")
+
+        g = ComputationGraph.from_edges([("src", "stall"), ("src", "boom")])
+        prog = Program(g, {
+            "src": PassthroughSource(),
+            "stall": FunctionVertex(stall),
+            "boom": FunctionVertex(boom),
+        })
         engine = ParallelEngine(
             prog,
             num_threads=2,
-            env=EnvironmentConfig(pacing=5.0),
-            join_timeout=0.2,
+            max_in_flight_phases=1,
+            backend=RegimeClockBackend(compute_dear=True),
+            join_timeout=0.3,
         )
-        with pytest.raises(VertexExecutionError, match="root cause"):
-            engine.run(signals(2))
+        phases = [PhaseInput(k, float(k), {"src": k}) for k in (1, 2)]
+        try:
+            with pytest.raises(VertexExecutionError, match="root cause"):
+                engine.run(phases)
+        finally:
+            release.set()
 
-    def test_wedged_environment_does_not_leak_workers(self):
-        # Environment wedged in a pacing sleep with healthy workers: the
-        # run still fails with the wedge report, but only after waking and
-        # joining every computation thread.
-        import threading as _threading
-
-        prog = make_chain_program(2, {1: "x"})
+    def test_wedged_environment_does_not_leak_workers(self, strand):
+        # Phase 1's last completion is lost, so with one phase in flight
+        # the environment waits on flow control for good while the
+        # workers idle: the run still fails with the wedge report, but
+        # only after waking and joining every computation thread.
+        prog = make_chain_program(2, {1: "x", 2: "y"})
+        strand(prog.numbering.index_of["n1"], 1)
         engine = ParallelEngine(
             prog,
             num_threads=2,
-            env=EnvironmentConfig(pacing=5.0),
+            max_in_flight_phases=1,
             join_timeout=0.3,
         )
         with pytest.raises(EngineError, match="environment thread failed"):
-            engine.run(signals(1))
+            engine.run(signals(2))
         assert not [
-            t for t in _threading.enumerate() if t.name.startswith("compute-")
+            t for t in threading.enumerate() if t.name.startswith("compute-")
         ]
 
 
@@ -293,7 +315,7 @@ class TestFlowControlAbort:
         engine = ParallelEngine(
             prog,
             num_threads=2,
-            env=EnvironmentConfig(max_in_flight_phases=1),
+            max_in_flight_phases=1,
             join_timeout=5.0,
         )
         with pytest.raises(VertexExecutionError, match="crash under flow"):
@@ -315,7 +337,7 @@ class TestFlowControlAbort:
         res = ParallelEngine(
             prog,
             num_threads=2,
-            env=EnvironmentConfig(max_in_flight_phases=1),
+            max_in_flight_phases=1,
             backend=VirtualBackend(sched),
         ).run(phases)
         sched.shutdown()
@@ -338,7 +360,7 @@ class TestFlowControlAbort:
         engine = ParallelEngine(
             prog,
             num_threads=2,
-            env=EnvironmentConfig(max_in_flight_phases=1),
+            max_in_flight_phases=1,
             backend=VirtualBackend(sched),
         )
         with pytest.raises(VertexExecutionError, match="crash under flow"):
@@ -453,7 +475,7 @@ class TestEnvironmentPeer:
         res = ParallelEngine(
             prog,
             num_threads=2,
-            env=EnvironmentConfig(max_in_flight_phases=in_flight),
+            max_in_flight_phases=in_flight,
             backend=RegimeClockBackend(compute_dear=False),
             join_timeout=20.0,
         ).run(phases)
@@ -519,16 +541,29 @@ class TestEnvironmentPeer:
         assert len(ran_on) == 1 and ran_on[0].startswith("compute-")
         assert _engine_threads() == before
 
-    def test_paced_environment_never_executes(self):
+    def test_only_a_feed_closed_at_start_drains_inline(self):
+        # Compute reads free, so only the selection rule decides: a feed
+        # still open when the run begins (a live stream) keeps the
+        # environment on it, never executing; a closed one (a batch) is
+        # drained by the environment itself.
         prog = make_chain_program(3, {1: 1, 2: 2, 3: 3})
-        res = ParallelEngine(
-            prog,
-            num_threads=1,
-            env=EnvironmentConfig(pacing=0.001),
-            backend=RegimeClockBackend(compute_dear=False),
-        ).run(signals(3))
-        assert res.stats["drain"]["inline_runs"] == 0
-        assert res.stats["per_worker_executions"][1] == 0
+        engine = ParallelEngine(
+            prog, num_threads=1, backend=RegimeClockBackend(compute_dear=False)
+        )
+        closed = engine.run_feed(PhaseFeed.of(signals(3)))
+        assert closed.stats["drain"]["pooled_runs"] == 0
+        assert closed.stats["per_worker_executions"][1] == closed.execution_count
+
+        live = PhaseFeed(capacity=3)
+        for pi in signals(3):
+            live.put(pi)
+        closer = threading.Timer(0.1, live.close)
+        closer.start()
+        opened = engine.run_feed(live)
+        closer.join()
+        assert opened.stats["drain"]["inline_runs"] == 0
+        assert opened.stats["per_worker_executions"][1] == 0
+        assert opened.records == closed.records
 
     def test_virtual_backend_never_drains_inline(self):
         # Load-bearing: the deterministic scheduler explores interleavings
@@ -585,7 +620,7 @@ class TestProgressWatchdog:
         res = ParallelEngine(
             prog,
             num_threads=2,
-            env=EnvironmentConfig(max_in_flight_phases=1),
+            max_in_flight_phases=1,
             join_timeout=0.25,
         ).run(phases)
         assert res.wall_time > 2 * 0.25

@@ -14,7 +14,6 @@ from repro.core.vertex import Vertex, VertexContext
 from repro.errors import EngineError, VertexExecutionError
 from repro.events import PhaseInput
 from repro.graph.model import ComputationGraph
-from repro.runtime.environment import EnvironmentConfig
 from repro.runtime.mp import ProcessEngine
 from repro.runtime.mp.lifecycle import ProcessWorkerPool, default_start_method
 from repro.runtime.mp.protocol import (
@@ -145,7 +144,7 @@ class TestBasicExecution:
             prog,
             num_workers=2,
             tracer=tracer,
-            env=EnvironmentConfig(max_in_flight_phases=2),
+            max_in_flight_phases=2,
         ).run(phases)
         assert res.stats["max_concurrent_phases"] <= 2
 

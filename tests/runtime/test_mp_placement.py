@@ -25,7 +25,6 @@ from repro.graph.model import ComputationGraph
 from repro.models.basic import Recorder
 from repro.models.sensors import RandomWalkSensor
 from repro.models.statistics import ZScoreDetector
-from repro.runtime.environment import EnvironmentConfig
 from repro.runtime.feed import PhaseFeed
 from repro.runtime.mp import ProcessEngine, engine as mp_engine
 from repro.runtime.mp.lifecycle import ProcessWorkerPool
@@ -35,7 +34,7 @@ from tests.runtime.regime_clock import ProcessRegimeClock
 
 WIRE = 50e-6  # what marshalling one frame costs on the scripted clock
 DEAR = 5e-3  # a scripted compute cost far above it
-ONE_AT_A_TIME = EnvironmentConfig(max_in_flight_phases=1)  # runs of one
+ONE_AT_A_TIME = 1  # phases in flight: runs of one
 CLOCK = ProcessRegimeClock(WIRE)  # the coordinator's; a worker's copy is inert
 
 
@@ -172,7 +171,9 @@ class TestPlacementRule:
     def test_cheap_vertices_never_leave_the_coordinator(self, clock, finals):
         program = chain()
         records, final = oracle(program, signals(20))
-        result = ProcessEngine(program, 2, env=ONE_AT_A_TIME).run(signals(20))
+        result = ProcessEngine(
+            program, 2, max_in_flight_phases=ONE_AT_A_TIME
+        ).run(signals(20))
         assert result.records == records and state(program) == final
         stats = result.stats
         assert stats["ipc"]["promoted"] == []
@@ -190,7 +191,9 @@ class TestPlacementRule:
         stalls = (4, *range(8, 8 + streak - 1))
         program = chain(detect=stalls)
         records, final = oracle(program, signals(16))
-        result = ProcessEngine(program, 2, env=ONE_AT_A_TIME).run(signals(16))
+        result = ProcessEngine(
+            program, 2, max_in_flight_phases=ONE_AT_A_TIME
+        ).run(signals(16))
         assert result.records == records and state(program) == final
         assert result.stats["ipc"]["promoted"] == []
         assert result.stats["drain"]["pooled_runs"] == 0
@@ -201,7 +204,9 @@ class TestPlacementRule:
         streak, k = mp_engine._DEAR_RUNS, 5
         program = chain(detect=range(k, 100))
         records, final = oracle(program, signals(16))
-        result = ProcessEngine(program, 2, env=ONE_AT_A_TIME).run(signals(16))
+        result = ProcessEngine(
+            program, 2, max_in_flight_phases=ONE_AT_A_TIME
+        ).run(signals(16))
         assert result.records == records and state(program) == final
         assert result.stats["ipc"]["promoted"] == ["detect"]
         # Resident through its streak-th dear run, never again after it.
@@ -222,7 +227,9 @@ class TestPlacementRule:
         )
         program = chain(detect=range(1, 100), sink=range(1, 100))
         records, final = oracle(program, signals(10))
-        result = ProcessEngine(program, 2, env=ONE_AT_A_TIME).run(signals(10))
+        result = ProcessEngine(
+            program, 2, max_in_flight_phases=ONE_AT_A_TIME
+        ).run(signals(10))
         assert result.records == records and state(program) == final
         assert result.stats["ipc"]["promoted"] == []
         assert result.stats["ipc_round_trips"] == 0
@@ -238,7 +245,9 @@ class TestStateMovesOnce:
         # detector: the state k resident phases left continues worker-side.
         program = chain(**{vertex: range(k, 100)})
         records, final = oracle(program, signals(14))
-        result = ProcessEngine(program, 2, env=ONE_AT_A_TIME).run(signals(14))
+        result = ProcessEngine(
+            program, 2, max_in_flight_phases=ONE_AT_A_TIME
+        ).run(signals(14))
         assert result.stats["ipc"]["promoted"] == [vertex]
         moved = k + mp_engine._DEAR_RUNS
         assert here(program, vertex) == list(range(1, moved))
@@ -267,25 +276,21 @@ class TestStateMovesOnce:
         assert state(program) == final
 
 
-def closed_feed(n):
-    feed = PhaseFeed(capacity=n)
-    for pi in signals(n):
-        feed.put(pi)
-    feed.close()
-    return feed
-
-
 class TestFaultsAndTheWatchdog:
-    @pytest.mark.parametrize("env", [ONE_AT_A_TIME, EnvironmentConfig()])
-    def test_a_resident_fault_names_its_phase_and_keeps_the_prefix(self, env):
+    @pytest.mark.parametrize("in_flight", [ONE_AT_A_TIME, None])
+    def test_a_resident_fault_names_its_phase_and_keeps_the_prefix(
+        self, in_flight
+    ):
         # The real clock: a microsecond vertex never leaves the
         # coordinator, whether its phases come as runs of one or as one
         # run of eight.
-        engine = ProcessEngine(solo(BoomAtFive()), 1, env=env)
+        engine = ProcessEngine(
+            solo(BoomAtFive()), 1, max_in_flight_phases=in_flight
+        )
         sunk = []
         with pytest.raises(VertexExecutionError, match="kaboom") as exc_info:
             engine.run_feed(
-                closed_feed(8), retire=True,
+                PhaseFeed.of(signals(8)), retire=True,
                 sink=lambda p, ts, entries: sunk.append((p, entries)),
             )
         assert (exc_info.value.vertex, exc_info.value.phase) == ("a", 5)
@@ -310,6 +315,26 @@ class TestFaultsAndTheWatchdog:
             result = ProcessEngine(program, 1, join_timeout=0.4).run(signals(10))
         assert result.stats["ipc"]["promoted"] == ["far"]
         assert result.execution_count == 20
+
+    def test_a_stranded_phase_is_a_stall_not_a_spin(self, strand):
+        # Phase 2 of "detect" loses its completion, so phases 2.. can
+        # never complete.  Regression: ``run`` raised at once, but on a
+        # drained feed ``run_feed`` polled the feed forever (``get``
+        # returns at once there) — this feed fails the test instead.
+        deadline = time.monotonic() + 10.0
+
+        class Watched(PhaseFeed):
+            def get(self, timeout=None):
+                assert time.monotonic() < deadline, "polling a drained feed"
+                return super().get(timeout)
+
+        program = chain()
+        strand(program.numbering.index_of["detect"], 2)
+        engine = ProcessEngine(program, 1, join_timeout=3.0)
+        with pytest.raises(EngineError, match="stalled before quiescence"):
+            engine.run(signals(5))
+        with pytest.raises(EngineError, match="stalled before quiescence"):
+            engine.run_feed(Watched.of(signals(5)))
 
     def test_a_silent_worker_still_trips_the_watchdog(self):
         program = solo(Napper(far_nap=5.0, dear=(1,)))

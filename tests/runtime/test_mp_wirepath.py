@@ -21,7 +21,6 @@ from repro.errors import EngineError, VertexExecutionError
 from repro.core.vertex import VertexContext
 from repro.events import PhaseInput
 from repro.graph.model import ComputationGraph
-from repro.runtime.environment import EnvironmentConfig
 from repro.runtime.feed import PhaseFeed
 from repro.runtime.mp import ProcessEngine
 from repro.runtime.mp.lifecycle import ProcessWorkerPool
@@ -146,14 +145,6 @@ class _UnpicklableResult(Vertex):
         return ("ok", ctx.phase)
 
 
-def _closed_feed(n):
-    feed = PhaseFeed(capacity=n)
-    for p in range(1, n + 1):
-        feed.put(PhaseInput(p, float(p)))
-    feed.close()
-    return feed
-
-
 class _ExitHard(Vertex):
     def on_execute(self, ctx):
         # Worker-side only: executed in the coordinator (a placement
@@ -183,12 +174,13 @@ class TestMidRunCrash:
         engine = ProcessEngine(
             _solo_program(behavior()),
             num_workers=1,
-            env=EnvironmentConfig(max_in_flight_phases=max_in_flight),
+            max_in_flight_phases=max_in_flight,
         )
         records = []
         with pytest.raises(VertexExecutionError, match=detail) as exc_info:
             engine.run_feed(
-                _closed_feed(4), retire=True,
+                PhaseFeed.of([PhaseInput(p, float(p)) for p in range(1, 5)]),
+                retire=True,
                 sink=lambda p, ts, recs: records.append((p, recs)),
             )
         assert exc_info.value.vertex == "a"
@@ -210,6 +202,39 @@ class TestMidRunCrash:
         engine = ProcessEngine(prog, num_workers=1, join_timeout=30.0)
         with pytest.raises(EngineError, match="died|crashed"):
             engine.run([PhaseInput(p, float(p)) for p in range(1, 5)])
+
+
+class TestSkippedComesWithAnError:
+    """A reply skips members only behind a failed one, so a non-empty
+    ``ResultBatch.skipped`` always travels with an error entry in the
+    same batch.  The coordinator relies on it: it raises on that entry,
+    and nothing a worker skipped is ever dispatched again."""
+
+    @pytest.mark.parametrize("behavior", [_BoomAtPhase2, _UnpicklableResult])
+    @pytest.mark.parametrize(
+        "phases", [(1,), (2,), (1, 2), (2, 3), (1, 2, 3), (1, 3, 4)]
+    )
+    def test_skipped_implies_an_error_entry(self, behavior, phases):
+        from repro.runtime.mp.worker import (
+            _compute_run,
+            _encode_result_batch,
+            _SuppressFilter,
+        )
+
+        run = RunMsg(
+            vertex=1, name="a", successors=(),
+            members=tuple(RunMember(phase=p, inputs={}, changed=()) for p in phases),
+        )
+        results, skipped = _compute_run(
+            0, behavior(), run, _SuppressFilter({}), Interner()
+        )
+        batch = decode(_encode_result_batch(0, results, skipped))
+        errors = [r.phase for r in batch.results if r.error is not None]
+        assert not batch.skipped or errors
+        # Every member is answered exactly once: executed, then skipped.
+        answered = [r.phase for r in batch.results] + [p for _, p in batch.skipped]
+        assert answered == list(phases)
+        assert errors == ([2] if 2 in phases else [])
 
 
 class _Poison:

@@ -25,7 +25,6 @@ from repro.core.serial import SerialExecutor
 from repro.core.tracer import ExecutionTracer
 from repro.errors import EngineError
 from repro.runtime.engine import ParallelEngine
-from repro.runtime.environment import EnvironmentConfig
 from repro.runtime.feed import PhaseFeed
 from repro.runtime.mp.engine import ProcessEngine
 from repro.streams.workloads import comb_workload, pipeline_workload
@@ -211,15 +210,6 @@ class TestGracefulStop:
         assert result.execution_count == 0
 
 
-def _backlog(phases):
-    """A closed feed already holding every phase: one burst per look."""
-    feed = PhaseFeed(capacity=len(phases))
-    for pi in phases:
-        feed.put(pi)
-    feed.close()
-    return feed
-
-
 class TestFeedBursts:
     """``run_feed`` admits everything the feed already holds in one
     critical section (one flow credit each), so served runs coalesce."""
@@ -227,19 +217,23 @@ class TestFeedBursts:
     def test_backlog_is_admitted_in_one_burst_and_coalesces(self):
         program, phases = pipeline_workload(depth=5, phases=40, seed=3)
         serial = SerialExecutor(program).run(phases)
-        result = ParallelEngine(program, num_threads=2).run_feed(_backlog(phases))
+        result = ParallelEngine(program, num_threads=2).run_feed(PhaseFeed.of(phases))
         assert_serializable(serial, result)
         assert result.stats["drain"]["feed_burst_max"] == len(phases)
         assert result.stats["coalescing"]["mean_run_length"] > 1.0
-        # A fed environment stays on its feed: it never executes.
-        assert result.stats["drain"]["inline_runs"] == 0
-        assert result.stats["per_worker_executions"][2] == 0
+        # Closed before the run began, the feed is a batch: the
+        # environment is a peer, and every run is placed exactly once.
+        drain = result.stats["drain"]
+        assert (
+            drain["inline_runs"] + drain["pooled_runs"]
+            == result.stats["coalescing"]["runs_scheduled"]
+        )
 
     def test_burst_is_capped_at_the_run_ceiling(self):
         from repro.core.state import ADAPTIVE_RUN_CEILING
 
         program, phases = pipeline_workload(depth=3, phases=150, seed=1)
-        result = ParallelEngine(program, num_threads=2).run_feed(_backlog(phases))
+        result = ParallelEngine(program, num_threads=2).run_feed(PhaseFeed.of(phases))
         assert result.phases_run == len(phases)
         assert result.stats["drain"]["feed_burst_max"] == ADAPTIVE_RUN_CEILING
 
@@ -252,8 +246,8 @@ class TestFeedBursts:
             program,
             num_threads=2,
             tracer=tracer,
-            env=EnvironmentConfig(max_in_flight_phases=in_flight),
-        ).run_feed(_backlog(phases))
+            max_in_flight_phases=in_flight,
+        ).run_feed(PhaseFeed.of(phases))
         assert_serializable(serial, result)
         assert 1 <= result.stats["drain"]["feed_burst_max"] <= in_flight
         # Tracer events are appended under the global lock: replaying
@@ -281,7 +275,7 @@ class TestFeedBursts:
 
         result = ParallelEngine(
             program, num_threads=2, tracer=StopOnceTheFirstBurstIsIn()
-        ).run_feed(_backlog(phases), stop_event=stop)
+        ).run_feed(PhaseFeed.of(phases), stop_event=stop)
         # The burst in progress is admitted whole and drains; no second
         # burst starts although the feed still holds 136 phases.
         assert result.phases_run == ADAPTIVE_RUN_CEILING
@@ -295,7 +289,7 @@ class TestFeedBursts:
         serial = SerialExecutor(program).run(phases)
         sink_log = []
         result = ParallelEngine(plan, num_threads=2).run_feed(
-            _backlog(phases),
+            PhaseFeed.of(phases),
             sink=lambda p, ts, entries: sink_log.append((p, ts, entries)),
             retire=True,
         )

@@ -512,9 +512,11 @@ class TestClientDepartures:
 class TestSlowSseConsumers:
     def test_stalled_reader_drops_and_never_blocks_announce(self, workload):
         session = ServeSession(
-            workload.program,
-            ServeConfig(wait=workload.wait, announce_queue=4),
+            workload.program, ServeConfig(wait=workload.wait)
         )
+        # A shallow listener queue, so the stalled reader starts dropping
+        # after a few frames instead of the default few hundred.
+        session.announcer.max_queue = 4
         session.start()
         stalled = socket.socket()
         try:

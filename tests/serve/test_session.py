@@ -253,5 +253,3 @@ class TestConfigValidation:
     def test_bad_capacities_rejected(self):
         with pytest.raises(ServeError):
             ServeConfig(feed_capacity=0)
-        with pytest.raises(ServeError):
-            ServeConfig(emit_capacity=0)

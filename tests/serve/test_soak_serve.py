@@ -33,7 +33,6 @@ def test_serve_memory_stays_flat_over_keyed_stream():
         quantum=1.0,
         check_sample=500,  # periodic oracle spot-checks
         max_buffered=64,
-        rss_sample_every=200,
     )
     mark = max(1, SOAK_PHASES // 10)
     rss_at_mark = 0

@@ -30,7 +30,6 @@ import pytest
 from repro.cli import build_parser, main
 from repro.runtime.core import ScheduleCore
 from repro.runtime.engine import ParallelEngine
-from repro.runtime.environment import EnvironmentConfig
 from repro.runtime.mp import ProcessEngine
 from repro.serve import ServeConfig
 from repro.simulator import SimulatedEngine
@@ -49,12 +48,12 @@ def params(cls):
 
 def test_engine_constructor_parameters_are_pinned():
     assert params(ParallelEngine) == [
-        "program", "num_threads", "checker", "tracer", "env",
-        "join_timeout", "backend", "faults",
+        "program", "num_threads", "checker", "tracer",
+        "max_in_flight_phases", "join_timeout", "backend", "faults",
     ], AIM_2
     assert params(ProcessEngine) == [
-        "program", "num_workers", "checker", "tracer", "env",
-        "join_timeout", "start_method",
+        "program", "num_workers", "checker", "tracer",
+        "max_in_flight_phases", "join_timeout", "start_method",
     ], AIM_2
     assert params(SimulatedEngine) == [
         "program", "num_workers", "num_processors", "cost_model",
@@ -66,13 +65,12 @@ def test_engine_constructor_parameters_are_pinned():
 def test_config_fields_are_pinned():
     assert [f.name for f in dataclasses.fields(ServeConfig)] == [
         "engine", "threads", "workers", "fuse", "max_in_flight", "wait",
-        "quantum", "max_buffered", "max_late_kept", "feed_capacity",
-        "emit_capacity", "announce_queue", "check_sample", "stats_every",
-        "rss_sample_every", "join_timeout",
+        "quantum", "max_buffered", "feed_capacity", "check_sample",
+        "stats_every", "join_timeout",
     ], AIM_2
-    assert [f.name for f in dataclasses.fields(EnvironmentConfig)] == [
-        "pacing", "max_in_flight_phases",
-    ], AIM_2
+    # Flow control is each engine's ``max_in_flight_phases``; there is no
+    # environment config object left to grow a knob.
+    assert importlib.util.find_spec("repro.runtime.environment") is None, AIM_2
 
 
 ONE_INSTANCE = (
@@ -148,8 +146,8 @@ CORE = (
 
 def test_schedule_core_surface_is_pinned():
     assert params(ScheduleCore) == [
-        "plan", "phase_inputs", "num_workers", "frontier", "checker",
-        "tracer", "preempt", "retire", "sink",
+        "plan", "num_workers", "frontier", "checker", "tracer",
+        "preempt", "retire", "sink",
     ], CORE
     operations = {
         name: list(inspect.signature(member).parameters)[1:]
@@ -157,7 +155,7 @@ def test_schedule_core_surface_is_pinned():
         if inspect.isfunction(member) and not name.startswith("_")
     }
     assert operations == {
-        "admit": ["count", "fed_input"],
+        "admit": ["phase_input"],
         "claim": ["v", "p"],
         "commit": ["worker", "completed"],
         "result": ["label", "elapsed", "engine_stats"],

@@ -492,7 +492,14 @@ class TestGracefulSignals:
 
         marker = f"orphan-{uuid.uuid4().hex}"
         stats_path = tmp_path / "stats.json"
-        spec = Path("specs/keyed_accounts.xml").resolve()
+        # Long enough that the signal lands mid-run: the shipped 400
+        # phases can finish between two polls for the workers.
+        spec = tmp_path / "keyed_accounts.xml"
+        spec.write_text(
+            Path("specs/keyed_accounts.xml").read_text().replace(
+                'timesteps="400"', 'timesteps="50000"'
+            )
+        )
         proc = self._spawn(
             ["run", str(spec), "--engine", "process", "--workers", "2",
              "--stats-json", str(stats_path)],

@@ -70,7 +70,6 @@ from repro.ingest import ReorderBuffer, bin_timestamp
 from repro.models.domains.keyed import build_keyed_workload
 from repro.runtime.core import ScheduleCore
 from repro.runtime.engine import ParallelEngine
-from repro.runtime.environment import EnvironmentConfig
 from repro.runtime.mp import ProcessEngine
 from repro.simulator import SimulatedEngine
 from repro.streams.workloads import pipeline_workload
@@ -221,14 +220,15 @@ def pairwise(runtime, v, phases, ctxs):
 def run_inline(
     plan, phases, newest_first=False, data_path=whole, cut=None, **core_options
 ):
-    """The whole run lifecycle with no engine: admit every phase, then
-    pop a ready pair, claim its run, compute, commit, until quiescent.
+    """The whole run lifecycle with no engine: admit every phase, one
+    input at a time, then pop a ready pair, claim its run, compute,
+    commit, until quiescent.
     With *cut* (a ``random.Random``) a run commits only a drawn prefix
     and the head of its still-claimed tail is dispatched again — the
     threaded engine's staking break.  Returns the core (for its
     completion log) and the result."""
-    core = ScheduleCore(plan, phases, 1, **core_options)
-    ready = deque(core.admit(core.phases_unadmitted))
+    core = ScheduleCore(plan, 1, **core_options)
+    ready = deque(pair for pi in phases for pair in core.admit(pi))
     while ready:
         v, p = ready.pop() if newest_first else ready.popleft()
         run, ctxs = core.claim(v, p)
@@ -260,14 +260,14 @@ def run_cell(engine, spec, index, fuse):
     serial = SerialExecutor(program).run(phases)
     serial_state = state()
     plan = compile_plan(program, fuse=fuse)
-    env = EnvironmentConfig(max_in_flight_phases=spec.max_in_flight)
     if engine in ("threaded", "threaded-pooled"):
         backend = (
             RegimeClockBackend(compute_dear=True)
             if engine == "threaded-pooled" else None
         )
         result = ParallelEngine(
-            plan, num_threads=spec.threads, env=env, backend=backend
+            plan, num_threads=spec.threads,
+            max_in_flight_phases=spec.max_in_flight, backend=backend
         ).run(phases)
         assert validate_engine_stats(result.engine, result.stats) == [], where
     elif process(engine):
@@ -277,7 +277,7 @@ def run_cell(engine, spec, index, fuse):
             result = ProcessEngine(
                 plan,
                 num_workers=process_config_for_run(SEED, index)["workers"],
-                env=env,
+                max_in_flight_phases=spec.max_in_flight,
                 start_method="fork",
             ).run(phases)
         assert validate_engine_stats(result.engine, result.stats) == [], where

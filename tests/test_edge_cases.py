@@ -1,5 +1,8 @@
 """Edge cases and robustness tests across engines."""
 
+import threading
+import time
+
 import pytest
 
 from repro.analysis.serializability import assert_serializable
@@ -10,7 +13,7 @@ from repro.events import PhaseInput
 from repro.graph.model import ComputationGraph
 from repro.models.sensors import SilentSource
 from repro.runtime.engine import ParallelEngine
-from repro.runtime.environment import EnvironmentConfig
+from repro.runtime.feed import PhaseFeed
 from repro.simulator.costs import CostModel
 from repro.simulator.machine import SimulatedEngine
 from repro.streams.workloads import grid_workload, pipeline_workload
@@ -190,7 +193,7 @@ class TestFlowControlMemory:
                 ParallelEngine(
                     prog,
                     num_threads=2,
-                    env=EnvironmentConfig(max_in_flight_phases=4),
+                    max_in_flight_phases=4,
                     backend=backend(),
                 ).run(phases),
             )
@@ -215,13 +218,24 @@ class TestFlowControlMemory:
         assert bounded.stats["edge_entries_peak"] <= edges * (4 + 1)
 
     def test_pacing_and_flow_control_together(self):
+        # Pacing is the producer's: phases trickle into an open feed while
+        # at most two are in flight.
         prog, phases = grid_workload(2, 3, phases=15, seed=3)
         serial = SerialExecutor(prog).run(phases)
+        feed = PhaseFeed(capacity=4)
+
+        def produce():
+            for pi in phases:
+                feed.put(pi)
+                time.sleep(0.0005)
+            feed.close()
+
+        producer = threading.Thread(target=produce)
+        producer.start()
         res = ParallelEngine(
-            prog,
-            num_threads=2,
-            env=EnvironmentConfig(pacing=0.0005, max_in_flight_phases=2),
-        ).run(phases)
+            prog, num_threads=2, max_in_flight_phases=2
+        ).run_feed(feed)
+        producer.join()
         assert_serializable(serial, res)
 
 

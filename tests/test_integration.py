@@ -18,7 +18,6 @@ from repro.models.domains import (
     build_power_pricing_workload,
 )
 from repro.runtime.engine import ParallelEngine
-from repro.runtime.environment import EnvironmentConfig
 from repro.simulator.costs import CostModel
 from repro.simulator.machine import SimulatedEngine
 from repro.streams.workloads import (
@@ -79,7 +78,7 @@ class TestEngineMatrix:
             serial,
             ParallelEngine(
                 prog, num_threads=2,
-                env=EnvironmentConfig(max_in_flight_phases=1),
+                max_in_flight_phases=1,
             ).run(phases),
         )
         assert_serializable(

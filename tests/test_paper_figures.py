@@ -29,7 +29,6 @@ from repro.simulator.costs import CostModel
 from repro.simulator.machine import SimulatedEngine
 from repro.simulator.metrics import speedup_curve
 from repro.runtime.engine import ParallelEngine
-from repro.runtime.environment import EnvironmentConfig
 from repro.streams.workloads import fig1_workload, grid_workload, pipeline_workload
 
 
@@ -222,7 +221,7 @@ class TestPhaseBarrierBaseline:
         prog, phases = grid_workload(3, 3, phases=20, seed=12)
         serial = SerialExecutor(prog).run(phases)
         res = ParallelEngine(
-            prog, num_threads=3, env=EnvironmentConfig(max_in_flight_phases=1)
+            prog, num_threads=3, max_in_flight_phases=1
         ).run(phases)
         assert_serializable(serial, res)
 

@@ -25,7 +25,6 @@ from repro.core.invariants import InvariantChecker
 from repro.core.serial import SerialExecutor
 from repro.models.domains import build_crisis_workload
 from repro.runtime.engine import ParallelEngine
-from repro.runtime.environment import EnvironmentConfig
 from repro.streams.workloads import fanin_workload, fig1_workload, pipeline_workload
 
 from tests.runtime.regime_clock import RegimeClockBackend
@@ -81,7 +80,7 @@ class TestSoak:
         par = ParallelEngine(
             prog,
             num_threads=6,
-            env=EnvironmentConfig(max_in_flight_phases=2),
+            max_in_flight_phases=2,
         ).run(phases)
         assert_serializable(serial, par)
 

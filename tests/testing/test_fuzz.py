@@ -6,6 +6,9 @@ a green fuzz run is only evidence if the same harness demonstrably turns
 red when a known concurrency bug is planted.
 """
 
+import hashlib
+import importlib
+
 import pytest
 
 from repro.testing import (
@@ -69,6 +72,25 @@ class TestCleanCampaign:
         b = fuzz(runs=10, seed=5)
         assert a.total_steps == b.total_steps
         assert a.distinct_interleavings == b.distinct_interleavings
+
+    def test_explored_schedules_are_pinned(self, monkeypatch):
+        # Every scheduling decision of every interleaving the campaign
+        # explores, as one digest of its per-run trace hashes.  A change
+        # that moves the virtual schedule fails here: update the pin and
+        # say why the explored schedules had to change.
+        fuzz_module = importlib.import_module("repro.testing.fuzz")
+        run_one, hashes = fuzz_module.run_one, []
+
+        def recording(*args, **kwargs):
+            outcome = run_one(*args, **kwargs)
+            hashes.append(outcome.trace_hash)
+            return outcome
+
+        monkeypatch.setattr(fuzz_module, "run_one", recording)
+        assert fuzz(runs=30, seed=0).ok
+        assert len(hashes) == 30
+        digest = hashlib.sha1(" ".join(hashes).encode()).hexdigest()[:16]
+        assert digest == "e836ec35e298ef02"
 
     def test_fused_campaign_passes(self):
         # Fusion compiled in, oracle left unfused.
