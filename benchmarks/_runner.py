@@ -1,7 +1,7 @@
 """Shared scaffolding for the standalone benchmark scripts.
 
 The pytest-benchmark suites in this directory run under pytest; the
-standalone scripts (``bench_fusion.py``, ``bench_ext_reorder.py``,
+standalone scripts (``bench_ext_reorder.py``,
 ``bench_numbering_scale.py``) are plain ``python benchmarks/bench_X.py`` programs so CI can smoke them
 cheaply and the full runs can commit their results as ``BENCH_X.json``.
 This module factors out what every standalone script repeats:

@@ -74,11 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["fork", "spawn", "forkserver"],
                      help="multiprocessing start method for --engine "
                           "process (default: fork where available)")
-    run.add_argument("--fuse", action=argparse.BooleanOptionalAction,
-                     default=True,
-                     help="compile the graph with linear-chain vertex "
-                          "fusion before scheduling (default on; "
-                          "--no-fuse schedules the original graph)")
     run.add_argument("--profile", metavar="PATH", default=None,
                      help="profile the engine run with cProfile, dump the "
                           "pstats file to PATH, and print a per-stage "
@@ -111,9 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="computation threads for --engine parallel")
     serve.add_argument("--workers", type=int, default=2,
                        help="worker processes for --engine process")
-    serve.add_argument("--fuse", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="linear-chain vertex fusion (default on)")
     serve.add_argument("--wait", type=float, default=2.0,
                        help="watermark wait before sealing a timestamp "
                             "(default 2.0)")
@@ -214,11 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "the first")
     fuzz.add_argument("--no-shrink", action="store_true",
                       help="skip greedy minimisation of failing workloads")
-    fuzz.add_argument("--fuse", action="store_true",
-                      help="run the campaign over fused execution plans: "
-                           "each random workload is compiled with "
-                           "linear-chain fusion before the engine runs it, "
-                           "still judged against the unfused serial oracle")
     fuzz.add_argument("--skew", action="store_true",
                       help="skew injection: artificially slow one "
                            "(seeded) vertex per phase, stressing "
@@ -328,7 +315,6 @@ _PROFILE_STAGES = (
     )),
     ("retirement", (
         ("core/program.py", "retire_phase"),
-        ("core/plan.py", "translate_entries"),
         ("core/state.py", "retire_phases_upto"),
         ("runtime/core.py", "_advance"),
     )),
@@ -378,12 +364,11 @@ def _stage_breakdown(profiler, thread_profiles=(), dump_path=None) -> dict:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from .analysis import check_serializable
-    from .core.plan import compile_plan
     from .core.serial import SerialExecutor
 
     spec = _load(args.spec)
+    program = spec.program
     phases = spec.phase_inputs()
-    plan = compile_plan(spec.program, fuse=args.fuse)
     stopped = False
     profiler = None
     thread_profiles: list = []
@@ -404,12 +389,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
     if args.engine == "serial":
-        result = SerialExecutor(plan).run(phases)
+        result = SerialExecutor(program).run(phases)
     elif args.engine == "parallel":
         from .runtime.engine import ParallelEngine
 
         with _signal_stop() as stop:
-            result = ParallelEngine(plan, num_threads=args.threads).run(
+            result = ParallelEngine(program, num_threads=args.threads).run(
                 phases, stop_event=stop
             )
             stopped = stop.is_set()
@@ -418,7 +403,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         with _signal_stop() as stop:
             result = ProcessEngine(
-                plan,
+                program,
                 num_workers=args.workers,
                 start_method=args.start_method,
             ).run(phases, stop_event=stop)
@@ -427,7 +412,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from .simulator import CostModel, SimulatedEngine
 
         result = SimulatedEngine(
-            plan,
+            program,
             num_workers=args.workers,
             num_processors=args.processors,
             cost_model=CostModel(),
@@ -454,13 +439,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if stopped:
         print(f"stopped by signal after {result.phases_run} of "
               f"{len(phases)} phases (in-flight work drained)")
-    fusion = result.stats.get("fusion") if result.stats else None
-    if fusion:
-        print(f"fusion: {fusion['original_vertices']} vertices -> "
-              f"{fusion['plan_vertices']} stages "
-              f"({fusion['fused_stages']} fused), "
-              f"{fusion['scheduled_pairs']} scheduled pairs for "
-              f"{fusion['member_executions']} member executions")
     suppression = result.stats.get("suppression") if result.stats else None
     if suppression and suppression["enabled"]:
         print(f"suppression: {suppression['suppressed_messages']} messages "
@@ -492,7 +470,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"  ... {len(log) - args.max_records} more")
 
     if args.check and args.engine != "serial" and not stopped:
-        oracle = SerialExecutor(spec.program).run(phases)
+        oracle = SerialExecutor(program).run(phases)
         elided = bool(suppression and suppression["enabled"])
         report = check_serializable(oracle, result, allow_elision=elided)
         mode = " (elision-aware)" if elided else ""
@@ -510,7 +488,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         engine=args.engine,
         threads=args.threads,
         workers=args.workers,
-        fuse=args.fuse,
         max_in_flight=args.max_in_flight,
         wait=args.wait,
         quantum=args.quantum,
@@ -687,7 +664,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             stop_on_failure=not args.keep_going,
             max_vertices=args.max_vertices,
             max_phases=args.max_phases,
-            fuse=args.fuse,
             skew=args.skew,
         )
     else:
@@ -701,7 +677,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             do_shrink=not args.no_shrink,
             max_vertices=args.max_vertices,
             max_phases=args.max_phases,
-            fuse=args.fuse,
             skew=args.skew,
         )
     print(report.summary())

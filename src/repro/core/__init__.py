@@ -20,7 +20,6 @@
 from .state import SchedulerState, Pair
 from .invariants import InvariantChecker
 from .program import Program, PairRuntime, RunResult
-from .plan import ExecutionPlan, FusedVertex, FusedTrace, compile_plan, as_plan
 from .vertex import (
     Vertex,
     SourceVertex,
@@ -39,11 +38,6 @@ __all__ = [
     "Pair",
     "InvariantChecker",
     "Program",
-    "ExecutionPlan",
-    "FusedVertex",
-    "FusedTrace",
-    "compile_plan",
-    "as_plan",
     "PairRuntime",
     "RunResult",
     "Vertex",

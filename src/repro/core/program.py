@@ -272,13 +272,6 @@ class PairRuntime:
             if suppress
             else 0
         )
-        # Behaviours with an intra-chain short-circuit of their own
-        # (FusedVertex) follow the run-level setting; configure before
-        # the mp engine pickles its warm caches.
-        for beh in program.behaviors.values():
-            configure = getattr(beh, "configure_suppression", None)
-            if configure is not None:
-                configure(suppress)
 
     def _compute_elide_ok(self) -> List[bool]:
         """Which vertices may have a value-equal input message suppressed.

@@ -18,10 +18,9 @@ consumer.
 from __future__ import annotations
 
 import time
-from typing import List, Sequence, Set, Tuple, Union
+from typing import List, Sequence, Set, Tuple
 
 from ..events import PhaseInput
-from .plan import ExecutionPlan, as_plan
 from .program import PairRuntime, Program, RunResult
 
 __all__ = ["SerialExecutor"]
@@ -48,11 +47,10 @@ class SerialExecutor:
 
     def __init__(
         self,
-        program: Union[Program, ExecutionPlan],
+        program: Program,
         suppress: bool = False,
     ) -> None:
-        self.plan = as_plan(program)
-        self.program = self.plan.program
+        self.program = program
         # Off by default: the oracle defines unsuppressed semantics.  The
         # suppression differential tests flip it on to show Δ-elision
         # composes with the serial scan too.
@@ -60,7 +58,6 @@ class SerialExecutor:
 
     def run(self, phase_inputs: Sequence[PhaseInput]) -> RunResult:
         """Run every phase serially; returns the :class:`RunResult`."""
-        phase_inputs = self.plan.localize_phase_inputs(phase_inputs)
         self.program.reset()
         runtime = PairRuntime(self.program, phase_inputs, suppress=self.suppress)
         n = self.program.n
@@ -83,6 +80,4 @@ class SerialExecutor:
             if self.suppress
             else None
         )
-        return self.plan.translate(
-            runtime.build_result("serial", executions, elapsed, stats)
-        )
+        return runtime.build_result("serial", executions, elapsed, stats)

@@ -20,7 +20,6 @@ from .numbering import (
     compute_S,
     compute_m,
 )
-from .fuse import FusionResult, find_linear_chains, fuse_graph
 
 __all__ = [
     "ComputationGraph",
@@ -30,7 +29,4 @@ __all__ = [
     "verify_numbering",
     "compute_S",
     "compute_m",
-    "FusionResult",
-    "find_linear_chains",
-    "fuse_graph",
 ]

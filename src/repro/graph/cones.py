@@ -21,22 +21,15 @@ This module derives the cone structure once per numbering:
 The numbering-prefix property makes cones cheap and well-ordered: every
 edge goes from a lower to a higher index, so ``ancestors(v) ⊆
 {1..enable(v)}`` and one ascending pass computes every mask.
-
-:func:`stage_cones` lifts cones through a fused
-:class:`~repro.core.plan.ExecutionPlan`: a stage's cone is the union of
-its members' cones in the source graph (minus the stage's own members).
-Because fusion only collapses linear chains — and relabelling preserves
-the edge direction — this union is exactly the projection of the
-plan-space cone, which ``tests/graph/test_cones.py`` asserts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List
+from typing import FrozenSet, List
 
 from .numbering import Numbering
 
-__all__ = ["ConeIndex", "stage_cones"]
+__all__ = ["ConeIndex"]
 
 
 class ConeIndex:
@@ -123,32 +116,3 @@ class ConeIndex:
                 raise AssertionError(
                     f"vertex {v}: ancestor above enable({v}) = {bound}"
                 )
-
-
-def stage_cones(plan) -> Dict[str, FrozenSet[str]]:
-    """Ancestor cones of a fused plan's stages, by *source-graph* names.
-
-    For each plan vertex (stage), returns the union of its members'
-    source-space ancestor cones minus the stage's own members — i.e. the
-    external vertices whose progress gates the stage.  For an unfused plan
-    this is exactly the per-vertex strict ancestor set.
-    """
-    source = plan.source
-    cones = ConeIndex(source.numbering)
-    index_of = source.numbering.index_of
-    name_of = source.numbering.name_of
-    out: Dict[str, FrozenSet[str]] = {}
-    for stage in plan.program.graph.vertices():
-        members = plan.members(stage)
-        union = 0
-        masks = cones._ancestor_masks()
-        for member in members:
-            v = index_of[member]
-            union |= masks[v] | (1 << v)
-        member_set = set(members)
-        out[stage] = frozenset(
-            name_of(u)
-            for u in range(1, cones.n + 1)
-            if union >> u & 1 and name_of(u) not in member_set
-        )
-    return out

@@ -24,8 +24,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.invariants import InvariantChecker
-from ..core.plan import ExecutionPlan
-from ..core.program import PairRuntime, RunResult
+from ..core.program import PairRuntime, Program, RunResult
 from ..core.state import SchedulerState
 from ..core.tracer import ExecutionTracer, max_concurrent_pairs, max_concurrent_phases
 from ..core.vertex import VertexContext
@@ -47,14 +46,14 @@ class ScheduleCore:
     here; ``execute_begin`` / ``execute_end`` stay with the driver, which
     knows the worker and the clock.  With *retire*, each phase is
     retired as soon as the complete prefix extends: ``sink(phase,
-    timestamp, entries)`` gets its translated record entries, then every
+    timestamp, entries)`` gets its record entries, then every
     per-phase structure is garbage-collected.  *sink* runs inside the
     driver's critical section and must be cheap and non-blocking.
     """
 
     def __init__(
         self,
-        plan: ExecutionPlan,
+        program: Program,
         num_workers: int,
         frontier: str = "cone",
         checker: Optional[InvariantChecker] = None,
@@ -68,10 +67,9 @@ class ScheduleCore:
                 "retirement discards the per-phase data a tracer needs; "
                 "run with tracer=None or retire=False"
             )
-        self.plan = plan
-        plan.program.reset()
+        program.reset()
         self.runtime = PairRuntime(
-            plan.program,
+            program,
             [],
             stream_records=retire,
             suppress=frontier == "cone",
@@ -86,7 +84,7 @@ class ScheduleCore:
                 f"frontier must be 'global' or 'cone', got {frontier!r}"
             )
         self.state = scheduler(
-            plan.program.numbering, checker=checker, preempt=preempt
+            program.numbering, checker=checker, preempt=preempt
         )
         self._tracer = tracer
         self._retire = retire
@@ -96,7 +94,6 @@ class ScheduleCore:
         self._seen = 0  # absolute completion-log cursor
         self._retire_next = 1  # next phase to retire
         self._phases_retired = 0
-        self._internal_messages = 0  # fused-stage messages translated away
 
     @property
     def quiescent(self) -> bool:
@@ -113,11 +110,10 @@ class ScheduleCore:
     def admit(self, phase_input: PhaseInput) -> List[Tuple[int, int]]:
         """Listing 2's body: register and start the next phase; returns
         the newly ready pairs, each to be placed on the run queue exactly
-        once.  The (un-localized) *phase_input* is localized and
-        registered in the same critical section that starts it, so no
-        driver ever observes a started-but-unregistered phase."""
-        (local,) = self.plan.localize_phase_inputs([phase_input])
-        self.runtime.register_phase(local)
+        once.  *phase_input* is registered in the same critical section
+        that starts it, so no driver ever observes a
+        started-but-unregistered phase."""
+        self.runtime.register_phase(phase_input)
         state, tracer = self.state, self._tracer
         newly_ready = state.start_phase()
         if tracer is not None:
@@ -157,7 +153,7 @@ class ScheduleCore:
     ) -> RunResult:
         """Close the run: quiescence check, then *engine_stats* plus the
         sections that are a function of scheduler state and pair runtime
-        alone, translated back to the original program's vertices."""
+        alone."""
         state, runtime, tracer = self.state, self.runtime, self._tracer
         if not state.all_started_complete():
             raise EngineError(
@@ -180,13 +176,10 @@ class ScheduleCore:
         if self._retire:
             stats["retirement"] = {
                 "phases_retired": self._phases_retired,
-                "internal_messages": self._internal_messages,
                 "executed_pairs": state.executed_pairs,
             }
-        return self.plan.translate(
-            runtime.build_result(
-                label, self._executions, elapsed, stats, phases_run=state.pmax
-            )
+        return runtime.build_result(
+            label, self._executions, elapsed, stats, phases_run=state.pmax
         )
 
     def _advance(self) -> int:
@@ -208,8 +201,6 @@ class ScheduleCore:
             rn = self._retire_next
             while state.phase_started(rn) and state.phase_complete(rn):
                 ts, entries = self.runtime.retire_phase(rn)
-                entries, internal = self.plan.translate_entries(entries)
-                self._internal_messages += internal
                 if self._sink is not None:
                     self._sink(rn, ts, entries)
                 rn += 1

@@ -76,10 +76,9 @@ from __future__ import annotations
 import time
 from collections import deque
 from contextlib import nullcontext
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Union
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from ..core.invariants import InvariantChecker
-from ..core.plan import ExecutionPlan, as_plan
 from ..core.program import Program, RunResult
 from ..core.state import ADAPTIVE_RUN_CEILING, Pair
 from ..core.tracer import ExecutionTracer
@@ -148,7 +147,7 @@ class ParallelEngine:
 
     def __init__(
         self,
-        program: Union[Program, ExecutionPlan],
+        program: Program,
         num_threads: int = 2,
         checker: Optional[InvariantChecker] = None,
         tracer: Optional[ExecutionTracer] = None,
@@ -164,8 +163,7 @@ class ParallelEngine:
                 f"max_in_flight_phases must be >= 1 or None, "
                 f"got {max_in_flight_phases}"
             )
-        self.plan = as_plan(program)
-        self.program = self.plan.program
+        self.program = program
         self.num_threads = num_threads
         self.checker = checker
         self.tracer = tracer
@@ -219,8 +217,7 @@ class ParallelEngine:
 
         With ``retire=True`` the engine additionally *retires* each
         phase as soon as the completed prefix extends — handing
-        ``sink(phase, timestamp, entries)`` the phase's translated record
-        entries (``(vertex_name, value)``, commit order) and then
+        ``sink(phase, timestamp, entries)`` the phase's record entries (``(vertex_name, value)``, commit order) and then
         garbage-collecting every per-phase structure: scheduler arrays,
         completion-log prefix, phase inputs, record segments.  Memory
         then stays bounded by the in-flight window rather than the
@@ -247,7 +244,7 @@ class ParallelEngine:
         # ``num_threads`` in the per-worker execution counts.
         env_id = self.num_threads
         core = ScheduleCore(
-            self.plan,
+            self.program,
             self.num_threads + 1,
             checker=self.checker,
             tracer=tracer,

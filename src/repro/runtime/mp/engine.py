@@ -77,10 +77,9 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set
 
 from ...core.invariants import InvariantChecker
-from ...core.plan import ExecutionPlan, as_plan
 from ...core.program import Program, RunResult
 from ...core.state import ADAPTIVE_RUN_CEILING, Pair
 from ...core.tracer import ExecutionTracer
@@ -152,7 +151,7 @@ class ProcessEngine:
 
     def __init__(
         self,
-        program: Union[Program, ExecutionPlan],
+        program: Program,
         num_workers: int = 2,
         checker: Optional[InvariantChecker] = None,
         tracer: Optional[ExecutionTracer] = None,
@@ -167,8 +166,7 @@ class ProcessEngine:
                 f"max_in_flight_phases must be >= 1 or None, "
                 f"got {max_in_flight_phases}"
             )
-        self.plan = as_plan(program)
-        self.program = self.plan.program
+        self.program = program
         self.num_workers = num_workers
         self.checker = checker
         self.tracer = tracer
@@ -229,7 +227,7 @@ class ProcessEngine:
         # in the per-worker execution counts.
         me = self.num_workers
         core = ScheduleCore(
-            self.plan,
+            self.program,
             self.num_workers + 1,
             checker=self.checker,
             tracer=tracer,
@@ -356,7 +354,7 @@ class ProcessEngine:
                 if standing[v] >= _DEAR_RUNS and pool.answered(pool.worker_of(v)):
                     standing[v] = None
                     unshipped.add(v)
-                    promoted.append(ctxs[0].name)  # its plan-space name
+                    promoted.append(ctxs[0].name)
             with lock:
                 completed = runtime.commit(v, phases[:executed], ctxs)
                 trace("execute_end", v, phases[:executed], me)

@@ -155,14 +155,13 @@ def _compute_run(
         compute_members(behavior.on_execute, ctxs, member_done)
     except VertexExecutionError as exc:
         # The coordinator re-raises with this vertex's name and phase
-        # around the bare message; an error that names another vertex
-        # (a fused stage's member) keeps its own attribution inside it.
+        # around the bare message.
         results.append(
             ResultMsg(
                 worker_id=worker_id,
                 vertex=run.vertex,
                 phase=ctxs[len(results)].phase,
-                error=exc.message if exc.vertex == run.name else str(exc),
+                error=exc.message,
                 compute_s=time.perf_counter() - started,
             )
         )

@@ -21,7 +21,7 @@ memory bound is the sum of the stage capacities:
   engine).
 
 Everything behind those stages is retired: per-phase pairsets, trace
-segments, chain-edge state and completion-log entries are released as the
+segments, edge entries and completion-log entries are released as the
 complete prefix advances, so RSS stays flat over millions of phases.
 
 :class:`OracleSpotChecker` keeps a *persistent* serial replica of the
@@ -40,7 +40,6 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..core.plan import compile_plan
 from ..core.program import PairRuntime, Program
 from ..errors import BackpressureError, ServeError
 from ..events import Event, PhaseInput
@@ -202,7 +201,6 @@ class ServeConfig:
     engine: str = "parallel"
     threads: int = 2
     workers: int = 2
-    fuse: bool = True
     max_in_flight: Optional[int] = 8
     wait: float = 2.0
     quantum: float = 1.0
@@ -247,7 +245,6 @@ class ServeSession:
         self._on_retired = on_retired
         cfg = self.config
         self.program = program
-        self.plan = compile_plan(program, fuse=cfg.fuse)
         self.buffer = ReorderBuffer(
             wait=cfg.wait,
             quantum=cfg.quantum,
@@ -289,7 +286,7 @@ class ServeSession:
         cfg = self.config
         if cfg.engine == "parallel":
             return ParallelEngine(
-                self.plan,
+                self.program,
                 num_threads=cfg.threads,
                 max_in_flight_phases=cfg.max_in_flight,
                 join_timeout=cfg.join_timeout,
@@ -297,7 +294,7 @@ class ServeSession:
         from ..runtime.mp.engine import ProcessEngine
 
         return ProcessEngine(
-            self.plan,
+            self.program,
             num_workers=cfg.workers,
             max_in_flight_phases=cfg.max_in_flight,
             join_timeout=cfg.join_timeout,

@@ -43,11 +43,9 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from ..core.invariants import InvariantChecker
-from ..core.plan import ExecutionPlan, as_plan
 from ..core.program import Program, RunResult
 from ..core.tracer import ExecutionTracer
 from ..errors import SimulationError
@@ -91,7 +89,7 @@ class SimulatedEngine:
 
     def __init__(
         self,
-        program: Union[Program, ExecutionPlan],
+        program: Program,
         num_workers: int = 2,
         num_processors: int = 2,
         cost_model: Optional[CostModel] = None,
@@ -112,8 +110,7 @@ class SimulatedEngine:
                 f"max_in_flight_phases must be >= 1 or None, "
                 f"got {max_in_flight_phases}"
             )
-        self.plan = as_plan(program)
-        self.program = self.plan.program
+        self.program = program
         self.num_workers = num_workers
         self.num_processors = num_processors
         self.frontier = frontier
@@ -185,7 +182,7 @@ class SimulatedEngine:
         self.cost_model.reset()
         tracer = self.tracer
         core = ScheduleCore(
-            self.plan,
+            self.program,
             self.num_workers,
             frontier=self.frontier,
             checker=self.checker,
@@ -227,17 +224,6 @@ class SimulatedEngine:
             if env_done[0] and core.quiescent:
                 queue.put(_CLOSE)
 
-        def member_cost(mv: int, mp: int, ctx: Any) -> float:
-            stage = names.name_of(mv)
-            if len(self.plan.members(stage)) == 1:
-                return cm.vertex_cost(stage, mp)
-            # A fused stage costs the sum of the members that actually
-            # ran (its trace record — always the last one appended —
-            # names them; Δ-short-circuited members cost nothing,
-            # exactly as when unfused).
-            trace = ctx.records[-1]
-            return sum(cm.vertex_cost(member, mp) for member in trace.members)
-
         def enqueue(newly_ready: List[Tuple[int, int]]) -> None:
             for pair in newly_ready:
                 queue.put(pair)
@@ -261,12 +247,13 @@ class SimulatedEngine:
                 )
 
                 yield procs.request()
+                name = names.name_of(v)
                 for q, ctx in zip(phases, ctxs):
                     if tracer is not None:
                         tracer.execute_begin((v, q), worker_id)
                     # Each member computes when its virtual time starts.
                     runtime.compute(v, (ctx,))
-                    duration = member_cost(v, q, ctx)
+                    duration = cm.vertex_cost(name, q)
                     if duration > 0:
                         yield sim.timeout(duration)
                     if tracer is not None:

@@ -33,7 +33,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.serializability import check_serializable
-from ..core.plan import compile_plan
 from ..core.program import Program, RunResult
 from ..core.serial import SerialExecutor
 from ..core.vertex import EMIT_NOTHING, FunctionVertex, Vertex
@@ -373,16 +372,12 @@ def run_one(
     policy: SchedulingPolicy,
     faults: Optional[FaultPlan] = None,
     max_steps: int = 250_000,
-    fuse: bool = False,
 ) -> RunOutcome:
     """Run *spec* serially (oracle) and under *policy*; judge the result.
 
-    *fuse* compiles the workload with linear-chain fusion before the
-    engine runs it — the oracle always executes the *unfused* program, so
-    a fused parallel run must be indistinguishable from the original
-    serial semantics.  The engine always runs its one schedule (cone
-    frontier, change suppression, adaptive runs); the monitor's invariant
-    checks follow it.  For an ``elidable`` spec the judgement is the
+    The engine always runs its one schedule (cone frontier, change
+    suppression, adaptive runs); the monitor's invariant checks follow
+    it.  For an ``elidable`` spec the judgement is the
     elision-aware check — records must still equal the *unsuppressed*
     oracle's exactly; otherwise nothing may be elided at all.
     """
@@ -392,7 +387,7 @@ def run_one(
     scheduler = VirtualScheduler(policy=policy, max_steps=max_steps)
     monitor = RaceMonitor().attach(scheduler)
     engine = ParallelEngine(
-        compile_plan(program, fuse=fuse),
+        program,
         num_threads=spec.threads,
         checker=monitor,
         tracer=monitor,
@@ -462,7 +457,6 @@ class FuzzFailure:
     reason: str
     trace_names: List[str]
     shrunk_spec: Optional[WorkloadSpec] = None
-    fuse: bool = False
     engine_config: Optional[Dict[str, object]] = None
 
     def summary(self) -> str:
@@ -470,8 +464,7 @@ class FuzzFailure:
             f"fuzz failure at run {self.run_index} (master seed "
             f"{self.master_seed}):",
             f"  workload: {self.spec.describe()}",
-            f"  policy:   {self.policy_name}(seed={self.policy_seed})"
-            + ("  (fused plan)" if self.fuse else ""),
+            f"  policy:   {self.policy_name}(seed={self.policy_seed})",
             *(
                 [f"  engine:   {self.engine_config!r}"]
                 if self.engine_config is not None
@@ -497,7 +490,6 @@ class FuzzFailure:
             "spec": asdict(self.spec),
             "policy_name": self.policy_name,
             "policy_seed": self.policy_seed,
-            "fuse": self.fuse,
             "reason": self.reason,
             "trace_names": list(self.trace_names),
             "shrunk_spec": (
@@ -580,7 +572,6 @@ def fuzz(
     max_vertices: int = 8,
     max_phases: int = 6,
     max_steps: int = 250_000,
-    fuse: bool = False,
     skew: bool = False,
 ) -> FuzzReport:
     """Explore *runs* random (workload, interleaving) pairs.
@@ -589,9 +580,8 @@ def fuzz(
     including its thread count, its flow-control bound and whether it is
     suppression-friendly — derive from ``(seed, run index)``, so the
     campaign is reproducible and any single run can be replayed in
-    isolation.  *fuse* runs the campaign over fused execution plans
-    (oracle stays unfused); *skew* artificially slows one seeded vertex
-    per phase (see :class:`SkewedVertex`) to stress cone independence.
+    isolation.  *skew* artificially slows one seeded vertex per phase
+    (see :class:`SkewedVertex`) to stress cone independence.
     """
     if not policies:
         raise ValueError("fuzz needs at least one scheduling policy")
@@ -602,8 +592,7 @@ def fuzz(
         policy_name = policies[i % len(policies)]
         policy_seed = random.Random(f"policy:{seed}:{i}").randrange(2**31)
         outcome = run_one(
-            spec, make_policy(policy_name, policy_seed), faults, max_steps,
-            fuse=fuse,
+            spec, make_policy(policy_name, policy_seed), faults, max_steps
         )
         failure = None
         if not outcome.passed:
@@ -613,12 +602,10 @@ def fuzz(
                 policy_seed=policy_seed,
                 reason=outcome.reason,
                 trace_names=outcome.trace_names,
-                fuse=fuse,
             )
             if do_shrink:
                 failure["shrunk_spec"] = shrink(
-                    spec, policy_name, policy_seed, faults, max_steps,
-                    fuse=fuse,
+                    spec, policy_name, policy_seed, faults, max_steps
                 )
         return outcome.trace_hash, outcome.steps, outcome.checks_run, failure
 
@@ -676,19 +663,13 @@ def run_one_process(
     spec: WorkloadSpec,
     config: Dict[str, object],
     start_method: str = "spawn",
-    fuse: bool = False,
 ) -> RunOutcome:
     """Run *spec* on the process engine under *config*; judge vs serial.
 
     Unlike :func:`run_one` there is no virtual scheduler — real processes
     interleave freely — so the judgement is serializability plus final
     behaviour state (the delta-sync check: every worker-side mutation
-    must be reflected coordinator-side after shutdown).  With *fuse* the
-    engine runs the fused plan — fused stages cross the process boundary
-    as single :class:`~repro.core.plan.FusedVertex` tasks, and their
-    member state comes back through the fused delta path — while the
-    oracle and the final-state comparison stay per-original-vertex (the
-    plan's member behaviours are the program's own objects).
+    must be reflected coordinator-side after shutdown).
     """
     from ..runtime.mp import ProcessEngine
 
@@ -699,11 +680,11 @@ def run_one_process(
     }
     desc = (
         f"process[w={config['workers']},{start_method}"
-        f"{',fused' if fuse else ''}{',remote' if config.get('remote') else ''}]"
+        f"{',remote' if config.get('remote') else ''}]"
     )
     outcome = RunOutcome(spec=spec, policy_desc=desc, passed=False)
     engine = ProcessEngine(
-        compile_plan(program, fuse=fuse),
+        program,
         num_workers=int(config["workers"]),
         max_in_flight_phases=spec.max_in_flight,
         start_method=start_method,
@@ -742,7 +723,6 @@ def fuzz_process(
     max_vertices: int = 6,
     max_phases: int = 5,
     start_method: str = "spawn",
-    fuse: bool = False,
     skew: bool = False,
 ) -> FuzzReport:
     """Explore *runs* random workloads on real worker processes.
@@ -759,9 +739,7 @@ def fuzz_process(
         spec = spec_for_run(seed, i, max_vertices, max_phases, threads=2,
                             skew=skew)
         config = process_config_for_run(seed, i)
-        outcome = run_one_process(
-            spec, config, start_method=start_method, fuse=fuse
-        )
+        outcome = run_one_process(spec, config, start_method=start_method)
         failure = None
         if not outcome.passed:
             failure = dict(
@@ -770,7 +748,6 @@ def fuzz_process(
                 policy_seed=0,
                 reason=outcome.reason,
                 trace_names=[],
-                fuse=fuse,
                 engine_config=dict(config, start_method=start_method),
             )
         return outcome.policy_desc, outcome.steps, 0, failure
@@ -785,7 +762,6 @@ def shrink(
     faults: Optional[FaultPlan] = None,
     max_steps: int = 250_000,
     budget: int = 24,
-    fuse: bool = False,
 ) -> WorkloadSpec:
     """Greedily minimise a failing spec while it keeps failing.
 
@@ -797,8 +773,7 @@ def shrink(
 
     def still_fails(candidate: WorkloadSpec) -> bool:
         outcome = run_one(
-            candidate, make_policy(policy_name, policy_seed), faults, max_steps,
-            fuse=fuse,
+            candidate, make_policy(policy_name, policy_seed), faults, max_steps
         )
         return not outcome.passed
 
@@ -840,14 +815,10 @@ def replay_failure(
     a fault-induced failure only reproduces with its bug still injected.
     """
     if exact:
-        return run_one(
-            failure.spec, ReplayPolicy(failure.trace_names), faults,
-            fuse=failure.fuse,
-        )
+        return run_one(failure.spec, ReplayPolicy(failure.trace_names), faults)
     spec = failure.shrunk_spec or failure.spec
     return run_one(
-        spec, make_policy(failure.policy_name, failure.policy_seed), faults,
-        fuse=failure.fuse,
+        spec, make_policy(failure.policy_name, failure.policy_seed), faults
     )
 
 

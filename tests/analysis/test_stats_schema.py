@@ -49,7 +49,7 @@ class TestStatsJsonSchema:
     def test_every_engine_validates(self, spec_file, tmp_path, engine):
         out_path = tmp_path / f"{engine}.json"
         assert main([
-            "run", spec_file, "--engine", engine, "--no-fuse",
+            "run", spec_file, "--engine", engine,
             "--stats-json", str(out_path),
         ]) == 0
         payload = json.loads(out_path.read_text())

@@ -2,18 +2,15 @@
 
 The cone layer underpins the per-dependency frontier mode of the
 scheduler: ``ancestors(v)`` must be exactly the set of vertices with a
-directed path into *v*, every cone must live below ``enable(v)`` (the
-restricted-numbering prefix property), and fused-plan stage cones must be
-the projection of the plan-space cones.
+directed path into *v*, and every cone must live below ``enable(v)`` (the
+restricted-numbering prefix property).
 """
 
 import random
 
 import pytest
 
-from repro.core.plan import compile_plan
-from repro.core.program import Program
-from repro.graph.cones import ConeIndex, stage_cones
+from repro.graph.cones import ConeIndex
 from repro.graph.generators import (
     chain_graph,
     diamond_graph,
@@ -23,7 +20,7 @@ from repro.graph.generators import (
 )
 from repro.graph.model import ComputationGraph
 from repro.graph.numbering import number_graph
-from repro.streams.workloads import comb_workload, wide_workload
+from repro.streams.workloads import wide_workload
 
 
 def brute_force_ancestors(numbering, v):
@@ -104,62 +101,6 @@ class TestConeCount:
         g.add_edge("s", "b")
         cones = ConeIndex(numbering_of(g))
         assert cones.cone_count == 3
-
-
-class TestStageCones:
-    def test_unfused_plan_is_strict_ancestors(self):
-        program, _ = comb_workload(lanes=2, depth=3, phases=1)
-        plan = compile_plan(program, fuse=False)
-        num = program.numbering
-        got = stage_cones(plan)
-        for name in program.graph.vertices():
-            v = num.index_of[name]
-            expected = {num.name_of(u) for u in brute_force_ancestors(num, v)}
-            assert got[name] == expected
-
-    def test_fused_plan_matches_planspace_projection(self):
-        # The union-of-member-cones definition must agree with computing
-        # cones directly in plan space and mapping stages back to members.
-        program, _ = comb_workload(lanes=3, depth=4, phases=1)
-        plan = compile_plan(program, fuse=True)
-        assert plan.fused_stage_count > 0  # the comb has chains to fuse
-        got = plan.stage_cones()
-
-        plan_num = plan.program.numbering
-        plan_cones = ConeIndex(plan_num)
-        for stage in plan.program.graph.vertices():
-            s = plan_num.index_of[stage]
-            expected = set()
-            for anc_stage_idx in plan_cones.ancestors(s):
-                expected.update(plan.members(plan_num.name_of(anc_stage_idx)))
-            assert got[stage] == expected, stage
-
-    @pytest.mark.parametrize("seed", range(15))
-    def test_fused_random_dags_match_projection(self, seed):
-        g = random_dag(10, edge_prob=0.35, seed=seed)
-        program = Program(
-            g,
-            {v: _noop_behavior() for v in g.vertices()},
-            name=f"cones-{seed}",
-        )
-        plan = compile_plan(program, fuse=True)
-        got = stage_cones(plan)
-        plan_num = plan.program.numbering
-        plan_cones = ConeIndex(plan_num)
-        for stage in plan.program.graph.vertices():
-            s = plan_num.index_of[stage]
-            expected = set()
-            for u in plan_cones.ancestors(s):
-                expected.update(plan.members(plan_num.name_of(u)))
-            # External-only: members of the stage itself are excluded.
-            expected -= set(plan.members(stage))
-            assert got[stage] == expected
-
-
-def _noop_behavior():
-    from repro.core.vertex import FunctionVertex
-
-    return FunctionVertex(lambda ctx: None)
 
 
 class TestFig1:

@@ -147,31 +147,6 @@ class TestFailureHandling:
         res = engine.run(signals(2))
         assert res.execution_count == 2
 
-    def test_mid_chain_fault_surfaces_member_name_through_fused_plan(self):
-        from repro.core.plan import compile_plan
-        from repro.core.vertex import EMIT_NOTHING, Vertex
-        from repro.streams.workloads import pipeline_workload
-
-        class ExplodeAtPhase(Vertex):
-            def on_execute(self, ctx):
-                if ctx.phase == 4:
-                    raise RuntimeError("injected mid-chain fault")
-                vals = ctx.changed_values()
-                if not vals:
-                    return EMIT_NOTHING
-                (value,) = vals.values()
-                return value
-
-        program, phases = pipeline_workload(depth=6, phases=10)
-        victim = program.graph.vertices()[3]  # an interior chain member
-        program.behaviors[victim] = ExplodeAtPhase()
-        plan = compile_plan(program)
-        assert len(plan.members(plan.stage_of[victim])) > 1
-        with pytest.raises(VertexExecutionError) as err:
-            ParallelEngine(plan, num_threads=2).run(phases)
-        assert err.value.vertex == victim
-        assert err.value.phase == 4
-
 
 class TestFlowControl:
     def test_bounded_in_flight_matches_serial(self):

@@ -4,7 +4,7 @@ The continuous-operation contract (satellites of the serve layer):
 
 * **Incremental admission** — phases handed to a running engine through a
   :class:`PhaseFeed` produce results identical to supplying the same
-  phases up front, across the engine × fusion matrix.
+  phases up front, on both real engines.
 * **Retirement** — ``retire=True`` streams each completed phase's records
   through the sink exactly once, in phase order, matching the serial
   oracle, while the engine's per-phase state is released.
@@ -20,7 +20,6 @@ import threading
 import pytest
 
 from repro.analysis.serializability import assert_serializable
-from repro.core.plan import compile_plan
 from repro.core.serial import SerialExecutor
 from repro.core.tracer import ExecutionTracer
 from repro.errors import EngineError
@@ -60,15 +59,13 @@ WORKLOADS = {
 
 class TestIncrementalAdmissionParallel:
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    @pytest.mark.parametrize("fuse", [True, False])
-    def test_feed_equals_upfront(self, workload, fuse):
+    def test_feed_equals_upfront(self, workload):
         program, phases = WORKLOADS[workload]()
-        plan = compile_plan(program, fuse=fuse)
         serial = SerialExecutor(program).run(phases)
 
-        upfront = ParallelEngine(plan, num_threads=2).run(phases)
+        upfront = ParallelEngine(program, num_threads=2).run(phases)
         feed, producer = _feed_all(phases)
-        streamed = ParallelEngine(plan, num_threads=2).run_feed(feed)
+        streamed = ParallelEngine(program, num_threads=2).run_feed(feed)
         producer.join(timeout=30)
 
         assert streamed.records == upfront.records
@@ -77,14 +74,12 @@ class TestIncrementalAdmissionParallel:
 
 
 class TestIncrementalAdmissionProcess:
-    @pytest.mark.parametrize("fuse", [True, False])
-    def test_feed_equals_upfront(self, fuse):
+    def test_feed_equals_upfront(self):
         program, phases = WORKLOADS["pipeline"]()
-        plan = compile_plan(program, fuse=fuse)
         serial = SerialExecutor(program).run(phases)
 
         feed, producer = _feed_all(phases)
-        streamed = ProcessEngine(plan, num_workers=2).run_feed(feed)
+        streamed = ProcessEngine(program, num_workers=2).run_feed(feed)
         producer.join(timeout=60)
 
         assert streamed.phases_run == len(phases)
@@ -93,15 +88,13 @@ class TestIncrementalAdmissionProcess:
 
 class TestRetirement:
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    @pytest.mark.parametrize("fuse", [True, False])
-    def test_parallel_retire_streams_oracle_records(self, workload, fuse):
+    def test_parallel_retire_streams_oracle_records(self, workload):
         program, phases = WORKLOADS[workload]()
-        plan = compile_plan(program, fuse=fuse)
         serial = SerialExecutor(program).run(phases)
 
         sink_log = []
         feed, producer = _feed_all(phases)
-        result = ParallelEngine(plan, num_threads=2).run_feed(
+        result = ParallelEngine(program, num_threads=2).run_feed(
             feed,
             sink=lambda p, ts, entries: sink_log.append((p, ts, entries)),
             retire=True,
@@ -119,12 +112,11 @@ class TestRetirement:
 
     def test_process_retire_streams_oracle_records(self):
         program, phases = WORKLOADS["pipeline"]()
-        plan = compile_plan(program, fuse=True)
         serial = SerialExecutor(program).run(phases)
 
         sink_log = []
         feed, producer = _feed_all(phases)
-        result = ProcessEngine(plan, num_workers=2).run_feed(
+        result = ProcessEngine(program, num_workers=2).run_feed(
             feed,
             sink=lambda p, ts, entries: sink_log.append((p, ts, entries)),
             retire=True,
@@ -282,13 +274,11 @@ class TestFeedBursts:
         serial = SerialExecutor(program).run(phases[:ADAPTIVE_RUN_CEILING])
         assert_serializable(serial, result)
 
-    @pytest.mark.parametrize("fuse", [True, False])
-    def test_retire_sinks_each_phase_once_ascending_across_bursts(self, fuse):
+    def test_retire_sinks_each_phase_once_ascending_across_bursts(self):
         program, phases = comb_workload(lanes=3, depth=3, phases=90, seed=4)
-        plan = compile_plan(program, fuse=fuse)
         serial = SerialExecutor(program).run(phases)
         sink_log = []
-        result = ParallelEngine(plan, num_threads=2).run_feed(
+        result = ParallelEngine(program, num_threads=2).run_feed(
             PhaseFeed.of(phases),
             sink=lambda p, ts, entries: sink_log.append((p, ts, entries)),
             retire=True,

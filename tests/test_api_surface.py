@@ -13,9 +13,10 @@ topology stays deleted.
 
 One test pins :class:`~repro.runtime.core.ScheduleCore` the same way:
 four operations and one constructor are the whole interface between the
-run lifecycle and the engines that drive it.  The last keeps the two
+run lifecycle and the engines that drive it.  Another keeps the two
 schedulers apart: neither takes a mode, and a production entry point
-never loads the specification.
+never loads the specification.  The last keeps the chain-fusion plan
+out: every engine schedules the program the user wrote.
 """
 
 import dataclasses
@@ -38,7 +39,8 @@ AIM_2 = "scheduling surface changed — see ROADMAP aim 2 before adding a knob"
 
 REMOVED_FLAGS = (
     "--frontier", "--suppress", "--run-length", "--batch-size",
-    "--ipc-batch", "--window", "--shards", "--key-by",
+    "--ipc-batch", "--window", "--shards", "--key-by", "--fuse",
+    "--no-fuse",
 )
 
 
@@ -64,13 +66,15 @@ def test_engine_constructor_parameters_are_pinned():
 
 def test_config_fields_are_pinned():
     assert [f.name for f in dataclasses.fields(ServeConfig)] == [
-        "engine", "threads", "workers", "fuse", "max_in_flight", "wait",
+        "engine", "threads", "workers", "max_in_flight", "wait",
         "quantum", "max_buffered", "feed_capacity", "check_sample",
         "stats_every", "join_timeout",
     ], AIM_2
     # Flow control is each engine's ``max_in_flight_phases``; there is no
     # environment config object left to grow a knob.
     assert importlib.util.find_spec("repro.runtime.environment") is None, AIM_2
+    # The engines schedule the graph the user wrote: no fusion pass.
+    assert importlib.util.find_spec("repro.graph.fuse") is None, AIM_2
 
 
 ONE_INSTANCE = (
@@ -108,7 +112,7 @@ def test_help_mentions_no_removed_knob(command):
 def test_removed_flag_is_an_ordinary_argparse_error(command, flag, capsys):
     argv = [command] + ([] if command == "fuzz" else ["spec.xml"])
     value = ["cone"] if flag == "--frontier" else ["2"]
-    if flag == "--suppress":
+    if flag in ("--suppress", "--fuse", "--no-fuse"):  # were switches
         value = []
     with pytest.raises(SystemExit) as exit_info:
         main(argv + [flag] + value)
@@ -146,7 +150,7 @@ CORE = (
 
 def test_schedule_core_surface_is_pinned():
     assert params(ScheduleCore) == [
-        "plan", "num_workers", "frontier", "checker", "tracer",
+        "program", "num_workers", "frontier", "checker", "tracer",
         "preempt", "retire", "sink",
     ], CORE
     operations = {
@@ -180,3 +184,16 @@ def test_the_two_schedulers_stay_apart():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert loaded.stdout.strip() == "[]", loaded.stdout
+
+
+def test_the_engines_load_no_plan():
+    # Every engine, the serve session and the CLI take the Program itself;
+    # repro.core.plan is left for the end-to-end benchmark alone.
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro, repro.cli, repro.serve, repro.runtime.mp\n"
+         "print('repro.core.plan' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert loaded.stdout.strip() == "False", AIM_2

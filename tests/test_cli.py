@@ -70,7 +70,7 @@ class TestRun:
 
         out_path = tmp_path / "stats.json"
         assert main([
-            "run", spec_file, "--engine", "process", "--no-fuse",
+            "run", spec_file, "--engine", "process",
             "--stats-json", str(out_path),
         ]) == 0
         assert "stats written to" in capsys.readouterr().out
@@ -102,30 +102,12 @@ class TestRun:
 
         out_path = tmp_path / "stats.json"
         assert main([
-            "run", spec_file, "--engine", "serial", "--no-fuse",
+            "run", spec_file, "--engine", "serial",
             "--stats-json", str(out_path),
         ]) == 0
         payload = json.loads(out_path.read_text())
         assert payload["engine"] == "serial"
         assert payload["stats"] == {}
-
-    def test_fuse_default_on_and_checked(self, spec_file, capsys):
-        assert main([
-            "run", spec_file, "--engine", "parallel", "--check",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "+fused[" in out
-        assert "fusion:" in out
-        assert "is serializable" in out
-
-    def test_no_fuse_reproduces_baseline_label(self, spec_file, capsys):
-        assert main([
-            "run", spec_file, "--engine", "parallel", "--no-fuse", "--check",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "+fused[" not in out
-        assert "fusion:" not in out
-        assert "is serializable" in out
 
     def test_max_records_truncation(self, spec_file, capsys):
         assert main(["run", spec_file, "--max-records", "2"]) == 0
@@ -211,7 +193,7 @@ class TestProfileStages:
 
         stats = tmp_path / "stats.json"
         assert main([
-            "run", spec_file, "--engine", engine, "--no-fuse",
+            "run", spec_file, "--engine", engine,
             "--profile", str(tmp_path / "run.pstats"),
             "--stats-json", str(stats),
         ]) == 0

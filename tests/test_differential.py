@@ -20,8 +20,6 @@ One module instead of a matrix per feature (ROADMAP aim 3).  The axes:
   all, a single-threaded loop over
   :class:`~repro.runtime.core.ScheduleCore`'s four operations (the proof
   that the run lifecycle lives in the core, not in its drivers);
-* **fuse** — the plan compiled with linear-chain fusion or not (the
-  oracle always runs the unfused program);
 * **workload family** — sparse random DAGs, the same DAGs with a seeded
   straggler per phase, the suppression-friendly mix on which Δ-elision is
   reachable, deep linear pipelines on which runs form, and keyed traffic:
@@ -47,8 +45,8 @@ is a run of one) must leave the same records, counters and channels.
 
 The last class keeps the suite honest: the corpus really elides, the
 pipelines really form runs longer than one, the process backend really
-ships run frames, fusion really shrinks the plan, and the simulator's
-global mode really is the published schedule.
+ships run frames, and the simulator's global mode really is the
+published schedule.
 """
 
 import random
@@ -61,7 +59,6 @@ import pytest
 from repro.analysis.serializability import check_serializable
 from repro.analysis.stats import validate_engine_stats
 from repro.core.invariants import InvariantChecker
-from repro.core.plan import compile_plan
 from repro.core.program import PairRuntime
 from repro.core.reference import ReferenceScheduler
 from repro.core.serial import SerialExecutor
@@ -218,7 +215,7 @@ def pairwise(runtime, v, phases, ctxs):
 
 
 def run_inline(
-    plan, phases, newest_first=False, data_path=whole, cut=None, **core_options
+    program, phases, newest_first=False, data_path=whole, cut=None, **core_options
 ):
     """The whole run lifecycle with no engine: admit every phase, one
     input at a time, then pop a ready pair, claim its run, compute,
@@ -227,7 +224,7 @@ def run_inline(
     and the head of its still-claimed tail is dispatched again — the
     threaded engine's staking break.  Returns the core (for its
     completion log) and the result."""
-    core = ScheduleCore(plan, 1, **core_options)
+    core = ScheduleCore(program, 1, **core_options)
     ready = deque(pair for pi in phases for pair in core.admit(pi))
     while ready:
         v, p = ready.pop() if newest_first else ready.popleft()
@@ -240,13 +237,13 @@ def run_inline(
     return core, core.result("inline", 0.0, {})
 
 
-def run_cell(engine, spec, index, fuse):
+def run_cell(engine, spec, index):
     """Run *spec* on *engine*; returns ``(serial, result)`` once the
     judgement has passed: serializability, plus the invariant monitor on
     the virtual campaign and final behaviour state everywhere else."""
-    where = f"{engine} fuse={fuse} spec {index} [{spec.describe()}]"
+    where = f"{engine} spec {index} [{spec.describe()}]"
     if engine == "virtual":
-        outcome = run_one(spec, policy_for(index), fuse=fuse)
+        outcome = run_one(spec, policy_for(index))
         assert outcome.passed, f"{where}: {outcome.reason}"
         return outcome.serial, outcome.parallel
 
@@ -259,14 +256,13 @@ def run_cell(engine, spec, index, fuse):
     program, phases = spec.build_picklable()  # stateful sources
     serial = SerialExecutor(program).run(phases)
     serial_state = state()
-    plan = compile_plan(program, fuse=fuse)
     if engine in ("threaded", "threaded-pooled"):
         backend = (
             RegimeClockBackend(compute_dear=True)
             if engine == "threaded-pooled" else None
         )
         result = ParallelEngine(
-            plan, num_threads=spec.threads,
+            program, num_threads=spec.threads,
             max_in_flight_phases=spec.max_in_flight, backend=backend
         ).run(phases)
         assert validate_engine_stats(result.engine, result.stats) == [], where
@@ -275,17 +271,17 @@ def run_cell(engine, spec, index, fuse):
         # covers the spawn start method.
         with scripted_placement() if engine == "process-remote" else nullcontext():
             result = ProcessEngine(
-                plan,
+                program,
                 num_workers=process_config_for_run(SEED, index)["workers"],
                 max_in_flight_phases=spec.max_in_flight,
                 start_method="fork",
             ).run(phases)
         assert validate_engine_stats(result.engine, result.stats) == [], where
     elif engine == "inline":
-        _, result = run_inline(plan, phases)
+        _, result = run_inline(program, phases)
     else:
         result = SimulatedEngine(
-            plan, num_workers=2, num_processors=2,
+            program, num_workers=2, num_processors=2,
             frontier=engine.split("-")[1],
         ).run(phases)
     elides = spec.elidable and engine != "simulated-global"
@@ -302,15 +298,14 @@ def run_cell(engine, spec, index, fuse):
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-@pytest.mark.parametrize("fuse", [False, True], ids=["unfused", "fused"])
 @pytest.mark.parametrize("engine", ENGINES)
-def test_record_exact_against_serial_oracle(engine, fuse, family):
+def test_record_exact_against_serial_oracle(engine, family):
     inline_runs = pooled_runs = 0
     for i in range(CORPUS[engine]):
         spec = FAMILIES[family](engine, i)
-        serial, result = run_cell(engine, spec, i, fuse)
+        serial, result = run_cell(engine, spec, i)
         assert result.records == serial.records, (
-            f"{engine} fuse={fuse} {family} spec {i} [{spec.describe()}]"
+            f"{engine} {family} spec {i} [{spec.describe()}]"
         )
         assert result.phases_run == serial.phases_run
         drain = result.stats.get("drain", {})
@@ -321,8 +316,7 @@ def test_record_exact_against_serial_oracle(engine, fuse, family):
         assert inline_runs > 0, "the environment never drained a run inline"
     if engine == "threaded-pooled":
         assert inline_runs == 0 and pooled_runs > 0
-    # And both placements of the process engine (on the real clock a
-    # fused stage may honestly read dearer than its trip).
+    # And both placements of the process engine.
     if engine == "process":
         assert inline_runs > pooled_runs
     if engine == "process-remote":
@@ -330,8 +324,7 @@ def test_record_exact_against_serial_oracle(engine, fuse, family):
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-@pytest.mark.parametrize("fuse", [False, True], ids=["unfused", "fused"])
-def test_a_run_is_its_members_one_at_a_time(fuse, family):
+def test_a_run_is_its_members_one_at_a_time(family):
     """Run-vs-pairwise: the same claims, committed as whole runs, as runs
     of one, and as a drawn prefix plus the re-claimed tail, leave the
     same records, executions, messages, suppression and coalescing
@@ -340,15 +333,14 @@ def test_a_run_is_its_members_one_at_a_time(fuse, family):
     coalesced = 0
     for i in range(CORPUS["inline"]):
         spec = FAMILIES[family]("inline", i)
-        where = f"fuse={fuse} {family} spec {i} [{spec.describe()}]"
+        where = f"{family} spec {i} [{spec.describe()}]"
         outcomes = []
         for data_path, cut in (
             (whole, None), (pairwise, None), (whole, random.Random(i)),
         ):
             program, phases = spec.build_picklable()
             core, result = run_inline(
-                compile_plan(program, fuse=fuse), phases,
-                data_path=data_path, cut=cut,
+                program, phases, data_path=data_path, cut=cut,
             )
             stats = dict(result.stats)
             outcomes.append({
@@ -428,8 +420,7 @@ def test_cone_schedule_contains_the_published_schedule(family, order):
         assert ahead, "the cone rule never had more ready than x_p allows"
 
 
-@pytest.mark.parametrize("fuse", [False, True], ids=["unfused", "fused"])
-def test_inline_retirement_sinks_each_phase_once_in_phase_order(fuse):
+def test_inline_retirement_sinks_each_phase_once_in_phase_order():
     """The completion tail lives in the core: a retiring inline run hands
     the sink every phase exactly once, ascending, with the oracle's
     records — also on newest-first schedules whose phases *complete* out
@@ -441,17 +432,16 @@ def test_inline_retirement_sinks_each_phase_once_in_phase_order(fuse):
             spec = FAMILIES[family]("inline", i)
             program, phases = spec.build_picklable()
             serial = SerialExecutor(program).run(phases)
-            plan = compile_plan(program, fuse=fuse)
-            core, _ = run_inline(plan, phases, newest_first=True)
+            core, _ = run_inline(program, phases, newest_first=True)
             log = list(core.state.completed_log)
             assert sorted(log) == list(range(1, len(phases) + 1))
             out_of_order += log != sorted(log)
             sunk = []
             _, result = run_inline(
-                plan, phases, newest_first=True, retire=True,
+                program, phases, newest_first=True, retire=True,
                 sink=lambda p, ts, entries: sunk.append((p, entries)),
             )
-            where = f"inline fuse={fuse} {family} spec {i} [{spec.describe()}]"
+            where = f"inline {family} spec {i} [{spec.describe()}]"
             assert [p for p, _ in sunk] == sorted(log), where
             records = {}
             for p, entries in sunk:
@@ -477,8 +467,8 @@ def test_scheduling_sections_are_identical_across_engines(engine):
     spec = PipelineSpec(depth=4, phases=12, seed=5)
     program, phases = spec.build()
     frontier = "global" if engine == "simulated-global" else "cone"
-    _, reference = run_inline(compile_plan(program, fuse=False), phases, frontier=frontier)
-    _, result = run_cell(engine, spec, 0, fuse=False)
+    _, reference = run_inline(program, phases, frontier=frontier)
+    _, result = run_cell(engine, spec, 0)
     assert validate_engine_stats(result.engine, result.stats) == []
     assert set(reference.stats) <= set(result.stats)
     for name, section in reference.stats.items():
@@ -494,7 +484,7 @@ class TestTheSuiteIsNotVacuous:
         suppressing = eliding = both = 0
         for i in range(60):
             spec = FAMILIES["elidable"]("virtual", i)
-            serial, result = run_cell("virtual", spec, i, fuse=False)
+            serial, result = run_cell("virtual", spec, i)
             stats = result.stats
             assert stats["suppression"]["enabled"]
             suppressed = stats["suppression"]["suppressed_messages"] > 0
@@ -510,7 +500,7 @@ class TestTheSuiteIsNotVacuous:
     @pytest.mark.parametrize("engine", ["threaded", "simulated-cone"])
     def test_deep_pipeline_forms_runs(self, engine):
         spec = PipelineSpec(depth=6, phases=40, seed=11)
-        _, result = run_cell(engine, spec, 0, fuse=False)
+        _, result = run_cell(engine, spec, 0)
         section = result.stats["coalescing"]
         assert section["pairs_coalesced"] > 0
         assert section["mean_run_length"] > 1.0
@@ -522,7 +512,7 @@ class TestTheSuiteIsNotVacuous:
 
     def test_process_runs_ship_run_frames(self):
         spec = PipelineSpec(depth=5, phases=30, seed=3)
-        _, result = run_cell("process-remote", spec, 0, fuse=False)
+        _, result = run_cell("process-remote", spec, 0)
         wire = result.stats["serialization_bytes"]
         assert wire["runs"]["messages"] > 0
         assert wire["result_batches"]["messages"] == wire["runs"]["messages"]
@@ -534,22 +524,11 @@ class TestTheSuiteIsNotVacuous:
         per_worker = result.stats["per_worker_executions"]
         assert per_worker[max(per_worker)] == len(names)
 
-    def test_fusion_shrinks_the_plan(self):
-        assert any(
-            compile_plan(FAMILIES["sparse"]("virtual", i).build()[0]).fused
-            for i in range(20)
-        ), "the random corpus never fuses a chain"
-        spec = PipelineSpec(depth=8, phases=20, seed=0)
-        _, result = run_cell("threaded", spec, 0, fuse=True)
-        fusion = result.stats["fusion"]
-        # An 8-deep chain fuses to one stage: >= 2x fewer scheduled pairs.
-        assert fusion["member_executions"] >= 2 * fusion["scheduled_pairs"]
-
     def test_keyed_corpus_alerts_and_reorders_across_phases(self):
         alerting = crossing = 0
         for i in range(12):
             spec = FAMILIES["keyed"]("inline", i)
-            serial, _ = run_cell("inline", spec, i, fuse=False)
+            serial, _ = run_cell("inline", spec, i)
             alerting += any(serial.records.values())
             bins = [
                 bin_timestamp(a.event.timestamp, 1.0)
@@ -564,7 +543,7 @@ class TestTheSuiteIsNotVacuous:
 
     def test_simulated_global_is_the_published_schedule(self):
         spec = PipelineSpec(depth=4, phases=12, seed=3)
-        _, result = run_cell("simulated-global", spec, 0, fuse=False)
+        _, result = run_cell("simulated-global", spec, 0)
         assert result.stats["frontier"]["mode"] == "global"
         assert not result.stats["suppression"]["enabled"]
         assert result.stats["coalescing"] == {
@@ -572,6 +551,6 @@ class TestTheSuiteIsNotVacuous:
             "pairs_coalesced": 0,
             "mean_run_length": 0.0,
         }
-        _, cone = run_cell("simulated-cone", spec, 0, fuse=False)
+        _, cone = run_cell("simulated-cone", spec, 0)
         assert cone.stats["frontier"]["mode"] == "cone"
         assert cone.stats["suppression"]["enabled"]

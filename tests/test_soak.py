@@ -99,7 +99,7 @@ class TestSoak:
         try:
             for i in range(12, 42):
                 spec = FAMILIES[family](engine, i)
-                serial, result = run_cell(engine, spec, i, fuse=bool(i % 2))
+                serial, result = run_cell(engine, spec, i)
                 assert result.records == serial.records, (
                     f"{engine} {family} spec {i} [{spec.describe()}]"
                 )

@@ -92,45 +92,6 @@ class TestCleanCampaign:
         digest = hashlib.sha1(" ".join(hashes).encode()).hexdigest()[:16]
         assert digest == "e836ec35e298ef02"
 
-    def test_fused_campaign_passes(self):
-        # Fusion compiled in, oracle left unfused.
-        report = fuzz(runs=30, seed=1234, fuse=True, do_shrink=False)
-        assert report.ok, report.summary()
-        assert report.runs == 30
-
-    def test_mid_chain_fault_inside_fused_vertex_is_judged(self):
-        # A failing member of a fused stage is a judged failure naming
-        # the member, not a harness crash.
-        from repro.core.plan import compile_plan
-        from repro.core.vertex import Vertex
-
-        class ExplodeAtPhase1(Vertex):
-            def on_execute(self, ctx):
-                raise RuntimeError("injected mid-chain fault")
-
-        for i in range(40):
-            spec = spec_for_run(7, i)
-            program, _ = spec.build()
-            plan = compile_plan(program)
-            stage = next(
-                (s for s, m in plan.members_of.items() if len(m) > 1), None
-            )
-            if stage is not None:
-                break
-        assert stage is not None, "corpus never fuses a chain"
-        victim = plan.members_of[stage][-1]
-
-        class SabotagedSpec(type(spec)):
-            def build(self):
-                prog, phases = super().build()
-                prog.behaviors[victim] = ExplodeAtPhase1()
-                return prog, phases
-
-        bad_spec = SabotagedSpec(**spec.__dict__)
-        outcome = run_one(bad_spec, make_policy("random", 5), fuse=True)
-        assert not outcome.passed
-        assert victim in outcome.reason
-
     def test_single_run_passes_each_policy(self):
         spec = spec_for_run(1, 0)
         for policy in ("random", "round-robin", "priority"):
