@@ -118,9 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--feed-capacity", type=int, default=64,
                        help="sealed-but-unstarted phase cap; a full feed "
                             "blocks the producer (default 64)")
-    serve.add_argument("--max-in-flight", type=int, default=8,
-                       help="started-but-incomplete phase cap inside the "
-                            "engine (default 8)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,
                        help="HTTP port (default 0: ephemeral, printed at "
@@ -488,7 +485,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         engine=args.engine,
         threads=args.threads,
         workers=args.workers,
-        max_in_flight=args.max_in_flight,
         wait=args.wait,
         quantum=args.quantum,
         max_buffered=args.max_buffered or None,

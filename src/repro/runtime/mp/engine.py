@@ -23,8 +23,10 @@ docs/ARCHITECTURE.md §5.8).  Every vertex starts *resident*: the
 coordinator, worker ``num_workers`` of its own ``ScheduleCore``, claims
 its ready runs, computes and commits them, no frame built.  Each
 resident run's compute is compared, in this thread's CPU seconds, with
-what marshalling that run would cost (per member, the last shipped run's
-measurement; before any, one frame encoded and decoded unsent).  A run
+what marshalling that run would cost: a price per frame plus one per
+member, taken at the run's own length (before anything is shipped, the
+run's head and then the whole run encoded and decoded unsent; after,
+rescaled by every shipped frame and every reply).  A run
 of a vertex that did not just read cheap is *staked*: it stops once it
 has cost the whole run's trip, its tail keeping its claims.
 ``_DEAR_RUNS`` dear runs in a row **promote** the vertex, one-way, to its
@@ -77,7 +79,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ...core.invariants import InvariantChecker
 from ...core.program import Program, RunResult
@@ -116,6 +118,30 @@ _clock = time.thread_time
 #: a row would move a cheap vertex every few minutes of a long serve, three
 #: about once a day; each costs a dear vertex one more bounded stake.
 _DEAR_RUNS = 3
+
+#: What marshalling a run of n members costs: ``frame + n * member``.
+Price = Tuple[float, float]
+
+
+def _cost(price: Price, n: int) -> float:
+    return price[0] + n * price[1]
+
+
+def _fit(head: float, whole: float, n: int) -> Price:
+    """The price of a run whose head alone marshalled in *head* seconds
+    and whose *n* members together in *whole*."""
+    member = max(whole - head, 0.0) / (n - 1) if n > 1 else 0.0
+    return max(head - member, 0.0), member
+
+
+def _rescaled(price: Price, cost: float, n: int) -> Price:
+    """*price* scaled so that a frame of *n* members reads *cost*: a
+    measurement keeps the split between frame and member it refreshes."""
+    predicted = _cost(price, n)
+    if predicted <= 0.0:
+        return cost, 0.0
+    scale = cost / predicted
+    return price[0] * scale, price[1] * scale
 
 
 class ProcessEngine:
@@ -263,10 +289,14 @@ class ProcessEngine:
         standing: List[Optional[int]] = [0] * (self.program.numbering.n + 1)
         unshipped: Set[int] = set()  # promoted, state not yet on the wire
         promoted: List[str] = []
-        # Marshalling CPU per member, each the last measurement: build,
-        # encode and queue a run frame; receive and decode its reply.
-        send_cost: Optional[float] = None
-        recv_cost = 0.0
+        # The trip's price in marshalling CPU: build, encode and queue a
+        # run frame (``send``); receive and decode its reply (``recv``,
+        # None before the first).  Until a frame is shipped, ``send`` is
+        # what encoding and decoding the longest run so far (``priced``
+        # members) unsent cost.
+        send: Price = (0.0, 0.0)
+        recv: Optional[Price] = None
+        priced = 0
         shipped_members = 0
         drain = dict.fromkeys(
             ("inline_runs", "pooled_runs", "handovers", "feed_burst_max"), 0
@@ -319,24 +349,39 @@ class ProcessEngine:
             drain["feed_burst_max"] = max(drain["feed_burst_max"], len(fed))
             return True
 
+        def marshalled(v: int, prepared: List[Tuple[int, VertexContext]]) -> float:
+            # Encode and decode a run frame, unsent, through an interner
+            # of its own: the interning stats count only the wire.
+            began = clock()
+            decode(encode(run_from_contexts(v, prepared, Interner())))
+            return clock() - began
+
+        def trip(n: int) -> float:
+            return _cost(send, n) + (_cost(recv, n) if recv else 0.0)
+
         def run_resident(v: int, p: int) -> None:
             # Listing 1's body with no wire in it — and what computing
             # cost, compared with what shipping would have.
-            nonlocal send_cost, last_progress
+            nonlocal send, priced, last_progress
             with lock:
                 phases, ctxs = core.claim(v, p)
                 trace("execute_begin", v, phases, me)
             drain["inline_runs"] += 1
-            if send_cost is None:
-                # Nothing has been shipped yet: marshal this run once,
-                # unsent, to price the trip.
-                began = clock()
-                decode(encode(run_from_contexts(v, list(zip(phases, ctxs)), interner)))
-                send_cost = (clock() - began) / len(phases)
-            trip = send_cost + recv_cost
+            n = len(phases)
+            if not shipped_members and n > priced:
+                # Nothing shipped, and no run this long priced: marshal
+                # its head alone and then all of it, unsent.  The very
+                # first frame pays for warming pickle's caches (~100 us,
+                # five frames' worth) once: it is marshalled twice.
+                prepared = list(zip(phases, ctxs))
+                if not priced:
+                    marshalled(v, prepared[:1])
+                head = marshalled(v, prepared[:1])
+                send = _fit(head, marshalled(v, prepared) if n > 1 else head, n)
+                priced = n
             # A vertex whose last run did not read cheap is staked: the
             # run stops once it has cost what shipping all of it would.
-            budget = trip * len(phases)
+            budget = trip(n)
             failure: Optional[VertexExecutionError] = None
             began = clock()
             try:
@@ -347,7 +392,7 @@ class ProcessEngine:
                 )
             except VertexExecutionError as exc:
                 failure, executed = exc, phases.index(exc.phase)
-            if clock() - began < trip * executed:
+            if clock() - began < trip(executed):
                 standing[v] = -1
             else:
                 standing[v] = max(standing[v], 0) + 1
@@ -374,7 +419,7 @@ class ProcessEngine:
             # into a claimed run of prepared contexts under one lock
             # acquisition and ship the run as one frame — the first time,
             # with the state the vertex's resident runs left.
-            nonlocal window_peak, send_cost, shipped_members
+            nonlocal window_peak, send, shipped_members
             if not pending:
                 return False
             batches, starved = pending.drain(
@@ -394,7 +439,7 @@ class ProcessEngine:
                         run = run_from_contexts(v, prepared, interner, state)
                     worker_load[w] += len(prepared)
                     pool.submit_to_worker(w, encode(run))
-                    send_cost = (clock() - began) / len(prepared)
+                    send = _rescaled(send, clock() - began, len(prepared))
                     shipped_members += len(prepared)
                     drain["pooled_runs"] += 1
             # Backlog left a worker starved for credit: widen.
@@ -472,7 +517,10 @@ class ProcessEngine:
                     msg = pool.collect(timeout=0 if mine else _POLL_S)
                     if msg is not None:
                         if isinstance(msg, ResultBatch) and msg.results:
-                            recv_cost = (clock() - began) / len(msg.results)
+                            # A first reply takes the send price's split.
+                            recv = _rescaled(
+                                recv or send, clock() - began, len(msg.results)
+                            )
                         last_progress = time.monotonic()
                         receive(msg)
                         continue

@@ -11,8 +11,13 @@ memory bound is the sum of the stage capacities:
   :class:`~repro.errors.BackpressureError` back to the producer);
 * phase feed — at most ``feed_capacity`` sealed-but-unstarted phases
   (overflow *blocks* the producer: credit-style throttling);
-* engine — at most ``max_in_flight`` started-but-incomplete phases
-  (the environment's flow-control semaphore);
+* engine — at most ``ADAPTIVE_RUN_CEILING`` (64) started-but-incomplete
+  phases (the engines' ``max_in_flight_phases``).  The bound is the run
+  ceiling because a backlog of started phases is what coalesces into runs
+  (docs/ARCHITECTURE.md §5.7): admitting more cannot lengthen a run past
+  the ceiling, and admitting fewer shortens it, so a backlogged session
+  would pay per phase the claim, prepare and commit a batch pays once
+  per run;
 * emit queue — at most ``_EMIT_CAPACITY`` retired-but-unannounced phases
   (overflow blocks the retiring worker briefly; the emit thread never
   takes an engine lock, so this cannot deadlock);
@@ -41,6 +46,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.program import PairRuntime, Program
+from ..core.state import ADAPTIVE_RUN_CEILING
 from ..errors import BackpressureError, ServeError
 from ..events import Event, PhaseInput
 from ..ingest import ArrivingEvent, ReorderBuffer
@@ -201,7 +207,6 @@ class ServeConfig:
     engine: str = "parallel"
     threads: int = 2
     workers: int = 2
-    max_in_flight: Optional[int] = 8
     wait: float = 2.0
     quantum: float = 1.0
     max_buffered: Optional[int] = 64
@@ -288,7 +293,7 @@ class ServeSession:
             return ParallelEngine(
                 self.program,
                 num_threads=cfg.threads,
-                max_in_flight_phases=cfg.max_in_flight,
+                max_in_flight_phases=ADAPTIVE_RUN_CEILING,
                 join_timeout=cfg.join_timeout,
             )
         from ..runtime.mp.engine import ProcessEngine
@@ -296,7 +301,7 @@ class ServeSession:
         return ProcessEngine(
             self.program,
             num_workers=cfg.workers,
-            max_in_flight_phases=cfg.max_in_flight,
+            max_in_flight_phases=ADAPTIVE_RUN_CEILING,
             join_timeout=cfg.join_timeout,
         )
 

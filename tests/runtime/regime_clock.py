@@ -83,14 +83,15 @@ class ProcessRegimeClock:
     ``repro.runtime.mp.engine._clock``
     (:func:`repro.testing.scripted_placement` swaps it).  This clock
     stands still except where the script says otherwise: every frame the
-    coordinator encodes (the unsent one it prices the trip with
-    included) costs ``wire`` seconds, and compute costs nothing — so
-    every vertex stays resident — until an ``on_execute`` calls
-    :meth:`spend`.
+    coordinator encodes (the unsent ones it prices the trip with
+    included) costs ``wire`` seconds plus ``member`` per run member, and
+    compute costs nothing — so every vertex stays resident — until an
+    ``on_execute`` calls :meth:`spend`.
     """
 
-    def __init__(self, wire=1.0):
+    def __init__(self, wire=1.0, member=0.0):
         self.wire = wire
+        self.member = member
         self.now = 0.0
 
     def __call__(self):
@@ -110,7 +111,7 @@ class ProcessRegimeClock:
         real_encode = engine.encode
 
         def encode(msg):
-            self.now += self.wire
+            self.now += self.wire + self.member * len(msg.members)
             return real_encode(msg)
 
         with mock.patch.object(engine, "encode", encode):

@@ -11,6 +11,7 @@ a frame costs ``WIRE`` seconds, compute nothing until a vertex spends
 behaviour state, so the worker's entries come home with the final delta.
 """
 
+import itertools
 import os
 import time
 
@@ -18,6 +19,7 @@ import pytest
 
 from repro.core.program import Program
 from repro.core.serial import SerialExecutor
+from repro.core.state import ADAPTIVE_RUN_CEILING
 from repro.core.vertex import Vertex
 from repro.errors import EngineError, VertexExecutionError
 from repro.events import PhaseInput
@@ -69,6 +71,24 @@ class ThirdOfAStake(Detect):
 
     def on_execute(self, ctx):
         CLOCK.spend(0.4 * WIRE)
+        return super().on_execute(ctx)
+
+
+class EighthOfATrip(Detect):
+    """Past the first ``ADAPTIVE_RUN_CEILING`` phases each member costs
+    an eighth of a frame."""
+
+    def on_execute(self, ctx):
+        if ctx.phase > ADAPTIVE_RUN_CEILING:
+            CLOCK.spend(WIRE / 8)
+        return super().on_execute(ctx)
+
+
+class SixteenthOfAFrame(Detect):
+    """Each member costs a sixteenth of a frame."""
+
+    def on_execute(self, ctx):
+        CLOCK.spend(WIRE / 16)
         return super().on_execute(ctx)
 
 
@@ -143,6 +163,36 @@ def here(program, name):
     """The phases of *name* that ran in this (the coordinator's) process."""
     where = program.behaviors[name].where
     return sorted(p for p, pid in where.items() if pid == os.getpid())
+
+
+def waves(phases, sizes):
+    """A closed feed of *phases* that holds each wave of *sizes* back
+    until every phase before it has retired, and the sink that tells it
+    (``sink.entries``: phase -> sorted records)."""
+    bounds = set(itertools.accumulate(sizes))
+    entries = {}
+
+    class Waves(PhaseFeed):
+        def get(self, timeout=None):
+            taken = len(phases) - self.depth
+            if taken in bounds and len(entries) < taken:
+                return None
+            return super().get(timeout)
+
+    def sink(p, ts, retired):
+        entries[p] = sorted(retired)
+
+    sink.entries = entries
+    return Waves.of(phases), sink
+
+
+def by_phase(records):
+    """Oracle records (vertex -> [(phase, value)]) as sink entries."""
+    out = {}
+    for name, log in records.items():
+        for p, value in log:
+            out.setdefault(p, []).append((name, value))
+    return {p: sorted(entries) for p, entries in out.items()}
 
 
 @pytest.fixture
@@ -233,6 +283,59 @@ class TestPlacementRule:
         assert result.records == records and state(program) == final
         assert result.stats["ipc"]["promoted"] == []
         assert result.stats["ipc_round_trips"] == 0
+
+    def test_a_trip_is_priced_at_the_judged_runs_length(self, clock):
+        # Every frame costs WIRE whatever its length.  The trip is first
+        # priced on a run of 64 (the source's, over a first wave of 64
+        # phases); then one phase comes per retirement, so detect
+        # computes runs of one at WIRE / 8 each.  A trip of one member
+        # costs a whole frame, so they stay here.  Regression: the trip
+        # was priced at WIRE / 64 a member, and detect was promoted after
+        # three such runs.
+        burst, trickle = ADAPTIVE_RUN_CEILING, 8
+        program = chain(EighthOfATrip)
+        phases = signals(burst + trickle)
+        records, final = oracle(program, phases)
+        feed, sink = waves(phases, [burst] + [1] * trickle)
+        result = ProcessEngine(program, 2).run_feed(feed, sink=sink, retire=True)
+        assert result.stats["ipc"]["promoted"] == []
+        assert result.stats["drain"]["pooled_runs"] == 0
+        assert here(program, "detect") == list(range(1, burst + trickle + 1))
+        assert sink.entries == {
+            p: by_phase(records).get(p, []) for p in range(1, len(phases) + 1)
+        }
+        assert state(program) == final
+
+    def test_a_run_longer_than_any_priced_is_priced_again(
+        self, clock, monkeypatch
+    ):
+        # A frame costs WIRE plus WIRE / 4 a member.  Phase 1 comes alone,
+        # so the first trip priced is a run of one: a frame's worth, with
+        # nothing said about members.  Then 192 phases come at once, in
+        # runs of 64, and detect computes WIRE / 16 a member: 4 WIRE a
+        # run against a 17 WIRE trip.  Held to the price of the run of
+        # one (1.25 WIRE) those runs read dear and detect was promoted.
+        monkeypatch.setattr(CLOCK, "member", WIRE / 4)
+        program = chain(SixteenthOfAFrame)
+        phases = signals(1 + 3 * ADAPTIVE_RUN_CEILING)
+        records, final = oracle(program, phases)
+        feed, sink = waves(phases, [1, len(phases) - 1])
+        result = ProcessEngine(program, 2).run_feed(feed, sink=sink, retire=True)
+        assert result.stats["ipc"]["promoted"] == []
+        assert result.stats["drain"]["handovers"] == 0
+        assert result.stats["coalescing"]["mean_run_length"] > 32
+        assert sink.entries == {
+            p: by_phase(records).get(p, []) for p in range(1, len(phases) + 1)
+        }
+        assert state(program) == final
+
+    def test_pricing_leaves_the_wire_stats_alone(self, clock):
+        # The unsent pricing frames never cross the pipe: nothing that
+        # stayed here is counted as interned.
+        result = ProcessEngine(chain(), 2).run(signals(20))
+        ipc = result.stats["ipc"]
+        assert ipc["promoted"] == []
+        assert ipc["interning"]["hits"] + ipc["interning"]["misses"] == 0
 
 
 class TestStateMovesOnce:

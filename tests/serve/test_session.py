@@ -1,16 +1,22 @@
 """ServeSession: the full ingest → engine → retire → stream pipeline."""
 
+import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis.stats import validate_serve_stats
+from repro.core.program import Program
+from repro.core.vertex import PassthroughSource
 from repro.errors import BackpressureError, ServeError
 from repro.events import Event
+from repro.graph.generators import layered_graph
 from repro.ingest import ArrivingEvent
 from repro.serve import OracleSpotChecker, ServeConfig, ServeSession
+from repro.streams.workloads import LatchedSum
 
-from .conftest import drain_queue, phase_events, serial_oracle
+from .conftest import drain_queue, norm, phase_events, serial_oracle
 
 
 def _run_workload(workload, config):
@@ -135,6 +141,55 @@ class TestProcessPipeline:
         assert serve["engine"] == "process"
         assert serve["spot_checks_failed"] == 0
         assert serve["spot_checks_passed"] > 0
+
+
+def grid_backlog(ticks):
+    """The 4x4 grid of ``LatchedSum`` vertices behind four event-driven
+    sources, and *ticks* ticks of one event per source, no delay."""
+    graph = layered_graph([4, 4, 4, 4], density=1.0, seed=0)
+    behaviors = {}
+    for v in graph.vertices():
+        preds = tuple(graph.predecessors(v))
+        behaviors[v] = LatchedSum(preds) if preds else PassthroughSource()
+    rng = random.Random(27)
+    arrivals = [
+        ArrivingEvent(Event(float(t), f"L0_{j}", round(rng.uniform(-9, 9), 3)),
+                      arrival=float(t))
+        for t in range(ticks)
+        for j in range(4)
+    ]
+    return SimpleNamespace(
+        program=Program(graph, behaviors), arrivals=arrivals, wait=0.0,
+        quantum=1.0,
+    )
+
+
+class TestBacklog:
+    @pytest.mark.parametrize("engine", ["parallel", "process"])
+    def test_a_backlog_coalesces_like_a_batch(self, engine):
+        # A producer far ahead of the engine: started phases pile up to
+        # the run ceiling, so runs grow past the 8 a cap on phases in
+        # flight would allow — on either engine, record-exact.
+        ticks = 240
+        workload = grid_backlog(ticks)
+        by_phase, _by_ts, n_phases = serial_oracle(grid_backlog(ticks))
+        got = {}
+
+        def on_retired(phase, ts, entries):
+            got[phase] = sorted([name, norm(value)] for name, value in entries)
+
+        session = ServeSession(
+            workload.program,
+            ServeConfig(engine=engine, wait=workload.wait, quantum=workload.quantum),
+            on_retired=on_retired,
+        )
+        with session:
+            for a in workload.arrivals:
+                session.offer(a)
+        stats = session.stats()
+        assert n_phases >= 200
+        assert got == {p: by_phase.get(p, []) for p in range(1, n_phases + 1)}
+        assert stats["engine"]["stats"]["coalescing"]["mean_run_length"] > 8
 
 
 class TestIngestEdges:

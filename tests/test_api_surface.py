@@ -40,7 +40,7 @@ AIM_2 = "scheduling surface changed — see ROADMAP aim 2 before adding a knob"
 REMOVED_FLAGS = (
     "--frontier", "--suppress", "--run-length", "--batch-size",
     "--ipc-batch", "--window", "--shards", "--key-by", "--fuse",
-    "--no-fuse",
+    "--no-fuse", "--max-in-flight",
 )
 
 
@@ -66,12 +66,13 @@ def test_engine_constructor_parameters_are_pinned():
 
 def test_config_fields_are_pinned():
     assert [f.name for f in dataclasses.fields(ServeConfig)] == [
-        "engine", "threads", "workers", "max_in_flight", "wait",
-        "quantum", "max_buffered", "feed_capacity", "check_sample",
-        "stats_every", "join_timeout",
+        "engine", "threads", "workers", "wait", "quantum",
+        "max_buffered", "feed_capacity", "check_sample", "stats_every",
+        "join_timeout",
     ], AIM_2
-    # Flow control is each engine's ``max_in_flight_phases``; there is no
-    # environment config object left to grow a knob.
+    # Flow control is each engine's ``max_in_flight_phases``; a serve
+    # session sets it to the run ceiling, and there is no environment
+    # config object left to grow a knob.
     assert importlib.util.find_spec("repro.runtime.environment") is None, AIM_2
     # The engines schedule the graph the user wrote: no fusion pass.
     assert importlib.util.find_spec("repro.graph.fuse") is None, AIM_2
