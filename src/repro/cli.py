@@ -37,7 +37,7 @@ import threading
 from typing import Iterator, Optional, Sequence
 
 from . import __version__
-from .errors import BackpressureError, ReproError
+from .errors import ReproError
 from .testing.faults import FAULT_NAMES
 from .testing.schedule import POLICY_NAMES
 
@@ -494,9 +494,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     session = ServeSession(spec.program, cfg)
     session.start()
+    input_ok = True
     with _signal_stop() as stop:
         if args.input is not None:
-            _serve_replay(session, args, stop)
+            # A bad line ends the replay, not the session: what was
+            # ingested before it still drains, reports and exits 1.
+            input_ok = _serve_replay(session, args, stop)
         else:
             server = ServeServer(session, host=args.host, port=args.port)
             server.start()
@@ -529,38 +532,60 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         _write_stats_json(
             args.stats_json, {"spec": spec.name, **stats}
         )
-    return 0 if serve["spot_checks_failed"] == 0 else 2
+    if serve["spot_checks_failed"]:
+        return 2
+    return 0 if input_ok else 1
 
 
-def _serve_replay(session, args: argparse.Namespace, stop) -> None:
-    """The ``--input`` path: feed NDJSON lines, honouring backpressure
-    by retrying (the in-process analogue of an HTTP producer seeing 429
-    and backing off)."""
+#: Bytes one ``repro serve --input`` read takes: its whole lines are a body.
+_REPLAY_READ = 1 << 16
+
+
+def _serve_replay(session, args: argparse.Namespace, stop) -> bool:
+    """The ``--input`` path: feed the NDJSON file to the session one read
+    at a time — each read's whole lines are one body, ingested like one
+    ``POST /events`` — honouring backpressure by resending from the
+    refused line (the in-process analogue of an HTTP producer seeing 429
+    and backing off).  Returns False, after reporting the file's line
+    number, at the first line that is not an event."""
     import time
 
-    fh = sys.stdin if args.input == "-" else open(args.input, "r")
+    fh = sys.stdin.buffer if args.input == "-" else open(args.input, "rb")
+    done = 0  # lines of the input before the current body
+    tail = b""
     try:
-        for line in fh:
-            if stop.is_set():
-                break
-            if not line.strip():
-                continue
-            while True:
-                try:
-                    session.offer_line(line)
+        while not stop.is_set():
+            chunk = fh.read1(_REPLAY_READ)
+            data, tail = tail + chunk, b""
+            if chunk:
+                cut = data.rfind(b"\n") + 1
+                data, tail = data[:cut], data[cut:]
+            body = data.decode("utf-8", errors="replace")
+            while body:
+                out = session.offer_body(body)
+                if out.bad_line:
+                    name = "<stdin>" if args.input == "-" else args.input
+                    print(f"error: {name}:{done + out.bad_line}: {out.error}",
+                          file=sys.stderr)
+                    return False
+                if not out.rejected_line:
+                    done += len(body.splitlines())
                     break
-                except BackpressureError:
-                    if stop.is_set():
-                        return
-                    time.sleep(0.005)
-            if args.max_phases and (
+                if stop.is_set():
+                    return True
+                time.sleep(0.005)
+                lines = body.splitlines(keepends=True)
+                done += out.rejected_line - 1
+                body = "".join(lines[out.rejected_line - 1:])
+            if not chunk or args.max_phases and (
                 session.stats()["serve"]["phases_ingested"]
                 >= args.max_phases
             ):
                 break
     finally:
-        if fh is not sys.stdin:
+        if fh is not sys.stdin.buffer:
             fh.close()
+    return True
 
 
 def _cmd_info(args: argparse.Namespace) -> int:

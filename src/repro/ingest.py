@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import BackpressureError, WorkloadError
 from .events import Event, PhaseInput
@@ -44,11 +44,17 @@ from .events import Event, PhaseInput
 __all__ = [
     "ArrivingEvent",
     "ReorderBuffer",
+    "Row",
     "bin_timestamp",
     "noisy_observations",
     "late_event_tradeoff",
     "TradeoffPoint",
 ]
+
+#: One arrival as :meth:`ReorderBuffer.offer_rows` takes it:
+#: ``(timestamp, source, value, arrival)`` — an :class:`ArrivingEvent`
+#: without the two objects.
+Row = Tuple[float, str, Any, float]
 
 
 def bin_timestamp(timestamp: float, quantum: float) -> float:
@@ -140,14 +146,14 @@ class ReorderBuffer:
         self._pending: Dict[float, Dict[str, object]] = {}  # binned ts -> values
         self._watermark = float("-inf")
         self._sealed_upto = float("-inf")
+        # The lowest pending bin (inf when none): a seal is due exactly
+        # when it falls below the watermark.
+        self._lowest = float("inf")
         self._next_phase = 1
         self.late_events: List[ArrivingEvent] = []
         self._late_total = 0
         self.accepted = 0
         self.pending_high_water = 0
-
-    def _bin(self, timestamp: float) -> float:
-        return bin_timestamp(timestamp, self.quantum)
 
     @property
     def watermark(self) -> float:
@@ -156,7 +162,7 @@ class ReorderBuffer:
 
     def offer(self, arriving: ArrivingEvent) -> List[PhaseInput]:
         """Ingest one arrival; returns any phases sealed by its watermark
-        advance (oldest first).
+        advance (oldest first).  The one-row case of :meth:`offer_rows`.
 
         Arrivals must be fed in arrival order (the network delivers them
         that way by construction).
@@ -169,28 +175,65 @@ class ReorderBuffer:
             the producer may retry after the consumer drains (or after
             :meth:`advance_watermark` seals old bins).
         """
-        ts = self._bin(arriving.event.timestamp)
-        if self._sealed_upto != float("-inf") and ts <= self._sealed_upto:
-            self._record_late(arriving)
-            return []
-        if (
-            self.max_buffered is not None
-            and ts not in self._pending
-            and len(self._pending) >= self.max_buffered
-        ):
-            raise BackpressureError(
-                f"reorder buffer at capacity ({self.max_buffered} pending "
-                f"bins); timestamp {ts} would open one more"
-            )
-        slot = self._pending.setdefault(ts, {})
-        slot[arriving.event.source] = arriving.event.value
-        self.accepted += 1
-        if len(self._pending) > self.pending_high_water:
-            self.pending_high_water = len(self._pending)
-        new_watermark = arriving.arrival - self.wait
-        if new_watermark > self._watermark:
-            self._watermark = new_watermark
-        return self._seal_ready()
+        event = arriving.event
+        sealed, _, refusal = self.offer_rows(
+            [(event.timestamp, event.source, event.value, arriving.arrival)]
+        )
+        if refusal is not None:
+            raise refusal
+        return sealed
+
+    def offer_rows(
+        self, rows: Sequence[Row]
+    ) -> Tuple[List[PhaseInput], int, Optional[Exception]]:
+        """Ingest arrivals given as ``(timestamp, source, value, arrival)``
+        rows, in arrival order, exactly as one :meth:`offer` each.
+
+        Returns ``(sealed, taken, refusal)``: the phases the rows sealed
+        (oldest first) and how many rows were consumed.  Ingest stops at
+        the first row the buffer cannot take, which is left unconsumed:
+        *refusal* is then the reason — a :class:`BackpressureError` (the
+        row would open one pending bin too many) or the ``ValueError`` /
+        ``OverflowError`` of a timestamp that does not bin — and ``None``
+        when every row was taken.  Returning instead of raising keeps the
+        phases sealed before that row, which the caller must still hand
+        on.
+        """
+        pending = self._pending
+        quantum = self.quantum
+        cap = self.max_buffered
+        sealed: List[PhaseInput] = []
+        taken = 0
+        for timestamp, source, value, arrival in rows:
+            try:
+                ts = bin_timestamp(timestamp, quantum)
+            except (ValueError, OverflowError) as exc:
+                return sealed, taken, exc
+            if ts <= self._sealed_upto:
+                self._record_late(timestamp, source, value, arrival)
+                taken += 1
+                continue
+            slot = pending.get(ts)
+            if slot is None:
+                if cap is not None and len(pending) >= cap:
+                    return sealed, taken, BackpressureError(
+                        f"reorder buffer at capacity ({cap} pending "
+                        f"bins); timestamp {ts} would open one more"
+                    )
+                slot = pending[ts] = {}
+                if len(pending) > self.pending_high_water:
+                    self.pending_high_water = len(pending)
+                if ts < self._lowest:
+                    self._lowest = ts
+            slot[source] = value
+            self.accepted += 1
+            taken += 1
+            watermark = arrival - self.wait
+            if watermark > self._watermark:
+                self._watermark = watermark
+            if self._lowest < self._watermark:
+                sealed += self._seal_ready()
+        return sealed, taken, None
 
     def advance_watermark(self, to: float) -> List[PhaseInput]:
         """Force the watermark forward to *to* (wall-clock sealing).
@@ -208,10 +251,14 @@ class ReorderBuffer:
         self._watermark = to
         return self._seal_ready()
 
-    def _record_late(self, arriving: ArrivingEvent) -> None:
+    def _record_late(
+        self, timestamp: float, source: str, value: Any, arrival: float
+    ) -> None:
         self._late_total += 1
         if self.max_late_kept is None or len(self.late_events) < self.max_late_kept:
-            self.late_events.append(arriving)
+            self.late_events.append(
+                ArrivingEvent(Event(timestamp, source, value), arrival)
+            )
 
     def _seal_ready(self) -> List[PhaseInput]:
         # Strictly below the watermark: an event whose delay equals the
@@ -220,10 +267,12 @@ class ReorderBuffer:
         ready = sorted(ts for ts in self._pending if ts < self._watermark)
         out: List[PhaseInput] = []
         for ts in ready:
-            values = self._pending.pop(ts)
-            out.append(PhaseInput(self._next_phase, ts, dict(values)))
+            # The popped bin is referenced nowhere else: it becomes the
+            # phase's values as it is.
+            out.append(PhaseInput(self._next_phase, ts, self._pending.pop(ts)))
             self._next_phase += 1
             self._sealed_upto = ts
+        self._lowest = min(self._pending, default=float("inf"))
         return out
 
     def flush(self) -> List[PhaseInput]:

@@ -1,10 +1,11 @@
 """A bounded handoff of sealed phases from an ingest thread to an engine.
 
 :class:`PhaseFeed` is the streaming-admission seam of the continuous-
-operation mode: the ingest side :meth:`put`\\ s each
-:class:`~repro.events.PhaseInput` the moment the reorder buffer seals it,
-and the engine side :meth:`get`\\ s phases as scheduling capacity frees
-up.  The feed is deliberately tiny — a deque plus one condition variable.
+operation mode: the ingest side :meth:`put`\\ s the
+:class:`~repro.events.PhaseInput`\\ s each admission sealed (one POST
+body's worth, in one hand-off), and the engine side :meth:`get`\\ s
+phases as scheduling capacity frees up.  The feed is deliberately tiny
+— a deque plus one condition variable.
 It is also how a batch run reaches an engine: :meth:`PhaseFeed.of` is a
 feed whose producer finished before the engine started, so both real
 engines have one admission path (Listing 2 "merely starts new phases
@@ -69,36 +70,45 @@ class PhaseFeed:
 
     # -- producer side --------------------------------------------------
 
-    def put(self, pi: PhaseInput, timeout: Optional[float] = None) -> bool:
-        """Enqueue the next sealed phase; blocks while the feed is full.
+    def put(
+        self, phases: Sequence[PhaseInput], timeout: Optional[float] = None
+    ) -> bool:
+        """Enqueue one admission's sealed phases, in order; blocks while
+        the feed is full.
 
-        Returns True on success, False if *timeout* elapsed with the feed
-        still full (the phase was NOT enqueued — the caller retries or
-        gives up).  Phases must arrive in sequential order, matching the
-        ``register_phase`` contract downstream.
+        While they fit, the whole admission costs one condition hold and
+        one wake-up of the consumer, so an engine blocked on :meth:`get`
+        finds every phase of it at once.  Returns True once every phase
+        is in, False if *timeout* elapsed on a full feed: the phases
+        before that point are in, the rest are NOT (the caller retries
+        the rest or gives up).  Phases must arrive in sequential order,
+        matching the ``register_phase`` contract downstream.
         """
         with self._cond:
-            if self._closed:
-                raise ServeError("cannot put a phase into a closed feed")
-            if pi.phase != self._next_phase:
-                raise ServeError(
-                    f"feed phases must be sequential: expected phase "
-                    f"{self._next_phase}, got {pi.phase}"
-                )
-            if len(self._items) >= self.capacity:
-                self.put_stalls += 1
-                while len(self._items) >= self.capacity:
-                    if not self._cond.wait(timeout):
-                        return False
-                    if self._closed:
-                        raise ServeError(
-                            "feed closed while a producer was blocked on it"
-                        )
-            self._items.append(pi)
-            self._next_phase += 1
-            self.total_put += 1
-            if len(self._items) > self.high_water:
-                self.high_water = len(self._items)
+            items = self._items
+            for pi in phases:
+                if self._closed:
+                    raise ServeError("cannot put a phase into a closed feed")
+                if pi.phase != self._next_phase:
+                    raise ServeError(
+                        f"feed phases must be sequential: expected phase "
+                        f"{self._next_phase}, got {pi.phase}"
+                    )
+                if len(items) >= self.capacity:
+                    self.put_stalls += 1
+                    self._cond.notify_all()  # what is in may be taken now
+                    while len(items) >= self.capacity:
+                        if not self._cond.wait(timeout):
+                            return False
+                        if self._closed:
+                            raise ServeError(
+                                "feed closed while a producer was blocked on it"
+                            )
+                items.append(pi)
+                self._next_phase += 1
+                self.total_put += 1
+                if len(items) > self.high_water:
+                    self.high_water = len(items)
             self._cond.notify_all()
             return True
 

@@ -4,9 +4,13 @@ Endpoints (all JSON unless noted):
 
 * ``POST /events`` — NDJSON event lines
   (``{"timestamp": t, "source": name, "value": v[, "arrival": a]}``,
-  one per line).  Replies ``{"accepted", "late", "sealed"}`` totals;
-  **429** with ``Retry-After`` when the bounded reorder buffer is full
-  (the credit the producer must respect), **400** on a malformed line.
+  one per line), ingested as one admission
+  (:meth:`ServeSession.offer_body`).  Replies ``{"accepted", "late",
+  "sealed"}`` totals; **429** with ``Retry-After`` and the totals so far
+  when the bounded reorder buffer is full (the credit the producer must
+  respect; resend from ``rejected_line``), **400** with ``bad_line`` on
+  a line that is not an event for a source vertex of the program (the
+  lines before it are ingested), **409** once the session has stopped.
 * ``POST /advance`` — ``{"watermark": t}``: wall-clock sealing for quiet
   streams (see :meth:`ServeSession.advance_watermark`).
 * ``GET /stream`` — the result stream as ``text/event-stream`` (SSE).
@@ -36,7 +40,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 
-from ..errors import BackpressureError, ServeError
+from ..errors import ServeError
 from .session import ServeSession
 
 __all__ = ["ServeServer"]
@@ -96,38 +100,29 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_events(self) -> None:
         body = self._read_body().decode("utf-8", errors="replace")
-        accepted = late = sealed = 0
-        for lineno, line in enumerate(body.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                out = self._session.offer_line(line)
-            except BackpressureError:
-                # Partial progress is reported so the producer can
-                # resume from the rejected line after backing off.
-                self._reply_json(
-                    429,
-                    {
-                        "error": "backpressure: reorder buffer full",
-                        "accepted": accepted,
-                        "late": late,
-                        "sealed": sealed,
-                        "rejected_line": lineno,
-                    },
-                    extra_headers={"Retry-After": "1"},
-                )
-                return
-            except ServeError as exc:
-                self._reply_json(
-                    400, {"error": str(exc), "bad_line": lineno}
-                )
-                return
-            accepted += 1 if out["accepted"] else 0
-            late += 1 if out["late"] else 0
-            sealed += out["sealed"]
-        self._reply_json(
-            200, {"accepted": accepted, "late": late, "sealed": sealed}
-        )
+        try:
+            out = self._session.offer_body(body)
+        except ServeError as exc:
+            # The session stopped: no line of the body is at fault.
+            self._reply_json(409, {"error": str(exc)})
+            return
+        totals = {"accepted": out.accepted, "late": out.late, "sealed": out.sealed}
+        if out.rejected_line:
+            # Partial progress is reported so the producer can resume
+            # from the rejected line after backing off.
+            self._reply_json(
+                429,
+                {
+                    "error": "backpressure: reorder buffer full",
+                    "rejected_line": out.rejected_line,
+                    **totals,
+                },
+                extra_headers={"Retry-After": "1"},
+            )
+        elif out.bad_line:
+            self._reply_json(400, {"error": out.error, "bad_line": out.bad_line})
+        else:
+            self._reply_json(200, totals)
 
     def _post_advance(self) -> None:
         try:

@@ -40,21 +40,23 @@ from __future__ import annotations
 
 import copy
 import json
+import json.scanner
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import AbstractSet, Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.program import PairRuntime, Program
 from ..core.state import ADAPTIVE_RUN_CEILING
 from ..errors import BackpressureError, ServeError
-from ..events import Event, PhaseInput
-from ..ingest import ArrivingEvent, ReorderBuffer
+from ..events import PhaseInput
+from ..ingest import ArrivingEvent, ReorderBuffer, Row
 from ..runtime.engine import ParallelEngine
 from ..runtime.feed import PhaseFeed
 from .sse import MessageAnnouncer, format_sse
 
 __all__ = [
+    "Ingested",
     "OracleSpotChecker",
     "ServeConfig",
     "ServeSession",
@@ -70,6 +72,54 @@ _EMIT_CAPACITY = 256
 _ANNOUNCE_QUEUE = 256
 #: Retired phases between two RSS samples of the high-water mark.
 _RSS_SAMPLE_EVERY = 100
+#: ``json.loads``' own scanner: ``_scan(text, 0) -> (value, end)``.
+_scan = json.scanner.make_scanner(json.JSONDecoder())
+
+
+def _not_a_source(source: str) -> str:
+    return f"{source!r} is not a source vertex of this program"
+
+
+def _line_error(text: str, sources: AbstractSet[str]) -> str:
+    """Why the stripped NDJSON line *text* is not an event for one of
+    *sources*: the first rule it breaks, in the order they are checked."""
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:
+        return f"bad NDJSON event: {exc}"
+    if not isinstance(obj, dict):
+        return f"NDJSON event must be an object, got {type(obj).__name__}"
+    try:
+        ts = float(obj["timestamp"])
+        source = obj["source"]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return f"NDJSON event needs numeric 'timestamp' and 'source': {exc}"
+    try:
+        float(obj.get("arrival", ts))
+    except (TypeError, ValueError, OverflowError) as exc:
+        return f"bad 'arrival': {exc}"
+    if not isinstance(source, str) or not source:
+        return "Event.source must be a non-empty string"
+    return _not_a_source(source)
+
+
+@dataclass(frozen=True)
+class Ingested:
+    """What one :meth:`ServeSession.offer_body` call did.
+
+    ``accepted`` / ``late`` / ``sealed`` count the events and phases of
+    the lines ingested.  At most one of ``bad_line`` (the 1-based body
+    line that is not an event; ``error`` says why) and ``rejected_line``
+    (the line the full reorder buffer refused; resend from it after a
+    backoff) is set; 0 means the whole body was ingested.
+    """
+
+    accepted: int
+    late: int
+    sealed: int
+    bad_line: int = 0
+    rejected_line: int = 0
+    error: str = ""
 
 
 def current_rss_bytes() -> int:
@@ -233,7 +283,7 @@ class ServeSession:
     """One continuously operating engine behind an ingest doorstep.
 
     Lifecycle: construct, :meth:`start`, then any number of
-    :meth:`offer` / :meth:`offer_line` / :meth:`advance_watermark`
+    :meth:`offer` / :meth:`offer_body` / :meth:`advance_watermark`
     calls (one producer thread at a time holds the ingest lock), then
     :meth:`close`.  Usable as a context manager.
     """
@@ -265,6 +315,9 @@ class ServeSession:
         )
         self._engine = self._build_engine()
         self._order = program.numbering.index_of
+        # An event for any other name would be counted, could seal a
+        # phase of its own, and then be read by no vertex.
+        self._sources = frozenset(program.source_names())
         self._stop = threading.Event()
         self._ingest_lock = threading.Lock()
         self._pending_lock = threading.Lock()
@@ -412,12 +465,31 @@ class ServeSession:
             ) from self._emit_error
 
     def _admit(self, sealed: List[PhaseInput]) -> None:
-        for pi in sealed:
-            if self.checker is not None:
-                with self._pending_lock:
+        if not sealed:
+            return
+        if self.checker is not None:
+            with self._pending_lock:
+                for pi in sealed:
                     self._pending_inputs[pi.phase] = pi
-            self.feed.put(pi)  # blocks when the engine is behind
-            self.phases_ingested += 1
+        self.feed.put(sealed)  # blocks when the engine is behind
+        self.phases_ingested += len(sealed)
+
+    def _ingest(
+        self, rows: List[Row]
+    ) -> Tuple[int, int, int, int, Optional[Exception]]:
+        """Bin *rows* and admit what they seal, under one ingest-lock
+        hold: ``(accepted, late, sealed, taken, refusal)`` as
+        :meth:`ReorderBuffer.offer_rows` counts them."""
+        self._require_open()
+        buffer = self.buffer
+        with self._ingest_lock:
+            accepted, late = buffer.accepted, buffer.late_count
+            sealed, taken, refusal = buffer.offer_rows(rows)
+            if isinstance(refusal, BackpressureError):
+                self.backpressure_rejects += 1
+            self._admit(sealed)
+            accepted, late = buffer.accepted - accepted, buffer.late_count - late
+        return accepted, late, len(sealed), taken, refusal
 
     def offer(self, arriving: ArrivingEvent) -> Dict[str, Any]:
         """Ingest one arrival.
@@ -425,54 +497,80 @@ class ServeSession:
         Returns ``{"accepted", "late", "sealed"}``.  Raises
         :class:`~repro.errors.BackpressureError` (counted) when the
         bounded reorder buffer is full — producers should retry after
-        a backoff, or the HTTP front end turns it into a 429.
+        a backoff — and :class:`~repro.errors.ServeError` for an event
+        addressed to a name that is not one of the program's source
+        vertices.
         """
-        self._require_open()
-        with self._ingest_lock:
-            late_before = self.buffer.late_count
+        event = arriving.event
+        if event.source not in self._sources:
+            raise ServeError(_not_a_source(event.source))
+        accepted, late, sealed, _, refusal = self._ingest(
+            [(event.timestamp, event.source, event.value, arriving.arrival)]
+        )
+        if refusal is not None:
+            raise refusal
+        return {"accepted": bool(accepted), "late": bool(late), "sealed": sealed}
+
+    def offer_body(self, body: str) -> Ingested:
+        """Ingest one NDJSON body — one ``POST /events``, or one read of
+        a replayed file — as one admission.
+
+        Wire shape, one event per line: ``{"timestamp": t, "source":
+        name, "value": v}`` with optional ``"arrival"`` (defaults to the
+        timestamp; clamped to be no earlier than it); blank lines are
+        skipped.  Lines are taken in order until the first one that is
+        not an event addressed to a source vertex (``bad_line``) or that
+        the full reorder buffer refuses (``rejected_line``, counted as
+        :meth:`offer` counts a :class:`~repro.errors.BackpressureError`);
+        everything before it is ingested exactly as one :meth:`offer`
+        per line would have, and every phase the body sealed reaches the
+        engine in one :meth:`PhaseFeed.put`.  Raises
+        :class:`~repro.errors.ServeError` when the session is not open
+        (not started, closed, or its engine or emitter failed).
+        """
+        rows: List[Row] = []
+        line_of: List[int] = []  # the body line of each row
+        bad_line, bad_text = 0, ""
+        sources = self._sources
+        for lineno, line in enumerate(body.splitlines(), start=1):
+            text = line.strip()
+            if not text:
+                continue
+            # The C scanner json.loads itself runs, minus its wrapper; any
+            # line it does not read as exactly one event goes to
+            # _line_error for the message.
             try:
-                sealed = self.buffer.offer(arriving)
-            except BackpressureError:
-                self.backpressure_rejects += 1
-                raise
-            late = self.buffer.late_count > late_before
-            self._admit(sealed)
-        return {"accepted": not late, "late": late, "sealed": len(sealed)}
-
-    def offer_line(self, line: str) -> Dict[str, Any]:
-        """Ingest one NDJSON event line.
-
-        Wire shape: ``{"timestamp": t, "source": name, "value": v}`` with
-        optional ``"arrival"`` (defaults to the timestamp; clamped to be
-        no earlier than it).
-        """
-        text = line.strip()
-        if not text:
-            raise ServeError("empty event line")
-        try:
-            obj = json.loads(text)
-        except ValueError as exc:
-            raise ServeError(f"bad NDJSON event: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ServeError(
-                f"NDJSON event must be an object, got {type(obj).__name__}"
+                obj, end = _scan(text, 0)
+                ts = float(obj["timestamp"])
+                source = obj["source"]
+                arrival = float(obj.get("arrival", ts))
+                known = end == len(text) and source in sources
+            except (StopIteration, KeyError, TypeError, ValueError, OverflowError):
+                known = False
+            if not known:
+                bad_line, bad_text = lineno, text
+                break
+            rows.append(
+                (ts, source, obj.get("value"), ts if ts > arrival else arrival)
             )
-        try:
-            ts = float(obj["timestamp"])
-            source = obj["source"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ServeError(
-                f"NDJSON event needs numeric 'timestamp' and 'source': {exc}"
-            ) from exc
-        try:
-            arrival = float(obj.get("arrival", ts))
-        except (TypeError, ValueError) as exc:
-            raise ServeError(f"bad 'arrival': {exc}") from exc
-        try:
-            event = Event(ts, source, obj.get("value"))
-        except ValueError as exc:
-            raise ServeError(str(exc)) from exc
-        return self.offer(ArrivingEvent(event, arrival=max(arrival, ts)))
+            line_of.append(lineno)
+        accepted = late = sealed = taken = 0
+        refusal: Optional[Exception] = None
+        if rows:
+            accepted, late, sealed, taken, refusal = self._ingest(rows)
+        if isinstance(refusal, BackpressureError):
+            return Ingested(accepted, late, sealed, rejected_line=line_of[taken])
+        if refusal is not None:
+            return Ingested(
+                accepted, late, sealed, bad_line=line_of[taken],
+                error=f"bad 'timestamp': {refusal}",
+            )
+        if bad_line:
+            return Ingested(
+                accepted, late, sealed, bad_line=bad_line,
+                error=_line_error(bad_text, sources),
+            )
+        return Ingested(accepted, late, sealed)
 
     def advance_watermark(self, to: float) -> int:
         """Force the ingest watermark to *to* (wall-clock sealing); the

@@ -530,8 +530,7 @@ class TestEnvironmentPeer:
         assert closed.stats["per_worker_executions"][1] == closed.execution_count
 
         live = PhaseFeed(capacity=3)
-        for pi in signals(3):
-            live.put(pi)
+        live.put(signals(3))
         closer = threading.Timer(0.1, live.close)
         closer.start()
         opened = engine.run_feed(live)

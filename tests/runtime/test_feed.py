@@ -18,14 +18,14 @@ class TestBasics:
     def test_fifo_order(self):
         feed = PhaseFeed(capacity=8)
         for p in (1, 2, 3):
-            assert feed.put(_pi(p))
+            assert feed.put([_pi(p)])
         assert [feed.get(timeout=0).phase for _ in range(3)] == [1, 2, 3]
 
     def test_phases_must_be_sequential(self):
         feed = PhaseFeed()
-        feed.put(_pi(1))
+        feed.put([_pi(1)])
         with pytest.raises(ServeError):
-            feed.put(_pi(3))
+            feed.put([_pi(3)])
 
     def test_nonblocking_get_on_empty(self):
         feed = PhaseFeed()
@@ -33,7 +33,7 @@ class TestBasics:
 
     def test_depth_and_drained(self):
         feed = PhaseFeed()
-        feed.put(_pi(1))
+        feed.put([_pi(1)])
         assert feed.depth == 1
         assert not feed.drained
         feed.close()
@@ -49,27 +49,27 @@ class TestBasics:
 class TestCapacity:
     def test_put_blocks_at_capacity_and_counts_stall(self):
         feed = PhaseFeed(capacity=2)
-        feed.put(_pi(1))
-        feed.put(_pi(2))
-        assert feed.put(_pi(3), timeout=0.05) is False  # full: timed out
+        feed.put([_pi(1)])
+        feed.put([_pi(2)])
+        assert feed.put([_pi(3)], timeout=0.05) is False  # full: timed out
         assert feed.put_stalls >= 1
         assert feed.get(timeout=0).phase == 1
-        assert feed.put(_pi(3), timeout=1.0) is True  # space freed
+        assert feed.put([_pi(3)], timeout=1.0) is True  # space freed
 
     def test_high_water_tracks_peak(self):
         feed = PhaseFeed(capacity=4)
         for p in (1, 2, 3):
-            feed.put(_pi(p))
+            feed.put([_pi(p)])
         feed.get(timeout=0)
         assert feed.high_water == 3
 
     def test_blocked_put_wakes_on_get(self):
         feed = PhaseFeed(capacity=1)
-        feed.put(_pi(1))
+        feed.put([_pi(1)])
         done = []
 
         def producer():
-            feed.put(_pi(2), timeout=5.0)
+            feed.put([_pi(2)], timeout=5.0)
             done.append(True)
 
         t = threading.Thread(target=producer)
@@ -81,10 +81,63 @@ class TestCapacity:
         assert done
 
 
+class TestAdmission:
+    """One :meth:`PhaseFeed.put` hands over every phase an admission
+    sealed: one hold and one wake-up while they fit."""
+
+    def test_a_waiting_consumer_finds_the_whole_admission(self):
+        feed = PhaseFeed(capacity=8)
+        woke = []
+
+        def consumer():
+            first = feed.get(timeout=5.0)
+            woke.append((first.phase, feed.depth))
+
+        t = threading.Thread(target=consumer)
+        t.start()
+        time.sleep(0.05)
+        assert feed.put([_pi(1), _pi(2), _pi(3)])
+        t.join(timeout=5.0)
+        assert not t.is_alive()
+        assert woke == [(1, 2)]
+        assert feed.high_water == 3 and feed.total_put == 3
+
+    def test_an_admission_larger_than_the_feed_enters_as_it_drains(self):
+        feed = PhaseFeed(capacity=2)
+        got = []
+
+        def consumer():
+            while len(got) < 5:
+                pi = feed.get(timeout=5.0)
+                if pi is not None:
+                    got.append(pi.phase)
+
+        t = threading.Thread(target=consumer)
+        t.start()
+        assert feed.put([_pi(p) for p in range(1, 6)], timeout=5.0)
+        t.join(timeout=5.0)
+        assert not t.is_alive()
+        assert got == [1, 2, 3, 4, 5]
+        assert feed.high_water <= 2
+
+    def test_a_timed_out_admission_keeps_its_prefix(self):
+        feed = PhaseFeed(capacity=2)
+        assert feed.put([_pi(1), _pi(2), _pi(3)], timeout=0.05) is False
+        assert feed.depth == 2 and feed.put_stalls == 1
+        assert feed.get(timeout=0).phase == 1
+        assert feed.put([_pi(3)], timeout=1.0)  # the rest, resent
+        assert [feed.get(timeout=0).phase for _ in range(2)] == [2, 3]
+
+    def test_an_empty_admission_is_a_no_op(self):
+        feed = PhaseFeed()
+        assert feed.put([])
+        assert feed.depth == 0 and feed.total_put == 0
+
+
 class TestClose:
     def test_get_returns_none_after_close_and_drain(self):
         feed = PhaseFeed()
-        feed.put(_pi(1))
+        feed.put([_pi(1)])
         feed.close()
         assert feed.get(timeout=0).phase == 1
         assert feed.get(timeout=0) is None
@@ -94,7 +147,7 @@ class TestClose:
         feed = PhaseFeed()
         feed.close()
         with pytest.raises(ServeError):
-            feed.put(_pi(1))
+            feed.put([_pi(1)])
 
     def test_close_is_idempotent(self):
         feed = PhaseFeed()
@@ -104,12 +157,12 @@ class TestClose:
 
     def test_close_wakes_blocked_producer(self):
         feed = PhaseFeed(capacity=1)
-        feed.put(_pi(1))
+        feed.put([_pi(1)])
         errors = []
 
         def producer():
             try:
-                feed.put(_pi(2), timeout=5.0)
+                feed.put([_pi(2)], timeout=5.0)
             except ServeError as exc:
                 errors.append(exc)
 

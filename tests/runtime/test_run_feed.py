@@ -35,7 +35,7 @@ def _feed_all(phases, capacity=4):
 
     def producer():
         for pi in phases:
-            feed.put(pi)
+            feed.put([pi])
         feed.close()
 
     t = threading.Thread(target=producer, daemon=True)
@@ -165,7 +165,7 @@ class TestGracefulStop:
                     stop.set()
                     released.set()
                 try:
-                    if not feed.put(pi, timeout=0.2):
+                    if not feed.put([pi], timeout=0.2):
                         break
                 except Exception:
                     break

@@ -113,6 +113,30 @@ class TestEndpoints:
         assert status == 400
         assert json.loads(body)["bad_line"] == 1  # 1-based offending line
 
+    def test_unknown_source_is_400_at_its_line(self, served):
+        server, session, workload = served
+        good = _ndjson(workload.arrivals[:1])
+        bad = b'{"timestamp": 0.0, "source": "nosuch", "value": 1}\n'
+        status, _h, body = _request(server, "POST", "/events", good + bad)
+        assert status == 400
+        reply = json.loads(body)
+        assert reply["bad_line"] == 2
+        assert "not a source vertex" in reply["error"]
+        assert session.stats()["serve"]["events_accepted"] == 1
+
+    def test_stopped_session_is_409_not_a_bad_line(self, workload):
+        # Regression: a closed session answered 400 {"bad_line": 1},
+        # blaming the client's first line for the server's state.
+        session = ServeSession(workload.program, ServeConfig(wait=workload.wait))
+        session.start()
+        with ServeServer(session) as server:
+            session.close()
+            status, _h, body = _request(
+                server, "POST", "/events", _ndjson(workload.arrivals[:2])
+            )
+        assert status == 409
+        assert json.loads(body) == {"error": "session closed"}
+
     def test_unknown_path_404(self, served):
         server, _s, _w = served
         status, _h, _b = _request(server, "GET", "/nope")

@@ -228,19 +228,39 @@ class TestIngestEdges:
             assert result["late"]
         assert session.stats()["serve"]["late_events"] == 1
 
-    def test_offer_line_parses_ndjson(self, keyed_workload):
+    def test_offer_body_parses_ndjson(self, keyed_workload):
         src = next(iter(keyed_workload.key_of_source))
         with ServeSession(keyed_workload.program, ServeConfig(wait=2.0)) as s:
-            result = s.offer_line(
+            result = s.offer_body(
                 '{"timestamp": 0.0, "source": "%s", "value": {"amount": 3.0}}'
                 % src
             )
-            assert result["accepted"]
-            with pytest.raises(ServeError):
-                s.offer_line("not json")
-            with pytest.raises(ServeError):
-                s.offer_line('{"timestamp": 1.0}')  # missing source
+            assert (result.accepted, result.bad_line) == (1, 0)
+            assert s.offer_body("not json").bad_line == 1
+            missing = s.offer_body('\n{"timestamp": 1.0}')  # no source
+            assert missing.bad_line == 2
+            assert "'source'" in missing.error
         assert s.stats()["serve"]["events_accepted"] == 1
+
+    def test_events_for_names_that_are_not_sources_are_rejected(
+        self, keyed_workload
+    ):
+        # Regression: the buffer counted them, and they could seal a
+        # phase of their own, but no vertex ever read them.
+        program = keyed_workload.program
+        inner = next(n for n in program.graph.vertices()
+                     if program.graph.predecessors(n))
+        with ServeSession(program, ServeConfig(wait=2.0)) as s:
+            for name in ("nosuch", inner):
+                with pytest.raises(ServeError, match="not a source vertex"):
+                    s.offer(self._event(0.0, name, 1.0))
+                line = '{"timestamp": 0.0, "source": "%s", "value": 1}' % name
+                out = s.offer_body(line)
+                assert (out.accepted, out.bad_line) == (0, 1)
+                assert "not a source vertex" in out.error
+        serve = s.stats()["serve"]
+        assert serve["events_accepted"] == 0
+        assert serve["phases_ingested"] == 0
 
     def test_offer_after_close_rejected(self, keyed_workload):
         session = ServeSession(keyed_workload.program, ServeConfig())

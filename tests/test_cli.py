@@ -384,6 +384,36 @@ class TestServe:
         assert serve["spot_checks_passed"] == serve["phases_retired"]
         assert serve["spot_checks_failed"] == 0
 
+    @pytest.mark.parametrize("read_size", [7, 1 << 16])
+    def test_replay_reports_a_bad_lines_file_line_and_still_drains(
+        self, tmp_path, capsys, monkeypatch, read_size
+    ):
+        # Regression: exit 1 with "line 1 column 1" (a line of the one-line
+        # string), and the two events before it were never retired.
+        import json as _json
+
+        from repro import cli
+
+        monkeypatch.setattr(cli, "_REPLAY_READ", read_size)
+        event = lambda t: _json.dumps(  # noqa: E731
+            {"timestamp": float(t), "source": "txn[a0]", "value": 50.0}
+        )
+        events = tmp_path / "events.ndjson"
+        events.write_text("\n".join([event(0), event(1), "not json", event(2)]))
+        out_path = tmp_path / "stats.json"
+        assert main([
+            "serve", str(SERVE_SPEC), "--input", str(events),
+            "--stats-json", str(out_path),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {events}:3: bad NDJSON event: Expecting value" in (
+            captured.err
+        )
+        assert "serve[parallel] ingested 2 phases, retired 2" in captured.out
+        serve = _json.loads(out_path.read_text())["serve"]
+        assert serve["events_accepted"] == 2
+        assert serve["phases_retired"] == 2
+
     def test_replay_deterministic_across_engines(self, tmp_path, capsys):
         events = tmp_path / "events.ndjson"
         _serve_ndjson(events)

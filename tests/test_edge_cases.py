@@ -226,7 +226,7 @@ class TestFlowControlMemory:
 
         def produce():
             for pi in phases:
-                feed.put(pi)
+                feed.put([pi])
                 time.sleep(0.0005)
             feed.close()
 
