@@ -299,13 +299,10 @@ _PROFILE_STAGES = (
         ("runtime/core.py", "admit"),
         ("runtime/core.py", "claim"),
         ("runtime/core.py", "commit"),
-        ("runtime/mp/frontier.py", "push"),
-        ("runtime/mp/frontier.py", "drain"),
     )),
     ("serialization", (
         ("runtime/mp/protocol.py", "encode"),
         ("runtime/mp/protocol.py", "decode"),
-        ("runtime/mp/protocol.py", "intern"),
         ("runtime/mp/protocol.py", "run_from_contexts"),
         ("~", "<built-in method _pickle.dumps>"),
         ("~", "<built-in method _pickle.loads>"),
@@ -568,15 +565,17 @@ def _serve_replay(session, args: argparse.Namespace, stop) -> bool:
                     print(f"error: {name}:{done + out.bad_line}: {out.error}",
                           file=sys.stderr)
                     return False
+                # NDJSON lines end at "\n" alone: U+2028 and its kin may
+                # stand raw inside a JSON string.
+                lines = body.split("\n")
                 if not out.rejected_line:
-                    done += len(body.splitlines())
+                    done += len(lines) - (lines[-1] == "")
                     break
                 if stop.is_set():
                     return True
                 time.sleep(0.005)
-                lines = body.splitlines(keepends=True)
                 done += out.rejected_line - 1
-                body = "".join(lines[out.rejected_line - 1:])
+                body = "\n".join(lines[out.rejected_line - 1:])
             if not chunk or args.max_phases and (
                 session.stats()["serve"]["phases_ingested"]
                 >= args.max_phases

@@ -34,7 +34,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    FrozenSet,
     List,
     Mapping,
     Optional,
@@ -446,46 +445,19 @@ class PairRuntime:
         v: int,
         phases: Sequence[int],
         ctxs: Sequence[VertexContext],
-        replies: Sequence[Tuple[Mapping[str, Any], Sequence[Any], Sequence[str]]],
+        replies: Sequence[Tuple[Mapping[str, Any], Sequence[Any]]],
     ) -> List[Tuple[int, int, List[int]]]:
         """Commit a run whose compute step ran in another process.
 
         The coordinator prepared *ctxs* locally, shipped them to a
-        worker, and got back per member ``(outputs, records,
-        suppressed)``; this adopts each into its context and commits as
-        usual (call under the lock).  *suppressed* names successors
-        whose outputs the worker elided before serialization — the
-        worker's last-emitted cache mirrors the edge latch (sticky
-        assignment, in-order phases), so they are accounted here without
-        the values ever crossing the wire.
+        worker, and got back per member ``(outputs, records)``; this
+        adopts each into its context and commits as usual (call under
+        the lock) — Δ-elision included: :meth:`commit`'s latch test is
+        the one place a computed output is judged, wherever it ran.
         """
-        index_of = self.program.numbering.index_of
-        for p, ctx, (outputs, records, suppressed) in zip(phases, ctxs, replies):
-            if suppressed:
-                self.edges.suppressed_messages += len(suppressed)
-                cands = self._elide_candidates.setdefault(p, set())
-                for wname in suppressed:
-                    cands.add(index_of[wname])
+        for ctx, (outputs, records) in zip(ctxs, replies):
             ctx.adopt_results(outputs, records)
         return self.commit(v, phases, ctxs)
-
-    def elidable_successor_names(self) -> Dict[str, FrozenSet[str]]:
-        """Per-vertex successor names whose pairs are elidable — the
-        worker-side suppression filter's configuration (empty when
-        suppression is off)."""
-        if not self.suppress:
-            return {}
-        out: Dict[str, FrozenSet[str]] = {}
-        n = self.program.numbering.n
-        for v in range(1, n + 1):
-            eligible = frozenset(
-                self._names[w]
-                for w in self.edges.succs[v]
-                if self._elide_ok[w]
-            )
-            if eligible:
-                out[self._names[v]] = eligible
-        return out
 
     # -- retirement (continuous-operation mode) -------------------------------
 

@@ -11,13 +11,13 @@ interpreters.
 * :mod:`~repro.runtime.mp.protocol` — the wire protocol: run / result /
   shutdown framing, pickle round-tripping, and byte accounting;
 * :mod:`~repro.runtime.mp.worker` — the worker-process main loop (a warm
-  per-worker cache of vertex behaviours, executed on demand);
+  per-worker cache of vertex behaviours, executed on demand; it only
+  computes);
 * :mod:`~repro.runtime.mp.lifecycle` — spawn, sticky vertex assignment,
   graceful and crash shutdown of the worker pool;
-* :mod:`~repro.runtime.mp.frontier` — the ready backlog, one FIFO
-  bucket per sticky worker;
 * :mod:`~repro.runtime.mp.engine` — :class:`ProcessEngine`, the
-  coordinator loop (Listing 1 + 2 with the compute step remoted).
+  coordinator loop (Listing 1 + 2 with the compute step remoted for the
+  vertices whose compute outweighs a trip).
 
 Select it from the CLI with ``repro run SPEC --engine process``.
 """

@@ -31,23 +31,17 @@ of a vertex that did not just read cheap is *staked*: it stops once it
 has cost the whole run's trip, its tail keeping its claims.
 ``_DEAR_RUNS`` dear runs in a row **promote** the vertex, one-way, to its
 sticky worker once that worker is up: its next frame carries the state
-the resident runs left, and from then on it takes the wire path:
-
-* **Run frames**: the ready backlog is kept pre-partitioned by sticky
-  worker (:class:`~.frontier.ReadyFrontier`); each dispatched ready pair
-  is extended into a claimed run and shipped as one
-  :class:`~.protocol.RunMsg` (a single pair is a run of one), answered
-  by one :class:`~.protocol.ResultBatch` that is committed whole — one
-  frame each way, one critical section and one fault behaviour whatever
-  the run's length.  Repeated values in a frame are interned so pickle
-  emits them once.
-* **Per-worker credit window**: at most ``window`` tasks in flight to a
-  worker; it doubles (bounded) while the backlog leaves the worker
-  starved for credit and narrows when commits lag behind dispatch.
-* **Worker-side Δ-elision**: value-equal outputs are suppressed in the
-  worker, before they are serialized; the coordinator's commit-time
-  latch check stays as an idempotent backstop (and covers a freshly
-  promoted vertex, whose worker-side cache starts empty).
+the resident runs left, and from then on it takes the wire path.  Its
+ready pairs go into one FIFO deque, and each dispatch claims every pair
+there into a run and ships it as one :class:`~.protocol.RunMsg` (a
+single pair is a run of one) to the vertex's sticky worker, answered by
+one :class:`~.protocol.ResultBatch` that is committed whole — one frame
+each way, one critical section and one fault behaviour whatever the
+run's length.  No window meters the wire: the scheduler holds at most
+one ready-or-claimed head per vertex, so a promoted vertex has at most
+one run in flight, and each worker's task queue is FIFO.  A worker only
+computes; its outputs are judged where every output is, in the commit's
+latch test (Δ-elision), under the lock.
 
 The coordinator is single-threaded, so its
 :class:`~repro.runtime.locks.InstrumentedLock` is never contended — it is
@@ -60,12 +54,12 @@ scheduler never holds two phases of one vertex ready at once, a vertex
 executes in one place at a time (here, then — after its state has moved,
 FIFO ahead of the first member that needs it — on one worker), so every
 behaviour's state evolves in strict phase order, exactly as serially.
-Placement and credit windows only change *where* and *when* ready pairs
-execute, never which pairs are ready.  At shutdown the promoted
-vertices' states come back as
-:meth:`~repro.core.vertex.Vertex.snapshot_delta` payloads and are applied
-to the coordinator's copies (which still hold the state they were
-promoted with), so post-run program state matches a serial execution.
+Placement only changes *where* and *when* ready pairs execute, never
+which pairs are ready.  At shutdown the promoted vertices' states come
+back as :meth:`~repro.core.vertex.Vertex.snapshot_delta` payloads and
+are applied to the coordinator's copies (which still hold the state they
+were promoted with), so post-run program state matches a serial
+execution.
 
 Failure handling prefers the root cause, mirroring the threaded engine:
 a vertex error, resident or remote (:class:`~repro.errors.VertexExecutionError`
@@ -91,10 +85,8 @@ from ...events import PhaseInput
 from ..core import ScheduleCore
 from ..feed import PhaseFeed
 from ..locks import InstrumentedLock
-from .frontier import ReadyFrontier
 from .lifecycle import ProcessWorkerPool
 from .protocol import (
-    Interner,
     ResultBatch,
     ResultMsg,
     WorkerCrashMsg,
@@ -106,7 +98,6 @@ from .protocol import (
 __all__ = ["ProcessEngine"]
 
 _POLL_S = 0.05  # result-queue poll quantum while work is in flight
-_WINDOW_CAP = 16  # widest the adaptive per-worker credit window grows
 _START_BURST = ADAPTIVE_RUN_CEILING  # most phases one admission starts
 #: The placement clock: this thread's CPU seconds, so a quantum lost to
 #: an ingest or emit thread on the same GIL is not read as compute.
@@ -263,22 +254,15 @@ class ProcessEngine:
         runtime = core.runtime
         lock = InstrumentedLock()
         pool = ProcessWorkerPool(
-            self.program,
-            self.num_workers,
-            start_method=self.start_method,
-            elidable_succs=runtime.elidable_successor_names(),
+            self.program, self.num_workers, start_method=self.start_method
         )
 
-        # Ready pairs: of promoted vertices, indexed by sticky worker so
-        # each dispatch drain is O(pairs shipped), not O(backlog); of
-        # resident vertices, which the coordinator executes itself.
-        pending = ReadyFrontier(pool.worker_of)
+        # Ready pairs: of promoted vertices, to ship; of resident
+        # vertices, which the coordinator executes itself.
+        ship: Deque[Pair] = deque()
         mine: Deque[Pair] = deque()
         in_flight: Dict[Pair, VertexContext] = {}
         held: List[PhaseInput] = []  # at most one prefetched feed phase
-        # Members of one run share latched inputs phase over phase, so a
-        # run frame pickles each repeated value once.
-        interner = Interner()
 
         # Placement.  Every vertex starts resident (ScheduleCore has just
         # reset the program: this process holds exactly the initial
@@ -305,12 +289,6 @@ class ProcessEngine:
         def stopping() -> bool:
             return stop_event is not None and stop_event.is_set()
 
-        # Per-worker credit windows (the adaptive in-flight window).
-        windows: Dict[int, int] = {w: 1 for w in range(self.num_workers)}
-        worker_load: Dict[int, int] = {w: 0 for w in range(self.num_workers)}
-        window_events = {"widenings": 0, "narrowings": 0}
-        window_peak = 1
-
         def trace(mark: str, v: int, phases: Iterable[int], worker: int) -> None:
             if tracer is not None:
                 for q in phases:
@@ -319,10 +297,7 @@ class ProcessEngine:
         def place(pairs: Iterable[Pair]) -> None:
             # Each newly ready pair goes to exactly one of the two backlogs.
             for pair in pairs:
-                if standing[pair[0]] is None:
-                    pending.push((pair,))
-                else:
-                    mine.append(pair)
+                (ship if standing[pair[0]] is None else mine).append(pair)
 
         def can_start_phase(taken: int) -> bool:
             if stopping():
@@ -350,10 +325,9 @@ class ProcessEngine:
             return True
 
         def marshalled(v: int, prepared: List[Tuple[int, VertexContext]]) -> float:
-            # Encode and decode a run frame, unsent, through an interner
-            # of its own: the interning stats count only the wire.
+            # Encode and decode a run frame, unsent.
             began = clock()
-            decode(encode(run_from_contexts(v, prepared, Interner())))
+            decode(encode(run_from_contexts(v, prepared)))
             return clock() - began
 
         def trip(n: int) -> float:
@@ -414,91 +388,70 @@ class ProcessEngine:
                 place([(v, phases[executed])])
 
         def dispatch() -> bool:
-            # Drain the ready backlog per worker, respecting sticky
-            # assignment and the credit windows; extend each ready pair
-            # into a claimed run of prepared contexts under one lock
-            # acquisition and ship the run as one frame — the first time,
-            # with the state the vertex's resident runs left.
-            nonlocal window_peak, send, shipped_members
-            if not pending:
+            # Claim each ready pair of a promoted vertex into a run of
+            # prepared contexts under one lock acquisition and ship the
+            # run as one frame to the vertex's sticky worker — the first
+            # time, with the state the vertex's resident runs left.
+            nonlocal send, shipped_members
+            if not ship:
                 return False
-            batches, starved = pending.drain(
-                lambda w: windows[w] - worker_load[w]
-            )
-            for w, pairs in batches:
-                for v, p in pairs:
-                    with lock:
-                        prepared = list(zip(*core.claim(v, p)))
-                        trace("execute_begin", v, (q for q, _ in prepared), w)
-                        in_flight.update(((v, q), ctx) for q, ctx in prepared)
-                        began = clock()
-                        state = None
-                        if v in unshipped:
-                            unshipped.discard(v)
-                            state = ("full", self.program.behavior(v).snapshot_state())
-                        run = run_from_contexts(v, prepared, interner, state)
-                    worker_load[w] += len(prepared)
-                    pool.submit_to_worker(w, encode(run))
-                    send = _rescaled(send, clock() - began, len(prepared))
-                    shipped_members += len(prepared)
-                    drain["pooled_runs"] += 1
-            # Backlog left a worker starved for credit: widen.
-            for w in starved:
-                if windows[w] < _WINDOW_CAP:
-                    windows[w] = min(_WINDOW_CAP, windows[w] * 2)
-                    window_events["widenings"] += 1
-                    window_peak = max(window_peak, windows[w])
-            return bool(batches)
+            while ship:
+                v, p = ship.popleft()
+                w = pool.worker_of(v)
+                with lock:
+                    prepared = list(zip(*core.claim(v, p)))
+                    trace("execute_begin", v, (q for q, _ in prepared), w)
+                    in_flight.update(((v, q), ctx) for q, ctx in prepared)
+                    began = clock()
+                    state = None
+                    if v in unshipped:
+                        unshipped.discard(v)
+                        state = ("full", self.program.behavior(v).snapshot_state())
+                    run = run_from_contexts(v, prepared, state)
+                pool.submit_to_worker(w, encode(run))
+                send = _rescaled(send, clock() - began, len(prepared))
+                shipped_members += len(prepared)
+                drain["pooled_runs"] += 1
+            return True
 
-        def narrow_windows() -> None:
-            # A poll quantum passed with no result and every credit of a
-            # worker spent: commits lag dispatch, so shrink its window.
-            for w in range(self.num_workers):
-                if worker_load[w] >= windows[w] > 1:
-                    windows[w] -= 1
-                    window_events["narrowings"] += 1
-
-        def commit_run(results: List[ResultMsg]) -> None:
+        def commit_run(w: int, v: int, results: Sequence[ResultMsg]) -> None:
             # One worker reply = one run's results (its surviving prefix
             # when a member failed), committed in one critical section.
             if not results:
                 return
-            worker_id, v = results[0].worker_id, results[0].vertex
             phases = [res.phase for res in results]
             with lock:
                 completed = runtime.commit_remote(
                     v,
                     phases,
                     [in_flight.pop((v, q)) for q in phases],
-                    [(res.outputs, res.records, res.suppressed) for res in results],
+                    [(res.outputs, res.records) for res in results],
                 )
-                worker_load[worker_id] -= len(results)
-                trace("execute_end", v, phases, worker_id)
-                place(core.commit(worker_id, completed)[0])
+                trace("execute_end", v, phases, w)
+                place(core.commit(w, completed)[0])
 
         def receive(msg: object) -> None:
             # One worker frame: a run's reply, or a crash report.  A reply
-            # skips members only behind a failed one, whose error entry
-            # it also carries: the run raises below, and nothing it
-            # skipped is ever dispatched again.
+            # ends at its error entry: the run raises below, and the
+            # members behind it, which never ran, are never dispatched
+            # again.
             if isinstance(msg, WorkerCrashMsg):
                 raise EngineError(
                     f"worker {msg.worker_id} crashed: {msg.message}"
                 )
             assert isinstance(msg, ResultBatch)
-            results: List[ResultMsg] = []
-            for res in msg.results:
-                if res.error is not None:
-                    # Commit the run's surviving prefix, then surface
-                    # the vertex failure as the root cause.
-                    commit_run(results)
-                    raise VertexExecutionError(
-                        self.program.numbering.name_of(res.vertex),
-                        res.phase,
-                        res.error,
-                    )
-                results.append(res)
-            commit_run(results)
+            results = msg.results
+            if results and results[-1].error is not None:
+                # Commit the run's surviving prefix, then surface the
+                # vertex failure as the root cause.
+                failed = results[-1]
+                commit_run(msg.worker_id, msg.vertex, results[:-1])
+                raise VertexExecutionError(
+                    self.program.numbering.name_of(msg.vertex),
+                    failed.phase,
+                    failed.error,
+                )
+            commit_run(msg.worker_id, msg.vertex, results)
 
         started = time.perf_counter()
         try:
@@ -537,7 +490,6 @@ class ProcessEngine:
                                 f"worker {wid} died (exit code {code}) with "
                                 f"{len(in_flight)} pairs in flight"
                             )
-                        narrow_windows()
                         if time.monotonic() - last_progress > self.join_timeout:
                             raise EngineError(
                                 f"run wedged: no progress within "
@@ -597,16 +549,11 @@ class ProcessEngine:
                 "serialization_bytes": wire,
                 "drain": drain,
                 "ipc": {
-                    "window_final": dict(sorted(windows.items())),
-                    "window_peak": window_peak,
-                    "window_widenings": window_events["widenings"],
-                    "window_narrowings": window_events["narrowings"],
                     "task_frames": task_frames,
                     "mean_tasks_per_frame": (
                         shipped_members / task_frames if task_frames else 0.0
                     ),
                     "promoted": promoted,
-                    "interning": interner.summary(),
                 },
             },
         )

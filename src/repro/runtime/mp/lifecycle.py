@@ -63,12 +63,6 @@ class ProcessWorkerPool:
         Worker process count (the paper's k computation processors).
     start_method:
         ``fork`` / ``spawn`` / ``forkserver``; default per platform.
-    elidable_succs:
-        Per vertex name, the successor names whose pairs the coordinator
-        proved elidable
-        (:meth:`~repro.core.program.PairRuntime.elidable_successor_names`);
-        shipped to every worker at spawn for worker-side change
-        suppression.  ``None`` ships an empty map: nothing is elided.
     """
 
     def __init__(
@@ -76,13 +70,11 @@ class ProcessWorkerPool:
         program: Program,
         num_workers: int,
         start_method: Optional[str] = None,
-        elidable_succs: Optional[Dict[str, Any]] = None,
     ) -> None:
         if num_workers < 1:
             raise EngineError(f"num_workers must be >= 1, got {num_workers}")
         self.program = program
         self.num_workers = num_workers
-        self.elidable_succs = dict(elidable_succs or {})
         self.start_method = start_method or default_start_method()
         self._ctx = mp.get_context(self.start_method)
         self.wire = WireStats()
@@ -111,7 +103,6 @@ class ProcessWorkerPool:
     def start(self) -> None:
         """Spawn every worker, shipping its warm behaviour cache."""
         self.result_queue = self._ctx.Queue()
-        elidable_blob = encode(self.elidable_succs)
         for worker_id in range(self.num_workers):
             try:
                 blob = encode(self._assigned_behaviors(worker_id))
@@ -122,19 +113,11 @@ class ProcessWorkerPool:
                     f"cannot run on the process engine: {exc}"
                 ) from exc
             self.wire.count("warmup", blob)
-            self.wire.count("warmup", elidable_blob)
             task_queue = self._ctx.Queue()
             ready = self._ctx.Event()
             process = self._ctx.Process(
                 target=worker_main,
-                args=(
-                    worker_id,
-                    task_queue,
-                    self.result_queue,
-                    blob,
-                    elidable_blob,
-                    ready,
-                ),
+                args=(worker_id, task_queue, self.result_queue, blob, ready),
                 name=f"repro-worker-{worker_id}",
                 daemon=True,
             )

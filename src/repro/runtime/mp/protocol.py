@@ -13,18 +13,19 @@ below, pickled into a bytes frame by :func:`encode` and restored by
   :class:`RunMember` carries only the per-phase payload (phase, latched
   inputs, changed set, external input).  One frame costs one pickle
   header and one queue round trip regardless of how many members it
-  carries, and values repeated across them (latched inputs that did not
-  change) are pickled once and back-referenced — see :class:`Interner`.
+  carries, and a latched input that did not change between members is
+  the same object in each, which pickle writes once and back-references.
   The first frame of a vertex the coordinator has *promoted* (it ran the
   vertex itself until then) also carries the state those runs left, in
   ``state``, so it reaches the worker exactly once and ahead of every
   member that needs it.
 * :class:`ResultBatch` — worker -> coordinator, the only result frame:
-  one :class:`ResultMsg` entry per executed member of a :class:`RunMsg`,
-  in member order.  When a member fails, the batch carries every result
-  produced *before* the failure, the error entry itself (its exact
-  phase), and the ``(vertex, phase)`` pairs that were skipped, so the
-  coordinator can commit the survivors before surfacing the error.
+  the run's vertex and one :class:`ResultMsg` entry per executed member
+  of a :class:`RunMsg`, in member order.  A reply ends at its error
+  entry: when a member fails, the batch carries every result produced
+  *before* the failure and then the error entry itself (its exact
+  phase), so the coordinator commits the survivors before surfacing the
+  error; the members behind it never ran.
 * :class:`ShutdownMsg` — coordinator -> worker: drain and exit; with
   ``collect_state=True`` the worker answers with a :class:`FinalStateMsg`
   carrying a :meth:`~repro.core.vertex.Vertex.snapshot_delta` per
@@ -48,7 +49,6 @@ actual pipe traffic.
 from __future__ import annotations
 
 import pickle
-import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Dict, Optional, Sequence, Tuple
@@ -67,7 +67,6 @@ __all__ = [
     "decode",
     "run_from_contexts",
     "traffic_class_of",
-    "Interner",
     "WireStats",
 ]
 
@@ -120,40 +119,29 @@ class ResultMsg:
     ``error`` is ``None`` on success, else the stringified vertex failure
     (the coordinator re-raises it as
     :class:`~repro.errors.VertexExecutionError` with the original vertex
-    name and phase).  ``compute_s`` is the worker-measured on_execute
-    duration, summed into per-worker utilization.
-
-    ``suppressed`` names the successors whose outputs the worker elided
-    under change suppression — the values never ride the wire; the
-    coordinator uses the names for latch-consistent accounting and to
-    mark the downstream pairs as elision candidates.
+    name and phase).  Every output rides the wire: whether a value-equal
+    one is elided is the coordinator's commit-time latch test.
     """
 
-    worker_id: int
-    vertex: int
     phase: int
     outputs: Dict[str, Any] = field(default_factory=dict)
     records: Tuple[Any, ...] = ()
     error: Optional[str] = None
-    compute_s: float = 0.0
-    suppressed: Tuple[str, ...] = ()
 
 
 @_positional
 @dataclass(frozen=True, slots=True)
 class ResultBatch:
-    """The results of one :class:`RunMsg`, in member order.
+    """The results of one :class:`RunMsg` of *vertex*, in member order.
 
-    ``skipped`` lists the ``(vertex, phase)`` pairs of members that were
-    *not* executed because an earlier member of the run failed (their
-    results would be discarded by the coordinator's error path anyway).
-    Results that precede an error entry are the batch's survivors: the
-    coordinator commits them before re-raising the error.
+    A reply ends at its error entry: results that precede it are the
+    batch's survivors, which the coordinator commits before re-raising
+    the error.
     """
 
     worker_id: int
+    vertex: int
     results: Tuple[ResultMsg, ...] = ()
-    skipped: Tuple[Tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,93 +193,9 @@ def decode(frame: bytes) -> object:
     return pickle.loads(frame)
 
 
-class Interner:
-    """Canonicalise repeated equal values so one frame pickles them once.
-
-    ``pickle`` memoizes by object *identity*: two equal-but-distinct
-    floats cost full payload twice, the same float object twice costs a
-    2-byte back-reference.  The interner maps hashable values to one
-    canonical instance (keyed by ``(type, value)`` so ``1`` and ``1.0``
-    never alias), so repeated message values — latched inputs that did
-    not change between phases, successor tuples, recurring outputs —
-    become identical objects and collapse to memo references inside a
-    :class:`RunMsg` / :class:`ResultBatch` frame.
-
-    Unhashable values pass through untouched.  The table is bounded in
-    *both* dimensions — entry count and retained bytes — because a long
-    serve run can hit the entry cap never (few distinct keys) while each
-    retained value is large, or vice versa.  On overflow of either bound
-    the table is cleared and ``resets`` is incremented (the memoization
-    is an encoding optimisation, never a correctness requirement, so a
-    reset only costs re-misses).  Retained bytes are metered with
-    ``sys.getsizeof`` of the canonical value at insert time: a shallow
-    measure, but the dominant payloads (floats, strings, tuples of
-    interned scalars) are flat, and the point of the bound is that the
-    memo can no longer grow without limit across a long run.
-    """
-
-    __slots__ = (
-        "_table",
-        "max_entries",
-        "max_bytes",
-        "hits",
-        "misses",
-        "resets",
-        "_approx_bytes",
-    )
-
-    def __init__(
-        self, max_entries: int = 4096, max_bytes: int = 1 << 22
-    ) -> None:
-        self._table: Dict[Any, Any] = {}
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.hits = 0
-        self.misses = 0
-        self.resets = 0
-        self._approx_bytes = 0
-
-    def intern(self, value: Any) -> Any:
-        try:
-            key = (type(value), value)
-            canonical = self._table.get(key)
-        except TypeError:  # unhashable: pass through
-            return value
-        if canonical is not None:
-            self.hits += 1
-            return canonical
-        size = sys.getsizeof(value)
-        if (
-            len(self._table) >= self.max_entries
-            or self._approx_bytes + size > self.max_bytes
-        ):
-            self._table.clear()
-            self._approx_bytes = 0
-            self.resets += 1
-        self._table[key] = value
-        self._approx_bytes += size
-        self.misses += 1
-        return value
-
-    @property
-    def approx_bytes(self) -> int:
-        """Shallow byte estimate of the retained canonical values."""
-        return self._approx_bytes
-
-    def summary(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "entries": len(self._table),
-            "resets": self.resets,
-            "approx_bytes": self._approx_bytes,
-        }
-
-
 def run_from_contexts(
     v: int,
     prepared: Sequence[Tuple[int, VertexContext]],
-    interner: Interner,
     state: Any = None,
 ) -> RunMsg:
     """Snapshot a claimed run's prepared contexts into one run frame.
@@ -299,24 +203,21 @@ def run_from_contexts(
     *prepared* is the ascending-phase list of ``(phase, ctx)`` for the
     members of one :meth:`~repro.core.state.SchedulerState.claim_run`
     result.  The vertex name and successor tuple are taken from the head
-    context and ride the frame once; input values, changed sets and
-    phase payloads are canonicalised through *interner*, so a value that
-    recurs within the frame pickles once.
+    context and ride the frame once.
     """
     if not prepared:
         raise ValueError("run_from_contexts: empty member list")
     head = prepared[0][1]
-    intern = interner.intern
     return RunMsg(
         vertex=v,
         name=head.name,
-        successors=intern(tuple(head._successors)),
+        successors=tuple(head._successors),
         members=tuple(
             RunMember(
                 phase=p,
-                inputs={k: intern(val) for k, val in ctx.inputs.items()},
-                changed=intern(tuple(sorted(ctx.changed))),
-                phase_input=intern(ctx.phase_input),
+                inputs=ctx.inputs,
+                changed=tuple(sorted(ctx.changed)),
+                phase_input=ctx.phase_input,
             )
             for p, ctx in prepared
         ),

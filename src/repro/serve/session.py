@@ -532,7 +532,9 @@ class ServeSession:
         line_of: List[int] = []  # the body line of each row
         bad_line, bad_text = 0, ""
         sources = self._sources
-        for lineno, line in enumerate(body.splitlines(), start=1):
+        # Lines end at "\n" alone (strip() drops a "\r"): U+2028, U+2029
+        # and U+0085 may stand raw inside a JSON string.
+        for lineno, line in enumerate(body.split("\n"), start=1):
             text = line.strip()
             if not text:
                 continue

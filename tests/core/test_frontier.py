@@ -1,98 +1,14 @@
-"""The dispatch backlog (:class:`ReadyFrontier`), the derived set views,
-and the batched-vs-singular completion paths — on both schedulers."""
+"""The derived set views and the batched-vs-singular completion paths —
+on both schedulers."""
 
 from __future__ import annotations
-
-from collections import deque
-
-import pytest
 
 from repro.core.reference import ReferenceScheduler
 from repro.core.state import SchedulerState
 from repro.graph.model import ComputationGraph
 from repro.graph.numbering import number_graph
-from repro.runtime.mp.frontier import ReadyFrontier
 
 SCHEDULERS = (SchedulerState, ReferenceScheduler)
-
-
-def sticky(v: int, workers: int = 2) -> int:
-    return (v - 1) % workers
-
-
-def reference_drain(pending, assign, capacity):
-    """The O(backlog) sweep :class:`ReadyFrontier` replaces: route each
-    pair of the FIFO *pending* to ``assign(v)`` while that worker has
-    credit; the rest stay, in order."""
-    taken, left = {}, deque()
-    for pair in pending:
-        w = assign(pair[0])
-        if len(taken.get(w, ())) < max(0, capacity(w)):
-            taken.setdefault(w, []).append(pair)
-        else:
-            left.append(pair)
-    return taken, left
-
-
-class TestReadyFrontier:
-    def test_fifo_per_worker(self):
-        f = ReadyFrontier(lambda v: sticky(v))
-        f.push([(1, 1), (3, 1), (2, 1), (1, 2), (4, 1)])
-        batches, starved = f.drain(lambda w: 100)
-        assert not starved
-        assert dict(batches) == {
-            0: [(1, 1), (3, 1), (1, 2)],
-            1: [(2, 1), (4, 1)],
-        }
-        assert len(f) == 0 and not f
-
-    def test_capacity_limits_and_starvation(self):
-        f = ReadyFrontier(lambda v: 0)
-        f.push([(1, 1), (1, 2), (1, 3)])
-        batches, starved = f.drain(lambda w: 2)
-        assert batches == [(0, [(1, 1), (1, 2)])]
-        assert starved == {0}
-        assert len(f) == 1
-        # Leftovers keep their order on the next drain.
-        batches, starved = f.drain(lambda w: 2)
-        assert batches == [(0, [(1, 3)])] and not starved
-
-    def test_negative_capacity_treated_as_zero(self):
-        f = ReadyFrontier(lambda v: 0)
-        f.push([(1, 1)])
-        batches, starved = f.drain(lambda w: -3)
-        assert batches == [] and starved == {0}
-        assert len(f) == 1
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("seed", [1, 2, 7])
-    def test_equivalent_to_reference_drain(self, workers, seed):
-        import random
-
-        rng = random.Random(workers * 31 + seed)
-        pairs = [
-            (rng.randint(1, 9), rng.randint(1, 5)) for _ in range(40)
-        ]
-        caps = {w: rng.randint(0, 6) for w in range(workers)}
-
-        def assign(v):
-            return sticky(v, workers)
-
-        ref_taken, ref_left = reference_drain(deque(pairs), assign, caps.get)
-        f = ReadyFrontier(assign)
-        f.push(pairs)
-        got_batches, got_starved = f.drain(caps.get)
-
-        # Same pairs to the same workers in the same per-worker order
-        # (cross-worker batch emission order is not part of the contract),
-        # and exactly the workers with leftovers are reported starved.
-        assert dict(got_batches) == ref_taken
-        assert got_starved == {assign(v) for v, _ in ref_left}
-        # Same leftovers, same order.
-        leftovers, _ = f.drain(lambda w: 10_000)
-        assert dict(leftovers) == reference_drain(
-            ref_left, assign, lambda w: 10_000
-        )[0]
 
 
 def chain_state(scheduler, n: int = 4):

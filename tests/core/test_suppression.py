@@ -164,15 +164,6 @@ class TestElideRecurrence:
         ok, rt = elide_map(chain_program(ChangeRecorder()), suppress=False)
         assert not any(ok.values())
         assert rt.ineligible_vertices == 0
-        assert rt.elidable_successor_names() == {}
-
-    def test_elidable_successor_names_matches_map(self):
-        _, rt = elide_map(chain_program(ChangeRecorder()))
-        assert rt.elidable_successor_names() == {
-            "src": frozenset({"a"}),
-            "a": frozenset({"b"}),
-            "b": frozenset({"sink"}),
-        }
 
 
 # ---------------------------------------------------------------------------

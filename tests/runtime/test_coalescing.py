@@ -162,7 +162,7 @@ class TestMidRunSalvage:
     def test_worker_attributes_failing_phase_and_skips_tail(self):
         # A run [a@1..a@5] with a@3 failing: the reply carries a@1, a@2
         # as survivors, a@3's error (the exact phase — not the run
-        # head's), and a@4, a@5 in skipped for coordinator requeue.
+        # head's), ending the reply: a@4, a@5 never ran.
         prog = _solo_program(_BoomMidRun())
         pool = ProcessWorkerPool(prog, num_workers=1)
         try:
@@ -182,7 +182,7 @@ class TestMidRunSalvage:
             assert msg.results[1].error is None
             assert "mid-run kaboom" in msg.results[2].error
             assert msg.results[2].phase == 3
-            assert msg.skipped == ((1, 4), (1, 5))
+            assert msg.vertex == 1
         finally:
             pool.terminate()
 

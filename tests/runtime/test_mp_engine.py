@@ -17,7 +17,6 @@ from repro.graph.model import ComputationGraph
 from repro.runtime.mp import ProcessEngine
 from repro.runtime.mp.lifecycle import ProcessWorkerPool, default_start_method
 from repro.runtime.mp.protocol import (
-    Interner,
     ResultMsg,
     WireStats,
     decode,
@@ -46,7 +45,7 @@ class TestProtocol:
             phase_input=("tick", 7),
         )
         # A single pair travels as a run of one: there is no other form.
-        run = run_from_contexts(3, [(7, ctx)], Interner())
+        run = run_from_contexts(3, [(7, ctx)])
         clone = decode(encode(run))
         assert clone == run
         assert (clone.vertex, clone.name) == (3, "v3")
@@ -59,8 +58,7 @@ class TestProtocol:
 
     def test_result_frame_round_trip(self):
         res = ResultMsg(
-            worker_id=1, vertex=3, phase=7,
-            outputs={"v4": 0.25}, records=(("anomaly", 7),), compute_s=0.01,
+            phase=7, outputs={"v4": 0.25}, records=(("anomaly", 7),),
         )
         assert decode(encode(res)) == res
 

@@ -331,11 +331,13 @@ class TestPlacementRule:
 
     def test_pricing_leaves_the_wire_stats_alone(self, clock):
         # The unsent pricing frames never cross the pipe: nothing that
-        # stayed here is counted as interned.
+        # stayed here is counted on the wire.
         result = ProcessEngine(chain(), 2).run(signals(20))
-        ipc = result.stats["ipc"]
-        assert ipc["promoted"] == []
-        assert ipc["interning"]["hits"] + ipc["interning"]["misses"] == 0
+        assert result.stats["ipc"]["promoted"] == []
+        wire = result.stats["serialization_bytes"]
+        assert wire["runs"] == wire["result_batches"] == {
+            "messages": 0, "bytes": 0,
+        }
 
 
 class TestStateMovesOnce:

@@ -1,11 +1,10 @@
 """Tests for the wire path of the process backend.
 
 Covers ``RunMsg``/``ResultBatch`` framing (including the edge cases —
-truncated frames, zero-length runs, failures and crashes mid-run), the
-:class:`~repro.runtime.mp.protocol.Interner`, delta state sync
-(:meth:`~repro.core.vertex.Vertex.snapshot_delta`), the adaptive credit
-window, and the byte-metering regression check (per-class wire stats
-must sum to the actual coordinator-side queue traffic).
+truncated frames, zero-length runs, failures and crashes mid-run), delta
+state sync (:meth:`~repro.core.vertex.Vertex.snapshot_delta`), and the
+byte-metering regression check (per-class wire stats must sum to the
+actual coordinator-side queue traffic).
 """
 
 import multiprocessing
@@ -25,7 +24,6 @@ from repro.runtime.feed import PhaseFeed
 from repro.runtime.mp import ProcessEngine
 from repro.runtime.mp.lifecycle import ProcessWorkerPool
 from repro.runtime.mp.protocol import (
-    Interner,
     ResultBatch,
     ResultMsg,
     RunMember,
@@ -49,11 +47,11 @@ class TestBatchFraming:
     def test_result_batch_round_trip(self):
         batch = ResultBatch(
             worker_id=1,
+            vertex=2,
             results=(
-                ResultMsg(worker_id=1, vertex=2, phase=3, outputs={"b": 9}),
-                ResultMsg(worker_id=1, vertex=2, phase=4, error="boom"),
+                ResultMsg(phase=3, outputs={"b": 9}),
+                ResultMsg(phase=4, error="boom"),
             ),
-            skipped=((2, 5), (2, 6)),
         )
         assert decode(encode(batch)) == batch
 
@@ -80,7 +78,7 @@ class TestBatchFraming:
             empty = RunMsg(vertex=1, name="n0", successors=())
             pool.submit_to_worker(0, encode(empty))
             msg = pool.collect(timeout=30.0)
-            assert msg == ResultBatch(worker_id=0, results=(), skipped=())
+            assert msg == ResultBatch(worker_id=0, vertex=1, results=())
             finals = pool.shutdown(timeout=30.0)
             assert 0 in finals
         finally:
@@ -103,8 +101,8 @@ def _solo_program(behavior: Vertex) -> Program:
 class TestMidRunFailure:
     def test_worker_reports_survivors_and_skips(self):
         # A run [a@1, a@2(fails), a@3]: the reply must carry a@1's
-        # result, a@2's error entry, and a@3 as skipped — never a@3
-        # executed out of order past the failure.
+        # result and end at a@2's error entry — never a@3 executed out
+        # of order past the failure.
         prog = _solo_program(_BoomAtPhase2())
         pool = ProcessWorkerPool(prog, num_workers=1)
         try:
@@ -123,7 +121,7 @@ class TestMidRunFailure:
             assert msg.results[0].error is None
             assert msg.results[0].records == (("ok", 1),)
             assert "kaboom" in msg.results[1].error
-            assert msg.skipped == ((1, 3),)
+            assert msg.vertex == 1
         finally:
             pool.terminate()
 
@@ -204,37 +202,33 @@ class TestMidRunCrash:
             engine.run([PhaseInput(p, float(p)) for p in range(1, 5)])
 
 
-class TestSkippedComesWithAnError:
-    """A reply skips members only behind a failed one, so a non-empty
-    ``ResultBatch.skipped`` always travels with an error entry in the
-    same batch.  The coordinator relies on it: it raises on that entry,
-    and nothing a worker skipped is ever dispatched again."""
+class TestAReplyEndsAtItsErrorEntry:
+    """A reply answers a prefix of its run's members, in order, and ends
+    at its error entry, if it has one: the members behind a failed one
+    never ran.  The coordinator relies on it: it commits the entries
+    before the last, raises on the last, and dispatches none of the
+    members behind it again."""
 
     @pytest.mark.parametrize("behavior", [_BoomAtPhase2, _UnpicklableResult])
     @pytest.mark.parametrize(
         "phases", [(1,), (2,), (1, 2), (2, 3), (1, 2, 3), (1, 3, 4)]
     )
-    def test_skipped_implies_an_error_entry(self, behavior, phases):
-        from repro.runtime.mp.worker import (
-            _compute_run,
-            _encode_result_batch,
-            _SuppressFilter,
-        )
+    def test_a_reply_ends_at_its_error_entry(self, behavior, phases):
+        from repro.runtime.mp.worker import _compute_run, _encode_result_batch
 
         run = RunMsg(
             vertex=1, name="a", successors=(),
             members=tuple(RunMember(phase=p, inputs={}, changed=()) for p in phases),
         )
-        results, skipped = _compute_run(
-            0, behavior(), run, _SuppressFilter({}), Interner()
-        )
-        batch = decode(_encode_result_batch(0, results, skipped))
+        batch = decode(_encode_result_batch(0, 1, _compute_run(behavior(), run)))
+        assert batch.vertex == 1
+        answered = [r.phase for r in batch.results]
         errors = [r.phase for r in batch.results if r.error is not None]
-        assert not batch.skipped or errors
-        # Every member is answered exactly once: executed, then skipped.
-        answered = [r.phase for r in batch.results] + [p for _, p in batch.skipped]
-        assert answered == list(phases)
-        assert errors == ([2] if 2 in phases else [])
+        if 2 in phases:
+            assert errors == [2] and answered[-1] == 2
+            assert answered == list(phases[: phases.index(2) + 1])
+        else:
+            assert errors == [] and answered == list(phases)
 
 
 class _Poison:
@@ -243,63 +237,45 @@ class _Poison:
 
 
 class TestSalvageEncoding:
-    """Unit tests of the worker's result-by-result salvage path.
-
-    Regression: the old salvage loop stopped at the first poison result
-    and reclassified every *executed* result after it as skipped.  The
-    coordinator re-dispatches skipped pairs, so pairs that had already
-    run on the worker (warm-cached state already advanced) ran twice.
-    """
+    """Unit tests of the worker's result-by-result salvage path: a poison
+    result degrades to an error entry that ends the reply, and the
+    results before it still ship."""
 
     @staticmethod
-    def _salvage(results, skipped):
+    def _salvage(results):
         from repro.runtime.mp.worker import _encode_result_batch
 
-        return decode(_encode_result_batch(0, list(results), list(skipped)))
+        return decode(_encode_result_batch(0, 2, list(results)))
 
     @staticmethod
-    def _ok(vertex, phase, value="ok"):
-        return ResultMsg(worker_id=0, vertex=vertex, phase=phase,
-                         outputs={"out": value}, compute_s=0.25)
+    def _ok(phase, value="ok"):
+        return ResultMsg(phase=phase, outputs={"out": value})
 
-    def test_executed_results_after_poison_still_ship(self):
-        poison = ResultMsg(worker_id=0, vertex=2, phase=1,
-                           outputs={"out": _Poison()}, compute_s=0.5)
-        batch = self._salvage(
-            [self._ok(1, 1), poison, self._ok(3, 1)], skipped=[(9, 1)]
-        )
-        # All three executed results present, in order.
-        assert [(r.vertex, r.phase) for r in batch.results] == [
-            (1, 1), (2, 1), (3, 1)
-        ]
-        assert batch.results[0].error is None
-        assert batch.results[2].error is None
-        # Old code dropped (3, 1) into skipped -> double execution.
-        assert batch.skipped == ((9, 1),)
-        executed = {(r.vertex, r.phase) for r in batch.results}
-        assert executed.isdisjoint(set(batch.skipped))
+    def test_a_poison_result_ends_the_reply(self):
+        poison = ResultMsg(phase=2, outputs={"out": _Poison()})
+        batch = self._salvage([self._ok(1), poison, self._ok(3)])
+        # The survivor ships intact; the poison is the error entry that
+        # ends the reply (a@3 is behind the failure the coordinator
+        # raises on).
+        assert [r.phase for r in batch.results] == [1, 2]
+        assert batch.results[0] == self._ok(1)
+        assert "not picklable" in batch.results[1].error
+        assert batch.vertex == 2
 
     def test_poison_error_carries_original_exception(self):
-        poison = ResultMsg(worker_id=0, vertex=2, phase=4,
-                           outputs={"out": _Poison()}, compute_s=0.5)
-        batch = self._salvage([poison], skipped=[])
+        poison = ResultMsg(phase=4, outputs={"out": _Poison()})
+        batch = self._salvage([poison])
         (res,) = batch.results
+        assert res.phase == 4
         assert res.error is not None
         assert "result not picklable" in res.error
         assert "TypeError" in res.error
         assert "deliberately unpicklable" in res.error
-        # compute_s survives the downgrade: utilization stays honest.
-        assert res.compute_s == 0.5
 
     def test_genuine_error_entries_pass_through(self):
-        failed = ResultMsg(worker_id=0, vertex=5, phase=2,
-                           error="division by zero", compute_s=0.1)
-        poison = ResultMsg(worker_id=0, vertex=6, phase=2,
-                           outputs={"out": _Poison()}, compute_s=0.2)
-        batch = self._salvage([failed, poison], skipped=[(7, 2)])
-        assert batch.results[0].error == "division by zero"
-        assert "not picklable" in batch.results[1].error
-        assert batch.skipped == ((7, 2),)
+        failed = ResultMsg(phase=2, error="division by zero")
+        batch = self._salvage([self._ok(1), failed])
+        assert batch.results == (self._ok(1), failed)
 
     def test_cause_chain_rendered(self):
         from repro.runtime.mp.worker import _describe_pickle_failure
@@ -325,103 +301,6 @@ class TestSalvageEncoding:
 
 
 # ---------------------------------------------------------------------------
-# Interner
-# ---------------------------------------------------------------------------
-
-
-class TestInterner:
-    def test_equal_values_collapse_to_one_object(self):
-        interner = Interner()
-        a = interner.intern(1000 + 24)
-        b = interner.intern(1000 + 24)
-        assert a is b
-        assert interner.hits == 1 and interner.misses == 1
-
-    def test_type_distinguishes_keys(self):
-        interner = Interner()
-        assert interner.intern(1) is not interner.intern(1.0)
-        assert interner.misses == 2
-
-    def test_unhashable_passes_through(self):
-        interner = Interner()
-        value = [1, 2, 3]
-        assert interner.intern(value) is value
-        assert interner.summary()["entries"] == 0
-
-    def test_table_bounded(self):
-        interner = Interner(max_entries=4)
-        for i in range(10):
-            interner.intern(f"v{i}")
-        assert len(interner._table) <= 4
-
-    def test_interned_frame_is_smaller(self):
-        def fresh_payload():
-            # Equal but distinct objects each call — what latched inputs
-            # across separately prepared contexts look like.
-            return "".join(["a repeated latched value"] * 4)
-
-        interner = Interner()
-        plain = encode(tuple(
-            RunMember(phase=p, inputs={"x": fresh_payload()}, changed=())
-            for p in range(1, 9)
-        ))
-        interned = encode(tuple(
-            RunMember(
-                phase=p, inputs={"x": interner.intern(fresh_payload())},
-                changed=(),
-            )
-            for p in range(1, 9)
-        ))
-        assert len(interned) < len(plain)
-
-    def test_byte_meter_tracks_retained_values(self):
-        import sys
-
-        interner = Interner()
-        values = [f"payload-{i}" * 10 for i in range(8)]
-        for v in values:
-            interner.intern(v)
-        assert interner.approx_bytes == sum(sys.getsizeof(v) for v in values)
-        # Hits retain nothing new.
-        interner.intern(values[0] + "")
-        assert interner.approx_bytes == sum(sys.getsizeof(v) for v in values)
-
-    def test_byte_cap_resets_on_overflow(self):
-        # The regression this guards: before the byte bound, a serve-style
-        # run interning a stream of large distinct values grew the memo
-        # without limit even though the entry count stayed under its cap.
-        interner = Interner(max_entries=1 << 30, max_bytes=4096)
-        big = "x" * 512
-        for i in range(64):
-            interner.intern(big + str(i))
-        assert interner.resets >= 1
-        # Retained bytes never exceed cap + one value's worth of slack.
-        import sys
-
-        assert interner.approx_bytes <= 4096 + sys.getsizeof(big + "00")
-        summary = interner.summary()
-        assert summary["resets"] == interner.resets
-        assert summary["approx_bytes"] == interner.approx_bytes
-
-    def test_entry_cap_reset_is_counted(self):
-        interner = Interner(max_entries=4)
-        for i in range(10):
-            interner.intern(f"v{i}")
-        assert interner.resets >= 1
-        assert len(interner._table) <= 4
-
-    def test_reset_only_costs_re_misses(self):
-        # Correctness: a value interned, evicted by a reset, and interned
-        # again still comes back equal (identity is an optimisation only).
-        interner = Interner(max_entries=2)
-        first = interner.intern("alpha")
-        interner.intern("beta")
-        interner.intern("gamma")  # forces a reset
-        second = interner.intern("alpha")
-        assert second == first
-
-
-# ---------------------------------------------------------------------------
 # Coalesced run frames
 # ---------------------------------------------------------------------------
 
@@ -440,7 +319,7 @@ def _prepared_members(phases, payload="latched"):
 
 class TestRunFraming:
     def test_round_trip_expands_in_phase_order(self):
-        run = run_from_contexts(3, _prepared_members([4, 5, 6]), Interner())
+        run = run_from_contexts(3, _prepared_members([4, 5, 6]))
         decoded = decode(encode(run))
         assert (decoded.vertex, decoded.name) == (3, "mid")
         assert decoded.successors == ("down", "side")
@@ -453,16 +332,15 @@ class TestRunFraming:
         # A run frame carries name/successors once; the same members
         # shipped as runs of one repeat them per frame.
         prepared = _prepared_members(range(1, 9), payload="v" * 64)
-        run_frame = encode(run_from_contexts(3, prepared, Interner()))
+        run_frame = encode(run_from_contexts(3, prepared))
         singles = sum(
-            len(encode(run_from_contexts(3, [member], Interner())))
-            for member in prepared
+            len(encode(run_from_contexts(3, [member]))) for member in prepared
         )
         assert len(run_frame) < singles
 
     def test_empty_run_rejected(self):
         with pytest.raises(ValueError):
-            run_from_contexts(3, [], Interner())
+            run_from_contexts(3, [])
 
 
 # ---------------------------------------------------------------------------
@@ -584,24 +462,9 @@ class TestWirePathEngine:
         res = ProcessEngine(prog, num_workers=2).run(phases)
         assert res.engine == "process[w=2]"
         ipc = res.stats["ipc"]
-        assert set(ipc) == {
-            "window_final", "window_peak", "window_widenings",
-            "window_narrowings", "task_frames", "mean_tasks_per_frame",
-            "promoted", "interning",
-        }
+        assert set(ipc) == {"task_frames", "mean_tasks_per_frame", "promoted"}
         assert set(ipc["promoted"]) <= set(prog.behaviors)
-        assert set(ipc["window_final"]) == {0, 1}
         assert ipc["task_frames"] == res.stats["ipc_round_trips"]
-        assert ipc["interning"]["misses"] >= 0
-
-    def test_adaptive_window_widens_under_backlog(self):
-        # Four sources become ready at once for the only worker, whose
-        # credit window starts at one task: the backlog starves it.
-        prog, phases = grid_workload(4, 3, phases=20, seed=2)
-        res = ProcessEngine(prog, num_workers=1).run(phases)
-        ipc = res.stats["ipc"]
-        assert ipc["window_peak"] >= 2
-        assert ipc["window_widenings"] >= 1
 
     def test_post_run_state_matches_serial_via_deltas(self):
         # Sources mutate worker-side state (RNG advance); after the run
@@ -655,8 +518,10 @@ class _MeteredQueue:
 
 class TestMeteringRegression:
     def test_per_class_bytes_sum_to_pipe_traffic(
-        self, monkeypatch, process_remote
+        self, process_remote, monkeypatch
     ):
+        # process_remote first: its teardown, which restores the real
+        # ProcessWorkerPool.start, must run after monkeypatch's.
         # Independently meter every byte the coordinator moves through
         # the queues, then require the engine's per-class accounting to
         # sum to exactly that (plus the warmup blobs, which travel via

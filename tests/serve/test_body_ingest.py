@@ -62,7 +62,7 @@ def reference_line(line):
 def reference_post(session, body):
     """``(status, reply)`` of the per-line ``POST /events`` handler."""
     accepted = late = sealed = 0
-    for lineno, line in enumerate(body.splitlines(), start=1):
+    for lineno, line in enumerate(body.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -266,6 +266,28 @@ def test_body_path_equals_per_line_reference(case):
     assert got_final["phases_retired"] == ref_final["phases_retired"]
     assert got_final["spot_checks_failed"] == ref_final["spot_checks_failed"] == 0
     assert got_final["spot_checks_passed"] == len(got_retired)
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+def test_only_a_newline_ends_a_line(separator):
+    # Regression: the body was split with str.splitlines(), which also
+    # breaks at U+2028, U+2029 and U+0085 — characters a JSON string may
+    # hold raw — so a valid event read as "Unterminated string" (400).
+    noted = json.dumps(
+        {"timestamp": 0.0, "source": "txn[a0]", "value": 50.0,
+         "note": f"a{separator}b"},
+        ensure_ascii=False,
+    )
+    assert separator in noted
+    session, admitted, _ = _session({"wait": 0.0, "max_buffered": 64})
+    try:
+        with ServeServer(session) as server:
+            status, reply = _post(server, _lines(noted, _event(1.0, "txn[a1]")))
+    finally:
+        session.close()
+    assert status == 200, reply
+    assert reply["accepted"] == 2
+    assert admitted[0].values == {"txn[a0]": 50.0}
 
 
 def test_corpus_reaches_every_outcome():

@@ -16,7 +16,9 @@ four operations and one constructor are the whole interface between the
 run lifecycle and the engines that drive it.  Another keeps the two
 schedulers apart: neither takes a mode, and a production entry point
 never loads the specification.  The last keeps the chain-fusion plan
-out: every engine schedules the program the user wrote.
+out: every engine schedules the program the user wrote.  The process
+wire is pinned too: one frame form each way, with only the fields the
+receiving side reads.
 """
 
 import dataclasses
@@ -140,6 +142,33 @@ def test_the_process_wire_has_one_form():
     assert protocol.WireStats.CLASSES == (
         "warmup", "runs", "result_batches", "final_state", "shutdown",
     ), AIM_2
+    # Only a promoted vertex's run rides the wire, and a frame carries
+    # only what its reader reads: no credit window, no value interning,
+    # no second latch test in the worker.
+    from repro.runtime.mp import worker
+    from repro.runtime.mp.lifecycle import ProcessWorkerPool
+
+    def fields(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+
+    assert fields(protocol.RunMsg) == (
+        "vertex", "name", "successors", "members", "state",
+    ), AIM_2
+    assert fields(protocol.RunMember) == (
+        "phase", "inputs", "changed", "phase_input",
+    ), AIM_2
+    assert fields(protocol.ResultBatch) == (
+        "worker_id", "vertex", "results",
+    ), AIM_2
+    assert fields(protocol.ResultMsg) == (
+        "phase", "outputs", "records", "error",
+    ), AIM_2
+    assert not hasattr(protocol, "Interner"), AIM_2
+    assert not hasattr(worker, "_SuppressFilter"), AIM_2
+    assert importlib.util.find_spec("repro.runtime.mp.frontier") is None, AIM_2
+    assert params(ProcessWorkerPool) == [
+        "program", "num_workers", "start_method",
+    ], AIM_2
 
 
 CORE = (

@@ -178,7 +178,7 @@ class TestProfileStages:
         src = "/site-packages/repro/"
         assert _stage_of(src + "core/program.py", "commit") == "commit"
         assert _stage_of(src + "runtime/core.py", "commit") == "scheduling"
-        assert _stage_of(src + "runtime/mp/frontier.py", "push") == "scheduling"
+        assert _stage_of(src + "runtime/core.py", "admit") == "scheduling"
         assert _stage_of(src + "models/statistics.py", "push") is None
         assert _stage_of(src + "models/statistics.py", "on_execute") == "compute"
         assert _stage_of("/elsewhere/user_vertices.py", "on_execute") == "compute"
@@ -413,6 +413,42 @@ class TestServe:
         serve = _json.loads(out_path.read_text())["serve"]
         assert serve["events_accepted"] == 2
         assert serve["phases_retired"] == 2
+
+    @pytest.mark.parametrize("read_size", [7, 1 << 16])
+    def test_replay_counts_only_newlines_as_line_ends(
+        self, tmp_path, capsys, monkeypatch, read_size
+    ):
+        # Regression: a raw U+2028 / U+2029 / U+0085 inside a JSON string
+        # split its line in two — the valid event read as "Unterminated
+        # string" and every later line number was shifted.
+        import json as _json
+
+        from repro import cli
+
+        monkeypatch.setattr(cli, "_REPLAY_READ", read_size)
+        event = lambda t, **extra: _json.dumps(  # noqa: E731
+            {"timestamp": float(t), "source": "txn[a0]", "value": 50.0, **extra},
+            ensure_ascii=False,
+        )
+        events = tmp_path / "events.ndjson"
+        events.write_text(
+            "\n".join([
+                event(0, note="a\u2028b\u2029c\x85d"), event(1), "not json",
+                event(2),
+            ]) + "\n",
+            encoding="utf-8",
+        )
+        out_path = tmp_path / "stats.json"
+        assert main([
+            "serve", str(SERVE_SPEC), "--input", str(events),
+            "--stats-json", str(out_path),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {events}:3: bad NDJSON event: Expecting value" in (
+            captured.err
+        )
+        serve = _json.loads(out_path.read_text())["serve"]
+        assert serve["events_accepted"] == 2
 
     def test_replay_deterministic_across_engines(self, tmp_path, capsys):
         events = tmp_path / "events.ndjson"

@@ -95,7 +95,7 @@ CORPUS = {
     "threaded": 12,
     "threaded-pooled": 12,
     "process": 3,
-    "process-remote": 3,
+    "process-remote": 5,
     "simulated-cone": 8,
     "simulated-global": 8,
     "inline": 40,
@@ -300,7 +300,7 @@ def run_cell(engine, spec, index):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("engine", ENGINES)
 def test_record_exact_against_serial_oracle(engine, family):
-    inline_runs = pooled_runs = 0
+    inline_runs = pooled_runs = suppressing = 0
     for i in range(CORPUS[engine]):
         spec = FAMILIES[family](engine, i)
         serial, result = run_cell(engine, spec, i)
@@ -308,6 +308,16 @@ def test_record_exact_against_serial_oracle(engine, family):
             f"{engine} {family} spec {i} [{spec.describe()}]"
         )
         assert result.phases_run == serial.phases_run
+        if engine == "process-remote" and spec.elidable:
+            # A worker only computes; the commit's latch test elides
+            # exactly what the serial loop with suppression on does.
+            program, phases = spec.build_picklable()
+            eliding = SerialExecutor(program, suppress=True).run(phases)
+            for key in ("suppressed_messages", "elided_executions"):
+                assert result.stats["suppression"][key] == (
+                    eliding.stats["suppression"][key]
+                ), f"{engine} {family} spec {i} [{spec.describe()}]: {key}"
+            suppressing += eliding.stats["suppression"]["suppressed_messages"] > 0
         drain = result.stats.get("drain", {})
         inline_runs += drain.get("inline_runs", 0)
         pooled_runs += drain.get("pooled_runs", 0)
@@ -321,6 +331,7 @@ def test_record_exact_against_serial_oracle(engine, family):
         assert inline_runs > pooled_runs
     if engine == "process-remote":
         assert pooled_runs > 0
+        assert suppressing or family != "elidable", "no shipped run elided"
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
