@@ -203,11 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "the first")
     fuzz.add_argument("--no-shrink", action="store_true",
                       help="skip greedy minimisation of failing workloads")
-    fuzz.add_argument("--skew", action="store_true",
-                      help="skew injection: artificially slow one "
-                           "(seeded) vertex per phase, stressing "
-                           "cone-independent pipelining where lanes race "
-                           "far ahead of a straggler")
     fuzz.add_argument("--failure-artifacts", metavar="DIR", default=None,
                       help="on failure, write one JSON reproduction file "
                            "(seed, spec, policy, step trace) per failure "
@@ -684,7 +679,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             stop_on_failure=not args.keep_going,
             max_vertices=args.max_vertices,
             max_phases=args.max_phases,
-            skew=args.skew,
         )
     else:
         report = fuzz(
@@ -697,7 +691,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             do_shrink=not args.no_shrink,
             max_vertices=args.max_vertices,
             max_phases=args.max_phases,
-            skew=args.skew,
         )
     print(report.summary())
     if args.failure_artifacts and report.failures:

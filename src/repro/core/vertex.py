@@ -94,22 +94,6 @@ class _EmitNothing:
 EMIT_NOTHING = _EmitNothing()
 
 
-def _value_changed(old: Any, new: Any) -> bool:
-    """Conservative inequality for state-delta dict diffs.
-
-    Anything whose ``==`` does not yield a clean boolean ``True`` —
-    identity-compared objects like ``random.Random`` (the baseline is a
-    deepcopy, so identity never lies "equal"), NumPy arrays (ambiguous
-    truth value), broken ``__eq__`` — is treated as changed and shipped.
-    Sending an unchanged value is merely wasteful; dropping a changed one
-    would corrupt the synchronised state.
-    """
-    try:
-        return not bool(old == new)
-    except Exception:
-        return True
-
-
 class VertexContext:
     """Everything a vertex may observe and do while executing one phase."""
 
@@ -281,8 +265,9 @@ class Vertex:
         vertex whose state lives in instance attributes (all of
         :mod:`repro.models`).  Override alongside :meth:`restore_state`
         when state lives elsewhere or contains unpicklable members.  The
-        process-parallel engine uses the pair to synchronise vertex state
-        between coordinator and workers.
+        process-parallel engine uses the pair to bring a promoted vertex's
+        state home from its worker at shutdown: the worker sends this
+        snapshot, and the coordinator's copy restores it.
         """
         return copy.deepcopy(self.__dict__)
 
@@ -290,54 +275,6 @@ class Vertex:
         """Restore state captured by :meth:`snapshot_state`."""
         self.__dict__.clear()
         self.__dict__.update(copy.deepcopy(snapshot))
-
-    def snapshot_delta(self, baseline: Any) -> Any:
-        """A delta that turns a peer restored from *baseline* into the
-        current state, applied via :meth:`apply_delta`.
-
-        *baseline* is an earlier :meth:`snapshot_state` of this same
-        behaviour.  For vertices on the default ``__dict__`` snapshot
-        (every built-in model vertex) the delta is a **dict diff**: only
-        attributes that changed since the baseline — compared
-        conservatively, so values whose equality is unreliable (RNGs,
-        arrays) are simply shipped — plus the names of removed ones.
-        Config-like attributes that never change (windows, thresholds,
-        predecessor tuples) cost nothing on the wire.
-
-        A subclass that overrides :meth:`snapshot_state` /
-        :meth:`restore_state` without overriding this pair automatically
-        falls back to a full snapshot, so custom state layouts stay
-        correct without extra work.
-        """
-        if (
-            type(self).snapshot_state is Vertex.snapshot_state
-            and type(self).restore_state is Vertex.restore_state
-            and isinstance(baseline, dict)
-        ):
-            changed = {
-                k: copy.deepcopy(v)
-                for k, v in self.__dict__.items()
-                if k not in baseline or _value_changed(baseline[k], v)
-            }
-            removed = tuple(k for k in baseline if k not in self.__dict__)
-            return ("dict", changed, removed)
-        return ("full", self.snapshot_state())
-
-    def apply_delta(self, delta: Any) -> None:
-        """Apply a delta produced by :meth:`snapshot_delta` on a peer
-        whose baseline state this instance currently holds."""
-        kind = delta[0]
-        if kind == "full":
-            self.restore_state(delta[1])
-        elif kind == "dict":
-            _, changed, removed = delta
-            for key in removed:
-                self.__dict__.pop(key, None)
-            self.__dict__.update(copy.deepcopy(changed))
-        else:
-            raise VertexExecutionError(
-                repr(self), 0, f"unknown state-delta kind {kind!r}"
-            )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -68,10 +68,6 @@ class ThreadingBackend:
         """An unstarted daemon thread running ``target(*args)``."""
         return threading.Thread(target=target, name=name, args=args, daemon=True)
 
-    def sleep(self, seconds: float) -> None:
-        """Suspend the calling thread for *seconds*."""
-        time.sleep(seconds)
-
     def clock(self) -> float:
         """A monotonic clock (seconds); virtual backends return virtual time."""
         return time.perf_counter()

@@ -53,8 +53,7 @@ class InstrumentedLock:
         clock=time.perf_counter,
         backend: Optional[ThreadingBackend] = None,
     ) -> None:
-        self._backend = backend or OS_BACKEND
-        self._lock = self._backend.lock()
+        self._lock = (backend or OS_BACKEND).lock()
         self._meta = threading.Lock()
         self._clock = clock
         self.acquisitions = 0
@@ -93,10 +92,6 @@ class InstrumentedLock:
 
     def locked(self) -> bool:
         return self._lock.locked()
-
-    def new_condition(self) -> threading.Condition:
-        """A condition variable bound to this lock (for flow control)."""
-        return self._backend.condition(self._lock)
 
     def stats(self) -> Dict[str, Any]:
         """Snapshot of the contention statistics."""

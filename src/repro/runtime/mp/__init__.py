@@ -10,9 +10,9 @@ interpreters.
 
 * :mod:`~repro.runtime.mp.protocol` — the wire protocol: run / result /
   shutdown framing, pickle round-tripping, and byte accounting;
-* :mod:`~repro.runtime.mp.worker` — the worker-process main loop (a warm
-  per-worker cache of vertex behaviours, executed on demand; it only
-  computes);
+* :mod:`~repro.runtime.mp.worker` — the worker-process main loop (it
+  starts empty, adopts each behaviour promoted to it from that vertex's
+  first frame, and only computes);
 * :mod:`~repro.runtime.mp.lifecycle` — spawn, sticky vertex assignment,
   graceful and crash shutdown of the worker pool;
 * :mod:`~repro.runtime.mp.engine` — :class:`ProcessEngine`, the

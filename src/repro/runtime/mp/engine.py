@@ -30,8 +30,9 @@ rescaled by every shipped frame and every reply).  A run
 of a vertex that did not just read cheap is *staked*: it stops once it
 has cost the whole run's trip, its tail keeping its claims.
 ``_DEAR_RUNS`` dear runs in a row **promote** the vertex, one-way, to its
-sticky worker once that worker is up: its next frame carries the state
-the resident runs left, and from then on it takes the wire path.  Its
+sticky worker: its next frame carries the behaviour itself, holding
+the state the resident runs left, and from then on it takes the wire
+path (a worker starts empty, and nothing waits for it to boot).  Its
 ready pairs go into one FIFO deque, and each dispatch claims every pair
 there into a run and ships it as one :class:`~.protocol.RunMsg` (a
 single pair is a run of one) to the vertex's sticky worker, answered by
@@ -56,17 +57,19 @@ FIFO ahead of the first member that needs it — on one worker), so every
 behaviour's state evolves in strict phase order, exactly as serially.
 Placement only changes *where* and *when* ready pairs execute, never
 which pairs are ready.  At shutdown the promoted vertices' states come
-back as :meth:`~repro.core.vertex.Vertex.snapshot_delta` payloads and
-are applied to the coordinator's copies (which still hold the state they
-were promoted with), so post-run program state matches a serial
-execution.
+back as :meth:`~repro.core.vertex.Vertex.snapshot_state` payloads and
+are restored into the coordinator's copies, so post-run program state
+matches a serial execution.
 
 Failure handling prefers the root cause, mirroring the threaded engine:
 a vertex error, resident or remote (:class:`~repro.errors.VertexExecutionError`
 naming the vertex and the exact phase) beats a worker crash
 (:class:`~repro.errors.EngineError`), which beats the wedge watchdog.
 Results that precede the failure — a failing run's surviving prefix
-included — are committed first.
+included — are committed first.  Only frames are pickled: a run frame
+that does not encode raises
+:class:`~repro.errors.VertexExecutionError` at the run's head phase,
+and a vertex that never leaves the coordinator need not pickle at all.
 """
 
 from __future__ import annotations
@@ -94,6 +97,7 @@ from .protocol import (
     encode,
     run_from_contexts,
 )
+from .worker import _describe_pickle_failure
 
 __all__ = ["ProcessEngine"]
 
@@ -141,9 +145,10 @@ class ProcessEngine:
     Parameters
     ----------
     program:
-        The program to execute.  Behaviours must be picklable (see
-        ``tests/models/test_pickling.py``); :meth:`run` raises
-        :class:`~repro.errors.EngineError` at spawn time if not.
+        The program to execute.  A promoted vertex's behaviour and run
+        payloads must pickle (see ``tests/models/test_pickling.py``); a
+        run frame that does not raises
+        :class:`~repro.errors.VertexExecutionError`.
     num_workers:
         Number of worker processes (the paper's k computation
         processors).  The coordinator rides this process, like the
@@ -207,10 +212,9 @@ class ProcessEngine:
         work, and shuts the workers down gracefully — the result covers
         exactly the started phases.
 
-        Raises the first vertex exception as
-        :class:`~repro.errors.VertexExecutionError`, and
-        :class:`EngineError` on worker crash, unpicklable program, or a
-        wedged run.
+        Raises the first vertex exception, or a run frame that does not
+        pickle, as :class:`~repro.errors.VertexExecutionError`, and
+        :class:`EngineError` on worker crash or a wedged run.
         """
         return self._execute(PhaseFeed.of(phase_inputs), stop_event=stop_event)
 
@@ -253,9 +257,7 @@ class ProcessEngine:
         )
         runtime = core.runtime
         lock = InstrumentedLock()
-        pool = ProcessWorkerPool(
-            self.program, self.num_workers, start_method=self.start_method
-        )
+        pool = ProcessWorkerPool(self.num_workers, self.start_method)
 
         # Ready pairs: of promoted vertices, to ship; of resident
         # vertices, which the coordinator executes itself.
@@ -271,13 +273,13 @@ class ProcessEngine:
         # ``_DEAR_RUNS`` in a row promote it (None), one-way, so one slow
         # sample cannot move a vertex and no later one can move it back.
         standing: List[Optional[int]] = [0] * (self.program.numbering.n + 1)
-        unshipped: Set[int] = set()  # promoted, state not yet on the wire
+        unshipped: Set[int] = set()  # promoted, behaviour not yet on the wire
         promoted: List[str] = []
         # The trip's price in marshalling CPU: build, encode and queue a
         # run frame (``send``); receive and decode its reply (``recv``,
         # None before the first).  Until a frame is shipped, ``send`` is
         # what encoding and decoding the longest run so far (``priced``
-        # members) unsent cost.
+        # members) unsent cost; a run that does not encode is no sample.
         send: Price = (0.0, 0.0)
         recv: Optional[Price] = None
         priced = 0
@@ -348,11 +350,15 @@ class ProcessEngine:
                 # first frame pays for warming pickle's caches (~100 us,
                 # five frames' worth) once: it is marshalled twice.
                 prepared = list(zip(phases, ctxs))
-                if not priced:
-                    marshalled(v, prepared[:1])
-                head = marshalled(v, prepared[:1])
-                send = _fit(head, marshalled(v, prepared) if n > 1 else head, n)
-                priced = n
+                try:
+                    if not priced:
+                        marshalled(v, prepared[:1])
+                    head = marshalled(v, prepared[:1])
+                    whole = marshalled(v, prepared) if n > 1 else head
+                except Exception:  # noqa: BLE001 - no price sample
+                    pass
+                else:
+                    send, priced = _fit(head, whole, n), n
             # A vertex whose last run did not read cheap is staked: the
             # run stops once it has cost what shipping all of it would.
             budget = trip(n)
@@ -370,7 +376,7 @@ class ProcessEngine:
                 standing[v] = -1
             else:
                 standing[v] = max(standing[v], 0) + 1
-                if standing[v] >= _DEAR_RUNS and pool.answered(pool.worker_of(v)):
+                if standing[v] >= _DEAR_RUNS:
                     standing[v] = None
                     unshipped.add(v)
                     promoted.append(ctxs[0].name)
@@ -391,7 +397,7 @@ class ProcessEngine:
             # Claim each ready pair of a promoted vertex into a run of
             # prepared contexts under one lock acquisition and ship the
             # run as one frame to the vertex's sticky worker — the first
-            # time, with the state the vertex's resident runs left.
+            # time, with the behaviour itself, as the resident runs left it.
             nonlocal send, shipped_members
             if not ship:
                 return False
@@ -403,12 +409,20 @@ class ProcessEngine:
                     trace("execute_begin", v, (q for q, _ in prepared), w)
                     in_flight.update(((v, q), ctx) for q, ctx in prepared)
                     began = clock()
-                    state = None
+                    behavior = None
                     if v in unshipped:
                         unshipped.discard(v)
-                        state = ("full", self.program.behavior(v).snapshot_state())
-                    run = run_from_contexts(v, prepared, state)
-                pool.submit_to_worker(w, encode(run))
+                        behavior = self.program.behavior(v)
+                    run = run_from_contexts(v, prepared, behavior)
+                try:
+                    frame = encode(run)
+                except Exception as exc:  # noqa: BLE001 - any pickling failure
+                    raise VertexExecutionError(
+                        run.name,
+                        prepared[0][0],
+                        "run not picklable: " + _describe_pickle_failure(exc),
+                    ) from exc
+                pool.submit_to_worker(w, frame)
                 send = _rescaled(send, clock() - began, len(prepared))
                 shipped_members += len(prepared)
                 drain["pooled_runs"] += 1
@@ -519,13 +533,12 @@ class ProcessEngine:
                 pi = feed.get(timeout=_POLL_S)
                 if pi is not None:
                     held.append(pi)
-            # Graceful drain: apply the promoted vertices' final state
-            # deltas to this process's copies (which still hold the state
-            # they were promoted with): post-run state matches serial.
-            finals = pool.shutdown(self.join_timeout, collect_state=True)
+            # Graceful drain: restore the promoted vertices' final states
+            # into this process's copies: post-run state matches serial.
+            finals = pool.shutdown(self.join_timeout)
             for final in finals.values():
-                for name, delta in final.deltas.items():
-                    self.program.behaviors[name].apply_delta(delta)
+                for name, state in final.states.items():
+                    self.program.behaviors[name].restore_state(state)
         except BaseException:
             # Crash path: never mask the root cause with shutdown issues.
             pool.terminate()

@@ -3,20 +3,18 @@
 :class:`ProcessWorkerPool` owns the OS side of the process backend:
 
 * **Spawn** — one ``multiprocessing`` process per worker, each with its
-  own task queue plus one shared result queue.  Vertices are assigned
-  round-robin by numbering index (``worker_of(v) = (v - 1) % W``) and the
-  assigned behaviours are shipped once, pickled, at spawn — the worker's
-  warm cache, used from the moment the coordinator promotes a vertex.
-  The start method defaults to ``fork`` where available (cheap on Linux)
-  and ``spawn`` elsewhere; either way behaviours cross the boundary by
-  explicit pickle, so an unpicklable *program* fails here, before any
-  pair runs.  Each worker sets an event once it is up
-  (:meth:`ProcessWorkerPool.answered`): until then the coordinator
-  keeps its vertices, so it never waits for a boot.
+  own task queue plus one shared result queue.  A worker starts empty:
+  nothing about the program crosses at spawn, and a vertex's behaviour
+  reaches its worker only when the coordinator promotes it, riding the
+  vertex's first :class:`~.protocol.RunMsg`.  Vertices are assigned
+  round-robin by numbering index (``worker_of(v) = (v - 1) % W``).  The
+  start method defaults to ``fork`` where available (cheap on Linux) and
+  ``spawn`` elsewhere; the coordinator never waits for a boot — a frame
+  sent to a worker that is still starting waits in its FIFO task queue.
 * **Graceful shutdown** — a :class:`~.protocol.ShutdownMsg` per worker,
   then a join with watchdog timeout; the workers' parting
-  :class:`~.protocol.FinalStateMsg` frames (vertex-state deltas,
-  busy-seconds) are collected for the engine.
+  :class:`~.protocol.FinalStateMsg` frames (the promoted vertices'
+  states, busy-seconds) are collected for the engine.
 * **Crash shutdown** — :meth:`terminate` kills outright; used when the
   run already failed and the root cause must not be masked by a wedged
   drain (the error-preference discipline of the threaded engine's
@@ -26,12 +24,10 @@
 from __future__ import annotations
 
 import multiprocessing as mp
-import pickle
 import queue as queue_mod
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from ...core.program import Program
 from ...errors import EngineError
 from .protocol import (
     FinalStateMsg,
@@ -56,9 +52,6 @@ class ProcessWorkerPool:
 
     Parameters
     ----------
-    program:
-        The program whose behaviours are distributed to the workers.
-        Ship after ``program.reset()`` so worker state starts initial.
     num_workers:
         Worker process count (the paper's k computation processors).
     start_method:
@@ -66,23 +59,19 @@ class ProcessWorkerPool:
     """
 
     def __init__(
-        self,
-        program: Program,
-        num_workers: int,
-        start_method: Optional[str] = None,
+        self, num_workers: int, start_method: Optional[str] = None
     ) -> None:
         if num_workers < 1:
             raise EngineError(f"num_workers must be >= 1, got {num_workers}")
-        self.program = program
         self.num_workers = num_workers
         self.start_method = start_method or default_start_method()
         self._ctx = mp.get_context(self.start_method)
         self.wire = WireStats()
+        # Started workers only, in worker-id order: a worker whose start
+        # failed is never joined or killed.
         self._task_queues: List[Any] = []
         self._processes: List[Any] = []
-        self._ready: List[Any] = []
         self.result_queue: Any = None
-        self._started = False
 
     # -- assignment ------------------------------------------------------
 
@@ -90,47 +79,24 @@ class ProcessWorkerPool:
         """The worker that owns vertex index *v* (sticky, round-robin)."""
         return (v - 1) % self.num_workers
 
-    def _assigned_behaviors(self, worker_id: int) -> Dict[str, Any]:
-        numbering = self.program.numbering
-        return {
-            numbering.name_of(v): self.program.behavior(v)
-            for v in range(1, numbering.n + 1)
-            if self.worker_of(v) == worker_id
-        }
-
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn every worker, shipping its warm behaviour cache."""
+        """Spawn every worker, empty.  If one fails to start, its
+        exception propagates and :meth:`terminate` stops the ones that
+        did."""
         self.result_queue = self._ctx.Queue()
         for worker_id in range(self.num_workers):
-            try:
-                blob = encode(self._assigned_behaviors(worker_id))
-            except (pickle.PicklingError, TypeError, AttributeError) as exc:
-                self.terminate()
-                raise EngineError(
-                    f"program {self.program.name!r} is not picklable and "
-                    f"cannot run on the process engine: {exc}"
-                ) from exc
-            self.wire.count("warmup", blob)
             task_queue = self._ctx.Queue()
-            ready = self._ctx.Event()
             process = self._ctx.Process(
                 target=worker_main,
-                args=(worker_id, task_queue, self.result_queue, blob, ready),
+                args=(worker_id, task_queue, self.result_queue),
                 name=f"repro-worker-{worker_id}",
                 daemon=True,
             )
+            process.start()
             self._task_queues.append(task_queue)
             self._processes.append(process)
-            self._ready.append(ready)
-        for process in self._processes:
-            process.start()
-        self._started = True
-
-    def answered(self, worker_id: int) -> bool:
-        """Whether *worker_id* has booted and reported in."""
-        return self._ready[worker_id].is_set()
 
     def submit_to_worker(self, worker_id: int, frame: bytes) -> None:
         """Send an encoded :class:`~.protocol.RunMsg` to *worker_id*'s
@@ -158,12 +124,10 @@ class ProcessWorkerPool:
         return [
             (i, p.exitcode)
             for i, p in enumerate(self._processes)
-            if self._started and not p.is_alive() and p.exitcode is not None
+            if not p.is_alive() and p.exitcode is not None
         ]
 
-    def shutdown(
-        self, timeout: float, collect_state: bool = True
-    ) -> Dict[int, FinalStateMsg]:
+    def shutdown(self, timeout: float) -> Dict[int, FinalStateMsg]:
         """Graceful drain: ask every worker to exit, gather final states.
 
         Returns the :class:`~.protocol.FinalStateMsg` per worker id.
@@ -171,9 +135,9 @@ class ProcessWorkerPool:
         answer or exit within *timeout* — after terminating the rest so
         no process outlives the engine.
         """
-        if not self._started:
+        if not self._processes:
             return {}
-        shutdown_frame = encode(ShutdownMsg(collect_state=collect_state))
+        shutdown_frame = encode(ShutdownMsg())
         for task_queue in self._task_queues:
             self.wire.count("shutdown", shutdown_frame)
             task_queue.put(shutdown_frame)

@@ -16,9 +16,9 @@ below, pickled into a bytes frame by :func:`encode` and restored by
   carries, and a latched input that did not change between members is
   the same object in each, which pickle writes once and back-references.
   The first frame of a vertex the coordinator has *promoted* (it ran the
-  vertex itself until then) also carries the state those runs left, in
-  ``state``, so it reaches the worker exactly once and ahead of every
-  member that needs it.
+  vertex itself until then) also carries the behaviour object itself, in
+  ``behavior``, holding the state those runs left: a worker starts empty
+  and holds exactly the vertices promoted to it.
 * :class:`ResultBatch` — worker -> coordinator, the only result frame:
   the run's vertex and one :class:`ResultMsg` entry per executed member
   of a :class:`RunMsg`, in member order.  A reply ends at its error
@@ -26,12 +26,11 @@ below, pickled into a bytes frame by :func:`encode` and restored by
   *before* the failure and then the error entry itself (its exact
   phase), so the coordinator commits the survivors before surfacing the
   error; the members behind it never ran.
-* :class:`ShutdownMsg` — coordinator -> worker: drain and exit; with
-  ``collect_state=True`` the worker answers with a :class:`FinalStateMsg`
-  carrying a :meth:`~repro.core.vertex.Vertex.snapshot_delta` per
-  promoted behaviour (relative to the state it adopted), so the
-  coordinator can re-synchronise its own program state by paying only
-  for what changed.
+* :class:`ShutdownMsg` — coordinator -> worker: drain and exit; the
+  worker answers with a :class:`FinalStateMsg` carrying the
+  :meth:`~repro.core.vertex.Vertex.snapshot_state` of every behaviour
+  promoted to it, so each promoted vertex's state crosses the pipe once
+  each way.
 * :class:`WorkerCrashMsg` — worker -> coordinator: the worker loop itself
   failed (bad frame, unpicklable state, ...).  Distinct from a vertex
   failure so the engine can report the right root cause.
@@ -99,15 +98,15 @@ class RunMember:
 class RunMsg:
     """A run (v, [p..p+k]), one member or many: members execute
     back-to-back worker-side, in the order given (ascending phase).
-    ``state``, on a promoted vertex's first frame only, is an
-    :meth:`~repro.core.vertex.Vertex.apply_delta` payload the worker
-    applies (and re-baselines on) before the first member."""
+    ``behavior``, on a promoted vertex's first frame only, is the
+    :class:`~repro.core.vertex.Vertex` itself, which the worker adopts
+    before the first member."""
 
     vertex: int
     name: str
     successors: Tuple[str, ...]
     members: Tuple[RunMember, ...] = ()
-    state: Any = None
+    behavior: Any = None
 
 
 @_positional
@@ -146,26 +145,23 @@ class ResultBatch:
 
 @dataclass(frozen=True, slots=True)
 class ShutdownMsg:
-    """Drain and exit; optionally report final vertex state."""
-
-    collect_state: bool = True
+    """Drain, report final vertex state, and exit."""
 
 
 @dataclass(frozen=True, slots=True)
 class FinalStateMsg:
-    """The worker's parting report: per-vertex state deltas (when
-    requested) and cumulative busy seconds.
+    """The worker's parting report: vertex states and cumulative busy
+    seconds.
 
-    ``deltas`` maps the name of each vertex this worker adopted to a
-    :meth:`~repro.core.vertex.Vertex.snapshot_delta` payload taken
-    against the adopted state — which is exactly the state the
-    coordinator's own copy still holds, because promotion is one-way.  A
-    vertex that never left the coordinator is not named: its worker copy
-    is stale, and a delta ships RNGs and arrays unconditionally.
+    ``states`` maps the name of each vertex promoted to this worker to
+    its :meth:`~repro.core.vertex.Vertex.snapshot_state`, which the
+    coordinator applies with
+    :meth:`~repro.core.vertex.Vertex.restore_state`.  A worker holds no
+    other vertex, so no other is named.
     """
 
     worker_id: int
-    deltas: Dict[str, Any] = field(default_factory=dict)
+    states: Dict[str, Any] = field(default_factory=dict)
     busy_s: float = 0.0
 
 
@@ -196,7 +192,7 @@ def decode(frame: bytes) -> object:
 def run_from_contexts(
     v: int,
     prepared: Sequence[Tuple[int, VertexContext]],
-    state: Any = None,
+    behavior: Any = None,
 ) -> RunMsg:
     """Snapshot a claimed run's prepared contexts into one run frame.
 
@@ -221,7 +217,7 @@ def run_from_contexts(
             )
             for p, ctx in prepared
         ),
-        state=state,
+        behavior=behavior,
     )
 
 
@@ -238,16 +234,14 @@ def traffic_class_of(msg: object) -> str:
 class WireStats:
     """Byte and message counters per traffic class (coordinator side).
 
-    Classes: ``warmup`` (behaviour blobs shipped at spawn), ``runs``
-    (:class:`RunMsg` frames), ``result_batches`` (their replies:
-    :class:`ResultBatch` frames, or the crash report sent instead),
-    ``final_state`` (shutdown replies), ``shutdown`` (the drain
+    Classes: ``runs`` (:class:`RunMsg` frames), ``result_batches``
+    (their replies: :class:`ResultBatch` frames, or the crash report sent
+    instead), ``final_state`` (shutdown replies), ``shutdown`` (the drain
     requests).  Every frame that crosses a queue is counted under
-    exactly one class, so ``total_bytes`` equals the actual pipe traffic
-    plus the spawn-time warmup blobs.
+    exactly one class, so ``total_bytes`` equals the actual pipe traffic.
     """
 
-    CLASSES = ("warmup", "runs", "result_batches", "final_state", "shutdown")
+    CLASSES = ("runs", "result_batches", "final_state", "shutdown")
 
     def __init__(self) -> None:
         self.bytes: Dict[str, int] = {c: 0 for c in self.CLASSES}

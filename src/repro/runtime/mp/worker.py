@@ -1,13 +1,13 @@
 """The worker-process main loop.
 
-Each worker owns a **warm cache** of the vertex behaviours assigned to it
-(sticky assignment: once the coordinator, where every vertex starts out,
-promotes one, its every later phase executes on the same worker),
-unpickled once at startup from the blob the coordinator shipped.  The
-first :class:`~.protocol.RunMsg` of a vertex carries the state its
-coordinator-side runs left, applied before the first member.  Because
-the scheduler serialises a vertex's phases — ``(v, p+1)`` becomes ready
-only after ``(v, p)`` completed — the cached behaviour's state then
+A worker starts empty and holds exactly the vertex behaviours promoted
+to it (sticky assignment: once the coordinator, where every vertex
+starts out, promotes one, its every later phase executes on the same
+worker).  A promoted vertex's first :class:`~.protocol.RunMsg` carries
+the behaviour object itself, with the state its coordinator-side runs
+left, and the worker adopts it before the first member.  Because the
+scheduler serialises a vertex's phases — ``(v, p+1)`` becomes ready
+only after ``(v, p)`` completed — the adopted behaviour's state then
 evolves exactly as in the serial oracle, with no state per task.
 
 The loop mirrors the computation thread of Listing 1 with the critical
@@ -18,14 +18,9 @@ records in one :class:`~.protocol.ResultBatch`.  The members run through
 engines use — so phase order, stop-after-failure and exact-phase fault
 attribution are the same behaviour in every address space.  Every output
 ships: judging and committing it — Δ-elision's latch test included — is
-the coordinator's, under its lock, as for a run it computed itself.  A
-worker holds only behaviours and the adoption baselines below.
-
-On adopting a vertex the worker snapshots the adopted state; the
-shutdown reply carries :meth:`~repro.core.vertex.Vertex.snapshot_delta`
-payloads against those baselines — for adopted vertices only — so
-re-synchronising the coordinator costs bytes proportional to what
-actually changed.
+the coordinator's, under its lock, as for a run it computed itself.  The
+shutdown reply carries each adopted behaviour's
+:meth:`~repro.core.vertex.Vertex.snapshot_state` home.
 
 A vertex exception becomes an error :class:`~.protocol.ResultMsg` entry
 (the coordinator re-raises it as
@@ -136,49 +131,28 @@ def _encode_result_batch(
         return encode(ResultBatch(worker_id, vertex, tuple(salvaged)))
 
 
-def worker_main(
-    worker_id: int,
-    task_queue: Any,
-    result_queue: Any,
-    behaviors_blob: bytes,
-    ready: Any,
-) -> None:
+def worker_main(worker_id: int, task_queue: Any, result_queue: Any) -> None:
     """Entry point of one worker process.
 
-    *behaviors_blob* is the pickled ``{vertex name: Vertex}`` mapping for
-    this worker's assigned vertices — the warm cache.  *ready* is the
-    event this worker sets once it is unpickled: the coordinator promotes
-    no vertex to a worker that has not.  Queue elements are protocol
-    frames (bytes); see :mod:`~repro.runtime.mp.protocol`.
+    Queue elements are protocol frames (bytes); see
+    :mod:`~repro.runtime.mp.protocol`.  A frame that arrives while the
+    worker is still booting waits in its FIFO task queue.
     """
     try:
-        behaviors: Dict[str, Vertex] = decode(behaviors_blob)
-        baselines: Dict[str, Any] = {}  # adopted vertices only
+        behaviors: Dict[str, Vertex] = {}  # the vertices promoted here
         busy_s = 0.0
-        ready.set()
         while True:
             msg = decode(task_queue.get())
             if isinstance(msg, ShutdownMsg):
-                deltas: Dict[str, Any] = {}
-                if msg.collect_state:
-                    deltas = {
-                        name: behaviors[name].snapshot_delta(baseline)
-                        for name, baseline in baselines.items()
-                    }
-                result_queue.put(
-                    encode(
-                        FinalStateMsg(
-                            worker_id=worker_id,
-                            deltas=deltas,
-                            busy_s=busy_s,
-                        )
-                    )
-                )
+                states = {
+                    name: behavior.snapshot_state()
+                    for name, behavior in behaviors.items()
+                }
+                result_queue.put(encode(FinalStateMsg(worker_id, states, busy_s)))
                 return
+            if msg.behavior is not None:
+                behaviors[msg.name] = msg.behavior
             behavior = behaviors[msg.name]
-            if msg.state is not None:
-                behavior.apply_delta(msg.state)
-                baselines[msg.name] = behavior.snapshot_state()
             began = time.perf_counter()
             results = _compute_run(behavior, msg)
             busy_s += time.perf_counter() - began

@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -165,7 +164,7 @@ class WorkloadSpec:
         process campaign uses :class:`SparseSource` instead — same
         value stream (pure function of ``(seed, name, phase)``), plus an
         emission counter so the run also exercises the process backend's
-        delta state sync.
+        state round trip.
         """
         graph = random_dag(
             self.n_vertices,
@@ -236,10 +235,9 @@ class SparseSource(Vertex):
     Emits the same value stream as :func:`_sparse_source` (a pure
     function of ``(seed, name, phase)``), but as a module-level class so
     it survives pickling under the ``spawn`` start method — and with a
-    mutable emission counter, so every campaign run also exercises
-    :meth:`~repro.core.vertex.Vertex.snapshot_delta` state sync: the
-    counter must come back from the worker for final state to match the
-    serial oracle.
+    mutable emission counter, so every campaign run also exercises the
+    state round trip of a promoted vertex: the counter must come back
+    from the worker for final state to match the serial oracle.
     """
 
     def __init__(self, name: str, seed: int, delta_prob: float,
@@ -271,9 +269,9 @@ class SkewedVertex(Vertex):
     over the sorted vertex names — a pure function of the spec, so serial
     and parallel runs (and replays anywhere) skew identically.  The delay
     is a deterministic spin, not a sleep, so virtual-scheduler runs stay
-    step-exact.  All state methods delegate to the wrapped behaviour, so
-    final-state comparison and the process engine's delta sync see the
-    inner vertex unchanged.  Module-level, hence picklable for ``spawn``.
+    step-exact.  The state methods delegate to the wrapped behaviour, so
+    final-state comparison sees the inner vertex unchanged.
+    Module-level, hence picklable for ``spawn``.
     """
 
     def __init__(
@@ -314,12 +312,6 @@ class SkewedVertex(Vertex):
 
     def restore_state(self, snapshot) -> None:
         self.inner.restore_state(snapshot)
-
-    def snapshot_delta(self, baseline):
-        return self.inner.snapshot_delta(baseline)
-
-    def apply_delta(self, delta) -> None:
-        self.inner.apply_delta(delta)
 
     def __repr__(self) -> str:
         return f"SkewedVertex({self.inner!r})"
@@ -572,7 +564,6 @@ def fuzz(
     max_vertices: int = 8,
     max_phases: int = 6,
     max_steps: int = 250_000,
-    skew: bool = False,
 ) -> FuzzReport:
     """Explore *runs* random (workload, interleaving) pairs.
 
@@ -580,15 +571,13 @@ def fuzz(
     including its thread count, its flow-control bound and whether it is
     suppression-friendly — derive from ``(seed, run index)``, so the
     campaign is reproducible and any single run can be replayed in
-    isolation.  *skew* artificially slows one seeded vertex per phase
-    (see :class:`SkewedVertex`) to stress cone independence.
+    isolation.
     """
     if not policies:
         raise ValueError("fuzz needs at least one scheduling policy")
 
     def attempt(i: int):
-        spec = spec_for_run(seed, i, max_vertices, max_phases, threads,
-                            skew=skew)
+        spec = spec_for_run(seed, i, max_vertices, max_phases, threads)
         policy_name = policies[i % len(policies)]
         policy_seed = random.Random(f"policy:{seed}:{i}").randrange(2**31)
         outcome = run_one(
@@ -632,31 +621,18 @@ def scripted_placement(
     clock: Callable[[], float] = lambda: 0.0, dear_runs: int = 1
 ):
     """Script where :class:`~repro.runtime.mp.ProcessEngine` executes:
-    swap its placement clock and promotion streak, and start no run
-    before its workers are up (a small one otherwise ends first, all
-    resident).  The defaults — a clock that stands still, on which
-    nothing reads cheap, and a streak of one — promote every vertex at
-    its first pair: the wire under test."""
+    swap its placement clock and promotion streak.  The defaults — a
+    clock that stands still, on which nothing reads cheap, and a streak
+    of one — promote every vertex at its first pair: the wire under
+    test."""
     from ..runtime.mp import engine
-    from ..runtime.mp.lifecycle import ProcessWorkerPool as Pool
-
-    start = Pool.start
-
-    def start_and_wait(pool: Any) -> None:
-        start(pool)
-        while not (
-            all(map(pool.answered, range(pool.num_workers)))
-            or pool.dead_workers()
-        ):
-            time.sleep(0.001)
 
     saved = engine._clock, engine._DEAR_RUNS
-    engine._clock, engine._DEAR_RUNS, Pool.start = clock, dear_runs, start_and_wait
+    engine._clock, engine._DEAR_RUNS = clock, dear_runs
     try:
         yield
     finally:
         engine._clock, engine._DEAR_RUNS = saved
-        Pool.start = start
 
 
 def run_one_process(
@@ -668,8 +644,8 @@ def run_one_process(
 
     Unlike :func:`run_one` there is no virtual scheduler — real processes
     interleave freely — so the judgement is serializability plus final
-    behaviour state (the delta-sync check: every worker-side mutation
-    must be reflected coordinator-side after shutdown).
+    behaviour state (every worker-side mutation must be reflected
+    coordinator-side after shutdown).
     """
     from ..runtime.mp import ProcessEngine
 
@@ -723,7 +699,6 @@ def fuzz_process(
     max_vertices: int = 6,
     max_phases: int = 5,
     start_method: str = "spawn",
-    skew: bool = False,
 ) -> FuzzReport:
     """Explore *runs* random workloads on real worker processes.
 
@@ -736,8 +711,7 @@ def fuzz_process(
     """
 
     def attempt(i: int):
-        spec = spec_for_run(seed, i, max_vertices, max_phases, threads=2,
-                            skew=skew)
+        spec = spec_for_run(seed, i, max_vertices, max_phases, threads=2)
         config = process_config_for_run(seed, i)
         outcome = run_one_process(spec, config, start_method=start_method)
         failure = None

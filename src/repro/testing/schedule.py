@@ -773,11 +773,5 @@ class VirtualBackend:
             name = f"task-{len(self.scheduler._tasks)}"
         return self.scheduler.spawn(target, name, args)
 
-    def sleep(self, seconds: float) -> None:
-        sched = self.scheduler
-        if sched.current is None or seconds <= 0:
-            return
-        sched.block(object(), "sleep", deadline=sched.now() + seconds)
-
     def clock(self) -> float:
         return self.scheduler.now()

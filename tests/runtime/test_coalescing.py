@@ -163,8 +163,7 @@ class TestMidRunSalvage:
         # A run [a@1..a@5] with a@3 failing: the reply carries a@1, a@2
         # as survivors, a@3's error (the exact phase — not the run
         # head's), ending the reply: a@4, a@5 never ran.
-        prog = _solo_program(_BoomMidRun())
-        pool = ProcessWorkerPool(prog, num_workers=1)
+        pool = ProcessWorkerPool(num_workers=1)
         try:
             pool.start()
             run = RunMsg(
@@ -173,6 +172,7 @@ class TestMidRunSalvage:
                     RunMember(phase=p, inputs={}, changed=())
                     for p in range(1, 6)
                 ),
+                behavior=_BoomMidRun(),
             )
             pool.submit_to_worker(0, encode(run))
             msg = pool.collect(timeout=30.0)

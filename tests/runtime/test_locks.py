@@ -57,12 +57,6 @@ class TestBasics:
             pass
         assert "acquisitions=1" in repr(lock)
 
-    def test_new_condition_is_bound(self):
-        lock = InstrumentedLock()
-        cond = lock.new_condition()
-        with cond:
-            pass  # acquires/releases the underlying lock without error
-
 
 class TestContention:
     def test_contended_acquisition_detected(self):

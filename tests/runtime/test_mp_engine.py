@@ -1,6 +1,9 @@
 """Tests for the process-parallel backend (:mod:`repro.runtime.mp`)."""
 
-import pickle
+import errno
+import itertools
+import multiprocessing
+from multiprocessing.process import BaseProcess
 
 import pytest
 
@@ -172,15 +175,6 @@ class _Boom(Vertex):
         return {}
 
 
-class _Unpicklable(Vertex):
-    def __init__(self):
-        super().__init__()
-        self.fn = lambda x: x  # lambdas don't pickle
-
-    def on_execute(self, ctx):
-        return {}
-
-
 def _one_vertex_program(behavior: Vertex) -> Program:
     g = ComputationGraph("solo")
     g.add_vertex("a")
@@ -197,11 +191,6 @@ class TestFailureHandling:
         assert exc_info.value.vertex == "a"
         assert exc_info.value.phase == 2
         assert "kaboom" in str(exc_info.value)
-
-    def test_unpicklable_program_fails_fast(self):
-        prog = _one_vertex_program(_Unpicklable())
-        with pytest.raises(EngineError, match="not picklable"):
-            ProcessEngine(prog, num_workers=1).run([PhaseInput(1, 1.0)])
 
     def test_engine_reusable_after_vertex_error(self):
         prog = _one_vertex_program(_Boom())
@@ -232,9 +221,8 @@ class TestStatsSchema:
         assert set(stats["per_worker_utilization"]) == {0, 1}
         assert all(u >= 0.0 for u in stats["per_worker_utilization"].values())
         wire = stats["serialization_bytes"]
-        for cls in ("warmup", "final_state"):
-            assert wire[cls]["messages"] >= 1
-            assert wire[cls]["bytes"] > 0
+        assert wire["final_state"]["messages"] == 2  # one per worker
+        assert wire["final_state"]["bytes"] > 0
         assert wire["total_bytes"] > 0
         assert "task_batches" not in wire
         # One frame per shipped run (a single pair is a run of one),
@@ -265,26 +253,38 @@ class TestStatsSchema:
 
 class TestWorkerPool:
     def test_sticky_assignment_round_robin(self):
-        prog, _ = grid_workload(2, 2, phases=1, seed=0)
-        pool = ProcessWorkerPool(prog, num_workers=3)
+        pool = ProcessWorkerPool(num_workers=3)
         assert [pool.worker_of(v) for v in range(1, 7)] == [
             0, 1, 2, 0, 1, 2,
         ]
 
-    def test_assigned_behaviors_partition_the_program(self):
-        prog, _ = grid_workload(2, 2, phases=1, seed=0)
-        pool = ProcessWorkerPool(prog, num_workers=2)
-        groups = [pool._assigned_behaviors(w) for w in range(2)]
-        names = [n for g in groups for n in g]
-        assert sorted(names) == sorted(prog.behaviors)
-        assert not (set(groups[0]) & set(groups[1]))
-
     def test_invalid_worker_count(self):
-        prog, _ = grid_workload(2, 2, phases=1, seed=0)
         with pytest.raises(EngineError):
-            ProcessWorkerPool(prog, num_workers=0)
+            ProcessWorkerPool(num_workers=0)
 
     def test_shutdown_before_start_is_noop(self):
-        prog, _ = grid_workload(2, 2, phases=1, seed=0)
-        pool = ProcessWorkerPool(prog, num_workers=2)
+        pool = ProcessWorkerPool(num_workers=2)
         assert pool.shutdown(timeout=1.0) == {}
+
+    def test_a_worker_that_fails_to_start_surfaces_its_own_error(
+        self, monkeypatch
+    ):
+        # The second worker's start() fails as a fork does when the
+        # process table is full.  Regression: the crash path joined the
+        # worker that never started, so the caller read "AssertionError:
+        # can only join a started process" instead.
+        start = BaseProcess.start
+        calls = itertools.count()
+
+        def second_fails(process):
+            if next(calls) == 1:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            start(process)
+
+        monkeypatch.setattr(BaseProcess, "start", second_fails)
+        engine = ProcessEngine(make_chain_program(2, {1: "x"}), num_workers=2)
+        with pytest.raises(OSError) as exc_info:
+            engine.run(signals(2))
+        assert exc_info.value.errno == errno.EAGAIN
+        assert next(calls) == 2  # the first worker did start
+        assert multiprocessing.active_children() == []

@@ -8,7 +8,7 @@ compute than marshalling them would.  These tests script both sides of
 that comparison (:class:`~tests.runtime.regime_clock.ProcessRegimeClock`):
 a frame costs ``WIRE`` seconds, compute nothing until a vertex spends
 ``DEAR``.  Every vertex notes the process each phase ran in; the note is
-behaviour state, so the worker's entries come home with the final delta.
+behaviour state, so the worker's entries come home with its final state.
 """
 
 import itertools
@@ -230,8 +230,8 @@ class TestPlacementRule:
         assert stats["ipc_round_trips"] == stats["drain"]["pooled_runs"] == 0
         assert stats["per_worker_executions"][2] == result.execution_count
         assert here(program, "detect") == list(range(1, 21))
-        # An unpromoted worker copy is stale: it must not come home.
-        assert [final.deltas for final in finals] == [{}, {}]
+        # A worker holds only what was promoted to it: nothing comes home.
+        assert [final.states for final in finals] == [{}, {}]
 
     def test_one_slow_sample_moves_nothing(self, clock):
         # A 5 ms stall in a single run of a microsecond vertex — a lost
@@ -264,25 +264,7 @@ class TestPlacementRule:
         assert here(program, "walk") == list(range(1, 17))
         assert result.stats["drain"]["pooled_runs"] == 16 - (k + streak - 1)
         # Only the promoted vertex's state comes home.
-        assert sorted(n for final in finals for n in final.deltas) == ["detect"]
-
-    def test_nothing_is_promoted_to_a_worker_that_has_not_answered(
-        self, clock, monkeypatch
-    ):
-        # Up for the scripted start's wait (one call per worker), then
-        # silent for every question the engine asks.
-        up = iter([True, True])
-        monkeypatch.setattr(
-            ProcessWorkerPool, "answered", lambda pool, w: next(up, False)
-        )
-        program = chain(detect=range(1, 100), sink=range(1, 100))
-        records, final = oracle(program, signals(10))
-        result = ProcessEngine(
-            program, 2, max_in_flight_phases=ONE_AT_A_TIME
-        ).run(signals(10))
-        assert result.records == records and state(program) == final
-        assert result.stats["ipc"]["promoted"] == []
-        assert result.stats["ipc_round_trips"] == 0
+        assert sorted(n for final in finals for n in final.states) == ["detect"]
 
     def test_a_trip_is_priced_at_the_judged_runs_length(self, clock):
         # Every frame costs WIRE whatever its length.  The trip is first
@@ -346,7 +328,7 @@ class TestStateMovesOnce:
     def test_promotion_after_k_resident_phases_ends_oracle_equal(
         self, clock, vertex, k
     ):
-        # A seeded source (its RNG ships with every delta) and a windowed
+        # A seeded source (its RNG rides the behaviour) and a windowed
         # detector: the state k resident phases left continues worker-side.
         program = chain(**{vertex: range(k, 100)})
         records, final = oracle(program, signals(14))

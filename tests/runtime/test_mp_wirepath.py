@@ -1,21 +1,22 @@
 """Tests for the wire path of the process backend.
 
 Covers ``RunMsg``/``ResultBatch`` framing (including the edge cases —
-truncated frames, zero-length runs, failures and crashes mid-run), delta
-state sync (:meth:`~repro.core.vertex.Vertex.snapshot_delta`), and the
-byte-metering regression check (per-class wire stats must sum to the
-actual coordinator-side queue traffic).
+truncated frames, zero-length runs, failures and crashes mid-run), what
+happens to a payload that does not pickle, the state a promoted vertex
+brings home, and the byte-metering regression check (per-class wire
+stats must sum to the actual coordinator-side queue traffic).
 """
 
 import multiprocessing
 import os
 import pickle
+import threading
 
 import pytest
 
 from repro.core.serial import SerialExecutor
 from repro.core.program import Program
-from repro.core.vertex import Vertex
+from repro.core.vertex import PassthroughSource, Vertex
 from repro.errors import EngineError, VertexExecutionError
 from repro.core.vertex import VertexContext
 from repro.events import PhaseInput
@@ -33,7 +34,7 @@ from repro.runtime.mp.protocol import (
     run_from_contexts,
 )
 from repro.streams.workloads import grid_workload
-from repro.testing import fuzz_process
+from repro.testing import fuzz_process, scripted_placement
 
 from tests.conftest import make_chain_program
 
@@ -72,10 +73,12 @@ class TestBatchFraming:
         # wedge or crash a worker: it answers with an empty ResultBatch
         # and keeps serving.
         prog = make_chain_program(2, {1: "x"})
-        pool = ProcessWorkerPool(prog, num_workers=1)
+        pool = ProcessWorkerPool(num_workers=1)
         try:
             pool.start()
-            empty = RunMsg(vertex=1, name="n0", successors=())
+            empty = RunMsg(
+                vertex=1, name="n0", successors=(), behavior=prog.behavior(1)
+            )
             pool.submit_to_worker(0, encode(empty))
             msg = pool.collect(timeout=30.0)
             assert msg == ResultBatch(worker_id=0, vertex=1, results=())
@@ -103,8 +106,7 @@ class TestMidRunFailure:
         # A run [a@1, a@2(fails), a@3]: the reply must carry a@1's
         # result and end at a@2's error entry — never a@3 executed out
         # of order past the failure.
-        prog = _solo_program(_BoomAtPhase2())
-        pool = ProcessWorkerPool(prog, num_workers=1)
+        pool = ProcessWorkerPool(num_workers=1)
         try:
             pool.start()
             run = RunMsg(
@@ -113,6 +115,7 @@ class TestMidRunFailure:
                     RunMember(phase=p, inputs={}, changed=())
                     for p in (1, 2, 3)
                 ),
+                behavior=_BoomAtPhase2(),
             )
             pool.submit_to_worker(0, encode(run))
             msg = pool.collect(timeout=30.0)
@@ -344,99 +347,66 @@ class TestRunFraming:
 
 
 # ---------------------------------------------------------------------------
-# Delta state sync
+# Payloads that do not pickle
 # ---------------------------------------------------------------------------
 
 
-class _WeirdEq:
-    """Equality that raises — the conservative diff must ship it."""
+class _HoldsALock(Vertex):
+    """A picklable class whose instances are not: they hold a lock."""
 
-    def __eq__(self, other):
-        raise RuntimeError("ambiguous")
-
-    def __hash__(self):  # pragma: no cover - never hashed
-        return 0
-
-
-class _CustomSnapshot(Vertex):
     def __init__(self):
-        self.total = 0
+        self.guard = threading.Lock()
 
-    def snapshot_state(self):
-        return {"total": self.total}
-
-    def restore_state(self, snapshot):
-        self.total = snapshot["total"]
-
-    def on_execute(self, ctx):  # pragma: no cover - not executed
-        return None
+    def on_execute(self, ctx):
+        return ("ok", ctx.phase)
 
 
-class TestSnapshotDelta:
-    def test_dict_diff_ships_only_changes(self):
-        class Counter(Vertex):
-            def __init__(self):
-                self.config = ("fixed", "tuple")
-                self.count = 0
+def _locked_phase_input(phases=4):
+    """``a`` passes its payload through; phase 2's is a lock."""
+    program = _solo_program(PassthroughSource())
+    return program, [
+        PhaseInput(p, float(p), {"a": threading.Lock() if p == 2 else p})
+        for p in range(1, phases + 1)
+    ]
 
-            def on_execute(self, ctx):  # pragma: no cover
-                return None
 
-        v = Counter()
-        baseline = v.snapshot_state()
-        v.count = 7
-        kind, changed, removed = v.snapshot_delta(baseline)
-        assert kind == "dict"
-        assert changed == {"count": 7}
-        assert removed == ()
+def _lock_holder(phases=4):
+    return _solo_program(_HoldsALock()), [
+        PhaseInput(p, float(p)) for p in range(1, phases + 1)
+    ]
 
-    def test_apply_delta_round_trips(self):
-        class Counter(Vertex):
-            def __init__(self):
-                self.count = 0
-                self.gone = "soon"
 
-            def on_execute(self, ctx):  # pragma: no cover
-                return None
+class TestUnpicklablePayloads:
+    """Only frames are pickled.  On the real clock these microsecond
+    vertices stay in the coordinator, which then needs nothing to pickle,
+    although it prices the trip from runs it marshals unsent; promoted
+    (``scripted_placement``), a vertex whose frame does not pickle fails
+    as a vertex, at the run's head phase, with no worker left behind.
+    Regressions: the lock holder was refused at spawn (on two workers,
+    behind an ``AssertionError``), the lock payload killed the pricing
+    with a raw ``TypeError``, and a promoted frame raised one."""
 
-        worker_side = Counter()
-        coordinator_side = Counter()
-        baseline = worker_side.snapshot_state()
-        worker_side.count = 3
-        del worker_side.gone
-        worker_side.new = "appeared"
-        coordinator_side.apply_delta(worker_side.snapshot_delta(baseline))
-        assert coordinator_side.snapshot_state() == (
-            worker_side.snapshot_state()
-        )
-
-    def test_unreliable_equality_is_shipped(self):
-        class Holder(Vertex):
-            def __init__(self):
-                self.weird = _WeirdEq()
-
-            def on_execute(self, ctx):  # pragma: no cover
-                return None
-
-        v = Holder()
-        baseline = v.snapshot_state()
-        kind, changed, _removed = v.snapshot_delta(baseline)
-        assert kind == "dict"
-        assert "weird" in changed  # conservatively treated as changed
-
-    def test_custom_snapshot_falls_back_to_full(self):
-        v = _CustomSnapshot()
-        baseline = v.snapshot_state()
-        v.total = 5
-        delta = v.snapshot_delta(baseline)
-        assert delta == ("full", {"total": 5})
-        peer = _CustomSnapshot()
-        peer.apply_delta(delta)
-        assert peer.total == 5
-
-    def test_unknown_delta_kind_rejected(self):
-        with pytest.raises(VertexExecutionError):
-            _CustomSnapshot().apply_delta(("nonsense", {}))
+    @pytest.mark.parametrize("regime", ["real-clock", "process-remote"])
+    @pytest.mark.parametrize(
+        "workload", [_lock_holder, _locked_phase_input],
+        ids=["behaviour", "phase-input"],
+    )
+    def test_only_frames_are_pickled(self, workload, regime):
+        program, phases = workload()
+        serial = SerialExecutor(program).run(phases)
+        engine = ProcessEngine(program, num_workers=1)
+        if regime == "real-clock":
+            result = engine.run(phases)
+            assert result.records == serial.records
+            assert result.stats["ipc"]["promoted"] == []
+            return
+        with scripted_placement():
+            with pytest.raises(VertexExecutionError, match="not picklable") as info:
+                engine.run(phases)
+        assert (info.value.vertex, info.value.phase) == ("a", 2)
+        assert info.value.message.startswith("run not picklable: ")
+        assert "lock" in info.value.message
+        assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +438,8 @@ class TestWirePathEngine:
 
     def test_post_run_state_matches_serial_via_deltas(self):
         # Sources mutate worker-side state (RNG advance); after the run
-        # the coordinator's program must hold it, shipped as deltas.
+        # the coordinator's program must hold that delta, shipped home as
+        # each promoted vertex's whole snapshot_state.
         from tests.models.test_pickling import normalized
 
         prog, phases = grid_workload(3, 3, phases=10, seed=9)
@@ -520,12 +491,9 @@ class TestMeteringRegression:
     def test_per_class_bytes_sum_to_pipe_traffic(
         self, process_remote, monkeypatch
     ):
-        # process_remote first: its teardown, which restores the real
-        # ProcessWorkerPool.start, must run after monkeypatch's.
         # Independently meter every byte the coordinator moves through
         # the queues, then require the engine's per-class accounting to
-        # sum to exactly that (plus the warmup blobs, which travel via
-        # process spawn, not a queue).
+        # sum to exactly that: nothing crosses at spawn.
         sent, received = [], []
         original_start = ProcessWorkerPool.start
 
@@ -548,10 +516,7 @@ class TestMeteringRegression:
         assert sum(wire[c]["messages"] for c in recv_classes) == (
             len(received)
         )
-        # And the grand total is queue traffic plus the warmup blobs.
-        assert wire["total_bytes"] == (
-            sum(sent) + sum(received) + wire["warmup"]["bytes"]
-        )
+        assert wire["total_bytes"] == sum(sent) + sum(received)
         assert wire["final_state"]["messages"] == 2  # one per worker
         assert wire["shutdown"]["messages"] == 2
         assert wire["runs"]["messages"] > 0

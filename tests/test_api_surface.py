@@ -42,7 +42,7 @@ AIM_2 = "scheduling surface changed — see ROADMAP aim 2 before adding a knob"
 REMOVED_FLAGS = (
     "--frontier", "--suppress", "--run-length", "--batch-size",
     "--ipc-batch", "--window", "--shards", "--key-by", "--fuse",
-    "--no-fuse", "--max-in-flight",
+    "--no-fuse", "--max-in-flight", "--skew",
 )
 
 
@@ -115,7 +115,7 @@ def test_help_mentions_no_removed_knob(command):
 def test_removed_flag_is_an_ordinary_argparse_error(command, flag, capsys):
     argv = [command] + ([] if command == "fuzz" else ["spec.xml"])
     value = ["cone"] if flag == "--frontier" else ["2"]
-    if flag in ("--suppress", "--fuse", "--no-fuse"):  # were switches
+    if flag in ("--suppress", "--fuse", "--no-fuse", "--skew"):  # were switches
         value = []
     with pytest.raises(SystemExit) as exit_info:
         main(argv + [flag] + value)
@@ -140,11 +140,13 @@ def test_the_process_wire_has_one_form():
     assert "TaskMsg" not in protocol.__all__, AIM_2
     assert not hasattr(protocol, "TaskMsg"), AIM_2
     assert protocol.WireStats.CLASSES == (
-        "warmup", "runs", "result_batches", "final_state", "shutdown",
+        "runs", "result_batches", "final_state", "shutdown",
     ), AIM_2
     # Only a promoted vertex's run rides the wire, and a frame carries
     # only what its reader reads: no credit window, no value interning,
-    # no second latch test in the worker.
+    # no second latch test in the worker.  A worker starts empty: the
+    # behaviour rides its vertex's first frame, and its full state comes
+    # home once, in the shutdown reply.
     from repro.runtime.mp import worker
     from repro.runtime.mp.lifecycle import ProcessWorkerPool
 
@@ -152,7 +154,7 @@ def test_the_process_wire_has_one_form():
         return tuple(f.name for f in dataclasses.fields(cls))
 
     assert fields(protocol.RunMsg) == (
-        "vertex", "name", "successors", "members", "state",
+        "vertex", "name", "successors", "members", "behavior",
     ), AIM_2
     assert fields(protocol.RunMember) == (
         "phase", "inputs", "changed", "phase_input",
@@ -166,9 +168,19 @@ def test_the_process_wire_has_one_form():
     assert not hasattr(protocol, "Interner"), AIM_2
     assert not hasattr(worker, "_SuppressFilter"), AIM_2
     assert importlib.util.find_spec("repro.runtime.mp.frontier") is None, AIM_2
-    assert params(ProcessWorkerPool) == [
-        "program", "num_workers", "start_method",
+    assert fields(protocol.ShutdownMsg) == (), AIM_2
+    assert fields(protocol.FinalStateMsg) == (
+        "worker_id", "states", "busy_s",
+    ), AIM_2
+    assert params(ProcessWorkerPool) == ["num_workers", "start_method"], AIM_2
+    assert not hasattr(ProcessWorkerPool, "answered"), AIM_2
+    assert list(inspect.signature(worker.worker_main).parameters) == [
+        "worker_id", "task_queue", "result_queue",
     ], AIM_2
+    from repro.core.vertex import Vertex
+
+    assert not hasattr(Vertex, "snapshot_delta"), AIM_2
+    assert not hasattr(Vertex, "apply_delta"), AIM_2
 
 
 CORE = (

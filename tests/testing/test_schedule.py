@@ -172,17 +172,6 @@ class TestLiveness:
         # time, with the virtual clock advanced to the deadline.
         assert seen == [False, 5.0]
 
-    def test_sleep_advances_clock_without_wall_time(self):
-        sched = VirtualScheduler(policy=RoundRobinPolicy())
-        backend = VirtualBackend(sched)
-
-        def sleeper():
-            backend.sleep(1000.0)
-
-        backend.thread(target=sleeper, name="s").start()
-        sched.run_all()
-        assert sched.now() == 1000.0
-
 
 class TestPrimitives:
     def test_lock_mutual_exclusion(self):
