@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
              "serializability and the scheduling-set invariants",
         epilog="Reproduce any reported failure with the same --seed (the "
                "failing run index is printed) or via "
-               "repro.testing.replay_failure.",
+               "repro.testing.fuzz.replay_failure.",
     )
     fuzz.add_argument("--engine", choices=["thread", "process"],
                       default="thread",
@@ -659,12 +659,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from .testing import (
-        FaultPlan,
-        fuzz,
-        fuzz_process,
-        write_failure_artifacts,
-    )
+    from .testing.faults import FaultPlan
+    from .testing.fuzz import fuzz, fuzz_process, write_failure_artifacts
 
     policies = POLICY_NAMES if args.policy == "all" else (args.policy,)
     faults = FaultPlan.named(args.inject) if args.inject else None

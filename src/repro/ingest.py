@@ -244,9 +244,10 @@ class ReorderBuffer:
         anything older than t - wait is sealable") so results keep
         flowing — and so a *full* bounded buffer can drain without a
         producer being able to offer.  Never moves the watermark
-        backwards.  Returns the phases sealed (oldest first).
+        backwards, and ignores a NaN.  Returns the phases sealed (oldest
+        first).
         """
-        if to <= self._watermark:
+        if not to > self._watermark:
             return []
         self._watermark = to
         return self._seal_ready()

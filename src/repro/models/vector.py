@@ -6,19 +6,23 @@ array payloads through the engines while keeping the message values as
 plain tuples (hashable, cheap to compare, and safe in record equality
 checks); NumPy does the arithmetic internally, per the vectorisation
 guidance of the HPC guides (compute on contiguous arrays, convert at the
-boundary).
+boundary).  NumPy is imported by the methods that compute, never at
+module import: a program without vector vertices does not load it, and a
+worker that unpickles a promoted vertex (without running its
+``__init__``) finds it there all the same.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Optional
 
 from ..core.vertex import EMIT_NOTHING, SourceVertex, Vertex, VertexContext
 from ..errors import WorkloadError
 from ..spec.registry import register_vertex
 from .basic import single_changed_value
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["VectorSensor", "VectorZScore", "VectorReduce"]
 
@@ -52,15 +56,18 @@ class VectorSensor(SourceVertex):
         self.start = start
         self.spike_rate = spike_rate
         self.spike_size = spike_size
-        self._np_rng = np.random.default_rng(seed)
-        self._values = np.full(channels, start, dtype=np.float64)
+        self.reset()
 
     def reset(self) -> None:
+        import numpy as np
+
         super().reset()
         self._np_rng = np.random.default_rng(self.seed)
         self._values = np.full(self.channels, self.start, dtype=np.float64)
 
     def on_execute(self, ctx: VertexContext) -> Any:
+        import numpy as np
+
         self._values += self._np_rng.normal(0.0, self.step, self.channels)
         if self.spike_rate and self._np_rng.random() < self.spike_rate:
             channel = int(self._np_rng.integers(self.channels))
@@ -98,6 +105,8 @@ class VectorZScore(Vertex):
         self._pos = 0
 
     def _push(self, vec: np.ndarray) -> None:
+        import numpy as np
+
         if self._buffer is None:
             self._buffer = np.empty((self.window, vec.shape[0]), dtype=np.float64)
         self._buffer[self._pos] = vec
@@ -105,6 +114,8 @@ class VectorZScore(Vertex):
         self._count = min(self._count + 1, self.window)
 
     def on_execute(self, ctx: VertexContext) -> Any:
+        import numpy as np
+
         changed, value = single_changed_value(ctx)
         if not changed:
             return EMIT_NOTHING
@@ -134,13 +145,7 @@ class VectorReduce(Vertex):
     silent_on_unchanged = True  # an equal vector reduces to an equal
     # scalar, which the emit_delta check swallows
 
-    _OPS = {
-        "mean": np.mean,
-        "max": np.max,
-        "min": np.min,
-        "sum": np.sum,
-        "norm": np.linalg.norm,
-    }
+    _OPS = ("mean", "max", "min", "sum", "norm")
 
     def __init__(self, op: str = "mean", emit_delta: float = 0.0) -> None:
         if op not in self._OPS:
@@ -157,10 +162,13 @@ class VectorReduce(Vertex):
         self._last = None
 
     def on_execute(self, ctx: VertexContext) -> Any:
+        import numpy as np
+
         changed, value = single_changed_value(ctx)
         if not changed:
             return EMIT_NOTHING
-        result = float(self._OPS[self.op](np.asarray(value, dtype=np.float64)))
+        reduce = np.linalg.norm if self.op == "norm" else getattr(np, self.op)
+        result = float(reduce(np.asarray(value, dtype=np.float64)))
         if self._last is not None and abs(result - self._last) <= self.emit_delta:
             return EMIT_NOTHING
         self._last = result

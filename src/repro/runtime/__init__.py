@@ -18,7 +18,8 @@ provides the equivalent substrate built on :mod:`threading` —
 * :class:`~repro.runtime.engine.ParallelEngine` — the full algorithm;
 * :class:`~repro.runtime.mp.ProcessEngine` — the same algorithm on worker
   *processes* (true shared-memory parallelism past the GIL; see
-  :mod:`repro.runtime.mp`).
+  :mod:`repro.runtime.mp`).  It is not re-exported here: importing it
+  loads :mod:`multiprocessing`, which a threaded engine never needs.
 """
 
 from .blocking_queue import BlockingQueue
@@ -27,7 +28,6 @@ from .pool import ComputationThreadPool
 from .feed import PhaseFeed
 from .core import ScheduleCore
 from .engine import ParallelEngine
-from .mp import ProcessEngine
 
 __all__ = [
     "BlockingQueue",
@@ -36,5 +36,4 @@ __all__ = [
     "PhaseFeed",
     "ScheduleCore",
     "ParallelEngine",
-    "ProcessEngine",
 ]

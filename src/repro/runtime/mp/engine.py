@@ -105,8 +105,8 @@ _POLL_S = 0.05  # result-queue poll quantum while work is in flight
 _START_BURST = ADAPTIVE_RUN_CEILING  # most phases one admission starts
 #: The placement clock: this thread's CPU seconds, so a quantum lost to
 #: an ingest or emit thread on the same GIL is not read as compute.
-#: Tests script it (``repro.testing.scripted_placement``); nothing reads
-#: cheap on a clock that does not advance.
+#: Tests script it (``repro.testing.fuzz.scripted_placement``); nothing
+#: reads cheap on a clock that does not advance.
 _clock = time.thread_time
 #: Dear runs in a row that promote a vertex.  On a shared VM ~0.1 % of a
 #: microsecond vertex's runs read 50-130 us of CPU (EXPERIMENTS.md): two in

@@ -12,13 +12,17 @@ Endpoints (all JSON unless noted):
   a line that is not an event for a source vertex of the program (the
   lines before it are ingested), **409** once the session has stopped.
 * ``POST /advance`` — ``{"watermark": t}``: wall-clock sealing for quiet
-  streams (see :meth:`ServeSession.advance_watermark`).
+  streams (see :meth:`ServeSession.advance_watermark`); **400** when *t*
+  is missing or NaN.
 * ``GET /stream`` — the result stream as ``text/event-stream`` (SSE).
   Each retired phase is one ``phase`` event; periodic ``stats`` events
   when configured.  A stalled consumer gets messages *dropped*, never
   buffered without bound.
 * ``GET /stats`` — the session's full stats document.
 * ``GET /healthz`` — liveness.
+
+A ``Content-Length`` that is not a non-negative integer is **400** on
+either ``POST``, and the connection closes.
 
 Uses only :mod:`http.server` — continuous operation must not grow the
 dependency footprint.
@@ -34,6 +38,7 @@ hangs up mid-exchange ends its handler quietly.
 from __future__ import annotations
 
 import json
+import math
 import queue
 import sys
 import threading
@@ -84,8 +89,21 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+    def _read_body(self) -> Optional[bytes]:
+        """The request body; ``None`` once a ``Content-Length`` that is
+        not a count of bytes has been answered 400 (the connection
+        closes: where the next request would start is unknown)."""
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._reply_json(
+                400, {"error": f"bad Content-Length header: {raw!r}"},
+                extra_headers={"Connection": "close"},
+            )
+            return None
         return self.rfile.read(length) if length else b""
 
     # -- POST --------------------------------------------------------------
@@ -99,9 +117,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply_json(404, {"error": f"no such path {self.path}"})
 
     def _post_events(self) -> None:
-        body = self._read_body().decode("utf-8", errors="replace")
+        body = self._read_body()
+        if body is None:
+            return
         try:
-            out = self._session.offer_body(body)
+            out = self._session.offer_body(
+                body.decode("utf-8", errors="replace")
+            )
         except ServeError as exc:
             # The session stopped: no line of the body is at fault.
             self._reply_json(409, {"error": str(exc)})
@@ -125,9 +147,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply_json(200, totals)
 
     def _post_advance(self) -> None:
+        body = self._read_body()
+        if body is None:
+            return
         try:
-            obj = json.loads(self._read_body() or b"{}")
-            to = float(obj["watermark"])
+            to = float(json.loads(body or b"{}")["watermark"])
+            if math.isnan(to):
+                raise ValueError("watermark is NaN")
         except (ValueError, KeyError, TypeError) as exc:
             self._reply_json(400, {"error": f"need {{'watermark': t}}: {exc}"})
             return

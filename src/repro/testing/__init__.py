@@ -14,70 +14,11 @@ interleavings first-class test inputs:
 * :mod:`~repro.testing.fuzz` — the stress driver behind ``repro fuzz``:
   random DAGs × Δ-sparse streams × explored schedules, judged against the
   serial oracle, with greedy shrinking of failures.
+
+The package re-exports nothing: import from the submodule that defines a
+name.  Every ``repro`` process imports :mod:`~repro.testing.faults` and
+:mod:`~repro.testing.schedule` (the CLI parser lists their names), so a
+re-export here would load the whole fuzz harness into ``repro serve``.
+:mod:`~repro.testing.fuzz` is also the name of the function
+:func:`repro.testing.fuzz.fuzz`.
 """
-
-from .faults import FAULT_NAMES, FaultPlan
-from .fuzz import (
-    FuzzFailure,
-    FuzzReport,
-    RunOutcome,
-    SparseSource,
-    WorkloadSpec,
-    fuzz,
-    fuzz_process,
-    process_config_for_run,
-    scripted_placement,
-    replay_failure,
-    run_one,
-    run_one_process,
-    shrink,
-    spec_for_run,
-    write_failure_artifacts,
-)
-from .monitor import MonitorViolation, RaceMonitor
-from .schedule import (
-    POLICY_NAMES,
-    PriorityFuzzPolicy,
-    RandomPolicy,
-    ReplayPolicy,
-    RoundRobinPolicy,
-    ScheduleStep,
-    SchedulingPolicy,
-    VirtualBackend,
-    VirtualScheduler,
-    VirtualTask,
-    make_policy,
-)
-
-__all__ = [
-    "FAULT_NAMES",
-    "FaultPlan",
-    "FuzzFailure",
-    "FuzzReport",
-    "MonitorViolation",
-    "POLICY_NAMES",
-    "PriorityFuzzPolicy",
-    "RaceMonitor",
-    "RandomPolicy",
-    "ReplayPolicy",
-    "RoundRobinPolicy",
-    "RunOutcome",
-    "ScheduleStep",
-    "SparseSource",
-    "SchedulingPolicy",
-    "VirtualBackend",
-    "VirtualScheduler",
-    "VirtualTask",
-    "WorkloadSpec",
-    "fuzz",
-    "fuzz_process",
-    "make_policy",
-    "process_config_for_run",
-    "scripted_placement",
-    "replay_failure",
-    "run_one",
-    "run_one_process",
-    "shrink",
-    "spec_for_run",
-    "write_failure_artifacts",
-]

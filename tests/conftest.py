@@ -92,7 +92,7 @@ def process_remote():
     nothing reads cheap, so ``ProcessEngine`` promotes every vertex at
     its first pair (which the coordinator executes) and every later pair
     crosses the pipe."""
-    from repro.testing import scripted_placement
+    from repro.testing.fuzz import scripted_placement
 
     with scripted_placement():
         yield

@@ -15,6 +15,8 @@ from repro.models.statistics import PearsonCorrelator
 from repro.models.vector import VectorReduce, VectorSensor, VectorZScore
 from repro.models.basic import Recorder
 from repro.runtime.engine import ParallelEngine
+from repro.runtime.mp import ProcessEngine
+from repro.testing.fuzz import scripted_placement
 
 from tests.conftest import VertexHarness
 
@@ -187,26 +189,30 @@ class TestVectorReduce:
             VectorReduce("median")
 
 
+def multichannel_program():
+    g = ComputationGraph(name="vector-pipeline")
+    g.add_vertices(["array_sensor", "detector", "magnitude", "ops"])
+    g.add_edge("array_sensor", "detector")
+    g.add_edge("array_sensor", "magnitude")
+    g.add_edge("detector", "ops")
+    g.add_edge("magnitude", "ops")
+    prog = Program(
+        g,
+        {
+            "array_sensor": VectorSensor(
+                seed=11, channels=6, step=0.2, spike_rate=0.05, spike_size=40.0
+            ),
+            "detector": VectorZScore(window=15, threshold=4.0),
+            "magnitude": VectorReduce("norm", emit_delta=5.0),
+            "ops": Recorder(),
+        },
+    )
+    return prog, [PhaseInput(k, float(k)) for k in range(1, 121)]
+
+
 class TestVectorPipelineEndToEnd:
     def test_multichannel_program_serializable(self):
-        g = ComputationGraph(name="vector-pipeline")
-        g.add_vertices(["array_sensor", "detector", "magnitude", "ops"])
-        g.add_edge("array_sensor", "detector")
-        g.add_edge("array_sensor", "magnitude")
-        g.add_edge("detector", "ops")
-        g.add_edge("magnitude", "ops")
-        prog = Program(
-            g,
-            {
-                "array_sensor": VectorSensor(
-                    seed=11, channels=6, step=0.2, spike_rate=0.05, spike_size=40.0
-                ),
-                "detector": VectorZScore(window=15, threshold=4.0),
-                "magnitude": VectorReduce("norm", emit_delta=5.0),
-                "ops": Recorder(),
-            },
-        )
-        phases = [PhaseInput(k, float(k)) for k in range(1, 121)]
+        prog, phases = multichannel_program()
         serial = SerialExecutor(prog).run(phases)
         par = ParallelEngine(prog, num_threads=3).run(phases)
         assert_serializable(serial, par)
@@ -214,3 +220,16 @@ class TestVectorPipelineEndToEnd:
             v for _p, (name, v) in serial.records["ops"] if name == "detector"
         ]
         assert anomalies, "spikes should surface as anomalies"
+
+    def test_multichannel_program_on_spawned_workers(self):
+        # A spawned worker is a fresh interpreter that unpickles each
+        # promoted vertex without running its __init__; the vector
+        # vertices must still find numpy when they compute there.
+        prog, phases = multichannel_program()
+        serial = SerialExecutor(prog).run(phases)
+        with scripted_placement():
+            result = ProcessEngine(prog, 2, start_method="spawn").run(phases)
+        assert result.records == serial.records
+        assert {"array_sensor", "detector", "magnitude"} <= set(
+            result.stats["ipc"]["promoted"]
+        )

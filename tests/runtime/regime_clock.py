@@ -81,7 +81,7 @@ class ProcessRegimeClock:
     coordinator while computing one of its runs costs this thread less
     CPU than marshalling that run would, both read through
     ``repro.runtime.mp.engine._clock``
-    (:func:`repro.testing.scripted_placement` swaps it).  This clock
+    (:func:`repro.testing.fuzz.scripted_placement` swaps it).  This clock
     stands still except where the script says otherwise: every frame the
     coordinator encodes (the unsent ones it prices the trip with
     included) costs ``wire`` seconds plus ``member`` per run member, and
@@ -106,7 +106,7 @@ class ProcessRegimeClock:
         """Script the engine inside the ``with``: this clock, promotion
         after *dear_runs* dear runs in a row."""
         from repro.runtime.mp import engine
-        from repro.testing import scripted_placement
+        from repro.testing.fuzz import scripted_placement
 
         real_encode = engine.encode
 

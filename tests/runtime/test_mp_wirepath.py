@@ -34,7 +34,7 @@ from repro.runtime.mp.protocol import (
     run_from_contexts,
 )
 from repro.streams.workloads import grid_workload
-from repro.testing import fuzz_process, scripted_placement
+from repro.testing.fuzz import fuzz_process, scripted_placement
 
 from tests.conftest import make_chain_program
 
@@ -538,7 +538,7 @@ class TestProcessFuzzCampaign:
         assert report.total_steps > 0
 
     def test_campaign_configs_are_deterministic(self):
-        from repro.testing import process_config_for_run
+        from repro.testing.fuzz import process_config_for_run
 
         assert process_config_for_run(7, 0) == process_config_for_run(7, 0)
         configs = [process_config_for_run(7, i) for i in range(12)]

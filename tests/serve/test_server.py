@@ -101,11 +101,38 @@ class TestEndpoints:
         assert json.loads(body)["sealed"] >= 1
 
     def test_advance_rejects_bad_body(self, served):
-        server, _s, _w = served
+        server, session, _w = served
         status, _h, _b = _request(server, "POST", "/advance", b"not json")
         assert status == 400
         status, _h, _b = _request(server, "POST", "/advance", b"{}")
         assert status == 400
+        # json.loads accepts NaN; a NaN watermark would compare false
+        # against every arrival and seal nothing ever again.
+        status, _h, body = _request(
+            server, "POST", "/advance", b'{"watermark": NaN}'
+        )
+        assert status == 400
+        assert "NaN" in json.loads(body)["error"]
+        assert session.buffer.watermark == float("-inf")
+
+    @pytest.mark.parametrize("path", ["/events", "/advance"])
+    @pytest.mark.parametrize("length", [b"abc", b"-1"])
+    def test_bad_content_length_is_400_and_closes(
+        self, served, capsys, path, length
+    ):
+        server, _session, _workload = served
+        with socket.create_connection((server.host, server.port)) as raw:
+            raw.settimeout(2.0)
+            raw.sendall(b"POST %b HTTP/1.1\r\nHost: t\r\nContent-Length: %b"
+                        b"\r\n\r\n" % (path.encode(), length))
+            reply = b""
+            while chunk := raw.recv(4096):  # the server closes: EOF
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert "Content-Length" in json.loads(body)["error"]
+        assert _handlers_idle()
+        assert capsys.readouterr().err == ""
 
     def test_bad_event_line_is_400_with_context(self, served):
         server, _s, _w = served

@@ -18,7 +18,9 @@ schedulers apart: neither takes a mode, and a production entry point
 never loads the specification.  The last keeps the chain-fusion plan
 out: every engine schedules the program the user wrote.  The process
 wire is pinned too: one frame form each way, with only the fields the
-receiving side reads.
+receiving side reads.  The cold-start tests pin the import graph: a
+process imports what its verb and its program run, and nothing is
+imported inside a timed run.
 """
 
 import dataclasses
@@ -27,6 +29,7 @@ import inspect
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +211,15 @@ def test_schedule_core_surface_is_pinned():
     }, CORE
 
 
+def _run_python(script, *argv):
+    """The stdout of *script* run by a fresh interpreter."""
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout.strip()
+
+
 def test_the_two_schedulers_stay_apart():
     from repro.core.reference import ReferenceScheduler
     from repro.core.state import SchedulerState
@@ -217,25 +229,112 @@ def test_the_two_schedulers_stay_apart():
     # The engines run core/state.py; core/reference.py (and the
     # LazyMinHeap only it uses) is loaded on demand, by
     # ScheduleCore(frontier="global") and the verification tools.
-    loaded = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, repro, repro.cli, repro.serve, repro.runtime.mp\n"
-         "print([m for m in ('repro.core.reference', 'repro.core.pairsets')"
-         " if m in sys.modules])"],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    loaded = _run_python(
+        "import sys, repro, repro.cli, repro.serve, repro.runtime.mp\n"
+        "print([m for m in ('repro.core.reference', 'repro.core.pairsets')"
+        " if m in sys.modules])"
     )
-    assert loaded.stdout.strip() == "[]", loaded.stdout
+    assert loaded == "[]", loaded
 
 
 def test_the_engines_load_no_plan():
     # Every engine, the serve session and the CLI take the Program itself;
     # repro.core.plan is left for the end-to-end benchmark alone.
-    loaded = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, repro, repro.cli, repro.serve, repro.runtime.mp\n"
-         "print('repro.core.plan' in sys.modules)"],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    loaded = _run_python(
+        "import sys, repro, repro.cli, repro.serve, repro.runtime.mp\n"
+        "print('repro.core.plan' in sys.modules)"
     )
-    assert loaded.stdout.strip() == "False", AIM_2
+    assert loaded == "False", AIM_2
+
+
+# -- cold start: a process imports what its verb and its program run ------
+
+ROOT = Path(__file__).resolve().parents[1]
+SPECS = sorted(str(p) for p in (ROOT / "specs").glob("*.xml"))
+KEYED16 = str(ROOT / "benchmarks" / "e2e" / "specs" / "keyed16.xml")
+COLD = (
+    "an import crept onto a path that never runs it — numpy loads only "
+    "when a vector vertex computes, and a verb imports its modules in "
+    "its handler (docs/ARCHITECTURE.md §1.2)"
+)
+
+
+def test_the_threaded_serve_path_loads_no_unused_module():
+    # What ``repro serve SPEC --engine parallel`` runs before its first
+    # event: the CLI parser, the serve handler's imports, the spec, the
+    # session.
+    unused = ("numpy", "multiprocessing", "repro.runtime.mp",
+              "repro.testing.fuzz", "repro.streams", "repro.analysis")
+    loaded = _run_python(
+        "import sys\n"
+        "from repro.cli import build_parser\n"
+        "build_parser()\n"
+        "from repro.serve import ServeConfig, ServeServer, ServeSession\n"
+        "from repro.spec import load_spec\n"
+        "ServeSession(load_spec(sys.argv[1]).program,"
+        " ServeConfig(engine='parallel'))\n"
+        "print(sorted(m for m in sys.argv[2:] if m in sys.modules))",
+        KEYED16, *unused,
+    )
+    assert loaded == "[]", f"{loaded}: {COLD}"
+
+
+def test_the_model_library_and_every_spec_load_no_numpy():
+    loaded = _run_python(
+        "import sys, repro.models\n"
+        "from repro.spec import load_spec\n"
+        "for path in sys.argv[1:]:\n"
+        "    load_spec(path)\n"
+        "print('numpy' in sys.modules)",
+        *SPECS,
+    )
+    assert loaded == "False", COLD
+
+
+_TIMED = """\
+import json
+import sys
+from repro.models.domains.keyed import build_keyed_workload
+from repro.runtime.engine import ParallelEngine
+from repro.runtime.mp import ProcessEngine
+from repro.serve import ServeConfig, ServeSession
+from repro.spec import load_spec
+from repro.testing.fuzz import scripted_placement
+
+mode, engine = sys.argv[1:3]
+if mode == "batch":
+    spec = load_spec(sys.argv[3])
+    phases = spec.phase_inputs()
+    if engine == "parallel":
+        timed = ParallelEngine(spec.program, 2)
+    else:
+        timed = ProcessEngine(spec.program, 2)
+    before = set(sys.modules)
+    with scripted_placement():  # the process wire is on the path too
+        assert timed.run(phases).phases_run == len(phases)
+else:
+    work = build_keyed_workload(num_keys=3, ticks=20, seed=29)
+    session = ServeSession(work.program, ServeConfig(
+        engine=engine, wait=work.wait, quantum=work.quantum))
+    session.start()
+    before = set(sys.modules)
+    for a in work.arrivals:
+        assert not session.offer_body(json.dumps({
+            "timestamp": a.event.timestamp, "source": a.event.source,
+            "value": a.event.value, "arrival": a.arrival,
+        })).bad_line
+    assert session.close(drain=True)["serve"]["phases_retired"] > 0
+print(sorted(m for m in set(sys.modules) - before
+             if m.split(".")[0] in ("repro", "numpy")))
+"""
+
+
+@pytest.mark.parametrize("mode", ["batch", "serve"])
+@pytest.mark.parametrize("engine", ["parallel", "process"])
+def test_nothing_is_imported_inside_a_timed_region(mode, engine):
+    # A module that loads late still loads when its engine or session is
+    # built, never inside run(), run_feed() or offer_body().
+    loaded = _run_python(
+        _TIMED, mode, engine, str(ROOT / "specs" / "plant_monitor.xml")
+    )
+    assert loaded == "[]", f"{loaded}: {COLD}"

@@ -424,3 +424,17 @@ class TestAdvanceWatermark:
         sealed = buf.advance_watermark(0.5)
         assert [p.timestamp for p in sealed] == [0.0]
         assert buf.watermark == 0.5
+
+    def test_a_nan_watermark_is_ignored(self):
+        # NaN compares false against everything: stored, it would stop
+        # every later arrival from sealing a phase.
+        def sealed_after(buf):
+            return sum(
+                len(buf.offer(arr(float(t), "a", t, arrival=float(t))))
+                for t in range(10)
+            )
+
+        buf = ReorderBuffer(wait=1.0)
+        assert buf.advance_watermark(float("nan")) == []
+        assert buf.watermark == float("-inf")
+        assert sealed_after(buf) == sealed_after(ReorderBuffer(wait=1.0)) == 8

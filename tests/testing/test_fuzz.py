@@ -11,16 +11,15 @@ import importlib
 
 import pytest
 
-from repro.testing import (
-    FaultPlan,
-    ReplayPolicy,
+from repro.testing.faults import FaultPlan
+from repro.testing.fuzz import (
     WorkloadSpec,
     fuzz,
-    make_policy,
     replay_failure,
     run_one,
     spec_for_run,
 )
+from repro.testing.schedule import ReplayPolicy, make_policy
 
 
 class TestWorkloadSpec:
