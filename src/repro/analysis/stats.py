@@ -1,8 +1,8 @@
-"""Result statistics and table rendering for the benchmark harness.
+"""Result statistics and table rendering.
 
-Benchmarks print fixed-width tables (the paper's evaluation is prose plus
-figures; the tables here are what its Section 4 rows would look like) —
-:func:`format_table` keeps them consistent across benches.
+``repro report`` prints fixed-width tables (the paper's evaluation is
+prose plus figures; the tables here are what its Section 4 rows would
+look like) — :func:`format_table` keeps them consistent.
 
 Stats schema
 ------------

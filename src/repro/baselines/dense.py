@@ -19,8 +19,8 @@ Comparability contract
 For vertices that are *Δ-well-formed* — their state updates and records
 depend only on ``ctx.changed_values()`` / explicitly changed inputs, not
 on the mere presence of a message — the dense run produces the same
-records as the Δ engines, and the ablation benchmark checks that.  The
-difference is purely cost: ``executions = N x phases`` and
+records as the Δ engines, and ``tests/baselines/test_dense.py`` checks
+that.  The difference is purely cost: ``executions = N x phases`` and
 ``messages >= E x phases`` versus the Δ engine's change-driven counts.
 
 Because every input of every vertex carries a message in every phase, the

@@ -35,7 +35,6 @@ __all__ = [
     "concurrent_phase_profile",
     "max_concurrent_phases",
     "max_concurrent_pairs",
-    "phase_latencies",
 ]
 
 Pair = Tuple[int, int]
@@ -171,28 +170,6 @@ def max_concurrent_phases(intervals: List[Tuple[float, float, Pair]]) -> int:
     """Peak number of distinct phases executing simultaneously."""
     profile = concurrent_phase_profile(intervals)
     return max((count for _t, count in profile), default=0)
-
-
-def phase_latencies(events: List[TraceEvent]) -> Dict[int, float]:
-    """Per-phase end-to-end latency: phase_completed − phase_started.
-
-    This is the *detection latency* of the motivating applications — how
-    long after a snapshot's arrival the engine finishes evaluating every
-    condition over it.  Pipelining trades a little of it for throughput
-    (a phase may wait behind earlier phases' frontier); the barrier
-    baseline minimises per-phase occupancy but starves throughput.
-    Phases missing either endpoint are omitted.
-    """
-    started: Dict[int, float] = {}
-    latency: Dict[int, float] = {}
-    for ev in events:
-        if ev.kind == "phase_started":
-            started[ev.pair[1]] = ev.time
-        elif ev.kind == "phase_completed":
-            p = ev.pair[1]
-            if p in started:
-                latency[p] = ev.time - started[p]
-    return latency
 
 
 def max_concurrent_pairs(intervals: List[Tuple[float, float, Pair]]) -> int:

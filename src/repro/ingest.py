@@ -22,9 +22,9 @@ This module implements that wait as a **watermark-based reorder buffer**:
 
 The knob the paper describes is explicit: a larger ``wait`` lowers the
 late-event rate (fewer effectively false readings of "no message") at the
-cost of detection latency.  :func:`late_event_tradeoff` sweeps it, and
-``benchmarks/bench_ext_reorder.py`` prints the resulting curve — the
-error-vs-latency analysis the paper defers.
+cost of detection latency.  :func:`late_event_tradeoff` sweeps it — the
+error-vs-latency analysis the paper defers; EXPERIMENTS.md records the
+curve and ``tests/test_ingest.py::TestTradeoff`` pins its shape.
 
 Clock noise is modelled by :func:`noisy_observations`: true timestamps are
 jittered per-sensor before transmission, and transmission adds random
@@ -77,13 +77,16 @@ class ArrivingEvent:
     """An event as seen at the fusion engine's doorstep.
 
     ``event.timestamp`` is the (noisy) generation timestamp the sensor
-    stamped; ``arrival`` is when the engine received it.
+    stamped; ``arrival`` is when the engine received it, a finite time
+    (an infinite one would move the watermark past every later event).
     """
 
     event: Event
     arrival: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.arrival):
+            raise WorkloadError(f"arrival {self.arrival} is not finite")
         if self.arrival < self.event.timestamp:
             raise WorkloadError(
                 f"event arrived before it was generated "

@@ -11,11 +11,11 @@ the Section 1 money-laundering discussion:
   information, and whose low message rates the parallel algorithm exploits.
 * :class:`DenseAnomalyDetector` implements **option (1)**: "the module
   outputs a message for each input message ... either that the transaction
-  is anomalous or that it is acceptable".  It exists for the ablation
-  benchmark that reproduces the paper's message-rate comparison ("if one
-  in a million transactions is anomalous then the rate of events generated
-  using the second option is only a millionth of that generated using the
-  first option").
+  is anomalous or that it is acceptable".  It exists for the message-rate
+  comparison (``tests/baselines/test_dense.py::TestMessageRateComparison``)
+  that reproduces the paper's claim ("if one in a million transactions is
+  anomalous then the rate of events generated using the second option is
+  only a millionth of that generated using the first option").
 """
 
 from __future__ import annotations

@@ -11,11 +11,12 @@ argument needs:
 * cumulative wait time (time spent blocked acquiring);
 * cumulative hold time (time spent inside critical sections).
 
-The engine reports these in :attr:`RunResult.stats`, and the overhead
-ablation benchmark uses them to locate the compute-grain crossover the
-paper predicts ("as long as the computations performed by the vertices
-take significantly more time than the computations performed to maintain
-the data structures, the speedup will be close to linear").
+The engine reports these in :attr:`RunResult.stats`.  The simulator
+models the same lock to locate the compute-grain crossover the paper
+predicts ("as long as the computations performed by the vertices take
+significantly more time than the computations performed to maintain the
+data structures, the speedup will be close to linear"), which
+``tests/test_paper_figures.py::TestSection4Speedup`` pins.
 """
 
 from __future__ import annotations

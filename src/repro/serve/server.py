@@ -13,7 +13,7 @@ Endpoints (all JSON unless noted):
   lines before it are ingested), **409** once the session has stopped.
 * ``POST /advance`` — ``{"watermark": t}``: wall-clock sealing for quiet
   streams (see :meth:`ServeSession.advance_watermark`); **400** when *t*
-  is missing or NaN.
+  is missing or not finite.
 * ``GET /stream`` — the result stream as ``text/event-stream`` (SSE).
   Each retired phase is one ``phase`` event; periodic ``stats`` events
   when configured.  A stalled consumer gets messages *dropped*, never
@@ -22,7 +22,8 @@ Endpoints (all JSON unless noted):
 * ``GET /healthz`` — liveness.
 
 A ``Content-Length`` that is not a non-negative integer is **400** on
-either ``POST``, and the connection closes.
+either ``POST``, one above :data:`MAX_BODY_BYTES` is **413**, and either
+way the connection closes.
 
 Uses only :mod:`http.server` — continuous operation must not grow the
 dependency footprint.
@@ -49,6 +50,11 @@ from ..errors import ServeError
 from .session import ServeSession
 
 __all__ = ["ServeServer"]
+
+#: The largest request body read (16 MiB): a producer's POST is a few
+#: KiB and a replay reads 64 KiB at a time, so more is a client error,
+#: refused before anything is allocated for it.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 _SSE_POLL_S = 0.25
 _SSE_HEARTBEAT_EVERY = 40  # polls between keep-alive comments (~10 s)
@@ -91,20 +97,27 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> Optional[bytes]:
         """The request body; ``None`` once a ``Content-Length`` that is
-        not a count of bytes has been answered 400 (the connection
-        closes: where the next request would start is unknown)."""
+        not a count of bytes has been answered 400, or one above
+        :data:`MAX_BODY_BYTES` 413 (the connection closes: the body is
+        not read, so where the next request would start is unknown)."""
         raw = self.headers.get("Content-Length") or "0"
         try:
             length = int(raw)
         except ValueError:
             length = -1
         if length < 0:
-            self._reply_json(
-                400, {"error": f"bad Content-Length header: {raw!r}"},
-                extra_headers={"Connection": "close"},
+            status, error = 400, f"bad Content-Length header: {raw!r}"
+        elif length > MAX_BODY_BYTES:
+            status, error = 413, (
+                f"Content-Length {length} exceeds the body limit of "
+                f"{MAX_BODY_BYTES} bytes"
             )
-            return None
-        return self.rfile.read(length) if length else b""
+        else:
+            return self.rfile.read(length) if length else b""
+        self._reply_json(
+            status, {"error": error}, extra_headers={"Connection": "close"}
+        )
+        return None
 
     # -- POST --------------------------------------------------------------
 
@@ -152,8 +165,8 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             to = float(json.loads(body or b"{}")["watermark"])
-            if math.isnan(to):
-                raise ValueError("watermark is NaN")
+            if not math.isfinite(to):
+                raise ValueError(f"watermark {to} is NaN or infinite")
         except (ValueError, KeyError, TypeError) as exc:
             self._reply_json(400, {"error": f"need {{'watermark': t}}: {exc}"})
             return

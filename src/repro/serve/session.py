@@ -41,7 +41,9 @@ from __future__ import annotations
 import copy
 import json
 import json.scanner
+import math
 import queue
+import sys
 import threading
 from dataclasses import dataclass
 from typing import AbstractSet, Any, Callable, Dict, List, Optional, Tuple
@@ -95,9 +97,12 @@ def _line_error(text: str, sources: AbstractSet[str]) -> str:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         return f"NDJSON event needs numeric 'timestamp' and 'source': {exc}"
     try:
-        float(obj.get("arrival", ts))
+        arrival = float(obj.get("arrival", ts))
     except (TypeError, ValueError, OverflowError) as exc:
         return f"bad 'arrival': {exc}"
+    if not math.isfinite(arrival):  # it would hold the watermark there
+        field = "arrival" if "arrival" in obj else "timestamp"
+        return f"bad {field!r}: {arrival} is not finite"
     if not isinstance(source, str) or not source:
         return "Event.source must be a non-empty string"
     return _not_a_source(source)
@@ -126,7 +131,8 @@ def current_rss_bytes() -> int:
     """This process's resident set size in bytes (0 if unreadable).
 
     Prefers ``/proc/self/status`` (current RSS); falls back to
-    ``resource.getrusage`` (peak RSS — still a valid high-water source).
+    ``resource.getrusage`` (peak RSS — still a valid high-water source),
+    whose ``ru_maxrss`` is in KiB on Linux but in bytes on macOS.
     """
     try:
         with open("/proc/self/status", "r", encoding="ascii") as fh:
@@ -138,7 +144,8 @@ def current_rss_bytes() -> int:
     try:
         import resource
 
-        return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) * 1024
+        unit = 1 if sys.platform == "darwin" else 1024
+        return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) * unit
     except Exception:
         return 0
 
@@ -516,8 +523,8 @@ class ServeSession:
         a replayed file — as one admission.
 
         Wire shape, one event per line: ``{"timestamp": t, "source":
-        name, "value": v}`` with optional ``"arrival"`` (defaults to the
-        timestamp; clamped to be no earlier than it); blank lines are
+        name, "value": v}`` with optional ``"arrival"`` (finite; defaults
+        to the timestamp; clamped to be no earlier than it); blank lines are
         skipped.  Lines are taken in order until the first one that is
         not an event addressed to a source vertex (``bad_line``) or that
         the full reorder buffer refuses (``rejected_line``, counted as
@@ -546,7 +553,11 @@ class ServeSession:
                 ts = float(obj["timestamp"])
                 source = obj["source"]
                 arrival = float(obj.get("arrival", ts))
-                known = end == len(text) and source in sources
+                # Finite, in one comparison: inf - inf and NaN - NaN are NaN.
+                known = (
+                    end == len(text) and source in sources
+                    and arrival - arrival == 0.0
+                )
             except (StopIteration, KeyError, TypeError, ValueError, OverflowError):
                 known = False
             if not known:

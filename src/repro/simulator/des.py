@@ -28,7 +28,7 @@ from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
 from ..errors import SimulationError
 
-__all__ = ["Simulation", "Event", "Process", "Resource", "Store", "PriorityStore"]
+__all__ = ["Simulation", "Event", "Process", "Resource", "Store"]
 
 
 class Event:
@@ -275,41 +275,3 @@ class Store:
 
     def __repr__(self) -> str:
         return f"Store({self.name!r}, depth={len(self._items)})"
-
-
-class PriorityStore(Store):
-    """A :class:`Store` that hands out the lowest-key item instead of the
-    oldest one.
-
-    *key* maps an item to its priority (lower pops first); ties break by
-    insertion order.  Used for run-queue discipline ablations — the paper
-    leaves the dequeue order unspecified beyond at-most-once, so FIFO,
-    LIFO and phase-ordered disciplines are all legal schedules.
-    """
-
-    def __init__(self, sim: Simulation, key: Callable[[Any], Any], name: str = "pstore") -> None:
-        super().__init__(sim, name=name)
-        self._key = key
-        self._heap: List[Tuple[Any, int, Any]] = []
-        self._pseq = count()
-
-    def put(self, item: Any) -> None:
-        self.total_put += 1
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            return
-        heapq.heappush(self._heap, (self._key(item), next(self._pseq), item))
-        if len(self._heap) > self.max_depth:
-            self.max_depth = len(self._heap)
-
-    def get(self) -> Event:
-        ev = Event(self.sim)
-        if self._heap:
-            _k, _s, item = heapq.heappop(self._heap)
-            ev.succeed(item)
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def __len__(self) -> int:
-        return len(self._heap)

@@ -29,8 +29,9 @@ Simulated thread anatomy (mirroring :class:`~repro.runtime.engine`):
 
 A burst = acquire the lock if required, acquire a processor, advance
 virtual time, release.  Blocked threads (queue, lock) hold no processor,
-like OS threads.  Lock waiters and processor grants are FIFO, so runs are
-fully deterministic.
+like OS threads.  The run queue (the paper's ``BlockingQueue``), lock
+waiters and processor grants are all FIFO, so runs are fully
+deterministic.
 """
 
 from __future__ import annotations
@@ -96,7 +97,6 @@ class SimulatedEngine:
         checker: Optional[InvariantChecker] = None,
         tracer: Optional[ExecutionTracer] = None,
         max_in_flight_phases: Optional[int] = None,
-        queue_discipline: str = "fifo",
         frontier: str = "global",
     ) -> None:
         if num_workers < 1:
@@ -121,60 +121,6 @@ class SimulatedEngine:
         # baseline (no pipelining): the environment waits for each phase to
         # complete before starting the next.
         self.max_in_flight_phases = max_in_flight_phases
-        # Run-queue discipline.  The algorithm only requires at-most-once
-        # dequeue; the order is a scheduling policy:
-        #   fifo             — the paper's implied BlockingQueue order
-        #   lifo             — depth-first-ish (freshest pair first)
-        #   low_phase_first  — drain old phases first (latency-oriented)
-        #   low_vertex_first — follow the numbering (wavefront-oriented)
-        if queue_discipline not in (
-            "fifo",
-            "lifo",
-            "low_phase_first",
-            "low_vertex_first",
-        ):
-            raise SimulationError(
-                f"unknown queue_discipline {queue_discipline!r}"
-            )
-        self.queue_discipline = queue_discipline
-
-    # ------------------------------------------------------------------
-
-    def _make_queue(self, sim: Simulation) -> Store:
-        if self.queue_discipline == "fifo":
-            return Store(sim, name="run-queue")
-        from .des import PriorityStore
-
-        big = 1 << 60
-
-        def close_last(item) -> tuple:
-            # _CLOSE must always sort after real pairs.
-            return item is _CLOSE
-
-        keys = {
-            "lifo": None,  # handled below with a descending counter
-            "low_phase_first": lambda it: (close_last(it), it[1], it[0])
-            if it is not _CLOSE
-            else (True, big, big),
-            "low_vertex_first": lambda it: (close_last(it), it[0], it[1])
-            if it is not _CLOSE
-            else (True, big, big),
-        }
-        if self.queue_discipline == "lifo":
-            counter = [0]
-
-            def lifo_key(item) -> tuple:
-                counter[0] -= 1
-                if item is _CLOSE:
-                    return (True, 0)
-                return (False, counter[0])
-
-            return PriorityStore(sim, lifo_key, name="run-queue[lifo]")
-        return PriorityStore(
-            sim,
-            keys[self.queue_discipline],
-            name=f"run-queue[{self.queue_discipline}]",
-        )
 
     def run(self, phase_inputs: Sequence[PhaseInput]) -> RunResult:
         """Execute every phase in virtual time; ``wall_time`` of the result
@@ -192,7 +138,7 @@ class SimulatedEngine:
         sim = Simulation()
         lock = Resource(sim, 1, name="global-lock")
         procs = Resource(sim, self.num_processors, name="processors")
-        queue = self._make_queue(sim)
+        queue = Store(sim, name="run-queue")
         if tracer is not None:
             tracer.set_clock(lambda: sim.now)
 

@@ -92,6 +92,35 @@ class TestMessageRateComparison:
         # anomalies, so message traffic collapses.
         assert dense.message_count > delta.message_count * 1.3
 
+    def test_detector_ratio_rises_as_anomalies_get_rarer(self):
+        """Option 1 / option 2 detector traffic grows like ~1/rate,
+        bounded here by the run length (EXPERIMENTS.md records the
+        table; the paper's 10^-6 rate gives 10^6)."""
+        phases_n, branches = 1200, 2
+        source_msgs = branches * phases_n  # transaction feeds emit every phase
+
+        def run(rate, dense):
+            prog, phases = build_laundering_workload(
+                phases=phases_n, branches=branches, anomaly_rate=rate,
+                seed=6, dense=dense,
+            )
+            return SerialExecutor(prog).run(phases)
+
+        ratios = []
+        for rate in (0.05, 0.01, 0.002):
+            delta, dense = run(rate, False), run(rate, True)
+            # Identical anomaly decisions in both modes.
+            assert delta.records == dense.records
+            # Subtract the identical source and case-aggregator traffic
+            # to isolate what the detectors emitted.
+            agg_msgs = len(delta.records.get("compliance", []))
+            det_delta = delta.message_count - source_msgs - agg_msgs
+            det_dense = dense.message_count - source_msgs - agg_msgs
+            assert det_dense == source_msgs  # option 1: a verdict per input
+            ratios.append(det_dense / max(det_delta, 1))
+        assert ratios[0] < ratios[1] < ratios[2]
+        assert ratios[2] > 25.0
+
     def test_dense_executor_on_delta_program_counts_work(self):
         prog, phases = build_laundering_workload(
             phases=200, branches=2, anomaly_rate=0.02, seed=5

@@ -12,6 +12,7 @@ from repro.core.reference import ReferenceScheduler
 from repro.errors import DuplicateExecutionError, SchedulerError
 from repro.graph.generators import chain_graph, fan_in_graph, fig3_graph
 from repro.graph.numbering import number_graph
+from repro.streams.workloads import grid_workload
 
 
 def fig3_state(checker: bool = True) -> ReferenceScheduler:
@@ -145,6 +146,25 @@ class TestFigure3Narrative:
         assert executed == {(v, p) for v in range(1, 7) for p in (1, 2)}
         assert st.executed_pairs == 12
         assert st.complete_phase_count == 2
+
+    def test_full_load_drain_executes_every_pair(self):
+        """Every vertex messages every successor in every phase, and each
+        phase is drained before the next starts: each of the 30 vertices
+        executes once per phase."""
+        numbering = grid_workload(6, 5, phases=1, seed=21)[0].numbering
+        st = ReferenceScheduler(numbering)
+        succs = {
+            v: numbering.successor_indices(v)
+            for v in range(1, numbering.n + 1)
+        }
+        runnable, executed = [], 0
+        for _ in range(20):
+            runnable.extend(st.start_phase())
+            while runnable:
+                v, p = runnable.pop()
+                runnable.extend(st.complete_execution(v, p, succs[v]))
+                executed += 1
+        assert executed == 30 * 20
 
 
 class TestErrorPaths:

@@ -13,6 +13,10 @@ from repro.core.tracer import (
 )
 from repro.graph.generators import fig3_graph
 from repro.graph.numbering import number_graph
+from repro.runtime.engine import ParallelEngine
+from repro.simulator.costs import CostModel
+from repro.simulator.machine import SimulatedEngine
+from repro.streams.workloads import grid_workload
 
 
 class FakeClock:
@@ -128,3 +132,42 @@ class TestSnapshots:
         snap = tr.capture_sets(st, "before")
         st.complete_execution(1, 1, [])
         assert (1, 1) in snap.ready  # unchanged by later mutation
+
+
+def phase_events(tracer, kind):
+    """Phase -> (position in ``tracer.events``, time) of its *kind* event."""
+    return {
+        ev.pair[1]: (at, ev.time)
+        for at, ev in enumerate(tracer.events)
+        if ev.kind == kind
+    }
+
+
+class TestPhaseEvents:
+    """Every phase an engine runs is traced as a ``phase_started`` and a
+    later ``phase_completed`` event."""
+
+    def test_engines_emit_completion_events(self):
+        prog, phases = grid_workload(3, 3, phases=10, seed=5)
+        tracer = ExecutionTracer()
+        SimulatedEngine(
+            prog, num_workers=2, tracer=tracer,
+            cost_model=CostModel(compute_cost=1.0),
+        ).run(phases)
+        started = phase_events(tracer, "phase_started")
+        completed = phase_events(tracer, "phase_completed")
+        assert set(started) == set(completed) == set(range(1, 11))
+        for p, (at, when) in completed.items():
+            assert started[p][0] < at
+            assert started[p][1] < when  # virtual time: every phase costs
+
+    def test_threaded_engine_emits_completions(self):
+        prog, phases = grid_workload(2, 2, phases=8, seed=6)
+        tracer = ExecutionTracer()
+        ParallelEngine(prog, num_threads=2, tracer=tracer).run(phases)
+        started = phase_events(tracer, "phase_started")
+        completed = phase_events(tracer, "phase_completed")
+        assert set(started) == set(completed) == set(range(1, 9))
+        for p, (at, when) in completed.items():
+            assert started[p][0] < at
+            assert started[p][1] <= when

@@ -7,6 +7,8 @@ Includes property-based tests checking, over random DAGs, that
 * the m table satisfies the paper's properties (2)-(4).
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +20,7 @@ from repro.graph.generators import (
     fig2_graph,
     fig2a_numbering,
     fig2b_numbering,
+    layered_graph,
     random_dag,
 )
 from repro.graph.model import ComputationGraph
@@ -289,6 +292,24 @@ class TestScale:
         g = random_dag(500, edge_prob=0.02, seed=99)
         nb = number_graph(g)
         verify_numbering(g, nb.index_of)
+
+    def test_cost_is_linear_in_vertices_plus_edges(self):
+        """Numbering + verification is O(N + E): the time per vertex plus
+        edge at 5,000 vertices stays within 5x of that at 1,000 (the
+        generator's edges per vertex grow with size, so N + E, not N, is
+        the input size; EXPERIMENTS.md records the run to 50,000)."""
+        per_unit = []
+        for n in (1_000, 5_000):
+            width = max(10, n // 200)
+            g = layered_graph(
+                [width] * max(2, n // width), density=min(1.0, 40 / width),
+                seed=n,
+            )
+            start = time.perf_counter()
+            verify_numbering(g, number_graph(g).index_of)
+            elapsed = time.perf_counter() - start
+            per_unit.append(elapsed / (g.num_vertices + g.num_edges))
+        assert per_unit[-1] < per_unit[0] * 5
 
 
 class TestBulkSeededProperties:

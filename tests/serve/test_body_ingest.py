@@ -52,6 +52,8 @@ def reference_line(line):
         arrival = float(obj.get("arrival", ts))
     except (TypeError, ValueError) as exc:
         raise ServeError(f"bad 'arrival': {exc}") from exc
+    if not math.isfinite(arrival):
+        raise ServeError(f"bad 'arrival': {arrival} is not finite")
     try:
         event = Event(ts, source, obj.get("value"))
     except ValueError as exc:
@@ -113,11 +115,15 @@ def _bad_line(rng, now):
             _event([now], "txn[a2]"),
             json.dumps({"timestamp": now, "value": 1.0}),
         ])
-    if kind == 3:  # arrival not a number
+    if kind == 3:  # arrival not a finite number
         return rng.choice([
             _event(now, "txn[a0]", arrival="soon"),
             _event(now, "txn[a0]", arrival=None),
             _event(now, "txn[a0]", arrival={"at": now}),
+            _event(now, "txn[a0]", arrival=math.inf),  # "Infinity"
+            _event(now, "txn[a1]", arrival=-math.inf),
+            _event(now, "txn[a2]", arrival=math.nan),
+            _event(now, "txn[a0]")[:-1] + ', "arrival": 1e400}',
         ])
     # a source that is empty, not a string, or not a source vertex
     return _event(now, rng.choice(["", 5, ["txn[a0]"], "nosuch", "watch[a1]"]))
@@ -290,6 +296,30 @@ def test_only_a_newline_ends_a_line(separator):
     assert admitted[0].values == {"txn[a0]": 50.0}
 
 
+def test_an_infinite_arrival_is_a_bad_line_not_a_watermark():
+    # Regression: JSON's 1e400 parses to inf, and an arrival of inf held
+    # the watermark at inf, so every later bin sealed the moment it
+    # opened and each second event of a tick read as late.
+    ticks = "".join(
+        _lines(_event(float(t), "txn[a0]", arrival=float(t)),
+               _event(float(t), "txn[a1]", arrival=t + 0.5))
+        for t in range(10)
+    )
+    poison = '{"timestamp": 0, "source": "txn[a0]", "value": 50, "arrival": 1e400}'
+    session, _, _ = _session({"wait": 2.0, "max_buffered": 64})
+    try:
+        with ServeServer(session) as server:
+            status, reply = _post(server, poison + "\n")
+            assert status == 400
+            assert reply["bad_line"] == 1
+            assert "'arrival'" in reply["error"]
+            assert _post(server, ticks) == (
+                200, {"accepted": 20, "late": 0, "sealed": 8}
+            )
+    finally:
+        session.close()
+
+
 def test_corpus_reaches_every_outcome():
     # The corpus must exercise what it claims to: 200s with late
     # events, 400s for each reason, and 429s.
@@ -305,7 +335,8 @@ def test_corpus_reaches_every_outcome():
     assert {200, 400, 429} <= set(statuses)
     assert any(reply.get("late") for _, reply in replies)
     for reason in ("bad NDJSON event", "must be an object", "needs numeric",
-                   "bad 'arrival'", "non-empty string", "not a source vertex"):
+                   "bad 'arrival'", "is not finite", "non-empty string",
+                   "not a source vertex"):
         assert reason in errors, reason
 
 

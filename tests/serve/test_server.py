@@ -113,6 +113,14 @@ class TestEndpoints:
         )
         assert status == 400
         assert "NaN" in json.loads(body)["error"]
+        # JSON's 1e400 parses to inf, which would seal every later bin
+        # the moment it opened: each event after it would read as late.
+        for watermark in (b"1e400", b"Infinity", b"-Infinity"):
+            status, _h, body = _request(
+                server, "POST", "/advance", b'{"watermark": %b}' % watermark
+            )
+            assert status == 400
+            assert "infinite" in json.loads(body)["error"]
         assert session.buffer.watermark == float("-inf")
 
     @pytest.mark.parametrize("path", ["/events", "/advance"])
@@ -130,6 +138,28 @@ class TestEndpoints:
                 reply += chunk
         head, _, body = reply.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400 ")
+        assert "Content-Length" in json.loads(body)["error"]
+        assert _handlers_idle()
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("path", ["/events", "/advance"])
+    def test_oversized_content_length_is_413_and_closes(
+        self, served, capsys, path
+    ):
+        # Regression: the header went to rfile.read unchecked, and the
+        # handler died of a MemoryError without a reply.
+        server, _session, _workload = served
+        with socket.create_connection((server.host, server.port)) as raw:
+            raw.settimeout(2.0)
+            raw.sendall(b"POST %b HTTP/1.1\r\nHost: t\r\n"
+                        b"Content-Length: 100000000000000\r\n\r\n"
+                        % path.encode())
+            reply = b""
+            while chunk := raw.recv(4096):  # the server closes: EOF
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert b"Connection: close" in head
         assert "Content-Length" in json.loads(body)["error"]
         assert _handlers_idle()
         assert capsys.readouterr().err == ""

@@ -1,6 +1,8 @@
 """ServeSession: the full ingest → engine → retire → stream pipeline."""
 
 import random
+import resource
+import sys
 import time
 from types import SimpleNamespace
 
@@ -14,6 +16,7 @@ from repro.events import Event
 from repro.graph.generators import layered_graph
 from repro.ingest import ArrivingEvent
 from repro.serve import OracleSpotChecker, ServeConfig, ServeSession
+from repro.serve import session as session_module
 from repro.streams.workloads import LatchedSum
 
 from .conftest import drain_queue, norm, phase_events, serial_oracle
@@ -240,6 +243,13 @@ class TestIngestEdges:
             missing = s.offer_body('\n{"timestamp": 1.0}')  # no source
             assert missing.bad_line == 2
             assert "'source'" in missing.error
+            # The arrival defaults to the timestamp; an infinite one is
+            # the timestamp's fault.
+            infinite = s.offer_body(
+                '{"timestamp": 1e400, "source": "%s", "value": 1}' % src
+            )
+            assert infinite.bad_line == 1
+            assert "'timestamp'" in infinite.error
         assert s.stats()["serve"]["events_accepted"] == 1
 
     def test_events_for_names_that_are_not_sources_are_rejected(
@@ -318,6 +328,24 @@ class TestSpotChecker:
         ]
         assert verdicts == [None] * 9
         assert checker.checked == 0
+
+
+class TestCurrentRss:
+    @pytest.mark.parametrize("platform,unit", [("darwin", 1), ("linux", 1024)])
+    def test_peak_rss_fallback_reads_the_platform_unit(
+        self, monkeypatch, platform, unit
+    ):
+        # Without /proc the peak RSS stands in; ru_maxrss is in KiB on
+        # Linux but in bytes on macOS (once read 1024x too large there).
+        def no_proc(*_args, **_kwargs):
+            raise FileNotFoundError("/proc/self/status")
+
+        monkeypatch.setattr(session_module, "open", no_proc, raising=False)
+        monkeypatch.setattr(sys, "platform", platform)
+        monkeypatch.setattr(
+            resource, "getrusage", lambda _who: SimpleNamespace(ru_maxrss=5000)
+        )
+        assert session_module.current_rss_bytes() == 5000 * unit
 
 
 class TestConfigValidation:

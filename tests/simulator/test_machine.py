@@ -5,13 +5,21 @@ import pytest
 
 from repro.analysis.serializability import assert_serializable
 from repro.core.invariants import InvariantChecker
+from repro.core.program import Program
 from repro.core.serial import SerialExecutor
 from repro.core.tracer import ExecutionTracer
 from repro.errors import SimulationError
+from repro.graph.generators import chain_graph
 from repro.simulator.costs import CostModel
 from repro.simulator.machine import SimulatedEngine
 from repro.simulator.metrics import SpeedupPoint, speedup_curve
-from repro.streams.workloads import fig1_workload, grid_workload, pipeline_workload
+from repro.streams.generators import phase_signals
+from repro.streams.workloads import (
+    fig1_workload,
+    grid_workload,
+    pipeline_workload,
+    sum_behaviors,
+)
 
 from tests.conftest import make_chain_program, signals
 
@@ -177,3 +185,37 @@ class TestStats:
         assert 0 <= res.stats["processors"]["utilization"] <= 1.0
         assert res.stats["lock"]["total_requests"] > 0
         assert res.engine == "simulated[k=2,P=2]"
+
+
+class TestFlowControlMemory:
+    """Edge-history memory vs pipelining freedom: every phase a producer
+    runs ahead of a slow consumer stays in that edge's history, so the
+    paper's unthrottled environment buys its pipelining with memory that
+    ``max_in_flight_phases`` bounds (EXPERIMENTS.md records the sweep)."""
+
+    def test_a_small_bound_caps_memory_at_unbounded_throughput(self):
+        g = chain_graph(5)
+        prog = Program(g, sum_behaviors(g, seed=5))
+        # The sink is 10x slower than the rest: the head races ahead.
+        cost = CostModel(
+            compute_cost=lambda name, phase: 10.0 if name == "v5" else 1.0,
+            bookkeeping_cost=0.01,
+        )
+        runs = {
+            bound: SimulatedEngine(
+                prog, num_workers=4, num_processors=4, cost_model=cost,
+                max_in_flight_phases=bound,
+            ).run(phase_signals(120))
+            for bound in (1, 2, 4, 8, None)
+        }
+        for res in runs.values():
+            assert res.records == runs[None].records  # pure policy
+        peak = {b: res.stats["edge_entries_peak"] for b, res in runs.items()}
+        makespan = {b: res.wall_time for b, res in runs.items()}
+        # Memory grows with freedom...
+        assert peak[None] > peak[2] * 3
+        # ...while a bound of 2 already matches unbounded throughput (the
+        # slow stage pins the pipeline); only the barrier pays for it.
+        assert makespan[2] <= makespan[None] * 1.05
+        assert makespan[1] > makespan[2] * 1.2
+        assert peak[1] <= peak[2] <= peak[4] <= peak[8]

@@ -64,8 +64,7 @@ def test_engine_constructor_parameters_are_pinned():
     ], AIM_2
     assert params(SimulatedEngine) == [
         "program", "num_workers", "num_processors", "cost_model",
-        "checker", "tracer", "max_in_flight_phases", "queue_discipline",
-        "frontier",
+        "checker", "tracer", "max_in_flight_phases", "frontier",
     ], AIM_2
 
 

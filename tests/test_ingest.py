@@ -23,6 +23,13 @@ class TestArrivingEvent:
         with pytest.raises(WorkloadError):
             arr(5.0, "a", 1, arrival=4.0)
 
+    @pytest.mark.parametrize("arrival", [float("inf"), float("nan"), float("-inf")])
+    def test_non_finite_arrival_rejected(self, arrival):
+        # An arrival of inf would move the watermark past every later
+        # event: each one would read as late.
+        with pytest.raises(WorkloadError, match="not finite"):
+            arr(0.0, "a", 1, arrival=arrival)
+
 
 class TestReorderBuffer:
     def test_in_order_events_seal_after_wait(self):
@@ -201,6 +208,22 @@ class TestTradeoff:
         assert late[0] > late[-1]
         assert latency[0] < latency[-1]
         assert all(l2 <= l1 + 1e-9 for l1, l2 in zip(late, late[1:]))
+
+    def test_section6_sweep(self):
+        """Three noisy sensors, 120 ticks, waits 0-8 (EXPERIMENTS.md
+        records the 400-tick table): a zero wait loses events, the
+        longest loses none, and staleness is the price."""
+        arrivals = noisy_observations(
+            ["radar", "rfid", "ticker"], ticks=120, clock_noise=0.05,
+            delay_mean=0.5, delay_jitter=3.0, seed=17,
+        )
+        points = late_event_tradeoff(arrivals, [0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
+        late = [p.late_rate for p in points]
+        latency = [p.mean_sealing_latency for p in points]
+        assert all(a >= b - 1e-12 for a, b in zip(late, late[1:]))
+        assert late[0] > 0.1
+        assert late[-1] == 0.0
+        assert latency[-1] > latency[0]
 
     def test_huge_wait_loses_nothing(self):
         arrivals = noisy_observations(["a", "b"], 60, seed=4)

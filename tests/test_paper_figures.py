@@ -202,6 +202,23 @@ class TestSection4Speedup:
         assert coarse.efficiency > 0.8
         assert fine.efficiency < 0.6
 
+    def test_efficiency_rises_with_grain_at_four_workers(self):
+        """The crossover behind "significantly more time": 4-worker
+        efficiency as compute grows from 1:1 to 256:1 of the locked
+        bookkeeping (EXPERIMENTS.md records the table)."""
+        prog, phases = grid_workload(6, 4, phases=25, seed=22)
+        effs = [
+            speedup_curve(
+                prog, phases,
+                CostModel(compute_cost=float(ratio), bookkeeping_cost=1.0),
+                [1, 4], processors=lambda k: k + 1,
+            )[1].efficiency
+            for ratio in (1, 4, 16, 64, 256)
+        ]
+        assert all(a <= b + 0.02 for a, b in zip(effs, effs[1:]))
+        assert effs[0] < 0.5 < effs[-1]
+        assert effs[-1] > 0.9
+
 
 class TestPhaseBarrierBaseline:
     """Section 2's simpler solution — complete phase p before starting
@@ -253,3 +270,18 @@ class TestPhaseBarrierBaseline:
         pipe = self.simulated(prog, phases, 4, None)
         barr = self.simulated(prog, phases, 4, 1)
         assert barr.wall_time / pipe.wall_time < 2.0
+
+    def test_gain_grows_with_depth_at_sixteen_vertices(self):
+        """Depth feeds the pipeline, width intra-phase parallelism: at a
+        fixed 16 vertices the barrier / pipelined makespan ratio climbs
+        with depth (EXPERIMENTS.md records the five shapes)."""
+        ratio_by_depth = {}
+        for width, depth in ((1, 16), (2, 8), (4, 4), (8, 2), (16, 1)):
+            prog, phases = grid_workload(width, depth, phases=30, seed=20)
+            pipe = self.simulated(prog, phases, 8, None)
+            barr = self.simulated(prog, phases, 8, 1)
+            assert pipe.records == barr.records
+            ratio_by_depth[depth] = barr.wall_time / pipe.wall_time
+        assert ratio_by_depth[16] > 3.0  # deep chain: pipelining dominates
+        assert ratio_by_depth[1] < 1.6  # flat graph: barrier loses little
+        assert ratio_by_depth[16] > ratio_by_depth[4] > ratio_by_depth[1]
