@@ -7,7 +7,6 @@ from .serializability import (
 )
 from .stats import (
     format_table,
-    message_rate_summary,
     validate_engine_stats,
     validate_coalescing_stats,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "check_serializable",
     "SerializabilityReport",
     "format_table",
-    "message_rate_summary",
     "validate_engine_stats",
     "validate_coalescing_stats",
     "render_graph",

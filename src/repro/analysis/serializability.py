@@ -11,26 +11,16 @@ against the serial oracle:
 
 * the **records** (what external I/O units read from the system) must be
   identical — same vertices, same (phase, value) sequences;
-* the set of **executed vertex-phase pairs** must be identical — the Δ
-  semantics fully determine which pairs must run;
+* the set of **executed vertex-phase pairs** must be identical, with no
+  pair executed twice — the Δ semantics fully determine which pairs
+  must run;
 * the **message count** must be identical — message generation is a
-  deterministic function of the executed pairs.
+  deterministic function of the executed pairs;
+* the **phase count** must be identical.
 
 :func:`check_serializable` compares two :class:`RunResult` objects and
 returns a structured report; :func:`assert_serializable` raises
 :class:`~repro.errors.SerializabilityError` with the first difference.
-
-Elision-aware mode
-------------------
-Change suppression (docs/ARCHITECTURE.md §5.6) deliberately executes *fewer*
-pairs and sends *fewer* messages than the unsuppressed oracle while
-keeping the records identical — the latch-bisimulation argument.  With
-``allow_elision=True`` the check verifies exactly that contract:
-
-* candidate executions must be a **subset** of the oracle's (missing
-  pairs are elisions; extra or duplicate pairs are still fatal);
-* candidate ``message_count`` must be **at most** the oracle's;
-* records and phase counts must still be **identical**.
 """
 
 from __future__ import annotations
@@ -72,14 +62,8 @@ def check_serializable(
     reference: RunResult,
     candidate: RunResult,
     max_differences: int = 5,
-    allow_elision: bool = False,
 ) -> SerializabilityReport:
-    """Compare *candidate* against *reference* (usually the serial oracle).
-
-    With *allow_elision* the candidate may have executed a subset of the
-    oracle's pairs and sent fewer messages (change suppression); records
-    must still match exactly.
-    """
+    """Compare *candidate* against *reference* (usually the serial oracle)."""
     diffs: List[str] = []
 
     if reference.phases_run != candidate.phases_run:
@@ -92,7 +76,7 @@ def check_serializable(
     if ref_pairs != cand_pairs:
         missing = sorted(ref_pairs - cand_pairs)[:max_differences]
         extra = sorted(cand_pairs - ref_pairs)[:max_differences]
-        if missing and not allow_elision:
+        if missing:
             diffs.append(f"pairs not executed by candidate: {missing}")
         if extra:
             diffs.append(f"pairs executed only by candidate: {extra}")
@@ -106,13 +90,7 @@ def check_serializable(
         ][:max_differences]
         diffs.append(f"candidate executed pairs more than once: {dupes}")
 
-    if allow_elision:
-        if candidate.message_count > reference.message_count:
-            diffs.append(
-                f"candidate sent more messages than the oracle: "
-                f"{candidate.message_count} vs {reference.message_count}"
-            )
-    elif reference.message_count != candidate.message_count:
+    if reference.message_count != candidate.message_count:
         diffs.append(
             f"message counts differ: {reference.message_count} vs "
             f"{candidate.message_count}"
@@ -150,13 +128,9 @@ def check_serializable(
     )
 
 
-def assert_serializable(
-    reference: RunResult, candidate: RunResult, allow_elision: bool = False
-) -> None:
+def assert_serializable(reference: RunResult, candidate: RunResult) -> None:
     """Raise :class:`SerializabilityError` unless *candidate* matches
     *reference*."""
-    report = check_serializable(
-        reference, candidate, allow_elision=allow_elision
-    )
+    report = check_serializable(reference, candidate)
     if not report.equivalent:
         raise SerializabilityError(str(report))

@@ -18,8 +18,8 @@ docs/ARCHITECTURE.md §7.
 * every scheduling engine — the sections
   :meth:`repro.runtime.core.ScheduleCore.result` attaches: ``frontier``
   (readiness rule, cone count, phase skew; ``frontier_advances`` iff
-  the rule is the published ``x_p``), ``suppression`` (Δ-elision,
-  docs/ARCHITECTURE.md §5.6), ``coalescing`` (phase runs, §5.7; with the law
+  the rule is the published ``x_p``), ``coalescing`` (phase runs,
+  docs/ARCHITECTURE.md §5.7; with the law
   ``mean_run_length`` = members / runs), ``per_worker_executions`` and
   the edge-store counters ``edge_entries_peak`` / ``edge_entries_final``.
   The peak is sampled once per committed run — after all of the run's
@@ -45,13 +45,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from ..core.program import RunResult
-
 __all__ = [
     "format_table",
-    "message_rate_summary",
     "validate_frontier_stats",
-    "validate_suppression_stats",
     "validate_coalescing_stats",
     "validate_serve_stats",
     "validate_engine_stats",
@@ -62,10 +58,10 @@ __all__ = [
 SCHEDULING_ENGINE_PREFIXES = ("parallel", "process", "simulated")
 
 # The schema, as data.  A rule is: an ``int`` (the value is an int, not a
-# bool, and at least that), ``bool`` / ``float`` (a bool, any number), a
-# tuple (one of these values), or a dict (a mapping with exactly these
-# keys, each under its own rule; the single key ``_EACH`` instead puts
-# every value of an open mapping under one rule).
+# bool, and at least that), ``float`` (any number), a tuple (one of these
+# values), or a dict (a mapping with exactly these keys, each under its
+# own rule; the single key ``_EACH`` instead puts every value of an open
+# mapping under one rule).
 _EACH = "*"
 
 #: What :meth:`repro.runtime.core.ScheduleCore.result` guarantees on
@@ -75,12 +71,6 @@ _SCHEDULING_SCHEMA: Dict[str, Any] = {
         "mode": ("global", "cone"),
         "cone_count": 1,
         "max_phase_skew": 0,
-    },
-    "suppression": {
-        "enabled": bool,
-        "suppressed_messages": 0,
-        "elided_executions": 0,
-        "ineligible_vertices": 0,
     },
     "coalescing": {
         "runs_scheduled": 0,
@@ -109,9 +99,6 @@ _SCHEMA: Dict[str, Any] = {
     },
 }
 
-_KINDS = {bool: "a bool", float: "a number"}
-
-
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -133,10 +120,9 @@ def _check(value: Any, rule: Any, label: str, errors: List[str]) -> None:
     elif isinstance(rule, tuple):
         if value not in rule:
             errors.append(f"{label}: expected one of {rule}, got {value!r}")
-    elif rule in _KINDS:
-        number = _is_int(value) or isinstance(value, float)
-        if not (number if rule is float else isinstance(value, rule)):
-            errors.append(f"{label}: expected {_KINDS[rule]}, got {value!r}")
+    elif rule is float:
+        if not (_is_int(value) or isinstance(value, float)):
+            errors.append(f"{label}: expected a number, got {value!r}")
     elif not _is_int(value):
         errors.append(f"{label}: expected an int, got {value!r}")
     elif value < rule:
@@ -150,18 +136,6 @@ def _counts(section: Any, *keys: str) -> Optional[List[int]]:
         return None
     values = [section.get(key) for key in keys]
     return values if all(_is_int(v) and v >= 0 for v in values) else None
-
-
-def _suppression_law(section: Mapping, where: str, errors: List[str]) -> None:
-    # A disabled run elides nothing.
-    if section.get("enabled") is False:
-        for key in ("suppressed_messages", "elided_executions"):
-            got = _counts(section, key)
-            if got and got[0]:
-                errors.append(
-                    f"{where}.{key}: expected 0 when suppression is "
-                    f"disabled, got {got[0]}"
-                )
 
 
 def _coalescing_law(section: Mapping, where: str, errors: List[str]) -> None:
@@ -201,7 +175,6 @@ def _serve_law(section: Mapping, where: str, errors: List[str]) -> None:
 
 #: The cross-field laws a section's shape cannot express.
 _LAWS = {
-    "suppression": _suppression_law,
     "coalescing": _coalescing_law,
     "serve": _serve_law,
 }
@@ -227,13 +200,6 @@ def validate_frontier_stats(section: Any, where: str = "frontier") -> List[str]:
     """Validate one ``stats["frontier"]`` section; returns error strings
     (empty list == valid)."""
     return _validate("frontier", section, where)
-
-
-def validate_suppression_stats(
-    section: Any, where: str = "suppression"
-) -> List[str]:
-    """As :func:`validate_frontier_stats`; a disabled run elides nothing."""
-    return _validate("suppression", section, where)
 
 
 def validate_coalescing_stats(
@@ -315,33 +281,3 @@ def format_table(
     for row in str_rows:
         lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def message_rate_summary(
-    delta: RunResult, dense: RunResult, phases: int
-) -> Dict[str, float]:
-    """The Section 1 efficiency comparison: Δ-dataflow vs dense messaging.
-
-    Returns message/execution counts per phase for both runs and the
-    dense/Δ ratios (the money-laundering example predicts ratios on the
-    order of 1/anomaly-rate).
-    """
-    phases = max(phases, 1)
-    return {
-        "delta_messages": float(delta.message_count),
-        "dense_messages": float(dense.message_count),
-        "delta_messages_per_phase": delta.message_count / phases,
-        "dense_messages_per_phase": dense.message_count / phases,
-        "message_ratio": (
-            dense.message_count / delta.message_count
-            if delta.message_count
-            else float("inf")
-        ),
-        "delta_executions": float(delta.execution_count),
-        "dense_executions": float(dense.execution_count),
-        "execution_ratio": (
-            dense.execution_count / delta.execution_count
-            if delta.execution_count
-            else float("inf")
-        ),
-    }

@@ -54,7 +54,7 @@ class DenseDataflowExecutor:
         n = self.program.n
         executions: List[Tuple[int, int]] = []
         # Last value sent on each edge, for re-sending unchanged values.
-        last_sent: Dict[Tuple[int, int], Any] = {}
+        previous: Dict[Tuple[int, int], Any] = {}
         started = time.perf_counter()
         for p in range(1, runtime.num_phases + 1):
             for v in range(1, n + 1):
@@ -65,9 +65,9 @@ class DenseDataflowExecutor:
                 outputs = ctxs[0].outputs
                 for wname, w, _ in runtime.edges.out_channels[v]:
                     if wname in outputs:
-                        last_sent[(v, w)] = outputs[wname]
-                    elif (v, w) in last_sent:
-                        outputs[wname] = last_sent[(v, w)]
+                        previous[(v, w)] = outputs[wname]
+                    elif (v, w) in previous:
+                        outputs[wname] = previous[(v, w)]
                     # An edge that has never carried a value stays silent:
                     # there is no "previous value" to re-send yet.
                 runtime.commit(v, (p,), ctxs)

@@ -79,9 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "pstats file to PATH, and print a per-stage "
                           "wall-time breakdown")
     run.add_argument("--check", action="store_true",
-                     help="also run the (unsuppressed) serial oracle and "
-                          "verify serializability with the elision-aware "
-                          "check (records must match the oracle exactly)")
+                     help="also run the serial oracle and verify "
+                          "serializability (executed pairs, message count "
+                          "and records must equal the oracle's)")
     run.add_argument("--stats-json", metavar="PATH", default=None,
                      help="dump the engine's RunResult stats as JSON to "
                           "PATH ('-' for stdout)")
@@ -280,7 +280,6 @@ _PROFILE_STAGES = (
         ("core/program.py", "commit"),
         ("core/program.py", "commit_remote"),
         ("core/ports.py", "send"),
-        ("core/ports.py", "stable_equal"),
         ("core/ports.py", "settle_run"),
         ("core/ports.py", "consume_upto"),
         ("core/vertex.py", "adopt_results"),
@@ -428,12 +427,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if stopped:
         print(f"stopped by signal after {result.phases_run} of "
               f"{len(phases)} phases (in-flight work drained)")
-    suppression = result.stats.get("suppression") if result.stats else None
-    if suppression and suppression["enabled"]:
-        print(f"suppression: {suppression['suppressed_messages']} messages "
-              f"suppressed, {suppression['elided_executions']} executions "
-              f"elided ({suppression['ineligible_vertices']} vertices "
-              f"ineligible)")
     coalescing = result.stats.get("coalescing") if result.stats else None
     if coalescing and coalescing["runs_scheduled"]:
         print(f"coalescing: {coalescing['runs_scheduled']} runs scheduled, "
@@ -460,10 +453,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     if args.check and args.engine != "serial" and not stopped:
         oracle = SerialExecutor(program).run(phases)
-        elided = bool(suppression and suppression["enabled"])
-        report = check_serializable(oracle, result, allow_elision=elided)
-        mode = " (elision-aware)" if elided else ""
-        print(f"\nserializability{mode}: {report}")
+        report = check_serializable(oracle, result)
+        print(f"\nserializability: {report}")
         if not report:
             return 2
     return 0
@@ -485,13 +476,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         stats_every=args.stats_every,
     )
     session = ServeSession(spec.program, cfg)
+    # Opened before the session starts, so a bad path starts nothing.
+    replay = None
+    if args.input == "-":
+        replay = sys.stdin.buffer
+    elif args.input is not None:
+        replay = open(args.input, "rb")
     session.start()
     input_ok = True
     with _signal_stop() as stop:
-        if args.input is not None:
+        if replay is not None:
             # A bad line ends the replay, not the session: what was
             # ingested before it still drains, reports and exits 1.
-            input_ok = _serve_replay(session, args, stop)
+            input_ok = _serve_replay(session, args, replay, stop)
         else:
             server = ServeServer(session, host=args.host, port=args.port)
             server.start()
@@ -533,16 +530,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 _REPLAY_READ = 1 << 16
 
 
-def _serve_replay(session, args: argparse.Namespace, stop) -> bool:
-    """The ``--input`` path: feed the NDJSON file to the session one read
-    at a time — each read's whole lines are one body, ingested like one
-    ``POST /events`` — honouring backpressure by resending from the
-    refused line (the in-process analogue of an HTTP producer seeing 429
-    and backing off).  Returns False, after reporting the file's line
-    number, at the first line that is not an event."""
+def _serve_replay(session, args: argparse.Namespace, fh, stop) -> bool:
+    """The ``--input`` path: feed the opened NDJSON file *fh* to the
+    session one read at a time — each read's whole lines are one body,
+    ingested like one ``POST /events`` — honouring backpressure by
+    resending from the refused line (the in-process analogue of an HTTP
+    producer seeing 429 and backing off).  Returns False, after
+    reporting the file's line number, at the first line that is not an
+    event."""
     import time
 
-    fh = sys.stdin.buffer if args.input == "-" else open(args.input, "rb")
     done = 0  # lines of the input before the current body
     tail = b""
     try:
@@ -726,7 +723,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # ``repro run SPEC | head -1``: devnull absorbs the exit-time flush.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,72 +28,7 @@ from typing import Any, Dict, List, Sequence, Set, Tuple
 from ..errors import SchedulerError
 from ..graph.numbering import Numbering
 
-__all__ = ["NO_VALUE", "EdgeChannel", "EdgeStore", "stable_equal"]
-
-# Scalar types whose ``==`` is cheap, total and stable across processes.
-# Type identity is required (``1 == 1.0`` and ``True == 1`` must not
-# suppress: downstream code may branch on type).
-_STABLE_SCALARS = (bool, int, float, str, bytes)
-
-# Containers compared structurally, to a bounded depth.
-_MAX_EQ_DEPTH = 6
-
-
-def stable_equal(a: Any, b: Any, _depth: int = _MAX_EQ_DEPTH) -> bool:
-    """True iff *a* and *b* are **provably** equal under a cheap, stable
-    comparison — the latch test change suppression is allowed to use.
-
-    Conservative by construction: any value outside the whitelist (or
-    nested too deeply, or a float NaN, whose ``==`` is not reflexive)
-    compares *unequal*, which means "never suppress".  A false negative
-    merely forgoes an optimisation; a false positive would drop a real
-    message.
-    """
-    if a is None and b is None:
-        return True
-    ta = type(a)
-    if ta is not type(b):
-        return False
-    if ta in _STABLE_SCALARS:
-        if ta is float and (a != a or b != b):  # NaN
-            return False
-        return a == b
-    if _depth <= 0:
-        return False
-    if ta is tuple:
-        return len(a) == len(b) and all(
-            stable_equal(x, y, _depth - 1) for x, y in zip(a, b)
-        )
-    if ta is frozenset:
-        # Order-free structural check only for scalar members.
-        if any(type(x) not in _STABLE_SCALARS and x is not None for x in a):
-            return False
-        return a == b
-    if ta is dict:
-        if a.keys() != b.keys():
-            return False
-        return all(stable_equal(v, b[k], _depth - 1) for k, v in a.items())
-    return False
-
-
-class _NoValue:
-    """Sentinel for "this edge has never carried a message"."""
-
-    _instance: "_NoValue | None" = None
-
-    def __new__(cls) -> "_NoValue":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NO_VALUE"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-NO_VALUE = _NoValue()
+__all__ = ["EdgeChannel", "EdgeStore"]
 
 
 class EdgeChannel:
@@ -174,16 +109,6 @@ class EdgeChannel:
         return 0
 
     @property
-    def last_sent(self) -> Any:
-        """The newest value ever sent on this edge — the suppression
-        latch (``NO_VALUE`` if the edge never carried a message).
-
-        :meth:`consume_upto` retains the newest entry ``<= phase``, so
-        ``_values[-1]`` is always the last-sent value even after GC.
-        """
-        return self._values[-1] if self._values else NO_VALUE
-
-    @property
     def pending_entries(self) -> int:
         """Entries currently stored (after GC) — memory instrumentation."""
         return len(self._phases)
@@ -217,9 +142,6 @@ class EdgeStore:
         # bounds them (the memory ablation measures exactly this).
         self.live_entries = 0
         self.peak_entries = 0
-        # Δ-elision accounting: outputs dropped at commit time because
-        # their value matched the edge latch (``stable_equal``).
-        self.suppressed_messages = 0
         g = numbering.graph
         n = numbering.n
         names = [""] + [numbering.name_of(v) for v in range(1, n + 1)]
@@ -243,14 +165,13 @@ class EdgeStore:
         except KeyError:
             raise SchedulerError(f"no edge {src} -> {dst}") from None
 
-    def settle_run(self, dst: int, upto: int, sent: int, suppressed: int) -> None:
+    def settle_run(self, dst: int, upto: int, sent: int) -> None:
         """Close the books on one committed run of *dst* (caller holds
-        the lock): account the messages it *sent* and *suppressed*, sample
+        the lock): account the messages it *sent*, sample
         the high-water mark — after the run's sends, before its GC — and
         garbage-collect *dst*'s input channels up to *upto*, the last
         committed member's phase.  ``consume_upto`` is monotone, so one
         GC there leaves the channels as the per-member GCs would."""
-        self.suppressed_messages += suppressed
         live = self.live_entries + sent
         if live > self.peak_entries:
             self.peak_entries = live

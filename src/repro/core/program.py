@@ -28,7 +28,6 @@ vertex records, the executed pairs in completion order, and counters.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -46,7 +45,7 @@ from ..errors import GraphError, SchedulerError, VertexExecutionError
 from ..events import PhaseInput
 from ..graph.model import ComputationGraph
 from ..graph.numbering import Numbering, number_graph
-from .ports import EdgeStore, stable_equal
+from .ports import EdgeStore
 from .vertex import Vertex, VertexContext
 
 __all__ = ["Program", "PairRuntime", "RunResult", "compute_members"]
@@ -218,15 +217,6 @@ class PairRuntime:
         a streaming consumer and then forget it — the continuous-
         operation mode, where nothing may accumulate for the whole run.
         :attr:`records` stays empty in this mode.
-    suppress:
-        When True, change suppression (Δ-elision) is active: at commit
-        time an output whose value equals the edge's latched value — and
-        whose target vertex is *elidable* (see :meth:`_compute_elide_ok`)
-        — is dropped before delivery.  No message means no ``msg(w, q)``,
-        so the cone-mode determination wave marks the downstream pair
-        determined without scheduling it.  Default off — the serial
-        oracle and the simulator's published (global-frontier) schedule
-        deliver every message; the real engines always pass ``True``.
     """
 
     def __init__(
@@ -234,7 +224,6 @@ class PairRuntime:
         program: Program,
         phase_inputs: Sequence[PhaseInput],
         stream_records: bool = False,
-        suppress: bool = False,
     ) -> None:
         self.program = program
         self.edges = EdgeStore(program.numbering)
@@ -260,47 +249,6 @@ class PairRuntime:
         self._record_logs: List[Optional[List[Tuple[int, Any]]]] = [
             None
         ] * (nm.n + 1)
-        self.suppress = suppress
-        self.elided_executions = 0
-        self._elide_candidates: Dict[int, Set[int]] = {}
-        self._elide_ok: List[bool] = (
-            self._compute_elide_ok() if suppress else [False] * (nm.n + 1)
-        )
-        self.ineligible_vertices = (
-            sum(1 for v in range(1, nm.n + 1) if not self._elide_ok[v])
-            if suppress
-            else 0
-        )
-
-    def _compute_elide_ok(self) -> List[bool]:
-        """Which vertices may have a value-equal input message suppressed.
-
-        ``elide_ok[w]`` requires *w*'s behaviour to be suppressible (a
-        value-equal execution is a no-op) **and** the messages *w* would
-        have re-emitted to be ignorable in turn: either *w* is
-        ``silent_on_unchanged`` (emits/records nothing on a value-equal
-        execution — the closure terminates here), or every successor of
-        *w* is itself elidable.  Sinks re-route ``emit`` into the record
-        log, so a sink is elidable only when strictly silent.
-
-        Computed in decreasing index order; the restricted numbering
-        guarantees every successor index is larger, so each successor's
-        entry is final when read.
-        """
-        n = self.program.numbering.n
-        ok = [False] * (n + 1)
-        succs = self.edges.succs
-        for v in range(n, 0, -1):
-            beh = self.program.behavior(v)
-            if not getattr(beh, "suppressible", True):
-                continue
-            silent = bool(getattr(beh, "silent_on_unchanged", False))
-            ws = succs[v]
-            if not ws:
-                ok[v] = silent
-            else:
-                ok[v] = silent or all(ok[w] for w in ws)
-        return ok
 
     def register_phase(self, pi: PhaseInput) -> None:
         """Append the next phase's inputs.
@@ -369,41 +317,26 @@ class PairRuntime:
     ) -> List[Tuple[int, int, List[int]]]:
         """Deliver outputs, append records, GC inputs (call under the lock).
 
-        Commits the members ``zip(phases, ctxs)`` back to back — member
-        *i*'s delivery is the latch member *i + 1*'s suppression test
-        reads, exactly as serial per-phase commits — then accounts the
-        edges and garbage-collects *v*'s inputs once, up to the last
-        member's phase.  Returns ``(v, phase, targets)`` per member —
+        Commits the members ``zip(phases, ctxs)`` back to back, exactly
+        as serial per-phase commits, then accounts the edges and
+        garbage-collects *v*'s inputs once, up to the last member's
+        phase.  Returns ``(v, phase, targets)`` per member —
         what :meth:`SchedulerState.complete_executions` takes — *targets*
         being the indices of the vertices that received an output, the
         ``w`` of Listing 1's statement 1.8, ascending.
         """
-        suppress = self.suppress
-        elide_ok = self._elide_ok
         out_channels = self.edges.out_channels[v]
         stream = self.stream_records
         completed: List[Tuple[int, int, List[int]]] = []
-        sent = suppressed = 0
+        sent = 0
         for p, ctx in zip(phases, ctxs):
             outs = ctx._outputs
             targets: List[int] = []
             if outs:
                 for wname, w, channel in out_channels:
-                    if wname not in outs:
-                        continue
-                    value = outs[wname]
-                    # A first message finds NO_VALUE on the latch, which
-                    # equals nothing: it is never suppressed.
-                    if (
-                        suppress
-                        and elide_ok[w]
-                        and stable_equal(channel.last_sent, value)
-                    ):
-                        suppressed += 1
-                        self._elide_candidates.setdefault(p, set()).add(w)
-                        continue
-                    channel.send(p, value)
-                    targets.append(w)
+                    if wname in outs:
+                        channel.send(p, outs[wname])
+                        targets.append(w)
                 sent += len(targets)
             records = ctx._records
             if records:
@@ -419,17 +352,11 @@ class PairRuntime:
                         )
                     for value in records:
                         log.append((p, value))
-            if suppress:
-                cands = self._elide_candidates.get(p)
-                if cands is not None:
-                    # The pair executed after all (another input did
-                    # change), so it was not elided.
-                    cands.discard(v)
             completed.append((v, p, targets))
         if completed:
             self.message_count += sent
             self.execution_count += len(completed)
-            self.edges.settle_run(v, completed[-1][1], sent, suppressed)
+            self.edges.settle_run(v, completed[-1][1], sent)
         return completed
 
     def execute(self, v: int, p: int) -> List[int]:
@@ -452,8 +379,7 @@ class PairRuntime:
         The coordinator prepared *ctxs* locally, shipped them to a
         worker, and got back per member ``(outputs, records)``; this
         adopts each into its context and commits as usual (call under
-        the lock) — Δ-elision included: :meth:`commit`'s latch test is
-        the one place a computed output is judged, wherever it ran.
+        the lock).
         """
         for ctx, (outputs, records) in zip(ctxs, replies):
             ctx.adopt_results(outputs, records)
@@ -472,32 +398,7 @@ class PairRuntime:
         """
         pi = self._phase_inputs.pop(p, None)
         ts = pi.timestamp if pi is not None else float(p)
-        cands = self._elide_candidates.pop(p, None)
-        if cands:
-            self.elided_executions += len(cands)
         return ts, self._records_by_phase.pop(p, [])
-
-    # -- suppression accounting -----------------------------------------------
-
-    def suppression_stats(self) -> Dict[str, Any]:
-        """The run's ``stats["suppression"]`` block (call at run end).
-
-        Folds any not-yet-retired phases' elision candidates into
-        ``elided_executions``: a vertex that received a suppressed
-        message and never executed that phase is one execution the
-        unsuppressed run would have scheduled.  (Further-downstream
-        pairs that the determination wave skipped as a consequence are
-        not counted — this is the *direct* elision count.)
-        """
-        for cands in self._elide_candidates.values():
-            self.elided_executions += len(cands)
-        self._elide_candidates.clear()
-        return {
-            "enabled": self.suppress,
-            "suppressed_messages": self.edges.suppressed_messages,
-            "elided_executions": self.elided_executions,
-            "ineligible_vertices": self.ineligible_vertices,
-        }
 
     # -- results -------------------------------------------------------------
 

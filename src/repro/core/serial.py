@@ -45,21 +45,13 @@ class SerialExecutor:
     [(1, 42)]
     """
 
-    def __init__(
-        self,
-        program: Program,
-        suppress: bool = False,
-    ) -> None:
+    def __init__(self, program: Program) -> None:
         self.program = program
-        # Off by default: the oracle defines unsuppressed semantics.  The
-        # suppression differential tests flip it on to show Δ-elision
-        # composes with the serial scan too.
-        self.suppress = suppress
 
     def run(self, phase_inputs: Sequence[PhaseInput]) -> RunResult:
         """Run every phase serially; returns the :class:`RunResult`."""
         self.program.reset()
-        runtime = PairRuntime(self.program, phase_inputs, suppress=self.suppress)
+        runtime = PairRuntime(self.program, phase_inputs)
         n = self.program.n
         source_indices = set(self.program.numbering.source_indices())
         executions: List[Tuple[int, int]] = []
@@ -75,9 +67,4 @@ class SerialExecutor:
                 # ascending scan will reach it later in this same phase.
                 has_message.update(targets)
         elapsed = time.perf_counter() - started
-        stats = (
-            {"suppression": runtime.suppression_stats()}
-            if self.suppress
-            else None
-        )
-        return runtime.build_result("serial", executions, elapsed, stats)
+        return runtime.build_result("serial", executions, elapsed)

@@ -48,8 +48,8 @@ Each completion runs the **determination wave** — a DFS over successors
 decrementing ``undet``; a counter reaching zero promotes a waiting pair
 ``PARTIAL -> FULL`` or, with no message (none can arrive any more),
 cascades ``NONE -> DETERMINED`` — so each edge is traversed once per
-phase, and a suppressed output (Δ-elision) needs no state here: it never
-arrives, and the wave cascades.  Readiness is then ``status[settled[w] +
+phase, and a vertex that emits nothing to a successor needs no state
+here: no message arrives, and the wave cascades.  Readiness is then ``status[settled[w] +
 1][w] == FULL`` for the vertices the wave touched.  A phase is complete
 when all ``N`` vertices are determined; its arrays are dropped at once,
 so "started and not in flight" *is* completeness.

@@ -21,7 +21,9 @@ vertex-phase pair, passing a :class:`VertexContext` that exposes the
 
 Returning a value from ``on_execute`` (other than ``None`` /
 ``EMIT_NOTHING``) is shorthand for broadcasting it to every successor —
-or, on a sink vertex, for recording it.
+or, on a sink vertex, for recording it.  The engines deliver every
+message a vertex emits: whether an output is worth sending is the
+vertex's decision alone, never a value comparison in the runtime.
 
 Determinism contract
 --------------------
@@ -29,33 +31,6 @@ For serializability checking, a vertex must be deterministic given its
 state and context, and :meth:`Vertex.reset` must restore the initial state
 (sources re-seed their RNGs), so the same program can be run under several
 engines and compared.
-
-Suppressibility contract
-------------------------
-Change suppression (Δ-elision) lets the runtime drop an output message
-whose value equals the edge's latched value, so the downstream pair is
-never scheduled.  Whether that is safe is a per-behaviour property,
-declared with two class attributes:
-
-* ``suppressible`` (default ``True``) — the behaviour's outcomes depend
-  on ``ctx.changed`` only through the changed *values* (S1), and an
-  execution in which every changed input carries a value equal to its
-  latch is a no-op: state is unchanged, nothing is recorded, and any
-  emissions are value-equal to the previous emissions (S2).  Behaviours
-  whose semantics depend on message *arrival* rather than value —
-  counters, timers, debouncers, per-arrival windows, gates mixing data
-  and control inputs — must set it ``False``.
-* ``silent_on_unchanged`` (default ``False``) — strictly stronger: a
-  value-equal execution emits and records *nothing* (the Δ discipline's
-  "emit only on genuine change").  Such a vertex terminates the elision
-  closure: suppressing its input provably removes no downstream message
-  or record.  A merely suppressible vertex that *re-emits* value-equal
-  arrivals (e.g. ``Identity``) is elidable only when all its descendants
-  are.
-
-Vertices not honouring the flags they declare will diverge from the
-unsuppressed serial oracle; the differential fuzz campaign exists to
-catch exactly that.
 """
 
 from __future__ import annotations
@@ -240,16 +215,7 @@ class VertexContext:
 
 class Vertex:
     """Base class for vertex behaviour.  Subclass and override
-    :meth:`on_execute`; override :meth:`reset` if the vertex is stateful.
-
-    See the module docstring's *suppressibility contract* for the meaning
-    of the two class-level flags."""
-
-    #: Outcomes depend on ``changed`` only through values, and a
-    #: value-equal execution is a no-op (see module docstring).
-    suppressible: bool = True
-    #: Strictly stronger: a value-equal execution emits/records nothing.
-    silent_on_unchanged: bool = False
+    :meth:`on_execute`; override :meth:`reset` if the vertex is stateful."""
 
     def on_execute(self, ctx: VertexContext) -> Any:
         """Execute one phase.  See the module docstring for the contract."""
@@ -281,25 +247,10 @@ class Vertex:
 
 
 class FunctionVertex(Vertex):
-    """A stateless vertex from a plain function ``f(ctx) -> value | None``.
+    """A stateless vertex from a plain function ``f(ctx) -> value | None``."""
 
-    An arbitrary function may inspect ``ctx.changed`` arbitrarily, so the
-    wrapper defaults to *not* suppressible; pass ``suppressible=True``
-    (and optionally ``silent_on_unchanged=True``) to opt a function that
-    honours the contract back in.
-    """
-
-    suppressible = False
-
-    def __init__(
-        self,
-        fn: Callable[[VertexContext], Any],
-        suppressible: bool = False,
-        silent_on_unchanged: bool = False,
-    ) -> None:
+    def __init__(self, fn: Callable[[VertexContext], Any]) -> None:
         self._fn = fn
-        self.suppressible = suppressible
-        self.silent_on_unchanged = silent_on_unchanged
 
     def on_execute(self, ctx: VertexContext) -> Any:
         return self._fn(ctx)
@@ -312,25 +263,17 @@ class StatefulFunctionVertex(Vertex):
     """A vertex from ``f(state, ctx) -> value | None`` plus an initial state.
 
     *state* is a mutable dict the function may update in place; ``reset``
-    restores a fresh copy of the initial state.  Like
-    :class:`FunctionVertex`, arbitrary functions default to *not*
-    suppressible; opt in via the constructor flags.
+    restores a fresh copy of the initial state.
     """
-
-    suppressible = False
 
     def __init__(
         self,
         fn: Callable[[Dict[str, Any], VertexContext], Any],
         initial_state: Optional[Mapping[str, Any]] = None,
-        suppressible: bool = False,
-        silent_on_unchanged: bool = False,
     ) -> None:
         self._fn = fn
         self._initial = dict(initial_state or {})
         self.state: Dict[str, Any] = dict(self._initial)
-        self.suppressible = suppressible
-        self.silent_on_unchanged = silent_on_unchanged
 
     def on_execute(self, ctx: VertexContext) -> Any:
         return self._fn(self.state, ctx)

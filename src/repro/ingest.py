@@ -130,10 +130,12 @@ class ReorderBuffer:
         max_buffered: Optional[int] = None,
         max_late_kept: Optional[int] = None,
     ) -> None:
-        if wait < 0:
-            raise WorkloadError(f"wait must be >= 0, got {wait}")
-        if quantum <= 0:
-            raise WorkloadError(f"quantum must be > 0, got {quantum}")
+        # Both comparisons are false for NaN; an infinite wait or quantum
+        # would never seal a bin.
+        if not (0 <= wait < math.inf):
+            raise WorkloadError(f"wait must be finite and >= 0, got {wait}")
+        if not (0 < quantum < math.inf):
+            raise WorkloadError(f"quantum must be finite and > 0, got {quantum}")
         if max_buffered is not None and max_buffered < 1:
             raise WorkloadError(
                 f"max_buffered must be >= 1 or None, got {max_buffered}"

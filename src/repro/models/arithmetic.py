@@ -20,13 +20,9 @@ __all__ = ["Sum", "Difference", "Product", "LinearCombiner", "Scale"]
 
 
 class _DeltaEmitter(Vertex):
-    """Shared change-suppression: subclasses implement :meth:`value_of`;
+    """Shared emit-on-change: subclasses implement :meth:`value_of`;
     the emitter recomputes on any input change and emits only if the value
     differs from the last emitted one."""
-
-    # Value-equal inputs recompute the same value, which the _last check
-    # swallows — the strong form of the suppressibility contract.
-    silent_on_unchanged = True
 
     def __init__(self) -> None:
         self._last: Any = _DeltaEmitter  # sentinel: nothing emitted yet

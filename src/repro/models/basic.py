@@ -56,8 +56,6 @@ class Constant(Vertex):
     """Emits *value* once, in the first phase it executes, then stays
     silent (constants never change — pure Δ)."""
 
-    silent_on_unchanged = True  # after the one emission, always silent
-
     def __init__(self, value: Any = 0) -> None:
         self.value = value
         self._emitted = False
@@ -80,9 +78,6 @@ class Delay(Vertex):
     (Section 5's related work); also handy for building test pipelines
     whose message timing differs from their topology.
     """
-
-    suppressible = False  # buffers per *arrival*: a value-equal message
-    # still schedules a future emission, so elision would drop it
 
     def __init__(self, k: int = 1) -> None:
         if k < 1:
@@ -110,9 +105,6 @@ class Gate(Vertex):
     Input roles are inferred from predecessor names given at construction.
     """
 
-    suppressible = False  # outcome depends on WHICH input changed, not
-    # just its value (a value-equal data arrival re-forwards when open)
-
     def __init__(self, data: str = "data", control: str = "control") -> None:
         self.data = data
         self.control = control
@@ -126,8 +118,6 @@ class Gate(Vertex):
 @register_vertex("Sampler")
 class Sampler(Vertex):
     """Forwards every *every*-th input change (decimation)."""
-
-    suppressible = False  # counts arrivals
 
     def __init__(self, every: int = 2) -> None:
         if every < 1:
@@ -154,8 +144,6 @@ class Recorder(Vertex):
     canonical sink behaviour ("read by input/output units outside the data
     fusion system", Section 2).  Forwards nothing."""
 
-    suppressible = False  # records every arrival, value-equal included
-
     def on_execute(self, ctx: VertexContext) -> Any:
         for name in sorted(ctx.changed):
             ctx.record((name, ctx.inputs[name]))
@@ -165,11 +153,8 @@ class Recorder(Vertex):
 @register_vertex("ChangeRecorder")
 class ChangeRecorder(Vertex):
     """Records a changed input only when its value genuinely differs from
-    the last value this vertex recorded for it — the change-suppression-
-    friendly sink: a value-equal arrival records nothing and leaves no
-    state behind, so eliding it is externally invisible."""
-
-    silent_on_unchanged = True
+    the last value this vertex recorded for it: a value-equal arrival
+    records nothing and leaves no state behind."""
 
     def __init__(self) -> None:
         self._last: Dict[str, Any] = {}
@@ -192,12 +177,8 @@ class ArrivalCounter(Vertex):
     """Counts message *arrivals* (value-equal or not) and emits — or, at a
     sink, records — the running total on every execution.
 
-    The canonical opt-out vertex: its output depends on how many messages
-    arrived, so suppressing a value-equal input would change it.  The
-    differential campaign uses it to prove opted-out vertices are never
-    elided."""
-
-    suppressible = False
+    Its output depends on how many messages arrived, not on their values,
+    so it exposes any engine that drops or duplicates a delivery."""
 
     def __init__(self) -> None:
         self.count = 0

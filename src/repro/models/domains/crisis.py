@@ -126,10 +126,6 @@ class RegionThreat(Vertex):
     distance <= *warning*).
     """
 
-    # Pure function of the latched position, transitions only: an equal
-    # position maps to the same band, so nothing is emitted or mutated.
-    silent_on_unchanged = True
-
     def __init__(
         self,
         center: Tuple[float, float],
@@ -222,10 +218,6 @@ class EvacuationAdvisor(Vertex):
     Emits ``("evacuate", region)`` / ``("shelter-in-place", region)`` /
     ``("stand-down", region)`` transitions only.
     """
-
-    # Pure predicate over the latched picture, transitions only: equal
-    # inputs reproduce the same recommendation and stay silent.
-    silent_on_unchanged = True
 
     def __init__(
         self,

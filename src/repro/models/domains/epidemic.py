@@ -104,8 +104,6 @@ class NeighborRegressionModel(Vertex):
     developed using data from a one-month window in neighboring counties".
     """
 
-    suppressible = False  # every arrival extends the pooled history
-
     def __init__(self, window: int = 30, emit_delta: float = 0.5) -> None:
         if window < 2:
             raise WorkloadError(f"window must be >= 2, got {window}")
@@ -151,10 +149,6 @@ class TwoSigmaDetector(Vertex):
     the anomalous regime, and stays silent while the alert state persists
     (re-alerting is the aggregator's concern, not the detector's).
     """
-
-    # Pure function of latched values with edge-triggered emission: a
-    # value-equal arrival reproduces the same regime, emitting nothing.
-    silent_on_unchanged = True
 
     def __init__(
         self,

@@ -56,8 +56,6 @@ class WindowCountThreshold(Vertex):
     has drained.  Emits transitions only.
     """
 
-    suppressible = False  # every arrival contributes its count to the window
-
     def __init__(self, window: int = 10, threshold: int = 3) -> None:
         if window < 1 or threshold < 1:
             raise WorkloadError("window and threshold must be >= 1")
@@ -93,8 +91,6 @@ class SpikeIndicator(Vertex):
     phases pass without one (evaluated at the next arrival).  Emits
     transitions only.
     """
-
-    suppressible = False  # cooldown expiry is evaluated per *arrival*
 
     def __init__(self, cooldown: int = 5) -> None:
         if cooldown < 1:

@@ -56,8 +56,6 @@ class StructuringDetector(Vertex):
     mask its successors); silent otherwise — the Δ discipline.
     """
 
-    suppressible = False  # every transaction arrival feeds the baseline
-
     def __init__(
         self, key: Hashable, window: int = 8, threshold: float = 3.0
     ) -> None:

@@ -60,8 +60,6 @@ class CaseAggregator(Vertex):
     options — which the ablation relies on.
     """
 
-    suppressible = False  # each anomaly *arrival* counts toward a case
-
     def __init__(self, case_threshold: int = 2, case_window: int = 50) -> None:
         if case_threshold < 1:
             raise WorkloadError(f"case_threshold must be >= 1, got {case_threshold}")

@@ -61,9 +61,6 @@ class TemperatureAssumptionMonitor(Vertex):
     correction — "the model adjusts its assumptions appropriately".
     """
 
-    suppressible = False  # the assumed profile moves with the phase, so
-    # a value-equal measurement can still cross the tolerance
-
     def __init__(
         self,
         mean: float = 20.0,
@@ -130,12 +127,6 @@ class PowerDemandModel(Vertex):
         self.emit_delta = emit_delta
         self._last_emitted: Optional[float] = None
 
-    @property
-    def silent_on_unchanged(self) -> bool:  # type: ignore[override]
-        # With a positive emit_delta, an unmoved demand is swallowed; at
-        # delta 0 the model re-emits equal demands (merely suppressible).
-        return self.emit_delta > 0
-
     def reset(self) -> None:
         self._last_emitted = None
 
@@ -181,10 +172,6 @@ class PriceModel(Vertex):
         self.k = k
         self.emit_delta = emit_delta
         self._last: Optional[float] = None
-
-    @property
-    def silent_on_unchanged(self) -> bool:  # type: ignore[override]
-        return self.emit_delta > 0
 
     def reset(self) -> None:
         self._last = None

@@ -22,10 +22,6 @@ __all__ = ["Threshold", "And", "Or", "Not", "KofN", "Debounce"]
 class _BoolEmitter(Vertex):
     """Emit the boolean value only on transitions (False->True / True->False)."""
 
-    # Value-equal inputs yield the same predicate value — no transition,
-    # nothing emitted, no state change.
-    silent_on_unchanged = True
-
     def __init__(self) -> None:
         self._last: Optional[bool] = None
 
@@ -123,8 +119,6 @@ class KofN(_BoolEmitter):
 class Debounce(Vertex):
     """Forwards True only after *n* consecutive truthy input changes, and
     False immediately — suppresses flapping alerts."""
-
-    suppressible = False  # the streak counts consecutive *arrivals*
 
     def __init__(self, n: int = 2) -> None:
         if n < 1:

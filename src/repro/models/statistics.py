@@ -107,8 +107,6 @@ class MovingAverage(Vertex):
     """Sliding-window mean of a single numeric input; emits the new mean
     whenever the input changes (the mean almost always changes with it)."""
 
-    suppressible = False  # every arrival enters the window
-
     def __init__(self, window: int = 5) -> None:
         self.stats = RunningStats(window)
         self._last: Optional[float] = None
@@ -133,8 +131,6 @@ class MovingAverage(Vertex):
 class MovingStd(Vertex):
     """Sliding-window sample standard deviation of a single input."""
 
-    suppressible = False  # every arrival enters the window
-
     def __init__(self, window: int = 5) -> None:
         self.stats = RunningStats(window)
         self._last: Optional[float] = None
@@ -158,8 +154,6 @@ class MovingStd(Vertex):
 @register_vertex("EWMA")
 class EWMA(Vertex):
     """Exponentially weighted moving average: ``s <- a*x + (1-a)*s``."""
-
-    suppressible = False  # the state update applies per arrival
 
     def __init__(self, alpha: float = 0.3) -> None:
         if not 0.0 < alpha <= 1.0:
@@ -190,8 +184,6 @@ class AnomalyDetector(Vertex):
     message" as "everything I last told you still holds".
     """
 
-    suppressible = False  # an anomalous value re-alerts on every arrival
-
     def __init__(self, predicate: Optional[Callable[[Any], bool]] = None) -> None:
         self.predicate = predicate or non_finite
 
@@ -211,8 +203,6 @@ class DenseAnomalyDetector(Vertex):
     ``("ok", ...)`` message — the behaviour whose message rate the paper
     measures at ~10^6x the Δ detector's for rare anomalies.
     """
-
-    suppressible = False  # a verdict per message, by definition
 
     def __init__(self, predicate: Optional[Callable[[Any], bool]] = None) -> None:
         self.predicate = predicate or non_finite
@@ -236,8 +226,6 @@ class DenseZScoreDetector(Vertex):
     not a closure wired into :class:`DenseAnomalyDetector` — so dense
     laundering workloads survive pickling into worker processes.
     """
-
-    suppressible = False  # a verdict per message, window per arrival
 
     def __init__(self, window: int = 30, threshold: float = 3.0) -> None:
         self._zs = ZScoreDetector(window=window, threshold=threshold)
@@ -270,8 +258,6 @@ class ZScoreDetector(Vertex):
     the anomalous value is **excluded** from the window so an outlier does
     not mask its successors.
     """
-
-    suppressible = False  # every acceptable arrival enters the window
 
     def __init__(self, window: int = 30, threshold: float = 3.0) -> None:
         if threshold <= 0:
@@ -314,8 +300,6 @@ class SlidingRegressionDetector(Vertex):
     paper's "anomalies are defined as outlier points in a statistical
     regression model".
     """
-
-    suppressible = False  # every inlier arrival extends the fit window
 
     def __init__(self, window: int = 30, threshold: float = 2.0) -> None:
         if window < 4:
@@ -384,8 +368,6 @@ class PearsonCorrelator(Vertex):
     Downstream predicates ("streams A and B have decoupled") hang off the
     emitted coefficient.
     """
-
-    suppressible = False  # samples the latched *pair* once per arrival
 
     def __init__(
         self,

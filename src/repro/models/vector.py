@@ -86,8 +86,6 @@ class VectorZScore(Vertex):
     vectors are excluded from the window.
     """
 
-    suppressible = False  # every acceptable vector enters the window
-
     def __init__(self, window: int = 30, threshold: float = 4.0) -> None:
         if window < 4:
             raise WorkloadError(f"window must be >= 4, got {window}")
@@ -141,9 +139,6 @@ class VectorZScore(Vertex):
 class VectorReduce(Vertex):
     """Reduces a tuple-valued stream to a scalar (``mean``, ``max``,
     ``min``, ``sum``, or ``norm``), emitting on material change only."""
-
-    silent_on_unchanged = True  # an equal vector reduces to an equal
-    # scalar, which the emit_delta check swallows
 
     _OPS = ("mean", "max", "min", "sum", "norm")
 

@@ -40,7 +40,7 @@ class ScheduleCore:
     Phases arrive one at a time through :meth:`admit`.  *num_workers*
     sizes the per-worker execution counts.  *frontier* picks the
     scheduler: ``"cone"`` (``SchedulerState``: cone rule,
-    Δ-elision, adaptive runs — the real engines) or ``"global"``
+    adaptive runs — the real engines) or ``"global"``
     (``ReferenceScheduler``: Listings 1-2 as published).  The *tracer*
     receives phase-started, enqueued and phase-completed events from
     here; ``execute_begin`` / ``execute_end`` stay with the driver, which
@@ -68,12 +68,7 @@ class ScheduleCore:
                 "run with tracer=None or retire=False"
             )
         program.reset()
-        self.runtime = PairRuntime(
-            program,
-            [],
-            stream_records=retire,
-            suppress=frontier == "cone",
-        )
+        self.runtime = PairRuntime(program, [], stream_records=retire)
         if frontier == "cone":
             scheduler = SchedulerState
         elif frontier == "global":
@@ -164,7 +159,6 @@ class ScheduleCore:
             **engine_stats,
             "per_worker_executions": dict(self._per_worker),
             "frontier": state.frontier_stats(),
-            "suppression": runtime.suppression_stats(),
             "coalescing": state.coalescing_stats(),
             "edge_entries_peak": runtime.edges.peak_entries,
             "edge_entries_final": runtime.edges.total_pending_entries(),

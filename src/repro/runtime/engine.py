@@ -29,8 +29,7 @@ Differences from the paper's infinite loops (all additive):
 * **Failure handling** — a vertex exception aborts the run and re-raises
   as :class:`~repro.errors.VertexExecutionError` from :meth:`run`.
 * **One schedule** — readiness uses per-dependency (cone) frontiers,
-  value-equal outputs are suppressed at commit time (Δ-elision), and a
-  dequeued ready pair is extended into a *run* of consecutive claimable
+  every emitted message is delivered, and a dequeued ready pair is extended into a *run* of consecutive claimable
   phases that is prepared under one lock acquisition, computed outside
   it and committed in one critical section.  A single pair is a run of
   length 1.  The critical-section bodies are
@@ -38,7 +37,7 @@ Differences from the paper's infinite loops (all additive):
   engine and the simulator; this module keeps what is particular to peer
   threads.  Every scheduling-set mutation still happens under the single
   global lock, so the paper's serializability argument carries over
-  (docs/ARCHITECTURE.md §5.4, §5.6, §5.7).  The published global-``x_p``
+  (docs/ARCHITECTURE.md §5.4, §5.7).  The published global-``x_p``
   schedule lives on in the simulator's ``frontier="global"``.
 * **The environment is a peer when work is cheap** — the paper promises
   speed-up only when vertex compute dwarfs the bookkeeping around it.
@@ -350,9 +349,8 @@ class ParallelEngine:
         def execute_run(worker_id: int, v: int, p: int) -> None:
             # Listing 1's body, one run at a time.  The ready pair is
             # claimed as a run of prepared members under one lock,
-            # computed outside it, and committed — deliveries, suppression
-            # latch tests and the one ScheduleCore.commit — in one
-            # critical section; each newly ready pair is then placed
+            # computed outside it, and committed — deliveries and the one
+            # ScheduleCore.commit — in one critical section; each newly ready pair is then placed
             # exactly once.
             nonlocal locked_cost
             inline = worker_id == env_id

@@ -41,8 +41,8 @@ each way, one critical section and one fault behaviour whatever the
 run's length.  No window meters the wire: the scheduler holds at most
 one ready-or-claimed head per vertex, so a promoted vertex has at most
 one run in flight, and each worker's task queue is FIFO.  A worker only
-computes; its outputs are judged where every output is, in the commit's
-latch test (Δ-elision), under the lock.
+computes; its outputs are delivered where every output is, in the
+commit, under the lock.
 
 The coordinator is single-threaded, so its
 :class:`~repro.runtime.locks.InstrumentedLock` is never contended — it is

@@ -118,8 +118,8 @@ class ResultMsg:
     ``error`` is ``None`` on success, else the stringified vertex failure
     (the coordinator re-raises it as
     :class:`~repro.errors.VertexExecutionError` with the original vertex
-    name and phase).  Every output rides the wire: whether a value-equal
-    one is elided is the coordinator's commit-time latch test.
+    name and phase).  Every output rides the wire and the coordinator
+    delivers every one.
     """
 
     phase: int

@@ -10,11 +10,7 @@ duration:
   Listing 1 (set updates, x maintenance, ready moves).  The paper's
   Section 4 prediction is parameterised exactly by the ratio
   ``compute_cost / bookkeeping_cost``.
-* ``prepare_cost`` — the locked input-snapshot before computing.
-* ``dequeue_cost`` — taking a pair off the run queue (unlocked).
 * ``phase_start_cost`` — the environment's locked phase-start section.
-* ``env_interval`` — the environment's sleep between phase starts
-  (statement 2.22); sleeping consumes no processor.
 * ``jitter`` / ``seed`` — optional multiplicative noise on compute costs
   (uniform in ``[1 - jitter, 1 + jitter]``), used by the property tests to
   diversify schedules deterministically.
@@ -39,22 +35,13 @@ class CostModel:
 
     compute_cost: CostFn = 1.0
     bookkeeping_cost: float = 0.05
-    prepare_cost: float = 0.0
-    dequeue_cost: float = 0.0
     phase_start_cost: float = 0.05
-    env_interval: float = 0.0
     jitter: float = 0.0
     seed: int = 0
     _rng: random.Random = field(init=False, repr=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        for name in (
-            "bookkeeping_cost",
-            "prepare_cost",
-            "dequeue_cost",
-            "phase_start_cost",
-            "env_interval",
-        ):
+        for name in ("bookkeeping_cost", "phase_start_cost"):
             if getattr(self, name) < 0:
                 raise SimulationError(f"{name} must be >= 0")
         if not 0.0 <= self.jitter < 1.0:

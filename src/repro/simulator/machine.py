@@ -17,15 +17,14 @@ a coarse compute grain.
 
 Simulated thread anatomy (mirroring :class:`~repro.runtime.engine`):
 
-* **worker**: block on the run queue (no CPU while blocked) → optional
-  dequeue burst → *locked* claim + prepare burst → compute burst (CPU
+* **worker**: block on the run queue (no CPU while blocked) → *locked*
+  claim + prepare burst (no virtual time) → compute burst (CPU
   but no lock — this is where parallelism happens; a run's members
   execute back-to-back on one processor grant) → *locked* commit +
   bookkeeping burst (deliver messages, ``complete_executions``, enqueue
   newly ready pairs).  Under the ``"global"`` frontier a run is always
   the single dequeued pair — the published loop.
-* **environment**: per phase, a *locked* phase-start burst, then an
-  optional unscheduled sleep (``env_interval``).
+* **environment**: per phase, a *locked* phase-start burst.
 
 A burst = acquire the lock if required, acquire a processor, advance
 virtual time, release.  Blocked threads (queue, lock) hold no processor,
@@ -82,10 +81,10 @@ class SimulatedEngine:
         1-2 as published — one ``x_p`` per phase, every message
         delivered, one pair per dispatch — so the DES figures and the
         barrier-comparison baselines stay pinned.  ``"cone"`` is what
-        the real engines do: per-dependency frontiers, change
-        suppression (Δ-elision) and adaptive run coalescing
-        (:meth:`~repro.core.state.SchedulerState.claim_run`), all
-        derived from the mode.
+        the real engines do: per-dependency frontiers and adaptive run
+        coalescing (:meth:`~repro.core.state.SchedulerState.claim_run`),
+        both derived from the mode; every message is delivered in
+        either mode.
     """
 
     def __init__(
@@ -160,12 +159,6 @@ class SimulatedEngine:
             lock.release()
             return out
 
-        def cpu_burst(duration: float) -> Generator[Event, Any, None]:
-            yield procs.request()
-            if duration > 0:
-                yield sim.timeout(duration)
-            procs.release()
-
         def maybe_close() -> None:
             if env_done[0] and core.quiescent:
                 queue.put(_CLOSE)
@@ -181,15 +174,13 @@ class SimulatedEngine:
                     queue.put(_CLOSE)  # circulate to sibling workers
                     return
                 v, p = item
-                if cm.dequeue_cost:
-                    yield from cpu_burst(cm.dequeue_cost)
 
                 # Claim and prepare the whole run in one locked prepare
                 # burst, execute its members back-to-back on one
                 # processor grant (the parallel region), then commit
                 # them all in one bookkeeping burst.
                 phases, ctxs = yield from locked_burst(
-                    cm.prepare_cost, lambda: core.claim(v, p)
+                    0.0, lambda: core.claim(v, p)
                 )
 
                 yield procs.request()
@@ -236,8 +227,6 @@ class SimulatedEngine:
                 yield from locked_burst(
                     cm.phase_start_cost, lambda pi=pi: enqueue(core.admit(pi))
                 )
-                if cm.env_interval:
-                    yield sim.timeout(cm.env_interval)
 
             def finish() -> None:
                 env_done[0] = True

@@ -90,9 +90,9 @@ class WorkloadSpec:
     stream_seed: int
     threads: int
     skew: bool = False
-    #: Suppression-friendly family: coarse-palette sources, value-pure
-    #: interiors and change-only sinks, so Δ-elision is *reachable*.
-    elidable: bool = False
+    #: Repeated-values family: sources draw from a 3-value palette, so
+    #: consecutive messages on an edge often carry equal values.
+    repeated: bool = False
     #: Flow-control bound on started-but-incomplete phases (``None``:
     #: unthrottled).  A bound makes phase admission interleave with
     #: commits instead of one up-front burst.
@@ -112,34 +112,14 @@ class WorkloadSpec:
                 behaviors[name] = FunctionVertex(
                     _sparse_source(
                         name, self.stream_seed, self.delta_prob,
-                        coarse=self.elidable,
+                        coarse=self.repeated,
                     )
                 )
             else:
-                behaviors[name] = self._inner_behavior(graph, name)
+                behaviors[name] = FunctionVertex(_latched_sum)
         behaviors = self._apply_skew(graph, behaviors)
         program = Program(graph, behaviors, name=f"fuzz-{self.graph_seed}")
         return program, phase_signals(self.phases)
-
-    def _inner_behavior(self, graph, name: str) -> Vertex:
-        """Inner-vertex behaviour for one non-source vertex.
-
-        Plain workloads use the opted-out ``_latched_sum`` wrapper (an
-        arbitrary function is not suppressible, so the engines' change
-        suppression elides nothing).  The ``elidable`` family makes
-        elision *reachable*: interior vertices opt in as value-pure
-        re-emitters, and sinks become change-only recorders
-        (:class:`~repro.models.basic.ChangeRecorder`) so the elision
-        closure terminates — exactly the contract the engine must then
-        honour against the unsuppressed oracle.
-        """
-        if not self.elidable:
-            return FunctionVertex(_latched_sum)
-        if not graph.successors(name):
-            from ..models.basic import ChangeRecorder
-
-            return ChangeRecorder()
-        return FunctionVertex(_latched_sum, suppressible=True)
 
     def _apply_skew(self, graph, behaviors):
         """With ``skew``, wrap every behaviour so one seeded vertex per
@@ -178,10 +158,10 @@ class WorkloadSpec:
             if name in sources:
                 behaviors[name] = SparseSource(
                     name, self.stream_seed, self.delta_prob,
-                    coarse=self.elidable,
+                    coarse=self.repeated,
                 )
             else:
-                behaviors[name] = self._inner_behavior(graph, name)
+                behaviors[name] = FunctionVertex(_latched_sum)
         behaviors = self._apply_skew(graph, behaviors)
         program = Program(graph, behaviors, name=f"fuzz-{self.graph_seed}")
         return program, phase_signals(self.phases)
@@ -193,7 +173,7 @@ class WorkloadSpec:
             f"delta~{self.delta_prob:.2f} stream_seed={self.stream_seed} "
             f"threads={self.threads}"
             + (" skew" if self.skew else "")
-            + (" elidable" if self.elidable else "")
+            + (" repeated" if self.repeated else "")
             + (
                 f" in-flight<={self.max_in_flight}"
                 if self.max_in_flight is not None
@@ -211,8 +191,7 @@ def _sparse_source(name: str, seed: int, delta_prob: float,
     processes), so serial and parallel runs see identical streams and
     shrinking can replay any phase in isolation.  *coarse* draws values
     from a 3-element palette instead of [0, 1e6): consecutive emissions
-    then repeat often, which is what makes the suppression campaign's
-    latch test actually fire.
+    then repeat often, and the engines must still deliver every one.
     """
 
     def fn(ctx):
@@ -296,14 +275,6 @@ class SkewedVertex(Vertex):
                 acc += i
         return self.inner.on_execute(ctx)
 
-    @property
-    def suppressible(self) -> bool:  # type: ignore[override]
-        return self.inner.suppressible
-
-    @property
-    def silent_on_unchanged(self) -> bool:  # type: ignore[override]
-        return self.inner.silent_on_unchanged
-
     def reset(self) -> None:
         self.inner.reset()
 
@@ -331,7 +302,7 @@ def spec_for_run(master_seed: int, index: int, max_vertices: int = 8,
         stream_seed=rs.randrange(2**31),
         threads=threads if threads is not None else rs.randint(2, 4),
         skew=skew,
-        elidable=rs.random() < 0.5,
+        repeated=rs.random() < 0.5,
         max_in_flight=rs.choice([None, 1, 2]),
     )
 
@@ -367,11 +338,10 @@ def run_one(
 ) -> RunOutcome:
     """Run *spec* serially (oracle) and under *policy*; judge the result.
 
-    The engine always runs its one schedule (cone frontier, change
-    suppression, adaptive runs); the monitor's invariant checks follow
-    it.  For an ``elidable`` spec the judgement is the
-    elision-aware check — records must still equal the *unsuppressed*
-    oracle's exactly; otherwise nothing may be elided at all.
+    The engine always runs its one schedule (cone frontier, adaptive
+    runs); the monitor's invariant checks follow it.  The judgement is
+    exact: executed pairs, message count and records must equal the
+    oracle's.
     """
     program, phases = spec.build()
     serial = SerialExecutor(program).run(phases)
@@ -419,7 +389,7 @@ def run_one(
     if not monitor.ok:
         outcome.reason = monitor.report()
         return outcome
-    report = check_serializable(serial, result, allow_elision=spec.elidable)
+    report = check_serializable(serial, result)
     if not report:
         outcome.reason = f"serializability violated: {report}"
         return outcome
@@ -568,8 +538,8 @@ def fuzz(
     """Explore *runs* random (workload, interleaving) pairs.
 
     Policies rotate per run; each run's policy seed and workload —
-    including its thread count, its flow-control bound and whether it is
-    suppression-friendly — derive from ``(seed, run index)``, so the
+    including its thread count, its flow-control bound and whether its
+    sources repeat values — derive from ``(seed, run index)``, so the
     campaign is reproducible and any single run can be replayed in
     isolation.
     """
@@ -676,7 +646,7 @@ def run_one_process(
     outcome.serial = serial
     outcome.parallel = result
     outcome.steps = result.execution_count
-    report = check_serializable(serial, result, allow_elision=spec.elidable)
+    report = check_serializable(serial, result)
     if not report:
         outcome.reason = f"serializability violated: {report}"
         return outcome

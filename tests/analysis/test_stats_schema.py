@@ -110,12 +110,6 @@ class TestValidatorUnit:
                 "max_phase_skew": 0,
                 "frontier_advances": 0,
             },
-            "suppression": {
-                "enabled": False,
-                "suppressed_messages": 0,
-                "elided_executions": 0,
-                "ineligible_vertices": 0,
-            },
             "coalescing": {
                 "runs_scheduled": 0,
                 "pairs_coalesced": 0,
@@ -132,7 +126,7 @@ class TestValidatorUnit:
         missing = {"frontier": dict(good["frontier"])}
         errors = validate_engine_stats("parallel[k=2]", missing)
         for section in (
-            "suppression", "coalescing", "per_worker_executions",
+            "coalescing", "per_worker_executions",
             "edge_entries_peak", "edge_entries_final",
         ):
             assert any(section in e for e in errors), section

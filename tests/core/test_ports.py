@@ -3,10 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.ports import NO_VALUE, EdgeChannel, EdgeStore, stable_equal
+from repro.core.ports import EdgeChannel, EdgeStore
 from repro.errors import SchedulerError
 from repro.graph.generators import fig3_graph
 from repro.graph.numbering import number_graph
+
+
+#: What :func:`read_at` returns for an input that never carried a message.
+NO_VALUE = object()
 
 
 def read_at(ch, phase):
@@ -190,31 +194,6 @@ class TestChangedAtPhaseBoundaries:
         assert read_at(ch, 2) == ("b", True)
         assert read_at(ch, 3) == ("b", False)
 
-    def test_suppression_latch_survives_gc(self):
-        # last_sent is the Δ-elision latch; GC keeps the newest entry, so
-        # the latch is stable across consume_upto.
-        ch = EdgeChannel()
-        assert ch.last_sent is NO_VALUE
-        ch.send(1, "a")
-        ch.send(2, "b")
-        ch.consume_upto(2)
-        assert ch.last_sent == "b"
-        ch.consume_upto(9)
-        assert ch.last_sent == "b"
-
-    def test_would_suppress_requires_a_latch(self):
-        # The latch test commit runs inline: stable_equal against
-        # last_sent.  A first message finds NO_VALUE, which equals nothing.
-        ch = EdgeStore(number_graph(fig3_graph())).channel(1, 3)
-        assert not stable_equal(ch.last_sent, "a")
-        assert not stable_equal(ch.last_sent, NO_VALUE)
-        ch.send(1, "a")
-        assert stable_equal(ch.last_sent, "a")
-        assert not stable_equal(ch.last_sent, "b")
-        # GC must not disturb the latch.
-        ch.consume_upto(1)
-        assert stable_equal(ch.last_sent, "a")
-
 
 class TestEdgeStore:
     def make(self) -> EdgeStore:
@@ -267,7 +246,7 @@ class TestEdgeStore:
         for p in range(1, 5):
             es.channel(1, 3).send(p, p)
         before = es.total_pending_entries()
-        es.settle_run(3, 4, sent=0, suppressed=0)
+        es.settle_run(3, 4, sent=0)
         assert es.total_pending_entries() < before
         # Latched value still readable afterwards.
         assert read_at(es.channel(1, 3), 9) == (4, False)
@@ -278,26 +257,25 @@ class TestEdgeStoreMemoryCounters:
         es = EdgeStore(number_graph(fig3_graph()))
         assert es.live_entries == 0 and es.peak_entries == 0
         es.channel(1, 3).send(1, "a")
-        es.settle_run(1, 1, sent=1, suppressed=0)
+        es.settle_run(1, 1, sent=1)
         es.channel(2, 3).send(1, "b")
         es.channel(2, 4).send(1, "c")
-        es.settle_run(2, 1, sent=2, suppressed=0)
+        es.settle_run(2, 1, sent=2)
         assert es.live_entries == 3
         assert es.peak_entries == 3
-        es.settle_run(3, 1, sent=0, suppressed=0)  # latches retained
+        es.settle_run(3, 1, sent=0)  # latches retained
         assert es.live_entries == 3
         es.channel(1, 3).send(2, "a2")
-        es.settle_run(1, 2, sent=1, suppressed=0)
+        es.settle_run(1, 2, sent=1)
         es.channel(2, 3).send(2, "b2")
         es.channel(2, 4).send(2, "c2")
-        es.settle_run(2, 2, sent=2, suppressed=0)
+        es.settle_run(2, 2, sent=2)
         assert es.peak_entries == 6
         # Drops the superseded phase-1 entries on 1->3 and 2->3; the peak
         # is sampled after a run's sends and before its GC.
-        es.settle_run(3, 2, sent=0, suppressed=1)
+        es.settle_run(3, 2, sent=0)
         assert es.live_entries == 4
         assert es.peak_entries == 6
-        assert es.suppressed_messages == 1
         assert es.live_entries == es.total_pending_entries()
 
     def test_consume_upto_returns_dropped_count(self):

@@ -174,10 +174,7 @@ class TestPairRuntime:
 
 class ChangeOnly(Vertex):
     """Emits the sum of its latched inputs when it differs from the last
-    sum emitted — honours ``silent_on_unchanged``, so messages into it
-    are elidable."""
-
-    silent_on_unchanged = True
+    sum emitted."""
 
     def __init__(self, preds):
         self.preds = preds
@@ -199,9 +196,8 @@ def _observe(ctx):
 
 
 def diamond_runtime(payloads):
-    """s1, s2 -> m -> t and s2 -> t, suppression on: value-equal source
-    messages into ``m`` are dropped (its pair is then never scheduled),
-    ``t`` observes every arrival."""
+    """s1, s2 -> m -> t and s2 -> t: ``m`` emits only on change, so
+    ``t``'s phases have gaps; ``t`` observes every arrival."""
     g = ComputationGraph()
     g.add_vertices(["s1", "s2", "m", "t"])
     for edge in [("s1", "m"), ("s2", "m"), ("m", "t"), ("s2", "t")]:
@@ -216,7 +212,7 @@ def diamond_runtime(payloads):
         PhaseInput(p, float(p), {k: v for k, v in row.items() if v is not None})
         for p, row in enumerate(payloads, start=1)
     ]
-    return PairRuntime(program, phases, suppress=True)
+    return PairRuntime(program, phases)
 
 
 def drive(rt, splits):
@@ -253,7 +249,6 @@ def end_state(rt):
         "messages": rt.message_count,
         "executions": rt.execution_count,
         "records": rt.records,
-        "suppression": rt.suppression_stats(),
     }
 
 
@@ -265,9 +260,9 @@ histories = st.lists(
 
 class TestRunEqualsPairwise:
     """A run of *k* is *k* runs of one: same contexts, outputs, records,
-    targets, channel contents and counters — silent predecessors, elided
-    members (so run phases are not consecutive), sources with and without
-    a phase payload."""
+    targets, channel contents and counters — silent predecessors (so run
+    phases are not consecutive), sources with and without a phase
+    payload."""
 
     @given(histories, st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
@@ -297,15 +292,25 @@ class TestRunEqualsPairwise:
             assert rt.edges.peak_entries >= runtimes[0].edges.peak_entries
             assert rt.edges.peak_entries >= rt.edges.total_pending_entries()
 
-    def test_the_histories_reach_suppression_and_gaps(self):
-        rows = [{"s1": 1, "s2": 2}, {"s1": 1, "s2": None}, {"s1": 2, "s2": 2}]
+    def test_the_histories_reach_gaps(self):
+        rows = [
+            {"s1": 1, "s2": 2},
+            {"s1": 1, "s2": None},
+            {"s1": None, "s2": None},
+            {"s1": 2, "s2": 2},
+        ]
         rt = diamond_runtime(rows)
         members = drive(rt, lambda phases: [phases] if phases else [])
-        m = rt.program.numbering.index_of["m"]
-        assert [obs[0] for obs, _, (v, _, _) in members if v == m] == [1, 3]
-        stats = rt.suppression_stats()
-        assert stats["suppressed_messages"] == 2  # s1's phase 2, s2's phase 3
-        assert stats["elided_executions"] == 1  # (m, 2)
+        index = rt.program.numbering.index_of
+
+        def ran(name):
+            return [obs[0] for obs, _, (v, _, _) in members if v == index[name]]
+
+        # s1's value-equal phase-2 message is delivered, so (m, 2) runs;
+        # phase 3 brings m nothing.  m's sum is unchanged at phase 2, so
+        # t hears only s2 at phases 1 and 4 and m at 1 and 4.
+        assert ran("m") == [1, 2, 4]
+        assert ran("t") == [1, 4]
 
 
 class TestRunGuards:
@@ -327,29 +332,13 @@ class TestRunGuards:
         with pytest.raises(SchedulerError, match="after the consumer"):
             rt.execute(1, 2)
 
-    def test_first_message_of_a_run_is_never_suppressed(self):
+    def test_every_member_delivers_its_value_equal_output(self):
         rt = diamond_runtime(self.ROWS)
         ctxs = rt.prepare(1, [1, 2, 3])
         rt.compute(1, ctxs)
         completed = rt.commit(1, [1, 2, 3], ctxs)
-        # Member 1's send is the latch members 2 and 3 are tested against.
-        assert [targets for _, _, targets in completed] == [[3], [], []]
-        assert rt.edges.suppressed_messages == 2
-        assert rt.message_count == 1
-
-    def test_unprovable_equality_is_never_suppressed(self):
-        rows = [{"s1": [1], "s2": None}] * 2  # a list is outside stable_equal
-        rt = diamond_runtime(rows)
-        assert [rt.execute(1, p) for p in (1, 2)] == [[3], [3]]
-        assert rt.edges.suppressed_messages == 0
-
-    def test_elide_candidate_is_dropped_when_the_pair_executes_anyway(self):
-        rt = diamond_runtime(self.ROWS)
-        drive(rt, lambda phases: [phases] if phases else [])
-        # s1's value-equal phase 2 and 3 messages into m were suppressed;
-        # (m, 2) ran anyway (s2 changed), only (m, 3) was elided.
-        assert rt.edges.suppressed_messages == 3
-        assert rt.suppression_stats()["elided_executions"] == 1
+        assert [targets for _, _, targets in completed] == [[3], [3], [3]]
+        assert rt.message_count == 3
 
     def failing_program(self, fail):
         g = chain_graph(2)

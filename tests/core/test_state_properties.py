@@ -141,7 +141,7 @@ def drive_cone(n, edge_prob, graph_seed, driver_seed, phases, emit_prob):
     checker attached: phases start at random moments; a random runnable
     pair (so phases complete out of order) is claimed as a run and
     committed whole or — the salvage path — a prefix member-at-a-time
-    with the still-claimed tail requeued; silent members (Δ-elision)
+    with the still-claimed tail requeued; silent members (no message)
     come with ``emit_prob``; the complete prefix is retired and the
     completion log trimmed at random.  Returns (state, executed, runs)."""
     g = random_dag(n, edge_prob=edge_prob, seed=graph_seed)

@@ -24,7 +24,7 @@ class TestCostModel:
         with pytest.raises(SimulationError):
             CostModel(bookkeeping_cost=-0.1)
         with pytest.raises(SimulationError):
-            CostModel(env_interval=-1)
+            CostModel(phase_start_cost=-1)
 
     def test_jitter_bounds(self):
         cm = CostModel(compute_cost=10.0, jitter=0.2, seed=3)

@@ -1,7 +1,7 @@
 """The scheduling surface is closed (ROADMAP aim 2).
 
-The real engines run exactly one schedule — cone frontier, Δ-elision,
-adaptive runs — and ``SimulatedEngine.frontier`` is the only scheduling
+The real engines run exactly one schedule — cone frontier, adaptive
+runs, every emitted message delivered — and ``SimulatedEngine.frontier`` is the only scheduling
 selector left in the system.  These tests pin the constructor parameter
 names, the :class:`ServeConfig` fields and the CLI flags, so a re-grown
 knob fails tier-1 here instead of quietly doubling the configurations the
@@ -146,7 +146,7 @@ def test_the_process_wire_has_one_form():
     ), AIM_2
     # Only a promoted vertex's run rides the wire, and a frame carries
     # only what its reader reads: no credit window, no value interning,
-    # no second latch test in the worker.  A worker starts empty: the
+    # no value judgement in the worker.  A worker starts empty: the
     # behaviour rides its vertex's first frame, and its full state comes
     # home once, in the shutdown reply.
     from repro.runtime.mp import worker
@@ -183,6 +183,43 @@ def test_the_process_wire_has_one_form():
 
     assert not hasattr(Vertex, "snapshot_delta"), AIM_2
     assert not hasattr(Vertex, "apply_delta"), AIM_2
+
+
+DELIVER_ALL = (
+    "a change-suppression knob re-appeared — the engines deliver every "
+    "message a vertex emits and are judged exactly against the oracle; a "
+    "model that should stay quiet on an unchanged value emits nothing"
+)
+
+
+def test_no_change_suppression_knob():
+    from repro.analysis.serializability import (
+        assert_serializable,
+        check_serializable,
+    )
+    from repro.core.program import PairRuntime
+    from repro.core.serial import SerialExecutor
+    from repro.core.vertex import FunctionVertex, StatefulFunctionVertex, Vertex
+    from repro.simulator.costs import CostModel
+
+    for flag in ("suppressible", "silent_on_unchanged"):
+        assert not hasattr(Vertex, flag), DELIVER_ALL
+    assert params(FunctionVertex) == ["fn"], DELIVER_ALL
+    assert params(StatefulFunctionVertex) == ["fn", "initial_state"], DELIVER_ALL
+    assert params(SerialExecutor) == ["program"], DELIVER_ALL
+    assert params(PairRuntime) == [
+        "program", "phase_inputs", "stream_records",
+    ], DELIVER_ALL
+    assert list(inspect.signature(check_serializable).parameters) == [
+        "reference", "candidate", "max_differences",
+    ], DELIVER_ALL
+    assert list(inspect.signature(assert_serializable).parameters) == [
+        "reference", "candidate",
+    ], DELIVER_ALL
+    assert [f.name for f in dataclasses.fields(CostModel) if f.init] == [
+        "compute_cost", "bookkeeping_cost", "phase_start_cost", "jitter",
+        "seed",
+    ], AIM_2
 
 
 CORE = (

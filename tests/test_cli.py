@@ -119,15 +119,10 @@ class TestRun:
 
     def test_deterministic_across_engines(self, spec_file, capsys):
         def body(out: str) -> str:
-            # Drop the engine-name header and the suppression/coalescing
-            # summaries the parallel engine prints (cone mode enables
-            # both by default; the serial oracle has neither).
+            # Drop the engine-name header and the coalescing summary the
+            # parallel engine prints (the serial oracle has none).
             lines = out.split("\n")[1:]
-            return "\n".join(
-                l
-                for l in lines
-                if not l.startswith(("suppression:", "coalescing:"))
-            )
+            return "\n".join(l for l in lines if not l.startswith("coalescing:"))
 
         main(["run", spec_file, "--engine", "serial"])
         serial_out = capsys.readouterr().out
@@ -604,3 +599,47 @@ class TestGracefulSignals:
         stats = _json.loads(stats_path.read_text())
         assert "serve" in stats
         assert _processes_with_marker(marker) == []
+
+
+class TestRefusals:
+    """A bad value or path the user gave is one ``error:`` line and exit
+    1 — never a traceback, and for ``serve`` never a started session."""
+
+    def _refused(self, *argv):
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ, PYTHONPATH=str(Path("src").resolve()))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error:"), proc.stderr
+        assert "Traceback" not in proc.stderr
+        return proc.stderr
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--wait", "nan"), ("--wait", "inf"),
+         ("--quantum", "nan"), ("--quantum", "inf")],
+    )
+    def test_serve_non_finite_reorder_parameter(self, option, value):
+        err = self._refused("serve", str(SERVE_SPEC), option, value)
+        assert "finite" in err
+
+    def test_serve_missing_input(self, tmp_path):
+        missing = tmp_path / "nonexistent.ndjson"
+        self._refused("serve", str(SERVE_SPEC), "--input", str(missing))
+
+    def test_serve_input_is_a_directory(self, tmp_path):
+        self._refused("serve", str(SERVE_SPEC), "--input", str(tmp_path))
+
+    def test_run_unwritable_stats_json(self, tmp_path, spec_file):
+        unwritable = tmp_path / "nonexistent" / "s.json"
+        self._refused("run", spec_file, "--stats-json", str(unwritable))
+
+    def test_report_unwritable_output(self, tmp_path):
+        unwritable = tmp_path / "nonexistent" / "r.txt"
+        self._refused("report", "--quick", "-o", str(unwritable))

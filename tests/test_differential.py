@@ -23,14 +23,14 @@ One module instead of a matrix per feature (ROADMAP aim 3).  The axes:
 * **workload family** — sparse random DAGs, the same DAGs with a seeded
   straggler per phase (on the cells with a real clock only: a spin has
   no yield point, so everywhere else it re-checks the sparse specs), the
-  suppression-friendly mix on which Δ-elision is reachable, deep linear
-  pipelines on which runs form, and keyed traffic: independent
+  repeated-values mix whose sources draw from three values (so an edge
+  often carries the value it carried last), deep linear pipelines on
+  which runs form, and keyed traffic: independent
   per-account chains fed in arrival order through one reorder buffer.
 
-Every cell is **record-exact** against :class:`SerialExecutor`; the
-executed-pair and message comparison is strict wherever nothing can be
-elided and elision-aware (subset / at-most) where it can.  Real-engine
-cells also compare final behaviour state.
+Every cell is **exact** against :class:`SerialExecutor`: the same
+executed pairs, message count, records and phases.  Real-engine cells
+also compare final behaviour state.
 
 One more cell holds the two *schedulers* side by side, with no engine in
 between: the published :class:`ReferenceScheduler` and the engines'
@@ -44,10 +44,10 @@ as whole runs, as runs of one, and as a cut run plus its re-claimed tail
 (``PairRuntime`` prepares, computes and commits a run as one unit; a pair
 is a run of one) must leave the same records, counters and channels.
 
-The last class keeps the suite honest: the corpus really elides, the
-pipelines really form runs longer than one, the process backend really
-ships run frames, and the simulator's global mode really is the
-published schedule.
+The last class keeps the suite honest: the repeated-values corpus really
+repeats values on its edges, the pipelines really form runs longer than
+one, the process backend really ships run frames, and the simulator's
+global mode really is the published schedule.
 """
 
 import random
@@ -108,13 +108,12 @@ CORPUS = {
 @dataclass(frozen=True)
 class PipelineSpec:
     """A deep linear pipeline with the :class:`WorkloadSpec` surface the
-    fuzz runners read (``build``, ``threads``, ``elidable``, ...)."""
+    fuzz runners read (``build``, ``threads``, ``max_in_flight``, ...)."""
 
     depth: int
     phases: int
     seed: int
     threads: int = 3
-    elidable: bool = False
     max_in_flight = None
 
     def build(self):
@@ -140,7 +139,6 @@ class KeyedSpec:
     seed: int
     delay_jitter: float
     threads: int = 3
-    elidable: bool = False
     max_in_flight = None
 
     def workload(self):
@@ -177,13 +175,13 @@ def process(engine):
 
 FAMILIES = {
     "sparse": lambda e, i: replace(
-        spec_for_run(SEED, i, **small(e)), elidable=False
+        spec_for_run(SEED, i, **small(e)), repeated=False
     ),
     "skewed": lambda e, i: replace(
-        spec_for_run(SEED, i, skew=True, **small(e)), elidable=False
+        spec_for_run(SEED, i, skew=True, **small(e)), repeated=False
     ),
-    "elidable": lambda e, i: replace(
-        spec_for_run(SEED, i, **small(e)), elidable=True
+    "repeated": lambda e, i: replace(
+        spec_for_run(SEED, i, **small(e)), repeated=True
     ),
     "pipeline": lambda e, i: PipelineSpec(
         depth=4 + i % 4, phases=(10 if process(e) else 30) + 5 * (i % 3),
@@ -297,8 +295,7 @@ def run_cell(engine, spec, index):
             program, num_workers=2, num_processors=2,
             frontier=engine.split("-")[1],
         ).run(phases)
-    elides = spec.elidable and engine != "simulated-global"
-    report = check_serializable(serial, result, allow_elision=elides)
+    report = check_serializable(serial, result)
     assert report, f"{where}: {report}"
     final_state = state()
     diverged = {
@@ -312,7 +309,7 @@ def run_cell(engine, spec, index):
 
 @pytest.mark.parametrize("engine, family", CELLS)
 def test_record_exact_against_serial_oracle(engine, family):
-    inline_runs = pooled_runs = suppressing = 0
+    inline_runs = pooled_runs = 0
     for i in range(CORPUS[engine]):
         spec = FAMILIES[family](engine, i)
         serial, result = run_cell(engine, spec, i)
@@ -320,16 +317,6 @@ def test_record_exact_against_serial_oracle(engine, family):
             f"{engine} {family} spec {i} [{spec.describe()}]"
         )
         assert result.phases_run == serial.phases_run
-        if engine == "process-remote" and spec.elidable:
-            # A worker only computes; the commit's latch test elides
-            # exactly what the serial loop with suppression on does.
-            program, phases = spec.build_picklable()
-            eliding = SerialExecutor(program, suppress=True).run(phases)
-            for key in ("suppressed_messages", "elided_executions"):
-                assert result.stats["suppression"][key] == (
-                    eliding.stats["suppression"][key]
-                ), f"{engine} {family} spec {i} [{spec.describe()}]: {key}"
-            suppressing += eliding.stats["suppression"]["suppressed_messages"] > 0
         drain = result.stats.get("drain", {})
         inline_runs += drain.get("inline_runs", 0)
         pooled_runs += drain.get("pooled_runs", 0)
@@ -343,15 +330,14 @@ def test_record_exact_against_serial_oracle(engine, family):
         assert inline_runs > pooled_runs
     if engine == "process-remote":
         assert pooled_runs > 0
-        assert suppressing or family != "elidable", "no shipped run elided"
 
 
 @pytest.mark.parametrize("family", UNTIMED)
 def test_a_run_is_its_members_one_at_a_time(family):
     """Run-vs-pairwise: the same claims, committed as whole runs, as runs
     of one, and as a drawn prefix plus the re-claimed tail, leave the
-    same records, executions, messages, suppression and coalescing
-    counts and the same entries on every channel.  Only
+    same records, executions, messages and coalescing counts and the
+    same entries on every channel.  Only
     ``edge_entries_peak`` may differ: it is sampled once per commit."""
     coalesced = 0
     for i in range(CORPUS["inline"]):
@@ -370,7 +356,6 @@ def test_a_run_is_its_members_one_at_a_time(family):
                 "records": result.records,
                 "executions": result.executions,
                 "messages": result.message_count,
-                "suppression": stats["suppression"],
                 "edge_entries_final": stats["edge_entries_final"],
                 "channels": {
                     edge: repr(channel)
@@ -502,22 +487,41 @@ def test_scheduling_sections_are_identical_across_engines(engine):
     assert sum(per_worker.values()) == result.execution_count
 
 
+def repeated_messages(spec):
+    """How many messages of *spec*'s serial run carry the value the
+    previous message on the same edge carried."""
+    program, phases = spec.build()
+    program.reset()
+    runtime = PairRuntime(program, phases)
+    sources = program.numbering.source_indices()
+    previous, repeats = {}, 0
+    for p in range(1, len(phases) + 1):
+        due = set(sources)
+        for v in range(1, program.n + 1):
+            if v not in due:
+                continue
+            ctxs = runtime.prepare(v, [p])
+            runtime.compute(v, ctxs)
+            for w, value in ctxs[0].outputs.items():
+                repeats += (v, w) in previous and previous[(v, w)] == value
+                previous[(v, w)] = value
+            due.update(runtime.commit(v, [p], ctxs)[0][2])
+    return repeats
+
+
 class TestTheSuiteIsNotVacuous:
-    def test_elidable_corpus_elides_and_coalesces(self):
-        suppressing = eliding = both = 0
+    def test_repeated_corpus_repeats_and_coalesces(self):
+        repeating = both = 0
         for i in range(60):
-            spec = FAMILIES["elidable"]("virtual", i)
-            serial, result = run_cell("virtual", spec, i)
-            stats = result.stats
-            assert stats["suppression"]["enabled"]
-            suppressed = stats["suppression"]["suppressed_messages"] > 0
-            suppressing += suppressed
-            eliding += result.execution_count < serial.execution_count
-            both += suppressed and stats["coalescing"]["pairs_coalesced"] > 0
-        assert suppressing >= 10, f"only {suppressing}/60 runs suppressed"
-        assert eliding >= 5, f"only {eliding}/60 runs elided an execution"
+            spec = FAMILIES["repeated"]("virtual", i)
+            _, result = run_cell("virtual", spec, i)
+            repeats = repeated_messages(spec) > 0
+            repeating += repeats
+            coalesced = result.stats["coalescing"]["pairs_coalesced"] > 0
+            both += repeats and coalesced
+        assert repeating >= 10, f"only {repeating}/60 runs repeated a value"
         assert both >= 5, (
-            f"only {both}/60 runs suppressed inside a coalesced schedule"
+            f"only {both}/60 runs repeated a value inside a coalesced schedule"
         )
 
     @pytest.mark.parametrize("engine", ["threaded", "simulated-cone"])
@@ -568,7 +572,6 @@ class TestTheSuiteIsNotVacuous:
         spec = PipelineSpec(depth=4, phases=12, seed=3)
         _, result = run_cell("simulated-global", spec, 0)
         assert result.stats["frontier"]["mode"] == "global"
-        assert not result.stats["suppression"]["enabled"]
         assert result.stats["coalescing"] == {
             "runs_scheduled": 0,
             "pairs_coalesced": 0,
@@ -576,4 +579,3 @@ class TestTheSuiteIsNotVacuous:
         }
         _, cone = run_cell("simulated-cone", spec, 0)
         assert cone.stats["frontier"]["mode"] == "cone"
-        assert cone.stats["suppression"]["enabled"]

@@ -125,36 +125,6 @@ class TestPayloadKinds:
 
 
 class TestSimulatedEngineCostPaths:
-    def test_dequeue_cost_counts(self):
-        prog, phases = pipeline_workload(depth=3, phases=10)
-        fast = SimulatedEngine(
-            prog, num_workers=1, num_processors=1,
-            cost_model=CostModel(compute_cost=1.0, dequeue_cost=0.0),
-        ).run(phases)
-        slow = SimulatedEngine(
-            prog, num_workers=1, num_processors=1,
-            cost_model=CostModel(compute_cost=1.0, dequeue_cost=0.5),
-        ).run(phases)
-        assert slow.wall_time > fast.wall_time
-        assert slow.records == fast.records
-
-    def test_env_interval_paces_phases(self):
-        prog, phases = pipeline_workload(depth=2, phases=10)
-        paced = SimulatedEngine(
-            prog, num_workers=2,
-            cost_model=CostModel(compute_cost=0.1, env_interval=5.0),
-        ).run(phases)
-        # 10 phases at >= 5 apart: makespan at least ~45.
-        assert paced.wall_time >= 45.0
-
-    def test_prepare_cost_under_lock(self):
-        prog, phases = pipeline_workload(depth=3, phases=10)
-        res = SimulatedEngine(
-            prog, num_workers=2,
-            cost_model=CostModel(compute_cost=0.1, prepare_cost=0.2),
-        ).run(phases)
-        assert res.stats["lock"]["busy_time"] > 0
-
     def test_zero_cost_model_still_correct(self):
         prog, phases = grid_workload(3, 3, phases=10, seed=2)
         serial = SerialExecutor(prog).run(phases)

@@ -1,5 +1,7 @@
 """Tests for the reorder buffer and noisy-clock ingestion (Section 6)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -95,6 +97,27 @@ class TestReorderBuffer:
             ReorderBuffer(wait=-1)
         with pytest.raises(WorkloadError):
             ReorderBuffer(wait=1, quantum=0)
+
+    @pytest.mark.parametrize(
+        "wait, quantum",
+        [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)],
+    )
+    def test_non_finite_wait_or_quantum_is_refused(self, wait, quantum):
+        # Regression: a NaN or infinite wait sealed nothing, so a bounded
+        # buffer took max_buffered rows and then answered backpressure
+        # for good; a NaN quantum failed the first row and an infinite
+        # one binned every row to NaN, each opening a bin of its own.
+        with pytest.raises(WorkloadError, match="finite"):
+            ReorderBuffer(wait=wait, quantum=quantum, max_buffered=8)
+
+    def test_serve_session_refuses_a_non_finite_wait(self):
+        from repro.serve import ServeConfig, ServeSession
+
+        from tests.conftest import make_chain_program
+
+        program = make_chain_program(2, {})
+        with pytest.raises(WorkloadError, match="finite"):
+            ServeSession(program, ServeConfig(wait=math.nan))
 
     @given(
         st.lists(

@@ -37,11 +37,11 @@ class TestWorkloadSpec:
     def test_flow_bound_and_family_derive_from_the_run_seed(self):
         # Admission must interleave with commits in part of every
         # campaign (a burst-admitted short stream gives an unlocked
-        # start nothing to race with), and part of it must be able to
-        # elide; both are workload dimensions like ``threads``.
+        # start nothing to race with), and part of it must repeat values
+        # on its edges; both are workload dimensions like ``threads``.
         specs = [spec_for_run(0, i) for i in range(40)]
         assert {s.max_in_flight for s in specs} == {None, 1, 2}
-        assert {s.elidable for s in specs} == {True, False}
+        assert {s.repeated for s in specs} == {True, False}
         assert specs == [spec_for_run(0, i) for i in range(40)]
 
     def test_sources_are_delta_sparse(self):
@@ -89,7 +89,7 @@ class TestCleanCampaign:
         assert fuzz(runs=30, seed=0).ok
         assert len(hashes) == 30
         digest = hashlib.sha1(" ".join(hashes).encode()).hexdigest()[:16]
-        assert digest == "e836ec35e298ef02"
+        assert digest == "b60866cbbd523fdb"
 
     def test_single_run_passes_each_policy(self):
         spec = spec_for_run(1, 0)
