@@ -38,8 +38,7 @@ from typing import Iterator, Optional, Sequence
 
 from . import __version__
 from .errors import ReproError
-from .testing.faults import FAULT_NAMES
-from .testing.schedule import POLICY_NAMES
+from .testing import FAULT_NAMES, POLICY_NAMES
 
 __all__ = ["main", "build_parser"]
 

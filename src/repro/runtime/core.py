@@ -12,8 +12,8 @@ It is passive and **not thread-safe**; who drives it, under which lock,
 is all the engines differ in.  The threaded engine's peer workers and
 environment thread wrap each call in the one global
 :class:`~repro.runtime.locks.InstrumentedLock`; the single-threaded
-process coordinator holds its (uncontended) lock for the same sections;
-the simulator runs them in a locked burst on its virtual ``global-lock``
+process coordinator, the only thread on its core, takes no lock; the
+simulator runs them in a locked burst on its virtual ``global-lock``
 resource.  Vertex compute and the run's ``PairRuntime.commit`` /
 ``commit_remote`` deliveries stay with the driver, between ``claim`` and
 ``commit`` — compute outside the lock, deliveries inside it.
@@ -100,7 +100,7 @@ class ScheduleCore:
         """Started-but-incomplete phases (the flow-control quantity)."""
         return self.state.pmax - self.state.complete_phase_count
 
-    # -- the four operations (call with the driver's lock held) -------------
+    # -- the four operations (call with the driver's lock held, if any) ------
 
     def admit(self, phase_input: PhaseInput) -> List[Tuple[int, int]]:
         """Listing 2's body: register and start the next phase; returns

@@ -21,7 +21,6 @@ data structures, the speedup will be close to linear"), which
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Any, Dict, Optional
 
@@ -39,14 +38,12 @@ class InstrumentedLock:
         with lock:
             ...critical section...
 
-    Statistics are themselves guarded by a tiny internal meta-lock so they
-    stay consistent under concurrency; the overhead is two lock operations
-    per acquisition, negligible next to the scheduler bookkeeping.
+    The statistics are updated only while the lock is held, so the lock
+    they describe also keeps them consistent: a section costs one
+    acquire, one release and two clock readings (three when contended).
 
     The underlying lock comes from the *backend* (default: real threads),
-    so the deterministic test scheduler can substitute a virtual lock; the
-    meta-lock stays a real ``threading.Lock`` because statistics updates
-    never block and must not become scheduling points.
+    so the deterministic test scheduler can substitute a virtual lock.
     """
 
     def __init__(
@@ -55,7 +52,6 @@ class InstrumentedLock:
         backend: Optional[ThreadingBackend] = None,
     ) -> None:
         self._lock = (backend or OS_BACKEND).lock()
-        self._meta = threading.Lock()
         self._clock = clock
         self.acquisitions = 0
         self.contended_acquisitions = 0
@@ -65,24 +61,19 @@ class InstrumentedLock:
 
     def acquire(self) -> None:
         if self._lock.acquire(blocking=False):
-            with self._meta:
-                self.acquisitions += 1
+            self.acquisitions += 1
             self._acquired_at = self._clock()
             return
         start = self._clock()
         self._lock.acquire()
-        waited = self._clock() - start
-        with self._meta:
-            self.acquisitions += 1
-            self.contended_acquisitions += 1
-            self.total_wait_time += waited
-        self._acquired_at = self._clock()
+        self._acquired_at = now = self._clock()
+        self.acquisitions += 1
+        self.contended_acquisitions += 1
+        self.total_wait_time += now - start
 
     def release(self) -> None:
-        held = self._clock() - self._acquired_at
+        self.total_hold_time += self._clock() - self._acquired_at
         self._lock.release()
-        with self._meta:
-            self.total_hold_time += held
 
     def __enter__(self) -> "InstrumentedLock":
         self.acquire()
@@ -95,19 +86,22 @@ class InstrumentedLock:
         return self._lock.locked()
 
     def stats(self) -> Dict[str, Any]:
-        """Snapshot of the contention statistics."""
-        with self._meta:
-            return {
-                "acquisitions": self.acquisitions,
-                "contended_acquisitions": self.contended_acquisitions,
-                "contention_ratio": (
-                    self.contended_acquisitions / self.acquisitions
-                    if self.acquisitions
-                    else 0.0
-                ),
-                "total_wait_time": self.total_wait_time,
-                "total_hold_time": self.total_hold_time,
-            }
+        """Snapshot of the contention statistics.
+
+        Taken without the lock: call it once the threads that take the
+        lock have finished, as the engines do after joining theirs.
+        """
+        return {
+            "acquisitions": self.acquisitions,
+            "contended_acquisitions": self.contended_acquisitions,
+            "contention_ratio": (
+                self.contended_acquisitions / self.acquisitions
+                if self.acquisitions
+                else 0.0
+            ),
+            "total_wait_time": self.total_wait_time,
+            "total_hold_time": self.total_hold_time,
+        }
 
     def __repr__(self) -> str:
         s = self.stats()

@@ -7,14 +7,19 @@ the edge store, the records — and runs both of the paper's loops inline:
 
 * Listing 2 (environment): start every phase its
   :class:`~repro.runtime.feed.PhaseFeed` holds that flow control allows,
-  the whole backlog under one critical section (a batch
-  :meth:`~ProcessEngine.run` is a feed that closed before the run began);
+  the whole backlog in one burst (a batch :meth:`~ProcessEngine.run` is
+  a feed that closed before the run began);
 * Listing 1 (computation), split at the prepare/compute/commit seam of
-  :class:`~repro.core.program.PairRuntime`: *prepare* a ready run under
-  the lock, compute it, and *commit* its outputs under the lock.
+  :class:`~repro.core.program.PairRuntime`: *prepare* a ready run,
+  compute it, and *commit* its outputs.
 
 The critical-section bodies themselves are the threaded engine's:
-:class:`~repro.runtime.core.ScheduleCore`.
+:class:`~repro.runtime.core.ScheduleCore`, called without a lock: the
+paper's lock gives each process exclusive access to the shared structures
+while it updates them (Section 3.2), and here one thread is the only one
+that ever touches them.  So a resident run costs what ``ScheduleCore``
+costs, plus one placement-clock reading on each side of its compute and
+one trip price.
 
 **Where a run computes is measured, not configured** (the paper
 promises speed-up only when vertex compute dwarfs the bookkeeping around
@@ -37,18 +42,12 @@ ready pairs go into one FIFO deque, and each dispatch claims every pair
 there into a run and ships it as one :class:`~.protocol.RunMsg` (a
 single pair is a run of one) to the vertex's sticky worker, answered by
 one :class:`~.protocol.ResultBatch` that is committed whole — one frame
-each way, one critical section and one fault behaviour whatever the
-run's length.  No window meters the wire: the scheduler holds at most
+each way, one commit and one fault behaviour whatever the run's
+length.  No window meters the wire: the scheduler holds at most
 one ready-or-claimed head per vertex, so a promoted vertex has at most
 one run in flight, and each worker's task queue is FIFO.  A worker only
 computes; its outputs are delivered where every output is, in the
-commit, under the lock.
-
-The coordinator is single-threaded, so its
-:class:`~repro.runtime.locks.InstrumentedLock` is never contended — it is
-kept so the stats schema stays comparable with the threaded engine and
-invariant checkers see the same discipline: one lock, the only commit
-point.
+coordinator's commit.
 
 Correctness relies on the same argument as the serial oracle: the
 scheduler never holds two phases of one vertex ready at once, a vertex
@@ -87,7 +86,6 @@ from ...errors import EngineError, VertexExecutionError
 from ...events import PhaseInput
 from ..core import ScheduleCore
 from ..feed import PhaseFeed
-from ..locks import InstrumentedLock
 from .lifecycle import ProcessWorkerPool
 from .protocol import (
     ResultBatch,
@@ -155,7 +153,7 @@ class ProcessEngine:
         paper's environment process, and executes the cheap vertices.
     checker:
         Optional :class:`InvariantChecker`, invoked at every state
-        mutation (inside the lock).
+        mutation (on the coordinator thread).
     tracer:
         Optional :class:`ExecutionTracer`; ``execute_begin``/``end`` are
         coordinator-side timestamps (dispatch and commit), so intervals
@@ -256,7 +254,6 @@ class ProcessEngine:
             sink=sink,
         )
         runtime = core.runtime
-        lock = InstrumentedLock()
         pool = ProcessWorkerPool(self.num_workers, self.start_method)
 
         # Ready pairs: of promoted vertices, to ship; of resident
@@ -292,39 +289,36 @@ class ProcessEngine:
             return stop_event is not None and stop_event.is_set()
 
         def trace(mark: str, v: int, phases: Iterable[int], worker: int) -> None:
-            if tracer is not None:
-                for q in phases:
-                    getattr(tracer, mark)((v, q), worker)
+            for q in phases:
+                getattr(tracer, mark)((v, q), worker)
 
         def place(pairs: Iterable[Pair]) -> None:
             # Each newly ready pair goes to exactly one of the two backlogs.
             for pair in pairs:
                 (ship if standing[pair[0]] is None else mine).append(pair)
 
-        def can_start_phase(taken: int) -> bool:
+        def can_start_phase() -> bool:
             if stopping():
                 return False
             window = self.max_in_flight_phases
-            return window is None or core.phases_in_flight + taken < window
+            return window is None or core.phases_in_flight < window
 
         def admit_burst() -> bool:
             # Listing 2, inlined: start the backlog the feed holds
             # (``held``: at most one phase the idle wait prefetched), as
-            # far as flow control allows, under one critical section: one
-            # horizon to coalesce over.
-            fed: List[PhaseInput] = []
-            while len(fed) < _START_BURST and can_start_phase(len(fed)):
+            # far as flow control allows, in one burst: one horizon to
+            # coalesce over.  The feed is taken only when its depth says
+            # it holds a phase.
+            fed = 0
+            while (held or feed.depth) and fed < _START_BURST and can_start_phase():
                 pi = held.pop() if held else feed.get(timeout=0)
                 if pi is None:
                     break
-                fed.append(pi)
-            if not fed:
-                return False
-            with lock:
-                for pi in fed:
-                    place(core.admit(pi))
-            drain["feed_burst_max"] = max(drain["feed_burst_max"], len(fed))
-            return True
+                place(core.admit(pi))
+                fed += 1
+            if fed > drain["feed_burst_max"]:
+                drain["feed_burst_max"] = fed
+            return fed > 0
 
         def marshalled(v: int, prepared: List[Tuple[int, VertexContext]]) -> float:
             # Encode and decode a run frame, unsent.
@@ -339,8 +333,8 @@ class ProcessEngine:
             # Listing 1's body with no wire in it — and what computing
             # cost, compared with what shipping would have.
             nonlocal send, priced, last_progress
-            with lock:
-                phases, ctxs = core.claim(v, p)
+            phases, ctxs = core.claim(v, p)
+            if tracer is not None:
                 trace("execute_begin", v, phases, me)
             drain["inline_runs"] += 1
             n = len(phases)
@@ -361,14 +355,13 @@ class ProcessEngine:
                     send, priced = _fit(head, whole, n), n
             # A vertex whose last run did not read cheap is staked: the
             # run stops once it has cost what shipping all of it would.
-            budget = trip(n)
+            staked = standing[v] >= 0
+            budget = trip(n) if staked else 0.0
             failure: Optional[VertexExecutionError] = None
             began = clock()
             try:
                 executed = runtime.compute(
-                    v,
-                    ctxs,
-                    (lambda: clock() - began >= budget) if standing[v] >= 0 else None,
+                    v, ctxs, (lambda: clock() - began >= budget) if staked else None
                 )
             except VertexExecutionError as exc:
                 failure, executed = exc, phases.index(exc.phase)
@@ -380,14 +373,15 @@ class ProcessEngine:
                     standing[v] = None
                     unshipped.add(v)
                     promoted.append(ctxs[0].name)
-            with lock:
-                completed = runtime.commit(v, phases[:executed], ctxs)
-                trace("execute_end", v, phases[:executed], me)
-                place(core.commit(me, completed)[0])
+            done = phases[:executed]
+            completed = runtime.commit(v, done, ctxs)
+            if tracer is not None:
+                trace("execute_end", v, done, me)
+            place(core.commit(me, completed)[0])
             last_progress = time.monotonic()
             if failure is not None:
                 raise failure
-            if executed < len(phases):
+            if executed < n:
                 # The tail keeps its claims; its head is dispatched again,
                 # to wherever the vertex now lives.
                 drain["handovers"] += 1
@@ -395,25 +389,25 @@ class ProcessEngine:
 
         def dispatch() -> bool:
             # Claim each ready pair of a promoted vertex into a run of
-            # prepared contexts under one lock acquisition and ship the
-            # run as one frame to the vertex's sticky worker — the first
-            # time, with the behaviour itself, as the resident runs left it.
+            # prepared contexts and ship the run as one frame to the
+            # vertex's sticky worker — the first time, with the behaviour
+            # itself, as the resident runs left it.
             nonlocal send, shipped_members
             if not ship:
                 return False
             while ship:
                 v, p = ship.popleft()
                 w = pool.worker_of(v)
-                with lock:
-                    prepared = list(zip(*core.claim(v, p)))
+                prepared = list(zip(*core.claim(v, p)))
+                if tracer is not None:
                     trace("execute_begin", v, (q for q, _ in prepared), w)
-                    in_flight.update(((v, q), ctx) for q, ctx in prepared)
-                    began = clock()
-                    behavior = None
-                    if v in unshipped:
-                        unshipped.discard(v)
-                        behavior = self.program.behavior(v)
-                    run = run_from_contexts(v, prepared, behavior)
+                in_flight.update(((v, q), ctx) for q, ctx in prepared)
+                began = clock()
+                behavior = None
+                if v in unshipped:
+                    unshipped.discard(v)
+                    behavior = self.program.behavior(v)
+                run = run_from_contexts(v, prepared, behavior)
                 try:
                     frame = encode(run)
                 except Exception as exc:  # noqa: BLE001 - any pickling failure
@@ -430,19 +424,16 @@ class ProcessEngine:
 
         def commit_run(w: int, v: int, results: Sequence[ResultMsg]) -> None:
             # One worker reply = one run's results (its surviving prefix
-            # when a member failed), committed in one critical section.
+            # when a member failed), committed whole.
             if not results:
                 return
             phases = [res.phase for res in results]
-            with lock:
-                completed = runtime.commit_remote(
-                    v,
-                    phases,
-                    [in_flight.pop((v, q)) for q in phases],
-                    [(res.outputs, res.records) for res in results],
-                )
+            ctxs = [in_flight.pop((v, q)) for q in phases]
+            replies = [(res.outputs, res.records) for res in results]
+            completed = runtime.commit_remote(v, phases, ctxs, replies)
+            if tracer is not None:
                 trace("execute_end", v, phases, w)
-                place(core.commit(w, completed)[0])
+            place(core.commit(w, completed)[0])
 
         def receive(msg: object) -> None:
             # One worker frame: a run's reply, or a crash report.  A reply
@@ -512,7 +503,12 @@ class ProcessEngine:
                             )
                         continue
                 if mine:
+                    # With nothing in flight, the resident backlog runs
+                    # through without re-entering admission and dispatch,
+                    # until a commit readies a pair to ship.
                     run_resident(*mine.popleft())
+                    while mine and not ship and not in_flight:
+                        run_resident(*mine.popleft())
                     continue
                 if progressed:
                     continue
@@ -553,7 +549,6 @@ class ProcessEngine:
             {
                 "num_workers": self.num_workers,
                 "start_method": pool.start_method,
-                "lock": lock.stats(),
                 "per_worker_utilization": {
                     wid: (final.busy_s / elapsed if elapsed > 0 else 0.0)
                     for wid, final in sorted(finals.items())

@@ -17,8 +17,8 @@ records in one :class:`~.protocol.ResultBatch`.  The members run through
 :func:`~repro.core.program.compute_members` — the loop the in-process
 engines use — so phase order, stop-after-failure and exact-phase fault
 attribution are the same behaviour in every address space.  Every output
-ships: committing it is the coordinator's, under its lock, as for a run
-it computed itself.  The
+ships: committing it is the coordinator's, as for a run it computed
+itself.  The
 shutdown reply carries each adopted behaviour's
 :meth:`~repro.core.vertex.Vertex.snapshot_state` home.
 

@@ -446,14 +446,14 @@ class ServeSession:
             # The in-process sink hook; an exception here is an emitter
             # failure (it propagates to _emit_main's handler).
             self._on_retired(phase, ts, entries)
-        self.announcer.announce(phase_frame(phase, ts, entries, verdict))
+        self.announcer.announce(lambda: phase_frame(phase, ts, entries, verdict))
         self.results_streamed += 1
         if self.phases_retired % _RSS_SAMPLE_EVERY == 0:
             rss = current_rss_bytes()
             if rss > self.rss_high_water:
                 self.rss_high_water = rss
         if cfg.stats_every and self.phases_retired % cfg.stats_every == 0:
-            self.announcer.announce(format_sse(self.stats(), event="stats"))
+            self.announcer.announce(lambda: format_sse(self.stats(), event="stats"))
 
     # -- ingest path -------------------------------------------------------
 

@@ -9,11 +9,11 @@ one bounded queue per listener and *drops* for listeners that stop
 reading, so one stuck consumer can never backpressure the engine — the
 engine's own backpressure belongs at ingest, not egress.
 
-A message is serialised exactly once on its way out: :func:`format_sse`
-does the only ``json.dumps``, :meth:`MessageAnnouncer.announce` does the
-only UTF-8 encode, and every listener queue receives that same ``bytes``
-object — the HTTP handler just joins whatever its queue holds into one
-write.
+A message is serialised at most once on its way out (and not at all
+with no listener): :func:`format_sse` does the only ``json.dumps``,
+:meth:`MessageAnnouncer.announce` does the only UTF-8 encode, and every
+listener queue receives that same ``bytes`` object — the HTTP handler
+just joins whatever its queue holds into one write.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import queue
 import threading
-from typing import Any, List, Optional
+from typing import Any, Callable, List, Optional, Union
 
 __all__ = ["format_sse", "MessageAnnouncer"]
 
@@ -77,13 +77,16 @@ class MessageAnnouncer:
             except ValueError:
                 pass
 
-    def announce(self, msg: str) -> None:
-        """Deliver *msg* to every listener, dropping for full queues."""
+    def announce(self, msg: Union[str, Callable[[], str]]) -> None:
+        """Deliver *msg* to every listener, dropping for full queues; a
+        callable *msg* is formatted only if there is a listener."""
         with self._lock:
             listeners = list(self._listeners)
             self.announced += 1
         if not listeners:
             return
+        if callable(msg):
+            msg = msg()
         data = msg.encode("utf-8")
         for q in listeners:
             try:

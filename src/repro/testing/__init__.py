@@ -16,9 +16,12 @@ interleavings first-class test inputs:
   serial oracle, with greedy shrinking of failures.
 
 The package re-exports nothing: import from the submodule that defines a
-name.  Every ``repro`` process imports :mod:`~repro.testing.faults` and
-:mod:`~repro.testing.schedule` (the CLI parser lists their names), so a
+name.  It defines the two name lists the CLI parser offers, so every
+``repro`` process spells them without loading the virtual scheduler; a
 re-export here would load the whole fuzz harness into ``repro serve``.
 :mod:`~repro.testing.fuzz` is also the name of the function
 :func:`repro.testing.fuzz.fuzz`.
 """
+
+FAULT_NAMES = ("unlocked_commit", "unlocked_start_phase", "duplicate_enqueue")
+POLICY_NAMES = ("random", "round-robin", "priority")

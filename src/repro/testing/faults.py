@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import FAULT_NAMES
+
 __all__ = ["FaultPlan", "FAULT_NAMES"]
 
 
@@ -55,6 +57,3 @@ class FaultPlan:
     def __str__(self) -> str:
         on = self.active()
         return f"FaultPlan({', '.join(on) if on else 'none'})"
-
-
-FAULT_NAMES = ("unlocked_commit", "unlocked_start_phase", "duplicate_enqueue")

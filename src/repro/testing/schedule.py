@@ -38,6 +38,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from . import POLICY_NAMES
 from ..errors import (
     DeadlockError,
     ReplayDivergenceError,
@@ -189,9 +190,6 @@ class ReplayPolicy(SchedulingPolicy):
 
     def describe(self) -> str:
         return f"replay({len(self.trace)} steps)"
-
-
-POLICY_NAMES = ("random", "round-robin", "priority")
 
 
 def make_policy(name: str, seed: int = 0) -> SchedulingPolicy:

@@ -5,6 +5,8 @@ advances it by exactly one tick), so the tests are deterministic: no
 sleeps, no wall-clock thresholds, no flakiness on loaded machines.
 """
 
+import os
+import sys
 import threading
 
 from repro.runtime.locks import InstrumentedLock
@@ -102,18 +104,29 @@ class TestContention:
         assert stats["contention_ratio"] == 0.5
 
     def test_mutual_exclusion(self):
-        """Concurrent increments under the lock never lose updates."""
+        """Concurrent increments under the lock never lose updates, and
+        neither do the statistics it keeps under itself: more threads
+        than cores, preempted as often as the interpreter allows."""
         lock = InstrumentedLock()
         counter = {"n": 0}
+        n = 2 * (os.cpu_count() or 1) + 1
+        shares = [8000 // n + (i < 8000 % n) for i in range(n)]
 
-        def bump():
-            for _ in range(2000):
+        def bump(times):
+            for _ in range(times):
                 with lock:
                     counter["n"] += 1
 
-        threads = [threading.Thread(target=bump) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
+        threads = [threading.Thread(target=bump, args=(s,)) for s in shares]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert counter["n"] == 8000
+        assert lock.stats()["acquisitions"] == 8000

@@ -17,6 +17,7 @@ from repro.core.vertex import Vertex, VertexContext
 from repro.errors import EngineError, VertexExecutionError
 from repro.events import PhaseInput
 from repro.graph.model import ComputationGraph
+from repro.runtime.feed import PhaseFeed
 from repro.runtime.mp import ProcessEngine
 from repro.runtime.mp.lifecycle import ProcessWorkerPool, default_start_method
 from repro.runtime.mp.protocol import (
@@ -150,6 +151,24 @@ class TestBasicExecution:
         assert res.stats["max_concurrent_phases"] <= 2
 
 
+class TestCoordinatorLoop:
+    def test_the_feed_is_taken_once_per_phase(self, monkeypatch):
+        # The coordinator takes a phase from its feed only when the feed
+        # holds one: a batch run takes each phase once and never polls.
+        calls = []
+        get = PhaseFeed.get
+
+        def counted(feed, timeout=None):
+            calls.append(timeout)
+            return get(feed, timeout)
+
+        monkeypatch.setattr(PhaseFeed, "get", counted)
+        prog, phases = grid_workload(3, 3, phases=30, seed=1)
+        res = ProcessEngine(prog, 2).run(phases)
+        assert res.phases_run == len(phases)
+        assert len(calls) == len(phases)
+
+
 class TestFinalStateRestore:
     def test_post_run_state_matches_serial(self):
         from tests.models.test_pickling import normalized
@@ -209,9 +228,8 @@ class TestStatsSchema:
         assert validate_engine_stats(res.engine, stats) == []
         assert stats["num_workers"] == 2
         assert stats["start_method"] == default_start_method()
-        for key in ("acquisitions", "contended_acquisitions",
-                    "total_hold_time"):
-            assert key in stats["lock"]
+        # One thread owns the coordinator's core: it takes no lock.
+        assert "lock" not in stats
         assert sum(stats["per_worker_executions"].values()) == (
             res.execution_count
         )

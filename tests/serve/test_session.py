@@ -109,6 +109,50 @@ class TestParallelPipeline:
         )
         assert events[2]["records"] == [[names[0], "fine"]]
 
+    def test_a_phase_nobody_listens_to_is_not_formatted(
+        self, keyed_workload, monkeypatch
+    ):
+        formatted = []
+        real = session_module.format_sse
+
+        def counted(*args, **kwargs):
+            formatted.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "format_sse", counted)
+        names = sorted(keyed_workload.program.numbering.index_of)
+        session = ServeSession(keyed_workload.program, ServeConfig())
+        with session:
+            for phase in range(1, 6):
+                session._sink(phase, float(phase), [(names[0], phase)])
+        assert session._emit_error is None
+        assert formatted == []
+        assert session.announcer.announced == 5
+        assert session.results_streamed == 5
+
+    def test_a_listener_attached_mid_stream_gets_every_later_phase(
+        self, keyed_workload
+    ):
+        names = sorted(keyed_workload.program.numbering.index_of)
+        session = ServeSession(keyed_workload.program, ServeConfig())
+        with session:
+            for phase in (1, 2, 3):
+                session._sink(phase, float(phase), [(names[0], phase)])
+            deadline = time.monotonic() + 30
+            while session.announcer.announced < 3:
+                assert time.monotonic() < deadline, session.announcer
+                time.sleep(0.001)
+            q = session.announcer.listen()
+            for phase in (4, 5, 6):
+                session._sink(phase, float(phase), [(names[0], phase)])
+        messages = drain_queue(q)
+        for phase, msg in zip((4, 5, 6), messages):
+            assert msg.startswith(f"event: phase\nid: {phase}\ndata: ")
+            assert msg.endswith("\n\n")
+        events = phase_events(messages)
+        assert [e["phase"] for e in events] == [4, 5, 6]
+        assert [e["records"] for e in events] == [[[names[0], p]] for p in (4, 5, 6)]
+
     def test_engine_stats_section_appears_after_close(self, keyed_workload):
         _events, stats = _run_workload(
             keyed_workload,

@@ -300,7 +300,8 @@ def test_the_threaded_serve_path_loads_no_unused_module():
     # event: the CLI parser, the serve handler's imports, the spec, the
     # session.
     unused = ("numpy", "multiprocessing", "repro.runtime.mp",
-              "repro.testing.fuzz", "repro.streams", "repro.analysis")
+              "repro.testing.fuzz", "repro.testing.faults",
+              "repro.testing.schedule", "repro.streams", "repro.analysis")
     loaded = _run_python(
         "import sys\n"
         "from repro.cli import build_parser\n"
