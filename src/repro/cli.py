@@ -287,7 +287,6 @@ _PROFILE_STAGES = (
         ("core/state.py", "start_phase"),
         ("core/state.py", "claim_run"),
         ("core/state.py", "complete_executions"),
-        ("core/state.py", "_determination_wave"),
         ("core/state.py", "_fire"),
         ("runtime/core.py", "admit"),
         ("runtime/core.py", "claim"),

@@ -7,9 +7,9 @@ many phases ahead of a consumer, an edge cannot hold just "the latest
 value" — it holds a small per-phase history, and a consumer executing
 phase ``p`` reads the newest entry whose phase is ``<= p``.
 
-:class:`EdgeChannel` stores that history (entries are appended in strictly
-increasing phase order, because a sender executes its phases in order) and
-garbage-collects superseded entries once the consumer has moved past them.
+:class:`EdgeChannel` stores that history and garbage-collects superseded
+entries once the consumer has moved past them; a send must exceed one floor,
+the newer of the last phase sent and the consumer's GC point.
 
 :class:`EdgeStore` owns one channel per graph edge and, per vertex, the
 flat in- and out-channel tables the pair data path walks: a *run* — one
@@ -37,12 +37,13 @@ class EdgeChannel:
     Entries are ``(phase, value)`` with strictly increasing phases.
     """
 
-    __slots__ = ("_phases", "_values", "_consumed_upto")
+    __slots__ = ("_phases", "_values", "_consumed_upto", "_floor")
 
     def __init__(self) -> None:
         self._phases: List[int] = []
         self._values: List[Any] = []
         self._consumed_upto = 0
+        self._floor = 0  # max(last phase sent, consumed_upto): a send exceeds it
 
     def send(self, phase: int, value: Any) -> None:
         """Append the phase-*phase* message.
@@ -50,16 +51,17 @@ class EdgeChannel:
         Phases must arrive strictly increasing — the sender executes its
         phases in order, and sends at most one message per edge per phase.
         """
-        if self._phases and phase <= self._phases[-1]:
-            raise SchedulerError(
-                f"edge message for phase {phase} after phase {self._phases[-1]}: "
-                f"senders must emit in strictly increasing phase order"
-            )
-        if phase <= self._consumed_upto:
+        if phase <= self._floor:
+            if self._phases and phase <= self._phases[-1]:
+                raise SchedulerError(
+                    f"edge message for phase {phase} after phase {self._phases[-1]}: "
+                    f"senders must emit in strictly increasing phase order"
+                )
             raise SchedulerError(
                 f"edge message for phase {phase} arrived after the consumer "
                 f"finished phase {self._consumed_upto}"
             )
+        self._floor = phase
         self._phases.append(phase)
         self._values.append(value)
 
@@ -100,6 +102,8 @@ class EdgeChannel:
         if phase < self._consumed_upto:
             return 0
         self._consumed_upto = phase
+        if phase > self._floor:
+            self._floor = phase
         idx = bisect_right(self._phases, phase)
         if idx > 1:
             # Keep the latched entry at idx-1; drop everything before it.

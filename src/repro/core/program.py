@@ -323,21 +323,29 @@ class PairRuntime:
         phase.  Returns ``(v, phase, targets)`` per member —
         what :meth:`SchedulerState.complete_executions` takes — *targets*
         being the indices of the vertices that received an output, the
-        ``w`` of Listing 1's statement 1.8, ascending.
+        ``w`` of Listing 1's statement 1.8, ascending: a broadcasting
+        member's is *v*'s one successor list, shared and never mutated.
         """
         out_channels = self.edges.out_channels[v]
+        every = self.edges.succs[v]
+        fanout = len(every)
         stream = self.stream_records
         completed: List[Tuple[int, int, List[int]]] = []
         sent = 0
         for p, ctx in zip(phases, ctxs):
             outs = ctx._outputs
-            targets: List[int] = []
-            if outs:
-                for wname, w, channel in out_channels:
-                    if wname in outs:
-                        channel.send(p, outs[wname])
-                        targets.append(w)
-                sent += len(targets)
+            if len(outs) == fanout:
+                for wname, _, channel in out_channels:
+                    channel.send(p, outs[wname])
+                targets = every
+            else:
+                targets = []
+                if outs:
+                    for wname, w, channel in out_channels:
+                        if wname in outs:
+                            channel.send(p, outs[wname])
+                            targets.append(w)
+            sent += len(targets)
             records = ctx._records
             if records:
                 if stream:

@@ -44,15 +44,15 @@ heap scanned.  A status only moves forward::
 
 ``PARTIAL`` .. ``CLAIMED`` are exactly the pairs with ``msg(v, p)`` true;
 ``EXECUTED`` exists only inside :meth:`~SchedulerState.complete_executions`.
-Each completion runs the **determination wave** — a DFS over successors
-decrementing ``undet``; a counter reaching zero promotes a waiting pair
-``PARTIAL -> FULL`` or, with no message (none can arrive any more),
-cascades ``NONE -> DETERMINED`` — so each edge is traversed once per
-phase, and a vertex that emits nothing to a successor needs no state
-here: no message arrives, and the wave cascades.  Readiness is then ``status[settled[w] +
-1][w] == FULL`` for the vertices the wave touched.  A phase is complete
-when all ``N`` vertices are determined; its arrays are dropped at once,
-so "started and not in flight" *is* completeness.
+Each completion, in one pass, marks its outputs and runs its
+**determination wave** — a DFS over successors decrementing ``undet``;
+a counter reaching zero promotes a waiting pair ``PARTIAL -> FULL`` or,
+with no message (none can arrive any more), cascades ``NONE ->
+DETERMINED`` — so each edge is traversed once per phase, and a silent
+edge needs no state.  Readiness, ``status[settled[w] + 1][w] == FULL``,
+is tested once per batch, on the vertices the waves touched.  A phase is
+complete when all ``N`` vertices are determined; its arrays are dropped
+at once, so "started and not in flight" *is* completeness.
 
 The partial / full / ready / claimed sets and ``msg`` of the correctness
 argument are **views** derived from the status bytes on demand; only the
@@ -330,13 +330,12 @@ class SchedulerState(CompletionLog):
         """Record that every ``(v, p, output_targets)`` of *batch* finished
         executing; returns the newly ready pairs.
 
-        Per member the pair stops waiting and its outputs become
-        partial; then, once for the batch: the determination wave, phase
-        completion, and the firing test of the vertices the wave touched.
-        The final state equals applying the members one at a time (the
-        wave is a least fixed point, the settled gate a function of it),
-        so a run may commit as one batch or, on the fault-salvage path,
-        member-at-a-time.
+        One pass per member: the pair stops waiting, its outputs become
+        partial, its determination wave runs, and its phase completes if
+        the wave determined the last vertex; then, once per batch, the
+        firing test of the touched vertices.  That equals the members one
+        at a time (the wave is a least fixed point, the settled gate a
+        function of it), so a run may commit whole or member by member.
 
         Raises :class:`SchedulerError` for a member that is neither ready
         nor claimed, an output that does not go to a higher index in
@@ -346,10 +345,13 @@ class SchedulerState(CompletionLog):
         if not batch:
             return []
         phases = self._phases
+        settled = self._settled
         full_count = self._full_count
+        succs = self.cones.succs
         preempt = self._preempt_hook
         n = self.N
-        touched: Dict[int, _Phase] = {}
+        pmax = self.pmax
+        candidates: List[int] = []
         for v, p, output_targets in batch:
             ph = phases.get(p)
             if ph is None or not 0 < v <= n or not READY <= ph.status[v] <= CLAIMED:
@@ -362,11 +364,10 @@ class SchedulerState(CompletionLog):
                 )
             status = ph.status
             status[v] = EXECUTED
-            ph.waiting -= 1
             full_count[v] -= 1
-            self.executed_pairs += 1
             if preempt is not None:
                 preempt("complete_execution:pair-removed")
+            waiting = ph.waiting - 1
             for w in output_targets:
                 if not v < w <= n:
                     raise SchedulerError(
@@ -376,55 +377,17 @@ class SchedulerState(CompletionLog):
                 s = status[w]
                 if s == NONE:
                     status[w] = PARTIAL
-                    ph.waiting += 1
+                    waiting += 1
                 elif s > CLAIMED:
                     raise SchedulerError(
                         f"message for pair {(w, p)} arrived after the pair "
                         f"was determined"
                     )
                 # else msg(w, p) is already true: the union is idempotent.
+            ph.waiting = waiting
             if preempt is not None:
                 preempt("complete_execution:outputs-inserted")
-            touched[p] = ph
-        if preempt is not None:
-            # Listing 1's x-update sits here; the wave below stands in
-            # for it, and the switch point keeps its published name.
-            preempt("complete_execution:x-updated")
-
-        candidates = self._determination_wave(batch, touched)
-        for q in sorted(touched):
-            ph = touched[q]
-            if ph.det_count == n and q in phases:
-                if ph.waiting:
-                    raise SchedulerError(
-                        f"phase {q} complete with {ph.waiting} pairs still "
-                        f"waiting"
-                    )
-                del phases[q]
-                self.complete_phase_count += 1
-                self.completed_log.append(q)
-        newly_ready = self._fire(candidates)
-        if self._checker is not None:
-            self._checker.check(self)
-        return newly_ready
-
-    def _determination_wave(
-        self, executed: Sequence[Tuple[int, int, object]], touched: Dict[int, _Phase]
-    ) -> List[int]:
-        """Propagate determinedness from the executed pairs; returns the
-        readiness candidates — every vertex whose settled pointer
-        advanced plus every vertex that went full.  (An executed vertex
-        always advances its own pointer: the ready gate held at dispatch.)
-        """
-        phases = self._phases
-        settled = self._settled
-        full_count = self._full_count
-        succs = self.cones.succs
-        pmax = self.pmax
-        candidates: List[int] = []
-        for v, p, _ in executed:
-            ph = touched[p]
-            status = ph.status
+            # The determination wave from (v, p), a DFS over successors.
             undet = ph.undet
             stack = [v]
             while stack:
@@ -461,7 +424,23 @@ class SchedulerState(CompletionLog):
                             f"undetermined-predecessor count of pair "
                             f"{(w, p)} went negative"
                         )
-        return candidates
+            if ph.det_count == n:  # phase p is complete
+                if ph.waiting:
+                    raise SchedulerError(
+                        f"phase {p} complete with {ph.waiting} pairs still waiting"
+                    )
+                del phases[p]
+                self.complete_phase_count += 1
+                self.completed_log.append(p)
+        self.executed_pairs += len(batch)
+        if preempt is not None:
+            # Listing 1's x-update; the waves stand in for it, and the
+            # switch point keeps its published name.
+            preempt("complete_execution:x-updated")
+        newly_ready = self._fire(candidates)
+        if self._checker is not None:
+            self._checker.check(self)
+        return newly_ready
 
     def _fire(self, vertices: Iterable[int]) -> List[Pair]:
         """The firing test, restricted to *vertices*: ``(w, q)`` with
@@ -527,11 +506,12 @@ class SchedulerState(CompletionLog):
                 s = ph.status[v]
                 if s == FULL or s == CLAIMED:
                     ph.status[v] = CLAIMED
-                    self._ready_upto[v] = q
                     members.append(q)
                 elif s != DETERMINED:
                     break
             q += 1
+        if len(members) > 1:
+            self._ready_upto[v] = members[-1]
         self._runs_claimed += 1
         self._run_members_claimed += len(members)
         return members

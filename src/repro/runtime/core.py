@@ -136,7 +136,7 @@ class ScheduleCore:
         flow-control credits to release)."""
         newly_ready = self.state.complete_executions(completed)
         if not self._retire:
-            self._executions.extend((v, p) for v, p, _ in completed)
+            self._executions.extend([(v, p) for v, p, _ in completed])
         self._per_worker[worker] += len(completed)
         if self._tracer is not None:
             for pair in newly_ready:

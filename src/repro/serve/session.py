@@ -82,6 +82,13 @@ def _not_a_source(source: str) -> str:
     return f"{source!r} is not a source vertex of this program"
 
 
+def _number(value: Any) -> float:
+    """*value* as a float if JSON gave a number (a bool is not one)."""
+    if value.__class__ is not float and value.__class__ is not int:
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _line_error(text: str, sources: AbstractSet[str]) -> str:
     """Why the stripped NDJSON line *text* is not an event for one of
     *sources*: the first rule it breaks, in the order they are checked."""
@@ -92,13 +99,13 @@ def _line_error(text: str, sources: AbstractSet[str]) -> str:
     if not isinstance(obj, dict):
         return f"NDJSON event must be an object, got {type(obj).__name__}"
     try:
-        ts = float(obj["timestamp"])
+        ts = _number(obj["timestamp"])
         source = obj["source"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         return f"NDJSON event needs numeric 'timestamp' and 'source': {exc}"
     try:
-        arrival = float(obj.get("arrival", ts))
-    except (TypeError, ValueError, OverflowError) as exc:
+        arrival = _number(obj.get("arrival", ts))
+    except (TypeError, OverflowError) as exc:
         return f"bad 'arrival': {exc}"
     if not math.isfinite(arrival):  # it would hold the watermark there
         field = "arrival" if "arrival" in obj else "timestamp"
@@ -523,11 +530,11 @@ class ServeSession:
         a replayed file — as one admission.
 
         Wire shape, one event per line: ``{"timestamp": t, "source":
-        name, "value": v}`` with optional ``"arrival"`` (finite; defaults
-        to the timestamp; clamped to be no earlier than it); blank lines are
-        skipped.  Lines are taken in order until the first one that is
-        not an event addressed to a source vertex (``bad_line``) or that
-        the full reorder buffer refuses (``rejected_line``, counted as
+        name, "value": v}``, *t* a JSON number, with optional ``"arrival"``
+        (a finite JSON number; defaults to *t*; clamped to be no earlier);
+        blank lines are skipped.  Lines are taken in order until the first
+        one that is not an event addressed to a source vertex (``bad_line``)
+        or that the full reorder buffer refuses (``rejected_line``, counted as
         :meth:`offer` counts a :class:`~repro.errors.BackpressureError`);
         everything before it is ingested exactly as one :meth:`offer`
         per line would have, and every phase the body sealed reaches the
@@ -550,9 +557,9 @@ class ServeSession:
             # _line_error for the message.
             try:
                 obj, end = _scan(text, 0)
-                ts = float(obj["timestamp"])
+                ts = _number(obj["timestamp"])
                 source = obj["source"]
-                arrival = float(obj.get("arrival", ts))
+                arrival = _number(obj.get("arrival", ts))
                 # Finite, in one comparison: inf - inf and NaN - NaN are NaN.
                 known = (
                     end == len(text) and source in sources

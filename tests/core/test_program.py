@@ -215,6 +215,48 @@ def diamond_runtime(payloads):
     return PairRuntime(program, phases)
 
 
+class Splitter(Vertex):
+    """Silent when no input changed; otherwise sends its input sum with
+    ``emit`` to both successors when the sum is even, and with
+    ``emit_to`` to *left* alone when it is odd."""
+
+    def __init__(self, preds, left):
+        self.preds = preds
+        self.left = left
+
+    def on_execute(self, ctx):
+        if not ctx.changed:
+            return EMIT_NOTHING
+        total = sum(ctx.input(p, 0) for p in self.preds)
+        if total % 2:
+            ctx.emit_to(self.left, total)
+        else:
+            ctx.emit(total)
+        return None
+
+
+def fork_runtime(payloads):
+    """s1, s2 -> f -> l, r and s2 -> r: ``f`` emits to every successor
+    on some phases and to ``l`` alone on others; ``l`` and ``r`` observe
+    every arrival."""
+    g = ComputationGraph()
+    g.add_vertices(["s1", "s2", "f", "l", "r"])
+    for edge in [("s1", "f"), ("s2", "f"), ("f", "l"), ("f", "r"), ("s2", "r")]:
+        g.add_edge(*edge)
+    program = Program(g, {
+        "s1": PassthroughSource(),
+        "s2": PassthroughSource(),
+        "f": Splitter(("s1", "s2"), "l"),
+        "l": FunctionVertex(_observe),
+        "r": FunctionVertex(_observe),
+    })
+    phases = [
+        PhaseInput(p, float(p), {k: v for k, v in row.items() if v is not None})
+        for p, row in enumerate(payloads, start=1)
+    ]
+    return PairRuntime(program, phases)
+
+
 def drive(rt, splits):
     """Execute the diamond vertex by vertex, each vertex's phases cut
     into the runs ``splits(phases)`` yields; returns everything a member
@@ -264,9 +306,8 @@ class TestRunEqualsPairwise:
     phases are not consecutive), sources with and without a phase
     payload."""
 
-    @given(histories, st.randoms(use_true_random=False))
-    @settings(max_examples=150, deadline=None)
-    def test_whole_runs_cut_runs_and_single_pairs_agree(self, payloads, rng):
+    @staticmethod
+    def assert_runs_agree(build, payloads, rng):
         def whole(phases):
             return [phases] if phases else []
 
@@ -278,7 +319,7 @@ class TestRunEqualsPairwise:
             k = rng.randint(0, len(phases))
             return [part for part in (phases[:k], phases[k:]) if part]
 
-        runtimes = [diamond_runtime(payloads) for _ in range(3)]
+        runtimes = [build(payloads) for _ in range(3)]
         by_pair, by_run, by_cut = (
             drive(rt, splits)
             for rt, splits in zip(runtimes, (pairwise, whole, cut))
@@ -291,6 +332,35 @@ class TestRunEqualsPairwise:
             # Sampled once per run, after its sends and before its GC.
             assert rt.edges.peak_entries >= runtimes[0].edges.peak_entries
             assert rt.edges.peak_entries >= rt.edges.total_pending_entries()
+
+    @given(histories, st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_whole_runs_cut_runs_and_single_pairs_agree(self, payloads, rng):
+        self.assert_runs_agree(diamond_runtime, payloads, rng)
+
+    @given(histories, st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_a_partial_fan_out_agrees_too(self, payloads, rng):
+        # A member that emits to every successor hands over the shared
+        # successor list and one that emits to some builds its own;
+        # runs mixing both must still commit as their members one at a
+        # time would.
+        self.assert_runs_agree(fork_runtime, payloads, rng)
+
+    def test_the_fork_reaches_both_fan_outs(self):
+        rows = [{"s1": 1, "s2": 1}] * 6 + [{"s1": 2, "s2": 1}] + [{"s2": 2}] * 2
+        rt = fork_runtime(rows)
+        members = drive(rt, lambda phases: [phases] if phases else [])
+        index = rt.program.numbering.index_of
+        f, left, right = index["f"], index["l"], index["r"]
+        targets = {p: t for _, _, (v, p, t) in members if v == f}
+        # Even sums at phases 1-6 and 8-9 reach both successors, the odd
+        # sum at phase 7 only l; a whole run of nine is one commit.
+        assert targets == {
+            **{p: [left, right] for p in (1, 2, 3, 4, 5, 6, 8, 9)}, 7: [left]
+        }
+        # A member that reached every successor hands over f's one list.
+        assert targets[1] is targets[9] is rt.edges.succs[f]
 
     def test_the_histories_reach_gaps(self):
         rows = [

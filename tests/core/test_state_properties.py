@@ -12,7 +12,9 @@ Section 3.3 correctness argument.
 engines' :class:`SchedulerState` through every operation its drivers use
 — run claims, whole-run and member-at-a-time commits, retirement — so
 the checker's least-fixed-point re-derivation judges every intermediate
-state of the status-byte representation.
+state of the status-byte representation.  ``TestWholeRunIsMemberAtATime``
+runs one schedule on two of them, one committing each run whole and the
+other member by member, and holds them equal after every step.
 """
 
 import random
@@ -214,3 +216,54 @@ class TestRandomConeSchedules:
         assert set(executed) == {
             (v, p) for v in range(1, n + 1) for p in range(1, 3 * phases + 1)
         }
+
+
+def drive_twins(n, edge_prob, graph_seed, driver_seed, phases, emit_prob):
+    """One random schedule on two schedulers: ``whole`` commits each
+    claimed run as one batch, ``split`` the same members one at a time.
+    After every step the two must agree on everything they maintain and
+    on the pairs the step made ready.  Returns the number of runs."""
+    g = random_dag(n, edge_prob=edge_prob, seed=graph_seed)
+    nb = number_graph(g)
+    whole, split = SchedulerState(nb), SchedulerState(nb)
+    rng = random.Random(driver_seed)
+    succs = {v: nb.successor_indices(v) for v in range(1, n + 1)}
+    phases *= 3  # runs need a started horizon to extend over
+    runnable, started, runs = [], 0, 0
+    while started < phases or runnable:
+        if started < phases and (not runnable or rng.random() < 0.3):
+            ready = whole.start_phase()
+            assert split.start_phase() == ready
+            started += 1
+        else:
+            v, p = runnable.pop(rng.randrange(len(runnable)))
+            members = whole.claim_run(v, p)
+            assert split.claim_run(v, p) == members
+            # A member emits to every successor (the shared list the
+            # pair runtime hands over) or to a random subset.
+            batch = [
+                (v, q, succs[v] if rng.random() < emit_prob
+                 else [w for w in succs[v] if rng.random() < 0.5])
+                for q in members
+            ]
+            ready = whole.complete_executions(batch)
+            one_by_one = [
+                pair for member in batch for pair in split.complete_executions([member])
+            ]
+            assert sorted(one_by_one) == sorted(ready)
+            runs += 1
+        assert whole.counters() == split.counters()
+        assert whole.completed_log == split.completed_log
+        assert whole.executed_pairs == split.executed_pairs
+        assert whole.ready_set() == split.ready_set()
+        assert whole.run_claimed_set() == split.run_claimed_set()
+        runnable.extend(ready)
+    assert whole.all_started_complete() and split.all_started_complete()
+    return runs
+
+
+class TestWholeRunIsMemberAtATime:
+    @given(driver_params())
+    @settings(max_examples=120, deadline=None)
+    def test_twins_agree_after_every_step(self, params):
+        assert drive_twins(*params) > 0

@@ -30,6 +30,13 @@ SOURCES = ["txn[a0]", "txn[a1]", "txn[a2]"]
 # -- the per-line reference ---------------------------------------------------
 
 
+def _json_number(value):
+    """A JSON number as a float; a string or a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def reference_line(line):
     """One NDJSON line as the per-line path parsed it."""
     text = line.strip()
@@ -42,15 +49,15 @@ def reference_line(line):
             f"NDJSON event must be an object, got {type(obj).__name__}"
         )
     try:
-        ts = float(obj["timestamp"])
+        ts = _json_number(obj["timestamp"])
         source = obj["source"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ServeError(
             f"NDJSON event needs numeric 'timestamp' and 'source': {exc}"
         ) from exc
     try:
-        arrival = float(obj.get("arrival", ts))
-    except (TypeError, ValueError) as exc:
+        arrival = _json_number(obj.get("arrival", ts))
+    except (TypeError, OverflowError) as exc:
         raise ServeError(f"bad 'arrival': {exc}") from exc
     if not math.isfinite(arrival):
         raise ServeError(f"bad 'arrival': {arrival} is not finite")
@@ -113,13 +120,17 @@ def _bad_line(rng, now):
             _event("soon", "txn[a1]"),
             _event(None, "txn[a1]"),
             _event([now], "txn[a2]"),
+            _event(str(now), "txn[a0]"),
+            _event(True, "txn[a1]"),
             json.dumps({"timestamp": now, "value": 1.0}),
         ])
-    if kind == 3:  # arrival not a finite number
+    if kind == 3:  # arrival not a finite JSON number
         return rng.choice([
             _event(now, "txn[a0]", arrival="soon"),
             _event(now, "txn[a0]", arrival=None),
             _event(now, "txn[a0]", arrival={"at": now}),
+            _event(now, "txn[a1]", arrival=str(now + 5.0)),
+            _event(now, "txn[a2]", arrival=False),
             _event(now, "txn[a0]", arrival=math.inf),  # "Infinity"
             _event(now, "txn[a1]", arrival=-math.inf),
             _event(now, "txn[a2]", arrival=math.nan),
@@ -318,6 +329,30 @@ def test_an_infinite_arrival_is_a_bad_line_not_a_watermark():
             )
     finally:
         session.close()
+
+
+@pytest.mark.parametrize("line, field", [
+    ('{"timestamp": "3", "source": "txn[a0]", "value": 50}', "'timestamp'"),
+    ('{"timestamp": true, "source": "txn[a0]", "value": 50}', "'timestamp'"),
+    ('{"timestamp": 0, "source": "txn[a0]", "value": 50, "arrival": "5"}',
+     "'arrival'"),
+    ('{"timestamp": 0, "source": "txn[a0]", "value": 50, "arrival": true}',
+     "'arrival'"),
+])
+def test_a_timestamp_or_arrival_must_be_a_json_number(line, field):
+    # Regression: both fields went through float(), which reads "3" and
+    # true as numbers, so such a line was accepted (and an arrival of
+    # "5" sealed a phase).
+    session, admitted, _ = _session({"wait": 0.0, "max_buffered": 64})
+    try:
+        with ServeServer(session) as server:
+            status, reply = _post(server, line + "\n")
+    finally:
+        session.close()
+    assert status == 400, reply
+    assert reply["bad_line"] == 1
+    assert field in reply["error"] and "not a number" in reply["error"]
+    assert admitted == []
 
 
 def test_corpus_reaches_every_outcome():
