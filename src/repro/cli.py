@@ -461,6 +461,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import ServeConfig, ServeServer, ServeSession
 
+    # Neither reaches ServeConfig, and a bad one must start nothing.
+    if args.max_phases < 0:
+        raise ReproError(f"--max-phases must be >= 0, got {args.max_phases}")
+    if not 0 <= args.port <= 65535:
+        raise ReproError(f"--port must be in 0..65535, got {args.port}")
     spec = _load(args.spec)
     cfg = ServeConfig(
         engine=args.engine,

@@ -136,7 +136,6 @@ class EdgeStore:
     """
 
     def __init__(self, numbering: Numbering) -> None:
-        self.numbering = numbering
         self._channels: Dict[Tuple[int, int], EdgeChannel] = {}
         self.preds: Dict[int, List[int]] = {}
         self.succs: Dict[int, List[int]] = {}

@@ -31,7 +31,13 @@ from ..core.vertex import VertexContext
 from ..errors import EngineError, SchedulerError
 from ..events import PhaseInput
 
-__all__ = ["ScheduleCore"]
+__all__ = ["DEAR_RUNS", "Placement", "ScheduleCore"]
+
+#: Dear runs in a row that move a vertex away.  On a shared VM ~0.1 % of a
+#: microsecond vertex's runs read 50-130 us of CPU (EXPERIMENTS.md): two in
+#: a row would move a cheap vertex every few minutes of a long serve, three
+#: about once a day; each costs a dear vertex one more bounded stake.
+DEAR_RUNS = 3
 
 
 class ScheduleCore:
@@ -204,3 +210,32 @@ class ScheduleCore:
                 self._retire_next = rn
             state.trim_completed_log(self._seen)
         return len(new_complete)
+
+
+class Placement:
+    """Whether a vertex's runs execute *here*, on the driver's own thread
+    (threaded environment, process coordinator), or *away* (pool, sticky
+    worker).  Every vertex starts here; ``DEAR_RUNS`` runs in a row that
+    computed no cheaper than their hand-off (:meth:`settle`) move it
+    away for good.  A run of a vertex that did not just read cheap is
+    :meth:`staked`: the driver stops it once it has cost its hand-off
+    (docs/ARCHITECTURE.md §5.8).  Not thread-safe."""
+
+    def __init__(self, n: int) -> None:
+        # Per vertex: -1 its last run read cheap, 0 never measured, k > 0
+        # its last k runs read dear; ``DEAR_RUNS`` is away.
+        self._standing = [0] * (n + 1)
+        self.moved: List[int] = []  # vertices moved away, in order
+
+    def here(self, v: int) -> bool:
+        return self._standing[v] < DEAR_RUNS
+
+    def staked(self, v: int) -> bool:
+        return self._standing[v] >= 0
+
+    def settle(self, v: int, computed: float, handoff: float) -> None:
+        """Judge one run of *v* the driver executed here."""
+        standing = -1 if computed < handoff else max(self._standing[v], 0) + 1
+        self._standing[v] = standing
+        if standing == DEAR_RUNS:
+            self.moved.append(v)

@@ -40,26 +40,18 @@ Differences from the paper's infinite loops (all additive):
   (docs/ARCHITECTURE.md §5.4, §5.7).  The published global-``x_p``
   schedule lives on in the simulator's ``frontier="global"``.
 * **The environment is a peer when work is cheap** — the paper promises
-  speed-up only when vertex compute dwarfs the bookkeeping around it.
-  In the other regime a hand-off (run queue, condition variable, a
+  speed-up only when vertex compute dwarfs the bookkeeping around it;
+  in the other regime a hand-off (run queue, condition variable, a
   contended lock, a thread switch under one GIL) costs more than the run
-  it hands over, so when the feed was already closed as the run began (a
-  batch :meth:`~ParallelEngine.run`) the engine measures both halves of
-  every run with the backend's clock and the environment thread keeps,
-  and executes itself, each ready pair whose vertex's last run computed
-  strictly cheaper than the critical sections around that same run —
-  whichever thread's commit made the pair ready.  It runs the
-  same ``execute_run`` as the workers, under the same lock, as worker
-  ``num_threads``: a (k+1)-th Listing-1 process (docs/ARCHITECTURE.md
-  §5.8), and once it has started its last phase it stays one — parked while
-  its deque is empty — until nothing is in flight.
-  Expensive vertices go to the run queue and fan out as in the paper; a
-  vertex nobody has measured costs the environment one execution to find
-  out.  An environment whose feed is still open at the start
-  (:meth:`~ParallelEngine.run_feed` on a live stream) and every run on a
-  clock that does not advance
-  (:class:`~repro.testing.schedule.VirtualBackend`) never execute, so
-  schedule exploration sees exactly the peer-worker algorithm.
+  it hands over.  So when the feed was already closed as the run began
+  (a batch :meth:`~ParallelEngine.run`) the environment thread executes
+  each ready pair whose vertex :class:`~repro.runtime.core.Placement`
+  places here: the same ``execute_run`` as the workers, under the same
+  lock, as worker ``num_threads`` — a (k+1)-th Listing-1 process that,
+  after its last phase, stays one until nothing is in flight
+  (docs/ARCHITECTURE.md §5.8).  A live feed and a clock that does not
+  advance (:class:`~repro.testing.schedule.VirtualBackend`) never drain,
+  so schedule exploration sees exactly the peer-worker algorithm.
   ``stats["drain"]`` says which regime a run was in.
 
 The expensive vertex computation happens *outside* the lock (prepare /
@@ -75,7 +67,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from contextlib import nullcontext
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Callable, Deque, List, Optional, Sequence
 
 from ..core.invariants import InvariantChecker
 from ..core.program import Program, RunResult
@@ -85,7 +77,7 @@ from ..errors import EngineError, QueueClosedError
 from ..events import PhaseInput
 from .backend import OS_BACKEND, ThreadingBackend
 from .blocking_queue import BlockingQueue
-from .core import ScheduleCore
+from .core import Placement, ScheduleCore
 from .feed import PhaseFeed
 from .locks import InstrumentedLock
 from .pool import ComputationThreadPool
@@ -269,41 +261,31 @@ class ParallelEngine:
         commit_guard = (lambda: nullcontext()) if unlocked_commit else (lambda: lock)
         start_guard = (lambda: nullcontext()) if unlocked_start else (lambda: lock)
 
-        # The regime estimates, each the last measurement, written inside
-        # the critical section they time.  Per vertex: whether its last
-        # run's compute cost strictly less than the critical sections
-        # around that same run — one run, one thread, the same members on
-        # both sides, so a cold cache or a lost GIL slows both instead of
-        # tipping the comparison.  One number, in clock seconds per pair:
-        # the locked time of the last run of any vertex (before the first
-        # commit, what a phase start costs) — the stake on a vertex nobody
-        # has measured.
-        cheap: Dict[int, bool] = {}
+        # Which vertices run here while the environment drains.  One
+        # number, in clock seconds per pair, written inside the critical
+        # section it times: the locked time of the environment's last run
+        # (before its first, what a phase start costs) — a stake's bound.
+        placement = Placement(self.program.numbering.n)
         locked_cost = 0.0
         # Ready pairs the environment executes itself.  Anyone may add
         # one, inside a critical section and only while ``draining`` —
         # which the environment raises when it starts phases and lowers,
-        # under the lock, once the deque is empty — so it never parks on
-        # flow control while work waits here.
+        # under the lock, before it could block on anything but this
+        # deque (flow control) — so it never parks holding work.
         mine: Deque[Pair] = deque()
         draining = False
         # What the environment parks on once it has no phase left to
-        # start (see ``start_phases``): set by the critical section that
-        # gives the deque a pair or makes the run quiescent, and by an
-        # abort.
+        # start: set by the critical section that gives the deque a pair
+        # or makes the run quiescent, and by an abort.
         handed = backend.event()
         # Only a feed that closed before the run began (a batch) is
-        # drained: one still open keeps the environment on its feed.  (A
-        # served stream shares its interpreter with ingest and egress
-        # threads; draining inline there measured slower end to end, see
-        # CHANGES.md PR 20.)
+        # drained: a served stream shares its interpreter with ingest and
+        # egress threads, and draining inline there measured slower end
+        # to end (CHANGES.md PR 20).
         may_drain = feed.closed
-        drain = {
-            "inline_runs": 0,
-            "pooled_runs": 0,
-            "handovers": 0,
-            "feed_burst_max": 0,
-        }
+        drain = dict.fromkeys(
+            ("inline_runs", "pooled_runs", "handovers", "feed_burst_max"), 0
+        )
         # Members computed, one single-writer slot per thread: the
         # watchdog's sign of life inside a run that has not committed yet.
         computed_members = [0] * (self.num_threads + 1)
@@ -311,17 +293,13 @@ class ParallelEngine:
         def place(newly_ready: List[Pair]) -> List[Pair]:
             # Inside a critical section: each newly ready pair goes to
             # exactly one of the environment's deque — while it drains,
-            # when the vertex's compute read strictly cheaper than the
-            # locked time a hand-off is made of — or the run queue (the
-            # pairs returned).  A vertex not measured yet reads as free.
+            # when its vertex is placed here — or the run queue (the
+            # pairs returned).
             if not draining:
                 return newly_ready
             pooled = []
             for pair in newly_ready:
-                if cheap.get(pair[0], True):
-                    mine.append(pair)
-                else:
-                    pooled.append(pair)
+                (mine if placement.here(pair[0]) else pooled).append(pair)
             if mine or core.quiescent:
                 handed.set()
             return pooled
@@ -347,15 +325,19 @@ class ParallelEngine:
             return True
 
         def execute_run(worker_id: int, v: int, p: int) -> None:
-            # Listing 1's body, one run at a time.  The ready pair is
-            # claimed as a run of prepared members under one lock,
-            # computed outside it, and committed — deliveries and the one
-            # ScheduleCore.commit — in one critical section; each newly ready pair is then placed
-            # exactly once.
+            # Listing 1's body, one run at a time: claimed as a run of
+            # prepared members under one lock, computed outside it, and
+            # committed — deliveries and the one ScheduleCore.commit — in
+            # one critical section; each newly ready pair is then placed
+            # exactly once.  Only the environment's runs are timed, each
+            # settling its vertex: compute against the critical sections
+            # around the same run, so a cold cache or a lost GIL slows
+            # both sides instead of tipping the comparison.
             nonlocal locked_cost
             inline = worker_id == env_id
+            now = clock if inline else float  # float() is 0.0: untimed
             with lock:
-                claim_began = clock()
+                claim_began = now()
                 phases, ctxs = core.claim(v, p)
                 drain["inline_runs" if inline else "pooled_runs"] += 1
                 if tracer is not None:
@@ -363,32 +345,32 @@ class ParallelEngine:
                     # pool claims it; trace readers keep the last begin.)
                     for q in phases:
                         tracer.execute_begin((v, q), worker_id)
-                locked = clock() - claim_began
-            # What the environment stakes on a vertex nobody has measured
-            # is bounded: once computing it has cost more than the locked
-            # time the whole run stands for, it keeps what it has computed
-            # and the pool gets the rest of the run.
-            staking = inline and v not in cheap
+                locked = now() - claim_began
+            # A staked run is bounded: once its compute has cost the
+            # locked time the whole run stands for, the environment keeps
+            # what it has computed and the pool gets the rest.
+            staked = inline and placement.staked(v)
             budget = locked_cost * len(phases)
 
             def after_member() -> bool:
                 computed_members[worker_id] += 1
-                return staking and clock() - compute_began >= budget
+                return staked and now() - compute_began >= budget
 
-            compute_began = clock()
+            compute_began = now()
             executed = runtime.compute(v, ctxs, after_member)
-            computed = clock() - compute_began
+            computed = now() - compute_began
             with commit_guard():
-                commit_began = clock()
+                commit_began = now()
                 completed = runtime.commit(v, phases[:executed], ctxs)
                 if tracer is not None:
                     for _, q, _ in completed:
                         tracer.execute_end((v, q), worker_id)
                 newly_ready, newly_complete = core.commit(worker_id, completed)
                 done = env_done.is_set() and core.quiescent
-                locked += clock() - commit_began
-                cheap[v] = computed < locked
-                locked_cost = locked / executed
+                if inline:
+                    locked += now() - commit_began
+                    placement.settle(v, computed, locked)
+                    locked_cost = locked / executed
                 pooled = place(newly_ready)
             if flow_sem is not None:
                 for _ in range(newly_complete):
@@ -436,12 +418,12 @@ class ParallelEngine:
             with start_guard():
                 began = clock()
                 newly_ready = [pair for pi in fed for pair in core.admit(pi)]
-                if not cheap:
+                if not drain["inline_runs"]:
                     locked_cost = (clock() - began) / len(fed)
                 # Nothing reads cheap on a clock that does not advance
                 # (VirtualBackend: 0 < 0), so schedule exploration always
                 # sees the peer-worker algorithm.
-                draining = may_drain and locked_cost > 0.0
+                draining = draining or may_drain and locked_cost > 0.0
                 pooled = place(newly_ready)
             if not enqueue(pooled):
                 return False
@@ -449,27 +431,28 @@ class ParallelEngine:
                 while mine and not abort.is_set():
                     execute_run(env_id, *mine.popleft())
                 with lock:
-                    # An empty deque ends the drain while there are phases
-                    # to start: they are the work.  With none left, what
-                    # the pool still holds may ready cheap pairs, so the
-                    # environment parks — off the GIL, which is also what
-                    # lets the pool get to them — until one is handed
-                    # back or nothing is in flight.  The event is cleared
-                    # *before* the test: ``abort_run`` sets it without
-                    # the lock, and a set that lands after the test must
-                    # still end the wait.
+                    # An empty deque sends the environment back to its
+                    # feed while it holds phases: they are the work.  The
+                    # drain stays raised unless flow control could block
+                    # it there, so what a pool commit readies meanwhile
+                    # still comes here.  With no phase left the pool may
+                    # still ready cheap pairs, so it parks — off the GIL,
+                    # which lets the pool get to them — until one is
+                    # handed back or nothing is in flight.  The event is
+                    # cleared *before* the test: ``abort_run`` sets it
+                    # without the lock, and a set that lands after the
+                    # test must still end the wait.
                     handed.clear()
-                    park = not (
-                        feed.depth
-                        or mine
-                        or core.quiescent
-                        or abort.is_set()
+                    leave = abort.is_set() or not mine and (
+                        feed.depth or core.quiescent
                     )
-                    if not park and (not mine or abort.is_set()):
+                    if leave and flow_sem is not None:
                         draining = False
+                    park = not (leave or mine)
+                if leave:
+                    break
                 if park:
                     handed.wait()
-            mine.clear()  # an abort abandons the rest, as the workers do
             return True
 
         def stopping() -> bool:
@@ -477,6 +460,7 @@ class ParallelEngine:
 
         def environment() -> None:
             # Listing 2: the environment process.
+            nonlocal draining
             try:
                 while not abort.is_set():
                     if stopping():
@@ -516,11 +500,16 @@ class ParallelEngine:
                 abort.set()
             finally:
                 env_done.set()
-                # Close if everything already completed (covers zero-phase
-                # runs and the race where the last completion preceded
-                # env_done), or if we are aborting.
+                # The deque goes to the pool (a stop is honoured between
+                # bursts).  Close if everything already completed (covers
+                # zero-phase runs and the race where the last completion
+                # preceded env_done), or if we are aborting.
                 with lock:
+                    draining = False
+                    pooled = list(mine)
+                    mine.clear()
                     quiescent = core.quiescent
+                enqueue(pooled)
                 if quiescent or abort.is_set():
                     queue.close()
 

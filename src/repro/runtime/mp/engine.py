@@ -21,33 +21,22 @@ that ever touches them.  So a resident run costs what ``ScheduleCore``
 costs, plus one placement-clock reading on each side of its compute and
 one trip price.
 
-**Where a run computes is measured, not configured** (the paper
-promises speed-up only when vertex compute dwarfs the bookkeeping around
-it, and a trip to a worker is this engine's dearest bookkeeping;
-docs/ARCHITECTURE.md §5.8).  Every vertex starts *resident*: the
-coordinator, worker ``num_workers`` of its own ``ScheduleCore``, claims
-its ready runs, computes and commits them, no frame built.  Each
-resident run's compute is compared, in this thread's CPU seconds, with
-what marshalling that run would cost: a price per frame plus one per
-member, taken at the run's own length (before anything is shipped, the
-run's head and then the whole run encoded and decoded unsent; after,
-rescaled by every shipped frame and every reply).  A run
-of a vertex that did not just read cheap is *staked*: it stops once it
-has cost the whole run's trip, its tail keeping its claims.
-``_DEAR_RUNS`` dear runs in a row **promote** the vertex, one-way, to its
-sticky worker: its next frame carries the behaviour itself, holding
-the state the resident runs left, and from then on it takes the wire
-path (a worker starts empty, and nothing waits for it to boot).  Its
-ready pairs go into one FIFO deque, and each dispatch claims every pair
-there into a run and ships it as one :class:`~.protocol.RunMsg` (a
-single pair is a run of one) to the vertex's sticky worker, answered by
-one :class:`~.protocol.ResultBatch` that is committed whole — one frame
-each way, one commit and one fault behaviour whatever the run's
-length.  No window meters the wire: the scheduler holds at most
-one ready-or-claimed head per vertex, so a promoted vertex has at most
-one run in flight, and each worker's task queue is FIFO.  A worker only
-computes; its outputs are delivered where every output is, in the
-coordinator's commit.
+**Where a run computes is measured, not configured**
+(docs/ARCHITECTURE.md §5.8): a trip to a worker is this engine's
+dearest bookkeeping.  Every vertex starts *resident*: the coordinator,
+worker ``num_workers`` of its own ``ScheduleCore``, claims its ready
+runs, computes and commits them, no frame built, and settles each with
+:class:`~repro.runtime.core.Placement` — its compute, in this thread's
+CPU seconds, against what marshalling that run would cost (``frame + n
+× member``, priced on unsent frames until runs ship).  Once the rule
+moves a vertex it is **promoted**, one-way: its next frame carries the
+behaviour itself, holding the state the resident runs left, to its
+sticky worker, and each dispatch ships every ready pair of it, claimed
+into a run, as one :class:`~.protocol.RunMsg`, answered by one
+:class:`~.protocol.ResultBatch` committed whole.  No window meters the
+wire: the scheduler holds at most one ready-or-claimed head per
+vertex, so a promoted vertex has at most one run in flight.  A worker
+only computes; the coordinator's commit delivers every output.
 
 Correctness relies on the same argument as the serial oracle: the
 scheduler never holds two phases of one vertex ready at once, a vertex
@@ -84,7 +73,7 @@ from ...core.tracer import ExecutionTracer
 from ...core.vertex import VertexContext
 from ...errors import EngineError, VertexExecutionError
 from ...events import PhaseInput
-from ..core import ScheduleCore
+from ..core import Placement, ScheduleCore
 from ..feed import PhaseFeed
 from .lifecycle import ProcessWorkerPool
 from .protocol import (
@@ -106,11 +95,6 @@ _START_BURST = ADAPTIVE_RUN_CEILING  # most phases one admission starts
 #: Tests script it (``repro.testing.fuzz.scripted_placement``); nothing
 #: reads cheap on a clock that does not advance.
 _clock = time.thread_time
-#: Dear runs in a row that promote a vertex.  On a shared VM ~0.1 % of a
-#: microsecond vertex's runs read 50-130 us of CPU (EXPERIMENTS.md): two in
-#: a row would move a cheap vertex every few minutes of a long serve, three
-#: about once a day; each costs a dear vertex one more bounded stake.
-_DEAR_RUNS = 3
 
 #: What marshalling a run of n members costs: ``frame + n * member``.
 Price = Tuple[float, float]
@@ -263,15 +247,10 @@ class ProcessEngine:
         in_flight: Dict[Pair, VertexContext] = {}
         held: List[PhaseInput] = []  # at most one prefetched feed phase
 
-        # Placement.  Every vertex starts resident (ScheduleCore has just
-        # reset the program: this process holds exactly the initial
-        # state).  ``standing[v]``: -1 its last run computed cheaper than
-        # its trip, 0 never measured, k > 0 its last k runs did not;
-        # ``_DEAR_RUNS`` in a row promote it (None), one-way, so one slow
-        # sample cannot move a vertex and no later one can move it back.
-        standing: List[Optional[int]] = [0] * (self.program.numbering.n + 1)
-        unshipped: Set[int] = set()  # promoted, behaviour not yet on the wire
-        promoted: List[str] = []
+        # Every vertex starts resident (ScheduleCore has just reset the
+        # program: this process holds exactly the initial state).
+        placement = Placement(self.program.numbering.n)
+        shipped: Set[int] = set()  # promoted, behaviour on the wire
         # The trip's price in marshalling CPU: build, encode and queue a
         # run frame (``send``); receive and decode its reply (``recv``,
         # None before the first).  Until a frame is shipped, ``send`` is
@@ -295,7 +274,7 @@ class ProcessEngine:
         def place(pairs: Iterable[Pair]) -> None:
             # Each newly ready pair goes to exactly one of the two backlogs.
             for pair in pairs:
-                (ship if standing[pair[0]] is None else mine).append(pair)
+                (mine if placement.here(pair[0]) else ship).append(pair)
 
         def can_start_phase() -> bool:
             if stopping():
@@ -353,9 +332,8 @@ class ProcessEngine:
                     pass
                 else:
                     send, priced = _fit(head, whole, n), n
-            # A vertex whose last run did not read cheap is staked: the
-            # run stops once it has cost what shipping all of it would.
-            staked = standing[v] >= 0
+            # A staked run stops once it has cost shipping all of it.
+            staked = placement.staked(v)
             budget = trip(n) if staked else 0.0
             failure: Optional[VertexExecutionError] = None
             began = clock()
@@ -365,14 +343,7 @@ class ProcessEngine:
                 )
             except VertexExecutionError as exc:
                 failure, executed = exc, phases.index(exc.phase)
-            if clock() - began < trip(executed):
-                standing[v] = -1
-            else:
-                standing[v] = max(standing[v], 0) + 1
-                if standing[v] >= _DEAR_RUNS:
-                    standing[v] = None
-                    unshipped.add(v)
-                    promoted.append(ctxs[0].name)
+            placement.settle(v, clock() - began, trip(executed))
             done = phases[:executed]
             completed = runtime.commit(v, done, ctxs)
             if tracer is not None:
@@ -404,8 +375,8 @@ class ProcessEngine:
                 in_flight.update(((v, q), ctx) for q, ctx in prepared)
                 began = clock()
                 behavior = None
-                if v in unshipped:
-                    unshipped.discard(v)
+                if v not in shipped:
+                    shipped.add(v)
                     behavior = self.program.behavior(v)
                 run = run_from_contexts(v, prepared, behavior)
                 try:
@@ -561,7 +532,9 @@ class ProcessEngine:
                     "mean_tasks_per_frame": (
                         shipped_members / task_frames if task_frames else 0.0
                     ),
-                    "promoted": promoted,
+                    "promoted": [
+                        self.program.numbering.name_of(v) for v in placement.moved
+                    ],
                 },
             },
         )

@@ -229,10 +229,6 @@ class Resource:
             return 0.0
         return self.usage_integral / (makespan * self.capacity)
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def __repr__(self) -> str:
         return (
             f"Resource({self.name!r}, capacity={self.capacity}, "

@@ -109,11 +109,9 @@ class WorkloadSpec:
         behaviors = {}
         for name in graph.vertices():
             if name in sources:
-                behaviors[name] = FunctionVertex(
-                    _sparse_source(
-                        name, self.stream_seed, self.delta_prob,
-                        coarse=self.repeated,
-                    )
+                behaviors[name] = SparseSource(
+                    name, self.stream_seed, self.delta_prob,
+                    coarse=self.repeated,
                 )
             else:
                 behaviors[name] = FunctionVertex(_latched_sum)
@@ -136,36 +134,6 @@ class WorkloadSpec:
             for name, beh in behaviors.items()
         }
 
-    def build_picklable(self) -> Tuple[Program, List[PhaseInput]]:
-        """Like :meth:`build`, but with module-level behaviour classes so
-        the program crosses a process boundary.
-
-        The closure-based sources of :meth:`build` do not pickle; the
-        process campaign uses :class:`SparseSource` instead — same
-        value stream (pure function of ``(seed, name, phase)``), plus an
-        emission counter so the run also exercises the process backend's
-        state round trip.
-        """
-        graph = random_dag(
-            self.n_vertices,
-            edge_prob=self.edge_prob,
-            seed=self.graph_seed,
-            name=f"fuzz-{self.graph_seed}",
-        )
-        sources = set(graph.sources())
-        behaviors = {}
-        for name in graph.vertices():
-            if name in sources:
-                behaviors[name] = SparseSource(
-                    name, self.stream_seed, self.delta_prob,
-                    coarse=self.repeated,
-                )
-            else:
-                behaviors[name] = FunctionVertex(_latched_sum)
-        behaviors = self._apply_skew(graph, behaviors)
-        program = Program(graph, behaviors, name=f"fuzz-{self.graph_seed}")
-        return program, phase_signals(self.phases)
-
     def describe(self) -> str:
         return (
             f"N={self.n_vertices} edges~{self.edge_prob:.2f} "
@@ -182,41 +150,25 @@ class WorkloadSpec:
         )
 
 
-def _sparse_source(name: str, seed: int, delta_prob: float,
-                   coarse: bool = False):
-    """A Δ-sparse source: per phase, emit a value with prob *delta_prob*.
-
-    Stateless — the value is a pure function of ``(seed, name, phase)``
-    (string-seeded ``Random`` hashes with SHA-512, stable across
-    processes), so serial and parallel runs see identical streams and
-    shrinking can replay any phase in isolation.  *coarse* draws values
-    from a 3-element palette instead of [0, 1e6): consecutive emissions
-    then repeat often, and the engines must still deliver every one.
-    """
-
-    def fn(ctx):
-        rng = random.Random(f"{seed}:{name}:{ctx.phase}")
-        if rng.random() >= delta_prob:
-            return EMIT_NOTHING
-        return rng.randrange(3) if coarse else rng.randrange(1_000_000)
-
-    return fn
-
-
 def _latched_sum(ctx):
     """Inner vertices correlate by summing their latched inputs."""
     return sum(ctx.inputs.values())
 
 
 class SparseSource(Vertex):
-    """Picklable Δ-sparse source for the process campaign.
+    """A Δ-sparse source: per phase, emit a value with prob *delta_prob*.
 
-    Emits the same value stream as :func:`_sparse_source` (a pure
-    function of ``(seed, name, phase)``), but as a module-level class so
-    it survives pickling under the ``spawn`` start method — and with a
-    mutable emission counter, so every campaign run also exercises the
-    state round trip of a promoted vertex: the counter must come back
-    from the worker for final state to match the serial oracle.
+    The value is a pure function of ``(seed, name, phase)``
+    (string-seeded ``Random`` hashes with SHA-512, stable across
+    processes), so serial and parallel runs see identical streams and
+    shrinking can replay any phase in isolation.  *coarse* draws values
+    from a 3-element palette instead of [0, 1e6): consecutive emissions
+    then repeat often, and the engines must still deliver every one.
+    A module-level class, so it survives pickling under the ``spawn``
+    start method, with a mutable emission counter, so every process run
+    also exercises the state round trip of a promoted vertex: the
+    counter must come back from the worker for final state to match the
+    serial oracle.
     """
 
     def __init__(self, name: str, seed: int, delta_prob: float,
@@ -591,18 +543,19 @@ def scripted_placement(
     clock: Callable[[], float] = lambda: 0.0, dear_runs: int = 1
 ):
     """Script where :class:`~repro.runtime.mp.ProcessEngine` executes:
-    swap its placement clock and promotion streak.  The defaults — a
-    clock that stands still, on which nothing reads cheap, and a streak
-    of one — promote every vertex at its first pair: the wire under
-    test."""
+    swap its placement clock and the placement rule's streak
+    (:data:`repro.runtime.core.DEAR_RUNS`).  The defaults — a clock that
+    stands still, on which nothing reads cheap, and a streak of one —
+    promote every vertex at its first pair: the wire under test."""
+    from ..runtime import core
     from ..runtime.mp import engine
 
-    saved = engine._clock, engine._DEAR_RUNS
-    engine._clock, engine._DEAR_RUNS = clock, dear_runs
+    saved = engine._clock, core.DEAR_RUNS
+    engine._clock, core.DEAR_RUNS = clock, dear_runs
     try:
         yield
     finally:
-        engine._clock, engine._DEAR_RUNS = saved
+        engine._clock, core.DEAR_RUNS = saved
 
 
 def run_one_process(
@@ -619,7 +572,7 @@ def run_one_process(
     """
     from ..runtime.mp import ProcessEngine
 
-    program, phases = spec.build_picklable()
+    program, phases = spec.build()
     serial = SerialExecutor(program).run(phases)
     serial_state = {
         name: beh.snapshot_state() for name, beh in program.behaviors.items()

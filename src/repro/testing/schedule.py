@@ -312,7 +312,6 @@ class VirtualScheduler:
         self._control = threading.Event()
         self._clock = 0.0
         self._driver = threading.get_ident()
-        self._observers: List[Callable[[ScheduleStep], None]] = []
         self._shutdown = False
         self._name_counts: Dict[str, int] = {}
 
@@ -328,10 +327,6 @@ class VirtualScheduler:
     def now(self) -> float:
         """The virtual clock (advances only at timed-wait expiries)."""
         return self._clock
-
-    def add_observer(self, fn: Callable[[ScheduleStep], None]) -> None:
-        """Call ``fn(step)`` at every scheduling decision (monitors)."""
-        self._observers.append(fn)
 
     def spawn(
         self, target: Callable[..., None], name: str, args: Tuple = ()
@@ -388,8 +383,6 @@ class VirtualScheduler:
             step = ScheduleStep(self.steps, task.name, task.pending_point)
             self.trace.append(step)
             self.steps += 1
-            for fn in self._observers:
-                fn(step)
             self._resume(task)
 
     def run_all(self) -> None:
@@ -470,16 +463,6 @@ class VirtualScheduler:
                 t.deadline = None
                 n += 1
         return n
-
-    def wake_one(self, waiting_on: object) -> bool:
-        """Wake the longest-blocked task waiting on *waiting_on*."""
-        for t in self._tasks:
-            if t.state == _BLOCKED and t.blocked_on is waiting_on:
-                t.state = _READY
-                t.blocked_on = None
-                t.deadline = None
-                return True
-        return False
 
     # -- kernel internals -------------------------------------------------
 

@@ -9,12 +9,14 @@ from repro.analysis.serializability import assert_serializable
 from repro.core.invariants import InvariantChecker
 from repro.core.program import Program
 from repro.core.serial import SerialExecutor
+from repro.core.state import ADAPTIVE_RUN_CEILING
 from repro.core.tracer import ExecutionTracer
 from repro.core.vertex import FunctionVertex, PassthroughSource
 from repro.errors import EngineError, SchedulerError, VertexExecutionError
 from repro.events import PhaseInput
 from repro.graph.generators import chain_graph, fig1_graph
 from repro.graph.model import ComputationGraph
+from repro.runtime.core import DEAR_RUNS
 from repro.runtime.engine import ParallelEngine
 from repro.runtime.feed import PhaseFeed
 from repro.runtime.mp import ProcessEngine
@@ -390,8 +392,9 @@ class TestEnvironmentPeer:
         # A pipeline of cheap vertices whose sink is expensive.  On the
         # scripted clock compute reads 0 unless a vertex spends time, so
         # the outcome is exact: the environment stakes one execution on
-        # the sink, finds it dear, hands the rest of that run over, and
-        # from then on the sink — and nothing else — runs in the pool.
+        # the sink, finds it dear and hands the rest of that run over —
+        # DEAR_RUNS times in a row, the placement rule's streak — and
+        # from then on the sink, and nothing else, runs in the pool.
         backend = RegimeClockBackend(compute_dear=False)
 
         class DearSum(SpinningSum):
@@ -410,15 +413,107 @@ class TestEnvironmentPeer:
         ).run(phases)
         assert_serializable(serial, res)
         drain, _ = self._drained(res, 2)
-        assert drain["handovers"] == 1
+        assert drain["handovers"] == DEAR_RUNS
         sink_index = prog.numbering.index_of[sink]
         ended = [ev for ev in tracer.events if ev.kind == "execute_end"]
         on_env = [ev.pair for ev in ended if ev.worker == 2]
         in_pool = [ev.pair for ev in ended if ev.worker != 2]
         assert {v for v, _ in in_pool} == {sink_index}
-        assert [pair for pair in on_env if pair[0] == sink_index] == [
-            (sink_index, 1)
-        ]
+        staked = [q for v, q in on_env if v == sink_index]
+        assert len(staked) == DEAR_RUNS and staked[0] == 1, staked
+
+    @staticmethod
+    def _chain(v2, n):
+        # v1 -> v2 -> v3 over n phases; v2 computes *v2*.
+        prog = Program(chain_graph(3), {
+            "v1": PassthroughSource(),
+            "v2": FunctionVertex(v2),
+            "v3": FunctionVertex(lambda ctx: ctx.input("v2")),
+        })
+        return prog, [PhaseInput(k, float(k), {"v1": k}) for k in range(1, n + 1)]
+
+    def _placed_here(self, dear_phases, n=16):
+        # One phase in flight (runs of one), on a clock on which v2's
+        # compute reads dear exactly in *dear_phases*: the phases of v2
+        # the environment executed.
+        backend = RegimeClockBackend(compute_dear=False)
+        here = []
+
+        def detect(ctx):
+            if ctx.phase in dear_phases:
+                backend.spend(1000.0)
+            if threading.current_thread().name == "environment":
+                here.append(ctx.phase)
+            return ctx.input("v1")
+
+        prog, phases = self._chain(detect, n)
+        serial = SerialExecutor(prog).run(phases)
+        res = ParallelEngine(
+            prog, num_threads=2, max_in_flight_phases=1, backend=backend
+        ).run(phases)
+        assert_serializable(serial, res)
+        return here
+
+    # The process engine's placement tests, on this driver: one rule
+    # (repro.runtime.core.Placement) moves v2 at the same run on both.
+
+    def test_one_slow_sample_moves_nothing(self):
+        stalls = (4, *range(8, 8 + DEAR_RUNS - 1))
+        assert self._placed_here(stalls) == list(range(1, 17))
+
+    def test_a_vertex_that_turns_dear_moves_within_the_streak(self):
+        k = 5
+        assert self._placed_here(range(k, 100)) == list(range(1, k + DEAR_RUNS))
+
+    def test_a_pool_commit_between_bursts_places_cheap_pairs_here(self):
+        # Regression: between two bursts of a batch the environment
+        # lowered its drain, so a pool commit made then sent the cheap
+        # pairs it readied to the run queue (and their commits did the
+        # same).  Here v2 is dear and its first pool run waits until the
+        # environment has gone back to its feed for the second burst,
+        # which the feed holds back until that run's commit has readied
+        # the cheap sink's next pair.  Nothing but flow control can
+        # block the environment before it admits the burst, so the pair
+        # is still the environment's.
+        backend = RegimeClockBackend(compute_dear=False)
+        left, readied = threading.Event(), threading.Event()
+
+        def dear(ctx):
+            backend.spend(1000.0)
+            if threading.current_thread().name.startswith("compute-"):
+                assert left.wait(10.0)
+            return ctx.input("v1")
+
+        prog, phases = self._chain(dear, 150)
+        sink = prog.numbering.index_of["v3"]
+        second_burst = len(phases) - ADAPTIVE_RUN_CEILING
+
+        class Tracer(ExecutionTracer):
+            def enqueued(self, pair):
+                super().enqueued(pair)
+                if pair[0] == sink and pair[1] > 1:
+                    readied.set()
+
+        class Gated(PhaseFeed):
+            def get(self, timeout=None):
+                if self.depth == second_burst:
+                    left.set()
+                    assert readied.wait(10.0)
+                return super().get(timeout)
+
+        serial = SerialExecutor(prog).run(phases)
+        tracer = Tracer()
+        res = ParallelEngine(
+            prog, num_threads=2, tracer=tracer, backend=backend,
+            join_timeout=20.0,
+        ).run_feed(Gated.of(phases))
+        assert_serializable(serial, res)
+        assert readied.is_set()
+        pooled = {
+            ev.pair[0] for ev in tracer.events
+            if ev.kind == "execute_end" and ev.worker != 2
+        }
+        assert pooled == {prog.numbering.index_of["v2"]}
 
     def test_regime_flips_mid_run_without_losing_or_duplicating_a_pair(self):
         backend = RegimeClockBackend(compute_dear=False)

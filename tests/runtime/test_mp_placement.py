@@ -3,7 +3,7 @@ exactly once.
 
 :class:`~repro.runtime.mp.ProcessEngine` starts every vertex in the
 coordinator and promotes it to its sticky worker — one-way — once
-``_DEAR_RUNS`` runs in a row each cost the coordinator more CPU to
+``DEAR_RUNS`` runs in a row each cost the coordinator more CPU to
 compute than marshalling them would.  These tests script both sides of
 that comparison (:class:`~tests.runtime.regime_clock.ProcessRegimeClock`):
 a frame costs ``WIRE`` seconds, compute nothing until a vertex spends
@@ -27,8 +27,9 @@ from repro.graph.model import ComputationGraph
 from repro.models.basic import Recorder
 from repro.models.sensors import RandomWalkSensor
 from repro.models.statistics import ZScoreDetector
+from repro.runtime.core import DEAR_RUNS
 from repro.runtime.feed import PhaseFeed
-from repro.runtime.mp import ProcessEngine, engine as mp_engine
+from repro.runtime.mp import ProcessEngine
 from repro.runtime.mp.lifecycle import ProcessWorkerPool
 
 from tests.models.test_pickling import normalized
@@ -198,7 +199,7 @@ def by_phase(records):
 @pytest.fixture
 def clock():
     CLOCK.now = 0.0
-    with CLOCK.scripted(dear_runs=mp_engine._DEAR_RUNS):
+    with CLOCK.scripted(dear_runs=DEAR_RUNS):
         yield CLOCK
 
 
@@ -237,7 +238,7 @@ class TestPlacementRule:
         # A 5 ms stall in a single run of a microsecond vertex — a lost
         # quantum, a collector pause — and, later, as many in a row as
         # the streak allows short of promotion.
-        streak = mp_engine._DEAR_RUNS
+        streak = DEAR_RUNS
         stalls = (4, *range(8, 8 + streak - 1))
         program = chain(detect=stalls)
         records, final = oracle(program, signals(16))
@@ -251,7 +252,7 @@ class TestPlacementRule:
     def test_a_vertex_that_turns_dear_is_promoted_within_the_streak(
         self, clock, finals
     ):
-        streak, k = mp_engine._DEAR_RUNS, 5
+        streak, k = DEAR_RUNS, 5
         program = chain(detect=range(k, 100))
         records, final = oracle(program, signals(16))
         result = ProcessEngine(
@@ -336,7 +337,7 @@ class TestStateMovesOnce:
             program, 2, max_in_flight_phases=ONE_AT_A_TIME
         ).run(signals(14))
         assert result.stats["ipc"]["promoted"] == [vertex]
-        moved = k + mp_engine._DEAR_RUNS
+        moved = k + DEAR_RUNS
         assert here(program, vertex) == list(range(1, moved))
         assert sorted(program.behaviors[vertex].where) == list(range(1, 15))
         assert result.records == records

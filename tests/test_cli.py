@@ -629,6 +629,13 @@ class TestRefusals:
         err = self._refused("serve", str(SERVE_SPEC), option, value)
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "option, value", [("--max-phases", "-1"), ("--port", "70000")]
+    )
+    def test_serve_out_of_range_value(self, option, value):
+        err = self._refused("serve", str(SERVE_SPEC), option, value)
+        assert option in err
+
     def test_serve_missing_input(self, tmp_path):
         missing = tmp_path / "nonexistent.ndjson"
         self._refused("serve", str(SERVE_SPEC), "--input", str(missing))

@@ -121,8 +121,6 @@ class PipelineSpec:
             depth=self.depth, phases=self.phases, seed=self.seed
         )
 
-    build_picklable = build
-
     def describe(self):
         return f"pipeline depth={self.depth} phases={self.phases} seed={self.seed}"
 
@@ -154,8 +152,6 @@ class KeyedSpec:
         phases.extend(buffer.flush())
         assert buffer.late_count == 0
         return workload.program, phases
-
-    build_picklable = build
 
     def describe(self):
         return (
@@ -264,7 +260,7 @@ def run_cell(engine, spec, index):
             for name, beh in program.behaviors.items()
         }
 
-    program, phases = spec.build_picklable()  # stateful sources
+    program, phases = spec.build()  # stateful sources
     serial = SerialExecutor(program).run(phases)
     serial_state = state()
     if engine in ("threaded", "threaded-pooled"):
@@ -347,7 +343,7 @@ def test_a_run_is_its_members_one_at_a_time(family):
         for data_path, cut in (
             (whole, None), (pairwise, None), (whole, random.Random(i)),
         ):
-            program, phases = spec.build_picklable()
+            program, phases = spec.build()
             core, result = run_inline(
                 program, phases, data_path=data_path, cut=cut,
             )
@@ -438,7 +434,7 @@ def test_inline_retirement_sinks_each_phase_once_in_phase_order():
     for family in UNTIMED:
         for i in range(12):
             spec = FAMILIES[family]("inline", i)
-            program, phases = spec.build_picklable()
+            program, phases = spec.build()
             serial = SerialExecutor(program).run(phases)
             core, _ = run_inline(program, phases, newest_first=True)
             log = list(core.state.completed_log)
