@@ -280,24 +280,30 @@ class PairRuntime:
         final (its claim certificate), so no commit can change what a
         later member reads.  Each input channel is walked once.
         """
-        inputs: List[Dict[str, Any]] = [{} for _ in phases]
-        changed: List[Set[str]] = [set() for _ in phases]
-        for pred, channel in self.edges.in_channels[v]:
-            channel.read_run(pred, phases, inputs, changed)
         name = self._names[v]
         successors = self._succ_names[v]
-        payloads: List[Any] = [None] * len(phases)
-        if v in self._source_indices:
-            phase_inputs = self._phase_inputs
-            for k, p in enumerate(phases):
-                pi = phase_inputs.get(p)
-                if pi is not None:
-                    payloads[k] = pi.values.get(name)
         owning = VertexContext.owning
-        return [
-            owning(name, p, inputs[k], changed[k], successors, payloads[k])
-            for k, p in enumerate(phases)
-        ]
+        ctxs: List[VertexContext] = []
+        if v in self._source_indices:
+            # A source has no input channel: it reads its phase input.
+            phase_inputs = self._phase_inputs
+            for p in phases:
+                pi = phase_inputs.get(p)
+                ctxs.append(owning(
+                    name, p, {}, set(), successors,
+                    None if pi is None else pi.values.get(name),
+                ))
+            return ctxs
+        inputs: List[Dict[str, Any]] = []
+        changed: List[Set[str]] = []
+        for p in phases:
+            ctx = owning(name, p, {}, set(), successors)
+            inputs.append(ctx.inputs)
+            changed.append(ctx.changed)
+            ctxs.append(ctx)
+        for pred, channel in self.edges.in_channels[v]:
+            channel.read_run(pred, phases, inputs, changed)
+        return ctxs
 
     def compute(
         self,

@@ -452,6 +452,7 @@ class SchedulerState(CompletionLog):
         ready_upto = self._ready_upto
         enable = self.cones.enable
         out: List[Pair] = []
+        oldest = 0  # the oldest incomplete phase, once it is needed
         for w in vertices:
             q = settled[w] + 1
             ph = phases.get(q)
@@ -465,7 +466,9 @@ class SchedulerState(CompletionLog):
             ph.status[w] = READY
             out.append((w, q))
             if enable[w] > 0:
-                skew = q - self._oldest_incomplete_phase()
+                if not oldest:
+                    oldest = self._oldest_incomplete_phase()
+                skew = q - oldest
                 if skew > self._max_phase_skew:
                     self._max_phase_skew = skew
         return out
@@ -497,21 +500,24 @@ class SchedulerState(CompletionLog):
                 f"claim_run{(v, p)}: only a ready or claimed pair may head a run",
             )
         members = [p]
-        max_len = min(ADAPTIVE_RUN_CEILING, self._full_count[v])
-        pmax = self.pmax
-        q = p + 1
-        while len(members) < max_len and q <= pmax:
-            ph = phases.get(q)
-            if ph is not None:  # (a complete phase: determined, step over)
-                s = ph.status[v]
-                if s == FULL or s == CLAIMED:
-                    ph.status[v] = CLAIMED
-                    members.append(q)
-                elif s != DETERMINED:
-                    break
-            q += 1
-        if len(members) > 1:
-            self._ready_upto[v] = members[-1]
+        max_len = self._full_count[v]
+        if max_len > 1:  # a full backlog behind the head: extend the run
+            if max_len > ADAPTIVE_RUN_CEILING:
+                max_len = ADAPTIVE_RUN_CEILING
+            pmax = self.pmax
+            q = p + 1
+            while len(members) < max_len and q <= pmax:
+                ph = phases.get(q)
+                if ph is not None:  # (a complete phase: determined, step over)
+                    s = ph.status[v]
+                    if s == FULL or s == CLAIMED:
+                        ph.status[v] = CLAIMED
+                        members.append(q)
+                    elif s != DETERMINED:
+                        break
+                q += 1
+            if len(members) > 1:
+                self._ready_upto[v] = members[-1]
         self._runs_claimed += 1
         self._run_members_claimed += len(members)
         return members

@@ -53,8 +53,10 @@ class ScheduleCore:
     knows the worker and the clock.  With *retire*, each phase is
     retired as soon as the complete prefix extends: ``sink(phase,
     timestamp, entries)`` gets its record entries, then every
-    per-phase structure is garbage-collected.  *sink* runs inside the
-    driver's critical section and must be cheap and non-blocking.
+    per-phase structure is garbage-collected.  *sink* is the delivery:
+    it runs on the retiring driver's thread, inside its critical
+    section, so it must never wait on the driver; an exception from it
+    fails the run, and no phase reaches the sink after it.
     """
 
     def __init__(
@@ -140,13 +142,17 @@ class ScheduleCore:
         :meth:`PairRuntime.commit` / ``commit_remote`` returned.  Returns
         the newly ready pairs and how many phases newly completed (the
         flow-control credits to release)."""
-        newly_ready = self.state.complete_executions(completed)
+        state = self.state
+        complete = state.complete_phase_count
+        newly_ready = state.complete_executions(completed)
         if not self._retire:
             self._executions.extend([(v, p) for v, p, _ in completed])
         self._per_worker[worker] += len(completed)
         if self._tracer is not None:
             for pair in newly_ready:
                 self._tracer.enqueued(pair)
+        if state.complete_phase_count == complete:
+            return newly_ready, 0  # most commits complete no phase
         return newly_ready, self._advance()
 
     def result(
@@ -198,17 +204,26 @@ class ScheduleCore:
                 self._tracer.phase_completed(q)
         self._seen += len(new_complete)
         if self._retire:
-            rn = self._retire_next
+            first = rn = self._retire_next
             while state.phase_started(rn) and state.phase_complete(rn):
-                ts, entries = self.runtime.retire_phase(rn)
-                if self._sink is not None:
-                    self._sink(rn, ts, entries)
                 rn += 1
-            if rn > self._retire_next:
+            if rn > first:
                 state.retire_phases_upto(rn - 1)
-                self._phases_retired += rn - self._retire_next
+                self._phases_retired += rn - first
                 self._retire_next = rn
             state.trim_completed_log(self._seen)
+            # The books are closed before the first delivery, so a sink
+            # that raises leaves them whole; it is then dropped, so that
+            # what other threads still commit delivers no phase past it.
+            sink = self._sink
+            try:
+                for q in range(first, rn):
+                    ts, entries = self.runtime.retire_phase(q)
+                    if sink is not None:
+                        sink(q, ts, entries)
+            except BaseException:
+                self._sink = None
+                raise
         return len(new_complete)
 
 

@@ -214,8 +214,10 @@ class ParallelEngine:
         then stays bounded by the in-flight window rather than the
         stream length; the returned result carries no per-execution data
         (``executions`` empty, ``records`` empty) — counts live in
-        ``stats``.  *sink* runs inside the engine's critical section and
-        must be cheap and non-blocking (hand off to a queue).
+        ``stats``.  *sink* is the delivery: it runs on the retiring
+        thread inside the engine's critical section, so it must never
+        wait on the engine; an exception from it fails the run, and no
+        phase reaches the sink after it.
         """
         return self._execute(
             feed, sink=sink, retire=retire, stop_event=stop_event

@@ -91,7 +91,7 @@ __all__ = ["ProcessEngine"]
 _POLL_S = 0.05  # result-queue poll quantum while work is in flight
 _START_BURST = ADAPTIVE_RUN_CEILING  # most phases one admission starts
 #: The placement clock: this thread's CPU seconds, so a quantum lost to
-#: an ingest or emit thread on the same GIL is not read as compute.
+#: an ingest or HTTP thread on the same GIL is not read as compute.
 #: Tests script it (``repro.testing.fuzz.scripted_placement``); nothing
 #: reads cheap on a clock that does not advance.
 _clock = time.thread_time
@@ -273,8 +273,9 @@ class ProcessEngine:
 
         def place(pairs: Iterable[Pair]) -> None:
             # Each newly ready pair goes to exactly one of the two backlogs.
+            here = placement.here
             for pair in pairs:
-                (mine if placement.here(pair[0]) else ship).append(pair)
+                (mine if here(pair[0]) else ship).append(pair)
 
         def can_start_phase() -> bool:
             if stopping():
@@ -311,7 +312,7 @@ class ProcessEngine:
         def run_resident(v: int, p: int) -> None:
             # Listing 1's body with no wire in it — and what computing
             # cost, compared with what shipping would have.
-            nonlocal send, priced, last_progress
+            nonlocal send, priced
             phases, ctxs = core.claim(v, p)
             if tracer is not None:
                 trace("execute_begin", v, phases, me)
@@ -333,23 +334,22 @@ class ProcessEngine:
                 else:
                     send, priced = _fit(head, whole, n), n
             # A staked run stops once it has cost shipping all of it.
+            cost = trip(n)
             staked = placement.staked(v)
-            budget = trip(n) if staked else 0.0
             failure: Optional[VertexExecutionError] = None
             began = clock()
             try:
                 executed = runtime.compute(
-                    v, ctxs, (lambda: clock() - began >= budget) if staked else None
+                    v, ctxs, (lambda: clock() - began >= cost) if staked else None
                 )
             except VertexExecutionError as exc:
                 failure, executed = exc, phases.index(exc.phase)
-            placement.settle(v, clock() - began, trip(executed))
+            placement.settle(v, clock() - began, cost if executed == n else trip(executed))
             done = phases[:executed]
             completed = runtime.commit(v, done, ctxs)
             if tracer is not None:
                 trace("execute_end", v, done, me)
             place(core.commit(me, completed)[0])
-            last_progress = time.monotonic()
             if failure is not None:
                 raise failure
             if executed < n:
@@ -480,6 +480,7 @@ class ProcessEngine:
                     run_resident(*mine.popleft())
                     while mine and not ship and not in_flight:
                         run_resident(*mine.popleft())
+                    last_progress = time.monotonic()  # once per burst
                     continue
                 if progressed:
                     continue

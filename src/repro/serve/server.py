@@ -13,7 +13,8 @@ Endpoints (all JSON unless noted):
   lines before it are ingested), **409** once the session has stopped.
 * ``POST /advance`` — ``{"watermark": t}``: wall-clock sealing for quiet
   streams (see :meth:`ServeSession.advance_watermark`); **400** when *t*
-  is missing or not finite.
+  is missing, not a JSON number (a string or a bool is not one) or not
+  finite.
 * ``GET /stream`` — the result stream as ``text/event-stream`` (SSE).
   Each retired phase is one ``phase`` event; periodic ``stats`` events
   when configured.  A stalled consumer gets messages *dropped*, never
@@ -47,7 +48,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 
 from ..errors import ServeError
-from .session import ServeSession
+from .session import ServeSession, _number
 
 __all__ = ["ServeServer"]
 
@@ -164,10 +165,10 @@ class _Handler(BaseHTTPRequestHandler):
         if body is None:
             return
         try:
-            to = float(json.loads(body or b"{}")["watermark"])
+            to = _number(json.loads(body or b"{}")["watermark"])
             if not math.isfinite(to):
                 raise ValueError(f"watermark {to} is NaN or infinite")
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             self._reply_json(400, {"error": f"need {{'watermark': t}}: {exc}"})
             return
         try:

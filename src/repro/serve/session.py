@@ -18,9 +18,6 @@ memory bound is the sum of the stage capacities:
   the ceiling, and admitting fewer shortens it, so a backlogged session
   would pay per phase the claim, prepare and commit a batch pays once
   per run;
-* emit queue — at most ``_EMIT_CAPACITY`` retired-but-unannounced phases
-  (overflow blocks the retiring worker briefly; the emit thread never
-  takes an engine lock, so this cannot deadlock);
 * SSE egress — per-listener queues of ``_ANNOUNCE_QUEUE`` frames that
   *drop* when a consumer stalls (egress must never backpressure the
   engine).
@@ -28,6 +25,15 @@ memory bound is the sum of the stage capacities:
 Everything behind those stages is retired: per-phase pairsets, trace
 segments, edge entries and completion-log entries are released as the
 complete prefix advances, so RSS stays flat over millions of phases.
+
+Delivery: the engine thread that retires a phase delivers it — sorts its
+record entries, spot-checks it, calls ``on_retired`` and announces it —
+inside the engine's critical section, before the next phase can retire.
+So a retired phase is a delivered one, and a served phase costs one
+thread hand-off (feed to engine).  ``on_retired`` must be cheap and must
+not call back into the session's ingest (``offer``, ``offer_body``,
+``advance_watermark``); an exception from it, or from the spot checker,
+fails the engine run like any other engine failure.
 
 :class:`OracleSpotChecker` keeps a *persistent* serial replica of the
 program (Section 2's one-phase-at-a-time specification) fed with every
@@ -42,7 +48,6 @@ import copy
 import json
 import json.scanner
 import math
-import queue
 import sys
 import threading
 from dataclasses import dataclass
@@ -68,8 +73,6 @@ __all__ = [
 _ENGINES = ("parallel", "process")
 #: Late events the reorder buffer keeps for inspection (all are counted).
 _MAX_LATE_KEPT = 32
-#: Retired-but-unannounced phases between the engine and the emit thread.
-_EMIT_CAPACITY = 256
 #: Frames one SSE listener may fall behind before it starts dropping.
 _ANNOUNCE_QUEUE = 256
 #: Retired phases between two RSS samples of the high-water mark.
@@ -176,7 +179,7 @@ def phase_frame(
 
     Serialised in a single pass; only when a record value turns out not
     to be JSON-encodable is that value replaced by its ``repr`` and the
-    frame redone, so an exotic payload can never crash the emit thread.
+    frame redone, so an exotic payload can never fail the engine run.
     """
     payload: Dict[str, Any] = {
         "phase": phase,
@@ -299,7 +302,9 @@ class ServeSession:
     Lifecycle: construct, :meth:`start`, then any number of
     :meth:`offer` / :meth:`offer_body` / :meth:`advance_watermark`
     calls (one producer thread at a time holds the ingest lock), then
-    :meth:`close`.  Usable as a context manager.
+    :meth:`close`.  Usable as a context manager.  *on_retired(phase,
+    timestamp, entries)* sees each retired phase once, in phase order, on
+    the engine thread that retired it (the module docstring's contract).
     """
 
     def __init__(
@@ -336,13 +341,8 @@ class ServeSession:
         self._ingest_lock = threading.Lock()
         self._pending_lock = threading.Lock()
         self._pending_inputs: Dict[int, PhaseInput] = {}
-        self._emit_q: "queue.Queue[Optional[Tuple[int, float, List[Tuple[str, Any]]]]]" = queue.Queue(
-            maxsize=_EMIT_CAPACITY
-        )
         self._engine_thread: Optional[threading.Thread] = None
-        self._emit_thread: Optional[threading.Thread] = None
         self._engine_error: Optional[BaseException] = None
-        self._emit_error: Optional[BaseException] = None
         self.result = None  # RunResult once closed
         self._started = False
         self._closed = False
@@ -376,10 +376,6 @@ class ServeSession:
         if self._started:
             raise ServeError("session already started")
         self._started = True
-        self._emit_thread = threading.Thread(
-            target=self._emit_main, name="serve-emit", daemon=True
-        )
-        self._emit_thread.start()
         self._engine_thread = threading.Thread(
             target=self._engine_main, name="serve-engine", daemon=True
         )
@@ -409,36 +405,15 @@ class ServeSession:
         except BaseException as exc:  # surface at close()
             self._engine_error = exc
         finally:
-            # Unblock any producer parked in feed.put, then stop the
-            # emit thread once everything retired so far is announced.
-            self.feed.close()
-            self._emit_q.put(None)
+            self.feed.close()  # unblock any producer parked in feed.put
 
-    # -- retire path (engine -> emit thread -> SSE) ------------------------
+    # -- retire path (engine -> SSE) ----------------------------------------
 
     def _sink(
         self, phase: int, ts: float, entries: List[Tuple[str, Any]]
     ) -> None:
-        # Called inside the engine's commit critical section: only a
-        # bounded blocking handoff, never real work.  The emit thread
-        # takes no engine lock, so a full queue stalls the worker
-        # briefly but cannot deadlock.
-        self._emit_q.put((phase, ts, entries))
-
-    def _emit_main(self) -> None:
-        try:
-            while True:
-                item = self._emit_q.get()
-                if item is None:
-                    break
-                self._emit_one(*item)
-        except BaseException as exc:
-            self._emit_error = exc
-            self._stop.set()  # a dead emitter must stop the engine too
-
-    def _emit_one(
-        self, phase: int, ts: float, entries: List[Tuple[str, Any]]
-    ) -> None:
+        # Called by the retiring engine thread, inside its critical
+        # section (the module docstring's delivery contract).
         cfg = self.config
         entries.sort(key=lambda e: self._order[e[0]])
         self.phases_retired += 1
@@ -450,8 +425,6 @@ class ServeSession:
                 pi = PhaseInput(phase, ts, {})
             verdict = self.checker.observe(pi, entries)
         if self._on_retired is not None:
-            # The in-process sink hook; an exception here is an emitter
-            # failure (it propagates to _emit_main's handler).
             self._on_retired(phase, ts, entries)
         self.announcer.announce(lambda: phase_frame(phase, ts, entries, verdict))
         self.results_streamed += 1
@@ -473,10 +446,6 @@ class ServeSession:
             raise ServeError(
                 f"engine failed: {self._engine_error!r}"
             ) from self._engine_error
-        if self._emit_error is not None:
-            raise ServeError(
-                f"result emitter failed: {self._emit_error!r}"
-            ) from self._emit_error
 
     def _admit(self, sealed: List[PhaseInput]) -> None:
         if not sealed:
@@ -540,7 +509,7 @@ class ServeSession:
         per line would have, and every phase the body sealed reaches the
         engine in one :meth:`PhaseFeed.put`.  Raises
         :class:`~repro.errors.ServeError` when the session is not open
-        (not started, closed, or its engine or emitter failed).
+        (not started, closed, or its engine failed).
         """
         rows: List[Row] = []
         line_of: List[int] = []  # the body line of each row
@@ -626,17 +595,12 @@ class ServeSession:
         else:
             self._stop.set()
         self.feed.close()
-        timeout = self.config.join_timeout
         assert self._engine_thread is not None
-        assert self._emit_thread is not None
-        self._engine_thread.join(timeout=timeout)
-        self._emit_thread.join(timeout=timeout)
-        if self._engine_thread.is_alive() or self._emit_thread.is_alive():
+        self._engine_thread.join(timeout=self.config.join_timeout)
+        if self._engine_thread.is_alive():
             raise ServeError("serve pipeline failed to stop in time")
         if self._engine_error is not None:
             raise self._engine_error
-        if self._emit_error is not None:
-            raise self._emit_error
         rss = current_rss_bytes()
         if rss > self.rss_high_water:
             self.rss_high_water = rss

@@ -347,6 +347,48 @@ class TestRunEqualsPairwise:
         # time would.
         self.assert_runs_agree(fork_runtime, payloads, rng)
 
+    @staticmethod
+    def assert_runs_of_one_read_their_history(build, payloads):
+        # Each run of one's context, against what the members before it
+        # sent: a source reads its phase payload and no input; any other
+        # vertex reads, per predecessor, the newest message at or before
+        # its phase, and marks it changed iff that message is its phase's.
+        rt = build(payloads)
+        members = drive(rt, lambda phases: [[p] for p in phases])
+        graph, numbering = rt.program.graph, rt.program.numbering
+        sources = set(numbering.source_indices())
+        sent = {}  # (sender, receiver) name -> {phase: value}
+        for (phase, inputs, changed, phase_input), (outputs, _), (v, p, _) in members:
+            assert phase == p
+            name = numbering.name_of(v)
+            if v in sources:
+                assert (inputs, changed) == ({}, set())
+                assert phase_input == payloads[p - 1].get(name)
+            else:
+                want_inputs, want_changed = {}, set()
+                for u in graph.predecessors(name):
+                    history = sent.get((u, name), {})
+                    before = [q for q in history if q <= p]
+                    if before:
+                        want_inputs[u] = history[max(before)]
+                        if max(before) == p:
+                            want_changed.add(u)
+                assert (inputs, changed) == (want_inputs, want_changed)
+                assert phase_input is None
+            for w, value in outputs.items():
+                sent.setdefault((name, w), {})[p] = value
+
+    @given(histories)
+    @settings(max_examples=100, deadline=None)
+    def test_a_run_of_one_reads_its_history(self, payloads):
+        # Source runs (with and without a payload) and inner runs.
+        self.assert_runs_of_one_read_their_history(diamond_runtime, payloads)
+
+    @given(histories)
+    @settings(max_examples=100, deadline=None)
+    def test_a_partial_fan_out_run_of_one_reads_its_history(self, payloads):
+        self.assert_runs_of_one_read_their_history(fork_runtime, payloads)
+
     def test_the_fork_reaches_both_fan_outs(self):
         rows = [{"s1": 1, "s2": 1}] * 6 + [{"s1": 2, "s2": 1}] + [{"s2": 2}] * 2
         rt = fork_runtime(rows)

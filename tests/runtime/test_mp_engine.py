@@ -12,6 +12,7 @@ from repro.analysis.stats import validate_engine_stats
 from repro.core.invariants import InvariantChecker
 from repro.core.program import Program
 from repro.core.serial import SerialExecutor
+from repro.core.state import CompletionLog
 from repro.core.tracer import ExecutionTracer
 from repro.core.vertex import Vertex, VertexContext
 from repro.errors import EngineError, VertexExecutionError
@@ -168,6 +169,25 @@ class TestCoordinatorLoop:
         assert res.phases_run == len(phases)
         assert len(calls) == len(phases)
 
+
+    def test_the_completion_log_is_read_once_per_phase(self, monkeypatch):
+        # One phase in flight: every run is a run of one, and most of a
+        # phase's commits complete no phase; only those that do read the
+        # completion log.
+        calls = []
+        completed_since = CompletionLog.completed_since
+
+        def counted(log, cursor):
+            calls.append(cursor)
+            return completed_since(log, cursor)
+
+        monkeypatch.setattr(CompletionLog, "completed_since", counted)
+        prog, phases = grid_workload(4, 4, phases=40, seed=1)
+        res = ProcessEngine(prog, 2, max_in_flight_phases=1).run(phases)
+        coalescing = res.stats["coalescing"]
+        assert coalescing["mean_run_length"] == 1.0
+        assert coalescing["runs_scheduled"] >= 10 * len(phases)
+        assert len(calls) == len(phases)
 
 class TestFinalStateRestore:
     def test_post_run_state_matches_serial(self):

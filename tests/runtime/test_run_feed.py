@@ -16,6 +16,7 @@ The continuous-operation contract (satellites of the serve layer):
 """
 
 import threading
+from collections import deque
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.analysis.serializability import assert_serializable
 from repro.core.serial import SerialExecutor
 from repro.core.tracer import ExecutionTracer
 from repro.errors import EngineError
+from repro.runtime.core import ScheduleCore
 from repro.runtime.engine import ParallelEngine
 from repro.runtime.feed import PhaseFeed
 from repro.runtime.mp.engine import ProcessEngine
@@ -139,6 +141,35 @@ class TestRetirement:
         producer.join(timeout=30)
         ts_of = {pi.phase: pi.timestamp for pi in phases}
         assert dict(sink_log) == ts_of
+
+    def test_a_raising_sink_is_the_last_delivery(self):
+        # A delivery that raises fails the run; what is committed after
+        # it (another thread's run in flight) delivers no later phase,
+        # and the books stay whole.
+        program, phases = WORKLOADS["pipeline"]()
+        delivered = []
+
+        def sink(p, ts, entries):
+            delivered.append(p)
+            if p == 2:
+                raise RuntimeError("delivery of phase 2 failed")
+
+        core = ScheduleCore(program, 1, retire=True, sink=sink)
+        failures = []
+        for pi in phases[:5]:
+            ready = deque(core.admit(pi))
+            while ready:
+                v, p = ready.popleft()
+                run, ctxs = core.claim(v, p)
+                core.runtime.compute(v, ctxs)
+                completed = core.runtime.commit(v, run, ctxs)
+                try:
+                    ready.extend(core.commit(0, completed)[0])
+                except RuntimeError as exc:
+                    failures.append(exc)
+        assert len(failures) == 1
+        assert delivered == [1, 2]
+        assert core.state.retired_upto == 5 and core.quiescent
 
     def test_retire_with_tracer_rejected(self):
         program, _ = WORKLOADS["pipeline"]()

@@ -121,6 +121,19 @@ class TestEndpoints:
             )
             assert status == 400
             assert "infinite" in json.loads(body)["error"]
+        # Only a JSON number is a watermark, as only one is a timestamp:
+        # float() would take the string, and read true as 1.0.
+        for watermark in (b'"5"', b"true"):
+            status, _h, body = _request(
+                server, "POST", "/advance", b'{"watermark": %b}' % watermark
+            )
+            assert status == 400
+            assert "is not a number" in json.loads(body)["error"]
+        # An integer too large for a float is refused, not a crash.
+        status, _h, _b = _request(
+            server, "POST", "/advance", b'{"watermark": 1%b}' % (b"0" * 400)
+        )
+        assert status == 400
         assert session.buffer.watermark == float("-inf")
 
     @pytest.mark.parametrize("path", ["/events", "/advance"])

@@ -3,6 +3,7 @@
 import random
 import resource
 import sys
+import threading
 import time
 from types import SimpleNamespace
 
@@ -89,19 +90,17 @@ class TestParallelPipeline:
         for e in events:
             assert sorted(e["records"]) == by_phase.get(e["phase"], [])
 
-    def test_unencodable_record_cannot_kill_the_emit_thread(
-        self, keyed_workload
-    ):
+    def test_unencodable_record_cannot_fail_the_delivery(self, keyed_workload):
         names = sorted(keyed_workload.program.numbering.index_of)
         session = ServeSession(keyed_workload.program, ServeConfig())
         q = session.announcer.listen()
-        with session:
-            # Hand the emit thread retired phases directly, as the
-            # engine's sink would.
-            session._sink(1, 0.0, [(names[0], {1, 2}), (names[1], 5)])
-            session._sink(2, 1.0, [(names[0], {(1, 2): object})])
-            session._sink(3, 2.0, [(names[0], "fine")])
-        assert session._emit_error is None
+        session.start()
+        # Deliver retired phases directly, as the retiring engine thread
+        # would.
+        session._sink(1, 0.0, [(names[0], {1, 2}), (names[1], 5)])
+        session._sink(2, 1.0, [(names[0], {(1, 2): object})])
+        session._sink(3, 2.0, [(names[0], "fine")])
+        session.close()  # no delivery failed: nothing to re-raise
         events = phase_events(drain_queue(q))
         assert [e["phase"] for e in events] == [1, 2, 3]
         assert sorted(events[0]["records"]) == sorted(
@@ -122,10 +121,10 @@ class TestParallelPipeline:
         monkeypatch.setattr(session_module, "format_sse", counted)
         names = sorted(keyed_workload.program.numbering.index_of)
         session = ServeSession(keyed_workload.program, ServeConfig())
-        with session:
-            for phase in range(1, 6):
-                session._sink(phase, float(phase), [(names[0], phase)])
-        assert session._emit_error is None
+        session.start()
+        for phase in range(1, 6):
+            session._sink(phase, float(phase), [(names[0], phase)])
+        session.close()  # no delivery failed: nothing to re-raise
         assert formatted == []
         assert session.announcer.announced == 5
         assert session.results_streamed == 5
@@ -138,10 +137,7 @@ class TestParallelPipeline:
         with session:
             for phase in (1, 2, 3):
                 session._sink(phase, float(phase), [(names[0], phase)])
-            deadline = time.monotonic() + 30
-            while session.announcer.announced < 3:
-                assert time.monotonic() < deadline, session.announcer
-                time.sleep(0.001)
+            assert session.announcer.announced == 3  # delivered in _sink
             q = session.announcer.listen()
             for phase in (4, 5, 6):
                 session._sink(phase, float(phase), [(names[0], phase)])
@@ -237,6 +233,75 @@ class TestBacklog:
         assert n_phases >= 200
         assert got == {p: by_phase.get(p, []) for p in range(1, n_phases + 1)}
         assert stats["engine"]["stats"]["coalescing"]["mean_run_length"] > 8
+
+
+class TestDelivery:
+    """The engine thread that retires a phase delivers it: no second
+    thread hop, and a delivery that raises fails the session."""
+
+    @pytest.mark.parametrize("engine", ["parallel", "process"])
+    def test_on_retired_runs_on_the_retiring_engine_thread(self, engine):
+        workload = grid_backlog(16)
+        seen = []
+
+        def on_retired(phase, ts, entries):
+            seen.append((
+                phase,
+                threading.current_thread(),
+                sorted(t.name for t in threading.enumerate()
+                       if t.name.startswith("serve-")),
+            ))
+
+        session = ServeSession(
+            workload.program,
+            ServeConfig(engine=engine, wait=workload.wait, quantum=workload.quantum),
+            on_retired=on_retired,
+        )
+        with session:
+            for a in workload.arrivals:
+                session.offer(a)
+        assert [phase for phase, _, _ in seen] == list(range(1, 17))
+        for _, thread, serve_threads in seen:
+            # The session starts one thread; no "serve-emit" exists.
+            assert serve_threads == ["serve-engine"]
+            if engine == "process":
+                assert thread is session._engine_thread  # the coordinator
+            else:
+                assert thread.name.startswith("compute-")  # a retiring worker
+
+    @pytest.mark.parametrize("engine", ["parallel", "process"])
+    def test_a_raising_on_retired_fails_the_session(self, engine):
+        workload = grid_backlog(16)
+        seen = []
+
+        class HookFailed(Exception):
+            pass
+
+        def on_retired(phase, ts, entries):
+            seen.append(phase)
+            if phase == 3:
+                raise HookFailed("on_retired failed at phase 3")
+
+        session = ServeSession(
+            workload.program,
+            ServeConfig(engine=engine, wait=workload.wait, quantum=workload.quantum),
+            on_retired=on_retired,
+        )
+        session.start()
+        try:
+            for a in workload.arrivals:
+                session.offer(a)
+        except ServeError:
+            pass  # the engine already failed and closed its feed
+        session._engine_thread.join(timeout=60)
+        assert not session._engine_thread.is_alive()
+        with pytest.raises(ServeError, match="engine failed.*HookFailed"):
+            session.offer(workload.arrivals[0])
+        with pytest.raises(HookFailed, match="phase 3"):
+            session.close()
+        # The failed delivery is the last one.
+        assert seen == [1, 2, 3]
+        assert session.phases_retired == 3
 
 
 class TestIngestEdges:
