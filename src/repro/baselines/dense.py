@@ -33,7 +33,7 @@ the paper is eliminating.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 from ..core.program import PairRuntime, Program, RunResult
 from ..events import PhaseInput
@@ -52,13 +52,12 @@ class DenseDataflowExecutor:
         self.program.reset()
         runtime = PairRuntime(self.program, phase_inputs)
         n = self.program.n
-        executions: List[Tuple[int, int]] = []
         # Last value sent on each edge, for re-sending unchanged values.
         previous: Dict[Tuple[int, int], Any] = {}
         started = time.perf_counter()
         for p in range(1, runtime.num_phases + 1):
             for v in range(1, n + 1):
-                ctxs = runtime.prepare(v, (p,))
+                ctxs = runtime.prepare(v, [p])
                 runtime.compute(v, ctxs)
                 # Densify: any successor the behaviour skipped receives the
                 # previous value again, so downstream sees a full input set.
@@ -70,12 +69,10 @@ class DenseDataflowExecutor:
                         outputs[wname] = previous[(v, w)]
                     # An edge that has never carried a value stays silent:
                     # there is no "previous value" to re-send yet.
-                runtime.commit(v, (p,), ctxs)
-                executions.append((v, p))
+                runtime.commit(v, [p], ctxs)
         elapsed = time.perf_counter() - started
         return runtime.build_result(
             "dense",
-            executions,
             elapsed,
             stats={
                 "edges": self.program.graph.num_edges,

@@ -76,7 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--profile", metavar="PATH", default=None,
                      help="profile the engine run with cProfile, dump the "
                           "pstats file to PATH, and print a per-stage "
-                          "wall-time breakdown")
+                          "wall-time breakdown.  cProfile inflates the "
+                          "thread CPU clock that placement reads, so a "
+                          "profiled run may pool or promote what an "
+                          "unprofiled one keeps inline; the drain line "
+                          "shows which regime was measured")
     run.add_argument("--check", action="store_true",
                      help="also run the serial oracle and verify "
                           "serializability (executed pairs, message count "
@@ -430,6 +434,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"coalescing: {coalescing['runs_scheduled']} runs scheduled, "
               f"{coalescing['pairs_coalesced']} pairs coalesced "
               f"(mean run length {coalescing['mean_run_length']:.2f})")
+    drain = result.stats.get("drain") if result.stats else None
+    if drain:
+        line = (f"drain: {drain['inline_runs']} inline runs, "
+                f"{drain['pooled_runs']} pooled runs, "
+                f"{drain['handovers']} handovers")
+        if "ipc" in result.stats:
+            promoted = result.stats["ipc"]["promoted"]
+            line += f", {len(promoted)} promoted" + (
+                f" ({', '.join(promoted)})" if promoted else "")
+        print(line)
 
     if args.stats_json is not None:
         _write_stats_json(args.stats_json, {

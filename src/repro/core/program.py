@@ -23,16 +23,22 @@ threaded engine can hold the global lock only around the bookkeeping:
   iterates over).
 
 :class:`RunResult` is the externally visible outcome of a run: the per-
-vertex records, the executed pairs in completion order, and counters.
+vertex records, the executed pairs in completion order (an
+:class:`ExecutionLog`, which commit appends to), and counters.
 """
 
 from __future__ import annotations
 
+import operator
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -48,7 +54,9 @@ from ..graph.numbering import Numbering, number_graph
 from .ports import EdgeStore
 from .vertex import Vertex, VertexContext
 
-__all__ = ["Program", "PairRuntime", "RunResult", "compute_members"]
+__all__ = [
+    "ExecutionLog", "Program", "PairRuntime", "RunResult", "compute_members",
+]
 
 
 class Program:
@@ -121,6 +129,85 @@ class Program:
         return f"Program({self.name!r}, n={self.n})"
 
 
+class ExecutionLog(SequenceABC):
+    """Executed vertex-phase pairs ``(v, p)`` in completion order, held
+    in one ``array('i')``: a run of vertex *v* is its phases, preceded by
+    the marker ``-v`` unless the run before it was *v*'s too (vertex
+    indices and phases are positive).  That is 4 bytes per pair plus 4
+    per change of vertex: at most 8 per pair.
+
+    It reads as the list of tuples: ``len``, iteration, indexing,
+    slicing (a slice is a list) and ``==`` against a list or another
+    log.  Random access builds an index of the markers on first use.
+    Append-only; the one writer is :meth:`PairRuntime.commit`.
+    """
+
+    __hash__ = None  # type: ignore[assignment]  # mutable, like a list
+
+    def __init__(self) -> None:
+        self._data = array("i")
+        self._len = 0
+        self._last = 0  # the vertex of the last run; none yet
+        # The random-access index: per marker, its position in _data and
+        # the number of pairs before it; it covers _data[:_indexed].
+        self._marks = array("i")
+        self._firsts = array("i")
+        self._indexed = 0
+
+    def append_run(self, v: int, phases: List[int]) -> None:
+        """Append the run of *v* over *phases*, a non-empty list."""
+        data = self._data
+        if v != self._last:
+            data.append(-v)
+            self._last = v
+        data.fromlist(phases)
+        self._len += len(phases)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        v = 0
+        for x in self._data:
+            if x < 0:
+                v = -x
+            else:
+                yield v, x
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return [self._pair(i) for i in range(*index.indices(self._len))]
+        i = operator.index(index)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("execution log index out of range")
+        return self._pair(i)
+
+    def _pair(self, i: int) -> Tuple[int, int]:
+        data, marks, firsts = self._data, self._marks, self._firsts
+        for pos in range(self._indexed, len(data)):
+            if data[pos] < 0:
+                firsts.append(pos - len(marks))
+                marks.append(pos)
+        self._indexed = len(data)
+        k = bisect_right(firsts, i) - 1
+        mark = marks[k]
+        return -data[mark], data[mark + 1 + i - firsts[k]]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ExecutionLog):
+            return self._data == other._data  # one encoding per sequence
+        if isinstance(other, list):
+            return self._len == len(other) and all(
+                map(operator.eq, self, other)
+            )
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ExecutionLog({list(self)!r})"
+
+
 @dataclass
 class RunResult:
     """The externally observable outcome of executing a program.
@@ -134,8 +221,10 @@ class RunResult:
         Per-vertex record log: vertex name -> list of ``(phase, value)``.
         Only vertices that recorded anything appear.
     executions:
-        Executed vertex-phase pairs, in completion order.  Completion order
-        varies across engines; the *set* must not.
+        A sequence of the executed vertex-phase pairs ``(v, p)``, in
+        completion order — every engine returns an :class:`ExecutionLog`
+        (empty when the run retired its phases).  Completion order varies
+        across engines; the *set* must not.
     message_count:
         Total messages delivered along edges.
     phases_run:
@@ -148,7 +237,7 @@ class RunResult:
 
     engine: str
     records: Dict[str, List[Tuple[int, Any]]]
-    executions: List[Tuple[int, int]]
+    executions: Sequence[Tuple[int, int]]
     message_count: int
     phases_run: int
     wall_time: float = 0.0
@@ -216,7 +305,9 @@ class PairRuntime:
         so :meth:`retire_phase` can hand each completed phase's output to
         a streaming consumer and then forget it — the continuous-
         operation mode, where nothing may accumulate for the whole run.
-        :attr:`records` stays empty in this mode.
+        :attr:`records` stays empty and :attr:`executions` is ``None``
+        in this mode; otherwise :attr:`executions` logs every committed
+        pair.
     """
 
     def __init__(
@@ -231,7 +322,9 @@ class PairRuntime:
         self.stream_records = stream_records
         self._records_by_phase: Dict[int, List[Tuple[str, Any]]] = {}
         self.message_count = 0
-        self.execution_count = 0
+        self.executions: Optional[ExecutionLog] = (
+            None if stream_records else ExecutionLog()
+        )
         self._phase_inputs: Dict[int, PhaseInput] = {}
         self.num_phases = 0
         for pi in phase_inputs:
@@ -319,14 +412,16 @@ class PairRuntime:
         )
 
     def commit(
-        self, v: int, phases: Sequence[int], ctxs: Sequence[VertexContext]
+        self, v: int, phases: List[int], ctxs: Sequence[VertexContext]
     ) -> List[Tuple[int, int, List[int]]]:
         """Deliver outputs, append records, GC inputs (call under the lock).
 
         Commits the members ``zip(phases, ctxs)`` back to back, exactly
-        as serial per-phase commits, then accounts the edges and
-        garbage-collects *v*'s inputs once, up to the last member's
-        phase.  Returns ``(v, phase, targets)`` per member —
+        as serial per-phase commits — *ctxs* holds a context for each of
+        *phases*; contexts past them, a cut run's unexecuted tail, are
+        ignored — then accounts the edges, garbage-collects *v*'s inputs
+        once, up to the last member's phase, and logs the run.  Returns
+        ``(v, phase, targets)`` per member —
         what :meth:`SchedulerState.complete_executions` takes — *targets*
         being the indices of the vertices that received an output, the
         ``w`` of Listing 1's statement 1.8, ascending: a broadcasting
@@ -369,14 +464,15 @@ class PairRuntime:
             completed.append((v, p, targets))
         if completed:
             self.message_count += sent
-            self.execution_count += len(completed)
             self.edges.settle_run(v, completed[-1][1], sent)
+            if self.executions is not None:
+                self.executions.append_run(v, phases)
         return completed
 
     def execute(self, v: int, p: int) -> List[int]:
         """prepare + compute + commit of the run of one ``(v, [p])``
         (single-threaded drivers); returns its output targets."""
-        phases = (p,)
+        phases = [p]
         ctxs = self.prepare(v, phases)
         self.compute(v, ctxs)
         return self.commit(v, phases, ctxs)[0][2]
@@ -384,7 +480,7 @@ class PairRuntime:
     def commit_remote(
         self,
         v: int,
-        phases: Sequence[int],
+        phases: List[int],
         ctxs: Sequence[VertexContext],
         replies: Sequence[Tuple[Mapping[str, Any], Sequence[Any]]],
     ) -> List[Tuple[int, int, List[int]]]:
@@ -419,15 +515,18 @@ class PairRuntime:
     def build_result(
         self,
         engine: str,
-        executions: List[Tuple[int, int]],
         wall_time: float,
         stats: Optional[Dict[str, Any]] = None,
         phases_run: Optional[int] = None,
     ) -> RunResult:
+        """The run's result.  It takes over the records and the execution
+        log, not copies: the runtime must not commit again."""
         return RunResult(
             engine=engine,
-            records={k: list(vs) for k, vs in self.records.items()},
-            executions=list(executions),
+            records=self.records,
+            executions=(
+                ExecutionLog() if self.executions is None else self.executions
+            ),
             message_count=self.message_count,
             phases_run=self.num_phases if phases_run is None else phases_run,
             wall_time=wall_time,

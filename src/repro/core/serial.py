@@ -18,7 +18,7 @@ consumer.
 from __future__ import annotations
 
 import time
-from typing import List, Sequence, Set, Tuple
+from typing import Sequence, Set
 
 from ..events import PhaseInput
 from .program import PairRuntime, Program, RunResult
@@ -54,7 +54,6 @@ class SerialExecutor:
         runtime = PairRuntime(self.program, phase_inputs)
         n = self.program.n
         source_indices = set(self.program.numbering.source_indices())
-        executions: List[Tuple[int, int]] = []
         started = time.perf_counter()
         for p in range(1, runtime.num_phases + 1):
             has_message: Set[int] = set(source_indices)
@@ -62,9 +61,8 @@ class SerialExecutor:
                 if v not in has_message:
                     continue  # no input changed: computation unnecessary
                 targets = runtime.execute(v, p)
-                executions.append((v, p))
                 # Every target is > v (edges go low-to-high), so the
                 # ascending scan will reach it later in this same phase.
                 has_message.update(targets)
         elapsed = time.perf_counter() - started
-        return runtime.build_result("serial", executions, elapsed)
+        return runtime.build_result("serial", elapsed)

@@ -92,7 +92,6 @@ class ScheduleCore:
         self._tracer = tracer
         self._retire = retire
         self._sink = sink
-        self._executions: List[Tuple[int, int]] = []
         self._per_worker = {w: 0 for w in range(num_workers)}
         self._seen = 0  # absolute completion-log cursor
         self._retire_next = 1  # next phase to retire
@@ -145,8 +144,6 @@ class ScheduleCore:
         state = self.state
         complete = state.complete_phase_count
         newly_ready = state.complete_executions(completed)
-        if not self._retire:
-            self._executions.extend([(v, p) for v, p, _ in completed])
         self._per_worker[worker] += len(completed)
         if self._tracer is not None:
             for pair in newly_ready:
@@ -184,9 +181,7 @@ class ScheduleCore:
                 "phases_retired": self._phases_retired,
                 "executed_pairs": state.executed_pairs,
             }
-        return runtime.build_result(
-            label, self._executions, elapsed, stats, phases_run=state.pmax
-        )
+        return runtime.build_result(label, elapsed, stats, phases_run=state.pmax)
 
     def _advance(self) -> int:
         """The completion tail: consume the completion log past the

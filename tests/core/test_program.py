@@ -98,7 +98,7 @@ class TestPairRuntime:
         targets = rt.execute(2, 1)
         assert targets == []  # v2 is a sink; its value is recorded
         assert rt.records["v2"] == [(1, 10)]
-        assert rt.execution_count == 2
+        assert rt.executions == [(1, 1), (2, 1)]
 
     def test_source_phase_input_delivery(self):
         p = tiny_program()
@@ -163,8 +163,9 @@ class TestPairRuntime:
         rt = PairRuntime(p, [PhaseInput(1, 0.0, {"v1": 1})])
         rt.execute(1, 1)
         rt.execute(2, 1)
-        res = rt.build_result("test-engine", [(1, 1), (2, 1)], 0.5, {"k": 1})
+        res = rt.build_result("test-engine", 0.5, {"k": 1})
         assert res.engine == "test-engine"
+        assert res.executions == [(1, 1), (2, 1)]
         assert res.execution_count == 2
         assert res.phases_run == 1
         assert res.stats == {"k": 1}
@@ -289,7 +290,7 @@ def end_state(rt):
         },
         "live": rt.edges.live_entries,
         "messages": rt.message_count,
-        "executions": rt.execution_count,
+        "executions": rt.executions,
         "records": rt.records,
     }
 

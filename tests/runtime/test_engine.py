@@ -1,7 +1,10 @@
 """Tests for the multithreaded parallel engine."""
 
+import gc
+import random
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -14,13 +17,14 @@ from repro.core.tracer import ExecutionTracer
 from repro.core.vertex import FunctionVertex, PassthroughSource
 from repro.errors import EngineError, SchedulerError, VertexExecutionError
 from repro.events import PhaseInput
-from repro.graph.generators import chain_graph, fig1_graph
+from repro.graph.generators import chain_graph, fig1_graph, layered_graph
 from repro.graph.model import ComputationGraph
 from repro.runtime.core import DEAR_RUNS
 from repro.runtime.engine import ParallelEngine
 from repro.runtime.feed import PhaseFeed
 from repro.runtime.mp import ProcessEngine
 from repro.streams.workloads import (
+    LatchedSum,
     SpinningSum,
     cpu_heavy_workload,
     fig1_workload,
@@ -90,6 +94,39 @@ class TestStats:
         assert res.stats["max_concurrent_pairs"] >= 1
         assert res.stats["max_concurrent_phases"] >= 1
         assert len(tracer.executed_pairs()) == res.execution_count
+
+
+class TestBatchMemory:
+    def test_a_batch_run_holds_a_few_bytes_per_executed_pair(self):
+        # The bench grid: 4x4 fully connected LatchedSum layers behind
+        # four sources that change every phase, 2,000 phases.  What the
+        # execution log alone keeps alive is what dropping it frees.
+        graph = layered_graph([4, 4, 4, 4], density=1.0, seed=0)
+        behaviors = {}
+        for v in graph.vertices():
+            preds = tuple(graph.predecessors(v))
+            behaviors[v] = LatchedSum(preds) if preds else PassthroughSource()
+        rng = random.Random(7)
+        phases = [
+            PhaseInput(p, float(p), {
+                f"L0_{j}": round(rng.uniform(-9, 9), 3) for j in range(4)
+            })
+            for p in range(1, 2001)
+        ]
+        tracemalloc.start()
+        try:
+            result = ParallelEngine(Program(graph, behaviors), 2).run(phases)
+            executions, result.executions = result.executions, None
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            pairs = len(executions)
+            del executions
+            gc.collect()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert pairs > 4 * len(phases)
+        assert freed <= 8 * pairs, f"{freed / pairs:.1f} bytes per pair"
 
 
 class TestFailureHandling:

@@ -119,10 +119,13 @@ class TestRun:
 
     def test_deterministic_across_engines(self, spec_file, capsys):
         def body(out: str) -> str:
-            # Drop the engine-name header and the coalescing summary the
-            # parallel engine prints (the serial oracle has none).
+            # Drop the engine-name header and the coalescing and drain
+            # summaries the parallel engine prints (the serial oracle has
+            # none).
             lines = out.split("\n")[1:]
-            return "\n".join(l for l in lines if not l.startswith("coalescing:"))
+            return "\n".join(
+                l for l in lines if not l.startswith(("coalescing:", "drain:"))
+            )
 
         main(["run", spec_file, "--engine", "serial"])
         serial_out = capsys.readouterr().out
@@ -130,6 +133,47 @@ class TestRun:
         parallel_out = capsys.readouterr().out
         # The records section must match (headers differ by engine name).
         assert body(serial_out) == body(parallel_out)
+
+
+    @pytest.mark.parametrize(
+        "engine", ["parallel", "process", "process-remote", "serial"]
+    )
+    def test_drain_line_follows_the_coalescing_line(
+        self, spec_file, tmp_path, capsys, engine
+    ):
+        # What a --profile reader needs to see: which regime ran.
+        import json
+        from contextlib import nullcontext
+
+        from repro.testing.fuzz import scripted_placement
+
+        path = tmp_path / "stats.json"
+        remote = engine == "process-remote"
+        with scripted_placement() if remote else nullcontext():
+            assert main([
+                "run", spec_file, "--engine", engine.split("-")[0],
+                "--stats-json", str(path),
+            ]) == 0
+        lines = capsys.readouterr().out.split("\n")
+        if engine == "serial":
+            assert not any(l.startswith("drain:") for l in lines)
+            return
+        stats = json.loads(path.read_text())["stats"]
+        drain = stats["drain"]
+        expected = (
+            f"drain: {drain['inline_runs']} inline runs, "
+            f"{drain['pooled_runs']} pooled runs, "
+            f"{drain['handovers']} handovers"
+        )
+        if engine == "process":
+            assert stats["ipc"]["promoted"] == []
+            expected += ", 0 promoted"
+        elif remote:
+            promoted = stats["ipc"]["promoted"]
+            assert promoted and drain["pooled_runs"] > 0
+            expected += f", {len(promoted)} promoted ({', '.join(promoted)})"
+        at = [i for i, l in enumerate(lines) if l.startswith("coalescing:")]
+        assert len(at) == 1 and lines[at[0] + 1] == expected
 
 
 class TestProfileStages:

@@ -30,7 +30,9 @@ One module instead of a matrix per feature (ROADMAP aim 3).  The axes:
 
 Every cell is **exact** against :class:`SerialExecutor`: the same
 executed pairs, message count, records and phases.  Real-engine cells
-also compare final behaviour state.
+also compare final behaviour state.  Both results' execution logs must
+read as the lists of ``(v, p)`` they stand for (``len``, indexing,
+slicing, ``==``, ``sorted``, ``set``, ``Counter``).
 
 One more cell holds the two *schedulers* side by side, with no engine in
 between: the published :class:`ReferenceScheduler` and the engines'
@@ -51,7 +53,7 @@ global mode really is the published schedule.
 """
 
 import random
-from collections import deque
+from collections import Counter, deque
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -60,7 +62,7 @@ import pytest
 from repro.analysis.serializability import check_serializable
 from repro.analysis.stats import validate_engine_stats
 from repro.core.invariants import InvariantChecker
-from repro.core.program import PairRuntime
+from repro.core.program import ExecutionLog, PairRuntime
 from repro.core.reference import ReferenceScheduler
 from repro.core.serial import SerialExecutor
 from repro.core.state import SchedulerState
@@ -233,15 +235,20 @@ def run_inline(
     completion log) and the result."""
     core = ScheduleCore(program, 1, **core_options)
     ready = deque(pair for pi in phases for pair in core.admit(pi))
+    committed = []
     while ready:
         v, p = ready.pop() if newest_first else ready.popleft()
         run, ctxs = core.claim(v, p)
         keep = len(run) if cut is None else cut.randint(1, len(run))
         completed = data_path(core.runtime, v, run[:keep], ctxs[:keep])
+        committed += [(v, q) for v, q, _ in completed]
         ready.extend(core.commit(0, completed)[0])
         if keep < len(run):
             ready.append((v, run[keep]))
-    return core, core.result("inline", 0.0, {})
+    result = core.result("inline", 0.0, {})
+    # The log is the commits, in their order (none when retiring).
+    assert result.executions == ([] if core_options.get("retire") else committed)
+    return core, result
 
 
 def run_cell(engine, spec, index):
@@ -303,6 +310,31 @@ def run_cell(engine, spec, index):
     return serial, result
 
 
+def reads_as_its_list(result):
+    """``result.executions`` is an :class:`ExecutionLog` and behaves, for
+    every reader, as the list of ``(v, p)`` tuples it stands for."""
+    log = result.executions
+    pairs = list(log)
+    assert type(log) is ExecutionLog
+    assert all(type(pair) is tuple and len(pair) == 2 for pair in pairs)
+    n = len(pairs)
+    assert len(log) == result.execution_count == n > 0
+    assert [log[i] for i in range(n)] == pairs
+    assert [log[i] for i in range(-n, 0)] == pairs
+    for cut in (slice(None), slice(n // 3, -2), slice(None, None, -3), slice(n, None)):
+        assert log[cut] == pairs[cut]
+    with pytest.raises(IndexError):
+        log[n]
+    assert log == pairs and pairs == log and not log != pairs
+    assert log != pairs[:-1] and (n == 1 or log != pairs[::-1])
+    assert log != tuple(pairs)  # a list is never equal to a tuple
+    assert sorted(log) == sorted(pairs)
+    assert set(log) == result.executions_as_set() == set(pairs)
+    assert Counter(log) == Counter(pairs)
+    assert pairs[-1] in log and log.index(pairs[-1]) == pairs.index(pairs[-1])
+    return pairs
+
+
 @pytest.mark.parametrize("engine, family", CELLS)
 def test_record_exact_against_serial_oracle(engine, family):
     inline_runs = pooled_runs = 0
@@ -313,6 +345,10 @@ def test_record_exact_against_serial_oracle(engine, family):
             f"{engine} {family} spec {i} [{spec.describe()}]"
         )
         assert result.phases_run == serial.phases_run
+        # Both logs read as lists; the oracle's is phase-major.
+        ordered = reads_as_its_list(serial)
+        assert ordered == sorted(ordered, key=lambda pair: (pair[1], pair[0]))
+        assert sorted(reads_as_its_list(result)) == sorted(ordered)
         drain = result.stats.get("drain", {})
         inline_runs += drain.get("inline_runs", 0)
         pooled_runs += drain.get("pooled_runs", 0)
