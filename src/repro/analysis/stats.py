@@ -20,8 +20,9 @@ docs/ARCHITECTURE.md §7.
   (readiness rule, cone count, phase skew; ``frontier_advances`` iff
   the rule is the published ``x_p``), ``coalescing`` (phase runs,
   docs/ARCHITECTURE.md §5.7; with the law
-  ``mean_run_length`` = members / runs), ``per_worker_executions`` and
-  the edge-store counters ``edge_entries_peak`` / ``edge_entries_final``.
+  ``mean_run_length`` = members / runs), ``per_worker_executions``,
+  the edge-store counters ``edge_entries_peak`` / ``edge_entries_final``
+  and ``budget``, the run lifecycle's nanoseconds per layer, each >= 0.
   The peak is sampled once per committed run — after all of the run's
   sends, before its one input GC — not once per member, so on a schedule
   with runs longer than one it can read a few entries above the largest
@@ -80,6 +81,10 @@ _SCHEDULING_SCHEMA: Dict[str, Any] = {
     "per_worker_executions": {_EACH: 0},
     "edge_entries_peak": 0,
     "edge_entries_final": 0,
+    "budget": {
+        "admit": 0, "claim": 0, "prepare": 0, "compute": 0, "deliver": 0,
+        "commit": 0, "retire": 0, "compute_per_worker": {_EACH: 0},
+    },
 }
 
 _SCHEMA: Dict[str, Any] = {

@@ -73,14 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["fork", "spawn", "forkserver"],
                      help="multiprocessing start method for --engine "
                           "process (default: fork where available)")
-    run.add_argument("--profile", metavar="PATH", default=None,
-                     help="profile the engine run with cProfile, dump the "
-                          "pstats file to PATH, and print a per-stage "
-                          "wall-time breakdown.  cProfile inflates the "
-                          "thread CPU clock that placement reads, so a "
-                          "profiled run may pool or promote what an "
-                          "unprofiled one keeps inline; the drain line "
-                          "shows which regime was measured")
     run.add_argument("--check", action="store_true",
                      help="also run the serial oracle and verify "
                           "serializability (executed pairs, message count "
@@ -258,126 +250,16 @@ def _write_stats_json(dest: str, payload: dict) -> None:
         print(f"stats written to {dest}")
 
 
-# Profile classification: (module under ``repro/``, function) → pipeline
-# stage.  Keyed on the module as well, because the bare names collide —
-# ``PairRuntime.commit`` delivers messages, ``ScheduleCore.commit`` runs the
-# scheduler, and a statistics window's ``push`` is neither.  Two kinds of
-# entry name no module of ours: ``""`` is any module (``on_execute`` is
-# the hook user code overrides anywhere) and ``"~"`` is cProfile's file
-# name for a built-in.
-_PROFILE_STAGES = (
-    ("prepare", (
-        ("core/program.py", "prepare"),
-        ("core/ports.py", "read_run"),
-        ("core/vertex.py", "owning"),
-    )),
-    ("compute", (
-        ("core/program.py", "compute"),
-        ("", "on_execute"),
-        ("core/vertex.py", "finish"),
-        ("core/vertex.py", "emit"),
-        ("core/vertex.py", "emit_to"),
-        ("core/vertex.py", "record"),
-    )),
-    ("commit", (
-        ("core/program.py", "commit"),
-        ("core/program.py", "commit_remote"),
-        ("core/ports.py", "send"),
-        ("core/ports.py", "settle_run"),
-        ("core/ports.py", "consume_upto"),
-        ("core/vertex.py", "adopt_results"),
-    )),
-    ("scheduling", (
-        ("core/state.py", "start_phase"),
-        ("core/state.py", "claim_run"),
-        ("core/state.py", "complete_executions"),
-        ("core/state.py", "_fire"),
-        ("runtime/core.py", "admit"),
-        ("runtime/core.py", "claim"),
-        ("runtime/core.py", "commit"),
-    )),
-    ("serialization", (
-        ("runtime/mp/protocol.py", "encode"),
-        ("runtime/mp/protocol.py", "decode"),
-        ("runtime/mp/protocol.py", "run_from_contexts"),
-        ("~", "<built-in method _pickle.dumps>"),
-        ("~", "<built-in method _pickle.loads>"),
-    )),
-    ("retirement", (
-        ("core/program.py", "retire_phase"),
-        ("core/state.py", "retire_phases_upto"),
-        ("runtime/core.py", "_advance"),
-    )),
-)
-_STAGE_OF = {
-    entry: stage for stage, entries in _PROFILE_STAGES for entry in entries
-}
-
-
-def _stage_of(filename: str, funcname: str) -> Optional[str]:
-    """The pipeline stage of one cProfile row, or ``None`` for "other"."""
-    _, found, module = filename.replace("\\", "/").rpartition("/repro/")
-    stage = _STAGE_OF.get((module if found else filename, funcname))
-    return stage or _STAGE_OF.get(("", funcname))
-
-
-def _stage_breakdown(profiler, thread_profiles=(), dump_path=None) -> dict:
-    """Aggregate cProfile runs into per-stage exclusive wall time.
-
-    *thread_profiles* are the per-thread profilers installed by the
-    new-thread hook; their stats are merged with the main-thread run
-    (and the merged pstats are dumped to *dump_path* when given).
-    Times are ``tottime`` (time in the function itself, callees
-    excluded), so the stages partition the profiled wall clock: their
-    sum plus ``other`` equals ``total_s``.
-    """
-    import pstats
-
-    st = pstats.Stats(profiler)
-    for p in thread_profiles:
-        # The owning thread has exited; snapshot without touching the
-        # current thread's profile hook.
-        p.snapshot_stats()
-        st.add(p)
-    if dump_path is not None:
-        st.dump_stats(dump_path)
-    stages = {name: 0.0 for name, _ in _PROFILE_STAGES}
-    stages["other"] = 0.0
-    total = 0.0
-    for (filename, _line, funcname), (
-        _cc, _nc, tottime, _cumtime, _callers
-    ) in st.stats.items():  # type: ignore[attr-defined]
-        total += tottime
-        stages[_stage_of(filename, funcname) or "other"] += tottime
-    return {"total_s": total, "stages": stages}
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from .analysis import check_serializable
     from .core.serial import SerialExecutor
 
+    if args.max_records < 0:
+        raise ReproError(f"--max-records must be >= 0, got {args.max_records}")
     spec = _load(args.spec)
     program = spec.program
     phases = spec.phase_inputs()
     stopped = False
-    profiler = None
-    thread_profiles: list = []
-    if args.profile is not None:
-        import cProfile
-
-        # cProfile only instruments the calling thread; the threaded
-        # engine does its prepare/compute/commit work on pool threads.
-        # The threading-module profile hook fires on each new thread's
-        # first event, where it swaps itself for a fresh per-thread
-        # profiler; all are merged with the main-thread one below.
-        def _profile_new_thread(frame, event, arg):
-            p = cProfile.Profile()
-            thread_profiles.append(p)
-            p.enable()
-
-        threading.setprofile(_profile_new_thread)
-        profiler = cProfile.Profile()
-        profiler.enable()
     if args.engine == "serial":
         result = SerialExecutor(program).run(phases)
     elif args.engine == "parallel":
@@ -408,20 +290,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             cost_model=CostModel(),
             frontier="cone",
         ).run(phases)
-    if profiler is not None:
-        profiler.disable()
-        threading.setprofile(None)
-        breakdown = _stage_breakdown(
-            profiler, thread_profiles, dump_path=args.profile
-        )
-        if result.stats is not None:
-            result.stats["profile"] = breakdown
-        print(f"profile written to {args.profile}")
-        total = breakdown["total_s"] or 1.0
-        for stage, seconds in breakdown["stages"].items():
-            print(f"  {stage:<14s} {seconds:9.4f}s "
-                  f"{100.0 * seconds / total:5.1f}%")
-
     print(f"{spec.name}: {result.engine} ran {result.phases_run} phases, "
           f"{result.execution_count} pair executions, "
           f"{result.message_count} messages, "
@@ -444,6 +312,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             line += f", {len(promoted)} promoted" + (
                 f" ({', '.join(promoted)})" if promoted else "")
         print(line)
+    budget = result.stats.get("budget") if result.stats else None
+    if budget:
+        print("budget: " + ", ".join(
+            f"{layer} {ns / 1e6:.3f} ms" for layer, ns in budget.items()
+            if layer != "compute_per_worker"
+        ))
 
     if args.stats_json is not None:
         _write_stats_json(args.stats_json, {
@@ -676,6 +550,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     from .testing.faults import FaultPlan
     from .testing.fuzz import fuzz, fuzz_process, write_failure_artifacts
 
+    if args.runs < 1:
+        raise ReproError(f"--runs must be >= 1, got {args.runs}")
     policies = POLICY_NAMES if args.policy == "all" else (args.policy,)
     faults = FaultPlan.named(args.inject) if args.inject else None
     if faults is not None and args.engine == "process":

@@ -34,6 +34,7 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
+from time import perf_counter_ns
 from typing import (
     Any,
     Callable,
@@ -327,6 +328,9 @@ class PairRuntime:
         )
         self._phase_inputs: Dict[int, PhaseInput] = {}
         self.num_phases = 0
+        # When the last delivery began (``perf_counter_ns``): where
+        # ScheduleCore's budget ends a run's compute.
+        self.delivered_at = 0
         for pi in phase_inputs:
             self.register_phase(pi)
         self._source_indices = set(program.numbering.source_indices())
@@ -427,6 +431,7 @@ class PairRuntime:
         ``w`` of Listing 1's statement 1.8, ascending: a broadcasting
         member's is *v*'s one successor list, shared and never mutated.
         """
+        self.delivered_at = perf_counter_ns()
         out_channels = self.edges.out_channels[v]
         every = self.edges.succs[v]
         fanout = len(every)
@@ -489,11 +494,14 @@ class PairRuntime:
         The coordinator prepared *ctxs* locally, shipped them to a
         worker, and got back per member ``(outputs, records)``; this
         adopts each into its context and commits as usual (call under
-        the lock).
+        the lock).  The delivery began here, adoption included.
         """
+        began = perf_counter_ns()
         for ctx, (outputs, records) in zip(ctxs, replies):
             ctx.adopt_results(outputs, records)
-        return self.commit(v, phases, ctxs)
+        completed = self.commit(v, phases, ctxs)
+        self.delivered_at = began
+        return completed
 
     # -- retirement (continuous-operation mode) -------------------------------
 

@@ -17,10 +17,17 @@ simulator runs them in a locked burst on its virtual ``global-lock``
 resource.  Vertex compute and the run's ``PairRuntime.commit`` /
 ``commit_remote`` deliveries stay with the driver, between ``claim`` and
 ``commit`` — compute outside the lock, deliveries inside it.
+
+It is also the one instrument of the run lifecycle: every operation
+reads ``perf_counter_ns`` on entry and exit and bills the time between to
+a layer, and ``result()`` reports the totals as ``stats["budget"]``
+(docs/ARCHITECTURE.md §7).  The budget never feeds placement or the
+schedule; the engines' placement clocks are their own.
 """
 
 from __future__ import annotations
 
+from time import perf_counter_ns as _now
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.invariants import InvariantChecker
@@ -93,6 +100,13 @@ class ScheduleCore:
         self._retire = retire
         self._sink = sink
         self._per_worker = {w: 0 for w in range(num_workers)}
+        # The budget, in nanoseconds per layer; compute is kept per worker
+        # and runs from a run's claim (its vertex's one outstanding claim)
+        # to its delivery.
+        self._admit_ns = self._claim_ns = self._prepare_ns = 0
+        self._deliver_ns = self._commit_ns = self._retire_ns = 0
+        self._compute_ns = [0] * num_workers
+        self._claimed_at = [0] * (program.numbering.n + 1)
         self._seen = 0  # absolute completion-log cursor
         self._retire_next = 1  # next phase to retire
         self._phases_retired = 0
@@ -115,6 +129,7 @@ class ScheduleCore:
         once.  *phase_input* is registered in the same critical section
         that starts it, so no driver ever observes a
         started-but-unregistered phase."""
+        began = _now()
         self.runtime.register_phase(phase_input)
         state, tracer = self.state, self._tracer
         newly_ready = state.start_phase()
@@ -122,6 +137,7 @@ class ScheduleCore:
             tracer.phase_started(state.pmax)
             for pair in newly_ready:
                 tracer.enqueued(pair)
+        self._admit_ns += _now() - began
         return newly_ready
 
     def claim(self, v: int, p: int) -> Tuple[List[int], List[VertexContext]]:
@@ -130,8 +146,14 @@ class ScheduleCore:
         Preparing up front is safe: the ready head's inputs are fully
         determined (definition (8)) and a claimed member's inputs are
         final by its claim certificate."""
+        began = _now()
         phases = self.state.claim_run(v, p)
-        return phases, self.runtime.prepare(v, phases)
+        claimed = _now()
+        ctxs = self.runtime.prepare(v, phases)
+        self._claimed_at[v] = prepared = _now()
+        self._claim_ns += claimed - began
+        self._prepare_ns += prepared - claimed
+        return phases, ctxs
 
     def commit(
         self, worker: int, completed: Sequence[Tuple[int, int, Sequence[int]]]
@@ -141,6 +163,11 @@ class ScheduleCore:
         :meth:`PairRuntime.commit` / ``commit_remote`` returned.  Returns
         the newly ready pairs and how many phases newly completed (the
         flow-control credits to release)."""
+        delivered = self.runtime.delivered_at
+        began = _now()
+        if completed:
+            self._compute_ns[worker] += delivered - self._claimed_at[completed[0][0]]
+            self._deliver_ns += began - delivered
         state = self.state
         complete = state.complete_phase_count
         newly_ready = state.complete_executions(completed)
@@ -148,9 +175,13 @@ class ScheduleCore:
         if self._tracer is not None:
             for pair in newly_ready:
                 self._tracer.enqueued(pair)
+        committed = _now()
+        self._commit_ns += committed - began
         if state.complete_phase_count == complete:
             return newly_ready, 0  # most commits complete no phase
-        return newly_ready, self._advance()
+        newly_complete = self._advance()
+        self._retire_ns += _now() - committed
+        return newly_ready, newly_complete
 
     def result(
         self, label: str, elapsed: float, engine_stats: Dict[str, Any]
@@ -171,6 +202,16 @@ class ScheduleCore:
             "coalescing": state.coalescing_stats(),
             "edge_entries_peak": runtime.edges.peak_entries,
             "edge_entries_final": runtime.edges.total_pending_entries(),
+            "budget": {
+                "admit": self._admit_ns,
+                "claim": self._claim_ns,
+                "prepare": self._prepare_ns,
+                "compute": sum(self._compute_ns),
+                "deliver": self._deliver_ns,
+                "commit": self._commit_ns,
+                "retire": self._retire_ns,
+                "compute_per_worker": dict(enumerate(self._compute_ns)),
+            },
         }
         if tracer is not None:
             intervals = tracer.intervals()

@@ -118,6 +118,11 @@ class TestValidatorUnit:
             "per_worker_executions": {0: 3, "1": 4},  # int or JSON keys
             "edge_entries_peak": 5,
             "edge_entries_final": 0,
+            "budget": {
+                "admit": 1, "claim": 1, "prepare": 1, "compute": 3,
+                "deliver": 1, "commit": 1, "retire": 0,
+                "compute_per_worker": {0: 1, "1": 2},
+            },
         }
         for engine in ("parallel[k=2]", "process[w=2]", "simulated[k=2,P=2]"):
             assert validate_engine_stats(engine, good) == []
@@ -127,13 +132,20 @@ class TestValidatorUnit:
         errors = validate_engine_stats("parallel[k=2]", missing)
         for section in (
             "coalescing", "per_worker_executions",
-            "edge_entries_peak", "edge_entries_final",
+            "edge_entries_peak", "edge_entries_final", "budget",
         ):
             assert any(section in e for e in errors), section
-        bad = dict(good, per_worker_executions={0: -1}, edge_entries_final=True)
+        bad = dict(
+            good,
+            per_worker_executions={0: -1},
+            edge_entries_final=True,
+            budget=dict(good["budget"], commit=-5, compute_per_worker={0: 0.5}),
+        )
         errors = validate_engine_stats("simulated[k=2,P=2]", bad)
         assert any("per_worker_executions.0" in e for e in errors)
         assert any("edge_entries_final" in e for e in errors)
+        assert any("budget.commit" in e for e in errors)
+        assert any("budget.compute_per_worker.0" in e for e in errors)
 
     def test_non_mapping_stats(self):
         assert validate_engine_stats("parallel[k=1]", None) != []

@@ -45,7 +45,7 @@ AIM_2 = "scheduling surface changed — see ROADMAP aim 2 before adding a knob"
 REMOVED_FLAGS = (
     "--frontier", "--suppress", "--run-length", "--batch-size",
     "--ipc-batch", "--window", "--shards", "--key-by", "--fuse",
-    "--no-fuse", "--max-in-flight", "--skew",
+    "--no-fuse", "--max-in-flight", "--skew", "--profile",
 )
 
 

@@ -119,12 +119,13 @@ class TestRun:
 
     def test_deterministic_across_engines(self, spec_file, capsys):
         def body(out: str) -> str:
-            # Drop the engine-name header and the coalescing and drain
-            # summaries the parallel engine prints (the serial oracle has
-            # none).
+            # Drop the engine-name header and the coalescing, drain and
+            # budget summaries the parallel engine prints (the serial
+            # oracle has none).
             lines = out.split("\n")[1:]
             return "\n".join(
-                l for l in lines if not l.startswith(("coalescing:", "drain:"))
+                l for l in lines
+                if not l.startswith(("coalescing:", "drain:", "budget:"))
             )
 
         main(["run", spec_file, "--engine", "serial"])
@@ -141,7 +142,7 @@ class TestRun:
     def test_drain_line_follows_the_coalescing_line(
         self, spec_file, tmp_path, capsys, engine
     ):
-        # What a --profile reader needs to see: which regime ran.
+        # What a budget reader needs to see: which regime ran.
         import json
         from contextlib import nullcontext
 
@@ -176,70 +177,45 @@ class TestRun:
         assert len(at) == 1 and lines[at[0] + 1] == expected
 
 
-class TestProfileStages:
-    """``repro run --profile`` bills a cProfile row to a stage by
-    (module, function): bare names collide across layers."""
+class TestBudget:
+    """``ScheduleCore`` bills every run to a layer; ``repro run`` prints
+    the totals as one ``budget:`` line after ``drain:``."""
 
-    def test_every_entry_resolves_to_a_live_function(self):
-        import importlib
-        import inspect
+    DATA_PATH = ("admit", "claim", "prepare", "compute", "deliver", "commit")
 
-        from repro.cli import _PROFILE_STAGES
-        from repro.core.vertex import Vertex
-
-        for _, entries in _PROFILE_STAGES:
-            for module, name in entries:
-                if module == "":  # the hook user code overrides anywhere
-                    assert inspect.isfunction(getattr(Vertex, name)), name
-                elif module == "~":  # "<built-in method _pickle.dumps>"
-                    owner, _, attr = name[len("<built-in method "):-1].partition(".")
-                    assert inspect.isbuiltin(
-                        getattr(importlib.import_module(owner), attr)
-                    ), name
-                else:
-                    mod = importlib.import_module(
-                        "repro." + module[: -len(".py")].replace("/", ".")
-                    )
-                    owners = [mod] + [
-                        cls
-                        for cls in vars(mod).values()
-                        if inspect.isclass(cls) and cls.__module__ == mod.__name__
-                    ]
-                    assert any(
-                        inspect.isfunction(vars(owner).get(name))
-                        or isinstance(vars(owner).get(name), classmethod)
-                        for owner in owners
-                    ), f"{module}:{name} names no function"
-
-    def test_same_name_in_another_layer_is_not_billed(self):
-        from repro.cli import _stage_of
-
-        src = "/site-packages/repro/"
-        assert _stage_of(src + "core/program.py", "commit") == "commit"
-        assert _stage_of(src + "runtime/core.py", "commit") == "scheduling"
-        assert _stage_of(src + "runtime/core.py", "admit") == "scheduling"
-        assert _stage_of(src + "models/statistics.py", "push") is None
-        assert _stage_of(src + "models/statistics.py", "on_execute") == "compute"
-        assert _stage_of("/elsewhere/user_vertices.py", "on_execute") == "compute"
-        assert _stage_of("/elsewhere/user_vertices.py", "compute") is None
-        assert _stage_of("~", "<built-in method _pickle.dumps>") == "serialization"
-
-    @pytest.mark.parametrize("engine", ["parallel", "process"])
-    def test_profiled_run_reaches_the_data_path_stages(
-        self, spec_file, tmp_path, engine
-    ):
+    def run_json(self, spec_file, tmp_path, capsys, engine):
         import json
 
-        stats = tmp_path / "stats.json"
+        path = tmp_path / "stats.json"
         assert main([
-            "run", spec_file, "--engine", engine,
-            "--profile", str(tmp_path / "run.pstats"),
-            "--stats-json", str(stats),
+            "run", spec_file, "--engine", engine, "--stats-json", str(path),
         ]) == 0
-        stages = json.loads(stats.read_text())["stats"]["profile"]["stages"]
-        busy = {"prepare", "commit", "scheduling"}
-        busy |= {"compute"} if engine == "parallel" else {"serialization"}
-        assert all(stages[stage] > 0.0 for stage in busy), stages
+        return capsys.readouterr().out.split("\n"), json.loads(path.read_text())
+
+    @pytest.mark.parametrize("engine", ["parallel", "process"])
+    def test_every_data_path_layer_reads_time(
+        self, spec_file, tmp_path, capsys, engine
+    ):
+        lines, payload = self.run_json(spec_file, tmp_path, capsys, engine)
+        budget = payload["stats"]["budget"]
+        assert all(budget[layer] > 0 for layer in self.DATA_PATH), budget
+        assert budget["compute"] == sum(budget["compute_per_worker"].values())
+        at = [i for i, l in enumerate(lines) if l.startswith("drain:")]
+        assert len(at) == 1 and lines[at[0] + 1].startswith("budget: admit ")
+
+    def test_resident_layers_fit_in_the_coordinators_wall_time(
+        self, spec_file, tmp_path, capsys
+    ):
+        # Every vertex stays in the coordinator, whose one thread runs
+        # every layer back to back: together they cannot outlast the run.
+        _, payload = self.run_json(spec_file, tmp_path, capsys, "process")
+        stats = payload["stats"]
+        assert stats["ipc"]["promoted"] == [] and stats["drain"]["pooled_runs"] == 0
+        budget = stats["budget"]
+        spent = sum(ns for layer, ns in budget.items() if layer != "compute_per_worker")
+        assert 0 < spent <= payload["wall_time"] * 1e9, budget
+        # The coordinator is worker ``--workers``: no worker computed.
+        assert budget["compute_per_worker"] == {"0": 0, "1": 0, "2": budget["compute"]}
 
 
 class TestInfoValidate:
@@ -694,3 +670,15 @@ class TestRefusals:
     def test_report_unwritable_output(self, tmp_path):
         unwritable = tmp_path / "nonexistent" / "r.txt"
         self._refused("report", "--quick", "-o", str(unwritable))
+
+    def test_run_negative_max_records(self, spec_file):
+        err = self._refused("run", spec_file, "--max-records", "-1")
+        assert "--max-records" in err
+
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_fuzz_runs_below_one(self, runs):
+        # Zero schedules explored is no pass, with or without --inject.
+        assert "--runs" in self._refused("fuzz", "--runs", runs)
+        assert "--runs" in self._refused(
+            "fuzz", "--runs", runs, "--inject", "unlocked_commit"
+        )
