@@ -550,8 +550,11 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     from .testing.faults import FaultPlan
     from .testing.fuzz import fuzz, fuzz_process, write_failure_artifacts
 
-    if args.runs < 1:
-        raise ReproError(f"--runs must be >= 1, got {args.runs}")
+    for flag, value, least in (("--runs", args.runs, 1),
+                               ("--max-vertices", args.max_vertices, 2),
+                               ("--max-phases", args.max_phases, 1)):
+        if value < least:
+            raise ReproError(f"{flag} must be >= {least}, got {value}")
     policies = POLICY_NAMES if args.policy == "all" else (args.policy,)
     faults = FaultPlan.named(args.inject) if args.inject else None
     if faults is not None and args.engine == "process":

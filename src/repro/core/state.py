@@ -56,7 +56,7 @@ at once, so "started and not in flight" *is* completeness.
 
 The partial / full / ready / claimed sets and ``msg`` of the correctness
 argument are **views** derived from the status bytes on demand; only the
-invariant checker, the race monitor, the tracer's set capture and tests
+invariant checker, the race monitor, ``SetSnapshot.of`` and tests
 read them.
 
 A ready ``(v, p)`` certifies more than itself: any later ``(v, q)``

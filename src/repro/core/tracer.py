@@ -1,22 +1,24 @@
 """Execution tracing: the evidence behind every reproduced figure.
 
-The tracer records three kinds of evidence:
+Three kinds of evidence:
 
 * **Events** — timestamped scheduler happenings (phase started, pair
-  enqueued, execution begin/end).  Engines stamp them with real or virtual
-  time, so the same analysis works for the threaded engine and the
-  simulated SMP.
-* **Set snapshots** — full copies of the partial / full / ready sets at
-  labelled instants.  This is exactly what Figure 3 depicts (eight steps of
-  a six-vertex graph with the set membership of every vertex-phase pair),
-  and what the Fig.-3 benchmark asserts against.
-* **Derived profiles** — :func:`concurrent_phase_profile` computes, from
-  the begin/end intervals, how many *distinct phases* were executing
-  simultaneously over time: the quantity Figure 1 illustrates (a 10-node
-  graph with 5 phases in flight).
+  enqueued, execution begin/end, phase completed), all sent by
+  :class:`~repro.runtime.core.ScheduleCore`.  A member executes from its
+  run's claim to its run's commit on every engine.  The tracer's clock is
+  real time, or the simulator's virtual time, so the same analysis works
+  for the real engines and the simulated SMP.
+* **Set snapshots** — :meth:`SetSnapshot.of` copies the partial / full /
+  ready sets at a labelled instant.  This is exactly what Figure 3 depicts
+  (eight steps of a six-vertex graph with the set membership of every
+  vertex-phase pair), and what the Fig.-3 benchmark asserts against.
+* **Peaks** — :func:`max_concurrent_phases` computes, from the begin/end
+  intervals, how many *distinct phases* were executing at once: the
+  quantity Figure 1 illustrates (a 10-node graph with 5 phases in
+  flight); :func:`max_concurrent_pairs` counts pairs.
 
-Recording is append-only and cheap; engines guard tracer calls with their
-global lock, so no internal synchronisation is needed.
+Recording is append-only and cheap; ``ScheduleCore`` runs inside the
+driver's critical section, so no internal synchronisation is needed.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "TraceEvent",
     "SetSnapshot",
     "ExecutionTracer",
-    "concurrent_phase_profile",
     "max_concurrent_phases",
     "max_concurrent_pairs",
 ]
@@ -65,6 +66,11 @@ class SetSnapshot:
     full: FrozenSet[Pair]
     ready: FrozenSet[Pair]
 
+    @classmethod
+    def of(cls, state: "SchedulerState", label: str) -> "SetSnapshot":
+        """Copy the live partial/full/ready sets of *state* under *label*."""
+        return cls(label, state.partial_set(), state.full_set(), state.ready_set())
+
     def membership(self, pair: Pair) -> str:
         """``"none"``, ``"partial"``, ``"full"`` or ``"ready"`` — the four
         glyphs of Figure 3 (circle, diamond, octagon, square)."""
@@ -78,12 +84,11 @@ class SetSnapshot:
 
 
 class ExecutionTracer:
-    """Collects events and snapshots during a run."""
+    """Collects events during a run."""
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self._clock = clock or time.monotonic
         self.events: List[TraceEvent] = []
-        self.snapshots: List[SetSnapshot] = []
 
     def set_clock(self, clock: Callable[[], float]) -> None:
         """Rebind the time source (the simulated engine points this at its
@@ -107,22 +112,7 @@ class ExecutionTracer:
     def execute_end(self, pair: Pair, worker: Optional[int] = None) -> None:
         self.events.append(TraceEvent(self._clock(), "execute_end", pair, worker))
 
-    def capture_sets(self, state: "SchedulerState", label: str) -> SetSnapshot:
-        """Snapshot the live partial/full/ready sets under *label*."""
-        snap = SetSnapshot(
-            label=label,
-            partial=state.partial_set(),
-            full=state.full_set(),
-            ready=state.ready_set(),
-        )
-        self.snapshots.append(snap)
-        return snap
-
-    # -- convenience ------------------------------------------------------
-
-    def executed_pairs(self) -> List[Pair]:
-        """Pairs in completion (execute_end) order."""
-        return [ev.pair for ev in self.events if ev.kind == "execute_end"]
+    # -- reading ----------------------------------------------------------
 
     def intervals(self) -> List[Tuple[float, float, Pair]]:
         """Matched ``(begin, end, pair)`` execution intervals."""
@@ -137,50 +127,32 @@ class ExecutionTracer:
         return out
 
 
-def concurrent_phase_profile(
-    intervals: List[Tuple[float, float, Pair]],
-) -> List[Tuple[float, int]]:
-    """Step function ``(time, distinct phases executing)`` from intervals.
-
-    At each boundary instant the profile holds the number of *distinct
-    phase numbers* among the executions active right after that instant —
-    the pipelining depth Figure 1 visualises.
-    """
-    deltas: List[Tuple[float, int, int]] = []  # (time, +1/-1, phase)
-    for begin, end, (_v, p) in intervals:
-        deltas.append((begin, +1, p))
-        deltas.append((end, -1, p))
+def _peak(spans: List[Tuple[float, float, object]]) -> int:
+    """Peak number of distinct keys among the ``(begin, end, key)`` spans
+    active at one instant."""
     # Ends sort before begins at equal times so touching intervals do not
     # count as overlapping.
-    deltas.sort(key=lambda d: (d[0], d[1]))
-    active: Dict[int, int] = {}
-    profile: List[Tuple[float, int]] = []
-    for t, sign, p in deltas:
-        if sign > 0:
-            active[p] = active.get(p, 0) + 1
-        else:
-            active[p] -= 1
-            if active[p] == 0:
-                del active[p]
-        profile.append((t, len(active)))
-    return profile
+    deltas = sorted(
+        [(begin, 1, key) for begin, _, key in spans]
+        + [(end, -1, key) for _, end, key in spans],
+        key=lambda d: d[:2],
+    )
+    active: Dict[object, int] = {}
+    peak = 0
+    for _t, sign, key in deltas:
+        active[key] = active.get(key, 0) + sign
+        if not active[key]:
+            del active[key]
+        peak = max(peak, len(active))
+    return peak
 
 
 def max_concurrent_phases(intervals: List[Tuple[float, float, Pair]]) -> int:
-    """Peak number of distinct phases executing simultaneously."""
-    profile = concurrent_phase_profile(intervals)
-    return max((count for _t, count in profile), default=0)
+    """Peak number of distinct phases executing simultaneously — the
+    pipelining depth Figure 1 visualises."""
+    return _peak([(begin, end, p) for begin, end, (_v, p) in intervals])
 
 
 def max_concurrent_pairs(intervals: List[Tuple[float, float, Pair]]) -> int:
     """Peak number of vertex-phase pairs executing simultaneously."""
-    deltas: List[Tuple[float, int]] = []
-    for begin, end, _pair in intervals:
-        deltas.append((begin, +1))
-        deltas.append((end, -1))
-    deltas.sort(key=lambda d: (d[0], d[1]))
-    peak = cur = 0
-    for _t, sign in deltas:
-        cur += sign
-        peak = max(peak, cur)
-    return peak
+    return _peak([(begin, end, i) for i, (begin, end, _) in enumerate(intervals)])

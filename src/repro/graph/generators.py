@@ -178,20 +178,20 @@ def fig3_replay() -> list:
     # Imported here: repro.core builds on repro.graph, not the reverse.
     from ..core.invariants import InvariantChecker
     from ..core.reference import ReferenceScheduler
-    from ..core.tracer import ExecutionTracer
+    from ..core.tracer import SetSnapshot
     from .numbering import number_graph
 
     state = ReferenceScheduler(
         number_graph(fig3_graph()), checker=InvariantChecker()
     )
-    tracer = ExecutionTracer()
+    snapshots = []
     for label, executed in FIG3_STEPS:
         if executed is None:
             state.start_phase()
         else:
             state.complete_execution(*executed)
-        tracer.capture_sets(state, label)
-    return tracer.snapshots
+        snapshots.append(SetSnapshot.of(state, label))
+    return snapshots
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..core.invariants import InvariantChecker
 from ..core.program import PairRuntime, Program, RunResult
 from ..core.state import SchedulerState
-from ..core.tracer import ExecutionTracer, max_concurrent_pairs, max_concurrent_phases
+from ..core.tracer import ExecutionTracer
 from ..core.vertex import VertexContext
 from ..errors import EngineError, SchedulerError
 from ..events import PhaseInput
@@ -55,15 +55,15 @@ class ScheduleCore:
     scheduler: ``"cone"`` (``SchedulerState``: cone rule,
     adaptive runs — the real engines) or ``"global"``
     (``ReferenceScheduler``: Listings 1-2 as published).  The *tracer*
-    receives phase-started, enqueued and phase-completed events from
-    here; ``execute_begin`` / ``execute_end`` stay with the driver, which
-    knows the worker and the clock.  With *retire*, each phase is
-    retired as soon as the complete prefix extends: ``sink(phase,
-    timestamp, entries)`` gets its record entries, then every
-    per-phase structure is garbage-collected.  *sink* is the delivery:
-    it runs on the retiring driver's thread, inside its critical
-    section, so it must never wait on the driver; an exception from it
-    fails the run, and no phase reaches the sink after it.
+    hears every event from here: phase starts, enqueues, completions,
+    and each member's execution from its run's :meth:`claim` (again, for
+    a handed-over tail) to its run's :meth:`commit`.  With *retire*, each
+    phase is retired as soon as the complete prefix extends: ``sink(phase,
+    timestamp, entries)`` gets its record entries, then every per-phase
+    structure is garbage-collected.  *sink* is the delivery: it runs on
+    the retiring driver's thread, inside its critical section, so it must
+    never wait on the driver; an exception from it fails the run, and no
+    phase reaches the sink after it.
     """
 
     def __init__(
@@ -140,16 +140,21 @@ class ScheduleCore:
         self._admit_ns += _now() - began
         return newly_ready
 
-    def claim(self, v: int, p: int) -> Tuple[List[int], List[VertexContext]]:
-        """Extend the dequeued ready pair ``(v, p)`` into a run and
-        prepare every member: ``(phases, contexts)`` in execution order.
-        Preparing up front is safe: the ready head's inputs are fully
+    def claim(
+        self, worker: int, v: int, p: int
+    ) -> Tuple[List[int], List[VertexContext]]:
+        """Extend the dequeued ready pair ``(v, p)`` into a run for
+        *worker* and prepare every member: ``(phases, contexts)`` in
+        execution order.  Preparing up front is safe: the ready head's inputs are fully
         determined (definition (8)) and a claimed member's inputs are
         final by its claim certificate."""
         began = _now()
         phases = self.state.claim_run(v, p)
         claimed = _now()
         ctxs = self.runtime.prepare(v, phases)
+        if self._tracer is not None:
+            for q in phases:
+                self._tracer.execute_begin((v, q), worker)
         self._claimed_at[v] = prepared = _now()
         self._claim_ns += claimed - began
         self._prepare_ns += prepared - claimed
@@ -168,13 +173,16 @@ class ScheduleCore:
         if completed:
             self._compute_ns[worker] += delivered - self._claimed_at[completed[0][0]]
             self._deliver_ns += began - delivered
-        state = self.state
+        state, tracer = self.state, self._tracer
+        if tracer is not None:
+            for v, q, _ in completed:
+                tracer.execute_end((v, q), worker)
         complete = state.complete_phase_count
         newly_ready = state.complete_executions(completed)
         self._per_worker[worker] += len(completed)
-        if self._tracer is not None:
+        if tracer is not None:
             for pair in newly_ready:
-                self._tracer.enqueued(pair)
+                tracer.enqueued(pair)
         committed = _now()
         self._commit_ns += committed - began
         if state.complete_phase_count == complete:
@@ -189,7 +197,7 @@ class ScheduleCore:
         """Close the run: quiescence check, then *engine_stats* plus the
         sections that are a function of scheduler state and pair runtime
         alone."""
-        state, runtime, tracer = self.state, self.runtime, self._tracer
+        state, runtime = self.state, self.runtime
         if not state.all_started_complete():
             raise EngineError(
                 f"{label} stopped before quiescence: in-flight phases "
@@ -213,10 +221,6 @@ class ScheduleCore:
                 "compute_per_worker": dict(enumerate(self._compute_ns)),
             },
         }
-        if tracer is not None:
-            intervals = tracer.intervals()
-            stats["max_concurrent_phases"] = max_concurrent_phases(intervals)
-            stats["max_concurrent_pairs"] = max_concurrent_pairs(intervals)
         if self._retire:
             stats["retirement"] = {
                 "phases_retired": self._phases_retired,

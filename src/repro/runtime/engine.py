@@ -110,8 +110,8 @@ class ParallelEngine:
         Optional :class:`InvariantChecker`, invoked at every state
         mutation (inside the lock).
     tracer:
-        Optional :class:`ExecutionTracer`; receives phase starts, enqueues
-        and execution begin/end events (real-time clock).
+        Optional :class:`ExecutionTracer`; :class:`ScheduleCore` sends
+        it every event (real-time clock).
     max_in_flight_phases:
         Flow control: at most this many started-but-incomplete phases
         (``None``, the default, is the paper's unthrottled environment;
@@ -232,7 +232,6 @@ class ParallelEngine:
     ) -> RunResult:
         backend = self.backend
         clock = backend.clock
-        tracer = self.tracer
         # The environment thread executes runs too: it is worker
         # ``num_threads`` in the per-worker execution counts.
         env_id = self.num_threads
@@ -240,7 +239,7 @@ class ParallelEngine:
             self.program,
             self.num_threads + 1,
             checker=self.checker,
-            tracer=tracer,
+            tracer=self.tracer,
             preempt=getattr(backend, "preempt", None),
             retire=retire,
             sink=sink,
@@ -340,13 +339,8 @@ class ParallelEngine:
             now = clock if inline else float  # float() is 0.0: untimed
             with lock:
                 claim_began = now()
-                phases, ctxs = core.claim(v, p)
+                phases, ctxs = core.claim(worker_id, v, p)
                 drain["inline_runs" if inline else "pooled_runs"] += 1
-                if tracer is not None:
-                    # (A member handed over below begins again when the
-                    # pool claims it; trace readers keep the last begin.)
-                    for q in phases:
-                        tracer.execute_begin((v, q), worker_id)
                 locked = now() - claim_began
             # A staked run is bounded: once its compute has cost the
             # locked time the whole run stands for, the environment keeps
@@ -364,9 +358,6 @@ class ParallelEngine:
             with commit_guard():
                 commit_began = now()
                 completed = runtime.commit(v, phases[:executed], ctxs)
-                if tracer is not None:
-                    for _, q, _ in completed:
-                        tracer.execute_end((v, q), worker_id)
                 newly_ready, newly_complete = core.commit(worker_id, completed)
                 done = env_done.is_set() and core.quiescent
                 if inline:

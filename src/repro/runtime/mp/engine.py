@@ -139,9 +139,8 @@ class ProcessEngine:
         Optional :class:`InvariantChecker`, invoked at every state
         mutation (on the coordinator thread).
     tracer:
-        Optional :class:`ExecutionTracer`; ``execute_begin``/``end`` are
-        coordinator-side timestamps (dispatch and commit), so intervals
-        include queue + wire time, not just on-CPU compute.
+        Optional :class:`ExecutionTracer`; :class:`ScheduleCore` sends
+        it every event (real-time clock).
     max_in_flight_phases:
         Flow control: at most this many started-but-incomplete phases
         (``None``, the default: unthrottled, as in the paper).
@@ -224,7 +223,6 @@ class ProcessEngine:
         retire: bool = False,
         stop_event: object = None,
     ) -> RunResult:
-        tracer = self.tracer
         clock = _clock
         # The coordinator executes runs too: it is worker ``num_workers``
         # in the per-worker execution counts.
@@ -233,7 +231,7 @@ class ProcessEngine:
             self.program,
             self.num_workers + 1,
             checker=self.checker,
-            tracer=tracer,
+            tracer=self.tracer,
             retire=retire,
             sink=sink,
         )
@@ -266,10 +264,6 @@ class ProcessEngine:
 
         def stopping() -> bool:
             return stop_event is not None and stop_event.is_set()
-
-        def trace(mark: str, v: int, phases: Iterable[int], worker: int) -> None:
-            for q in phases:
-                getattr(tracer, mark)((v, q), worker)
 
         def place(pairs: Iterable[Pair]) -> None:
             # Each newly ready pair goes to exactly one of the two backlogs.
@@ -313,9 +307,7 @@ class ProcessEngine:
             # Listing 1's body with no wire in it — and what computing
             # cost, compared with what shipping would have.
             nonlocal send, priced
-            phases, ctxs = core.claim(v, p)
-            if tracer is not None:
-                trace("execute_begin", v, phases, me)
+            phases, ctxs = core.claim(me, v, p)
             drain["inline_runs"] += 1
             n = len(phases)
             if not shipped_members and n > priced:
@@ -347,8 +339,6 @@ class ProcessEngine:
             placement.settle(v, clock() - began, cost if executed == n else trip(executed))
             done = phases[:executed]
             completed = runtime.commit(v, done, ctxs)
-            if tracer is not None:
-                trace("execute_end", v, done, me)
             place(core.commit(me, completed)[0])
             if failure is not None:
                 raise failure
@@ -369,9 +359,7 @@ class ProcessEngine:
             while ship:
                 v, p = ship.popleft()
                 w = pool.worker_of(v)
-                prepared = list(zip(*core.claim(v, p)))
-                if tracer is not None:
-                    trace("execute_begin", v, (q for q, _ in prepared), w)
+                prepared = list(zip(*core.claim(w, v, p)))
                 in_flight.update(((v, q), ctx) for q, ctx in prepared)
                 began = clock()
                 behavior = None
@@ -402,8 +390,6 @@ class ProcessEngine:
             ctxs = [in_flight.pop((v, q)) for q in phases]
             replies = [(res.outputs, res.records) for res in results]
             completed = runtime.commit_remote(v, phases, ctxs, replies)
-            if tracer is not None:
-                trace("execute_end", v, phases, w)
             place(core.commit(w, completed)[0])
 
         def receive(msg: object) -> None:

@@ -54,7 +54,6 @@ class ComputationThreadPool:
         ]
         self._errors: List[BaseException] = []
         self._error_lock = threading.Lock()
-        self.on_error: Optional[Callable[[BaseException], None]] = None
 
     def _run(self, worker_id: int) -> None:
         try:
@@ -62,8 +61,6 @@ class ComputationThreadPool:
         except BaseException as exc:  # noqa: BLE001 - propagate to the caller
             with self._error_lock:
                 self._errors.append(exc)
-            if self.on_error is not None:
-                self.on_error(exc)
 
     def start(self) -> None:
         for t in self._threads:

@@ -18,6 +18,7 @@ duration:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Union
@@ -41,9 +42,11 @@ class CostModel:
     _rng: random.Random = field(init=False, repr=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        for name in ("bookkeeping_cost", "phase_start_cost"):
-            if getattr(self, name) < 0:
-                raise SimulationError(f"{name} must be >= 0")
+        for name in ("compute_cost", "bookkeeping_cost", "phase_start_cost"):
+            cost = getattr(self, name)
+            # Both comparisons are false for NaN, which would read as no time.
+            if not callable(cost) and not 0 <= cost < math.inf:
+                raise SimulationError(f"{name} must be finite and >= 0, got {cost}")
         if not 0.0 <= self.jitter < 1.0:
             raise SimulationError(f"jitter must be in [0, 1), got {self.jitter}")
         self.reset()
@@ -60,9 +63,9 @@ class CostModel:
             if callable(self.compute_cost)
             else self.compute_cost
         )
-        if base < 0:
+        if not 0 <= base < math.inf:
             raise SimulationError(
-                f"compute cost for ({vertex_name!r}, {phase}) is negative: {base}"
+                f"compute cost for ({vertex_name!r}, {phase}) is not finite >= 0: {base}"
             )
         if self.jitter:
             base *= 1.0 + self.jitter * (2.0 * self._rng.random() - 1.0)

@@ -75,7 +75,8 @@ class SimulatedEngine:
         Virtual durations for compute/bookkeeping/etc.
     checker / tracer:
         As for :class:`~repro.runtime.engine.ParallelEngine`; the tracer's
-        clock is rebound to virtual time.
+        clock is rebound to virtual time, so a member executes from its
+        run's locked claim burst to its run's locked commit burst.
     frontier:
         The one scheduling selector.  ``"global"`` (default) is Listings
         1-2 as published — one ``x_p`` per phase, every message
@@ -125,21 +126,20 @@ class SimulatedEngine:
         """Execute every phase in virtual time; ``wall_time`` of the result
         is the virtual makespan."""
         self.cost_model.reset()
-        tracer = self.tracer
         core = ScheduleCore(
             self.program,
             self.num_workers,
             frontier=self.frontier,
             checker=self.checker,
-            tracer=tracer,
+            tracer=self.tracer,
         )
         runtime = core.runtime
         sim = Simulation()
         lock = Resource(sim, 1, name="global-lock")
         procs = Resource(sim, self.num_processors, name="processors")
         queue = Store(sim, name="run-queue")
-        if tracer is not None:
-            tracer.set_clock(lambda: sim.now)
+        if self.tracer is not None:
+            self.tracer.set_clock(lambda: sim.now)
 
         env_done = [False]
         flow_waiter: List[Optional[Event]] = [None]  # env blocked on flow control
@@ -180,21 +180,16 @@ class SimulatedEngine:
                 # processor grant (the parallel region), then commit
                 # them all in one bookkeeping burst.
                 phases, ctxs = yield from locked_burst(
-                    0.0, lambda: core.claim(v, p)
+                    0.0, lambda: core.claim(worker_id, v, p)
                 )
 
                 yield procs.request()
+                runtime.compute(v, ctxs)
                 name = names.name_of(v)
-                for q, ctx in zip(phases, ctxs):
-                    if tracer is not None:
-                        tracer.execute_begin((v, q), worker_id)
-                    # Each member computes when its virtual time starts.
-                    runtime.compute(v, (ctx,))
+                for q in phases:
                     duration = cm.vertex_cost(name, q)
                     if duration > 0:
                         yield sim.timeout(duration)
-                    if tracer is not None:
-                        tracer.execute_end((v, q), worker_id)
                 procs.release()
 
                 def do_commit() -> None:

@@ -1,5 +1,8 @@
 """Tests for the execution tracer and its concurrency profiles."""
 
+from collections import Counter
+from contextlib import nullcontext
+
 import pytest
 
 from repro.core.invariants import InvariantChecker
@@ -7,16 +10,17 @@ from repro.core.reference import ReferenceScheduler
 from repro.core.tracer import (
     ExecutionTracer,
     SetSnapshot,
-    concurrent_phase_profile,
     max_concurrent_pairs,
     max_concurrent_phases,
 )
 from repro.graph.generators import fig3_graph
 from repro.graph.numbering import number_graph
 from repro.runtime.engine import ParallelEngine
+from repro.runtime.mp import ProcessEngine
 from repro.simulator.costs import CostModel
 from repro.simulator.machine import SimulatedEngine
 from repro.streams.workloads import grid_workload
+from repro.testing.fuzz import scripted_placement
 
 
 class FakeClock:
@@ -40,7 +44,8 @@ class TestEventRecording:
         tr.execute_end((1, 1), worker=0)
         kinds = [e.kind for e in tr.events]
         assert kinds == ["phase_started", "enqueued", "execute_begin", "execute_end"]
-        assert tr.executed_pairs() == [(1, 1)]
+        ended = [e.pair for e in tr.events if e.kind == "execute_end"]
+        assert ended == [(1, 1)]
 
     def test_set_clock_rebinds(self):
         tr = ExecutionTracer()
@@ -86,12 +91,11 @@ class TestConcurrencyProfiles:
         assert max_concurrent_phases(intervals) == 2
         assert max_concurrent_pairs(intervals) == 3
 
-    def test_profile_steps(self):
-        intervals = [(0.0, 2.0, (1, 1)), (1.0, 3.0, (2, 2))]
-        profile = concurrent_phase_profile(intervals)
+    def test_phase_peak_follows_the_steps(self):
         # After t=1 both phases are active; after t=2 only phase 2.
-        assert (1.0, 2) in profile
-        assert profile[-1] == (3.0, 0)
+        assert max_concurrent_phases([(0.0, 2.0, (1, 1)), (1.0, 3.0, (2, 2))]) == 2
+        # A phase that ends as the next begins never overlaps it.
+        assert max_concurrent_phases([(0.0, 1.0, (1, 1)), (1.0, 3.0, (2, 2))]) == 1
 
     def test_empty(self):
         assert max_concurrent_phases([]) == 0
@@ -102,15 +106,14 @@ class TestSnapshots:
     def test_capture_sets(self):
         nb = number_graph(fig3_graph())
         st = ReferenceScheduler(nb, checker=InvariantChecker())
-        tr = ExecutionTracer(clock=FakeClock())
         st.start_phase()
-        snap = tr.capture_sets(st, "(a) phase 1 initiated")
+        snap = SetSnapshot.of(st, "(a) phase 1 initiated")
         st.complete_execution(1, 1, [3])
-        snap_b = tr.capture_sets(st, "(b) (1,1) executed")
+        snap_b = SetSnapshot.of(st, "(b) (1,1) executed")
         assert snap.label.startswith("(a)")
         assert snap.ready == {(1, 1), (2, 1)}
+        assert snap_b.label.startswith("(b)")
         assert snap_b.partial == {(3, 1)}
-        assert len(tr.snapshots) == 2
 
     def test_membership_glyph_classes(self):
         snap = SetSnapshot(
@@ -127,9 +130,8 @@ class TestSnapshots:
     def test_snapshots_are_immutable_copies(self):
         nb = number_graph(fig3_graph())
         st = ReferenceScheduler(nb)
-        tr = ExecutionTracer()
         st.start_phase()
-        snap = tr.capture_sets(st, "before")
+        snap = SetSnapshot.of(st, "before")
         st.complete_execution(1, 1, [])
         assert (1, 1) in snap.ready  # unchanged by later mutation
 
@@ -171,3 +173,47 @@ class TestPhaseEvents:
         for p, (at, when) in completed.items():
             assert started[p][0] < at
             assert started[p][1] <= when
+
+
+ENGINES = {
+    "parallel": lambda prog, tracer: ParallelEngine(prog, 2, tracer=tracer),
+    "process": lambda prog, tracer: ProcessEngine(prog, 2, tracer=tracer),
+    "process_remote": lambda prog, tracer: ProcessEngine(prog, 2, tracer=tracer),
+    "simulated_global": lambda prog, tracer: SimulatedEngine(
+        prog, 2, tracer=tracer, cost_model=CostModel(compute_cost=1.0),
+    ),
+    "simulated_cone": lambda prog, tracer: SimulatedEngine(
+        prog, 2, tracer=tracer, cost_model=CostModel(compute_cost=1.0),
+        frontier="cone",
+    ),
+}
+
+
+class TestExecutionIntervals:
+    """On every engine ``ScheduleCore`` sends the run events: a member
+    begins at its run's claim and ends at its run's commit, by the worker
+    that the run's commit is counted to."""
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_one_interval_per_executed_pair(self, engine):
+        prog, phases = grid_workload(3, 3, phases=12, seed=7)
+        tracer = ExecutionTracer()
+        remote = engine == "process_remote"
+        with scripted_placement() if remote else nullcontext():
+            res = ENGINES[engine](prog, tracer).run(phases)
+        if remote:
+            assert res.stats["ipc"]["promoted"]
+        ends = []
+        begun = {}  # pair -> worker of its last begin
+        for ev in tracer.events:
+            if ev.kind == "execute_begin":
+                begun[ev.pair] = ev.worker
+            elif ev.kind == "execute_end":
+                assert begun.pop(ev.pair) == ev.worker, ev
+                ends.append(ev)
+        assert begun == {}
+        assert Counter(ev.pair for ev in ends) == Counter(res.executions)
+        per_worker = res.stats["per_worker_executions"]
+        assert Counter(ev.worker for ev in ends) == Counter(
+            {w: n for w, n in per_worker.items() if n}
+        )

@@ -13,7 +13,9 @@ from repro.core.invariants import InvariantChecker
 from repro.core.program import Program
 from repro.core.serial import SerialExecutor
 from repro.core.state import ADAPTIVE_RUN_CEILING
-from repro.core.tracer import ExecutionTracer
+from repro.core.tracer import (
+    ExecutionTracer, max_concurrent_pairs, max_concurrent_phases,
+)
 from repro.core.vertex import FunctionVertex, PassthroughSource
 from repro.errors import EngineError, SchedulerError, VertexExecutionError
 from repro.events import PhaseInput
@@ -91,9 +93,11 @@ class TestStats:
         prog, phases = fig1_workload(phases=20)
         tracer = ExecutionTracer()
         res = ParallelEngine(prog, num_threads=4, tracer=tracer).run(phases)
-        assert res.stats["max_concurrent_pairs"] >= 1
-        assert res.stats["max_concurrent_phases"] >= 1
-        assert len(tracer.executed_pairs()) == res.execution_count
+        intervals = tracer.intervals()
+        assert max_concurrent_pairs(intervals) >= 1
+        assert max_concurrent_phases(intervals) >= 1
+        assert sorted(pair for _, _, pair in intervals) == sorted(res.executions)
+        assert len(res.executions) == res.execution_count
 
 
 class TestBatchMemory:
@@ -233,8 +237,8 @@ class TestPipelining:
                 return orig(ctx)
 
             beh.on_execute = slow  # type: ignore[method-assign]
-        res = ParallelEngine(prog, num_threads=4, tracer=tracer).run(phases)
-        assert res.stats["max_concurrent_pairs"] >= 2
+        ParallelEngine(prog, num_threads=4, tracer=tracer).run(phases)
+        assert max_concurrent_pairs(tracer.intervals()) >= 2
 
 
 class TestShutdownErrorPropagation:

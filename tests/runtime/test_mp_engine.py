@@ -13,7 +13,7 @@ from repro.core.invariants import InvariantChecker
 from repro.core.program import Program
 from repro.core.serial import SerialExecutor
 from repro.core.state import CompletionLog
-from repro.core.tracer import ExecutionTracer
+from repro.core.tracer import ExecutionTracer, max_concurrent_phases
 from repro.core.vertex import Vertex, VertexContext
 from repro.errors import EngineError, VertexExecutionError
 from repro.events import PhaseInput
@@ -143,13 +143,13 @@ class TestBasicExecution:
     def test_flow_control_bound_respected(self):
         prog, phases = grid_workload(3, 3, phases=10, seed=1)
         tracer = ExecutionTracer()
-        res = ProcessEngine(
+        ProcessEngine(
             prog,
             num_workers=2,
             tracer=tracer,
             max_in_flight_phases=2,
         ).run(phases)
-        assert res.stats["max_concurrent_phases"] <= 2
+        assert max_concurrent_phases(tracer.intervals()) <= 2
 
 
 class TestCoordinatorLoop:

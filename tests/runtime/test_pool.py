@@ -39,19 +39,6 @@ class TestPool:
         with pytest.raises(ValueError, match="worker 1 failed"):
             pool.reraise()
 
-    def test_on_error_callback(self):
-        caught = []
-
-        def target(wid: int) -> None:
-            raise RuntimeError("x")
-
-        pool = ComputationThreadPool(1, target)
-        pool.on_error = caught.append
-        pool.start()
-        pool.join(timeout=5)
-        assert len(caught) == 1
-        assert isinstance(caught[0], RuntimeError)
-
     def test_join_timeout_raises_on_stuck_thread(self):
         release = threading.Event()
 

@@ -160,7 +160,7 @@ class TestRetirement:
             ready = deque(core.admit(pi))
             while ready:
                 v, p = ready.popleft()
-                run, ctxs = core.claim(v, p)
+                run, ctxs = core.claim(0, v, p)
                 core.runtime.compute(v, ctxs)
                 completed = core.runtime.commit(v, run, ctxs)
                 try:

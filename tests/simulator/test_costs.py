@@ -26,6 +26,21 @@ class TestCostModel:
         with pytest.raises(SimulationError):
             CostModel(phase_start_cost=-1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize(
+        "name", ["compute_cost", "bookkeeping_cost", "phase_start_cost"]
+    )
+    def test_non_finite_fixed_costs_rejected(self, name, bad):
+        # NaN compares false both ways: it would read as no time at all.
+        with pytest.raises(SimulationError, match=name):
+            CostModel(**{name: bad})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_callable_cost_rejected(self, bad):
+        cm = CostModel(compute_cost=lambda n, p: bad)
+        with pytest.raises(SimulationError, match="not finite"):
+            cm.vertex_cost("v", 1)
+
     def test_jitter_bounds(self):
         cm = CostModel(compute_cost=10.0, jitter=0.2, seed=3)
         costs = [cm.vertex_cost("v", p) for p in range(200)]

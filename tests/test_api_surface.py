@@ -241,7 +241,7 @@ def test_schedule_core_surface_is_pinned():
     }
     assert operations == {
         "admit": ["phase_input"],
-        "claim": ["v", "p"],
+        "claim": ["worker", "v", "p"],
         "commit": ["worker", "completed"],
         "result": ["label", "elapsed", "engine_stats"],
     }, CORE

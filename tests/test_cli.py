@@ -682,3 +682,21 @@ class TestRefusals:
         assert "--runs" in self._refused(
             "fuzz", "--runs", runs, "--inject", "unlocked_commit"
         )
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--max-vertices", "1"), ("--max-vertices", "0"),
+         ("--max-phases", "0"), ("--max-phases", "-3")],
+    )
+    def test_fuzz_workload_bound_below_its_least(self, option, value):
+        # The generator would clamp it and fuzz a different workload.
+        assert option in self._refused("fuzz", "--runs", "2", option, value)
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--compute-cost", "nan"), ("--compute-cost", "inf"),
+         ("--bookkeeping-cost", "nan")],
+    )
+    def test_speedup_non_finite_cost(self, option, value):
+        err = self._refused("speedup", "specs/anomaly_watch.xml", option, value)
+        assert "finite" in err

@@ -238,7 +238,7 @@ def run_inline(
     committed = []
     while ready:
         v, p = ready.pop() if newest_first else ready.popleft()
-        run, ctxs = core.claim(v, p)
+        run, ctxs = core.claim(0, v, p)
         keep = len(run) if cut is None else cut.randint(1, len(run))
         completed = data_path(core.runtime, v, run[:keep], ctxs[:keep])
         committed += [(v, q) for v, q, _ in completed]

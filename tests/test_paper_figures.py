@@ -13,7 +13,7 @@ from repro.analysis.serializability import assert_serializable
 from repro.core.invariants import InvariantChecker
 from repro.core.reference import ReferenceScheduler
 from repro.core.serial import SerialExecutor
-from repro.core.tracer import ExecutionTracer, max_concurrent_phases
+from repro.core.tracer import ExecutionTracer, SetSnapshot, max_concurrent_phases
 from repro.errors import NumberingError
 from repro.graph.generators import (
     FIG3_EXPECTED,
@@ -92,11 +92,10 @@ class TestFigure3:
     def run_steps(self):
         nb = number_graph(fig3_graph())
         state = ReferenceScheduler(nb, checker=InvariantChecker())
-        tracer = ExecutionTracer()
         steps = []
 
         def snap(label):
-            steps.append(tracer.capture_sets(state, label))
+            steps.append(SetSnapshot.of(state, label))
 
         state.start_phase()
         snap("(a) Phase 1 initiated")
