@@ -306,7 +306,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if drain:
         line = (f"drain: {drain['inline_runs']} inline runs, "
                 f"{drain['pooled_runs']} pooled runs, "
-                f"{drain['handovers']} handovers")
+                f"{drain['handovers']} handovers, "
+                f"{drain['swept_phases']} swept phases")
         if "ipc" in result.stats:
             promoted = result.stats["ipc"]["promoted"]
             line += f", {len(promoted)} promoted" + (

@@ -333,7 +333,7 @@ class PairRuntime:
         self.delivered_at = 0
         for pi in phase_inputs:
             self.register_phase(pi)
-        self._source_indices = set(program.numbering.source_indices())
+        self.sources = set(program.numbering.source_indices())
         # Name tables for context construction.
         nm = program.numbering
         self._names: List[str] = [""] + [nm.name_of(i) for i in range(1, nm.n + 1)]
@@ -381,7 +381,7 @@ class PairRuntime:
         successors = self._succ_names[v]
         owning = VertexContext.owning
         ctxs: List[VertexContext] = []
-        if v in self._source_indices:
+        if v in self.sources:
             # A source has no input channel: it reads its phase input.
             phase_inputs = self._phase_inputs
             for p in phases:

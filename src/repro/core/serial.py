@@ -18,12 +18,22 @@ consumer.
 from __future__ import annotations
 
 import time
-from typing import Sequence, Set
+from typing import Sequence
 
 from ..events import PhaseInput
 from .program import PairRuntime, Program, RunResult
 
-__all__ = ["SerialExecutor"]
+__all__ = ["SerialExecutor", "run_phase"]
+
+
+def run_phase(runtime: PairRuntime, p: int) -> None:
+    """Run phase *p* on *runtime* in index order: sources, then reached."""
+    has_message = set(runtime.sources)
+    for v in range(1, runtime.program.n + 1):
+        if v in has_message:
+            # Every target is > v (edges go low-to-high), so the
+            # ascending scan reaches it later in this same phase.
+            has_message.update(runtime.execute(v, p))
 
 
 class SerialExecutor:
@@ -52,17 +62,8 @@ class SerialExecutor:
         """Run every phase serially; returns the :class:`RunResult`."""
         self.program.reset()
         runtime = PairRuntime(self.program, phase_inputs)
-        n = self.program.n
-        source_indices = set(self.program.numbering.source_indices())
         started = time.perf_counter()
         for p in range(1, runtime.num_phases + 1):
-            has_message: Set[int] = set(source_indices)
-            for v in range(1, n + 1):
-                if v not in has_message:
-                    continue  # no input changed: computation unnecessary
-                targets = runtime.execute(v, p)
-                # Every target is > v (edges go low-to-high), so the
-                # ascending scan will reach it later in this same phase.
-                has_message.update(targets)
+            run_phase(runtime, p)
         elapsed = time.perf_counter() - started
         return runtime.build_result("serial", elapsed)

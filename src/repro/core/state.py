@@ -202,6 +202,7 @@ class SchedulerState(CompletionLog):
         self._max_phase_skew = 0
         self._runs_claimed = 0
         self._run_members_claimed = 0
+        self.sweeping = 0  # the phase open to a sweep, if any (read-only)
 
     # -- Read-only views --
 
@@ -337,9 +338,9 @@ class SchedulerState(CompletionLog):
         at a time (the wave is a least fixed point, the settled gate a
         function of it), so a run may commit whole or member by member.
 
-        Raises :class:`SchedulerError` for a member that is neither ready
-        nor claimed, an output that does not go to a higher index in
-        ``1..N``, or a message for a pair that is already determined;
+        Raises :class:`SchedulerError` for a member neither ready, claimed
+        nor swept (:meth:`open_sweep`), an output not to a higher index in
+        ``1..N``, or a message for a pair already determined;
         :class:`DuplicateExecutionError` for a member that already ran.
         """
         if not batch:
@@ -355,13 +356,15 @@ class SchedulerState(CompletionLog):
         for v, p, output_targets in batch:
             ph = phases.get(p)
             if ph is None or not 0 < v <= n or not READY <= ph.status[v] <= CLAIMED:
-                raise self._not_executable(
-                    v,
-                    p,
-                    f"pair {(v, p)} was already executed; each ready pair "
-                    f"executes exactly once",
-                    f"pair {(v, p)} is not in the ready set and may not execute",
-                )
+                if not (p == self.sweeping and ph is not None and 0 < v <= n
+                        and ph.status[v] == FULL and settled[v] == p - 1):
+                    raise self._not_executable(
+                        v, p,
+                        f"pair {(v, p)} was already executed; each ready pair "
+                        f"executes exactly once",
+                        f"pair {(v, p)} is not in the ready set and may not execute",
+                    )
+                self._ready_upto[v] = p
             status = ph.status
             status[v] = EXECUTED
             full_count[v] -= 1
@@ -521,6 +524,24 @@ class SchedulerState(CompletionLog):
         self._runs_claimed += 1
         self._run_members_claimed += len(members)
         return members
+
+    def open_sweep(self) -> Tuple[int, bytearray]:
+        """Open the one phase in flight, *p*, to a sweep (``sweeping``):
+        its pairs run and commit in index order, a member full at its
+        settled gate accepted.  Returns *p* and, per vertex, whether a
+        message waits on it."""
+        if len(self._phases) != 1:
+            raise SchedulerError(f"a sweep needs exactly one phase in "
+                                 f"flight, not {self.in_flight_phases()!r}")
+        ((p, ph),) = self._phases.items()
+        self.sweeping = p
+        return p, bytearray(PARTIAL <= s <= CLAIMED for s in ph.status)
+
+    def close_sweep(self, members: int) -> None:
+        """Close the sweep: each of its *members* was a run of one."""
+        self.sweeping = 0
+        self._runs_claimed += members
+        self._run_members_claimed += members
 
     # -- Retirement (continuous-operation mode) --
 

@@ -3,10 +3,11 @@
 :class:`ScheduleCore` owns one run's
 :class:`~repro.core.program.PairRuntime` and
 :class:`~repro.core.state.SchedulerState` and exposes the run lifecycle
-as four operations — :meth:`~ScheduleCore.admit` (Listing 2's body),
+as five operations — :meth:`~ScheduleCore.admit` (Listing 2's body),
 :meth:`~ScheduleCore.claim` (the locked half of Listing 1's dequeue),
 :meth:`~ScheduleCore.commit` (Listing 1's post-execution section plus
-the completion tail) and :meth:`~ScheduleCore.result`.
+the completion tail), :meth:`~ScheduleCore.sweep` (a lone phase in the
+oracle's order) and :meth:`~ScheduleCore.result`.
 
 It is passive and **not thread-safe**; who drives it, under which lock,
 is all the engines differ in.  The threaded engine's peer workers and
@@ -32,13 +33,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.invariants import InvariantChecker
 from ..core.program import PairRuntime, Program, RunResult
-from ..core.state import SchedulerState
+from ..core.state import Pair, SchedulerState
 from ..core.tracer import ExecutionTracer
 from ..core.vertex import VertexContext
 from ..errors import EngineError, SchedulerError
 from ..events import PhaseInput
 
-__all__ = ["DEAR_RUNS", "Placement", "ScheduleCore"]
+__all__ = ["DEAR_RUNS", "DRAIN", "Placement", "ScheduleCore"]
 
 #: Dear runs in a row that move a vertex away.  On a shared VM ~0.1 % of a
 #: microsecond vertex's runs read 50-130 us of CPU (EXPERIMENTS.md): two in
@@ -46,9 +47,12 @@ __all__ = ["DEAR_RUNS", "Placement", "ScheduleCore"]
 #: about once a day; each costs a dear vertex one more bounded stake.
 DEAR_RUNS = 3
 
+#: The real engines' ``stats["drain"]`` counters (docs/ARCHITECTURE.md §7).
+DRAIN = ("inline_runs", "pooled_runs", "handovers", "feed_burst_max",
+         "swept_phases")
 
 class ScheduleCore:
-    """One run's scheduling state and its four critical-section bodies.
+    """One run's scheduling state and its critical-section bodies.
 
     Phases arrive one at a time through :meth:`admit`.  *num_workers*
     sizes the per-worker execution counts.  *frontier* picks the
@@ -57,7 +61,8 @@ class ScheduleCore:
     (``ReferenceScheduler``: Listings 1-2 as published).  The *tracer*
     hears every event from here: phase starts, enqueues, completions,
     and each member's execution from its run's :meth:`claim` (again, for
-    a handed-over tail) to its run's :meth:`commit`.  With *retire*, each
+    a handed-over tail) to its run's :meth:`commit` (a swept pair's to
+    its delivery).  With *retire*, each
     phase is retired as soon as the complete prefix extends: ``sink(phase,
     timestamp, entries)`` gets its record entries, then every per-phase
     structure is garbage-collected.  *sink* is the delivery: it runs on
@@ -121,7 +126,7 @@ class ScheduleCore:
         """Started-but-incomplete phases (the flow-control quantity)."""
         return self.state.pmax - self.state.complete_phase_count
 
-    # -- the four operations (call with the driver's lock held, if any) ------
+    # -- the operations (call with the driver's lock held, if any) ----------
 
     def admit(self, phase_input: PhaseInput) -> List[Tuple[int, int]]:
         """Listing 2's body: register and start the next phase; returns
@@ -162,7 +167,7 @@ class ScheduleCore:
 
     def commit(
         self, worker: int, completed: Sequence[Tuple[int, int, Sequence[int]]]
-    ) -> Tuple[List[Tuple[int, int]], int]:
+    ) -> Tuple[List[Pair], int]:
         """Listing 1's post-execution section for one run: *completed*
         is ``(v, p, output_targets)`` per member — what the driver's
         :meth:`PairRuntime.commit` / ``commit_remote`` returned.  Returns
@@ -173,10 +178,59 @@ class ScheduleCore:
         if completed:
             self._compute_ns[worker] += delivered - self._claimed_at[completed[0][0]]
             self._deliver_ns += began - delivered
-        state, tracer = self.state, self._tracer
+        tracer = self._tracer
         if tracer is not None:
             for v, q, _ in completed:
                 tracer.execute_end((v, q), worker)
+        return self._complete(worker, completed, began)
+
+    def sweep(
+        self, worker: int, compute: Callable[[int, List[VertexContext]], Any]
+    ) -> int:
+        """Run the one phase in flight as the serial oracle does, on
+        *worker*: each vertex a message waits on, in index order, is a
+        run of one (``prepare``, the driver's ``compute(v, contexts)``,
+        ``PairRuntime.commit``); the scheduler commits them at once, also
+        the prefix before a member that raises.  Returns the members
+        swept; nothing becomes ready, as no other phase is in flight."""
+        began = _now()
+        state, runtime, tracer = self.state, self.runtime, self._tracer
+        p, waiting = state.open_sweep()
+        batch: List[Tuple[int, int, Sequence[int]]] = []
+        phases = [p]
+        at = _now()
+        self._claim_ns += at - began
+        try:
+            for v in range(1, len(waiting)):
+                if not waiting[v]:
+                    continue
+                ctxs = runtime.prepare(v, phases)
+                if tracer is not None:
+                    tracer.execute_begin((v, p), worker)
+                prepared = _now()
+                compute(v, ctxs)
+                batch += runtime.commit(v, phases, ctxs)
+                self._prepare_ns += prepared - at
+                at = _now()
+                self._compute_ns[worker] += runtime.delivered_at - prepared
+                self._deliver_ns += at - runtime.delivered_at
+                if tracer is not None:
+                    tracer.execute_end((v, p), worker)
+                for w in batch[-1][2]:
+                    waiting[w] = 1
+        finally:
+            self._complete(worker, batch, at)
+            state.close_sweep(len(batch))
+        return len(batch)
+
+    def _complete(
+        self,
+        worker: int,
+        completed: Sequence[Tuple[int, int, Sequence[int]]],
+        began: int,
+    ) -> Tuple[List[Pair], int]:
+        """The scheduler's half of :meth:`commit`."""
+        state, tracer = self.state, self._tracer
         complete = state.complete_phase_count
         newly_ready = state.complete_executions(completed)
         self._per_worker[worker] += len(completed)

@@ -77,7 +77,7 @@ from ..errors import EngineError, QueueClosedError
 from ..events import PhaseInput
 from .backend import OS_BACKEND, ThreadingBackend
 from .blocking_queue import BlockingQueue
-from .core import Placement, ScheduleCore
+from .core import DRAIN, Placement, ScheduleCore
 from .feed import PhaseFeed
 from .locks import InstrumentedLock
 from .pool import ComputationThreadPool
@@ -284,9 +284,7 @@ class ParallelEngine:
         # egress threads, and draining inline there measured slower end
         # to end (CHANGES.md PR 20).
         may_drain = feed.closed
-        drain = dict.fromkeys(
-            ("inline_runs", "pooled_runs", "handovers", "feed_burst_max"), 0
-        )
+        drain = dict.fromkeys(DRAIN, 0)
         # Members computed, one single-writer slot per thread: the
         # watchdog's sign of life inside a run that has not committed yet.
         computed_members = [0] * (self.num_threads + 1)

@@ -11,7 +11,8 @@ the edge store, the records — and runs both of the paper's loops inline:
   a feed that closed before the run began);
 * Listing 1 (computation), split at the prepare/compute/commit seam of
   :class:`~repro.core.program.PairRuntime`: *prepare* a ready run,
-  compute it, and *commit* its outputs.
+  compute it, and *commit* its outputs; a lone phase with every vertex
+  resident is *swept* instead, as the oracle runs it (§5.8).
 
 The critical-section bodies themselves are the threaded engine's:
 :class:`~repro.runtime.core.ScheduleCore`, called without a lock: the
@@ -73,7 +74,7 @@ from ...core.tracer import ExecutionTracer
 from ...core.vertex import VertexContext
 from ...errors import EngineError, VertexExecutionError
 from ...events import PhaseInput
-from ..core import Placement, ScheduleCore
+from ..core import DRAIN, Placement, ScheduleCore
 from ..feed import PhaseFeed
 from .lifecycle import ProcessWorkerPool
 from .protocol import (
@@ -258,9 +259,7 @@ class ProcessEngine:
         recv: Optional[Price] = None
         priced = 0
         shipped_members = 0
-        drain = dict.fromkeys(
-            ("inline_runs", "pooled_runs", "handovers", "feed_burst_max"), 0
-        )
+        drain = dict.fromkeys(DRAIN, 0)
 
         def stopping() -> bool:
             return stop_event is not None and stop_event.is_set()
@@ -303,12 +302,8 @@ class ProcessEngine:
         def trip(n: int) -> float:
             return _cost(send, n) + (_cost(recv, n) if recv else 0.0)
 
-        def run_resident(v: int, p: int) -> None:
-            # Listing 1's body with no wire in it — and what computing
-            # cost, compared with what shipping would have.
+        def price(v: int, phases: List[int], ctxs: List[VertexContext]) -> float:
             nonlocal send, priced
-            phases, ctxs = core.claim(me, v, p)
-            drain["inline_runs"] += 1
             n = len(phases)
             if not shipped_members and n > priced:
                 # Nothing shipped, and no run this long priced: marshal
@@ -325,8 +320,16 @@ class ProcessEngine:
                     pass
                 else:
                     send, priced = _fit(head, whole, n), n
+            return trip(n)
+
+        def run_resident(v: int, p: int) -> None:
+            # Listing 1's body with no wire in it — and what computing
+            # cost, compared with what shipping would have.
+            phases, ctxs = core.claim(me, v, p)
+            drain["inline_runs"] += 1
+            n = len(phases)
             # A staked run stops once it has cost shipping all of it.
-            cost = trip(n)
+            cost = price(v, phases, ctxs)
             staked = placement.staked(v)
             failure: Optional[VertexExecutionError] = None
             began = clock()
@@ -347,6 +350,23 @@ class ProcessEngine:
                 # to wherever the vertex now lives.
                 drain["handovers"] += 1
                 place([(v, phases[executed])])
+
+        def compute_swept(v: int, ctxs: List[VertexContext]) -> None:
+            cost = trip(1) if priced else price(v, [ctxs[0].phase], ctxs)
+            began = clock()
+            runtime.compute(v, ctxs)
+            placement.settle(v, clock() - began, cost)
+
+        def run_here() -> None:
+            # A lone phase with every vertex resident (so nothing is in
+            # flight or to ship) is swept, each pair a run of one judged as
+            # run_resident judges it; else the next ready pair runs.
+            if placement.moved or core.phases_in_flight != 1:
+                run_resident(*mine.popleft())
+                return
+            mine.clear()
+            drain["inline_runs"] += core.sweep(me, compute_swept)
+            drain["swept_phases"] += 1
 
         def dispatch() -> bool:
             # Claim each ready pair of a promoted vertex into a run of
@@ -463,9 +483,9 @@ class ProcessEngine:
                     # With nothing in flight, the resident backlog runs
                     # through without re-entering admission and dispatch,
                     # until a commit readies a pair to ship.
-                    run_resident(*mine.popleft())
+                    run_here()
                     while mine and not ship and not in_flight:
-                        run_resident(*mine.popleft())
+                        run_here()
                     last_progress = time.monotonic()  # once per burst
                     continue
                 if progressed:

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.program import PairRuntime, Program
+from ..core.serial import run_phase
 from ..core.state import ADAPTIVE_RUN_CEILING
 from ..errors import BackpressureError, ServeError
 from ..events import PhaseInput
@@ -219,8 +220,6 @@ class OracleSpotChecker:
         replica = copy.deepcopy(program)
         replica.reset()
         self._runtime = PairRuntime(replica, [], stream_records=True)
-        self._n = replica.n
-        self._source_indices = set(replica.numbering.source_indices())
         self._order = replica.numbering.index_of
         self._max_mismatches_kept = max_mismatches_kept
         self.checked = 0
@@ -246,10 +245,7 @@ class OracleSpotChecker:
         """
         self._runtime.register_phase(pi)
         p = pi.phase
-        has_message = set(self._source_indices)
-        for v in range(1, self._n + 1):
-            if v in has_message:
-                has_message.update(self._runtime.execute(v, p))
+        run_phase(self._runtime, p)
         _, expected = self._runtime.retire_phase(p)
         if p % self.sample_every != 0:
             return None

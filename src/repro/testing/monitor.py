@@ -15,10 +15,10 @@ Lifecycle properties checked (each one is a theorem of Section 3.3 that a
 seeded concurrency bug can break):
 
 * every vertex-phase pair is **enqueued at most once**;
-* a pair may only **begin executing while it is in the ready set** (or
-  the run-claim ledger — a coalesced run extension certified by
-  ``claim_run``) — i.e. dequeue-to-execute is justified by definition
-  (8), or by the claim certificate, at that instant;
+* a pair may only **begin executing while it is ready**, run-claimed (a
+  coalesced run extension certified by ``claim_run``) or in the phase
+  open to a sweep — dequeue-to-execute justified by definition (8), or a
+  certificate, at that instant — and once, bar a handed-over run tail;
 * an **executed pair never reappears** in partial / full / ready
   (exactly-once execution, Section 3.3.4);
 * phase starts are **contiguous** (pmax increments by one).
@@ -86,7 +86,7 @@ class RaceMonitor(ExecutionTracer):
         self._enqueued: Set[Pair] = set()
         self._executed: Set[Pair] = set()
         self._begun: Set[Pair] = set()
-        self._phases_started: List[int] = []
+        self._last_phase = 0  # the last phase started
         self._last_state: Optional["SchedulerState"] = None
         self.violations: List[MonitorViolation] = []
         self.checks_run = 0
@@ -143,15 +143,13 @@ class RaceMonitor(ExecutionTracer):
 
     def phase_started(self, phase: int) -> None:
         super().phase_started(phase)
-        if self._phases_started and phase != self._phases_started[-1] + 1:
+        if phase != self._last_phase + 1:
             self._record(
                 "lifecycle",
-                f"phase {phase} started after phase "
-                f"{self._phases_started[-1]} (non-contiguous pmax)",
+                f"phase {phase} started after phase {self._last_phase} "
+                f"(non-contiguous pmax)",
             )
-        elif not self._phases_started and phase != 1:
-            self._record("lifecycle", f"first phase started was {phase}, not 1")
-        self._phases_started.append(phase)
+        self._last_phase = phase
 
     def enqueued(self, pair: Pair) -> None:
         super().enqueued(pair)
@@ -163,21 +161,22 @@ class RaceMonitor(ExecutionTracer):
 
     def execute_begin(self, pair: Pair, worker: Optional[int] = None) -> None:
         super().execute_begin(pair, worker)
-        if pair in self._begun:
-            self._record(
-                "lifecycle",
-                f"pair {pair} began executing twice (worker {worker})",
-            )
-        self._begun.add(pair)
         state = self._last_state
         # O(1) membership — the per-dequeue hot path must not force a
         # ready-set snapshot; the full set is only materialised (below)
         # to describe an actual violation.  A claimed run extension is
         # licensed to execute without being ready (claim_run certified
-        # its inputs final at claim time).
-        if state is not None and not (
-            state.is_ready(pair) or state.is_run_claimed(pair)
-        ):
+        # its inputs final at claim time; a cut run's tail begins again,
+        # unended), and so is every pair of the phase open to a sweep.
+        claimed = state is not None and state.is_run_claimed(pair)
+        if pair in self._begun and not (claimed and pair not in self._executed):
+            self._record(
+                "lifecycle",
+                f"pair {pair} began executing twice (worker {worker})",
+            )
+        self._begun.add(pair)
+        if state is not None and not (claimed or state.is_ready(pair)
+                                      or pair[1] == getattr(state, "sweeping", 0)):
             self._record(
                 "lifecycle",
                 f"pair {pair} began executing while neither ready nor "

@@ -86,6 +86,66 @@ class TestHotPathChecks:
             st.complete_execution(1, 1, [3])
 
 
+def chain3():
+    """a -> b -> c."""
+    nb = number_graph(ComputationGraph.from_edges([("a", "b"), ("b", "c")]))
+    assert [nb.index_of[name] for name in "abc"] == [1, 2, 3]
+    return SchedulerState(nb, checker=InvariantChecker())
+
+
+class TestTheSweep:
+    """A lone phase, executed in index order and committed at once
+    (``ScheduleCore.sweep``): the one place a full pair that never
+    entered ready may complete."""
+
+    def test_a_sweep_needs_exactly_one_phase_in_flight(self):
+        st = two_cones()
+        with pytest.raises(SchedulerError, match="exactly one phase"):
+            st.open_sweep()
+        st.start_phase()
+        st.start_phase()
+        with pytest.raises(SchedulerError, match="exactly one phase"):
+            st.open_sweep()
+        assert st.sweeping == 0
+
+    def test_the_open_phase_commits_once_in_index_order(self):
+        st = chain3()
+        st.start_phase()
+        p, waiting = st.open_sweep()
+        assert (p, list(waiting), st.sweeping) == (1, [0, 1, 0, 0], 1)
+        # (2, 1) and (3, 1) never entered ready: each is full at its
+        # settled gate once the members before it are completed.
+        assert st.complete_executions([(1, 1, [2]), (2, 1, [3]), (3, 1, [])]) == []
+        st.close_sweep(3)
+        assert st.phase_complete(1) and st.sweeping == 0
+        assert st.coalescing_stats() == {
+            "runs_scheduled": 3, "pairs_coalesced": 0, "mean_run_length": 1.0,
+        }
+        with pytest.raises(DuplicateExecutionError):
+            st.complete_execution(2, 1, [3])
+
+    def test_a_failed_member_leaves_the_prefix_committed(self):
+        st = chain3()
+        st.start_phase()
+        st.open_sweep()
+        st.complete_executions([(1, 1, [2])])  # (2, 1) raised
+        st.close_sweep(1)
+        assert st.ready_set() == {(2, 1)} and not st.phase_complete(1)
+
+    def test_without_an_open_sweep_a_full_pair_is_refused(self):
+        st = chain3()
+        st.start_phase()
+        with pytest.raises(SchedulerError, match="not in the ready set"):
+            st.complete_executions([(1, 1, [2]), (2, 1, [3])])
+
+    def test_an_open_sweep_licenses_no_pair_out_of_order(self):
+        st = chain3()
+        st.start_phase()
+        st.open_sweep()
+        with pytest.raises(SchedulerError, match="not in the ready set"):
+            st.complete_executions([(2, 1, [3])])  # no message yet
+
+
 class TestTheCheckerJudgesTheRepresentation:
     """Every incrementally maintained piece, corrupted, is a violation."""
 

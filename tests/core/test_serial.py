@@ -85,3 +85,19 @@ class TestSerialExecutor:
         prog = chain_program(2, {1: 1})
         res = SerialExecutor(prog).run(signals(1))
         assert res.wall_time >= 0.0
+
+
+def test_no_engine_reaches_the_oracles_phase_scan():
+    # The oracle and the serve spot checker share run_phase; an engine
+    # that ran it too would be judged by its own code.
+    import re
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    engines = [*root.glob("runtime/**/*.py"), *root.glob("simulator/*.py")]
+    assert engines
+    for path in engines:
+        assert not re.search(r"core\.serial|\.serial import|run_phase",
+                             path.read_text()), path

@@ -179,6 +179,9 @@ ENGINES = {
     "parallel": lambda prog, tracer: ParallelEngine(prog, 2, tracer=tracer),
     "process": lambda prog, tracer: ProcessEngine(prog, 2, tracer=tracer),
     "process_remote": lambda prog, tracer: ProcessEngine(prog, 2, tracer=tracer),
+    "process_lone": lambda prog, tracer: ProcessEngine(
+        prog, 2, tracer=tracer, max_in_flight_phases=1,
+    ),
     "simulated_global": lambda prog, tracer: SimulatedEngine(
         prog, 2, tracer=tracer, cost_model=CostModel(compute_cost=1.0),
     ),
@@ -203,6 +206,8 @@ class TestExecutionIntervals:
             res = ENGINES[engine](prog, tracer).run(phases)
         if remote:
             assert res.stats["ipc"]["promoted"]
+        if engine == "process_lone":  # every phase swept
+            assert res.stats["drain"]["swept_phases"] == len(phases)
         ends = []
         begun = {}  # pair -> worker of its last begin
         for ev in tracer.events:

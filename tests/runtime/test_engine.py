@@ -33,6 +33,7 @@ from repro.streams.workloads import (
     grid_workload,
     pipeline_workload,
 )
+from repro.testing.monitor import RaceMonitor
 
 from tests.conftest import make_chain_program, signals
 from tests.runtime.regime_clock import RegimeClockBackend
@@ -437,16 +438,7 @@ class TestEnvironmentPeer:
         # DEAR_RUNS times in a row, the placement rule's streak — and
         # from then on the sink, and nothing else, runs in the pool.
         backend = RegimeClockBackend(compute_dear=False)
-
-        class DearSum(SpinningSum):
-            def on_execute(self, ctx):
-                backend.spend(1000.0)
-                return super().on_execute(ctx)
-
-        cheap, phases = pipeline_workload(depth=5, phases=150, seed=3)
-        sink = cheap.graph.vertices()[-1]
-        dear = DearSum(tuple(cheap.graph.predecessors(sink)), grain=10)
-        prog = Program(cheap.graph, {**cheap.behaviors, sink: dear})
+        prog, phases, sink = self._dear_sink(backend)
         serial = SerialExecutor(prog).run(phases)
         tracer = ExecutionTracer()
         res = ParallelEngine(
@@ -462,6 +454,33 @@ class TestEnvironmentPeer:
         assert {v for v, _ in in_pool} == {sink_index}
         staked = [q for v, q in on_env if v == sink_index]
         assert len(staked) == DEAR_RUNS and staked[0] == 1, staked
+
+    def test_a_handover_reads_clean_to_the_race_monitor(self):
+        # The same stakes, watched: each cut run's claimed tail begins
+        # again in the pool, which the monitor accepts as a handover.
+        backend = RegimeClockBackend(compute_dear=False)
+        prog, phases, _ = self._dear_sink(backend)
+        monitor = RaceMonitor()
+        res = ParallelEngine(
+            prog, num_threads=2, checker=monitor, tracer=monitor,
+            backend=backend,
+        ).run(phases)
+        assert res.stats["drain"]["handovers"] == DEAR_RUNS
+        assert monitor.violations == [], monitor.report()
+
+    @staticmethod
+    def _dear_sink(backend):
+        # A pipeline of cheap vertices whose sink spends 1000 s a pair on
+        # *backend*'s clock.
+        class DearSum(SpinningSum):
+            def on_execute(self, ctx):
+                backend.spend(1000.0)
+                return super().on_execute(ctx)
+
+        cheap, phases = pipeline_workload(depth=5, phases=150, seed=3)
+        sink = cheap.graph.vertices()[-1]
+        dear = DearSum(tuple(cheap.graph.predecessors(sink)), grain=10)
+        return Program(cheap.graph, {**cheap.behaviors, sink: dear}), phases, sink
 
     @staticmethod
     def _chain(v2, n):

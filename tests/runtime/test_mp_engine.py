@@ -18,6 +18,7 @@ from repro.core.vertex import Vertex, VertexContext
 from repro.errors import EngineError, VertexExecutionError
 from repro.events import PhaseInput
 from repro.graph.model import ComputationGraph
+from repro.runtime.core import ScheduleCore
 from repro.runtime.feed import PhaseFeed
 from repro.runtime.mp import ProcessEngine
 from repro.runtime.mp.lifecycle import ProcessWorkerPool, default_start_method
@@ -35,6 +36,7 @@ from repro.streams.workloads import (
     grid_workload,
     pipeline_workload,
 )
+from repro.testing.monitor import RaceMonitor
 
 from tests.conftest import make_chain_program, signals
 
@@ -188,6 +190,87 @@ class TestCoordinatorLoop:
         assert coalescing["mean_run_length"] == 1.0
         assert coalescing["runs_scheduled"] >= 10 * len(phases)
         assert len(calls) == len(phases)
+
+LONE = {
+    "grid": lambda: grid_workload(4, 4, phases=30, seed=2),
+    "fig1": lambda: fig1_workload(phases=30),
+}
+
+
+def oracle_by_phase(program, records):
+    """Serial *records* as the entries each phase retires with, in the
+    order a sweep commits them: vertex index order."""
+    out = {}
+    for v in range(1, program.n + 1):
+        name = program.numbering.name_of(v)
+        for p, value in records.get(name, []):
+            out.setdefault(p, []).append((name, value))
+    return out
+
+
+class TestLonePhaseSweep:
+    """One phase in flight and every vertex resident: the coordinator
+    runs the phase as the oracle does, in index order, and commits it to
+    the scheduler once."""
+
+    @pytest.mark.parametrize("workload", sorted(LONE))
+    def test_a_lockstep_serve_is_the_oracle(self, workload):
+        prog, phases = LONE[workload]()
+        serial = SerialExecutor(prog).run(phases)
+        expected = oracle_by_phase(prog, serial.records)
+        sunk = {}
+        served = ProcessEngine(
+            prog, 2, checker=InvariantChecker(), max_in_flight_phases=1
+        ).run_feed(
+            PhaseFeed.of(phases), retire=True,
+            sink=lambda p, ts, entries: sunk.setdefault(p, entries),
+        )
+        assert served.stats["drain"]["swept_phases"] == len(phases)
+        assert sunk == {p: expected.get(p, []) for p in range(1, len(phases) + 1)}
+        monitor = RaceMonitor()
+        res = ProcessEngine(
+            prog, 2, checker=monitor, tracer=monitor, max_in_flight_phases=1
+        ).run(phases)
+        assert monitor.violations == [], monitor.report()
+        assert res.records == serial.records
+        assert sorted(res.executions) == sorted(serial.executions)
+        drain = res.stats["drain"]
+        assert drain["swept_phases"] == len(phases)
+        assert drain["inline_runs"] == res.execution_count
+        assert validate_engine_stats(res.engine, res.stats) == []
+
+    def test_a_vertex_poisoned_mid_sweep_names_its_phase(self, monkeypatch):
+        prog, phases = grid_workload(4, 4, phases=12, seed=2)
+        serial = SerialExecutor(prog).run(phases)
+        expected = oracle_by_phase(prog, serial.records)
+        sources = prog.numbering.num_sources
+        v, q = next((v, p) for v, p in serial.executions if v > sources and p >= 4)
+        name = prog.numbering.name_of(v)
+        poisoned = prog.behaviors[name]
+        healthy = poisoned.on_execute
+
+        def on_execute(ctx):
+            if ctx.phase == q:
+                raise ValueError("poisoned")
+            return healthy(ctx)
+
+        monkeypatch.setattr(poisoned, "on_execute", on_execute)
+        sweeps = []
+        sweep = ScheduleCore.sweep
+        monkeypatch.setattr(
+            ScheduleCore, "sweep",
+            lambda core, *args: sweeps.append(core.state.pmax) or sweep(core, *args),
+        )
+        sunk = {}
+        with pytest.raises(VertexExecutionError, match="poisoned") as exc_info:
+            ProcessEngine(prog, 2, max_in_flight_phases=1).run_feed(
+                PhaseFeed.of(phases), retire=True,
+                sink=lambda p, ts, entries: sunk.setdefault(p, entries),
+            )
+        assert (exc_info.value.vertex, exc_info.value.phase) == (name, q)
+        assert sweeps == list(range(1, q + 1))
+        assert sunk == {p: expected.get(p, []) for p in range(1, q)}
+
 
 class TestFinalStateRestore:
     def test_post_run_state_matches_serial(self):

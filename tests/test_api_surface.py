@@ -12,7 +12,7 @@ engine instance per program is pinned the same way: the key-sharding
 topology stays deleted.
 
 One test pins :class:`~repro.runtime.core.ScheduleCore` the same way:
-four operations and one constructor are the whole interface between the
+five operations and one constructor are the whole interface between the
 run lifecycle and the engines that drive it.  Another keeps the two
 schedulers apart: neither takes a mode, and a production entry point
 never loads the specification.  The last keeps the chain-fusion plan
@@ -224,8 +224,9 @@ def test_no_change_suppression_knob():
 
 CORE = (
     "ScheduleCore's surface changed — ROADMAP aim 2: the run lifecycle is "
-    "admit / claim / commit / result, once; an engine-specific need belongs "
-    "in that engine's driver, not in a fifth operation or a new parameter"
+    "admit / claim / commit / sweep / result, once; an engine-specific need "
+    "belongs in that engine's driver, not in a sixth operation or a new "
+    "parameter"
 )
 
 
@@ -243,6 +244,7 @@ def test_schedule_core_surface_is_pinned():
         "admit": ["phase_input"],
         "claim": ["worker", "v", "p"],
         "commit": ["worker", "completed"],
+        "sweep": ["worker", "compute"],
         "result": ["label", "elapsed", "engine_stats"],
     }, CORE
 

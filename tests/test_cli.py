@@ -164,7 +164,8 @@ class TestRun:
         expected = (
             f"drain: {drain['inline_runs']} inline runs, "
             f"{drain['pooled_runs']} pooled runs, "
-            f"{drain['handovers']} handovers"
+            f"{drain['handovers']} handovers, "
+            f"{drain['swept_phases']} swept phases"
         )
         if engine == "process":
             assert stats["ipc"]["promoted"] == []

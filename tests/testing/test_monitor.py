@@ -4,6 +4,7 @@ stamped with their schedule step."""
 import pytest
 
 from repro.core.reference import ReferenceScheduler
+from repro.core.state import SchedulerState
 from repro.errors import InvariantViolation
 from repro.graph.generators import fig3_graph
 from repro.graph.numbering import number_graph
@@ -75,6 +76,38 @@ class TestViolations:
         monitor.execute_end((2, 1), worker=1)
         assert not monitor.ok
         assert "twice" in monitor.report()
+
+    def test_a_second_begin_is_flagged_unless_a_handover(self, numbering):
+        # (1, 2) is claimed behind the run head (1, 1).  A cut run hands
+        # its claimed, unended tail over, and that tail begins again; any
+        # other second begin is a double dispatch.
+        monitor = RaceMonitor()
+        state = SchedulerState(numbering, checker=monitor)
+        state.start_phase()
+        state.start_phase()
+        assert state.claim_run(1, 1) == [1, 2]
+        monitor.execute_begin((1, 1), worker=0)
+        monitor.execute_begin((1, 2), worker=0)
+        monitor.execute_begin((1, 2), worker=1)  # the handed-over tail
+        assert monitor.ok
+        monitor.execute_begin((1, 1), worker=1)  # ready, not claimed
+        monitor.execute_end((1, 2), worker=1)
+        monitor.execute_begin((1, 2), worker=1)  # claimed, but ended
+        assert [v.description for v in monitor.violations] == [
+            "pair (1, 1) began executing twice (worker 1)",
+            "pair (1, 2) began executing twice (worker 1)",
+        ]
+
+    def test_a_begin_in_the_open_sweep_phase_is_licensed(self, numbering):
+        monitor = RaceMonitor()
+        state = SchedulerState(numbering, checker=monitor)
+        state.start_phase()
+        state.open_sweep()
+        monitor.execute_begin((3, 1), worker=0)  # no message yet
+        assert monitor.ok
+        state.close_sweep(0)
+        monitor.execute_begin((4, 1), worker=0)
+        assert "neither ready nor run-claimed" in monitor.report()
 
     def test_non_contiguous_phase_start_flagged(self, numbering):
         monitor = RaceMonitor()
