@@ -92,7 +92,7 @@ _SCHEMA: Dict[str, Any] = {
     # What ParallelEngine and ProcessEngine add.
     "drain": {
         "inline_runs": 0, "pooled_runs": 0, "handovers": 0,
-        "feed_burst_max": 0, "swept_phases": 0,
+        "feed_burst_max": 0, "swept_phases": 0, "driven_phases": 0,
     },
     "serve": {
         "engine": ("parallel", "process"),

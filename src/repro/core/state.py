@@ -43,7 +43,9 @@ heap scanned.  A status only moves forward::
     NONE ------------------------------------------------> DETERMINED
 
 ``PARTIAL`` .. ``CLAIMED`` are exactly the pairs with ``msg(v, p)`` true;
-``EXECUTED`` exists only inside :meth:`~SchedulerState.complete_executions`.
+``EXECUTED`` exists only inside a commit
+(:meth:`~SchedulerState.complete_executions`,
+:meth:`~SchedulerState.complete_sweep`).
 Each completion, in one pass, marks its outputs and runs its
 **determination wave** — a DFS over successors decrementing ``undet``;
 a counter reaching zero promotes a waiting pair ``PARTIAL -> FULL`` or,
@@ -527,8 +529,10 @@ class SchedulerState(CompletionLog):
 
     def open_sweep(self) -> Tuple[int, bytearray]:
         """Open the one phase in flight, *p*, to a sweep (``sweeping``):
-        its pairs run and commit in index order, a member full at its
-        settled gate accepted.  Returns *p* and, per vertex, whether a
+        its pairs run in index order and commit at once, whole through
+        :meth:`complete_sweep` or, when a member raised, its prefix
+        through :meth:`complete_executions`, which then accepts a member
+        full at its settled gate.  Returns *p* and, per vertex, whether a
         message waits on it."""
         if len(self._phases) != 1:
             raise SchedulerError(f"a sweep needs exactly one phase in "
@@ -542,6 +546,71 @@ class SchedulerState(CompletionLog):
         self.sweeping = 0
         self._runs_claimed += members
         self._run_members_claimed += members
+
+    def complete_sweep(
+        self, batch: Sequence[Tuple[int, int, Iterable[int]]]
+    ) -> List[Pair]:
+        """Complete the open sweep's phase *p* from *batch*, every pair
+        it executed in index order, and close the sweep; returns the newly
+        ready pairs: none, as no other phase is in flight.
+
+        Each member is checked as :meth:`complete_executions` checks it,
+        and no pair may still wait after the last one.  Then no wave
+        runs: every vertex is determined for *p* (index order made each
+        member full when it ran), so every vertex is settled through
+        ``pmax`` and the phase completes.  Raises as
+        :meth:`complete_executions` does, and :class:`SchedulerError`
+        for a member out of index order or a pair left waiting.
+        """
+        p = self.sweeping
+        ph = self._phases.get(p)
+        if ph is None:
+            raise SchedulerError("no sweep is open")
+        status, ready_upto, n = ph.status, self._ready_upto, self.N
+        waiting = ph.waiting
+        last = 0
+        for v, q, output_targets in batch:
+            if q != p or not last < v <= n or not PARTIAL <= status[v] <= CLAIMED:
+                raise self._not_executable(
+                    v, q,
+                    f"pair {(v, q)} was already executed; each ready pair "
+                    f"executes exactly once",
+                    f"pair {(v, q)} is not the next pair of the sweep of "
+                    f"phase {p} and may not execute",
+                )
+            last = v
+            status[v] = EXECUTED
+            ready_upto[v] = p
+            waiting -= 1
+            for w in output_targets:
+                if not v < w <= n:
+                    raise SchedulerError(
+                        f"vertex {v} emitted to {w}: edges must go from lower to "
+                        f"higher indices (1..{n})"
+                    )
+                s = status[w]
+                if s == NONE:
+                    status[w] = PARTIAL
+                    waiting += 1
+                elif s > CLAIMED:
+                    raise SchedulerError(
+                        f"message for pair {(w, p)} arrived after the pair "
+                        f"was determined"
+                    )
+        if waiting:
+            raise SchedulerError(
+                f"the sweep of phase {p} left {waiting} pairs waiting"
+            )
+        del self._phases[p]
+        self._settled[1:] = [self.pmax] * n
+        self._full_count[1:] = [0] * n
+        self.complete_phase_count += 1
+        self.completed_log.append(p)
+        self.executed_pairs += len(batch)
+        self.close_sweep(len(batch))
+        if self._checker is not None:
+            self._checker.check(self)
+        return []
 
     # -- Retirement (continuous-operation mode) --
 

@@ -13,7 +13,8 @@ It is passive and **not thread-safe**; who drives it, under which lock,
 is all the engines differ in.  The threaded engine's peer workers and
 environment thread wrap each call in the one global
 :class:`~repro.runtime.locks.InstrumentedLock`; the single-threaded
-process coordinator, the only thread on its core, takes no lock; the
+process coordinator takes only its driver lock, which a producer holds
+instead while it runs a lone phase for the parked coordinator; the
 simulator runs them in a locked burst on its virtual ``global-lock``
 resource.  Vertex compute and the run's ``PairRuntime.commit`` /
 ``commit_remote`` deliveries stay with the driver, between ``claim`` and
@@ -49,7 +50,7 @@ DEAR_RUNS = 3
 
 #: The real engines' ``stats["drain"]`` counters (docs/ARCHITECTURE.md §7).
 DRAIN = ("inline_runs", "pooled_runs", "handovers", "feed_burst_max",
-         "swept_phases")
+         "swept_phases", "driven_phases")
 
 class ScheduleCore:
     """One run's scheduling state and its critical-section bodies.
@@ -182,7 +183,9 @@ class ScheduleCore:
         if tracer is not None:
             for v, q, _ in completed:
                 tracer.execute_end((v, q), worker)
-        return self._complete(worker, completed, began)
+        return self._complete(
+            worker, completed, began, self.state.complete_executions
+        )
 
     def sweep(
         self, worker: int, compute: Callable[[int, List[VertexContext]], Any]
@@ -190,9 +193,12 @@ class ScheduleCore:
         """Run the one phase in flight as the serial oracle does, on
         *worker*: each vertex a message waits on, in index order, is a
         run of one (``prepare``, the driver's ``compute(v, contexts)``,
-        ``PairRuntime.commit``); the scheduler commits them at once, also
-        the prefix before a member that raises.  Returns the members
-        swept; nothing becomes ready, as no other phase is in flight."""
+        ``PairRuntime.commit``); the scheduler then completes the phase
+        at once, without determination waves
+        (``SchedulerState.complete_sweep``).  The prefix before a member
+        that raises is committed with waves, and the phase stays in
+        flight.  Returns the members swept; nothing becomes ready, as no
+        other phase is in flight."""
         began = _now()
         state, runtime, tracer = self.state, self.runtime, self._tracer
         p, waiting = state.open_sweep()
@@ -218,9 +224,11 @@ class ScheduleCore:
                     tracer.execute_end((v, p), worker)
                 for w in batch[-1][2]:
                     waiting[w] = 1
-        finally:
-            self._complete(worker, batch, at)
+        except BaseException:
+            self._complete(worker, batch, at, state.complete_executions)
             state.close_sweep(len(batch))
+            raise
+        self._complete(worker, batch, at, state.complete_sweep)
         return len(batch)
 
     def _complete(
@@ -228,11 +236,13 @@ class ScheduleCore:
         worker: int,
         completed: Sequence[Tuple[int, int, Sequence[int]]],
         began: int,
+        close: Callable[[Sequence[Tuple[int, int, Sequence[int]]]], List[Pair]],
     ) -> Tuple[List[Pair], int]:
-        """The scheduler's half of :meth:`commit`."""
+        """The scheduler's half of :meth:`commit` and :meth:`sweep`:
+        *close* is the ``SchedulerState`` commit that takes *completed*."""
         state, tracer = self.state, self._tracer
         complete = state.complete_phase_count
-        newly_ready = state.complete_executions(completed)
+        newly_ready = close(completed)
         self._per_worker[worker] += len(completed)
         if tracer is not None:
             for pair in newly_ready:

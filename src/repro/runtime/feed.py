@@ -14,6 +14,12 @@ closed one never does, which is why the virtual scheduler's cooperative
 tasks may consume a closed feed but never an open one (``repro serve``
 never runs under the virtual scheduler).
 
+A consumer parked on an empty open feed may offer a **direct hand**
+(:attr:`PhaseFeed.hand`): an admission of exactly one phase into an
+empty feed is then first offered to it on the producer's thread, and a
+phase it takes never enters the deque; the numbering and the counters
+advance as for a queued one (docs/ARCHITECTURE.md §5.8).
+
 Backpressure is built in: a full feed blocks the producer (counting the
 stall) until the engine drains below capacity, which is the credit-style
 throttling half of the serve layer's bounded-memory story — the other
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Deque, Optional, Sequence
+from typing import Callable, Deque, Optional, Sequence
 
 from ..errors import ServeError
 from ..events import PhaseInput
@@ -41,6 +47,11 @@ class PhaseFeed:
         Maximum phases buffered between producer and engine.  A
         :meth:`put` against a full feed blocks (backpressure) until the
         engine takes one; ``put_stalls`` counts those waits.
+
+    The consumer side may set :attr:`hand`, a ``hand(phase_input) ->
+    bool`` that runs the phase itself and says whether it did; it is
+    called with the feed's (re-entrant) lock held, so it may close the
+    feed, and it must never block on a thread that waits for the feed.
     """
 
     def __init__(self, capacity: int = 64) -> None:
@@ -54,6 +65,7 @@ class PhaseFeed:
         self.put_stalls = 0
         self.high_water = 0
         self.total_put = 0
+        self.hand: Optional[Callable[[PhaseInput], bool]] = None
 
     @classmethod
     def of(cls, phase_inputs: Sequence[PhaseInput]) -> "PhaseFeed":
@@ -82,10 +94,21 @@ class PhaseFeed:
         is in, False if *timeout* elapsed on a full feed: the phases
         before that point are in, the rest are NOT (the caller retries
         the rest or gives up).  Phases must arrive in sequential order,
-        matching the ``register_phase`` contract downstream.
+        matching the ``register_phase`` contract downstream.  One phase
+        put into an empty feed is first offered to the :attr:`hand`.
         """
         with self._cond:
             items = self._items
+            if (
+                len(phases) == 1 and not items and self.hand is not None
+                and not self._closed and phases[0].phase == self._next_phase
+                and self.hand(phases[0])
+            ):
+                self._next_phase += 1
+                self.total_put += 1
+                if not self.high_water:
+                    self.high_water = 1
+                return True
             for pi in phases:
                 if self._closed:
                     raise ServeError("cannot put a phase into a closed feed")

@@ -12,13 +12,17 @@ the edge store, the records — and runs both of the paper's loops inline:
 * Listing 1 (computation), split at the prepare/compute/commit seam of
   :class:`~repro.core.program.PairRuntime`: *prepare* a ready run,
   compute it, and *commit* its outputs; a lone phase with every vertex
-  resident is *swept* instead, as the oracle runs it (§5.8).
+  resident is *swept* instead, as the oracle runs it (§5.8) — by the
+  producer's own thread, inside its ``PhaseFeed.put``, when the phase
+  arrives alone at an idle coordinator.
 
 The critical-section bodies themselves are the threaded engine's:
-:class:`~repro.runtime.core.ScheduleCore`, called without a lock: the
-paper's lock gives each process exclusive access to the shared structures
-while it updates them (Section 3.2), and here one thread is the only one
-that ever touches them.  So a resident run costs what ``ScheduleCore``
+:class:`~repro.runtime.core.ScheduleCore`, called without the paper's
+lock: that lock gives each process exclusive access to the shared
+structures while it updates them (Section 3.2), and here one thread at a
+time touches them — the coordinator, which holds a driver lock except
+while it is parked idle on its feed, or a producer that took that lock
+to run a lone phase.  So a resident run costs what ``ScheduleCore``
 costs, plus one placement-clock reading on each side of its compute and
 one trip price.
 
@@ -63,6 +67,7 @@ and a vertex that never leaves the coordinator need not pickle at all.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -260,6 +265,13 @@ class ProcessEngine:
         priced = 0
         shipped_members = 0
         drain = dict.fromkeys(DRAIN, 0)
+        # This thread holds the driver lock except while it is parked on
+        # the empty open feed: only then may a producer run a phase on
+        # its own thread (``hand``); what failed there is raised here.
+        driver = threading.Lock()
+        parked = False
+        failed: List[BaseException] = []
+        last_drive = 0.0  # how long the last producer-driven phase took
 
         def stopping() -> bool:
             return stop_event is not None and stop_event.is_set()
@@ -357,6 +369,10 @@ class ProcessEngine:
             runtime.compute(v, ctxs)
             placement.settle(v, clock() - began, cost)
 
+        def sweep() -> None:
+            drain["inline_runs"] += core.sweep(me, compute_swept)
+            drain["swept_phases"] += 1
+
         def run_here() -> None:
             # A lone phase with every vertex resident (so nothing is in
             # flight or to ship) is swept, each pair a run of one judged as
@@ -365,8 +381,41 @@ class ProcessEngine:
                 run_resident(*mine.popleft())
                 return
             mine.clear()
-            drain["inline_runs"] += core.sweep(me, compute_swept)
-            drain["swept_phases"] += 1
+            sweep()
+
+        def hand(pi: PhaseInput) -> bool:
+            # A producer's lone phase, on the producer's thread: admitted
+            # and swept there if this thread is parked idle (quiescent,
+            # nothing promoted, held or stopping) and has been idle at
+            # least as long as the last such drive took.  A producer that
+            # comes back sooner is ahead of the engine: it hands off, and
+            # its backlog coalesces.
+            nonlocal last_progress, last_drive
+            if not driver.acquire(False):
+                return False
+            try:
+                began = time.monotonic()
+                if (
+                    not parked or failed or held or placement.moved
+                    or stopping() or not core.quiescent
+                    or began - last_progress < last_drive
+                ):
+                    return False
+                try:
+                    core.admit(pi)
+                    sweep()
+                except BaseException as exc:
+                    failed.append(exc)
+                    feed.close()  # refuses later phases, wakes this thread
+                    if not isinstance(exc, Exception):
+                        raise
+                drain["driven_phases"] += 1
+                drain["feed_burst_max"] = max(drain["feed_burst_max"], 1)
+                last_progress = time.monotonic()
+                last_drive = last_progress - began
+                return True
+            finally:
+                driver.release()
 
         def dispatch() -> bool:
             # Claim each ready pair of a promoted vertex into a run of
@@ -436,6 +485,8 @@ class ProcessEngine:
             commit_run(msg.worker_id, msg.vertex, results)
 
         started = time.perf_counter()
+        driver.acquire()
+        feed.hand = hand
         try:
             pool.start()
             last_progress = time.monotonic()
@@ -503,8 +554,17 @@ class ProcessEngine:
                 if feed.drained or stopping():
                     break  # every started phase committed
                 # Idle: park on the feed until a phase arrives or the
-                # producer closes it.
-                pi = feed.get(timeout=_POLL_S)
+                # producer closes it; a lone phase may run meanwhile on
+                # the producer's thread.
+                parked = True
+                driver.release()
+                try:
+                    pi = feed.get(timeout=_POLL_S)
+                finally:
+                    driver.acquire()
+                    parked = False
+                if failed:
+                    raise failed[0]
                 if pi is not None:
                     held.append(pi)
             # Graceful drain: restore the promoted vertices' final states
@@ -517,6 +577,9 @@ class ProcessEngine:
             # Crash path: never mask the root cause with shutdown issues.
             pool.terminate()
             raise
+        finally:
+            feed.hand = None
+            driver.release()
         elapsed = time.perf_counter() - started
 
         wire = pool.wire.summary()

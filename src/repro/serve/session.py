@@ -26,14 +26,18 @@ Everything behind those stages is retired: per-phase pairsets, trace
 segments, edge entries and completion-log entries are released as the
 complete prefix advances, so RSS stays flat over millions of phases.
 
-Delivery: the engine thread that retires a phase delivers it — sorts its
+Delivery: the thread that retires a phase delivers it — sorts its
 record entries, spot-checks it, calls ``on_retired`` and announces it —
 inside the engine's critical section, before the next phase can retire.
-So a retired phase is a delivered one, and a served phase costs one
-thread hand-off (feed to engine).  ``on_retired`` must be cheap and must
-not call back into the session's ingest (``offer``, ``offer_body``,
+So a retired phase is a delivered one.  A served phase costs one thread
+hand-off (feed to engine), except that a lone phase sealed into an idle
+process coordinator is run, and so delivered, by the producer's own
+thread inside its ``PhaseFeed.put`` (docs/ARCHITECTURE.md §5.8), with the
+ingest lock held.  ``on_retired`` must be cheap and must not call back
+into the session's ingest (``offer``, ``offer_body``,
 ``advance_watermark``); an exception from it, or from the spot checker,
-fails the engine run like any other engine failure.
+fails the engine run like any other engine failure, on whichever thread
+it was raised.
 
 :class:`OracleSpotChecker` keeps a *persistent* serial replica of the
 program (Section 2's one-phase-at-a-time specification) fed with every
@@ -300,7 +304,7 @@ class ServeSession:
     calls (one producer thread at a time holds the ingest lock), then
     :meth:`close`.  Usable as a context manager.  *on_retired(phase,
     timestamp, entries)* sees each retired phase once, in phase order, on
-    the engine thread that retired it (the module docstring's contract).
+    the thread that retired it (the module docstring's contract).
     """
 
     def __init__(
@@ -450,8 +454,13 @@ class ServeSession:
             with self._pending_lock:
                 for pi in sealed:
                     self._pending_inputs[pi.phase] = pi
-        self.feed.put(sealed)  # blocks when the engine is behind
+        # Counted first: a lone phase may retire inside the put.
         self.phases_ingested += len(sealed)
+        try:
+            self.feed.put(sealed)  # blocks when the engine is behind
+        except BaseException:
+            self.phases_ingested -= len(sealed)
+            raise
 
     def _ingest(
         self, rows: List[Row]
@@ -575,19 +584,23 @@ class ServeSession:
         With ``drain=True`` everything still buffered is flushed, fed,
         executed and announced before the engine exits; with ``drain=False``
         the stop event is set and only in-flight phases complete.
-        Returns the final :meth:`stats`; re-raises an engine failure.
+        Returns the final :meth:`stats`; re-raises an engine failure,
+        else a refusal of the flushed phases other than a closed feed's
+        (which only a failed engine closes first).
         """
         if not self._started:
             raise ServeError("session never started")
         if self._closed:
             return self.stats()
         self._closed = True
+        refused: Optional[ServeError] = None
         if drain and self._engine_error is None:
             with self._ingest_lock:
                 try:
                     self._admit(self.buffer.flush())
-                except ServeError:
-                    pass  # feed already closed by a dying engine
+                except ServeError as exc:
+                    if not self.feed.closed:
+                        refused = exc  # raised once the engine has stopped
         else:
             self._stop.set()
         self.feed.close()
@@ -597,6 +610,8 @@ class ServeSession:
             raise ServeError("serve pipeline failed to stop in time")
         if self._engine_error is not None:
             raise self._engine_error
+        if refused is not None:
+            raise refused
         rss = current_rss_bytes()
         if rss > self.rss_high_water:
             self.rss_high_water = rss

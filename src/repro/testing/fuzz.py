@@ -568,7 +568,9 @@ def run_one_process(
     Unlike :func:`run_one` there is no virtual scheduler — real processes
     interleave freely — so the judgement is serializability plus final
     behaviour state (every worker-side mutation must be reflected
-    coordinator-side after shutdown).
+    coordinator-side after shutdown), and a :class:`RaceMonitor` as the
+    coordinator's checker and tracer re-derives the scheduler's state
+    after every commit, a sweep's included.
     """
     from ..runtime.mp import ProcessEngine
 
@@ -582,9 +584,12 @@ def run_one_process(
         f"{',remote' if config.get('remote') else ''}]"
     )
     outcome = RunOutcome(spec=spec, policy_desc=desc, passed=False)
+    monitor = RaceMonitor()
     engine = ProcessEngine(
         program,
         num_workers=int(config["workers"]),
+        checker=monitor,
+        tracer=monitor,
         max_in_flight_phases=spec.max_in_flight,
         start_method=start_method,
     )
@@ -599,6 +604,11 @@ def run_one_process(
     outcome.serial = serial
     outcome.parallel = result
     outcome.steps = result.execution_count
+    outcome.checks_run = monitor.checks_run
+    outcome.monitor_report = monitor.report()
+    if not monitor.ok:
+        outcome.reason = outcome.monitor_report
+        return outcome
     report = check_serializable(serial, result)
     if not report:
         outcome.reason = f"serializability violated: {report}"
@@ -647,7 +657,7 @@ def fuzz_process(
                 trace_names=[],
                 engine_config=dict(config, start_method=start_method),
             )
-        return outcome.policy_desc, outcome.steps, 0, failure
+        return outcome.policy_desc, outcome.steps, outcome.checks_run, failure
 
     return _campaign(runs, seed, stop_on_failure, attempt)
 

@@ -9,11 +9,15 @@ operation sequences under the strict checker in
 ``tests/core/test_state_properties.py``.
 """
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies
 
 from repro.core.invariants import InvariantChecker
 from repro.core.state import CLAIMED, FULL, PARTIAL, SchedulerState
 from repro.errors import DuplicateExecutionError, InvariantViolation, SchedulerError
+from repro.graph.generators import random_dag
 from repro.graph.model import ComputationGraph
 from repro.graph.numbering import number_graph
 
@@ -144,6 +148,120 @@ class TestTheSweep:
         st.open_sweep()
         with pytest.raises(SchedulerError, match="not in the ready set"):
             st.complete_executions([(2, 1, [3])])  # no message yet
+
+    def test_the_whole_sweep_closes_without_waves(self):
+        st = chain3()
+        st.start_phase()
+        st.open_sweep()
+        assert st.complete_sweep([(1, 1, [2]), (2, 1, [3]), (3, 1, [])]) == []
+        assert st.phase_complete(1) and st.sweeping == 0
+        assert st.completed_log == [1] and st.executed_pairs == 3
+        assert st.coalescing_stats()["runs_scheduled"] == 3
+        with pytest.raises(DuplicateExecutionError):
+            st.complete_execution(2, 1, [3])
+
+    def test_a_whole_sweep_that_leaves_a_pair_waiting_is_refused(self):
+        st = chain3()
+        st.start_phase()
+        st.open_sweep()
+        with pytest.raises(SchedulerError, match="left 1 pairs waiting"):
+            st.complete_sweep([(1, 1, [2])])  # (2, 1) never ran
+
+    def test_a_whole_sweep_takes_its_members_in_index_order_once(self):
+        for batch, error, match in [
+            ([(2, 1, [3])], SchedulerError, "next pair of the sweep"),
+            ([(1, 1, [2]), (1, 1, [2])], DuplicateExecutionError, "already"),
+            ([(1, 2, [2])], SchedulerError, "next pair of the sweep"),
+            ([(1, 1, [1])], SchedulerError, "lower to higher"),
+        ]:
+            st = chain3()
+            st.start_phase()
+            st.open_sweep()
+            with pytest.raises(error, match=match):
+                st.complete_sweep(batch)
+        st = chain3()
+        with pytest.raises(SchedulerError, match="no sweep is open"):
+            st.complete_sweep([])
+
+    def test_a_sweep_behind_a_completed_later_phase_settles_through_pmax(self):
+        # s -> a, s -> b: phase 1 leaves (a, 1) waiting, phase 2 is silent
+        # past s and completes first; the sweep of phase 1 settles every
+        # vertex through phase 2.
+        nb = number_graph(ComputationGraph.from_edges([("s", "a"), ("s", "b")]))
+        st = SchedulerState(nb, checker=InvariantChecker())
+        st.start_phase()
+        assert st.complete_execution(1, 1, [2]) == [(2, 1)]
+        st.start_phase()
+        st.complete_execution(1, 2, [])
+        assert st.in_flight_phases() == [1] and st.phase_complete(2)
+        p, waiting = st.open_sweep()
+        assert (p, list(waiting)) == (1, [0, 0, 1, 0])
+        st.complete_sweep([(2, 1, [])])
+        assert st._settled == [0, 2, 2, 2] and st.completed_log == [2, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=strategies.integers(min_value=1, max_value=12),
+        edge_prob=strategies.floats(min_value=0.1, max_value=0.8),
+        graph_seed=strategies.integers(min_value=0, max_value=10**6),
+        seed=strategies.integers(min_value=0, max_value=10**6),
+        phases=strategies.integers(min_value=1, max_value=4),
+        emit_prob=strategies.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_the_wave_free_close_ends_where_the_waves_end(
+        self, n, edge_prob, graph_seed, seed, phases, emit_prob
+    ):
+        # Twins run one random schedule until a single phase is left in
+        # flight (possibly part-executed, possibly behind a later phase
+        # that completed first), then sweep it: one closes it wave-free,
+        # the other commits the same batch through the waves.
+        nb = number_graph(random_dag(n, edge_prob=edge_prob, seed=graph_seed))
+        twins = [SchedulerState(nb, checker=InvariantChecker()) for _ in range(2)]
+        succs = twins[0].cones.succs
+        rng = random.Random(seed)
+        ready, started = [], 0
+
+        def emitted(v, p):
+            # Later phases are quieter, and their pairs go first, so that
+            # one often completes while an earlier phase is in flight.
+            odds = emit_prob if p == 1 else emit_prob / 4
+            return [w for w in succs[v] if rng.random() < odds]
+
+        while True:
+            in_flight = twins[0].in_flight_phases()
+            if len(in_flight) == 1 and (not ready or rng.random() < 0.4):
+                break
+            if not in_flight or (started < phases and rng.random() < 0.5):
+                news = [twin.start_phase() for twin in twins]
+                started += 1
+            else:
+                latest = max(range(len(ready)), key=lambda i: ready[i][1])
+                v, p = ready.pop(
+                    latest if rng.random() < 0.7 else rng.randrange(len(ready))
+                )
+                outs = emitted(v, p)
+                news = [twin.complete_execution(v, p, outs) for twin in twins]
+            assert news[0] == news[1]
+            ready += news[0]
+        opened = [twin.open_sweep() for twin in twins]
+        assert opened[0] == opened[1]
+        p, waiting = opened[0]
+        batch = []
+        for v in range(1, n + 1):
+            if waiting[v]:
+                batch.append((v, p, emitted(v, p)))
+                for w in batch[-1][2]:
+                    waiting[w] = 1
+        wave_free, waves = twins
+        assert wave_free.complete_sweep(batch) == []
+        assert waves.complete_executions(batch) == []
+        waves.close_sweep(len(batch))
+        for twin in twins:
+            assert twin.all_started_complete() and twin.sweeping == 0
+        for name in ("_settled", "completed_log", "executed_pairs",
+                     "_ready_upto", "_full_count", "complete_phase_count"):
+            assert getattr(wave_free, name) == getattr(waves, name), name
+        assert wave_free.coalescing_stats() == waves.coalescing_stats()
 
 
 class TestTheCheckerJudgesTheRepresentation:

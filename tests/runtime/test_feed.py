@@ -186,3 +186,94 @@ class TestClose:
         feed.close()
         t.join(timeout=5.0)
         assert out == [None]
+
+
+class TestDirectHand:
+    """A consumer's ``hand`` takes a lone phase put into an empty feed on
+    the producer's thread; what it declines is queued as before."""
+
+    def test_a_hand_that_accepts_runs_the_phase_on_the_producers_thread(self):
+        feed = PhaseFeed(capacity=4)
+        taken = []
+        feed.hand = lambda pi: taken.append(
+            (pi.phase, threading.current_thread())) is None
+        assert feed.put([_pi(1)])
+        assert taken == [(1, threading.current_thread())]
+        assert feed.depth == 0 and feed.get(timeout=0) is None
+
+    def test_a_hand_that_declines_leaves_the_phase_queued(self):
+        feed = PhaseFeed(capacity=4)
+        offered = []
+        feed.hand = lambda pi: offered.append(pi.phase) and False
+        assert feed.put([_pi(1)])
+        assert offered == [1]
+        assert feed.get(timeout=0).phase == 1
+
+    def test_only_a_lone_phase_into_an_empty_feed_is_offered(self):
+        feed = PhaseFeed(capacity=8)
+        offered = []
+
+        def hand(pi):
+            offered.append(pi.phase)
+            return False
+
+        feed.hand = hand
+        feed.put([_pi(1), _pi(2)])  # an admission of two: queued whole
+        feed.put([_pi(3)])  # a lone phase behind a backlog: queued
+        assert offered == []
+        assert [feed.get(timeout=0).phase for _ in range(3)] == [1, 2, 3]
+        feed.put([_pi(4)])
+        assert offered == [4]
+
+    def test_numbering_holds_across_the_hand(self):
+        feed = PhaseFeed(capacity=4)
+        offered = []
+
+        def hand(pi):
+            offered.append(pi.phase)
+            return True
+
+        feed.hand = hand
+        with pytest.raises(ServeError, match="expected phase 1, got 2"):
+            feed.put([_pi(2)])
+        assert offered == []  # an out-of-order phase never reaches it
+        feed.put([_pi(1)])
+        feed.put([_pi(2)])
+        feed.hand = None
+        with pytest.raises(ServeError, match="expected phase 3, got 2"):
+            feed.put([_pi(2)])
+        assert offered == [1, 2]
+
+    def test_a_closed_feed_refuses_before_the_hand(self):
+        feed = PhaseFeed()
+        offered = []
+        feed.hand = lambda pi: offered.append(pi.phase) is None
+        feed.close()
+        with pytest.raises(ServeError, match="closed feed"):
+            feed.put([_pi(1)])
+        assert offered == [] and feed.total_put == 0
+
+    def test_a_hand_may_close_the_feed(self):
+        # A consumer whose drive failed refuses every later phase.
+        feed = PhaseFeed()
+
+        def hand(pi):
+            feed.close()
+            return True
+
+        feed.hand = hand
+        assert feed.put([_pi(1)])
+        with pytest.raises(ServeError, match="closed feed"):
+            feed.put([_pi(2)])
+        assert feed.drained
+
+    def test_counters_advance_as_for_a_queued_phase(self):
+        taken, queued = PhaseFeed(capacity=4), PhaseFeed(capacity=4)
+        taken.hand = lambda pi: True
+        for p in (1, 2, 3):
+            taken.put([_pi(p)])
+            queued.put([_pi(p)])
+            queued.get(timeout=0)
+        for feed in (taken, queued):
+            assert (feed.total_put, feed.high_water, feed.put_stalls) == (3, 1, 0)
+            assert feed.depth == 0

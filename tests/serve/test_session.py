@@ -12,8 +12,8 @@ import pytest
 from repro.analysis.stats import validate_serve_stats
 from repro.core.program import Program
 from repro.core.vertex import PassthroughSource
-from repro.errors import BackpressureError, ServeError
-from repro.events import Event
+from repro.errors import BackpressureError, ServeError, VertexExecutionError
+from repro.events import Event, PhaseInput
 from repro.graph.generators import layered_graph
 from repro.ingest import ArrivingEvent
 from repro.serve import OracleSpotChecker, ServeConfig, ServeSession
@@ -236,8 +236,8 @@ class TestBacklog:
 
 
 class TestDelivery:
-    """The engine thread that retires a phase delivers it: no second
-    thread hop, and a delivery that raises fails the session."""
+    """The thread that retires a phase delivers it: no second thread
+    hop, and a delivery that raises fails the session."""
 
     @pytest.mark.parametrize("engine", ["parallel", "process"])
     def test_on_retired_runs_on_the_retiring_engine_thread(self, engine):
@@ -261,13 +261,20 @@ class TestDelivery:
             for a in workload.arrivals:
                 session.offer(a)
         assert [phase for phase, _, _ in seen] == list(range(1, 17))
+        driven = 0
         for _, thread, serve_threads in seen:
             # The session starts one thread; no "serve-emit" exists.
             assert serve_threads == ["serve-engine"]
-            if engine == "process":
-                assert thread is session._engine_thread  # the coordinator
-            else:
+            if engine == "parallel":
                 assert thread.name.startswith("compute-")  # a retiring worker
+            elif thread is threading.current_thread():
+                # A lone phase this producer's put ran in the idle
+                # coordinator's stead.
+                driven += 1
+            else:
+                assert thread is session._engine_thread  # the coordinator
+        drain = session.stats()["engine"]["stats"]["drain"]
+        assert driven == drain["driven_phases"]
 
     @pytest.mark.parametrize("engine", ["parallel", "process"])
     def test_a_raising_on_retired_fails_the_session(self, engine):
@@ -302,6 +309,145 @@ class TestDelivery:
         # The failed delivery is the last one.
         assert seen == [1, 2, 3]
         assert session.phases_retired == 3
+
+
+class TestDrivenPhases:
+    """A lone phase sealed into an idle process coordinator runs on the
+    producer's thread, inside its put, and fails the session as a
+    coordinator failure does (docs/ARCHITECTURE.md §5.8)."""
+
+    TICKS = 20
+
+    def _session(self, workload, on_retired, check_sample=0):
+        return ServeSession(
+            workload.program,
+            ServeConfig(engine="process", wait=workload.wait,
+                        quantum=workload.quantum, check_sample=check_sample),
+            on_retired=on_retired,
+        )
+
+    @staticmethod
+    def _offer_slowly(session, arrivals):
+        """Offer *arrivals*; returns how many were offered before one was
+        refused.  A tick's first event seals the tick before it; a
+        producer that pauses before it finds the coordinator parked and
+        idle."""
+        time.sleep(0.3)
+        for i, a in enumerate(arrivals):
+            if i % 4 == 0:
+                time.sleep(0.02)
+            try:
+                session.offer(a)
+            except ServeError:
+                return i
+        return len(arrivals)
+
+    def test_a_slow_producers_lone_phases_run_on_its_thread(self):
+        workload = grid_backlog(self.TICKS)
+        by_phase, _by_ts, n_phases = serial_oracle(grid_backlog(self.TICKS))
+        got, threads = {}, []
+
+        def on_retired(phase, ts, entries):
+            got[phase] = sorted([name, norm(value)] for name, value in entries)
+            threads.append(threading.current_thread())
+
+        session = self._session(workload, on_retired, check_sample=1)
+        with session:
+            offered = self._offer_slowly(session, workload.arrivals)
+        assert offered == len(workload.arrivals)
+        stats = session.stats()
+        assert got == {p: by_phase.get(p, []) for p in range(1, n_phases + 1)}
+        drain = stats["engine"]["stats"]["drain"]
+        mine = sum(t is threading.current_thread() for t in threads)
+        # A put that meets the coordinator awake on its poll hands off.
+        assert mine == drain["driven_phases"] >= n_phases - 2
+        assert drain["swept_phases"] == n_phases
+        serve = stats["serve"]
+        assert serve["spot_checks_passed"] == n_phases
+        assert serve["phases_ingested"] == serve["phases_retired"] == n_phases
+        assert validate_serve_stats(serve) == []
+
+    def test_a_producer_ahead_of_the_engine_hands_off_and_coalesces(self):
+        # The coordinator is parked when the burst begins, so the first
+        # phase is driven; the producer is back with the next one sooner
+        # than that drive took, so the rest queue and coalesce.
+        ticks = 240
+        workload = grid_backlog(ticks)
+        by_phase, _by_ts, n_phases = serial_oracle(grid_backlog(ticks))
+        got = {}
+
+        def on_retired(phase, ts, entries):
+            got[phase] = sorted([name, norm(value)] for name, value in entries)
+
+        session = self._session(workload, on_retired)
+        with session:
+            time.sleep(0.3)
+            for a in workload.arrivals:
+                session.offer(a)
+        stats = session.stats()["engine"]["stats"]
+        assert got == {p: by_phase.get(p, []) for p in range(1, n_phases + 1)}
+        assert stats["drain"]["driven_phases"] < n_phases // 4
+        assert stats["coalescing"]["mean_run_length"] > 8
+
+    @pytest.mark.parametrize("fault", ["vertex", "on_retired"])
+    def test_a_fault_in_a_driven_phase_fails_the_session(self, monkeypatch, fault):
+        workload = grid_backlog(self.TICKS)
+        raised_on, seen = [], []
+
+        class Boom(Exception):
+            pass
+
+        poisoned = workload.program.behaviors["L1_0"]
+        healthy = poisoned.on_execute
+
+        def on_execute(ctx):
+            if fault == "vertex" and ctx.phase == 5:
+                raised_on.append(threading.current_thread())
+                raise Boom("poisoned")
+            return healthy(ctx)
+
+        def on_retired(phase, ts, entries):
+            seen.append(phase)
+            if fault == "on_retired" and phase == 5:
+                raised_on.append(threading.current_thread())
+                raise Boom("on_retired failed at phase 5")
+
+        monkeypatch.setattr(poisoned, "on_execute", on_execute)
+        session = self._session(workload, on_retired)
+        session.start()
+        # Phase 5 failed inside the put that sealed it: the very next
+        # sealing offer, of phase 6, is refused.
+        assert self._offer_slowly(session, workload.arrivals) == 4 * 6
+        session._engine_thread.join(timeout=60)
+        assert not session._engine_thread.is_alive()
+        assert raised_on == [threading.current_thread()]
+        with pytest.raises(ServeError, match="engine failed"):
+            session.offer(workload.arrivals[0])
+        if fault == "vertex":
+            with pytest.raises(VertexExecutionError, match="poisoned") as caught:
+                session.close()
+            assert (caught.value.vertex, caught.value.phase) == ("L1_0", 5)
+            assert seen == [1, 2, 3, 4]
+        else:
+            with pytest.raises(Boom, match="phase 5"):
+                session.close()
+            assert seen == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("engine", ["parallel", "process"])
+    def test_a_refused_flush_raises_instead_of_losing_its_phase(self, engine):
+        workload = grid_backlog(4)
+        session = ServeSession(
+            workload.program,
+            ServeConfig(engine=engine, wait=workload.wait, quantum=workload.quantum),
+        )
+        session.start()
+        for a in workload.arrivals:
+            session.offer(a)  # seals phases 1-3; tick 3 waits for the flush
+        # A phase put around the session takes the number the flush needs.
+        session.feed.put([PhaseInput(4, 99.0, {})])
+        with pytest.raises(ServeError, match="expected phase 5, got 4"):
+            session.close(drain=True)
+        assert not session._engine_thread.is_alive()
 
 
 class TestIngestEdges:
