@@ -30,16 +30,18 @@ docs/ARCHITECTURE.md §7.
   oracle, the simulator's published schedule) samples as before, and
   ``edge_entries_peak >= edge_entries_final`` always;
 * the real engines (``parallel``, ``process``) add ``drain`` — who
-  executed the runs: the environment thread / the coordinator itself
-  (``inline_runs``) or the pool / a worker process (``pooled_runs``),
-  how many staked runs were cut and handed over, the largest feed burst
-  — validated wherever it appears, with the law
-  ``inline_runs + pooled_runs`` = ``coalescing.runs_scheduled``.
+  executed the runs: the coordinator itself (``inline_runs``) or an
+  executor thread / a worker process (``pooled_runs``), how many staked
+  runs were cut and handed over, the largest feed burst — validated
+  wherever it appears, with the law
+  ``inline_runs + pooled_runs`` = ``coalescing.runs_scheduled``; and
+  ``moved``, the names of the vertices moved away, in order.
 
 :func:`validate_serve_stats` checks the ``serve`` section of the
 :mod:`repro.serve` session document (``repro serve --stats-json``).  The
-rest of a ``stats`` dict is engine-specific (lock contention, IPC
-counters, ...) and intentionally open: shape, not exhaustiveness.
+rest of a ``stats`` dict is engine-specific (IPC counters, the
+simulator's virtual lock, ...) and intentionally open: shape, not
+exhaustiveness.
 """
 
 from __future__ import annotations

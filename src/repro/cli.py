@@ -308,10 +308,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"{drain['pooled_runs']} pooled runs, "
                 f"{drain['handovers']} handovers, "
                 f"{drain['swept_phases']} swept phases")
-        if "ipc" in result.stats:
-            promoted = result.stats["ipc"]["promoted"]
-            line += f", {len(promoted)} promoted" + (
-                f" ({', '.join(promoted)})" if promoted else "")
+        moved = result.stats["moved"]
+        line += f", {len(moved)} moved" + (f" ({', '.join(moved)})" if moved else "")
         print(line)
     budget = result.stats.get("budget") if result.stats else None
     if budget:

@@ -16,7 +16,7 @@ flat in- and out-channel tables the pair data path walks: a *run* — one
 vertex, ascending phases — reads each input channel once
 (:meth:`EdgeChannel.read_run`), sends member by member, and is accounted
 and garbage-collected once (:meth:`EdgeStore.settle_run`).  All mutation
-happens inside the engine's single global lock, so the structures
+happens on the engine's one coordinator thread, so the structures
 themselves are unsynchronised.
 """
 

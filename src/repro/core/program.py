@@ -9,7 +9,9 @@ program, which is what makes serializability checking meaningful.
 :class:`PairRuntime` implements the mechanics of executing a *run* — one
 vertex over ascending phases, the unit the scheduler hands out; a single
 vertex-phase pair is a run of one — split into three steps so the
-threaded engine can hold the global lock only around the bookkeeping:
+bookkeeping stays with the coordinator while the compute may run on an
+executor thread or a worker process (the "lock" below is the
+coordinator's, or the simulator's global lock):
 
 * :meth:`PairRuntime.prepare` (under the lock) — walk each input channel
   once and build one :class:`VertexContext` per member;

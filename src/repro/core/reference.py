@@ -47,7 +47,7 @@ Fidelity notes
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from ..errors import DuplicateExecutionError, SchedulerError
 from ..graph.cones import ConeIndex
@@ -61,9 +61,7 @@ __all__ = ["ReferenceScheduler"]
 class ReferenceScheduler(CompletionLog):
     """Listings 1-2 over a numbered graph; constructed like
     :class:`~repro.core.state.SchedulerState` (*numbering*, optional
-    invariant *checker* run after every mutation, optional *preempt*
-    switch-point hook called after the dequeue bookkeeping, after the
-    partial insertions and after the x-update)."""
+    invariant *checker* run after every mutation)."""
 
     #: The readiness rule, as ``stats["frontier"]["mode"]`` reports it.
     frontier = "global"
@@ -72,7 +70,6 @@ class ReferenceScheduler(CompletionLog):
         self,
         numbering: Numbering,
         checker: "object | None" = None,
-        preempt: Optional[Callable[[str], None]] = None,
     ) -> None:
         super().__init__()
         self.numbering = numbering
@@ -80,7 +77,6 @@ class ReferenceScheduler(CompletionLog):
         self.cones = ConeIndex(numbering)
         self._m: List[int] = numbering.m_sequence()
         self._checker = checker
-        self._preempt_hook = preempt
 
         # Listing 2, statements 2-7: initialisation.
         self._partial: Set[Pair] = set()
@@ -266,7 +262,6 @@ class ReferenceScheduler(CompletionLog):
             self._msg.add(pair)
             pending.add(s)
             self._full_phases[s].add(p)
-        self._preempt("start_phase:sources-inserted")
         # Statements 2.16-2.19: newly ready pairs.
         newly_ready = self._refresh_ready(range(1, self._m[0] + 1))
         # Statement 2.20: next := next + 1.
@@ -316,8 +311,8 @@ class ReferenceScheduler(CompletionLog):
           the per-pair form uses, unioned over the batch.
 
         A batch of one is therefore step-for-step identical to
-        :meth:`complete_execution` (same mutation order, same preemption
-        points, same return value).
+        :meth:`complete_execution` (same mutation order, same return
+        value).
         """
         if not batch:
             return []
@@ -335,7 +330,6 @@ class ReferenceScheduler(CompletionLog):
             pending.discard(v)
             self._full_phases[v].discard(p)
             self._executed_pairs += 1
-            self._preempt("complete_execution:pair-removed")
 
             # Statements 1.8-1.11: outputs enter the partial set.
             partial_heap = self._partial_by_phase.get(p)
@@ -356,14 +350,12 @@ class ReferenceScheduler(CompletionLog):
                 partial_heap.add(w)
                 pending.add(w)
 
-            self._preempt("complete_execution:outputs-inserted")
             affected.append(v)
             touched[p] = None
         touched_phases = list(touched)
 
         # Statements 1.12-1.23: update x_i over the touched phases.
         changed_phases = self._update_x_over(touched_phases)
-        self._preempt("complete_execution:x-updated")
 
         # Statements 1.24-1.26: move newly full pairs out of partial.
         for q in sorted(set(touched_phases) | set(changed_phases)):
@@ -484,10 +476,6 @@ class ReferenceScheduler(CompletionLog):
                 if skew > self._max_phase_skew:
                     self._max_phase_skew = skew
         return out
-
-    def _preempt(self, point: str) -> None:
-        if self._preempt_hook is not None:
-            self._preempt_hook(point)
 
     def _run_checker(self) -> None:
         if self._checker is not None:

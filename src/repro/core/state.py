@@ -6,8 +6,8 @@ drives on every real engine; it keeps only what ``admit`` / ``claim`` /
 ``x_p`` per phase, partial / full / ready as sets, ghost ``msg``) are
 :class:`repro.core.reference.ReferenceScheduler`: that module is the
 specification, this one is the schedule the engines pay for.  Like it,
-this class is passive and **not** thread-safe — the engines wrap every
-call in the algorithm's one global lock.
+this class is passive and **not** thread-safe — one coordinator thread
+makes every call (the simulator, its global lock).
 
 The rule (docs/ARCHITECTURE.md §5.4)
 ------------------------------------
@@ -71,7 +71,7 @@ execute, never ready), committed through one
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from ..errors import DuplicateExecutionError, SchedulerError
 from ..graph.cones import ConeIndex
@@ -158,12 +158,6 @@ class SchedulerState(CompletionLog):
         Optional :class:`repro.core.invariants.InvariantChecker`; invoked
         after every mutation (the paper's "at the unlock statement, the
         invariant ... has been preserved").
-    preempt:
-        Optional ``callable(point: str)`` invoked *between* the sub-steps
-        of each mutation: the deterministic test scheduler's
-        context-switch points.  Harmless under the global lock; an
-        engine that mutates outside it gets another task interleaved
-        mid-update, which exposes the race.
 
     Read-only for callers: ``pmax`` (highest started phase),
     ``executed_pairs``, ``complete_phase_count`` and ``retired_upto``
@@ -177,7 +171,6 @@ class SchedulerState(CompletionLog):
         self,
         numbering: Numbering,
         checker: "object | None" = None,
-        preempt: Optional[Callable[[str], None]] = None,
     ) -> None:
         super().__init__()
         self.numbering = numbering
@@ -185,7 +178,6 @@ class SchedulerState(CompletionLog):
         self.cones = ConeIndex(numbering)
         self._sources = numbering.num_sources
         self._checker = checker
-        self._preempt_hook = preempt
 
         self._phases: Dict[int, _Phase] = {}  # in-flight only, ascending
         self.pmax = 0
@@ -313,8 +305,6 @@ class SchedulerState(CompletionLog):
         for s in range(1, sources + 1):
             status[s] = FULL
             full_count[s] += 1
-        if self._preempt_hook is not None:
-            self._preempt_hook("start_phase:sources-inserted")
         newly_ready = self._fire(range(1, sources + 1))
         self._next = p + 1
         if self._checker is not None:
@@ -351,7 +341,6 @@ class SchedulerState(CompletionLog):
         settled = self._settled
         full_count = self._full_count
         succs = self.cones.succs
-        preempt = self._preempt_hook
         n = self.N
         pmax = self.pmax
         candidates: List[int] = []
@@ -370,8 +359,6 @@ class SchedulerState(CompletionLog):
             status = ph.status
             status[v] = EXECUTED
             full_count[v] -= 1
-            if preempt is not None:
-                preempt("complete_execution:pair-removed")
             waiting = ph.waiting - 1
             for w in output_targets:
                 if not v < w <= n:
@@ -390,8 +377,6 @@ class SchedulerState(CompletionLog):
                     )
                 # else msg(w, p) is already true: the union is idempotent.
             ph.waiting = waiting
-            if preempt is not None:
-                preempt("complete_execution:outputs-inserted")
             # The determination wave from (v, p), a DFS over successors.
             undet = ph.undet
             stack = [v]
@@ -438,10 +423,6 @@ class SchedulerState(CompletionLog):
                 self.complete_phase_count += 1
                 self.completed_log.append(p)
         self.executed_pairs += len(batch)
-        if preempt is not None:
-            # Listing 1's x-update; the waves stand in for it, and the
-            # switch point keeps its published name.
-            preempt("complete_execution:x-updated")
         newly_ready = self._fire(candidates)
         if self._checker is not None:
             self._checker.check(self)

@@ -1,29 +1,28 @@
-"""Runtime layer: the multithreaded engine of Section 3.2 / Section 4.
+"""Runtime layer: the engines of Section 3.2 / Section 4.
 
-The paper's prototype used ``java.util.concurrent``'s ``Lock``,
-``Condition``, ``BlockingQueue`` and ``ThreadPoolExecutor``; this package
-provides the equivalent substrate built on :mod:`threading` —
+Both real engines run one driver — a coordinator that is the only caller
+of the scheduling core — and differ only in where it hands the runs of
+the vertices it does not execute itself:
 
-* :class:`~repro.runtime.blocking_queue.BlockingQueue` — the run queue
-  (blocking dequeue, at-most-once per item, poison-free close protocol);
-* :class:`~repro.runtime.locks.InstrumentedLock` — the single global lock,
-  with contention / hold-time statistics for the Section 4 analysis;
-* :class:`~repro.runtime.pool.ComputationThreadPool` — worker threads;
-* :class:`~repro.runtime.feed.PhaseFeed` — what the environment process
-  (Listing 2) starts phases from: a live stream, or a batch closed
-  before the run begins;
+* :class:`~repro.runtime.feed.PhaseFeed` — what the coordinator starts
+  phases from (Listing 2): a live stream, or a batch closed before the
+  run begins;
 * :class:`~repro.runtime.core.ScheduleCore` — the Listing 1 / Listing 2
-  critical-section bodies (admit / claim / commit / result), shared by
-  every engine;
-* :class:`~repro.runtime.engine.ParallelEngine` — the full algorithm;
-* :class:`~repro.runtime.mp.ProcessEngine` — the same algorithm on worker
-  *processes* (true shared-memory parallelism past the GIL; see
+  critical-section bodies (admit / claim / commit / sweep / result),
+  shared by every engine;
+* :mod:`~repro.runtime.driver` — the coordinator loop over an *away*
+  port;
+* :class:`~repro.runtime.engine.ParallelEngine` — the coordinator over
+  executor threads, which take runs from a
+  :class:`~repro.runtime.blocking_queue.BlockingQueue` each and run on a
+  :class:`~repro.runtime.pool.ComputationThreadPool`;
+* :class:`~repro.runtime.mp.ProcessEngine` — the coordinator over worker
+  *processes* (true parallelism past the GIL; see
   :mod:`repro.runtime.mp`).  It is not re-exported here: importing it
   loads :mod:`multiprocessing`, which a threaded engine never needs.
 """
 
 from .blocking_queue import BlockingQueue
-from .locks import InstrumentedLock
 from .pool import ComputationThreadPool
 from .feed import PhaseFeed
 from .core import ScheduleCore
@@ -31,7 +30,6 @@ from .engine import ParallelEngine
 
 __all__ = [
     "BlockingQueue",
-    "InstrumentedLock",
     "ComputationThreadPool",
     "PhaseFeed",
     "ScheduleCore",

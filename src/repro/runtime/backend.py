@@ -1,8 +1,8 @@
-"""The threading backend seam: every primitive the engine blocks on.
+"""The threading backend seam: every primitive the threaded engine blocks on.
 
-The parallel engine, thread pool, run queue, and instrumented lock do not
-touch :mod:`threading` directly; they ask a *backend* for their
-synchronisation primitives.  Two implementations exist:
+The threaded engine's driver, its executor threads and their queues do
+not touch :mod:`threading` directly; they ask a *backend* for their
+synchronisation primitives and their clock.  Two implementations exist:
 
 * :class:`ThreadingBackend` (the default, module singleton
   :data:`OS_BACKEND`) hands out the real stdlib primitives — production
@@ -16,14 +16,9 @@ synchronisation primitives.  Two implementations exist:
 The seam is deliberately duck-typed: a backend is anything with these
 factory methods.  Engine code must route every blocking operation through
 it — adding a bare ``threading.Lock()`` to the engine would silently
-escape schedule exploration.
-
-``preempt`` is the one member that is data, not a factory: an optional
-``callable(point: str)`` invoked by :class:`repro.core.state.SchedulerState`
-between scheduling-set mutations.  The OS backend leaves it ``None``
-(zero overhead); the virtual backend points it at the scheduler's switch
-primitive, which is what lets schedule exploration interleave *inside*
-the critical section and catch lock-discipline bugs.
+escape schedule exploration.  Only the driver thread touches the
+scheduling sets, so there is no interleaving inside them to explore: the
+explored schedules are the driver's hand-offs to its executors.
 """
 
 from __future__ import annotations
@@ -37,11 +32,6 @@ __all__ = ["ThreadingBackend", "OS_BACKEND"]
 
 class ThreadingBackend:
     """The default backend: real OS threads and stdlib primitives."""
-
-    #: Optional hook called between scheduling-set mutations (see
-    #: :class:`repro.core.state.SchedulerState`).  ``None`` means "no
-    #: preemption points": the real lock already guards the mutations.
-    preempt: Optional[Callable[[str], None]] = None
 
     def lock(self) -> threading.Lock:
         """A mutual-exclusion lock."""

@@ -1,4 +1,5 @@
-"""The run queue: a thread-safe blocking FIFO with a close protocol.
+"""A thread-safe blocking FIFO with a close protocol: the queues between
+the threaded engine's coordinator and its executor threads.
 
 Section 3.2's requirements: "any thread executing a dequeue operation
 suspends until an item is available for dequeuing, and the dequeue

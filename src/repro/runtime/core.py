@@ -9,16 +9,14 @@ as five operations — :meth:`~ScheduleCore.admit` (Listing 2's body),
 the completion tail), :meth:`~ScheduleCore.sweep` (a lone phase in the
 oracle's order) and :meth:`~ScheduleCore.result`.
 
-It is passive and **not thread-safe**; who drives it, under which lock,
-is all the engines differ in.  The threaded engine's peer workers and
-environment thread wrap each call in the one global
-:class:`~repro.runtime.locks.InstrumentedLock`; the single-threaded
-process coordinator takes only its driver lock, which a producer holds
-instead while it runs a lone phase for the parked coordinator; the
-simulator runs them in a locked burst on its virtual ``global-lock``
-resource.  Vertex compute and the run's ``PairRuntime.commit`` /
-``commit_remote`` deliveries stay with the driver, between ``claim`` and
-``commit`` — compute outside the lock, deliveries inside it.
+It is passive and **not thread-safe**.  Two callers exist.  The
+coordinator of :mod:`repro.runtime.driver` drives both real engines: one
+thread calls every operation, holding only its driver lock, which a
+producer holds instead while it runs a lone phase for the parked
+coordinator; vertex compute and the run's ``PairRuntime.commit`` /
+``commit_remote`` deliveries stay with it, between ``claim`` and
+``commit``.  The simulator runs the operations in a locked burst on its
+virtual ``global-lock`` resource, as Listing 1's peers would.
 
 It is also the one instrument of the run lifecycle: every operation
 reads ``perf_counter_ns`` on entry and exit and bills the time between to
@@ -79,7 +77,6 @@ class ScheduleCore:
         frontier: str = "cone",
         checker: Optional[InvariantChecker] = None,
         tracer: Optional[ExecutionTracer] = None,
-        preempt: Optional[Callable[[str], None]] = None,
         retire: bool = False,
         sink: Optional[Callable[..., None]] = None,
     ) -> None:
@@ -99,9 +96,7 @@ class ScheduleCore:
             raise SchedulerError(
                 f"frontier must be 'global' or 'cone', got {frontier!r}"
             )
-        self.state = scheduler(
-            program.numbering, checker=checker, preempt=preempt
-        )
+        self.state = scheduler(program.numbering, checker=checker)
         self._tracer = tracer
         self._retire = retire
         self._sink = sink
@@ -332,9 +327,8 @@ class ScheduleCore:
 
 
 class Placement:
-    """Whether a vertex's runs execute *here*, on the driver's own thread
-    (threaded environment, process coordinator), or *away* (pool, sticky
-    worker).  Every vertex starts here; ``DEAR_RUNS`` runs in a row that
+    """Whether a vertex's runs execute *here*, on the coordinator's own
+    thread, or *away* (an executor thread, a worker process).  Every vertex starts here; ``DEAR_RUNS`` runs in a row that
     computed no cheaper than their hand-off (:meth:`settle`) move it
     away for good.  A run of a vertex that did not just read cheap is
     :meth:`staked`: the driver stops it once it has cost its hand-off

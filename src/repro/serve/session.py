@@ -31,7 +31,7 @@ record entries, spot-checks it, calls ``on_retired`` and announces it —
 inside the engine's critical section, before the next phase can retire.
 So a retired phase is a delivered one.  A served phase costs one thread
 hand-off (feed to engine), except that a lone phase sealed into an idle
-process coordinator is run, and so delivered, by the producer's own
+coordinator is run, and so delivered, by the producer's own
 thread inside its ``PhaseFeed.put`` (docs/ARCHITECTURE.md §5.8), with the
 ingest lock held.  ``on_retired`` must be cheap and must not call back
 into the session's ingest (``offer``, ``offer_body``,

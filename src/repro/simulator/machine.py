@@ -15,7 +15,12 @@ threads are running" — is reproduced by comparing virtual makespans at
 the near-linear-speedup prediction by sweeping workers = processors with
 a coarse compute grain.
 
-Simulated thread anatomy (mirroring :class:`~repro.runtime.engine`):
+Simulated thread anatomy — Listing 1's peer workers and Listing 2's
+environment, as published, all contending for one global lock.  The
+real engines no longer have this shape: their one coordinator
+(:mod:`repro.runtime.driver`) is the only caller of the scheduler and
+takes no global lock, so the simulator is where the paper's peer-worker
+schedule and its lock contention are still measured:
 
 * **worker**: block on the run queue (no CPU while blocked) → *locked*
   claim + prepare burst (no virtual time) → compute burst (CPU

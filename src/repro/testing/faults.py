@@ -1,28 +1,24 @@
-"""Seeded concurrency-bug injection.
+"""Seeded hand-off bugs.
 
 The schedule-exploration harness must not only *pass* on the correct
 engine — it must demonstrably *fail* on a broken one, else a green fuzz
-run means nothing.  :class:`FaultPlan` names the classic bugs the engine
-guards against; :class:`~repro.runtime.engine.ParallelEngine` reads the
-flags through ``getattr`` (never importing this module), so the seams
-cost nothing in production.
+run means nothing.  :class:`FaultPlan` names the bugs the coordinator's
+hand-back seam guards against (:func:`repro.runtime.driver.drive` reads
+the flags through ``getattr``, never importing this module, so the seams
+cost nothing in production).  Each breaks the exactly-once execution
+premise of Section 3.3.4 in its own way:
 
-Each fault removes one ingredient of the paper's correctness argument:
+``deliver_twice``
+    Deliver and commit every hand-back twice: a result delivered twice.
 
-``unlocked_commit``
-    Run Listing 1's statements 1.5-1.8 (complete execution, update x,
-    insert outputs) *outside* the global lock.  With preemption points
-    inside :class:`~repro.core.state.SchedulerState`'s mutators, two
-    workers can interleave mid-update — exactly the race the Section 3.3
-    unlock-point argument excludes.
+``commit_handed_over``
+    When a staked run is cut, commit the first member of the tail as
+    well as handing the tail over: a result committed for a claim that
+    was salvaged and handed over, which then executes again away.
 
-``unlocked_start_phase``
-    Run Listing 2's phase start outside the lock, racing the environment
-    against worker commits.
-
-``duplicate_enqueue``
-    Enqueue every newly ready pair twice, violating the exactly-once
-    execution premise of Section 3.3.4.
+``lose_handback``
+    Drop the first hand-back on the floor: its claims never complete,
+    and the run wedges.
 """
 
 from __future__ import annotations
@@ -38,9 +34,9 @@ __all__ = ["FaultPlan", "FAULT_NAMES"]
 class FaultPlan:
     """Which seeded bugs to inject into the engine (all off by default)."""
 
-    unlocked_commit: bool = False
-    unlocked_start_phase: bool = False
-    duplicate_enqueue: bool = False
+    deliver_twice: bool = False
+    commit_handed_over: bool = False
+    lose_handback: bool = False
 
     @classmethod
     def named(cls, name: str) -> "FaultPlan":

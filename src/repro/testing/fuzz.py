@@ -306,6 +306,9 @@ def run_one(
         checker=monitor,
         tracer=monitor,
         max_in_flight_phases=spec.max_in_flight,
+        # Virtual seconds: a healthy schedule never advances the clock,
+        # and a lost hand-back wedges after 20 idle polls.
+        join_timeout=1.0,
         backend=VirtualBackend(scheduler),
         faults=faults,
     )

@@ -16,9 +16,8 @@ ever unblocked**: control passes task → scheduler → task through paired
 events, so there is no data race anywhere by construction — only the
 *logical* interleavings the algorithm must tolerate.  Tasks yield at
 every synchronisation point (lock acquire/release, condition wait/notify,
-event and semaphore operations, and the scheduling-set preemption hooks
-inside :class:`repro.core.state.SchedulerState`), and the scheduler picks
-which runnable task proceeds.
+event and semaphore operations), and the scheduler picks which runnable
+task proceeds.
 
 Blocking with a timeout registers a *virtual* deadline; when no task is
 runnable the clock jumps to the earliest deadline (discrete-event style),
@@ -71,7 +70,7 @@ class ScheduleStep:
     """One scheduling decision: at *index*, *task* resumed into *point*.
 
     ``point`` is the synchronisation point the task was parked at (e.g.
-    ``"lock.acquire(global)"`` or ``"complete_execution:x-updated"``) —
+    ``"lock.acquire(lock-1)"`` or ``"cond.wait(cond-2)"``) —
     the trace of these steps *is* the interleaving.
     """
 
@@ -726,11 +725,6 @@ class VirtualBackend:
 
     def __init__(self, scheduler: VirtualScheduler) -> None:
         self.scheduler = scheduler
-
-    # The scheduling-set preemption hook (see SchedulerState).
-    @property
-    def preempt(self) -> Callable[[str], None]:
-        return self.scheduler.switch
 
     def lock(self) -> VirtualLock:
         return VirtualLock(self.scheduler)

@@ -2,18 +2,21 @@
 
 :class:`~repro.runtime.engine.ParallelEngine` decides where a run
 executes by comparing two durations it measures with ``backend.clock``:
-a vertex's compute (taken outside the global lock) and the critical
-sections around it (taken inside).  :class:`RegimeClockBackend` hands out
-real OS primitives but keeps a per-thread clock that ticks in only one
-of those two places, so a test chooses the regime instead of hoping the
-host's timings produce it:
+a vertex's compute on the environment thread, and the round trip of an
+empty hand-off to an executor, taken once as the run starts.
+:class:`RegimeClockBackend` hands out real OS primitives but keeps a
+per-thread clock that stands still except where the script says, so a
+test chooses the regime instead of hoping the host's timings produce it:
 
-* ``compute_dear=True`` — time stands still inside a critical section
-  and advances one second per reading outside: locked time reads 0,
-  compute reads >= 1, nothing is ever strictly cheaper than its hand-off
-  and every run goes through the pool (the paper's algorithm);
-* ``compute_dear=False`` — the reverse: compute reads 0, locked time
-  reads > 0, and the environment thread keeps whatever becomes ready.
+* ``compute_dear=False`` — a hand-off costs one second on the thread
+  that makes it (every notify of a backend condition, i.e. every queue
+  put), and compute reads 0: the environment keeps whatever becomes
+  ready;
+* ``compute_dear=True`` — every reading advances the clock by
+  :data:`DEAR` seconds and every notify takes one such step back, so a
+  hand-off measured in this regime reads free, compute reads at least
+  ``DEAR`` — dearer than any run's hand-off measured in either regime —
+  and every vertex moves away after its ``DEAR_RUNS`` runs here.
 
 The flag may be flipped while a run is in progress, and a vertex can make
 itself expensive on either setting by calling :meth:`RegimeClockBackend.spend`
@@ -26,31 +29,9 @@ from unittest import mock
 
 from repro.runtime.backend import ThreadingBackend
 
-
-class _TrackedLock:
-    """A ``threading.Lock`` that tells its backend who is inside."""
-
-    def __init__(self, held):
-        self._lock = threading.Lock()
-        self._held = held
-
-    def acquire(self, blocking=True, timeout=-1):
-        got = self._lock.acquire(blocking, timeout)
-        if got:
-            self._held.depth = getattr(self._held, "depth", 0) + 1
-        return got
-
-    def release(self):
-        self._held.depth -= 1
-        self._lock.release()
-
-    def locked(self):
-        return self._lock.locked()
-
-    __enter__ = acquire
-
-    def __exit__(self, *exc_info):
-        self.release()
+#: A dear reading: more than the hand-offs of the longest run (64
+#: members, at one second each in the cheap regime).
+DEAR = 1000.0
 
 
 class RegimeClockBackend(ThreadingBackend):
@@ -58,16 +39,20 @@ class RegimeClockBackend(ThreadingBackend):
         self.compute_dear = compute_dear
         self._local = threading.local()
 
-    def lock(self):
-        return _TrackedLock(self._local)
+    def condition(self, lock=None):
+        backend = self
+
+        class Priced(threading.Condition):
+            def notify(self, n=1):
+                backend.spend(-DEAR if backend.compute_dear else 1.0)
+                super().notify(n)
+
+        return Priced(lock)
 
     def clock(self):
-        local = self._local
-        now = getattr(local, "now", 0.0)
-        inside = getattr(local, "depth", 0) > 0
-        if inside != self.compute_dear:
-            now = local.now = now + 1.0
-        return now
+        if self.compute_dear:
+            self.spend(DEAR)
+        return getattr(self._local, "now", 0.0)
 
     def spend(self, seconds):
         """Advance the calling thread's clock: scripted compute time."""

@@ -84,10 +84,13 @@ class TestStats:
         prog, phases = grid_workload(3, 3, phases=20)
         res = ParallelEngine(prog, num_threads=2).run(phases)
         assert res.stats["num_threads"] == 2
-        assert res.stats["lock"]["acquisitions"] > 0
-        assert res.stats["queue"]["total_enqueued"] == res.stats["queue"][
-            "total_dequeued"
-        ]
+        # One claim per run, and the backlog coalesces: fewer runs claimed
+        # than pairs executed, each run executed here or away once.
+        runs = res.stats["coalescing"]["runs_scheduled"]
+        assert 0 < runs < res.execution_count
+        drain = res.stats["drain"]
+        assert drain["inline_runs"] + drain["pooled_runs"] == runs
+        assert res.stats["moved"] == []  # cheap vertices stay here
         assert sum(res.stats["per_worker_executions"].values()) == res.execution_count
 
     def test_tracer_concurrency_stats(self):
@@ -243,31 +246,35 @@ class TestPipelining:
 
 
 class TestShutdownErrorPropagation:
-    """The watchdog must surface root causes, not bury them.
+    """A failed run surfaces its root cause and leaks no executor.
 
     Regressions covered: ``run`` used to raise a generic "environment
-    thread failed to terminate" EngineError *without* joining the pool or
-    calling ``reraise()`` — leaking live computation threads and masking
-    the vertex exception behind the wedge.  Both wedges here are
-    flow-control wedges: the environment waits for a phase credit that
-    never comes.
+    thread failed to terminate" EngineError *without* joining the pool —
+    leaking live computation threads and masking the vertex exception
+    behind the wedge.
     """
 
     def test_worker_error_beats_a_flow_control_wedge(self):
-        # Phase 1 fans out to two pooled vertices: "stall" wedges one
-        # worker, "boom" fails on the other once "stall" has started, and
-        # the environment waits on flow control behind them.  The pool's
-        # watchdog then gives up on the stalled worker: the caller must
-        # see the VertexExecutionError, not the watchdog's generic report.
+        # Each phase fans out to two vertices that, once moved away (the
+        # scripted clock moves them after DEAR_RUNS swept phases), sit on
+        # different executors: "stall" wedges one, "boom" fails on the
+        # other once "stall" has started, with the environment's one
+        # flow-control credit behind them.  The caller must see the
+        # VertexExecutionError, not a wedge report.
         started, release = threading.Event(), threading.Event()
 
+        def away():
+            return threading.current_thread().name.startswith("compute-")
+
         def stall(ctx):
-            started.set()
-            release.wait(timeout=30)
+            if away():
+                started.set()
+                release.wait(timeout=30)
 
         def boom(ctx):
-            started.wait(timeout=30)
-            raise RuntimeError("root cause")
+            if away():
+                started.wait(timeout=30)
+                raise RuntimeError("root cause")
 
         g = ComputationGraph.from_edges([("src", "stall"), ("src", "boom")])
         prog = Program(g, {
@@ -282,7 +289,10 @@ class TestShutdownErrorPropagation:
             backend=RegimeClockBackend(compute_dear=True),
             join_timeout=0.3,
         )
-        phases = [PhaseInput(k, float(k), {"src": k}) for k in (1, 2)]
+        phases = [PhaseInput(k, float(k), {"src": k}) for k in range(1, 9)]
+        assert engine.num_threads == 2 and {
+            (prog.numbering.index_of[v] - 1) % 2 for v in ("stall", "boom")
+        } == {0, 1}
         try:
             with pytest.raises(VertexExecutionError, match="root cause"):
                 engine.run(phases)
@@ -290,19 +300,14 @@ class TestShutdownErrorPropagation:
             release.set()
 
     def test_wedged_environment_does_not_leak_workers(self, strand):
-        # Phase 1's last completion is lost, so with one phase in flight
-        # the environment waits on flow control for good while the
-        # workers idle: the run still fails with the wedge report, but
-        # only after waking and joining every computation thread.
+        # Phase 1's last completion is lost, so the started phases can
+        # never complete while the executors idle: the run fails with the
+        # stall report, but only after waking and joining every
+        # computation thread.
         prog = make_chain_program(2, {1: "x", 2: "y"})
         strand(prog.numbering.index_of["n1"], 1)
-        engine = ParallelEngine(
-            prog,
-            num_threads=2,
-            max_in_flight_phases=1,
-            join_timeout=0.3,
-        )
-        with pytest.raises(EngineError, match="environment thread failed"):
+        engine = ParallelEngine(prog, num_threads=2, join_timeout=0.3)
+        with pytest.raises(EngineError, match="stalled before quiescence"):
             engine.run(signals(2))
         assert not [
             t for t in threading.enumerate() if t.name.startswith("compute-")
@@ -526,54 +531,31 @@ class TestEnvironmentPeer:
         assert self._placed_here(range(k, 100)) == list(range(1, k + DEAR_RUNS))
 
     def test_a_pool_commit_between_bursts_places_cheap_pairs_here(self):
-        # Regression: between two bursts of a batch the environment
-        # lowered its drain, so a pool commit made then sent the cheap
-        # pairs it readied to the run queue (and their commits did the
-        # same).  Here v2 is dear and its first pool run waits until the
-        # environment has gone back to its feed for the second burst,
-        # which the feed holds back until that run's commit has readied
-        # the cheap sink's next pair.  Nothing but flow control can
-        # block the environment before it admits the burst, so the pair
-        # is still the environment's.
+        # Regression (of the peer-worker engine, kept as a property of the
+        # coordinator): a commit of the dear v2's away run, made between
+        # two bursts of a batch, readies pairs of the cheap sink v3; they
+        # are placed here, as every pair of a resident vertex is, so the
+        # pool computes v2 and nothing else.
         backend = RegimeClockBackend(compute_dear=False)
-        left, readied = threading.Event(), threading.Event()
 
         def dear(ctx):
             backend.spend(1000.0)
-            if threading.current_thread().name.startswith("compute-"):
-                assert left.wait(10.0)
             return ctx.input("v1")
 
         prog, phases = self._chain(dear, 150)
-        sink = prog.numbering.index_of["v3"]
-        second_burst = len(phases) - ADAPTIVE_RUN_CEILING
-
-        class Tracer(ExecutionTracer):
-            def enqueued(self, pair):
-                super().enqueued(pair)
-                if pair[0] == sink and pair[1] > 1:
-                    readied.set()
-
-        class Gated(PhaseFeed):
-            def get(self, timeout=None):
-                if self.depth == second_burst:
-                    left.set()
-                    assert readied.wait(10.0)
-                return super().get(timeout)
-
+        assert len(phases) > 2 * ADAPTIVE_RUN_CEILING  # three bursts
         serial = SerialExecutor(prog).run(phases)
-        tracer = Tracer()
+        tracer = ExecutionTracer()
         res = ParallelEngine(
             prog, num_threads=2, tracer=tracer, backend=backend,
             join_timeout=20.0,
-        ).run_feed(Gated.of(phases))
+        ).run(phases)
         assert_serializable(serial, res)
-        assert readied.is_set()
-        pooled = {
-            ev.pair[0] for ev in tracer.events
-            if ev.kind == "execute_end" and ev.worker != 2
-        }
+        ended = [ev for ev in tracer.events if ev.kind == "execute_end"]
+        pooled = {ev.pair[0] for ev in ended if ev.worker != 2}
         assert pooled == {prog.numbering.index_of["v2"]}
+        sink = prog.numbering.index_of["v3"]
+        assert sum(ev.pair[0] == sink for ev in ended if ev.worker == 2) == 150
 
     def test_regime_flips_mid_run_without_losing_or_duplicating_a_pair(self):
         backend = RegimeClockBackend(compute_dear=False)
@@ -588,7 +570,11 @@ class TestEnvironmentPeer:
 
         prog.behaviors[source].on_execute = flipping
         serial = SerialExecutor(prog).run(phases)
-        res = ParallelEngine(prog, num_threads=2, backend=backend).run(phases)
+        # Short runs, so that each vertex runs DEAR_RUNS times in a row
+        # within one dear stretch.
+        res = ParallelEngine(
+            prog, num_threads=2, max_in_flight_phases=4, backend=backend
+        ).run(phases)
         assert_serializable(serial, res)
         assert res.records == serial.records
         assert len(set(res.executions)) == len(res.executions)
@@ -671,11 +657,10 @@ class TestEnvironmentPeer:
         assert len(ran_on) == 1 and ran_on[0].startswith("compute-")
         assert _engine_threads() == before
 
-    def test_only_a_feed_closed_at_start_drains_inline(self):
-        # Compute reads free, so only the selection rule decides: a feed
-        # still open when the run begins (a live stream) keeps the
-        # environment on it, never executing; a closed one (a batch) is
-        # drained by the environment itself.
+    def test_a_live_feed_is_drained_inline_like_a_batch(self):
+        # Compute reads free, so every vertex stays here: a feed closed
+        # before the run began (a batch) and one still open (a live
+        # stream) are both executed by the environment itself.
         prog = make_chain_program(3, {1: 1, 2: 2, 3: 3})
         engine = ParallelEngine(
             prog, num_threads=1, backend=RegimeClockBackend(compute_dear=False)
@@ -690,18 +675,19 @@ class TestEnvironmentPeer:
         closer.start()
         opened = engine.run_feed(live)
         closer.join()
-        assert opened.stats["drain"]["inline_runs"] == 0
-        assert opened.stats["per_worker_executions"][1] == 0
+        assert opened.stats["drain"]["pooled_runs"] == 0
+        assert opened.stats["per_worker_executions"][1] == opened.execution_count
         assert opened.records == closed.records
 
-    def test_virtual_backend_never_drains_inline(self):
-        # Load-bearing: the deterministic scheduler explores interleavings
-        # of the paper's peer-worker algorithm, and `repro fuzz` output is
-        # pinned byte-for-byte across PRs.  Both hold only because nothing
-        # is *strictly* cheaper than anything on a clock that does not
-        # advance (0 < 0 is false): under VirtualBackend every pair goes
-        # through the run queue.  Relax the comparison to <= and every
-        # explored schedule silently becomes the single-threaded one.
+    def test_virtual_backend_moves_every_vertex_away(self):
+        # Load-bearing: the deterministic scheduler explores the
+        # coordinator's hand-offs to its executors, and `repro fuzz`
+        # output is pinned byte-for-byte across PRs.  Both hold only
+        # because nothing is *strictly* cheaper than anything on a clock
+        # that does not advance (0 < 0 is false): under VirtualBackend
+        # each vertex is staked DEAR_RUNS times and then moves away.
+        # Relax the comparison to <= and every explored schedule silently
+        # becomes the single-threaded one.
         from repro.testing.schedule import (
             RandomPolicy,
             VirtualBackend,
@@ -717,9 +703,9 @@ class TestEnvironmentPeer:
         sched.shutdown()
         assert_serializable(serial, res)
         drain, per_worker = self._drained(res, 2)
-        assert drain["inline_runs"] == 0 and drain["handovers"] == 0
-        assert drain["pooled_runs"] > 0
-        assert per_worker[2] == 0
+        assert sorted(res.stats["moved"]) == sorted(prog.graph.vertices())
+        assert drain["pooled_runs"] > 0 and drain["handovers"] > 0
+        assert per_worker[0] + per_worker[1] > 0
         assert sched.now() == 0.0
 
 
@@ -758,25 +744,34 @@ class TestProgressWatchdog:
     def test_one_coalesced_run_longer_than_the_timeout_completes(self):
         # Regression: progress was counted at commit only, so one healthy
         # run whose members together outlast the timeout read as a wedge.
-        # All 40 phases are admitted in one burst, the source drains, and
-        # the slow vertex's backlog is claimed as one pooled run.
-        prog = self._slow_chain(0.02)
+        # All 40 phases are admitted in one burst and the source's run
+        # takes them all; the slow vertex reads dear, so each of its
+        # DEAR_RUNS stakes is cut after one member, and the rest of its
+        # backlog is claimed as one away run of 37 members.
+        backend = RegimeClockBackend(compute_dear=False)
+        slow = self._slow_chain(0.02)
+        v2 = slow.behaviors["v2"].on_execute
+
+        def dear(ctx):
+            backend.spend(1000.0)
+            return v2(ctx)
+
+        slow.behaviors["v2"].on_execute = dear
         phases = [PhaseInput(k, float(k), {"v1": k}) for k in range(1, 41)]
+        began = time.monotonic()
         res = ParallelEngine(
-            prog,
-            num_threads=2,
-            backend=RegimeClockBackend(compute_dear=True),
-            join_timeout=0.3,
+            slow, num_threads=2, backend=backend, join_timeout=0.3,
         ).run(phases)
-        assert res.stats["coalescing"]["runs_scheduled"] == 2
-        assert res.wall_time > 2 * 0.3
+        assert time.monotonic() - began > 2 * 0.3
+        assert res.stats["coalescing"]["runs_scheduled"] == 1 + DEAR_RUNS + 1
+        assert res.stats["drain"]["pooled_runs"] == 1
         assert res.records == SerialExecutor(self._slow_chain(0.0)).run(phases).records
 
     def test_stalled_worker_is_detected_within_twice_the_timeout(self):
         release = threading.Event()
 
         def stall(ctx):
-            if ctx.phase == 2:
+            if threading.current_thread().name.startswith("compute-"):
                 release.wait(timeout=30)
             return ctx.input("v1")
 
@@ -784,17 +779,19 @@ class TestProgressWatchdog:
             chain_graph(2),
             {"v1": PassthroughSource(), "v2": FunctionVertex(stall)},
         )
-        phases = [PhaseInput(k, float(k), {"v1": k}) for k in (1, 2, 3)]
+        phases = [PhaseInput(k, float(k), {"v1": k}) for k in range(1, 7)]
         engine = ParallelEngine(
             prog,
             num_threads=2,
-            # Every run goes through the pool: the stall is a worker's.
+            # One phase at a time, swept until DEAR_RUNS dear sweeps have
+            # moved both vertices away: the stall is an executor's.
+            max_in_flight_phases=1,
             backend=RegimeClockBackend(compute_dear=True),
             join_timeout=0.4,
         )
         began = time.monotonic()
         try:
-            with pytest.raises(EngineError, match="threads failed to terminate"):
+            with pytest.raises(EngineError, match="run wedged"):
                 engine.run(phases)
             took = time.monotonic() - began
             assert 0.4 <= took < 2 * 0.4 + 0.5

@@ -265,12 +265,12 @@ class TestDelivery:
         for _, thread, serve_threads in seen:
             # The session starts one thread; no "serve-emit" exists.
             assert serve_threads == ["serve-engine"]
-            if engine == "parallel":
-                assert thread.name.startswith("compute-")  # a retiring worker
-            elif thread is threading.current_thread():
+            if thread is threading.current_thread():
                 # A lone phase this producer's put ran in the idle
                 # coordinator's stead.
                 driven += 1
+            elif engine == "parallel":
+                assert thread.name == "environment"  # the coordinator
             else:
                 assert thread is session._engine_thread  # the coordinator
         drain = session.stats()["engine"]["stats"]["drain"]
@@ -312,16 +312,17 @@ class TestDelivery:
 
 
 class TestDrivenPhases:
-    """A lone phase sealed into an idle process coordinator runs on the
+    """A lone phase sealed into an idle coordinator runs on the
     producer's thread, inside its put, and fails the session as a
     coordinator failure does (docs/ARCHITECTURE.md §5.8)."""
 
     TICKS = 20
+    ENGINE = "process"
 
     def _session(self, workload, on_retired, check_sample=0):
         return ServeSession(
             workload.program,
-            ServeConfig(engine="process", wait=workload.wait,
+            ServeConfig(engine=self.ENGINE, wait=workload.wait,
                         quantum=workload.quantum, check_sample=check_sample),
             on_retired=on_retired,
         )
@@ -448,6 +449,13 @@ class TestDrivenPhases:
         with pytest.raises(ServeError, match="expected phase 5, got 4"):
             session.close(drain=True)
         assert not session._engine_thread.is_alive()
+
+
+class TestDrivenPhasesThreaded(TestDrivenPhases):
+    """The threaded engine's coordinator holds the same contract."""
+
+    ENGINE = "parallel"
+    test_a_refused_flush_raises_instead_of_losing_its_phase = None
 
 
 class TestIngestEdges:

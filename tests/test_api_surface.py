@@ -233,7 +233,7 @@ CORE = (
 def test_schedule_core_surface_is_pinned():
     assert params(ScheduleCore) == [
         "program", "num_workers", "frontier", "checker", "tracer",
-        "preempt", "retire", "sink",
+        "retire", "sink",
     ], CORE
     operations = {
         name: list(inspect.signature(member).parameters)[1:]
@@ -263,7 +263,7 @@ def test_the_two_schedulers_stay_apart():
     from repro.core.state import SchedulerState
 
     for scheduler in (SchedulerState, ReferenceScheduler):
-        assert params(scheduler) == ["numbering", "checker", "preempt"], AIM_2
+        assert params(scheduler) == ["numbering", "checker"], AIM_2
     # The engines run core/state.py; core/reference.py (and the
     # LazyMinHeap only it uses) is loaded on demand, by
     # ScheduleCore(frontier="global") and the verification tools.

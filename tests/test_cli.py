@@ -95,7 +95,7 @@ class TestRun:
         end = out.rindex("}") + 1
         payload = json.loads(out[start:end])
         assert payload["engine"].startswith("parallel[")
-        assert "lock" in payload["stats"]
+        assert "drain" in payload["stats"] and "moved" in payload["stats"]
 
     def test_stats_json_serial_engine(self, spec_file, tmp_path):
         import json
@@ -167,13 +167,14 @@ class TestRun:
             f"{drain['handovers']} handovers, "
             f"{drain['swept_phases']} swept phases"
         )
-        if engine == "process":
-            assert stats["ipc"]["promoted"] == []
-            expected += ", 0 promoted"
-        elif remote:
-            promoted = stats["ipc"]["promoted"]
-            assert promoted and drain["pooled_runs"] > 0
-            expected += f", {len(promoted)} promoted ({', '.join(promoted)})"
+        # Both engines name the vertices moved away.
+        if remote:
+            moved = stats["moved"]
+            assert moved == stats["ipc"]["promoted"] and drain["pooled_runs"] > 0
+            expected += f", {len(moved)} moved ({', '.join(moved)})"
+        else:
+            assert stats["moved"] == []
+            expected += ", 0 moved"
         at = [i for i, l in enumerate(lines) if l.startswith("coalescing:")]
         assert len(at) == 1 and lines[at[0] + 1] == expected
 
@@ -326,7 +327,7 @@ class TestFuzz:
     def test_injected_fault_is_found(self, capsys):
         assert main(
             ["fuzz", "--runs", "50", "--seed", "0",
-             "--inject", "unlocked_commit"]
+             "--inject", "deliver_twice"]
         ) == 0
         out = capsys.readouterr().out
         assert "detected at run" in out
@@ -681,7 +682,7 @@ class TestRefusals:
         # Zero schedules explored is no pass, with or without --inject.
         assert "--runs" in self._refused("fuzz", "--runs", runs)
         assert "--runs" in self._refused(
-            "fuzz", "--runs", runs, "--inject", "unlocked_commit"
+            "fuzz", "--runs", runs, "--inject", "deliver_twice"
         )
 
     @pytest.mark.parametrize(

@@ -3,12 +3,13 @@
 One module instead of a matrix per feature (ROADMAP aim 3).  The axes:
 
 * **engine** — the virtual-scheduler campaign (explored interleavings of
-  the threaded engine, every scheduler mutation invariant-checked by the
-  :class:`~repro.testing.monitor.RaceMonitor`), the threaded engine on
-  real threads in both of its regimes (``threaded``: the real clock, on
-  which these cheap vertices are drained inline by the environment
-  thread; ``threaded-pooled``: a clock scripted so compute always reads
-  dearer than the locked sections, so every run goes through the pool),
+  the threaded engine's hand-offs, every scheduler mutation
+  invariant-checked by the :class:`~repro.testing.monitor.RaceMonitor`),
+  the threaded engine on real threads in both of its regimes
+  (``threaded``: the real clock, on which these cheap vertices stay on
+  the environment thread; ``threaded-pooled``: a clock scripted so
+  compute always reads dearer than a hand-off, so every vertex moves to
+  the executor threads after its stakes),
   the process engine on real worker processes, again in both placements
   (``process``: the real clock, on which these vertices never leave the
   coordinator; ``process-remote``: a clock that stands still, on which
@@ -356,7 +357,7 @@ def test_record_exact_against_serial_oracle(engine, family):
     if engine == "threaded":
         assert inline_runs > 0, "the environment never drained a run inline"
     if engine == "threaded-pooled":
-        assert inline_runs == 0 and pooled_runs > 0
+        assert pooled_runs > 0
     # And both placements of the process engine.
     if engine == "process":
         assert inline_runs > pooled_runs
@@ -563,11 +564,13 @@ class TestTheSuiteIsNotVacuous:
         section = result.stats["coalescing"]
         assert section["pairs_coalesced"] > 0
         assert section["mean_run_length"] > 1.0
-        # One prepare and one commit critical section per run, not per
-        # pair, so the lock is taken fewer than twice per execution.
-        lock = result.stats["lock"]
-        taken = lock.get("acquisitions", lock.get("total_requests"))
-        assert taken < 2 * result.execution_count
+        # One claim and one commit per run, not per pair: fewer runs
+        # claimed than pairs executed, and on the simulated SMP its
+        # global lock taken fewer than twice per execution.
+        assert section["runs_scheduled"] < result.execution_count
+        if engine == "simulated-cone":
+            taken = result.stats["lock"]["total_requests"]
+            assert taken < 2 * result.execution_count
 
     def test_process_runs_ship_run_frames(self):
         spec = PipelineSpec(depth=5, phases=30, seed=3)

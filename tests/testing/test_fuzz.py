@@ -76,7 +76,9 @@ class TestCleanCampaign:
         # Every scheduling decision of every interleaving the campaign
         # explores, as one digest of its per-run trace hashes.  A change
         # that moves the virtual schedule fails here: update the pin and
-        # say why the explored schedules had to change.
+        # say why the explored schedules had to change.  (Last moved when
+        # one coordinator replaced the peer workers: the explored
+        # schedules are its hand-offs to the executor threads.)
         fuzz_module = importlib.import_module("repro.testing.fuzz")
         run_one, hashes = fuzz_module.run_one, []
 
@@ -89,7 +91,7 @@ class TestCleanCampaign:
         assert fuzz(runs=30, seed=0).ok
         assert len(hashes) == 30
         digest = hashlib.sha1(" ".join(hashes).encode()).hexdigest()[:16]
-        assert digest == "b60866cbbd523fdb"
+        assert digest == "f8c3e885a1fc264a"
 
     def test_single_run_passes_each_policy(self):
         spec = spec_for_run(1, 0)
@@ -99,7 +101,7 @@ class TestCleanCampaign:
 
 
 @pytest.mark.parametrize(
-    "fault", ["unlocked_commit", "unlocked_start_phase", "duplicate_enqueue"]
+    "fault", ["deliver_twice", "commit_handed_over", "lose_handback"]
 )
 class TestSeededBugsAreFound:
     def test_fault_found_within_bounded_runs(self, fault):
@@ -137,7 +139,7 @@ class TestSeededBugsAreFound:
 
 class TestShrinking:
     def test_shrunk_spec_still_fails_and_is_smaller(self):
-        plan = FaultPlan.named("unlocked_commit")
+        plan = FaultPlan.named("commit_handed_over")
         report = fuzz(runs=100, seed=0, faults=plan)
         failure = report.failures[0]
         shrunk = failure.shrunk_spec
@@ -154,9 +156,9 @@ class TestShrinking:
 
 class TestFaultPlan:
     def test_named_and_str(self):
-        plan = FaultPlan.named("duplicate_enqueue")
-        assert plan.duplicate_enqueue and not plan.unlocked_commit
-        assert "duplicate_enqueue" in str(plan)
+        plan = FaultPlan.named("lose_handback")
+        assert plan.lose_handback and not plan.deliver_twice
+        assert "lose_handback" in str(plan)
 
     def test_unknown_fault_rejected(self):
         with pytest.raises(ValueError):
