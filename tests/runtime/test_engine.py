@@ -315,12 +315,13 @@ class TestShutdownErrorPropagation:
 
 
 class TestFlowControlAbort:
-    """The environment's flow-control wait is abort-aware and blocking.
+    """Flow control never waits on a timer, and a failure ends the run.
 
-    Regression: it used to poll ``flow_sem.acquire(timeout=0.05)`` in a
-    loop — burning CPU on real threads and, worse, advancing the virtual
-    clock through timeout deadlines so deterministic runs became
-    timing-dependent.
+    Regression (of the peer-worker engine): its environment polled a
+    flow-control semaphore with a timeout — burning CPU on real threads
+    and advancing the virtual clock through timeout deadlines, so
+    deterministic runs became timing-dependent.  The coordinator admits a
+    phase only when the window has room and waits on nothing for it.
     """
 
     def _crashing_chain(self):

@@ -89,11 +89,11 @@ class TestSoak:
     def test_both_drain_regimes_under_a_short_switch_interval(
         self, engine, family
     ):
-        """The differential cells of the threaded engine — environment
-        draining inline, and everything through the pool — on a deeper
-        corpus, with the interpreter switching threads 100x as often so
-        the environment's lock-free deque pops and the workers' locked
-        appends interleave at many more points."""
+        """The differential cells of the threaded engine — cheap vertices
+        on the coordinator, and every vertex moved to the executors — on a
+        deeper corpus, with the interpreter switching threads 100x as
+        often so the coordinator's hand-offs and the executors' hand-backs
+        interleave at many more points."""
         interval = sys.getswitchinterval()
         sys.setswitchinterval(5e-5)
         try:
@@ -109,11 +109,12 @@ class TestSoak:
 
     @pytest.mark.parametrize("trial", range(4))
     def test_regime_flapping_under_a_short_switch_interval(self, trial):
-        """The mixed regime is where the hand-back protocol works hardest:
-        workers append to the environment's deque while it drains, and it
-        must lower its flag under the lock before it may stop.  A scripted
-        clock flips the regime every few phases; more threads than cores,
-        invariants checked at every mutation, an exact oracle."""
+        """The mixed regime is where the hand-off works hardest: vertices
+        move to the executors mid-run while the coordinator still runs
+        the others, and its hand-backs interleave with its own runs.  A
+        scripted clock flips the regime every few phases; more threads
+        than cores, invariants checked at every mutation, an exact
+        oracle."""
         backend = RegimeClockBackend(compute_dear=False)
         prog, phases = fig1_workload(phases=240, seed=trial)
         source = prog.behaviors[prog.graph.sources()[0]]
