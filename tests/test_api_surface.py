@@ -27,6 +27,7 @@ import dataclasses
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -247,6 +248,23 @@ def test_schedule_core_surface_is_pinned():
         "sweep": ["worker", "compute"],
         "result": ["label", "elapsed", "engine_stats"],
     }, CORE
+
+
+def test_one_driver_calls_the_schedule_core():
+    # Both real engines run one coordinator loop; the simulator keeps
+    # Listing 1's peers.  No second driver may grow elsewhere.
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    callers = sorted(
+        path.relative_to(src).as_posix()
+        for path in src.rglob("*.py")
+        if re.search(r"\bcore\.(admit|claim|commit|sweep)\(", path.read_text())
+    )
+    assert callers == ["runtime/driver.py", "simulator/machine.py"], CORE
+    loaded = _run_python(
+        "import sys, repro.runtime.driver\n"
+        "print('multiprocessing' in sys.modules)"
+    )
+    assert loaded == "False", CORE
 
 
 def _run_python(script, *argv):
