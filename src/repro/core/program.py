@@ -275,18 +275,24 @@ def compute_members(
 
     A failing member stops the run — later members must not advance the
     behaviour's state — and raises :class:`VertexExecutionError` naming
-    its exact phase, not the run head's.  *after_member* is called after
-    each successful member and stops the run after it by returning true
-    (the threaded engine's staking budget and watchdog counter; the
-    process worker builds the member's reply entry there).
+    its vertex and exact phase, not the run head's: an error the vertex
+    raised that names that member already goes up as it is, any other
+    (another pair's :class:`VertexExecutionError` included) as its
+    cause.  *after_member* is called after each successful member and
+    stops the run after it by returning true (the threaded engine's
+    staking budget and watchdog counter; the process worker builds the
+    member's reply entry there).
     """
     executed = 0
     for ctx in ctxs:
         try:
             ctx.finish(on_execute(ctx))
-        except VertexExecutionError:
-            raise
         except Exception as exc:
+            if (
+                isinstance(exc, VertexExecutionError)
+                and (exc.vertex, exc.phase) == (ctx.name, ctx.phase)
+            ):
+                raise
             raise VertexExecutionError(ctx.name, ctx.phase, str(exc)) from exc
         executed += 1
         # Outside the try: the engine's callback is not the vertex.

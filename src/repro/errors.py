@@ -24,7 +24,6 @@ __all__ = [
     "InvariantViolation",
     "EngineError",
     "VertexExecutionError",
-    "QueueClosedError",
     "SpecError",
     "RegistryError",
     "SerializabilityError",
@@ -138,10 +137,6 @@ class VertexExecutionError(EngineError):
         super().__init__(
             f"vertex {vertex!r} failed while executing phase {phase}{detail}"
         )
-
-
-class QueueClosedError(EngineError):
-    """A blocking-queue operation was attempted after the queue was closed."""
 
 
 # ---------------------------------------------------------------------------

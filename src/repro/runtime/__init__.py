@@ -13,24 +13,20 @@ the vertices it does not execute itself:
 * :mod:`~repro.runtime.driver` — the coordinator loop over an *away*
   port;
 * :class:`~repro.runtime.engine.ParallelEngine` — the coordinator over
-  executor threads, which take runs from a
-  :class:`~repro.runtime.blocking_queue.BlockingQueue` each and run on a
-  :class:`~repro.runtime.pool.ComputationThreadPool`;
+  executor threads, which its
+  :class:`~repro.runtime.engine.ThreadPort` starts and joins, and feeds
+  runs through one job deque each;
 * :class:`~repro.runtime.mp.ProcessEngine` — the coordinator over worker
   *processes* (true parallelism past the GIL; see
   :mod:`repro.runtime.mp`).  It is not re-exported here: importing it
   loads :mod:`multiprocessing`, which a threaded engine never needs.
 """
 
-from .blocking_queue import BlockingQueue
-from .pool import ComputationThreadPool
 from .feed import PhaseFeed
 from .core import ScheduleCore
 from .engine import ParallelEngine
 
 __all__ = [
-    "BlockingQueue",
-    "ComputationThreadPool",
     "PhaseFeed",
     "ScheduleCore",
     "ParallelEngine",

@@ -1,7 +1,7 @@
 """The threading backend seam: every primitive the threaded engine blocks on.
 
-The threaded engine's driver, its executor threads and their queues do
-not touch :mod:`threading` directly; they ask a *backend* for their
+The threaded engine's driver, its executor threads and their job deques
+do not touch :mod:`threading` directly; they ask a *backend* for their
 synchronisation primitives and their clock.  Two implementations exist:
 
 * :class:`ThreadingBackend` (the default, module singleton
@@ -13,8 +13,8 @@ synchronisation primitives and their clock.  Two implementations exist:
   *choose* the interleaving (and replay it from a seed) instead of hoping
   the OS produces the interesting one.
 
-The seam is deliberately duck-typed: a backend is anything with these
-factory methods.  Engine code must route every blocking operation through
+The seam is deliberately duck-typed: a backend is anything with
+``lock``, ``condition``, ``thread`` and ``clock``.  Engine code must route every blocking operation through
 it — adding a bare ``threading.Lock()`` to the engine would silently
 escape schedule exploration.  Only the driver thread touches the
 scheduling sets, so there is no interleaving inside them to explore: the
@@ -40,14 +40,6 @@ class ThreadingBackend:
     def condition(self, lock: Optional[threading.Lock] = None) -> threading.Condition:
         """A condition variable, optionally bound to an existing *lock*."""
         return threading.Condition(lock)
-
-    def event(self) -> threading.Event:
-        """A one-shot flag with ``set``/``is_set``/``wait``."""
-        return threading.Event()
-
-    def semaphore(self, value: int = 1) -> threading.Semaphore:
-        """A counting semaphore initialised to *value*."""
-        return threading.Semaphore(value)
 
     def thread(
         self,

@@ -23,7 +23,7 @@ loops inline:
 The port is the one thing the two engines differ in:
 
 * :class:`repro.runtime.engine.ThreadPort` — executor threads, which
-  compute prepared contexts and hand them back on a queue;
+  compute prepared contexts and hand them back;
 * :class:`repro.runtime.mp.engine.ProcessPort` — worker processes, which
   receive pickled run frames and reply with outputs and records.
 
@@ -37,8 +37,9 @@ sign of life inside a long run), ``check()`` (raise if an executor died),
 ``close()``, ``abort()`` and ``stats(elapsed, moved)``.  A hand-back is
 ``(worker, v, phases, contexts, replies, error)``: the members that ran,
 their contexts, ``None`` (the contexts hold the results) or one
-``(outputs, records)`` per member, and the vertex error that ended the
-run, if one did.
+``(outputs, records)`` per member, and the error that ended the run, if
+one did: the one the coordinator would have raised computing that run
+itself.
 
 Listing 1 has every computation process take one global lock to claim
 and to commit.  Here only the coordinator touches the scheduling sets,
@@ -81,7 +82,7 @@ _START_BURST = ADAPTIVE_RUN_CEILING  # most phases one admission starts
 #: ``(worker, v, phases, contexts, replies, error)``: see the module docstring.
 Handback = Tuple[
     int, int, List[int], Sequence[VertexContext], Optional[list],
-    Optional[VertexExecutionError],
+    Optional[BaseException],
 ]
 
 

@@ -4,13 +4,15 @@
 a sequence of phases with the one driver of :mod:`repro.runtime.driver`
 on an **environment thread** — the only caller of
 :class:`~repro.runtime.core.ScheduleCore` — and *k* **executor threads**
-(``compute-0`` … ``compute-<k-1>``) behind a :class:`ThreadPort`.  The
-environment starts phases (Listing 2), executes the vertices
-:class:`~repro.runtime.core.Placement` keeps here and sweeps a lone
-phase; a vertex whose compute is dearer than a hand-off moves away, and
-each of its ready runs is claimed, handed to its sticky executor as
-prepared contexts, computed there, handed back on a queue, and
-delivered and committed by the environment.
+(``compute-0`` … ``compute-<k-1>``), which :class:`ThreadPort` starts,
+feeds and joins.  The environment starts phases (Listing 2), executes
+the vertices :class:`~repro.runtime.core.Placement` keeps here and
+sweeps a lone phase; a vertex whose compute is dearer than a hand-off
+moves away, and each of its ready runs is claimed, put on its sticky
+executor's job deque as prepared contexts, computed there, handed back
+on one shared deque, and delivered and committed by the environment.
+Section 3.2's blocking run queue is those deques: a get waits on the
+deque's condition, and each item is taken once.
 
 This is not Listing 1's peer-worker shape, where every computation thread
 takes one global lock to claim and to commit: under one GIL a hand-off
@@ -28,18 +30,18 @@ without that confound.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+import time
+from collections import deque
+from typing import Any, Deque, List, Optional
 
 from ..core.invariants import InvariantChecker
 from ..core.program import PairRuntime, Program, RunResult
 from ..core.tracer import ExecutionTracer
 from ..core.vertex import VertexContext
-from ..errors import QueueClosedError, VertexExecutionError
+from ..errors import VertexExecutionError
 from .backend import OS_BACKEND, ThreadingBackend
-from .blocking_queue import BlockingQueue
 from .driver import DrivenEngine, drive
 from .feed import PhaseFeed
-from .pool import ComputationThreadPool
 
 __all__ = ["ParallelEngine", "ThreadPort"]
 
@@ -47,14 +49,20 @@ __all__ = ["ParallelEngine", "ThreadPort"]
 class ThreadPort:
     """The driver's away port on *num_threads* executor threads.
 
-    Each executor takes runs of its sticky vertices (``worker_of(v) =
-    (v - 1) % k``) from its own queue, computes them and hands
-    ``(worker, v, phases, contexts, None, error)`` back on one shared
-    queue.  A run of n members is priced as n hand-offs, one per pair it
-    could have handed over, each what the driver measured on *backend*'s
-    clock at the start: an empty round trip through an executor (the
-    second of two; the first also pays the thread's start).  Nothing
-    reads cheap on a clock that does not advance
+    Each executor ``compute-<i>`` takes runs of its sticky vertices
+    (``worker_of(v) = (v - 1) % k``) from its own job deque, in FIFO
+    order, computes them and hands ``(worker, v, phases, contexts, None,
+    error)`` back on one shared deque; whatever its compute raises, a
+    ``BaseException`` too, is handed back as the run's error.  Each deque
+    is guarded by a condition of *backend*: a put notifies once, a get
+    never notifies, and :meth:`close` wakes an idle executor, which
+    computes what is still queued and then exits.
+
+    A run of n members is priced as n hand-offs, one per pair it could
+    have handed over, each what the driver measured on *backend*'s clock
+    at the start: an empty round trip through an executor (the second of
+    two; the first also pays the thread's start).  Nothing reads cheap on
+    a clock that does not advance
     (:class:`~repro.testing.schedule.VirtualBackend`), so there every
     vertex moves away after its stakes and schedule exploration sees the
     hand-off.
@@ -63,51 +71,72 @@ class ThreadPort:
     def __init__(self, num_threads: int, backend: ThreadingBackend) -> None:
         self.workers = num_threads
         self.clock = backend.clock
-        self._jobs: List[BlockingQueue] = [
-            BlockingQueue(backend) for _ in range(num_threads)
+        self._jobs: List[Deque[Any]] = [deque() for _ in range(num_threads)]
+        self._queued = [backend.condition() for _ in range(num_threads)]
+        self._open = [True] * num_threads
+        self._back: Deque[Any] = deque()
+        self._returned = backend.condition()
+        self._threads = [
+            backend.thread(target=self._execute, args=(i,), name=f"compute-{i}")
+            for i in range(num_threads)
         ]
-        self._back: BlockingQueue = BlockingQueue(backend)
-        self._pool = ComputationThreadPool(
-            num_threads, self._execute, name="compute", backend=backend
-        )
-        self._started = False
         self._runtime: Optional[PairRuntime] = None
         # Members computed, one single-writer slot per executor: the
         # watchdog's sign of life inside a run that has not come back.
         self._computed = [0] * num_threads
         self._trip = 0.0
 
+    @staticmethod
+    def _put(cond: Any, items: Deque[Any], item: Any) -> None:
+        with cond:
+            items.append(item)
+            cond.notify()
+
+    def _take(self, timeout: Optional[float] = None) -> Any:
+        # One hand-back, or None once *timeout* elapses without one.
+        back, returned = self._back, self._returned
+        with returned:
+            while not back:
+                if not returned.wait(timeout):
+                    return None
+            return back.popleft()
+
     def _execute(self, i: int) -> None:
-        jobs, back, computed = self._jobs[i], self._back, self._computed
+        jobs, queued, computed = self._jobs[i], self._queued[i], self._computed
+        back, returned = self._back, self._returned
 
         def after_member() -> bool:
             computed[i] += 1
             return False
 
         while True:
-            try:
-                job = jobs.get()
-            except QueueClosedError:
-                return
+            with queued:
+                while not jobs:
+                    if not self._open[i]:
+                        return  # closed and drained
+                    queued.wait()
+                job = jobs.popleft()
             if job is None:  # a probe of the trip
-                back.put(None)
+                self._put(returned, back, None)
                 continue
             v, phases, ctxs = job
-            error = None
+            error: Optional[BaseException] = None
             try:
                 executed = self._runtime.compute(v, ctxs, after_member)
             except VertexExecutionError as exc:
                 error, executed = exc, phases.index(exc.phase)
-            back.put((i, v, phases[:executed], ctxs, None, error))
+            except BaseException as exc:  # noqa: BLE001 - the coordinator raises it
+                error, executed = exc, 0
+            self._put(returned, back, (i, v, phases[:executed], ctxs, None, error))
 
     def start(self, runtime: PairRuntime) -> None:
         self._runtime = runtime
-        self._pool.start()
-        self._started = True
+        for thread in self._threads:
+            thread.start()
         for _ in range(2):
             began = self.clock()
-            self._jobs[0].put(None)
-            self._back.get()
+            self._put(self._queued[0], self._jobs[0], None)
+            self._take()
             self._trip = self.clock() - began
 
     def worker_of(self, v: int) -> int:
@@ -120,35 +149,40 @@ class ThreadPort:
         return n * self._trip
 
     def send(self, w: int, v: int, phases: List[int], ctxs: List[VertexContext]) -> None:
-        self._jobs[w].put((v, phases, ctxs))
+        self._put(self._queued[w], self._jobs[w], (v, phases, ctxs))
 
     def collect(self, timeout: float) -> Any:
-        back = self._back
-        if not timeout and not len(back):
-            return None
-        try:
-            return back.get(timeout)
-        except TimeoutError:
-            return None
+        if not timeout:
+            # The peek takes the lock too: under a virtual backend it is
+            # a preemption point of the explored schedule.
+            with self._returned:
+                if not self._back:
+                    return None
+        return self._take(timeout)
 
     def progress(self) -> int:
         return sum(self._computed)
 
     def check(self) -> None:
-        pass  # an executor hands its failure back; it never dies silently
+        pass  # an executor hands back whatever its compute raised
 
     def close(self) -> None:
-        for jobs in self._jobs:
-            jobs.close()
+        for i, queued in enumerate(self._queued):
+            with queued:
+                self._open[i] = False
+                queued.notify_all()
 
     abort = close
 
     def join(self, timeout: float) -> None:
-        """Wait up to *timeout* for the executors, which leave once their
-        queues close (the caller's half: a virtual task joins from the
-        scheduler's thread)."""
-        if self._started:
-            self._pool.wait(timeout)
+        """Wait up to *timeout* in total for the executors, which leave
+        once their deques are closed and drained (the caller's half: a
+        virtual task joins from the scheduler's thread)."""
+        if self._runtime is None:
+            return  # never started
+        deadline = time.monotonic() + timeout
+        for thread in self._threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
     def stats(self, elapsed: float, moved: List[str]) -> dict:
         return {"num_threads": self.workers}
@@ -182,7 +216,7 @@ class ParallelEngine(DrivenEngine):
         healthy run may last any multiple of it, and a served stream may
         idle for days.
     backend:
-        Threading backend supplying locks, queues, threads and the clock
+        Threading backend supplying locks, conditions, threads and the clock
         (default: real OS threads).  The deterministic test scheduler
         passes a :class:`repro.testing.schedule.VirtualBackend` here to
         control every interleaving.

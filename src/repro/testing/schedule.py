@@ -15,9 +15,8 @@ Each task runs on a real (daemon) OS thread, but **at most one task is
 ever unblocked**: control passes task → scheduler → task through paired
 events, so there is no data race anywhere by construction — only the
 *logical* interleavings the algorithm must tolerate.  Tasks yield at
-every synchronisation point (lock acquire/release, condition wait/notify,
-event and semaphore operations), and the scheduler picks which runnable
-task proceeds.
+every synchronisation point (lock acquire/release, condition wait), and
+the scheduler picks which runnable task proceeds.
 
 Blocking with a timeout registers a *virtual* deadline; when no task is
 runnable the clock jumps to the earliest deadline (discrete-event style),
@@ -658,66 +657,6 @@ class VirtualCondition:
         self.notify(len(self._waiters))
 
 
-class VirtualEvent:
-    """Cooperative one-shot flag (threading.Event surface)."""
-
-    def __init__(self, sched: VirtualScheduler) -> None:
-        self._sched = sched
-        self._flag = False
-
-    def is_set(self) -> bool:
-        return self._flag
-
-    def set(self) -> None:
-        self._flag = True
-        self._sched.wake_all(self)
-
-    def clear(self) -> None:
-        self._flag = False
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        sched = self._sched
-        if self._flag:
-            return True
-        if sched.current is None:
-            raise ScheduleError("driver thread cannot wait on an event")
-        deadline = None if timeout is None else sched.now() + timeout
-        while not self._flag:
-            if sched.block(self, "event.wait", deadline):
-                break
-        return self._flag
-
-
-class VirtualSemaphore:
-    """Cooperative counting semaphore (threading.Semaphore surface)."""
-
-    def __init__(self, sched: VirtualScheduler, value: int = 1) -> None:
-        self._sched = sched
-        self._value = value
-
-    def acquire(self, blocking: bool = True, timeout: Optional[float] = None) -> bool:
-        sched = self._sched
-        sched.switch("semaphore.acquire")
-        if not blocking:
-            if self._value > 0:
-                self._value -= 1
-                return True
-            return False
-        if sched.current is None:
-            raise ScheduleError("driver thread cannot block on a semaphore")
-        deadline = None if timeout is None else sched.now() + timeout
-        while self._value <= 0:
-            if sched.block(self, "semaphore.wait", deadline):
-                return False
-        self._value -= 1
-        return True
-
-    def release(self, n: int = 1) -> None:
-        self._value += n
-        self._sched.wake_all(self)
-        self._sched.switch("semaphore.release")
-
-
 class VirtualBackend:
     """Adapts a :class:`VirtualScheduler` to the
     :class:`~repro.runtime.backend.ThreadingBackend` factory seam, so the
@@ -731,12 +670,6 @@ class VirtualBackend:
 
     def condition(self, lock: Optional[VirtualLock] = None) -> VirtualCondition:
         return VirtualCondition(self.scheduler, lock)
-
-    def event(self) -> VirtualEvent:
-        return VirtualEvent(self.scheduler)
-
-    def semaphore(self, value: int = 1) -> VirtualSemaphore:
-        return VirtualSemaphore(self.scheduler, value)
 
     def thread(
         self,

@@ -18,9 +18,10 @@ schedulers apart: neither takes a mode, and a production entry point
 never loads the specification.  The last keeps the chain-fusion plan
 out: every engine schedules the program the user wrote.  The process
 wire is pinned too: one frame form each way, with only the fields the
-receiving side reads.  The cold-start tests pin the import graph: a
-process imports what its verb and its program run, and nothing is
-imported inside a timed run.
+receiving side reads.  The threaded engine's executors are pinned as
+its port's own, over a backend of four primitives.  The cold-start
+tests pin the import graph: a process imports what its verb and its
+program run, and nothing is imported inside a timed run.
 """
 
 import dataclasses
@@ -274,6 +275,31 @@ def _run_python(script, *argv):
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     ).stdout.strip()
+
+
+OWN_EXECUTORS = (
+    "a general substrate re-appeared under the threaded engine — its "
+    "ThreadPort starts, feeds and joins its own executors, and a backend "
+    "hands out only what the driver and the port block on (ROADMAP aim 2)"
+)
+
+
+def test_the_threaded_port_owns_its_executors():
+    import repro.errors
+    from repro.runtime.backend import ThreadingBackend
+    from repro.testing.schedule import VirtualBackend
+
+    for module in ("repro.runtime.blocking_queue", "repro.runtime.pool"):
+        assert importlib.util.find_spec(module) is None, OWN_EXECUTORS
+    assert not hasattr(repro.errors, "QueueClosedError"), OWN_EXECUTORS
+    for backend in (ThreadingBackend, VirtualBackend):
+        primitives = sorted(
+            name for name, member in vars(backend).items()
+            if inspect.isfunction(member) and not name.startswith("_")
+        )
+        assert primitives == ["clock", "condition", "lock", "thread"], (
+            backend, OWN_EXECUTORS,
+        )
 
 
 def test_the_two_schedulers_stay_apart():

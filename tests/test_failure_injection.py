@@ -10,8 +10,10 @@ from repro.core.serial import SerialExecutor
 from repro.core.vertex import FunctionVertex, PassthroughSource, SourceVertex
 from repro.errors import VertexExecutionError
 from repro.events import PhaseInput
+from repro.graph.generators import chain_graph
 from repro.graph.model import ComputationGraph
 from repro.runtime.engine import ParallelEngine
+from repro.runtime.mp import ProcessEngine
 from repro.simulator.machine import SimulatedEngine
 
 from tests.conftest import signals
@@ -102,6 +104,38 @@ class TestParallelFailure:
         prog = failing_program(fail_phase=5)
         with pytest.raises(VertexExecutionError):
             ParallelEngine(prog, num_threads=2, join_timeout=30).run(signals(5))
+
+
+class TestAnotherPairsVertexError:
+    """A vertex that raises some other pair's ``VertexExecutionError``
+    fails as itself, with that error as the cause.
+
+    Regression: the error went up unchanged, so the serial oracle blamed
+    the pair it named, and both real engines looked that pair's phase up
+    in the failing run and died of ``ValueError: 999 is not in list``.
+    """
+
+    @pytest.mark.parametrize("engine", [
+        SerialExecutor,
+        lambda prog: ParallelEngine(prog, num_threads=2, join_timeout=30),
+        lambda prog: ProcessEngine(prog, num_workers=2, join_timeout=30),
+    ], ids=["serial", "parallel", "process"])
+    def test_fails_as_the_pair_that_raised_it(self, engine):
+        foreign = VertexExecutionError("elsewhere", 999, "not mine")
+
+        def v2(ctx):
+            if ctx.phase == 5:
+                raise foreign
+            return ctx.input("v1")
+
+        prog = Program(
+            chain_graph(2), {"v1": PassthroughSource(), "v2": FunctionVertex(v2)}
+        )
+        phases = [PhaseInput(k, float(k), {"v1": k}) for k in range(1, 8)]
+        with pytest.raises(VertexExecutionError) as ei:
+            engine(prog).run(phases)
+        assert (ei.value.vertex, ei.value.phase) == ("v2", 5)
+        assert "'elsewhere' failed while executing phase 999" in str(ei.value)
 
 
 class TestSimulatedFailure:

@@ -159,17 +159,18 @@ class TestLiveness:
     def test_timeout_wait_uses_virtual_time(self):
         sched = VirtualScheduler(policy=RoundRobinPolicy())
         backend = VirtualBackend(sched)
-        ev = backend.event()
+        cond = backend.condition()
         seen = []
 
         def waiter():
-            seen.append(ev.wait(timeout=5.0))
+            with cond:
+                seen.append(cond.wait(timeout=5.0))
             seen.append(sched.now())
 
         backend.thread(target=waiter, name="w").start()
         sched.run_all()
-        # The event never fires: the wait times out instantly in real
-        # time, with the virtual clock advanced to the deadline.
+        # Nothing notifies: the wait times out instantly in real time,
+        # with the virtual clock advanced to the deadline.
         assert seen == [False, 5.0]
 
 
@@ -222,26 +223,6 @@ class TestPrimitives:
         sched.run_all()
         assert got == list(range(5))
 
-    def test_semaphore_bounds_concurrency(self):
-        sched = VirtualScheduler(policy=RandomPolicy(13))
-        backend = VirtualBackend(sched)
-        sem = backend.semaphore(2)
-        active = [0]
-        peak = [0]
-
-        def user(me):
-            sem.acquire()
-            active[0] += 1
-            peak[0] = max(peak[0], active[0])
-            sched.switch(f"{me}-holding")
-            active[0] -= 1
-            sem.release()
-
-        for i in range(5):
-            backend.thread(target=user, args=(i,), name=f"u{i}").start()
-        sched.run_all()
-        assert peak[0] <= 2
-
     def test_task_error_is_captured(self):
         sched = VirtualScheduler(policy=RoundRobinPolicy())
         backend = VirtualBackend(sched)
@@ -257,10 +238,11 @@ class TestPrimitives:
     def test_shutdown_reaps_blocked_tasks(self):
         sched = VirtualScheduler(policy=RoundRobinPolicy())
         backend = VirtualBackend(sched)
-        ev = backend.event()
+        cond = backend.condition()
 
         def waits_forever():
-            ev.wait()
+            with cond:
+                cond.wait()
 
         t = backend.thread(target=waits_forever, name="stuck")
         t.start()
