@@ -38,7 +38,7 @@ from ..core.invariants import InvariantChecker
 from ..core.program import PairRuntime, Program, RunResult
 from ..core.tracer import ExecutionTracer
 from ..core.vertex import VertexContext
-from ..errors import VertexExecutionError
+from ..errors import EngineError, VertexExecutionError
 from .backend import OS_BACKEND, ThreadingBackend
 from .driver import DrivenEngine, drive
 from .feed import PhaseFeed
@@ -69,6 +69,8 @@ class ThreadPort:
     """
 
     def __init__(self, num_threads: int, backend: ThreadingBackend) -> None:
+        if num_threads < 1:
+            raise EngineError(f"need at least one executor, got {num_threads}")
         self.workers = num_threads
         self.clock = backend.clock
         self._jobs: List[Deque[Any]] = [deque() for _ in range(num_threads)]
@@ -84,6 +86,9 @@ class ThreadPort:
         # Members computed, one single-writer slot per executor: the
         # watchdog's sign of life inside a run that has not come back.
         self._computed = [0] * num_threads
+        # What executors handed back as errors, first first: the root
+        # cause that :meth:`join` names when an executor outlives it.
+        self.errors: List[BaseException] = []
         self._trip = 0.0
 
     @staticmethod
@@ -127,6 +132,8 @@ class ThreadPort:
                 error, executed = exc, phases.index(exc.phase)
             except BaseException as exc:  # noqa: BLE001 - the coordinator raises it
                 error, executed = exc, 0
+            if error is not None:
+                self.errors.append(error)
             self._put(returned, back, (i, v, phases[:executed], ctxs, None, error))
 
     def start(self, runtime: PairRuntime) -> None:
@@ -177,12 +184,32 @@ class ThreadPort:
     def join(self, timeout: float) -> None:
         """Wait up to *timeout* in total for the executors, which leave
         once their deques are closed and drained (the caller's half: a
-        virtual task joins from the scheduler's thread)."""
+        virtual task joins from the scheduler's thread).
+
+        Raises :class:`EngineError` if an executor is still alive after
+        it.  When an executor already handed back an error, the timeout
+        error names and chains it (``__cause__``; also on the
+        ``worker_errors`` attribute): a failed run that wedges an
+        executor is reported by its root cause, not just the wedge.
+        """
         if self._runtime is None:
             return  # never started
         deadline = time.monotonic() + timeout
         for thread in self._threads:
             thread.join(max(0.0, deadline - time.monotonic()))
+        stuck = [t.name for t in self._threads if t.is_alive()]
+        if not stuck:
+            return
+        errors = list(self.errors)
+        message = f"executors failed to terminate: {stuck!r}"
+        if errors:
+            message += (
+                f" (after executor error: {type(errors[0]).__name__}: "
+                f"{errors[0]})"
+            )
+        exc = EngineError(message)
+        exc.worker_errors = errors  # type: ignore[attr-defined]
+        raise exc from (errors[0] if errors else None)
 
     def stats(self, elapsed: float, moved: List[str]) -> dict:
         return {"num_threads": self.workers}
@@ -272,7 +299,13 @@ class ParallelEngine(DrivenEngine):
         env = backend.thread(target=environment, name="environment")
         env.start()
         env.join()
-        port.join(self.join_timeout)
+        try:
+            port.join(self.join_timeout)
+        except EngineError:
+            # A failed run is reported by its root cause, not by the
+            # executor it left wedged.
+            if not isinstance(outcome[0], BaseException):
+                raise
         if isinstance(outcome[0], BaseException):
             raise outcome[0]
         return outcome[0]

@@ -1,104 +1,94 @@
-"""Tests for the computation thread pool."""
+"""The executor pool that ``ThreadPort`` starts and joins: its size check
+and its join watchdog.
+
+The hand-off itself is tested in ``test_thread_port.py``; these tests
+drive the port with a stub runtime whose vertex 1 blocks until released
+and whose vertex 2 raises.
+"""
 
 import threading
-import time
 
 import pytest
 
 from repro.errors import EngineError
-from repro.runtime.pool import ComputationThreadPool
+from repro.runtime.backend import OS_BACKEND
+from repro.runtime.engine import ThreadPort
+
+
+class GatedRuntime:
+    """Vertex 1 waits on ``release``; vertex 2 raises ``ValueError``."""
+
+    def __init__(self):
+        self.release = threading.Event()
+
+    def compute(self, v, ctxs, after_member=None):
+        if v == 1:
+            self.release.wait(timeout=10)
+        if v == 2:
+            raise ValueError("root cause")
+        return len(ctxs)
+
+
+def started_port(num_threads):
+    port, runtime = ThreadPort(num_threads, OS_BACKEND), GatedRuntime()
+    port.start(runtime)
+    return port, runtime
+
+
+def alive(port):
+    return [t.name for t in port._threads if t.is_alive()]
 
 
 class TestPool:
-    def test_runs_target_per_worker(self):
-        seen = []
-        lock = threading.Lock()
-
-        def target(wid: int) -> None:
-            with lock:
-                seen.append(wid)
-
-        pool = ComputationThreadPool(4, target)
-        pool.start()
-        pool.join(timeout=5)
-        assert sorted(seen) == [0, 1, 2, 3]
-
     def test_zero_threads_rejected(self):
-        with pytest.raises(EngineError):
-            ComputationThreadPool(0, lambda wid: None)
-
-    def test_error_collection_and_reraise(self):
-        def target(wid: int) -> None:
-            if wid == 1:
-                raise ValueError("worker 1 failed")
-
-        pool = ComputationThreadPool(3, target)
-        pool.start()
-        pool.join(timeout=5)
-        assert len(pool.errors) == 1
-        with pytest.raises(ValueError, match="worker 1 failed"):
-            pool.reraise()
+        with pytest.raises(EngineError, match="at least one executor"):
+            ThreadPort(0, OS_BACKEND)
 
     def test_join_timeout_raises_on_stuck_thread(self):
-        release = threading.Event()
+        port, runtime = started_port(1)
+        port.send(0, 1, [1], [None])
+        port.close()
+        try:
+            with pytest.raises(EngineError, match="terminate") as ei:
+                port.join(timeout=0.05)
+            assert "compute-0" in str(ei.value)
+            assert alive(port) == ["compute-0"]
+        finally:
+            runtime.release.set()
+        port.join(timeout=5)
+        assert alive(port) == []
 
-        def target(wid: int) -> None:
-            release.wait(timeout=10)
-
-        pool = ComputationThreadPool(1, target)
-        pool.start()
-        with pytest.raises(EngineError, match="terminate"):
-            pool.join(timeout=0.05)
-        assert pool.any_alive()
-        release.set()
-        pool.join(timeout=5)
-        assert not pool.any_alive()
-
-    def test_reraise_noop_without_errors(self):
-        pool = ComputationThreadPool(1, lambda wid: None)
-        pool.start()
-        pool.join(timeout=5)
-        pool.reraise()  # no exception
+    def test_join_timeout_without_error_has_no_cause(self):
+        port, runtime = started_port(1)
+        port.send(0, 1, [1], [None])
+        port.close()
+        try:
+            with pytest.raises(EngineError) as ei:
+                port.join(timeout=0.05)
+            assert ei.value.__cause__ is None
+            assert ei.value.worker_errors == []
+        finally:
+            runtime.release.set()
+        port.join(timeout=5)
 
     def test_join_timeout_names_prior_worker_error(self):
-        # Regression: when worker A crashes and worker B wedges as a
-        # result, join() used to raise a bare "failed to terminate"
-        # EngineError before the caller could reach reraise() — burying
-        # the root cause.  The timeout error must now carry it.
-        release = threading.Event()
-
-        def target(wid: int) -> None:
-            if wid == 0:
-                raise ValueError("root cause")
-            release.wait(timeout=10)
-
-        pool = ComputationThreadPool(2, target)
-        pool.start()
-        with pytest.raises(EngineError) as ei:
-            pool.join(timeout=0.1)
+        # Executor 1 fails on vertex 2 while executor 0 is still wedged
+        # on vertex 1: the join timeout must carry the failure, not just
+        # report the wedge.
+        port, runtime = started_port(2)
+        port.send(port.worker_of(1), 1, [1], [None])
+        port.send(port.worker_of(2), 2, [1], [None])
+        handback = port.collect(timeout=5)
+        assert handback[1] == 2 and isinstance(handback[5], ValueError)
+        port.close()
         try:
+            with pytest.raises(EngineError) as ei:
+                port.join(timeout=0.1)
             assert "root cause" in str(ei.value)
             assert "ValueError" in str(ei.value)
             assert isinstance(ei.value.__cause__, ValueError)
             assert [type(e) for e in ei.value.worker_errors] == [ValueError]
         finally:
-            release.set()
-            pool.join(timeout=5)
-        assert not pool.any_alive()
-
-    def test_join_timeout_without_error_has_no_cause(self):
-        release = threading.Event()
-
-        def target(wid: int) -> None:
-            release.wait(timeout=10)
-
-        pool = ComputationThreadPool(1, target)
-        pool.start()
-        with pytest.raises(EngineError) as ei:
-            pool.join(timeout=0.05)
-        try:
-            assert ei.value.__cause__ is None
-            assert ei.value.worker_errors == []
-        finally:
-            release.set()
-            pool.join(timeout=5)
+            runtime.release.set()
+        port.join(timeout=5)
+        assert alive(port) == []
