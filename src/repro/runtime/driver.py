@@ -24,17 +24,19 @@ The port is the one thing the two engines differ in:
 
 * :class:`repro.runtime.engine.ThreadPort` — executor threads, which
   compute prepared contexts and hand them back;
-* :class:`repro.runtime.mp.engine.ProcessPort` — worker processes, which
-  receive pickled run frames and reply with outputs and records.
+* :class:`repro.runtime.mp.lifecycle.ProcessWorkerPool` — worker
+  processes, which receive pickled run frames and reply with outputs
+  and records.
 
 A port has ``workers`` (the coordinator is worker ``workers`` of its
-``ScheduleCore``), a placement ``clock``, and ``start(runtime)``,
-``worker_of(v)``, ``price(v, phases, contexts)`` (what handing this run
-away would cost, in ``clock`` seconds), ``trip(n)`` (the same for *n*
-members, priced), ``send(w, v, phases, contexts)``, ``collect(timeout)``
-(one hand-back, or ``None``), ``progress()`` (members computed away: a
-sign of life inside a long run), ``check()`` (raise if an executor died),
-``close()``, ``abort()`` and ``stats(elapsed, moved)``.  A hand-back is
+``ScheduleCore``; an away vertex *v* is sticky on worker ``(v - 1) %
+workers``), a placement ``clock``, and ``start(runtime)``, ``price(v,
+phases, contexts)`` (what handing this run away would cost, in ``clock``
+seconds), ``trip(n)`` (the same for *n* members, priced), ``send(w, v,
+phases, contexts)``, ``collect(timeout)`` (one hand-back, or ``None``),
+``progress()`` (members computed away: a sign of life inside a long
+run), ``check()`` (raise if an executor died), ``close()``, ``abort()``
+and ``stats(elapsed, moved)``.  A hand-back is
 ``(worker, v, phases, contexts, replies, error)``: the members that ran,
 their contexts, ``None`` (the contexts hold the results) or one
 ``(outputs, records)`` per member, and the error that ended the run, if
@@ -341,7 +343,7 @@ def drive(
         nonlocal away
         while ship:
             v, p = ship.popleft()
-            w = port.worker_of(v)
+            w = (v - 1) % me
             phases, ctxs = core.claim(w, v, p)
             port.send(w, v, phases, ctxs)
             away += 1

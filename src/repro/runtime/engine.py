@@ -50,7 +50,7 @@ class ThreadPort:
     """The driver's away port on *num_threads* executor threads.
 
     Each executor ``compute-<i>`` takes runs of its sticky vertices
-    (``worker_of(v) = (v - 1) % k``) from its own job deque, in FIFO
+    (vertex *v* on ``(v - 1) % k``) from its own job deque, in FIFO
     order, computes them and hands ``(worker, v, phases, contexts, None,
     error)`` back on one shared deque; whatever its compute raises, a
     ``BaseException`` too, is handed back as the run's error.  Each deque
@@ -145,9 +145,6 @@ class ThreadPort:
             self._put(self._queued[0], self._jobs[0], None)
             self._take()
             self._trip = self.clock() - began
-
-    def worker_of(self, v: int) -> int:
-        return (v - 1) % self.workers
 
     def price(self, v: int, phases: List[int], ctxs: List[VertexContext]) -> float:
         return len(phases) * self._trip

@@ -13,22 +13,18 @@ interpreters.
 * :mod:`~repro.runtime.mp.worker` — the worker-process main loop (it
   starts empty, adopts each behaviour promoted to it from that vertex's
   first frame, and only computes);
-* :mod:`~repro.runtime.mp.lifecycle` — spawn, sticky vertex assignment,
-  graceful and crash shutdown of the worker pool;
-* :mod:`~repro.runtime.mp.engine` — :class:`ProcessEngine`, the
-  coordinator loop (Listing 1 + 2 with the compute step remoted for the
-  vertices whose compute outweighs a trip).
+* :mod:`~repro.runtime.mp.lifecycle` — the process port
+  (:class:`~repro.runtime.mp.lifecycle.ProcessWorkerPool`): it spawns the
+  workers, prices a trip, sends run frames, collects the replies, and
+  shuts the workers down, gracefully or not;
+* :mod:`~repro.runtime.mp.engine` — :class:`ProcessEngine`, which runs
+  the one coordinator loop (:mod:`repro.runtime.driver`: Listing 1 + 2
+  with the compute step remoted for the vertices whose compute outweighs
+  a trip) over that port.
 
 Select it from the CLI with ``repro run SPEC --engine process``.
 """
 
 from .engine import ProcessEngine
-from .protocol import ResultBatch, RunMsg, ShutdownMsg, WorkerCrashMsg
 
-__all__ = [
-    "ProcessEngine",
-    "RunMsg",
-    "ResultBatch",
-    "ShutdownMsg",
-    "WorkerCrashMsg",
-]
+__all__ = ["ProcessEngine"]

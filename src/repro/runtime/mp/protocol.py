@@ -39,10 +39,8 @@ Framing is explicit (we pickle to bytes ourselves, then put the bytes on
 a ``multiprocessing`` queue) so both directions can be metered: the
 engine reports ``serialization_bytes`` per traffic class and
 ``ipc_round_trips`` in :attr:`RunResult.stats`.  :class:`WireStats`
-accumulates those counters coordinator-side; :func:`traffic_class_of`
-maps a decoded worker message to its class, so every received frame is
-attributed to exactly one class and the per-class byte counts sum to the
-actual pipe traffic.
+accumulates those counters coordinator-side, every frame under exactly
+one class, so the per-class byte counts sum to the actual pipe traffic.
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ __all__ = [
     "encode",
     "decode",
     "run_from_contexts",
-    "traffic_class_of",
     "WireStats",
 ]
 
@@ -219,16 +216,6 @@ def run_from_contexts(
         ),
         behavior=behavior,
     )
-
-
-def traffic_class_of(msg: object) -> str:
-    """The :class:`WireStats` class of a decoded worker->coordinator
-    message (the coordinator->worker classes are chosen at the send
-    site, where the type is statically known)."""
-    if isinstance(msg, FinalStateMsg):
-        return "final_state"
-    # A ResultBatch, or the WorkerCrashMsg a worker sent in its place.
-    return "result_batches"
 
 
 class WireStats:

@@ -551,14 +551,14 @@ def scripted_placement(
     stands still, on which nothing reads cheap, and a streak of one —
     promote every vertex at its first pair: the wire under test."""
     from ..runtime import core
-    from ..runtime.mp import engine
+    from ..runtime.mp import lifecycle
 
-    saved = engine._clock, core.DEAR_RUNS
-    engine._clock, core.DEAR_RUNS = clock, dear_runs
+    saved = lifecycle._clock, core.DEAR_RUNS
+    lifecycle._clock, core.DEAR_RUNS = clock, dear_runs
     try:
         yield
     finally:
-        engine._clock, core.DEAR_RUNS = saved
+        lifecycle._clock, core.DEAR_RUNS = saved
 
 
 def run_one_process(

@@ -177,6 +177,22 @@ def signals(n: int) -> List[PhaseInput]:
     return [PhaseInput(k, float(k)) for k in range(1, n + 1)]
 
 
+def worker_replies(*msgs: Any) -> List[Any]:
+    """Run ``worker_main`` as worker 0 in this process over two queues
+    that already hold *msgs*' frames and a shutdown request; return its
+    replies, decoded, in order (the last is its ``FinalStateMsg``)."""
+    import queue
+
+    from repro.runtime.mp.protocol import ShutdownMsg, decode, encode
+    from repro.runtime.mp.worker import worker_main
+
+    tasks, results = queue.Queue(), queue.Queue()
+    for msg in (*msgs, ShutdownMsg()):
+        tasks.put(encode(msg))
+    worker_main(0, tasks, results)
+    return [decode(results.get_nowait()) for _ in range(results.qsize())]
+
+
 @pytest.fixture
 def chain_program():
     return make_chain_program

@@ -65,11 +65,11 @@ class ProcessRegimeClock:
     :class:`~repro.runtime.mp.ProcessEngine` keeps a vertex in the
     coordinator while computing one of its runs costs this thread less
     CPU than marshalling that run would, both read through
-    ``repro.runtime.mp.engine._clock``
+    ``repro.runtime.mp.lifecycle._clock``
     (:func:`repro.testing.fuzz.scripted_placement` swaps it).  This clock
-    stands still except where the script says otherwise: every frame the
-    coordinator encodes (the unsent ones it prices the trip with
-    included) costs ``wire`` seconds plus ``member`` per run member, and
+    stands still except where the script says otherwise: every run frame
+    the coordinator encodes (``repro.runtime.mp.lifecycle.encode``, the
+    unsent ones it prices the trip with included) costs ``wire`` seconds plus ``member`` per run member, and
     compute costs nothing — so every vertex stays resident — until an
     ``on_execute`` calls :meth:`spend`.
     """
@@ -90,15 +90,17 @@ class ProcessRegimeClock:
     def scripted(self, dear_runs):
         """Script the engine inside the ``with``: this clock, promotion
         after *dear_runs* dear runs in a row."""
-        from repro.runtime.mp import engine
+        from repro.runtime.mp import lifecycle
+        from repro.runtime.mp.protocol import RunMsg
         from repro.testing.fuzz import scripted_placement
 
-        real_encode = engine.encode
+        real_encode = lifecycle.encode
 
         def encode(msg):
-            self.now += self.wire + self.member * len(msg.members)
+            if isinstance(msg, RunMsg):  # not the shutdown request
+                self.now += self.wire + self.member * len(msg.members)
             return real_encode(msg)
 
-        with mock.patch.object(engine, "encode", encode):
+        with mock.patch.object(lifecycle, "encode", encode):
             with scripted_placement(self, dear_runs):
                 yield self

@@ -29,13 +29,9 @@ from repro.graph.numbering import number_graph
 from repro.core.program import Program
 from repro.core.vertex import Vertex
 from repro.runtime.mp import ProcessEngine
-from repro.runtime.mp.lifecycle import ProcessWorkerPool
-from repro.runtime.mp.protocol import (
-    ResultBatch,
-    RunMember,
-    RunMsg,
-    encode,
-)
+from repro.runtime.mp.protocol import ResultBatch, RunMember, RunMsg
+
+from tests.conftest import worker_replies
 
 
 # ---------------------------------------------------------------------------
@@ -163,28 +159,22 @@ class TestMidRunSalvage:
         # A run [a@1..a@5] with a@3 failing: the reply carries a@1, a@2
         # as survivors, a@3's error (the exact phase — not the run
         # head's), ending the reply: a@4, a@5 never ran.
-        pool = ProcessWorkerPool(num_workers=1)
-        try:
-            pool.start()
-            run = RunMsg(
-                vertex=1, name="a", successors=(),
-                members=tuple(
-                    RunMember(phase=p, inputs={}, changed=())
-                    for p in range(1, 6)
-                ),
-                behavior=_BoomMidRun(),
-            )
-            pool.submit_to_worker(0, encode(run))
-            msg = pool.collect(timeout=30.0)
-            assert isinstance(msg, ResultBatch)
-            assert [r.phase for r in msg.results] == [1, 2, 3]
-            assert msg.results[0].error is None
-            assert msg.results[1].error is None
-            assert "mid-run kaboom" in msg.results[2].error
-            assert msg.results[2].phase == 3
-            assert msg.vertex == 1
-        finally:
-            pool.terminate()
+        run = RunMsg(
+            vertex=1, name="a", successors=(),
+            members=tuple(
+                RunMember(phase=p, inputs={}, changed=())
+                for p in range(1, 6)
+            ),
+            behavior=_BoomMidRun(),
+        )
+        msg, _ = worker_replies(run)
+        assert isinstance(msg, ResultBatch)
+        assert [r.phase for r in msg.results] == [1, 2, 3]
+        assert msg.results[0].error is None
+        assert msg.results[1].error is None
+        assert "mid-run kaboom" in msg.results[2].error
+        assert msg.results[2].phase == 3
+        assert msg.vertex == 1
 
     def test_engine_surfaces_exact_phase_and_stays_reusable(self):
         # The run computes in the coordinator (a microsecond vertex).

@@ -21,7 +21,7 @@ from repro.graph.model import ComputationGraph
 from repro.runtime.core import ScheduleCore
 from repro.runtime.feed import PhaseFeed
 from repro.runtime.mp import ProcessEngine
-from repro.runtime.mp.lifecycle import ProcessWorkerPool, default_start_method
+from repro.runtime.mp.lifecycle import ProcessWorkerPool
 from repro.runtime.mp.protocol import (
     ResultMsg,
     WireStats,
@@ -330,7 +330,10 @@ class TestStatsSchema:
         stats = res.stats
         assert validate_engine_stats(res.engine, stats) == []
         assert stats["num_workers"] == 2
-        assert stats["start_method"] == default_start_method()
+        assert stats["start_method"] == (
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
+        )
         # One thread owns the coordinator's core: it takes no lock.
         assert "lock" not in stats
         assert sum(stats["per_worker_executions"].values()) == (
@@ -373,18 +376,27 @@ class TestStatsSchema:
 
 
 class TestWorkerPool:
-    def test_sticky_assignment_round_robin(self):
-        pool = ProcessWorkerPool(num_workers=3)
-        assert [pool.worker_of(v) for v in range(1, 7)] == [
-            0, 1, 2, 0, 1, 2,
-        ]
+    def test_sticky_assignment_round_robin(self, process_remote):
+        # Every vertex is promoted at its first pair, which the
+        # coordinator (worker 3) runs; each later run of vertex v lands
+        # on worker (v - 1) mod 3.
+        prog, phases = grid_workload(3, 3, phases=8, seed=4)
+        tracer = ExecutionTracer()
+        ProcessEngine(prog, num_workers=3, tracer=tracer).run(phases)
+        away = {}
+        for event in tracer.events:
+            if event.kind == "execute_begin" and event.worker != 3:
+                away.setdefault(event.pair[0], set()).add(event.worker)
+        assert away == {
+            v: {(v - 1) % 3} for v in range(1, prog.numbering.n + 1)
+        }
 
     def test_invalid_worker_count(self):
         with pytest.raises(EngineError):
-            ProcessWorkerPool(num_workers=0)
+            ProcessWorkerPool(make_chain_program(2, {1: "x"}), 0, 1.0)
 
     def test_shutdown_before_start_is_noop(self):
-        pool = ProcessWorkerPool(num_workers=2)
+        pool = ProcessWorkerPool(make_chain_program(2, {1: "x"}), 2, 1.0)
         assert pool.shutdown(timeout=1.0) == {}
 
     def test_a_worker_that_fails_to_start_surfaces_its_own_error(

@@ -25,6 +25,7 @@ from repro.runtime.feed import PhaseFeed
 from repro.runtime.mp import ProcessEngine
 from repro.runtime.mp.lifecycle import ProcessWorkerPool
 from repro.runtime.mp.protocol import (
+    FinalStateMsg,
     ResultBatch,
     ResultMsg,
     RunMember,
@@ -36,7 +37,7 @@ from repro.runtime.mp.protocol import (
 from repro.streams.workloads import grid_workload
 from repro.testing.fuzz import fuzz_process, scripted_placement
 
-from tests.conftest import make_chain_program
+from tests.conftest import make_chain_program, worker_replies
 
 
 # ---------------------------------------------------------------------------
@@ -73,19 +74,12 @@ class TestBatchFraming:
         # wedge or crash a worker: it answers with an empty ResultBatch
         # and keeps serving.
         prog = make_chain_program(2, {1: "x"})
-        pool = ProcessWorkerPool(num_workers=1)
-        try:
-            pool.start()
-            empty = RunMsg(
-                vertex=1, name="n0", successors=(), behavior=prog.behavior(1)
-            )
-            pool.submit_to_worker(0, encode(empty))
-            msg = pool.collect(timeout=30.0)
-            assert msg == ResultBatch(worker_id=0, vertex=1, results=())
-            finals = pool.shutdown(timeout=30.0)
-            assert 0 in finals
-        finally:
-            pool.terminate()
+        empty = RunMsg(
+            vertex=1, name="n0", successors=(), behavior=prog.behavior(1)
+        )
+        msg, final = worker_replies(empty)
+        assert msg == ResultBatch(worker_id=0, vertex=1, results=())
+        assert isinstance(final, FinalStateMsg) and final.worker_id == 0
 
 
 class _BoomAtPhase2(Vertex):
@@ -106,27 +100,21 @@ class TestMidRunFailure:
         # A run [a@1, a@2(fails), a@3]: the reply must carry a@1's
         # result and end at a@2's error entry — never a@3 executed out
         # of order past the failure.
-        pool = ProcessWorkerPool(num_workers=1)
-        try:
-            pool.start()
-            run = RunMsg(
-                vertex=1, name="a", successors=(),
-                members=tuple(
-                    RunMember(phase=p, inputs={}, changed=())
-                    for p in (1, 2, 3)
-                ),
-                behavior=_BoomAtPhase2(),
-            )
-            pool.submit_to_worker(0, encode(run))
-            msg = pool.collect(timeout=30.0)
-            assert isinstance(msg, ResultBatch)
-            assert [r.phase for r in msg.results] == [1, 2]
-            assert msg.results[0].error is None
-            assert msg.results[0].records == (("ok", 1),)
-            assert "kaboom" in msg.results[1].error
-            assert msg.vertex == 1
-        finally:
-            pool.terminate()
+        run = RunMsg(
+            vertex=1, name="a", successors=(),
+            members=tuple(
+                RunMember(phase=p, inputs={}, changed=())
+                for p in (1, 2, 3)
+            ),
+            behavior=_BoomAtPhase2(),
+        )
+        msg, _ = worker_replies(run)
+        assert isinstance(msg, ResultBatch)
+        assert [r.phase for r in msg.results] == [1, 2]
+        assert msg.results[0].error is None
+        assert msg.results[0].records == (("ok", 1),)
+        assert "kaboom" in msg.results[1].error
+        assert msg.vertex == 1
 
     def test_engine_surfaces_error_and_stays_reusable(self, process_remote):
         prog = _solo_program(_BoomAtPhase2())
@@ -497,8 +485,8 @@ class TestMeteringRegression:
         sent, received = [], []
         original_start = ProcessWorkerPool.start
 
-        def recording_start(self):
-            original_start(self)
+        def recording_start(self, runtime):
+            original_start(self, runtime)
             self.result_queue = _MeteredQueue(self.result_queue, received)
             self._task_queues = [
                 _MeteredQueue(q, sent) for q in self._task_queues

@@ -76,8 +76,8 @@ class TestPool:
         # on vertex 1: the join timeout must carry the failure, not just
         # report the wedge.
         port, runtime = started_port(2)
-        port.send(port.worker_of(1), 1, [1], [None])
-        port.send(port.worker_of(2), 2, [1], [None])
+        port.send(0, 1, [1], [None])
+        port.send(1, 2, [1], [None])
         handback = port.collect(timeout=5)
         assert handback[1] == 2 and isinstance(handback[5], ValueError)
         port.close()

@@ -19,7 +19,9 @@ never loads the specification.  The last keeps the chain-fusion plan
 out: every engine schedules the program the user wrote.  The process
 wire is pinned too: one frame form each way, with only the fields the
 receiving side reads.  The threaded engine's executors are pinned as
-its port's own, over a backend of four primitives.  The cold-start
+its port's own, over a backend of four primitives, and the process
+engine's workers as its port's own: the two ports offer the driver the
+same members.  The cold-start
 tests pin the import graph: a process imports what its verb and its
 program run, and nothing is imported inside a timed run.
 """
@@ -176,7 +178,9 @@ def test_the_process_wire_has_one_form():
     assert fields(protocol.FinalStateMsg) == (
         "worker_id", "states", "busy_s",
     ), AIM_2
-    assert params(ProcessWorkerPool) == ["num_workers", "start_method"], AIM_2
+    assert params(ProcessWorkerPool) == [
+        "program", "num_workers", "join_timeout", "start_method",
+    ], AIM_2
     assert not hasattr(ProcessWorkerPool, "answered"), AIM_2
     assert list(inspect.signature(worker.worker_main).parameters) == [
         "worker_id", "task_queue", "result_queue",
@@ -299,6 +303,45 @@ def test_the_threaded_port_owns_its_executors():
         )
         assert primitives == ["clock", "condition", "lock", "thread"], (
             backend, OWN_EXECUTORS,
+        )
+
+
+OWN_WORKERS = (
+    "a second layer re-appeared under the process engine — its "
+    "ProcessWorkerPool spawns, prices, feeds and shuts down its own "
+    "workers, and the driver derives a vertex's sticky worker, "
+    "(v - 1) % port.workers, for both ports (ROADMAP aim 2)"
+)
+
+
+def test_the_process_port_owns_its_workers():
+    from repro.runtime import driver
+    from repro.runtime.backend import OS_BACKEND
+    from repro.runtime.engine import ThreadPort
+    from repro.runtime.mp import engine, lifecycle, protocol
+    from repro.streams.workloads import grid_workload
+
+    for owner, name in (
+        (engine, "ProcessPort"),
+        (lifecycle, "default_start_method"),
+        (lifecycle.ProcessWorkerPool, "submit_to_worker"),
+        (protocol, "traffic_class_of"),
+    ):
+        assert not hasattr(owner, name), (name, OWN_WORKERS)
+    # What the driver reads of its port; each port offers all of it.
+    used = set(re.findall(r"\bport\.(\w+)", inspect.getsource(driver)))
+    assert used == {
+        "workers", "clock", "start", "price", "trip", "send", "collect",
+        "progress", "check", "close", "abort", "stats",
+    }, OWN_WORKERS
+    program, _ = grid_workload(2, 2, phases=1, seed=0)
+    for port in (
+        ThreadPort(1, OS_BACKEND),
+        lifecycle.ProcessWorkerPool(program, 1, 1.0),
+    ):
+        assert not hasattr(port, "worker_of"), OWN_WORKERS
+        assert {name for name in used if hasattr(port, name)} == used, (
+            type(port).__name__, OWN_WORKERS,
         )
 
 
