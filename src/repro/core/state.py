@@ -45,7 +45,8 @@ heap scanned.  A status only moves forward::
 ``PARTIAL`` .. ``CLAIMED`` are exactly the pairs with ``msg(v, p)`` true;
 ``EXECUTED`` exists only inside a commit
 (:meth:`~SchedulerState.complete_executions`,
-:meth:`~SchedulerState.complete_sweep`).
+:meth:`~SchedulerState.complete_sweep`, which closes a window of phases
+swept in the oracle's order without waves).
 Each completion, in one pass, marks its outputs and runs its
 **determination wave** — a DFS over successors decrementing ``undet``;
 a counter reaching zero promotes a waiting pair ``PARTIAL -> FULL`` or,
@@ -71,7 +72,9 @@ execute, never ready), committed through one
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, MutableSequence, Sequence, Tuple,
+)
 
 from ..errors import DuplicateExecutionError, SchedulerError
 from ..graph.cones import ConeIndex
@@ -196,7 +199,9 @@ class SchedulerState(CompletionLog):
         self._max_phase_skew = 0
         self._runs_claimed = 0
         self._run_members_claimed = 0
-        self.sweeping = 0  # the phase open to a sweep, if any (read-only)
+        # The window of phases open to a sweep, ``(first, last)``, or
+        # ``(0, 0)`` (read-only).
+        self.sweeping: Tuple[int, int] = (0, 0)
 
     # -- Read-only views --
 
@@ -331,7 +336,8 @@ class SchedulerState(CompletionLog):
         function of it), so a run may commit whole or member by member.
 
         Raises :class:`SchedulerError` for a member neither ready, claimed
-        nor swept (:meth:`open_sweep`), an output not to a higher index in
+        nor in the window open to a sweep (:meth:`open_sweep`) and full
+        at its vertex's settled gate, an output not to a higher index in
         ``1..N``, or a message for a pair already determined;
         :class:`DuplicateExecutionError` for a member that already ran.
         """
@@ -347,7 +353,8 @@ class SchedulerState(CompletionLog):
         for v, p, output_targets in batch:
             ph = phases.get(p)
             if ph is None or not 0 < v <= n or not READY <= ph.status[v] <= CLAIMED:
-                if not (p == self.sweeping and ph is not None and 0 < v <= n
+                first, last = self.sweeping
+                if not (first <= p <= last and ph is not None and 0 < v <= n
                         and ph.status[v] == FULL and settled[v] == p - 1):
                     raise self._not_executable(
                         v, p,
@@ -508,90 +515,162 @@ class SchedulerState(CompletionLog):
         self._run_members_claimed += len(members)
         return members
 
-    def open_sweep(self) -> Tuple[int, bytearray]:
-        """Open the one phase in flight, *p*, to a sweep (``sweeping``):
-        its pairs run in index order and commit at once, whole through
-        :meth:`complete_sweep` or, when a member raised, its prefix
-        through :meth:`complete_executions`, which then accepts a member
-        full at its settled gate.  Returns *p* and, per vertex, whether a
-        message waits on it."""
-        if len(self._phases) != 1:
-            raise SchedulerError(f"a sweep needs exactly one phase in "
-                                 f"flight, not {self.in_flight_phases()!r}")
-        ((p, ph),) = self._phases.items()
-        self.sweeping = p
-        return p, bytearray(PARTIAL <= s <= CLAIMED for s in ph.status)
+    def sweepable(self) -> bool:
+        """Whether :meth:`open_sweep` opens a window: one phase is in
+        flight, or the oldest in flight is fresh (no vertex determined)."""
+        phases = self._phases
+        return len(phases) == 1 or (
+            bool(phases) and next(iter(phases.values())).det_count == 0
+        )
 
-    def close_sweep(self, members: int) -> None:
-        """Close the sweep: each of its *members* was a run of one."""
-        self.sweeping = 0
-        self._runs_claimed += members
+    def open_sweep(self) -> Tuple[int, int, MutableSequence[int]]:
+        """Open a window of phases ``first..last`` to a sweep
+        (``sweeping``): its pairs run vertex by vertex in index order, each
+        vertex over its window phases in order, and commit at once, whole
+        through :meth:`complete_sweep` or, when the sweep was cut or a
+        member raised, what ran through :meth:`complete_executions`,
+        which then accepts a window member full at its settled gate.
+
+        The window is the one phase in flight, however far it executed,
+        or, when the oldest phase in flight is fresh, the oldest
+        ``ADAPTIVE_RUN_CEILING`` of them.  Fresh is O(1): ``(v, q)``
+        executes only once *v* is determined for every earlier phase, so
+        while nothing is determined for the oldest, nothing has executed
+        in any phase in flight, and a message waits on exactly the
+        sources.  Returns *first*, *last* and, per vertex, a mask of the
+        window phases a message waits in (bit ``i``: phase
+        ``first + i``).  Raises :class:`SchedulerError` when no window
+        opens.  Either way the caller ends the sweep with
+        :meth:`close_sweep`."""
+        phases = self._phases
+        if phases:
+            first, ph = next(iter(phases.items()))
+            if ph.det_count == 0:
+                last = first + ADAPTIVE_RUN_CEILING - 1
+                if last > self.pmax:
+                    last = self.pmax
+                sources = self._sources
+                waiting: MutableSequence[int] = [0] * (self.N + 1)
+                waiting[1 : sources + 1] = [(1 << (last - first + 1)) - 1] * sources
+                self.sweeping = (first, last)
+                return first, last, waiting
+            if len(phases) == 1:
+                self.sweeping = (first, first)
+                return first, first, bytearray(
+                    PARTIAL <= s <= CLAIMED for s in ph.status
+                )
+        raise SchedulerError(
+            f"a sweep needs one phase in flight or a fresh oldest phase, "
+            f"not {self.in_flight_phases()!r}"
+        )
+
+    def close_sweep(self, runs: int, members: int) -> None:
+        """Close the sweep: it executed *members* pairs in *runs* runs,
+        one per vertex."""
+        self.sweeping = (0, 0)
+        self._runs_claimed += runs
         self._run_members_claimed += members
 
     def complete_sweep(
         self, batch: Sequence[Tuple[int, int, Iterable[int]]]
     ) -> List[Pair]:
-        """Complete the open sweep's phase *p* from *batch*, every pair
-        it executed in index order, and close the sweep; returns the newly
-        ready pairs: none, as no other phase is in flight.
+        """Complete the open window ``first..last`` from *batch*, every
+        pair the sweep executed, in ``(v, q)`` order; returns the newly
+        ready pairs: the sources of the phase after the window, if it is
+        in flight.  The caller then closes the sweep (:meth:`close_sweep`).
 
-        Each member is checked as :meth:`complete_executions` checks it,
-        and no pair may still wait after the last one.  Then no wave
-        runs: every vertex is determined for *p* (index order made each
-        member full when it ran), so every vertex is settled through
-        ``pmax`` and the phase completes.  Raises as
-        :meth:`complete_executions` does, and :class:`SchedulerError`
-        for a member out of index order or a pair left waiting.
+        Each member is checked as :meth:`complete_executions` checks it
+        (a message waits on it, its outputs go up the numbering to pairs
+        not yet determined, it did not run before), and that it lies in
+        the window and follows the member before it; after the last, no
+        pair may still wait in any window phase.  Then no wave runs: in
+        that order each member's predecessors had run every window phase
+        when it ran, so every vertex is determined for every window phase,
+        each phase completes as its last member commits, and every vertex
+        is settled through *last* — through ``pmax`` when no later phase
+        is in flight — in one pass.  A later phase is fresh, so its
+        sources are its only full pairs.  Raises as
+        :meth:`complete_executions` does, and :class:`SchedulerError` for
+        a member out of order or outside the window, or a pair left
+        waiting.
         """
-        p = self.sweeping
-        ph = self._phases.get(p)
-        if ph is None:
+        first, last = self.sweeping
+        if not first:
             raise SchedulerError("no sweep is open")
-        status, ready_upto, n = ph.status, self._ready_upto, self.N
-        waiting = ph.waiting
-        last = 0
-        for v, q, output_targets in batch:
-            if q != p or not last < v <= n or not PARTIAL <= status[v] <= CLAIMED:
-                raise self._not_executable(
-                    v, q,
-                    f"pair {(v, q)} was already executed; each ready pair "
-                    f"executes exactly once",
-                    f"pair {(v, q)} is not the next pair of the sweep of "
-                    f"phase {p} and may not execute",
-                )
-            last = v
-            status[v] = EXECUTED
-            ready_upto[v] = p
-            waiting -= 1
-            for w in output_targets:
-                if not v < w <= n:
-                    raise SchedulerError(
-                        f"vertex {v} emitted to {w}: edges must go from lower to "
-                        f"higher indices (1..{n})"
-                    )
-                s = status[w]
-                if s == NONE:
-                    status[w] = PARTIAL
-                    waiting += 1
-                elif s > CLAIMED:
-                    raise SchedulerError(
-                        f"message for pair {(w, p)} arrived after the pair "
-                        f"was determined"
-                    )
+        phases, ready_upto, n = self._phases, self._ready_upto, self.N
+        width = last - first + 1
+        statuses: Dict[int, bytearray] = {}
+        waiting = 0
+        for q in range(first, last + 1):
+            ph = phases[q]
+            statuses[q] = ph.status
+            waiting += ph.waiting
+        # Within the window a member's key, v * width + (q - first),
+        # ascends in (v, q) order and stays below the bound while v <= n.
+        prev, bound = width - 1, (n + 1) * width
+        v = q = 0
+        try:
+            for v, q, output_targets in batch:
+                status = statuses[q]  # KeyError: outside the window
+                key = v * width + (q - first)
+                if not (prev < key < bound and PARTIAL <= status[v] <= CLAIMED):
+                    raise self._out_of_sweep(v, q)
+                prev = key
+                status[v] = EXECUTED
+                ready_upto[v] = q
+                waiting -= 1
+                for w in output_targets:
+                    if not v < w <= n:
+                        raise SchedulerError(
+                            f"vertex {v} emitted to {w}: edges must go from "
+                            f"lower to higher indices (1..{n})"
+                        )
+                    s = status[w]
+                    if s == NONE:
+                        status[w] = PARTIAL
+                        waiting += 1
+                    elif s > CLAIMED:
+                        raise SchedulerError(
+                            f"message for pair {(w, q)} arrived after the pair "
+                            f"was determined"
+                        )
+        except KeyError:
+            raise self._out_of_sweep(v, q) from None
         if waiting:
             raise SchedulerError(
-                f"the sweep of phase {p} left {waiting} pairs waiting"
+                f"the sweep of phases {first}..{last} left {waiting} pairs "
+                f"waiting"
             )
-        del self._phases[p]
-        self._settled[1:] = [self.pmax] * n
-        self._full_count[1:] = [0] * n
-        self.complete_phase_count += 1
-        self.completed_log.append(p)
+        # Phases complete in the order of their last members.
+        if width == 1:
+            done = [first]
+        else:
+            done, seen = [], bytearray(width)
+            for member in reversed(batch):
+                i = member[1] - first
+                if not seen[i]:
+                    seen[i] = 1
+                    done.append(member[1])
+                    if len(done) == width:
+                        break
+            done.reverse()
+        for q in done:
+            del phases[q]
+        self.completed_log += done
+        pmax = self.pmax
+        upto = last if last + 1 in phases else pmax
+        sources = self._sources
+        self._settled[1:] = [upto] * n
+        full_count = self._full_count
+        full_count[1:] = [0] * n
+        if upto < pmax:
+            full_count[1 : sources + 1] = [pmax - upto] * sources
+        self.complete_phase_count += width
         self.executed_pairs += len(batch)
-        self.close_sweep(len(batch))
+        newly_ready = self._fire(range(1, sources + 1)) if upto < pmax else []
         if self._checker is not None:
             self._checker.check(self)
-        return []
+        return newly_ready
 
     # -- Retirement (continuous-operation mode) --
 
@@ -643,6 +722,17 @@ class SchedulerState(CompletionLog):
         ):
             return DuplicateExecutionError(duplicate)
         return SchedulerError(otherwise)
+
+    def _out_of_sweep(self, v: int, q: int) -> SchedulerError:
+        """:meth:`complete_sweep`'s refusal of member ``(v, q)``."""
+        first, last = self.sweeping
+        return self._not_executable(
+            v, q,
+            f"pair {(v, q)} was already executed; each ready pair executes "
+            f"exactly once",
+            f"pair {(v, q)} is not the next pair of the sweep of phases "
+            f"{first}..{last} and may not execute",
+        )
 
     def _oldest_incomplete_phase(self) -> int:
         """Smallest in-flight phase (``pmax + 1`` at quiescence): phases

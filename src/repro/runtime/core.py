@@ -6,8 +6,8 @@
 as five operations — :meth:`~ScheduleCore.admit` (Listing 2's body),
 :meth:`~ScheduleCore.claim` (the locked half of Listing 1's dequeue),
 :meth:`~ScheduleCore.commit` (Listing 1's post-execution section plus
-the completion tail), :meth:`~ScheduleCore.sweep` (a lone phase in the
-oracle's order) and :meth:`~ScheduleCore.result`.
+the completion tail), :meth:`~ScheduleCore.sweep` (a window of phases in
+the oracle's order) and :meth:`~ScheduleCore.result`.
 
 It is passive and **not thread-safe**.  Two callers exist.  The
 coordinator of :mod:`repro.runtime.driver` drives both real engines: one
@@ -35,7 +35,7 @@ from ..core.program import PairRuntime, Program, RunResult
 from ..core.state import Pair, SchedulerState
 from ..core.tracer import ExecutionTracer
 from ..core.vertex import VertexContext
-from ..errors import EngineError, SchedulerError
+from ..errors import EngineError, SchedulerError, VertexExecutionError
 from ..events import PhaseInput
 
 __all__ = ["DEAR_RUNS", "DRAIN", "Placement", "ScheduleCore"]
@@ -183,48 +183,133 @@ class ScheduleCore:
         )
 
     def sweep(
-        self, worker: int, compute: Callable[[int, List[VertexContext]], Any]
-    ) -> int:
-        """Run the one phase in flight as the serial oracle does, on
-        *worker*: each vertex a message waits on, in index order, is a
-        run of one (``prepare``, the driver's ``compute(v, contexts)``,
-        ``PairRuntime.commit``); the scheduler then completes the phase
-        at once, without determination waves
-        (``SchedulerState.complete_sweep``).  The prefix before a member
-        that raises is committed with waves, and the phase stays in
-        flight.  Returns the members swept; nothing becomes ready, as no
-        other phase is in flight."""
+        self, worker: int, compute: Callable[[int, List[int], List[VertexContext]], int]
+    ) -> Tuple[List[Pair], int, int]:
+        """Run the window ``SchedulerState.open_sweep`` opens as the
+        serial oracle runs it, on *worker*: each vertex a message waits on
+        in the window, in index order, is one run over the window phases
+        it waits in (``prepare``, the driver's ``compute(v, phases,
+        contexts)``, which returns how many members it left unexecuted,
+        and ``PairRuntime.commit``); the scheduler then completes the
+        window at once, without determination waves
+        (``SchedulerState.complete_sweep``).
+
+        A run that stops short — cut at its stake, or at a member that
+        raised, after which its prefix is committed — ends the sweep:
+        what ran is committed with waves, the window stays in flight and
+        the error, if any, is raised.  Returns the newly ready pairs, the
+        runs executed and the phases completed (0 when the sweep ended
+        early)."""
         began = _now()
         state, runtime, tracer = self.state, self.runtime, self._tracer
-        p, waiting = state.open_sweep()
+        first, last, waiting = state.open_sweep()
         batch: List[Tuple[int, int, Sequence[int]]] = []
-        phases = [p]
+        v = left = runs = 0
+        failure: Optional[VertexExecutionError] = None
         at = _now()
         self._claim_ns += at - began
+        prepare_ns = compute_ns = deliver_ns = 0
         try:
-            for v in range(1, len(waiting)):
-                if not waiting[v]:
-                    continue
-                ctxs = runtime.prepare(v, phases)
-                if tracer is not None:
-                    tracer.execute_begin((v, p), worker)
-                prepared = _now()
-                compute(v, ctxs)
-                batch += runtime.commit(v, phases, ctxs)
-                self._prepare_ns += prepared - at
-                at = _now()
-                self._compute_ns[worker] += runtime.delivered_at - prepared
-                self._deliver_ns += at - runtime.delivered_at
-                if tracer is not None:
-                    tracer.execute_end((v, p), worker)
-                for w in batch[-1][2]:
-                    waiting[w] = 1
+            if first == last:
+                # A lone phase: one flag per vertex, and runs of one, which
+                # cannot stop short (a member that raises is its whole
+                # run).  Its own loop: the window's masks and exits cost a
+                # lone phase ~3 % on the lockstep harness (EXPERIMENTS.md,
+                # "a fresh backlog is swept as the oracle runs it").
+                phases = [first]
+                for v in range(1, len(waiting)):
+                    if not waiting[v]:
+                        continue
+                    ctxs = runtime.prepare(v, phases)
+                    if tracer is not None:
+                        tracer.execute_begin((v, first), worker)
+                    prepared = _now()
+                    compute(v, phases, ctxs)
+                    batch += runtime.commit(v, phases, ctxs)
+                    delivered = runtime.delivered_at
+                    prepare_ns += prepared - at
+                    at = _now()
+                    compute_ns += delivered - prepared
+                    deliver_ns += at - delivered
+                    if tracer is not None:
+                        tracer.execute_end((v, first), worker)
+                    for w in batch[-1][2]:
+                        waiting[w] = 1
+                runs = len(batch)
+            else:
+                window = list(range(first, last + 1))
+                whole = (1 << len(window)) - 1
+                for v in range(1, len(waiting)):
+                    mask = waiting[v]
+                    if not mask:
+                        continue
+                    phases = window if mask == whole else [
+                        q for i, q in enumerate(window) if mask >> i & 1
+                    ]
+                    ctxs = runtime.prepare(v, phases)
+                    if tracer is not None:
+                        for q in phases:
+                            tracer.execute_begin((v, q), worker)
+                    prepared = _now()
+                    runs += 1
+                    try:
+                        left = compute(v, phases, ctxs)
+                    except VertexExecutionError as exc:
+                        failure = exc
+                        left = len(phases) - phases.index(exc.phase)
+                    if left:
+                        head, phases = (v, phases[-left]), phases[:-left]
+                    sent = runtime.message_count
+                    completed = runtime.commit(v, phases, ctxs)
+                    batch += completed
+                    delivered = runtime.delivered_at
+                    prepare_ns += prepared - at
+                    at = _now()
+                    compute_ns += delivered - prepared
+                    deliver_ns += at - delivered
+                    if tracer is not None:
+                        for q in phases:
+                            tracer.execute_end((v, q), worker)
+                    if left:
+                        break
+                    every = runtime.edges.succs[v]
+                    if runtime.message_count - sent == len(completed) * len(every):
+                        # A message per member and successor: each
+                        # successor waits in every phase of the run.
+                        for w in every:
+                            waiting[w] |= mask
+                        continue
+                    for _, q, targets in completed:
+                        bit = 1 << (q - first)
+                        for w in targets:
+                            waiting[w] |= bit
         except BaseException:
-            self._complete(worker, batch, at, state.complete_executions)
-            state.close_sweep(len(batch))
+            try:
+                self._complete(worker, batch, at, state.complete_executions)
+            finally:
+                state.close_sweep(runs if first < last else len(batch), len(batch))
             raise
-        self._complete(worker, batch, at, state.complete_sweep)
-        return len(batch)
+        finally:
+            self._prepare_ns += prepare_ns
+            self._compute_ns[worker] += compute_ns
+            self._deliver_ns += deliver_ns
+        # The sweep ends even when the completion tail's sink raises.
+        try:
+            ready = self._complete(
+                worker, batch, at,
+                state.complete_executions if left else state.complete_sweep,
+            )[0]
+        finally:
+            state.close_sweep(runs, len(batch))
+        if not left:
+            return ready, runs, last - first + 1
+        if failure is not None:
+            raise failure
+        if state.is_run_claimed(head):
+            # Claims the tail held before the sweep stay intact, so no
+            # wave readies its head: it is dispatched again.
+            ready.append(head)
+        return ready, runs, 0
 
     def _complete(
         self,

@@ -13,9 +13,11 @@ loops inline:
   :class:`~repro.core.program.PairRuntime`: claim a ready run, compute
   it, and commit it.  A vertex that :class:`~repro.runtime.core.Placement`
   keeps *here* computes on this thread, a run of it staked once it has
-  cost its hand-off; a lone phase with every vertex here is *swept*, as
-  the oracle runs it — by the producer's own thread, inside its
-  ``PhaseFeed.put``, when the phase arrives alone at an idle coordinator
+  cost its hand-off.  With every vertex here, a window of phases — the
+  lone phase in flight, or the oldest ``ADAPTIVE_RUN_CEILING`` of a
+  fresh backlog — is *swept*, as the oracle runs it, a run per vertex; a
+  lone phase that arrives at an idle coordinator is swept by the
+  producer's own thread, inside its ``PhaseFeed.put``
   (docs/ARCHITECTURE.md §5.8).  A run of a vertex moved *away* is handed
   to the **port**, and its results come back to this thread, which
   delivers and commits them.
@@ -66,7 +68,9 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Any, Deque, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Deque, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from ..core.program import Program, RunResult
 from ..core.state import ADAPTIVE_RUN_CEILING, Pair
@@ -145,14 +149,16 @@ class DrivenEngine:
     ) -> RunResult:
         """Execute phases as a :class:`PhaseFeed` delivers them.
 
-        The continuous-operation entry point: the coordinator admits
-        every phase the feed holds in one burst — one flow-control credit
-        each, at most ``ADAPTIVE_RUN_CEILING`` — so a backlog starts as
-        one horizon that runs can coalesce over, and parks on the feed
-        when it is idle; a lone phase put into the idle engine then runs
-        on the producer's thread.  The run ends when the feed is closed
-        and drained (or *stop_event* is set, which is honoured between
-        bursts — in-flight phases still drain).
+        The continuous-operation entry point: before it runs anything,
+        the coordinator admits every phase the feed holds, as far as
+        flow control allows, in bursts of at most
+        ``ADAPTIVE_RUN_CEILING`` (one flow-control credit each), so a
+        backlog starts as one horizon — with no bound, every phase of a
+        batch — that is swept, or that runs coalesce over.  It parks on
+        the feed when it is idle; a lone phase put into the idle engine
+        then runs on the producer's thread.  The run ends when the feed
+        is closed and drained (or *stop_event* is set, which is honoured
+        between bursts — in-flight phases still drain).
 
         With ``retire=True`` the engine additionally *retires* each
         phase as soon as the completed prefix extends — handing
@@ -199,7 +205,7 @@ def drive(
     core = ScheduleCore(
         program, me + 1, checker=checker, tracer=tracer, retire=retire, sink=sink,
     )
-    runtime = core.runtime
+    runtime, state = core.runtime, core.state
 
     # Ready pairs: of away vertices, to hand over; of resident vertices,
     # which the coordinator executes itself.
@@ -253,26 +259,38 @@ def drive(
             drain["feed_burst_max"] = fed
         return fed > 0
 
-    def run_resident(v: int, p: int) -> None:
-        # Listing 1's body on this thread — and what computing cost,
-        # compared with what handing the run away would have.
-        phases, ctxs = core.claim(me, v, p)
-        drain["inline_runs"] += 1
-        n = len(phases)
+    def stake(began: float, cost: float) -> Callable[[], bool]:
         # A staked run stops once it has cost handing all of it away.
+        return lambda: clock() - began >= cost
+
+    def compute_here(v: int, phases: List[int], ctxs: List[VertexContext]) -> int:
+        # A run on this thread, staked unless its vertex just read cheap
+        # (a run of one cannot stop short), and judged: what computing it
+        # cost, against what handing it away would have.  Returns the
+        # members it left unexecuted.
+        n = len(phases)
         cost = price(v, phases, ctxs)
-        staked = placement.staked(v)
-        failure: Optional[VertexExecutionError] = None
         began = clock()
-        try:
-            executed = runtime.compute(
-                v, ctxs, (lambda: clock() - began >= cost) if staked else None
-            )
-        except VertexExecutionError as exc:
-            failure, executed = exc, phases.index(exc.phase)
+        if n == 1 or not placement.staked(v):
+            runtime.compute(v, ctxs)
+            placement.settle(v, clock() - began, cost)
+            return 0
+        executed = runtime.compute(v, ctxs, stake(began, cost))
         placement.settle(
             v, clock() - began, cost if executed == n else trip(executed)
         )
+        return n - executed
+
+    def run_resident(v: int, p: int) -> None:
+        # Listing 1's body on this thread.
+        phases, ctxs = core.claim(me, v, p)
+        drain["inline_runs"] += 1
+        n = len(phases)
+        failure: Optional[VertexExecutionError] = None
+        try:
+            executed = n - compute_here(v, phases, ctxs)
+        except VertexExecutionError as exc:
+            failure, executed = exc, phases.index(exc.phase)
         kept = executed + (commit_handed_over and executed < n)
         completed = runtime.commit(v, phases[:kept], ctxs)
         place(core.commit(me, completed)[0])
@@ -284,24 +302,30 @@ def drive(
             drain["handovers"] += 1
             place([(v, phases[executed])])
 
-    def compute_swept(v: int, ctxs: List[VertexContext]) -> None:
-        cost = price(v, [ctxs[0].phase], ctxs)
-        began = clock()
-        runtime.compute(v, ctxs)
-        placement.settle(v, clock() - began, cost)
-
     def sweep() -> None:
-        drain["inline_runs"] += core.sweep(me, compute_swept)
-        drain["swept_phases"] += 1
+        # Every pair in ``mine`` is in the window.  A sweep cut at a stake
+        # hands over: the pairs it did not run are placed again, where
+        # their vertices now live, with those its commit readied.
+        ready, runs, swept = core.sweep(me, compute_here)
+        drain["inline_runs"] += runs
+        if swept:
+            drain["swept_phases"] += swept
+            mine.clear()
+        else:
+            drain["handovers"] += 1
+            left = [pair for pair in mine if state.is_ready(pair)
+                    or state.is_run_claimed(pair)]
+            mine.clear()
+            place(left)
+        if ready:
+            place(ready)
 
     def run_here() -> None:
-        # A lone phase with every vertex resident (so nothing is away or
-        # to ship) is swept, each pair a run of one judged as
-        # run_resident judges it; else the next ready pair runs.
-        if placement.moved or core.phases_in_flight != 1:
+        # With nothing moved (so nothing is away or to ship), a window of
+        # phases is swept when one opens; else the next ready pair runs.
+        if placement.moved or not state.sweepable():
             run_resident(*mine.popleft())
             return
-        mine.clear()
         sweep()
 
     def hand(pi: PhaseInput) -> bool:
@@ -426,7 +450,7 @@ def drive(
                 # phases, whatever the feed does next.
                 raise EngineError(
                     f"engine stalled before quiescence: in-flight "
-                    f"phases {core.state.in_flight_phases()!r}"
+                    f"phases {state.in_flight_phases()!r}"
                 )
             # Quiescent, so flow control admitted anything held: only a
             # stop request leaves a phase there.

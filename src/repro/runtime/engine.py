@@ -7,7 +7,8 @@ on an **environment thread** — the only caller of
 (``compute-0`` … ``compute-<k-1>``), which :class:`ThreadPort` starts,
 feeds and joins.  The environment starts phases (Listing 2), executes
 the vertices :class:`~repro.runtime.core.Placement` keeps here and
-sweeps a lone phase; a vertex whose compute is dearer than a hand-off
+sweeps a window of phases (a lone phase, or a fresh backlog's oldest
+64); a vertex whose compute is dearer than a hand-off
 moves away, and each of its ready runs is claimed, put on its sticky
 executor's job deque as prepared contexts, computed there, handed back
 on one shared deque, and delivered and committed by the environment.

@@ -16,9 +16,10 @@ seeded concurrency bug can break):
 
 * every vertex-phase pair is **enqueued at most once**;
 * a pair may only **begin executing while it is ready**, run-claimed (a
-  coalesced run extension certified by ``claim_run``) or in the phase
-  open to a sweep — dequeue-to-execute justified by definition (8), or a
-  certificate, at that instant — and once, bar a handed-over run tail;
+  coalesced run extension certified by ``claim_run``) or in the window
+  of phases open to a sweep — dequeue-to-execute justified by definition
+  (8), or a certificate, at that instant — and once, bar the tail of a
+  cut run (claimed, or left by a sweep that ended early);
 * an **executed pair never reappears** in partial / full / ready
   (exactly-once execution, Section 3.3.4);
 * phase starts are **contiguous** (pmax increments by one).
@@ -34,7 +35,7 @@ with step indices and capture the trace tail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..core.invariants import InvariantChecker
 from ..core.tracer import ExecutionTracer
@@ -86,6 +87,8 @@ class RaceMonitor(ExecutionTracer):
         self._enqueued: Set[Pair] = set()
         self._executed: Set[Pair] = set()
         self._begun: Set[Pair] = set()
+        # Pairs begun in a sweep and not yet ended, with its window.
+        self._swept: Dict[Pair, Tuple[int, int]] = {}
         self._last_phase = 0  # the last phase started
         self._last_state: Optional["SchedulerState"] = None
         self.violations: List[MonitorViolation] = []
@@ -166,17 +169,24 @@ class RaceMonitor(ExecutionTracer):
         # ready-set snapshot; the full set is only materialised (below)
         # to describe an actual violation.  A claimed run extension is
         # licensed to execute without being ready (claim_run certified
-        # its inputs final at claim time; a cut run's tail begins again,
-        # unended), and so is every pair of the phase open to a sweep.
+        # its inputs final at claim time), and so is every pair of the
+        # window of phases open to a sweep.  A cut run's unended tail
+        # begins again: claimed, or left by a sweep that ended early.
         claimed = state is not None and state.is_run_claimed(pair)
-        if pair in self._begun and not (claimed and pair not in self._executed):
+        window = getattr(state, "sweeping", (0, 0))
+        swept = window[0] <= pair[1] <= window[1]
+        handed_over = pair not in self._executed and (
+            claimed or self._swept.get(pair, window) != window
+        )
+        if pair in self._begun and not handed_over:
             self._record(
                 "lifecycle",
                 f"pair {pair} began executing twice (worker {worker})",
             )
         self._begun.add(pair)
-        if state is not None and not (claimed or state.is_ready(pair)
-                                      or pair[1] == getattr(state, "sweeping", 0)):
+        if swept:
+            self._swept[pair] = window
+        elif state is not None and not (claimed or state.is_ready(pair)):
             self._record(
                 "lifecycle",
                 f"pair {pair} began executing while neither ready nor "
@@ -192,6 +202,7 @@ class RaceMonitor(ExecutionTracer):
                 f"pair {pair} completed execution twice (worker {worker})",
             )
         self._executed.add(pair)
+        self._swept.pop(pair, None)
 
     # -- internals --------------------------------------------------------
 

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from repro.core.invariants import InvariantChecker
-from repro.core.state import CLAIMED, FULL, PARTIAL, SchedulerState
+from repro.core.state import (
+    ADAPTIVE_RUN_CEILING, CLAIMED, FULL, PARTIAL, SchedulerState,
+)
 from repro.errors import DuplicateExecutionError, InvariantViolation, SchedulerError
 from repro.graph.generators import random_dag
 from repro.graph.model import ComputationGraph
@@ -98,30 +100,39 @@ def chain3():
 
 
 class TestTheSweep:
-    """A lone phase, executed in index order and committed at once
-    (``ScheduleCore.sweep``): the one place a full pair that never
-    entered ready may complete."""
+    """A window of phases — the lone phase in flight, or the oldest
+    phases in flight while the oldest is fresh — executed vertex by
+    vertex in index order and committed at once (``ScheduleCore.sweep``):
+    the one place a full pair that never entered ready may complete."""
 
-    def test_a_sweep_needs_exactly_one_phase_in_flight(self):
+    def test_a_window_needs_one_phase_or_a_fresh_oldest_phase(self):
         st = two_cones()
-        with pytest.raises(SchedulerError, match="exactly one phase"):
+        with pytest.raises(SchedulerError, match="a fresh oldest phase"):
             st.open_sweep()
+        assert not st.sweepable()
         st.start_phase()
         st.start_phase()
-        with pytest.raises(SchedulerError, match="exactly one phase"):
+        assert st.sweepable() and st.open_sweep()[:2] == (1, 2)
+        st.close_sweep(0, 0)
+        # The oldest of two phases is no longer fresh once (1, 1) ran.
+        st.complete_execution(1, 1, [3])
+        assert not st.sweepable()
+        with pytest.raises(SchedulerError, match=r"not \[1, 2\]"):
             st.open_sweep()
-        assert st.sweeping == 0
+        assert st.sweeping == (0, 0)
 
     def test_the_open_phase_commits_once_in_index_order(self):
         st = chain3()
         st.start_phase()
-        p, waiting = st.open_sweep()
-        assert (p, list(waiting), st.sweeping) == (1, [0, 1, 0, 0], 1)
+        first, last, waiting = st.open_sweep()
+        assert (first, last, list(waiting), st.sweeping) == (
+            1, 1, [0, 1, 0, 0], (1, 1),
+        )
         # (2, 1) and (3, 1) never entered ready: each is full at its
         # settled gate once the members before it are completed.
         assert st.complete_executions([(1, 1, [2]), (2, 1, [3]), (3, 1, [])]) == []
-        st.close_sweep(3)
-        assert st.phase_complete(1) and st.sweeping == 0
+        st.close_sweep(3, 3)
+        assert st.phase_complete(1) and st.sweeping == (0, 0)
         assert st.coalescing_stats() == {
             "runs_scheduled": 3, "pairs_coalesced": 0, "mean_run_length": 1.0,
         }
@@ -133,7 +144,7 @@ class TestTheSweep:
         st.start_phase()
         st.open_sweep()
         st.complete_executions([(1, 1, [2])])  # (2, 1) raised
-        st.close_sweep(1)
+        st.close_sweep(1, 1)
         assert st.ready_set() == {(2, 1)} and not st.phase_complete(1)
 
     def test_without_an_open_sweep_a_full_pair_is_refused(self):
@@ -154,7 +165,8 @@ class TestTheSweep:
         st.start_phase()
         st.open_sweep()
         assert st.complete_sweep([(1, 1, [2]), (2, 1, [3]), (3, 1, [])]) == []
-        assert st.phase_complete(1) and st.sweeping == 0
+        st.close_sweep(3, 3)
+        assert st.phase_complete(1) and st.sweeping == (0, 0)
         assert st.completed_log == [1] and st.executed_pairs == 3
         assert st.coalescing_stats()["runs_scheduled"] == 3
         with pytest.raises(DuplicateExecutionError):
@@ -194,27 +206,66 @@ class TestTheSweep:
         st.start_phase()
         st.complete_execution(1, 2, [])
         assert st.in_flight_phases() == [1] and st.phase_complete(2)
-        p, waiting = st.open_sweep()
-        assert (p, list(waiting)) == (1, [0, 0, 1, 0])
+        first, last, waiting = st.open_sweep()
+        assert (first, last, list(waiting)) == (1, 1, [0, 0, 1, 0])
         st.complete_sweep([(2, 1, [])])
         assert st._settled == [0, 2, 2, 2] and st.completed_log == [2, 1]
 
-    @settings(max_examples=200, deadline=None)
+    def test_a_window_takes_its_members_vertex_by_vertex_in_phase_order(self):
+        # Two fresh phases of a -> b -> c: a window of two.
+        for batch in [
+            [(1, 2, [2]), (1, 1, [2])],  # phases of a vertex descend
+            [(1, 1, [2]), (2, 1, [3]), (1, 2, [2])],  # phase by phase
+            [(1, 1, [2]), (1, 3, [2])],  # outside the window
+        ]:
+            st = chain3()
+            st.start_phase()
+            st.start_phase()
+            assert st.open_sweep()[:2] == (1, 2)
+            with pytest.raises(SchedulerError, match="next pair of the sweep"):
+                st.complete_sweep(batch)
+
+    def test_a_window_is_at_most_the_run_ceiling_and_fires_the_next_phase(self):
+        # 66 fresh phases of a -> b -> c: the window is the oldest 64; the
+        # source of phase 65 is ready after it, and full in phase 66.
+        twins = [chain3(), chain3()]
+        for twin in twins:
+            for _ in range(ADAPTIVE_RUN_CEILING + 2):
+                twin.start_phase()
+        first, last, waiting = twins[0].open_sweep()
+        twins[1].open_sweep()
+        assert (first, last) == (1, ADAPTIVE_RUN_CEILING)
+        assert list(waiting) == [0, (1 << ADAPTIVE_RUN_CEILING) - 1, 0, 0]
+        batch = [(v, q, [v + 1] if v < 3 else [])
+                 for v in (1, 2, 3) for q in range(first, last + 1)]
+        wave_free, waves = twins
+        assert wave_free.complete_sweep(batch) == [(1, last + 1)]
+        assert waves.complete_executions(batch) == [(1, last + 1)]
+        for twin in twins:
+            twin.close_sweep(3, len(batch))
+        for name in TWINNED:
+            assert getattr(wave_free, name) == getattr(waves, name), name
+        assert wave_free.in_flight_phases() == [last + 1, last + 2]
+        assert wave_free._settled == [0, last, last, last]
+        assert wave_free._full_count == [0, 2, 0, 0]
+
+    @settings(max_examples=300, deadline=None)
     @given(
         n=strategies.integers(min_value=1, max_value=12),
         edge_prob=strategies.floats(min_value=0.1, max_value=0.8),
         graph_seed=strategies.integers(min_value=0, max_value=10**6),
         seed=strategies.integers(min_value=0, max_value=10**6),
-        phases=strategies.integers(min_value=1, max_value=4),
+        phases=strategies.integers(min_value=1, max_value=6),
         emit_prob=strategies.floats(min_value=0.0, max_value=1.0),
     )
     def test_the_wave_free_close_ends_where_the_waves_end(
         self, n, edge_prob, graph_seed, seed, phases, emit_prob
     ):
-        # Twins run one random schedule until a single phase is left in
-        # flight (possibly part-executed, possibly behind a later phase
-        # that completed first), then sweep it: one closes it wave-free,
-        # the other commits the same batch through the waves.
+        # Twins run one random schedule until a window opens — a single
+        # phase left in flight (possibly part-executed, possibly behind a
+        # later phase that completed first), or fresh phases — then sweep
+        # it: one closes it wave-free, the other commits the same
+        # vertex-major batch through the waves.
         nb = number_graph(random_dag(n, edge_prob=edge_prob, seed=graph_seed))
         twins = [SchedulerState(nb, checker=InvariantChecker()) for _ in range(2)]
         succs = twins[0].cones.succs
@@ -228,9 +279,11 @@ class TestTheSweep:
             return [w for w in succs[v] if rng.random() < odds]
 
         while True:
-            in_flight = twins[0].in_flight_phases()
-            if len(in_flight) == 1 and (not ready or rng.random() < 0.4):
+            if twins[0].sweepable() and (
+                started == phases or not ready or rng.random() < 0.25
+            ):
                 break
+            in_flight = twins[0].in_flight_phases()
             if not in_flight or (started < phases and rng.random() < 0.5):
                 news = [twin.start_phase() for twin in twins]
                 started += 1
@@ -245,23 +298,31 @@ class TestTheSweep:
             ready += news[0]
         opened = [twin.open_sweep() for twin in twins]
         assert opened[0] == opened[1]
-        p, waiting = opened[0]
+        first, last, waiting = opened[0]
         batch = []
         for v in range(1, n + 1):
-            if waiting[v]:
-                batch.append((v, p, emitted(v, p)))
-                for w in batch[-1][2]:
-                    waiting[w] = 1
+            for i, q in enumerate(range(first, last + 1)):
+                if waiting[v] >> i & 1:
+                    batch.append((v, q, emitted(v, q)))
+                    for w in batch[-1][2]:
+                        waiting[w] |= 1 << i
         wave_free, waves = twins
-        assert wave_free.complete_sweep(batch) == []
-        assert waves.complete_executions(batch) == []
-        waves.close_sweep(len(batch))
+        fired = wave_free.complete_sweep(batch)
+        assert waves.complete_executions(batch) == fired
         for twin in twins:
-            assert twin.all_started_complete() and twin.sweeping == 0
-        for name in ("_settled", "completed_log", "executed_pairs",
-                     "_ready_upto", "_full_count", "complete_phase_count"):
+            twin.close_sweep(len({v for v, _, _ in batch}), len(batch))
+            assert twin.sweeping == (0, 0)
+            assert not set(twin.in_flight_phases()) & set(range(first, last + 1))
+        for name in TWINNED:
             assert getattr(wave_free, name) == getattr(waves, name), name
         assert wave_free.coalescing_stats() == waves.coalescing_stats()
+        assert wave_free.ready_set() == waves.ready_set()
+        assert wave_free.full_set() == waves.full_set()
+
+
+#: What a wave-free close and the waves over the same batch must agree on.
+TWINNED = ("_settled", "completed_log", "executed_pairs", "_ready_upto",
+           "_full_count", "complete_phase_count")
 
 
 class TestTheCheckerJudgesTheRepresentation:

@@ -6,11 +6,16 @@
   same state);
 * **mid-run fault salvage** on the process backend: a mid-run vertex
   failure attributes the exact failing phase with the unexecuted tail
-  reported for requeue.
+  reported for requeue;
+* **a swept window that stops short** (``ScheduleCore.sweep``): a run cut
+  at its stake or a member that raises ends the sweep, what ran commits
+  with waves, and the rest runs as ready runs.
 
 Engine-level equivalence against the serial oracle (and the check that
 runs actually form) lives in ``tests/test_differential.py``.
 """
+
+from collections import deque
 
 import pytest
 
@@ -27,11 +32,13 @@ from repro.graph.generators import chain_graph
 from repro.graph.model import ComputationGraph
 from repro.graph.numbering import number_graph
 from repro.core.program import Program
+from repro.core.serial import SerialExecutor
 from repro.core.vertex import Vertex
+from repro.runtime.core import ScheduleCore
 from repro.runtime.mp import ProcessEngine
 from repro.runtime.mp.protocol import ResultBatch, RunMember, RunMsg
 
-from tests.conftest import worker_replies
+from tests.conftest import make_chain_program, signals, worker_replies
 
 
 # ---------------------------------------------------------------------------
@@ -196,3 +203,95 @@ class TestMidRunSalvage:
         # Survivors committed, claims unwound: the engine still runs.
         res = engine.run([PhaseInput(p, float(p)) for p in (1, 2)])
         assert res.execution_count == 2
+
+
+# ---------------------------------------------------------------------------
+# A swept window that stops short (ScheduleCore.sweep's exits)
+# ---------------------------------------------------------------------------
+
+
+def cutting(core, at):
+    """The driver's ``compute`` for a sweep: computes each run whole,
+    except that vertex *at*'s run stops after its first member (a cut
+    stake); returns the members left."""
+
+    def compute(v, phases, ctxs):
+        executed = core.runtime.compute(v, ctxs, lambda: v == at)
+        return len(phases) - executed
+
+    return compute
+
+
+def drain_inline(core, ready):
+    """Run the ready pairs as ready runs, placing what each commit readies
+    and a cut run's claimed head, until quiescent."""
+    ready = deque(ready)
+    while ready:
+        v, p = ready.popleft()
+        run, ctxs = core.claim(0, v, p)
+        core.runtime.compute(v, ctxs)
+        ready.extend(core.commit(0, core.runtime.commit(v, run, ctxs))[0])
+    assert core.quiescent
+
+
+class TestAWindowThatStopsShort:
+    def program(self):
+        return make_chain_program(3, {p: p for p in range(1, 7)})
+
+    def test_a_cut_run_ends_the_sweep_and_its_tail_runs_as_ready_runs(self):
+        program = self.program()
+        serial = SerialExecutor(self.program()).run(signals(4))
+        core = ScheduleCore(program, 1, checker=InvariantChecker())
+        for pi in signals(4):
+            core.admit(pi)
+        ready, runs, swept = core.sweep(0, cutting(core, at=1))
+        # n0 ran phase 1 of the window 1..4; the waves readied its next
+        # phase and n1's first.
+        assert (ready, runs, swept) == ([(1, 2), (2, 1)], 1, 0)
+        assert core.state.sweeping == (0, 0)
+        assert core.state.in_flight_phases() == [1, 2, 3, 4]
+        drain_inline(core, ready)
+        result = core.result("inline", 0.0, {})
+        assert result.records == serial.records
+        assert sorted(result.executions) == sorted(serial.executions)
+
+    def test_a_cut_tail_that_holds_claims_is_handed_over(self):
+        # A claimed run of n0 over 1..3 is cut after its first member, so
+        # (n0, 2..3) hold claims; once phase 1 completes, phase 2 is the
+        # fresh oldest phase and the window 2..3 is swept.  Cut again, the
+        # tail (n0, 3) still holds its claim, which no wave readies: the
+        # sweep hands it back as the head to dispatch.  Regression: it
+        # was dropped, and the run stalled with phases 2 and 3 in flight.
+        program = self.program()
+        serial = SerialExecutor(self.program()).run(signals(3))
+        core = ScheduleCore(program, 1, checker=InvariantChecker())
+        for pi in signals(3):
+            core.admit(pi)
+        run, ctxs = core.claim(0, 1, 1)
+        assert run == [1, 2, 3]
+        core.runtime.compute(1, ctxs[:1])
+        core.commit(0, core.runtime.commit(1, run[:1], ctxs))
+        for v in (2, 3):  # phase 1's chain, so that phase 2 is fresh
+            run, ctxs = core.claim(0, v, 1)
+            core.runtime.compute(v, ctxs)
+            core.commit(0, core.runtime.commit(v, run, ctxs))
+        assert core.state.in_flight_phases() == [2, 3]
+        assert core.state.sweepable() and core.state.is_run_claimed((1, 3))
+        ready, runs, swept = core.sweep(0, cutting(core, at=1))
+        assert (runs, swept) == (1, 0) and (1, 3) in ready
+        drain_inline(core, ready)
+        result = core.result("inline", 0.0, {})
+        assert result.records == serial.records
+        assert sorted(result.executions) == sorted(serial.executions)
+
+    def test_a_member_that_raises_commits_the_prefix_of_its_run(self):
+        program = _solo_program(_BoomMidRun())
+        core = ScheduleCore(program, 1, checker=InvariantChecker())
+        for pi in signals(5):
+            core.admit(pi)
+        with pytest.raises(VertexExecutionError) as exc_info:
+            core.sweep(0, lambda v, phases, ctxs: core.runtime.compute(v, ctxs))
+        assert exc_info.value.phase == 3
+        assert core.state.sweeping == (0, 0)
+        assert core.state.in_flight_phases() == [3, 4, 5]
+        assert list(core.runtime.executions) == [(1, 1), (1, 2)]

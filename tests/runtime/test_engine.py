@@ -300,14 +300,34 @@ class TestShutdownErrorPropagation:
             release.set()
 
     def test_wedged_environment_does_not_leak_workers(self, strand):
-        # Phase 1's last completion is lost, so the started phases can
+        # Phase 2's last completion is lost, so the started phases can
         # never complete while the executors idle: the run fails with the
         # stall report, but only after waking and joining every
-        # computation thread.
+        # computation thread.  Compute reads dear, so the sweep is cut
+        # after (n0, 1) and the source moves to the executors after its
+        # stakes: no window is swept after that.
         prog = make_chain_program(2, {1: "x", 2: "y"})
-        strand(prog.numbering.index_of["n1"], 1)
-        engine = ParallelEngine(prog, num_threads=2, join_timeout=0.3)
+        strand(prog.numbering.index_of["n1"], 2)
+        engine = ParallelEngine(
+            prog, num_threads=2, join_timeout=0.3,
+            backend=RegimeClockBackend(compute_dear=True),
+        )
         with pytest.raises(EngineError, match="stalled before quiescence"):
+            engine.run(signals(5))
+        assert not [
+            t for t in threading.enumerate() if t.name.startswith("compute-")
+        ]
+
+    def test_a_completion_lost_in_a_whole_sweep_fails_its_close(self, strand):
+        # The same loss inside a window swept whole: the wave-free close
+        # finds the pair still waiting, and every thread is joined.
+        prog = make_chain_program(2, {1: "x", 2: "y"})
+        strand(prog.numbering.index_of["n1"], 2)
+        engine = ParallelEngine(
+            prog, num_threads=2, join_timeout=0.3,
+            backend=RegimeClockBackend(compute_dear=False),
+        )
+        with pytest.raises(SchedulerError, match=r"phases 1\.\.2 left 1 pairs"):
             engine.run(signals(2))
         assert not [
             t for t in threading.enumerate() if t.name.startswith("compute-")
@@ -745,10 +765,11 @@ class TestProgressWatchdog:
     def test_one_coalesced_run_longer_than_the_timeout_completes(self):
         # Regression: progress was counted at commit only, so one healthy
         # run whose members together outlast the timeout read as a wedge.
-        # All 40 phases are admitted in one burst and the source's run
-        # takes them all; the slow vertex reads dear, so each of its
-        # DEAR_RUNS stakes is cut after one member, and the rest of its
-        # backlog is claimed as one away run of 37 members.
+        # All 40 phases are admitted in one burst and swept as one
+        # window: the source's run takes them all; the slow vertex reads
+        # dear, so each of its DEAR_RUNS stakes — the first cuts the
+        # sweep — is cut after one member, and the rest of its backlog is
+        # claimed as one away run of 37 members.
         backend = RegimeClockBackend(compute_dear=False)
         slow = self._slow_chain(0.02)
         v2 = slow.behaviors["v2"].on_execute

@@ -171,6 +171,40 @@ class TestRetirement:
         assert delivered == [1, 2]
         assert core.state.retired_upto == 5 and core.quiescent
 
+    def test_a_raising_sink_still_ends_the_sweep(self):
+        # The same failure in a sweep's completion tail: the sweep ends
+        # and counts its runs all the same, and the next phases — one
+        # at a time, then a fresh window of three — are swept.
+        program, phases = WORKLOADS["pipeline"]()
+        delivered = []
+
+        def sink(p, ts, entries):
+            delivered.append(p)
+            if p == 2:
+                raise RuntimeError("delivery of phase 2 failed")
+
+        core = ScheduleCore(program, 1, retire=True, sink=sink)
+
+        def compute(v, run, ctxs):
+            return len(run) - core.runtime.compute(v, ctxs)
+
+        failures = []
+        for batch in ([phases[0]], [phases[1]], [phases[2]], phases[3:6]):
+            for pi in batch:
+                core.admit(pi)
+            try:
+                core.sweep(0, compute)
+            except RuntimeError as exc:
+                failures.append(exc)
+            assert core.state.sweeping == (0, 0)
+        assert len(failures) == 1
+        assert delivered == [1, 2]
+        assert core.state.retired_upto == 6 and core.quiescent
+        stats = core.state.coalescing_stats()
+        assert stats["runs_scheduled"] + stats["pairs_coalesced"] == (
+            core.state.executed_pairs
+        )
+
     def test_retire_with_tracer_rejected(self):
         program, _ = WORKLOADS["pipeline"]()
         from repro.core.tracer import ExecutionTracer
@@ -244,9 +278,11 @@ class TestFeedBursts:
         assert_serializable(serial, result)
         assert result.stats["drain"]["feed_burst_max"] == len(phases)
         assert result.stats["coalescing"]["mean_run_length"] > 1.0
-        # Closed before the run began, the feed is a batch: the
-        # environment is a peer, and every run is placed exactly once.
+        # Closed before the run began, the feed is a batch: its backlog
+        # starts fresh and is swept as one window, a run per vertex, and
+        # every run is counted once.
         drain = result.stats["drain"]
+        assert drain["swept_phases"] == len(phases)
         assert (
             drain["inline_runs"] + drain["pooled_runs"]
             == result.stats["coalescing"]["runs_scheduled"]

@@ -557,7 +557,9 @@ class TestTheSuiteIsNotVacuous:
             f"only {both}/60 runs repeated a value inside a coalesced schedule"
         )
 
-    @pytest.mark.parametrize("engine", ["threaded", "simulated-cone"])
+    @pytest.mark.parametrize(
+        "engine", ["threaded", "threaded-pooled", "simulated-cone"]
+    )
     def test_deep_pipeline_forms_runs(self, engine):
         spec = PipelineSpec(depth=6, phases=40, seed=11)
         _, result = run_cell(engine, spec, 0)
@@ -571,6 +573,14 @@ class TestTheSuiteIsNotVacuous:
         if engine == "simulated-cone":
             taken = result.stats["lock"]["total_requests"]
             assert taken < 2 * result.execution_count
+        # The fresh backlog is one window, swept a vertex at a time; on a
+        # dear clock its first stake cuts the sweep, and the runs are
+        # claimed (claim_run) and, once the vertices moved, pooled.
+        if engine == "threaded":
+            assert result.stats["drain"]["swept_phases"] == spec.phases
+        elif engine == "threaded-pooled":
+            drain = result.stats["drain"]
+            assert drain["swept_phases"] == 0 and drain["pooled_runs"] > 0
 
     def test_process_runs_ship_run_frames(self):
         spec = PipelineSpec(depth=5, phases=30, seed=3)

@@ -77,8 +77,9 @@ class TestCleanCampaign:
         # explores, as one digest of its per-run trace hashes.  A change
         # that moves the virtual schedule fails here: update the pin and
         # say why the explored schedules had to change.  (Last moved when
-        # one coordinator replaced the peer workers: the explored
-        # schedules are its hand-offs to the executor threads.)
+        # a fresh backlog became a swept window: a batch's first window is
+        # cut at its first stake, on a clock that stands still, before
+        # the hand-offs to the executor threads begin.)
         fuzz_module = importlib.import_module("repro.testing.fuzz")
         run_one, hashes = fuzz_module.run_one, []
 
@@ -91,7 +92,7 @@ class TestCleanCampaign:
         assert fuzz(runs=30, seed=0).ok
         assert len(hashes) == 30
         digest = hashlib.sha1(" ".join(hashes).encode()).hexdigest()[:16]
-        assert digest == "f8c3e885a1fc264a"
+        assert digest == "9e2d40a53f5b6779"
 
     def test_single_run_passes_each_policy(self):
         spec = spec_for_run(1, 0)

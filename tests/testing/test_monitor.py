@@ -105,9 +105,38 @@ class TestViolations:
         state.open_sweep()
         monitor.execute_begin((3, 1), worker=0)  # no message yet
         assert monitor.ok
-        state.close_sweep(0)
+        state.close_sweep(0, 0)
         monitor.execute_begin((4, 1), worker=0)
         assert "neither ready nor run-claimed" in monitor.report()
+
+    def test_a_begin_in_any_phase_of_a_three_phase_window_is_licensed(
+        self, numbering
+    ):
+        monitor = RaceMonitor()
+        state = SchedulerState(numbering, checker=monitor)
+        for _ in range(3):
+            state.start_phase()
+        assert state.open_sweep()[:2] == (1, 3)
+        # Source 1 over the window, then (3, q) — no message yet in any.
+        for pair in [(1, 1), (1, 2), (1, 3), (3, 1), (3, 2), (3, 3)]:
+            monitor.execute_begin(pair, worker=0)
+        monitor.execute_end((1, 1), worker=0)
+        assert monitor.ok
+        monitor.execute_begin((3, 2), worker=0)  # twice inside the sweep
+        # The sweep ends early: the unended (1, 2) begins again as the
+        # head of a run, (1, 3) as its claimed extension; (3, 3) is
+        # neither ready nor claimed, and outside the window now.
+        state.close_sweep(1, 1)
+        state.complete_execution(1, 1, [3])
+        assert state.claim_run(1, 2) == [2, 3]
+        monitor.execute_begin((1, 2), worker=0)
+        monitor.execute_begin((1, 3), worker=0)
+        monitor.execute_begin((3, 3), worker=0)
+        assert [v.description for v in monitor.violations] == [
+            "pair (3, 2) began executing twice (worker 0)",
+            f"pair (3, 3) began executing while neither ready nor run-claimed "
+            f"(worker 0); ready was {sorted(state.ready_set())}",
+        ]
 
     def test_non_contiguous_phase_start_flagged(self, numbering):
         monitor = RaceMonitor()
